@@ -6,19 +6,16 @@
 //! ablation point: it shows what a *local* improver achieves compared to
 //! Avala's constructive strategy at equal evaluation budgets.
 
-use crate::compiled::{try_compile, Compiled};
+use crate::compiled::{compile, Compiled};
 use crate::hierarchy::{
     coarse_descent, finish_hierarchical, run_hierarchical, HierOutcome, HierarchicalConfig,
 };
 use crate::parallel::{run_shards, shard_seed};
-use crate::traits::{
-    keep_best, keep_best_compiled, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm,
-};
+use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use redep_model::{
-    ConstraintChecker, Deployment, DeploymentModel, Direction, IncrementalScore, Objective,
-    UNASSIGNED,
+    ConstraintChecker, Deployment, DeploymentModel, Direction, Objective, UNASSIGNED,
 };
 use std::time::Instant;
 
@@ -36,7 +33,7 @@ pub struct AnnealingConfig {
     /// Number of independent annealing chains (multi-start); chain `i` runs
     /// on the fixed seed stream derived from `(seed, i)`, so the merged
     /// result is a pure function of the configuration. Values below 1 are
-    /// treated as 1. Chains beyond the first require the compiled path.
+    /// treated as 1.
     pub shards: u32,
     /// Worker threads the chains run on; any value produces the same result.
     /// Values below 1 are treated as 1.
@@ -58,10 +55,10 @@ impl Default for AnnealingConfig {
 
 /// Simulated annealing over single-component moves.
 ///
-/// On the compiled path every proposed move is priced with an O(deg(c))
-/// delta ([`IncrementalScore::peek`]); best-so-far candidates are re-scored
-/// from scratch before being recorded, so reported values match the naive
-/// body exactly.
+/// Every proposed move is priced with an O(deg(c)) delta
+/// ([`redep_model::IncrementalScore::peek`]); best-so-far candidates are
+/// re-scored from scratch before being recorded, so reported values are
+/// exactly what [`Objective::evaluate`] returns.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct AnnealingAlgorithm {
     config: AnnealingConfig,
@@ -105,9 +102,9 @@ impl AnnealingAlgorithm {
     /// refinement within each cluster in parallel, and finally a
     /// frontier-pruned annealing chain on the merged assignment (the flat
     /// Metropolis schedule at the same iteration budget, with targets drawn
-    /// from the incident-link frontier instead of all hosts). Requires the
-    /// compiled path; a non-compilable objective or checker falls back to
-    /// the flat naive body.
+    /// from the incident-link frontier instead of all hosts). Needs dense
+    /// forms of both objective and checker; without them the flat body runs
+    /// and the result is reported as `annealing`.
     pub fn with_hierarchy(mut self, config: HierarchicalConfig) -> Self {
         self.hierarchy = Some(config);
         self
@@ -121,7 +118,7 @@ impl AnnealingAlgorithm {
     /// scored are charged to `pruned`. The chain is sequential on the
     /// master state after the shard merge, so thread-count invariance of
     /// the engine is preserved.
-    fn pruned_polish(&self, c: &Compiled, hcfg: &HierarchicalConfig, out: &mut HierOutcome) {
+    fn pruned_polish(&self, c: &Compiled<'_>, hcfg: &HierarchicalConfig, out: &mut HierOutcome) {
         let cfg = self.config;
         let cm = &c.model;
         let n_hosts = cm.n_hosts();
@@ -132,7 +129,7 @@ impl AnnealingAlgorithm {
         // A seed stream no flat chain uses, so annealing and annealing-h
         // stay statistically independent under the same config seed.
         let mut rng = ChaCha8Rng::seed_from_u64(shard_seed(cfg.seed, u32::MAX));
-        let mut inc = IncrementalScore::new(cm, &c.objective);
+        let mut inc = c.scorer();
         let mut assign = out.assign.clone();
         let mut current_value = inc.assign_from(&assign);
         let mut load = c.constraints.load_of(&assign);
@@ -214,11 +211,10 @@ impl AnnealingAlgorithm {
         out.convergence.push((3, out.value));
     }
 
-    fn run_compiled(
+    fn search(
         &self,
-        c: &Compiled,
+        c: &Compiled<'_>,
         model: &DeploymentModel,
-        objective: &dyn Objective,
         constraints: &dyn ConstraintChecker,
         initial: Option<&Deployment>,
         started: Instant,
@@ -236,10 +232,10 @@ impl AnnealingAlgorithm {
 
         if n_comps == 0 {
             let assign = valid_initial.unwrap_or_default();
-            let mut inc = IncrementalScore::new(cm, &c.objective);
+            let mut inc = c.scorer();
             let value = inc.assign_from(&assign);
             return Ok(AlgoResult {
-                algorithm: self.name().to_owned(),
+                algorithm: FLAT_NAME.to_owned(),
                 deployment: cm.decode_assignment(&assign),
                 value,
                 evaluations: 1,
@@ -286,7 +282,7 @@ impl AnnealingAlgorithm {
                 }
             };
 
-            let mut inc = IncrementalScore::new(cm, &c.objective);
+            let mut inc = c.scorer();
             let mut current_value = inc.assign_from(&assign);
             let mut evaluations = 1u64;
             let mut best = assign.clone();
@@ -328,8 +324,8 @@ impl AnnealingAlgorithm {
                     inc.set(comp, h);
                     current_value = value;
                     // Epsilon pre-filter, then a pure re-score, so recorded
-                    // bests are exactly the naive values and delta drift can
-                    // never hide a genuine improvement.
+                    // bests are exact and delta drift can never hide a
+                    // genuine improvement.
                     let near = match c.objective.direction() {
                         Direction::Maximize => value > best_value - NEAR_EPS,
                         Direction::Minimize => value < best_value + NEAR_EPS,
@@ -393,15 +389,14 @@ impl AnnealingAlgorithm {
             return Err(first_err.unwrap_or(AlgoError::NoFeasibleDeployment));
         };
 
-        let (deployment, value) = keep_best_compiled(
+        let (deployment, value) = keep_best(
             c,
-            objective,
             initial,
             Some((cm.decode_assignment(&best_assign), best_value)),
         )
         .ok_or(AlgoError::NoFeasibleDeployment)?;
         Ok(AlgoResult {
-            algorithm: self.name().to_owned(),
+            algorithm: FLAT_NAME.to_owned(),
             deployment,
             value,
             evaluations,
@@ -416,12 +411,15 @@ impl AnnealingAlgorithm {
     }
 }
 
+/// The name the flat body reports, whichever variant was configured.
+const FLAT_NAME: &str = "annealing";
+
 impl RedeploymentAlgorithm for AnnealingAlgorithm {
     fn name(&self) -> &str {
         if self.hierarchy.is_some() {
             "annealing-h"
         } else {
-            "annealing"
+            FLAT_NAME
         }
     }
 
@@ -433,132 +431,14 @@ impl RedeploymentAlgorithm for AnnealingAlgorithm {
         initial: Option<&Deployment>,
     ) -> Result<AlgoResult, AlgoError> {
         let started = Instant::now();
-        let (hosts, components) = preflight(model)?;
-        if let Some(c) = try_compile(model, objective, constraints) {
-            if let Some(hcfg) = &self.hierarchy {
-                let mut out = run_hierarchical(&c, hcfg, |cc| coarse_descent(cc, 2))?;
-                self.pruned_polish(&c, hcfg, &mut out);
-                return finish_hierarchical(&c, objective, initial, started, self.name(), out);
-            }
-            return self.run_compiled(&c, model, objective, constraints, initial, started);
+        preflight(model)?;
+        let c = compile(model, objective, constraints);
+        if let (Some(hcfg), Some(dense)) = (&self.hierarchy, c.dense_constraints()) {
+            let mut out = run_hierarchical(&c, dense, hcfg, |cc| coarse_descent(cc, 2))?;
+            self.pruned_polish(&c, hcfg, &mut out);
+            return finish_hierarchical(&c, initial, started, self.name(), out);
         }
-        let cfg = self.config;
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let mut evaluations = 0u64;
-
-        // Starting point: the initial deployment, if valid; otherwise a
-        // shuffled first-fit like the stochastic body's.
-        let mut current = match initial {
-            Some(d) if constraints.check(model, d).is_ok() => d.clone(),
-            _ => {
-                let mut d = Deployment::new();
-                let mut ok = true;
-                'comp: for &c in &components {
-                    let start = rng.random_range(0..hosts.len().max(1));
-                    for i in 0..hosts.len() {
-                        let h = hosts[(start + i) % hosts.len()];
-                        if constraints.admits(model, &d, c, h) {
-                            d.assign(c, h);
-                            continue 'comp;
-                        }
-                    }
-                    ok = false;
-                    break;
-                }
-                if !ok || constraints.check(model, &d).is_err() {
-                    return Err(AlgoError::NoFeasibleDeployment);
-                }
-                d
-            }
-        };
-
-        if components.is_empty() {
-            let value = objective.evaluate(model, &current);
-            return Ok(AlgoResult {
-                algorithm: self.name().to_owned(),
-                deployment: current,
-                value,
-                evaluations: 1,
-                wall_time: started.elapsed(),
-                convergence: vec![(1, value)],
-                full_evaluations: 1,
-                delta_evaluations: 0,
-                pruned_evaluations: 0,
-                hierarchy_clusters: 0,
-                refine_rounds: 0,
-            });
-        }
-
-        let mut current_value = objective.evaluate(model, &current);
-        evaluations += 1;
-        let mut best = current.clone();
-        let mut best_value = current_value;
-        let mut convergence = vec![(evaluations, best_value)];
-        let mut temperature = cfg.initial_temperature;
-
-        for _ in 0..cfg.iterations {
-            let c = components[rng.random_range(0..components.len())];
-            let old = current.host_of(c).expect("complete deployment");
-            let h = hosts[rng.random_range(0..hosts.len())];
-            if h == old {
-                temperature *= cfg.cooling;
-                continue;
-            }
-            current.unassign(c);
-            if !constraints.admits(model, &current, c, h) {
-                current.assign(c, old);
-                temperature *= cfg.cooling;
-                continue;
-            }
-            current.assign(c, h);
-            if constraints.check(model, &current).is_err() {
-                current.assign(c, old);
-                temperature *= cfg.cooling;
-                continue;
-            }
-            let value = objective.evaluate(model, &current);
-            evaluations += 1;
-            // Signed gain: positive when the move improves the objective.
-            let gain = if objective.is_improvement(current_value, value) {
-                (value - current_value).abs()
-            } else {
-                -(value - current_value).abs()
-            };
-            let accept = gain >= 0.0 || rng.random_bool((gain / temperature).exp().clamp(0.0, 1.0));
-            if accept {
-                current_value = value;
-                if objective.is_improvement(best_value, value) {
-                    best = current.clone();
-                    best_value = value;
-                    convergence.push((evaluations, value));
-                }
-            } else {
-                current.assign(c, old);
-            }
-            temperature *= cfg.cooling;
-        }
-
-        let (deployment, value) = keep_best(
-            model,
-            objective,
-            constraints,
-            initial,
-            Some((best, best_value)),
-        )
-        .ok_or(AlgoError::NoFeasibleDeployment)?;
-        Ok(AlgoResult {
-            algorithm: self.name().to_owned(),
-            deployment,
-            value,
-            evaluations,
-            wall_time: started.elapsed(),
-            convergence,
-            full_evaluations: evaluations,
-            delta_evaluations: 0,
-            pruned_evaluations: 0,
-            hierarchy_clusters: 0,
-            refine_rounds: 0,
-        })
+        self.search(&c, model, constraints, initial, started)
     }
 }
 

@@ -12,26 +12,19 @@
 //! in the system, and the lowest required memory. […] The complexity of this
 //! algorithm is O(n³)." (§5.1)
 
-use crate::compiled::{try_compile, Compiled};
+use crate::compiled::{compile, Compiled};
 use crate::hierarchy::{coarse_greedy, finish_hierarchical, run_hierarchical, HierarchicalConfig};
-use crate::traits::{
-    keep_best, keep_best_compiled, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm,
-};
-use redep_model::{
-    ComponentId, ConstraintChecker, Deployment, DeploymentModel, HostId, IncrementalScore,
-    Objective, UNASSIGNED,
-};
-use std::collections::BTreeSet;
+use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
+use redep_model::{ConstraintChecker, Deployment, DeploymentModel, HostId, Objective, UNASSIGNED};
 use std::time::Instant;
 
 /// The paper's greedy algorithm. Deterministic (no randomness).
 ///
-/// On the compiled path, component seed ranks and host affinities are
-/// incident-link sums over the [`redep_model::CompiledModel`] CSR index
-/// (O(deg(c)) per candidate instead of a map walk), and the convergence
-/// trace is maintained through [`IncrementalScore`] delta moves instead of
-/// re-evaluating the partial deployment from scratch after every greedy
-/// assignment.
+/// Component seed ranks and host affinities are incident-link sums over
+/// the [`redep_model::CompiledModel`] CSR index (O(deg(c)) per candidate
+/// instead of a map walk), and the convergence trace is maintained through
+/// [`redep_model::IncrementalScore`] delta moves instead of re-evaluating
+/// the partial deployment from scratch after every greedy assignment.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct AvalaAlgorithm {
     hierarchy: Option<HierarchicalConfig>,
@@ -46,8 +39,8 @@ impl AvalaAlgorithm {
     /// Runs the hierarchical variant (`avala-h`): the avala-flavored coarse
     /// greedy places components onto super-node clusters, then frontier-
     /// pruned refinement picks hosts within each cluster in parallel.
-    /// Requires the compiled path; a non-compilable objective or checker
-    /// falls back to the flat naive body.
+    /// Needs dense forms of both objective and checker; without them the
+    /// flat body runs and the result is reported as `avala`.
     pub fn with_hierarchy(mut self, config: HierarchicalConfig) -> Self {
         self.hierarchy = Some(config);
         self
@@ -78,50 +71,29 @@ impl AvalaAlgorithm {
         rank
     }
 
-    /// First component on a host: highest total interaction frequency,
-    /// lowest memory.
-    fn seed_rank(model: &DeploymentModel, c: ComponentId, max_memory: f64) -> f64 {
-        let freq: f64 = model
-            .logical_neighbors(c)
-            .into_iter()
-            .map(|d| model.frequency(c, d))
-            .sum();
-        let mem = model
-            .component(c)
-            .map(|x| x.required_memory())
-            .unwrap_or(0.0);
-        let mem_norm = if max_memory > 0.0 {
-            mem / max_memory
-        } else {
-            0.0
-        };
-        freq - mem_norm
-    }
-
-    /// Subsequent components: highest interaction frequency with the
-    /// components already placed on the current host.
-    fn affinity(model: &DeploymentModel, c: ComponentId, on_host: &BTreeSet<ComponentId>) -> f64 {
-        on_host.iter().map(|&d| model.frequency(c, d)).sum()
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal: mirrors the naive body's precomputed inputs
-    fn run_compiled(
-        &self,
-        c: &Compiled,
+    fn search(
+        c: &Compiled<'_>,
         model: &DeploymentModel,
-        objective: &dyn Objective,
         initial: Option<&Deployment>,
         started: Instant,
-        max_bandwidth: f64,
-        max_comp_memory: f64,
-        max_host_memory: f64,
     ) -> Result<AlgoResult, AlgoError> {
         let cm = &c.model;
         let n_hosts = cm.n_hosts();
         let n_comps = cm.n_comps();
+        let max_bandwidth = model
+            .physical_links()
+            .map(|l| l.bandwidth())
+            .filter(|b| b.is_finite())
+            .fold(0.0f64, f64::max);
+        let max_comp_memory = cm.comp_memory().iter().copied().fold(0.0f64, f64::max);
+        let max_host_memory = cm
+            .host_memory()
+            .iter()
+            .copied()
+            .filter(|m| m.is_finite())
+            .fold(0.0f64, f64::max);
 
-        // Rank hosts once and sort dense indices; index order mirrors id
-        // order, so the permutation matches the naive sort exactly.
+        // Rank hosts once and sort dense indices (ties to the lower id).
         let ranks: Vec<f64> = cm
             .host_ids()
             .iter()
@@ -135,9 +107,8 @@ impl AvalaAlgorithm {
                 .then(a.cmp(&b))
         });
 
-        // Seed ranks as incident-link frequency sums over the CSR index;
-        // incident links enumerate neighbors in ascending order, matching
-        // the naive neighbor walk term for term.
+        // First component on a host: highest total interaction frequency
+        // (an incident-link sum over the CSR index), lowest memory.
         let seed_ranks: Vec<f64> = (0..n_comps as u32)
             .map(|ci| {
                 let freq: f64 = cm
@@ -163,7 +134,7 @@ impl AvalaAlgorithm {
         // probes at 20×160) and was the bulk of avala's 120 evals/s anomaly.
         let mut load: Vec<f64> = c.constraints.load_of(&assign);
         let mut left = n_comps;
-        let mut inc = IncrementalScore::new(cm, &c.objective);
+        let mut inc = c.scorer();
         let mut evaluations = 0u64;
         let mut convergence = Vec::new();
 
@@ -173,9 +144,9 @@ impl AvalaAlgorithm {
             }
             let mut host_empty = true;
             loop {
-                // Pick the best admissible component for this host. Affinity
-                // is an incident-link sum restricted to components already
-                // placed here.
+                // Pick the best admissible component for this host. After the
+                // seed, that is the one with the highest interaction
+                // frequency with the components already placed here.
                 let mut best: Option<(u32, f64)> = None;
                 for ci in 0..n_comps as u32 {
                     if !unassigned[ci as usize]
@@ -231,10 +202,10 @@ impl AvalaAlgorithm {
         };
         let full = inc.full_evaluations();
         let delta = inc.delta_evaluations();
-        let (deployment, value) = keep_best_compiled(c, objective, initial, candidate)
-            .ok_or(AlgoError::NoFeasibleDeployment)?;
+        let (deployment, value) =
+            keep_best(c, initial, candidate).ok_or(AlgoError::NoFeasibleDeployment)?;
         Ok(AlgoResult {
-            algorithm: self.name().to_owned(),
+            algorithm: FLAT_NAME.to_owned(),
             deployment,
             value,
             evaluations,
@@ -249,12 +220,15 @@ impl AvalaAlgorithm {
     }
 }
 
+/// The name the flat body reports, whichever variant was configured.
+const FLAT_NAME: &str = "avala";
+
 impl RedeploymentAlgorithm for AvalaAlgorithm {
     fn name(&self) -> &str {
         if self.hierarchy.is_some() {
             "avala-h"
         } else {
-            "avala"
+            FLAT_NAME
         }
     }
 
@@ -266,115 +240,13 @@ impl RedeploymentAlgorithm for AvalaAlgorithm {
         initial: Option<&Deployment>,
     ) -> Result<AlgoResult, AlgoError> {
         let started = Instant::now();
-        let (hosts, components) = preflight(model)?;
-        let max_bandwidth = model
-            .physical_links()
-            .map(|l| l.bandwidth())
-            .filter(|b| b.is_finite())
-            .fold(0.0f64, f64::max);
-        let max_comp_memory = components
-            .iter()
-            .filter_map(|&c| model.component(c).ok())
-            .map(|c| c.required_memory())
-            .fold(0.0f64, f64::max);
-        let max_host_memory = hosts
-            .iter()
-            .filter_map(|&h| model.host(h).ok())
-            .map(|h| h.memory())
-            .filter(|m| m.is_finite())
-            .fold(0.0f64, f64::max);
-
-        if let Some(c) = try_compile(model, objective, constraints) {
-            if let Some(hcfg) = &self.hierarchy {
-                let out = run_hierarchical(&c, hcfg, coarse_greedy)?;
-                return finish_hierarchical(&c, objective, initial, started, self.name(), out);
-            }
-            return self.run_compiled(
-                &c,
-                model,
-                objective,
-                initial,
-                started,
-                max_bandwidth,
-                max_comp_memory,
-                max_host_memory,
-            );
+        preflight(model)?;
+        let c = compile(model, objective, constraints);
+        if let (Some(hcfg), Some(dense)) = (&self.hierarchy, c.dense_constraints()) {
+            let out = run_hierarchical(&c, dense, hcfg, coarse_greedy)?;
+            return finish_hierarchical(&c, initial, started, self.name(), out);
         }
-
-        let mut host_order: Vec<HostId> = hosts.clone();
-        host_order.sort_by(|&a, &b| {
-            let ra = Self::host_rank(model, a, max_bandwidth, max_host_memory);
-            let rb = Self::host_rank(model, b, max_bandwidth, max_host_memory);
-            rb.partial_cmp(&ra)
-                .expect("ranks are finite")
-                .then(a.cmp(&b))
-        });
-
-        let mut unassigned: BTreeSet<ComponentId> = components.iter().copied().collect();
-        let mut d = Deployment::new();
-        let mut evaluations = 0u64;
-        let mut convergence = Vec::new();
-
-        for &h in &host_order {
-            if unassigned.is_empty() {
-                break;
-            }
-            let mut on_host: BTreeSet<ComponentId> = BTreeSet::new();
-            loop {
-                // Pick the best admissible component for this host.
-                let mut best: Option<(ComponentId, f64)> = None;
-                for &c in &unassigned {
-                    if !constraints.admits(model, &d, c, h) {
-                        continue;
-                    }
-                    let score = if on_host.is_empty() {
-                        Self::seed_rank(model, c, max_comp_memory)
-                    } else {
-                        Self::affinity(model, c, &on_host)
-                    };
-                    let better = match best {
-                        Some((bc, bs)) => score > bs || (score == bs && c < bc),
-                        None => true,
-                    };
-                    if better {
-                        best = Some((c, score));
-                    }
-                }
-                let Some((c, _)) = best else {
-                    break; // host full (or nothing admissible): next host
-                };
-                d.assign(c, h);
-                on_host.insert(c);
-                unassigned.remove(&c);
-                // Trace the partial deployment's value after every greedy
-                // assignment (objectives score unplaced interactions as
-                // absent, so partial evaluation is well-defined).
-                convergence.push((d.len() as u64, objective.evaluate(model, &d)));
-            }
-        }
-
-        let candidate = if unassigned.is_empty() && constraints.check(model, &d).is_ok() {
-            evaluations += 1;
-            let value = objective.evaluate(model, &d);
-            Some((d, value))
-        } else {
-            None
-        };
-        let (deployment, value) = keep_best(model, objective, constraints, initial, candidate)
-            .ok_or(AlgoError::NoFeasibleDeployment)?;
-        Ok(AlgoResult {
-            algorithm: self.name().to_owned(),
-            deployment,
-            value,
-            evaluations,
-            wall_time: started.elapsed(),
-            convergence,
-            full_evaluations: evaluations,
-            delta_evaluations: 0,
-            pruned_evaluations: 0,
-            hierarchy_clusters: 0,
-            refine_rounds: 0,
-        })
+        Self::search(&c, model, initial, started)
     }
 }
 
@@ -455,23 +327,5 @@ mod tests {
             "avala {} vs random {random}",
             r.value
         );
-    }
-
-    #[test]
-    fn compiled_and_naive_paths_pick_the_same_deployment() {
-        use redep_model::Uncompiled;
-        for seed in [1u64, 2, 3, 4, 5] {
-            let (m, init) = generated(seed);
-            let fast = AvalaAlgorithm::new()
-                .run(&m, &Availability, m.constraints(), Some(&init))
-                .unwrap();
-            let slow = AvalaAlgorithm::new()
-                .run(&m, &Uncompiled(&Availability), m.constraints(), Some(&init))
-                .unwrap();
-            assert_eq!(fast.deployment, slow.deployment, "seed {seed}");
-            assert_eq!(fast.value, slow.value, "seed {seed}");
-            assert!(fast.delta_evaluations > 0, "seed {seed}");
-            assert_eq!(slow.delta_evaluations, 0, "seed {seed}");
-        }
     }
 }

@@ -4,13 +4,10 @@
 //! that results in maximum availability and satisfies the constraints […]
 //! The complexity of this algorithm in the general case is O(kⁿ)" (§5.1).
 
-use crate::compiled::{try_compile, Compiled};
-use crate::traits::{
-    keep_best, keep_best_compiled, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm,
-};
+use crate::compiled::{compile, Compiled, Score};
+use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
 use redep_model::{
-    ComponentId, ConstraintChecker, Deployment, DeploymentModel, Direction, HostId,
-    IncrementalScore, Objective, UNASSIGNED,
+    ConstraintChecker, Deployment, DeploymentModel, Direction, Objective, UNASSIGNED,
 };
 use std::time::Instant;
 
@@ -20,10 +17,10 @@ use std::time::Instant;
 /// on an instance that would run for days — the analyzer is supposed to pick
 /// a different algorithm there (and experiment E8 shows it doing so).
 ///
-/// On the compiled path the search enumerates dense assignments and scores
-/// each leaf with the delta of its last assignment (O(deg(c)) instead of
-/// O(L)); only leaves within `1e-9` of the incumbent are re-scored from
-/// scratch, so recorded best values are exactly the naive ones.
+/// The search enumerates dense assignments and scores each leaf with the
+/// delta of its last assignment (O(deg(c)) instead of O(L)); only leaves
+/// within `1e-9` of the incumbent are re-scored from scratch, so recorded
+/// best values are exactly what [`Objective::evaluate`] returns.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ExactAlgorithm {
     budget: u64,
@@ -68,62 +65,10 @@ impl ExactAlgorithm {
 
     #[allow(clippy::too_many_arguments)] // recursive search state, not an API
     fn dfs(
-        model: &DeploymentModel,
-        objective: &dyn Objective,
-        constraints: &dyn ConstraintChecker,
-        hosts: &[HostId],
-        components: &[ComponentId],
-        index: usize,
-        partial: &mut Deployment,
-        best: &mut Option<(Deployment, f64)>,
-        evaluations: &mut u64,
-        convergence: &mut Vec<(u64, f64)>,
-    ) {
-        if index == components.len() {
-            // Complete: full validation (pruning used only incremental
-            // checks, which may be weaker for group constraints).
-            if constraints.check(model, partial).is_ok() {
-                *evaluations += 1;
-                let value = objective.evaluate(model, partial);
-                let improved = match best {
-                    Some((_, bv)) => objective.is_improvement(*bv, value),
-                    None => true,
-                };
-                if improved {
-                    *best = Some((partial.clone(), value));
-                    convergence.push((*evaluations, value));
-                }
-            }
-            return;
-        }
-        let c = components[index];
-        for &h in hosts {
-            if !constraints.admits(model, partial, c, h) {
-                continue;
-            }
-            partial.assign(c, h);
-            Self::dfs(
-                model,
-                objective,
-                constraints,
-                hosts,
-                components,
-                index + 1,
-                partial,
-                best,
-                evaluations,
-                convergence,
-            );
-            partial.unassign(c);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // recursive search state, not an API
-    fn dfs_compiled(
-        c: &Compiled,
+        c: &Compiled<'_>,
         index: usize,
         assign: &mut Vec<u32>,
-        inc: &mut IncrementalScore<'_>,
+        inc: &mut Score<'_>,
         best: &mut Option<(Vec<u32>, f64)>,
         evaluations: &mut u64,
         convergence: &mut Vec<(u64, f64)>,
@@ -133,8 +78,8 @@ impl ExactAlgorithm {
                 *evaluations += 1;
                 let value = inc.value();
                 // Pre-filter with a margin, then decide on a pure
-                // (from-scratch) score so recorded bests match the naive
-                // search bit-for-bit.
+                // (from-scratch) score so recorded bests carry no delta
+                // drift.
                 let near = match best {
                     Some((_, bv)) => match c.objective.direction() {
                         Direction::Maximize => value > *bv - Self::NEAR_EPS,
@@ -157,13 +102,13 @@ impl ExactAlgorithm {
             return;
         }
         let comp = index as u32;
-        for h in 0..c.constraints.n_hosts() as u32 {
+        for h in 0..c.model.n_hosts() as u32 {
             if !c.constraints.admits(assign, comp, h) {
                 continue;
             }
             assign[index] = h;
             inc.set(comp, h);
-            Self::dfs_compiled(c, index + 1, assign, inc, best, evaluations, convergence);
+            Self::dfs(c, index + 1, assign, inc, best, evaluations, convergence);
             assign[index] = UNASSIGNED;
             inc.set(comp, UNASSIGNED);
         }
@@ -183,7 +128,7 @@ impl RedeploymentAlgorithm for ExactAlgorithm {
         initial: Option<&Deployment>,
     ) -> Result<AlgoResult, AlgoError> {
         let started = Instant::now();
-        let (hosts, components) = preflight(model)?;
+        preflight(model)?;
         let needed = Self::search_space(model);
         if needed > self.budget as u128 {
             return Err(AlgoError::BudgetExceeded {
@@ -191,56 +136,24 @@ impl RedeploymentAlgorithm for ExactAlgorithm {
                 budget: self.budget,
             });
         }
+        let c = compile(model, objective, constraints);
+        let mut inc = c.scorer();
+        let mut assign = vec![UNASSIGNED; c.model.n_comps()];
+        let mut best: Option<(Vec<u32>, f64)> = None;
         let mut evaluations = 0;
         let mut convergence = Vec::new();
-
-        if let Some(c) = try_compile(model, objective, constraints) {
-            let mut inc = IncrementalScore::new(&c.model, &c.objective);
-            let mut assign = vec![UNASSIGNED; c.model.n_comps()];
-            let mut best: Option<(Vec<u32>, f64)> = None;
-            Self::dfs_compiled(
-                &c,
-                0,
-                &mut assign,
-                &mut inc,
-                &mut best,
-                &mut evaluations,
-                &mut convergence,
-            );
-            let candidate = best.map(|(a, v)| (c.model.decode_assignment(&a), v));
-            let (deployment, value) = keep_best_compiled(&c, objective, initial, candidate)
-                .ok_or(AlgoError::NoFeasibleDeployment)?;
-            return Ok(AlgoResult {
-                algorithm: self.name().to_owned(),
-                deployment,
-                value,
-                evaluations,
-                wall_time: started.elapsed(),
-                convergence,
-                full_evaluations: inc.full_evaluations(),
-                delta_evaluations: inc.delta_evaluations(),
-                pruned_evaluations: 0,
-                hierarchy_clusters: 0,
-                refine_rounds: 0,
-            });
-        }
-
-        let mut best = None;
-        let mut partial = Deployment::new();
         Self::dfs(
-            model,
-            objective,
-            constraints,
-            &hosts,
-            &components,
+            &c,
             0,
-            &mut partial,
+            &mut assign,
+            &mut inc,
             &mut best,
             &mut evaluations,
             &mut convergence,
         );
-        let (deployment, value) = keep_best(model, objective, constraints, initial, best)
-            .ok_or(AlgoError::NoFeasibleDeployment)?;
+        let candidate = best.map(|(a, v)| (c.model.decode_assignment(&a), v));
+        let (deployment, value) =
+            keep_best(&c, initial, candidate).ok_or(AlgoError::NoFeasibleDeployment)?;
         Ok(AlgoResult {
             algorithm: self.name().to_owned(),
             deployment,
@@ -248,8 +161,8 @@ impl RedeploymentAlgorithm for ExactAlgorithm {
             evaluations,
             wall_time: started.elapsed(),
             convergence,
-            full_evaluations: evaluations,
-            delta_evaluations: 0,
+            full_evaluations: inc.full_evaluations(),
+            delta_evaluations: inc.delta_evaluations(),
             pruned_evaluations: 0,
             hierarchy_clusters: 0,
             refine_rounds: 0,
@@ -378,28 +291,5 @@ mod tests {
             .unwrap();
         assert!(r.deployment.is_empty());
         assert_eq!(r.value, 1.0);
-    }
-
-    #[test]
-    fn compiled_and_naive_paths_agree() {
-        use redep_model::{Generator, GeneratorConfig, Uncompiled};
-        let s = Generator::generate(&GeneratorConfig::sized(3, 6).with_seed(17)).unwrap();
-        let m = s.model;
-        let fast = ExactAlgorithm::new()
-            .run(&m, &Availability, m.constraints(), Some(&s.initial))
-            .unwrap();
-        let slow = ExactAlgorithm::new()
-            .run(
-                &m,
-                &Uncompiled(&Availability),
-                m.constraints(),
-                Some(&s.initial),
-            )
-            .unwrap();
-        assert_eq!(fast.deployment, slow.deployment);
-        assert_eq!(fast.value, slow.value);
-        assert_eq!(fast.evaluations, slow.evaluations);
-        assert!(fast.delta_evaluations > 0);
-        assert_eq!(slow.delta_evaluations, 0);
     }
 }

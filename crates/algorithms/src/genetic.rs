@@ -5,18 +5,13 @@
 //! that body, composed with the same objective and constraint variation
 //! points as every other algorithm in the crate.
 
-use crate::compiled::{try_compile, Compiled};
+use crate::compiled::{compile, Compiled};
 use crate::parallel::{run_shards, shard_seed};
-use crate::traits::{
-    keep_best, keep_best_compiled, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm,
-};
+use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
 use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use redep_model::{
-    ComponentId, ConstraintChecker, Deployment, DeploymentModel, HostId, IncrementalScore,
-    Objective, UNASSIGNED,
-};
+use redep_model::{ConstraintChecker, Deployment, DeploymentModel, Objective, UNASSIGNED};
 use std::time::Instant;
 
 /// Configuration of the genetic search.
@@ -35,7 +30,7 @@ pub struct GeneticConfig {
     /// Number of independent islands (multi-start); island `i` evolves on
     /// the fixed seed stream derived from `(seed, i)`, so the merged result
     /// is a pure function of the configuration. Values below 1 are treated
-    /// as 1. Islands beyond the first require the compiled path.
+    /// as 1.
     pub shards: u32,
     /// Worker threads the islands run on; any value produces the same
     /// result. Values below 1 are treated as 1.
@@ -62,11 +57,10 @@ impl Default for GeneticConfig {
 /// as the objective's worst value, so the population drifts into the
 /// feasible region.
 ///
-/// On the compiled path chromosomes are dense `Vec<u32>` assignments scored
-/// through [`IncrementalScore::assign_from`]. Fitness stays a pure function
-/// of the chromosome (no delta chains across individuals), so duplicated
-/// chromosomes always tie exactly and selection matches the naive body
-/// bit-for-bit.
+/// Chromosomes are dense `Vec<u32>` assignments scored through
+/// [`redep_model::IncrementalScore::assign_from`]. Fitness stays a pure
+/// function of the chromosome (no delta chains across individuals), so
+/// duplicated chromosomes always tie exactly.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct GeneticAlgorithm {
     config: GeneticConfig,
@@ -94,35 +88,10 @@ impl GeneticAlgorithm {
         GeneticAlgorithm { config }
     }
 
-    fn decode(components: &[ComponentId], genes: &[HostId]) -> Deployment {
-        components
-            .iter()
-            .copied()
-            .zip(genes.iter().copied())
-            .collect()
-    }
-
-    fn fitness(
-        model: &DeploymentModel,
-        objective: &dyn Objective,
-        constraints: &dyn ConstraintChecker,
-        components: &[ComponentId],
-        genes: &[HostId],
-        evaluations: &mut u64,
-    ) -> f64 {
-        let d = Self::decode(components, genes);
-        if constraints.check(model, &d).is_err() {
-            return objective.worst();
-        }
-        *evaluations += 1;
-        objective.evaluate(model, &d)
-    }
-
-    fn run_compiled(
+    fn search(
         &self,
-        c: &Compiled,
+        c: &Compiled<'_>,
         model: &DeploymentModel,
-        objective: &dyn Objective,
         initial: Option<&Deployment>,
         started: Instant,
     ) -> Result<AlgoResult, AlgoError> {
@@ -145,7 +114,7 @@ impl GeneticAlgorithm {
 
         let island = |shard: u32| -> IslandOutcome {
             let mut rng = ChaCha8Rng::seed_from_u64(shard_seed(cfg.seed, shard));
-            let mut inc = IncrementalScore::new(cm, &c.objective);
+            let mut inc = c.scorer();
             let mut evaluations = 0u64;
 
             // Fitness is a pure function of the chromosome: a from-scratch
@@ -170,8 +139,8 @@ impl GeneticAlgorithm {
                     .map(|ci| {
                         // Prefer admissible hosts; fall back to
                         // uniform-random. The fallback is drawn
-                        // unconditionally, mirroring the naive body's eager
-                        // `unwrap_or` argument, so RNG streams stay aligned.
+                        // unconditionally so the RNG stream does not depend
+                        // on admissibility.
                         let admissible: Vec<u32> = (0..n_hosts as u32)
                             .filter(|&h| c.constraints.admits(&d, ci as u32, h))
                             .collect();
@@ -298,8 +267,8 @@ impl GeneticAlgorithm {
         }
 
         let candidate = best.map(|(genes, v)| (cm.decode_assignment(&genes), v));
-        let (deployment, value) = keep_best_compiled(c, objective, initial, candidate)
-            .ok_or(AlgoError::NoFeasibleDeployment)?;
+        let (deployment, value) =
+            keep_best(c, initial, candidate).ok_or(AlgoError::NoFeasibleDeployment)?;
         Ok(AlgoResult {
             algorithm: self.name().to_owned(),
             deployment,
@@ -329,8 +298,8 @@ impl RedeploymentAlgorithm for GeneticAlgorithm {
         initial: Option<&Deployment>,
     ) -> Result<AlgoResult, AlgoError> {
         let started = Instant::now();
-        let (hosts, components) = preflight(model)?;
-        if components.is_empty() {
+        preflight(model)?;
+        if model.component_count() == 0 {
             let d = Deployment::new();
             let value = objective.evaluate(model, &d);
             return Ok(AlgoResult {
@@ -347,153 +316,8 @@ impl RedeploymentAlgorithm for GeneticAlgorithm {
                 refine_rounds: 0,
             });
         }
-        if let Some(c) = try_compile(model, objective, constraints) {
-            return self.run_compiled(&c, model, objective, initial, started);
-        }
-        let cfg = self.config;
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let mut evaluations = 0u64;
-
-        // Seed the population: the initial deployment (if valid) plus
-        // greedy-feasible random individuals.
-        let mut population: Vec<Vec<HostId>> = Vec::with_capacity(cfg.population);
-        if let Some(init) = initial {
-            if init.validate(model).is_ok() {
-                let genes: Vec<HostId> = components
-                    .iter()
-                    .map(|&c| init.host_of(c).expect("validated"))
-                    .collect();
-                population.push(genes);
-            }
-        }
-        while population.len() < cfg.population {
-            let mut d = Deployment::new();
-            let genes: Vec<HostId> = components
-                .iter()
-                .map(|&c| {
-                    // Prefer admissible hosts; fall back to uniform-random.
-                    let admissible: Vec<HostId> = hosts
-                        .iter()
-                        .copied()
-                        .filter(|&h| constraints.admits(model, &d, c, h))
-                        .collect();
-                    let h = *admissible
-                        .choose(&mut rng)
-                        .unwrap_or(&hosts[rng.random_range(0..hosts.len())]);
-                    d.assign(c, h);
-                    h
-                })
-                .collect();
-            population.push(genes);
-        }
-
-        let mut scores: Vec<f64> = population
-            .iter()
-            .map(|g| {
-                Self::fitness(
-                    model,
-                    objective,
-                    constraints,
-                    &components,
-                    g,
-                    &mut evaluations,
-                )
-            })
-            .collect();
-
-        let better = |a: f64, b: f64| objective.is_improvement(b, a); // a better than b
-
-        let mut convergence = Vec::with_capacity(cfg.generations + 1);
-        let trace_best = |scores: &[f64], evaluations: u64, trace: &mut Vec<(u64, f64)>| {
-            let best = scores
-                .iter()
-                .copied()
-                .reduce(|x, y| if objective.is_improvement(x, y) { y } else { x })
-                .expect("population non-empty");
-            trace.push((evaluations, best));
-        };
-        trace_best(&scores, evaluations, &mut convergence);
-
-        for _ in 0..cfg.generations {
-            let mut next: Vec<Vec<HostId>> = Vec::with_capacity(cfg.population);
-            // Elitism: carry the best individual over.
-            let best_idx = (0..population.len())
-                .reduce(|x, y| if better(scores[y], scores[x]) { y } else { x })
-                .expect("population non-empty");
-            next.push(population[best_idx].clone());
-
-            while next.len() < cfg.population {
-                let pick = |rng: &mut ChaCha8Rng| {
-                    let mut best = rng.random_range(0..population.len());
-                    for _ in 1..cfg.tournament {
-                        let other = rng.random_range(0..population.len());
-                        if better(scores[other], scores[best]) {
-                            best = other;
-                        }
-                    }
-                    best
-                };
-                let pa = pick(&mut rng);
-                let pb = pick(&mut rng);
-                let mut child: Vec<HostId> = (0..components.len())
-                    .map(|i| {
-                        if rng.random_bool(0.5) {
-                            population[pa][i]
-                        } else {
-                            population[pb][i]
-                        }
-                    })
-                    .collect();
-                for gene in child.iter_mut() {
-                    if rng.random_bool(cfg.mutation_rate) {
-                        *gene = hosts[rng.random_range(0..hosts.len())];
-                    }
-                }
-                next.push(child);
-            }
-            population = next;
-            scores = population
-                .iter()
-                .map(|g| {
-                    Self::fitness(
-                        model,
-                        objective,
-                        constraints,
-                        &components,
-                        g,
-                        &mut evaluations,
-                    )
-                })
-                .collect();
-            trace_best(&scores, evaluations, &mut convergence);
-        }
-
-        let best_idx = (0..population.len())
-            .reduce(|x, y| if better(scores[y], scores[x]) { y } else { x })
-            .expect("population non-empty");
-        let candidate = if scores[best_idx] == objective.worst() {
-            None
-        } else {
-            Some((
-                Self::decode(&components, &population[best_idx]),
-                scores[best_idx],
-            ))
-        };
-        let (deployment, value) = keep_best(model, objective, constraints, initial, candidate)
-            .ok_or(AlgoError::NoFeasibleDeployment)?;
-        Ok(AlgoResult {
-            algorithm: self.name().to_owned(),
-            deployment,
-            value,
-            evaluations,
-            wall_time: started.elapsed(),
-            convergence,
-            full_evaluations: evaluations,
-            delta_evaluations: 0,
-            pruned_evaluations: 0,
-            hierarchy_clusters: 0,
-            refine_rounds: 0,
-        })
+        let c = compile(model, objective, constraints);
+        self.search(&c, model, initial, started)
     }
 }
 

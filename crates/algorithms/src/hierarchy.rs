@@ -33,15 +33,13 @@
 //! an admitted move invalid. A final full check backs this with a fallback
 //! to the unrefined assignment.
 
-use crate::compiled::Compiled;
+use crate::compiled::{Compiled, Constraints};
 use crate::parallel::run_shards;
-use crate::traits::{keep_best_compiled, AlgoError, AlgoResult};
+use crate::traits::{keep_best, AlgoError, AlgoResult};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use redep_model::{
-    Deployment, Hierarchy, HierarchyConfig, IncrementalScore, Objective, UNASSIGNED,
-};
+use redep_model::{CompiledConstraints, Deployment, Hierarchy, HierarchyConfig, UNASSIGNED};
 use std::time::Instant;
 
 /// Configuration of a hierarchical run, shared by all `*-h` algorithm
@@ -116,10 +114,11 @@ pub(crate) struct HierOutcome {
 /// admissible cluster where its already-placed neighbors accumulate the
 /// highest interaction affinity, ties to the larger-capacity cluster. The
 /// per-component affinity row is maintained incrementally on placement, so
-/// the whole stage is O(n·k + L) with no rescans. (The flat path cannot use
-/// incremental accumulation: it changes float summation order, and flat
-/// avala must match the naive body bit for bit.)
-pub(crate) fn coarse_greedy(cc: &Compiled) -> CoarseOutcome {
+/// the whole stage is O(n·k + L) with no rescans. (Flat avala sums each
+/// affinity in neighbor order instead; incremental accumulation changes
+/// the float summation order, so the two are not interchangeable without
+/// changing flat avala's results.)
+pub(crate) fn coarse_greedy(cc: &Compiled<'_>) -> CoarseOutcome {
     let cm = &cc.model;
     let k = cm.n_hosts();
     let n = cm.n_comps();
@@ -199,7 +198,7 @@ pub(crate) fn coarse_greedy(cc: &Compiled) -> CoarseOutcome {
 /// Stochastic-flavored coarse solver: `iterations` seeded random shuffles of
 /// cluster and component order, first-fit placement, best kept by strict
 /// improvement (first iteration wins ties).
-pub(crate) fn coarse_random(cc: &Compiled, seed: u64, iterations: u32) -> CoarseOutcome {
+pub(crate) fn coarse_random(cc: &Compiled<'_>, seed: u64, iterations: u32) -> CoarseOutcome {
     let cm = &cc.model;
     let k = cm.n_hosts() as u32;
     let n = cm.n_comps() as u32;
@@ -211,7 +210,7 @@ pub(crate) fn coarse_random(cc: &Compiled, seed: u64, iterations: u32) -> Coarse
         };
     }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut inc = IncrementalScore::new(cm, &cc.objective);
+    let mut inc = cc.scorer();
     let mut cluster_order: Vec<u32> = (0..k).collect();
     let mut comp_order: Vec<u32> = (0..n).collect();
     let mut assign = vec![UNASSIGNED; n as usize];
@@ -262,7 +261,7 @@ pub(crate) fn coarse_random(cc: &Compiled, seed: u64, iterations: u32) -> Coarse
 /// Annealing-flavored coarse solver: greedy start, then `passes`
 /// deterministic best-improvement sweeps moving single components between
 /// clusters on the coarse scorer.
-pub(crate) fn coarse_descent(cc: &Compiled, passes: usize) -> CoarseOutcome {
+pub(crate) fn coarse_descent(cc: &Compiled<'_>, passes: usize) -> CoarseOutcome {
     let cm = &cc.model;
     let k = cm.n_hosts() as u32;
     let n = cm.n_comps() as u32;
@@ -270,7 +269,7 @@ pub(crate) fn coarse_descent(cc: &Compiled, passes: usize) -> CoarseOutcome {
     if n == 0 || k == 0 || out.cluster_assign.contains(&UNASSIGNED) {
         return out;
     }
-    let mut inc = IncrementalScore::new(cm, &cc.objective);
+    let mut inc = cc.scorer();
     inc.assign_from(&out.cluster_assign);
     let mut load = cc.constraints.load_of(&out.cluster_assign);
     for _ in 0..passes {
@@ -327,13 +326,16 @@ struct RefineOut {
 
 /// Runs the full hierarchical engine: cluster, coarse-solve (via the
 /// algorithm-flavored `coarse` callback), expand, refine in parallel.
+/// `dense` is [`Compiled::dense_constraints`] of `c`: the engine only runs
+/// on all-dense inputs.
 pub(crate) fn run_hierarchical<F>(
-    c: &Compiled,
+    c: &Compiled<'_>,
+    dense: &CompiledConstraints,
     cfg: &HierarchicalConfig,
     coarse: F,
 ) -> Result<HierOutcome, AlgoError>
 where
-    F: FnOnce(&Compiled) -> CoarseOutcome,
+    F: FnOnce(&Compiled<'_>) -> CoarseOutcome,
 {
     let cm = &c.model;
     let n_comps = cm.n_comps();
@@ -343,7 +345,7 @@ where
     let k = hier.n_clusters();
 
     if n_comps == 0 {
-        let mut inc = IncrementalScore::new(cm, &c.objective);
+        let mut inc = c.scorer();
         let value = inc.score_full();
         return Ok(HierOutcome {
             assign: Vec::new(),
@@ -361,9 +363,11 @@ where
     let coarse_compiled = Compiled {
         model: hier.coarse_model(cm),
         objective: c.objective.clone(),
-        constraints: c
-            .constraints
-            .project_to_clusters(hier.cluster_map(), k, hier.capacities()),
+        constraints: Constraints::Dense(dense.project_to_clusters(
+            hier.cluster_map(),
+            k,
+            hier.capacities(),
+        )),
     };
     let coarse_out = coarse(&coarse_compiled);
 
@@ -392,7 +396,7 @@ where
         return Err(AlgoError::NoFeasibleDeployment);
     }
 
-    let mut inc = IncrementalScore::new(cm, &c.objective);
+    let mut inc = c.scorer();
     let base_value = inc.assign_from(&assign);
     let mut convergence = vec![(0u64, base_value)];
 
@@ -594,16 +598,15 @@ where
 /// through incremental moves, so the full/delta split — not a separate
 /// counter — is the honest cost measure.
 pub(crate) fn finish_hierarchical(
-    c: &Compiled,
-    objective: &dyn Objective,
+    c: &Compiled<'_>,
     initial: Option<&Deployment>,
     started: Instant,
     name: &str,
     out: HierOutcome,
 ) -> Result<AlgoResult, AlgoError> {
     let candidate = Some((c.model.decode_assignment(&out.assign), out.value));
-    let (deployment, value) = keep_best_compiled(c, objective, initial, candidate)
-        .ok_or(AlgoError::NoFeasibleDeployment)?;
+    let (deployment, value) =
+        keep_best(c, initial, candidate).ok_or(AlgoError::NoFeasibleDeployment)?;
     Ok(AlgoResult {
         algorithm: name.to_owned(),
         deployment,
@@ -622,26 +625,35 @@ pub(crate) fn finish_hierarchical(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::try_compile;
-    use redep_model::{Availability, Generator, GeneratorConfig};
+    use crate::compiled::compile;
+    use redep_model::{Availability, GeneratedSystem, Generator, GeneratorConfig};
 
-    fn compiled(hosts: usize, comps: usize, seed: u64) -> Compiled {
-        let s = Generator::generate(&GeneratorConfig::sized(hosts, comps).with_seed(seed)).unwrap();
-        try_compile(&s.model, &Availability, s.model.constraints()).unwrap()
+    fn generated(hosts: usize, comps: usize, seed: u64) -> GeneratedSystem {
+        Generator::generate(&GeneratorConfig::sized(hosts, comps).with_seed(seed)).unwrap()
+    }
+
+    fn compiled(s: &GeneratedSystem) -> Compiled<'_> {
+        compile(&s.model, &Availability, s.model.constraints())
+    }
+
+    fn engine(c: &Compiled<'_>, cfg: &HierarchicalConfig) -> HierOutcome {
+        let dense = c.dense_constraints().expect("built-in inputs are dense");
+        run_hierarchical(c, dense, cfg, coarse_greedy).unwrap()
     }
 
     #[test]
     fn coarse_greedy_places_every_component() {
-        let c = compiled(12, 40, 1);
+        let s = generated(12, 40, 1);
+        let c = compiled(&s);
         let hier = Hierarchy::build(&c.model, &HierarchyConfig::default());
         let cc = Compiled {
             model: hier.coarse_model(&c.model),
             objective: c.objective.clone(),
-            constraints: c.constraints.project_to_clusters(
+            constraints: Constraints::Dense(c.dense_constraints().unwrap().project_to_clusters(
                 hier.cluster_map(),
                 hier.n_clusters(),
                 hier.capacities(),
-            ),
+            )),
         };
         let out = coarse_greedy(&cc);
         assert!(out.cluster_assign.iter().all(|&a| a != UNASSIGNED));
@@ -650,8 +662,9 @@ mod tests {
 
     #[test]
     fn engine_produces_a_valid_deployment() {
-        let c = compiled(12, 40, 2);
-        let out = run_hierarchical(&c, &HierarchicalConfig::default(), coarse_greedy).unwrap();
+        let s = generated(12, 40, 2);
+        let c = compiled(&s);
+        let out = engine(&c, &HierarchicalConfig::default());
         assert!(c.constraints.check(&out.assign));
         assert!(out.clusters > 0);
         assert!(out.pruned > 0, "frontier pruning skipped nothing");
@@ -660,8 +673,9 @@ mod tests {
     #[test]
     fn refinement_never_regresses_the_expanded_assignment() {
         for seed in [1u64, 2, 3] {
-            let c = compiled(10, 30, seed);
-            let out = run_hierarchical(&c, &HierarchicalConfig::default(), coarse_greedy).unwrap();
+            let s = generated(10, 30, seed);
+            let c = compiled(&s);
+            let out = engine(&c, &HierarchicalConfig::default());
             let (p0, v0) = out.convergence[0];
             let (_, v1) = *out.convergence.last().unwrap();
             assert_eq!(p0, 0);
@@ -674,26 +688,20 @@ mod tests {
 
     #[test]
     fn engine_is_thread_invariant() {
-        let c = compiled(16, 48, 3);
-        let base = run_hierarchical(
-            &c,
-            &HierarchicalConfig {
-                threads: 1,
-                ..HierarchicalConfig::default()
-            },
-            coarse_greedy,
-        )
-        .unwrap();
-        for threads in [2usize, 8] {
-            let other = run_hierarchical(
+        let s = generated(16, 48, 3);
+        let c = compiled(&s);
+        let run = |threads| {
+            engine(
                 &c,
                 &HierarchicalConfig {
                     threads,
                     ..HierarchicalConfig::default()
                 },
-                coarse_greedy,
             )
-            .unwrap();
+        };
+        let base = run(1);
+        for threads in [2usize, 8] {
+            let other = run(threads);
             assert_eq!(base.assign, other.assign, "threads {threads}");
             assert_eq!(base.value, other.value, "threads {threads}");
             assert_eq!(base.pruned, other.pruned, "threads {threads}");

@@ -6,27 +6,22 @@
 //! are satisfied. […] This process is repeated a desired number of times,
 //! and the best obtained deployment is selected." (§5.1)
 
-use crate::compiled::{try_compile, Compiled};
+use crate::compiled::{compile, Compiled};
 use crate::hierarchy::{coarse_random, finish_hierarchical, run_hierarchical, HierarchicalConfig};
 use crate::parallel::{run_shards, shard_seed};
-use crate::traits::{
-    keep_best, keep_best_compiled, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm,
-};
+use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use redep_model::UNASSIGNED;
-use redep_model::{ConstraintChecker, Deployment, DeploymentModel, IncrementalScore, Objective};
+use redep_model::{ConstraintChecker, Deployment, DeploymentModel, Objective, UNASSIGNED};
 use std::time::Instant;
 
 /// Randomized first-fit, repeated `iterations` times; O(n²) per iteration.
 ///
-/// When the objective and constraints compile ([`Objective::compiled`],
-/// [`ConstraintChecker::compile`]), placements run on dense indices and are
-/// scored through [`IncrementalScore`]; the iterations can additionally be
-/// split into parallel shards with [`with_parallelism`](Self::with_parallelism).
-/// Results are identical to the sequential naive path for the same
-/// configuration.
+/// Placements run on dense indices and are scored through
+/// [`redep_model::IncrementalScore`] (or [`Objective::evaluate`] when the
+/// objective has no dense form); the iterations can additionally be split
+/// into parallel shards with [`with_parallelism`](Self::with_parallelism).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct StochasticAlgorithm {
     iterations: u32,
@@ -77,9 +72,7 @@ impl StochasticAlgorithm {
     /// fixed seed stream derived from the configured seed) executed on up to
     /// `threads` worker threads. The result is a pure function of
     /// `(iterations, seed, shards)` — any thread count produces the same
-    /// deployment and value. Zero values are clamped to 1. Sharding requires
-    /// the compiled path; with a non-compilable objective or checker the
-    /// algorithm falls back to the sequential naive body.
+    /// deployment and value. Zero values are clamped to 1.
     pub fn with_parallelism(mut self, shards: u32, threads: u32) -> Self {
         self.shards = shards.max(1);
         self.threads = threads.max(1);
@@ -89,15 +82,15 @@ impl StochasticAlgorithm {
     /// Runs the hierarchical variant (`stochastic-h`): seeded random
     /// first-fit over super-node clusters (a handful of shuffles of the
     /// coarse problem), then frontier-pruned refinement within each cluster
-    /// in parallel. Requires the compiled path; a non-compilable objective
-    /// or checker falls back to the flat naive body.
+    /// in parallel. Needs dense forms of both objective and checker; without
+    /// them the flat body runs and the result is reported as `stochastic`.
     pub fn with_hierarchy(mut self, config: HierarchicalConfig) -> Self {
         self.hierarchy = Some(config);
         self
     }
 }
 
-/// Per-shard search outcome on the compiled path.
+/// Per-shard search outcome.
 struct ShardOutcome {
     best: Option<(Vec<u32>, f64)>,
     evaluations: u64,
@@ -107,10 +100,9 @@ struct ShardOutcome {
 }
 
 impl StochasticAlgorithm {
-    fn run_compiled(
+    fn search(
         &self,
-        c: &Compiled,
-        objective: &dyn Objective,
+        c: &Compiled<'_>,
         initial: Option<&Deployment>,
         started: Instant,
     ) -> Result<AlgoResult, AlgoError> {
@@ -126,7 +118,7 @@ impl StochasticAlgorithm {
 
         let outcomes = run_shards(shards, self.threads, |shard| {
             let mut rng = ChaCha8Rng::seed_from_u64(shard_seed(self.seed, shard));
-            let mut inc = IncrementalScore::new(cm, &c.objective);
+            let mut inc = c.scorer();
             let mut assign = vec![UNASSIGNED; n_comps as usize];
             let mut host_order: Vec<u32> = (0..n_hosts).collect();
             let mut comp_order: Vec<u32> = (0..n_comps).collect();
@@ -199,10 +191,10 @@ impl StochasticAlgorithm {
         }
 
         let candidate = best.map(|(a, v)| (cm.decode_assignment(&a), v));
-        let (deployment, value) = keep_best_compiled(c, objective, initial, candidate)
-            .ok_or(AlgoError::NoFeasibleDeployment)?;
+        let (deployment, value) =
+            keep_best(c, initial, candidate).ok_or(AlgoError::NoFeasibleDeployment)?;
         Ok(AlgoResult {
-            algorithm: self.name().to_owned(),
+            algorithm: FLAT_NAME.to_owned(),
             deployment,
             value,
             evaluations,
@@ -217,12 +209,15 @@ impl StochasticAlgorithm {
     }
 }
 
+/// The name the flat body reports, whichever variant was configured.
+const FLAT_NAME: &str = "stochastic";
+
 impl RedeploymentAlgorithm for StochasticAlgorithm {
     fn name(&self) -> &str {
         if self.hierarchy.is_some() {
             "stochastic-h"
         } else {
-            "stochastic"
+            FLAT_NAME
         }
     }
 
@@ -234,71 +229,14 @@ impl RedeploymentAlgorithm for StochasticAlgorithm {
         initial: Option<&Deployment>,
     ) -> Result<AlgoResult, AlgoError> {
         let started = Instant::now();
-        let (hosts, components) = preflight(model)?;
-        if let Some(c) = try_compile(model, objective, constraints) {
-            if let Some(hcfg) = &self.hierarchy {
-                let (seed, iters) = (self.seed, self.iterations.min(16));
-                let out = run_hierarchical(&c, hcfg, |cc| coarse_random(cc, seed, iters))?;
-                return finish_hierarchical(&c, objective, initial, started, self.name(), out);
-            }
-            return self.run_compiled(&c, objective, initial, started);
+        preflight(model)?;
+        let c = compile(model, objective, constraints);
+        if let (Some(hcfg), Some(dense)) = (&self.hierarchy, c.dense_constraints()) {
+            let (seed, iters) = (self.seed, self.iterations.min(16));
+            let out = run_hierarchical(&c, dense, hcfg, |cc| coarse_random(cc, seed, iters))?;
+            return finish_hierarchical(&c, initial, started, self.name(), out);
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let mut best: Option<(Deployment, f64)> = None;
-        let mut evaluations = 0;
-        let mut convergence = Vec::new();
-
-        let mut host_order = hosts.clone();
-        let mut comp_order = components.clone();
-        let mut remaining = Vec::with_capacity(comp_order.len());
-        for _ in 0..self.iterations {
-            host_order.shuffle(&mut rng);
-            comp_order.shuffle(&mut rng);
-            let mut d = Deployment::new();
-            remaining.clear();
-            remaining.extend_from_slice(&comp_order);
-            for &h in &host_order {
-                // Fill this host with as many of the remaining components
-                // as fit, in their random order.
-                remaining.retain(|&c| {
-                    if constraints.admits(model, &d, c, h) {
-                        d.assign(c, h);
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-            if !remaining.is_empty() || constraints.check(model, &d).is_err() {
-                continue;
-            }
-            evaluations += 1;
-            let value = objective.evaluate(model, &d);
-            let improved = match &best {
-                Some((_, bv)) => objective.is_improvement(*bv, value),
-                None => true,
-            };
-            if improved {
-                best = Some((d, value));
-                convergence.push((evaluations, value));
-            }
-        }
-
-        let (deployment, value) = keep_best(model, objective, constraints, initial, best)
-            .ok_or(AlgoError::NoFeasibleDeployment)?;
-        Ok(AlgoResult {
-            algorithm: self.name().to_owned(),
-            deployment,
-            value,
-            evaluations,
-            wall_time: started.elapsed(),
-            convergence,
-            full_evaluations: evaluations,
-            delta_evaluations: 0,
-            pruned_evaluations: 0,
-            hierarchy_clusters: 0,
-            refine_rounds: 0,
-        })
+        self.search(&c, initial, started)
     }
 }
 

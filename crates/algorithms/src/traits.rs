@@ -8,7 +8,8 @@ use std::time::Duration;
 /// What a redeployment algorithm produced.
 #[derive(Clone, PartialEq, Debug)]
 pub struct AlgoResult {
-    /// The algorithm's name.
+    /// The name of the body that ran: an `-h` variant given an objective or
+    /// checker without a dense form runs — and reports — its flat body.
     pub algorithm: String,
     /// The best deployment found.
     pub deployment: Deployment,
@@ -28,12 +29,14 @@ pub struct AlgoResult {
     /// guard in `keep_best` may still raise the final `value` above the
     /// last trace entry.
     pub convergence: Vec<(u64, f64)>,
-    /// How many of the scores were full (from-scratch) evaluations. On the
-    /// naive path this equals `evaluations`; on the compiled path most
-    /// scores are deltas and only re-anchoring points are full.
+    /// How many of the scores were full (from-scratch) evaluations. With a
+    /// dense objective most scores are deltas and only re-anchoring points
+    /// are full; an objective without a dense form is scored through
+    /// [`Objective::evaluate`] and every scoring counts here.
     pub full_evaluations: u64,
     /// How many of the scores were incremental (delta) evaluations touching
-    /// only a moved component's incident links. `0` on the naive path.
+    /// only a moved component's incident links. `0` when the objective has
+    /// no dense form.
     pub delta_evaluations: u64,
     /// How many candidate moves frontier pruning skipped without scoring
     /// them. `0` for flat (unpruned) runs; for hierarchical runs this is
@@ -127,61 +130,27 @@ pub trait RedeploymentAlgorithm: fmt::Debug {
     ) -> Result<AlgoResult, AlgoError>;
 }
 
-/// Shared pre-flight validation and baseline handling for algorithm bodies.
-pub(crate) fn preflight(
-    model: &DeploymentModel,
-) -> Result<(Vec<redep_model::HostId>, Vec<redep_model::ComponentId>), AlgoError> {
-    let hosts = model.host_ids();
-    let components = model.component_ids();
-    if components.is_empty() {
-        return Ok((hosts, components));
-    }
-    if hosts.is_empty() {
+/// Shared pre-flight validation for algorithm bodies.
+pub(crate) fn preflight(model: &DeploymentModel) -> Result<(), AlgoError> {
+    if model.component_count() > 0 && model.host_count() == 0 {
         return Err(AlgoError::DegenerateModel(
             "components exist but there are no hosts".into(),
         ));
     }
-    Ok((hosts, components))
+    Ok(())
 }
 
 /// Picks the better of a candidate and the (validated) initial deployment,
 /// so algorithms never regress below the running system.
+///
+/// The baseline is checked and scored through the run's own [`Compiled`]
+/// inputs with a throwaway scorer: one O(L) dense pass for a dense
+/// objective (the naive O(L log L) map walk dominated small runs — ~300µs
+/// of a 2–6ms run at 20×160), one `evaluate` for an opaque one.
+///
+/// [`Compiled`]: crate::compiled::Compiled
 pub(crate) fn keep_best(
-    model: &DeploymentModel,
-    objective: &dyn Objective,
-    constraints: &dyn ConstraintChecker,
-    initial: Option<&Deployment>,
-    candidate: Option<(Deployment, f64)>,
-) -> Option<(Deployment, f64)> {
-    let baseline = initial.and_then(|d| {
-        constraints
-            .check(model, d)
-            .ok()
-            .map(|()| (d.clone(), objective.evaluate(model, d)))
-    });
-    match (candidate, baseline) {
-        (Some((cd, cv)), Some((bd, bv))) => {
-            if objective.is_improvement(bv, cv) {
-                Some((cd, cv))
-            } else {
-                Some((bd, bv))
-            }
-        }
-        (Some(c), None) => Some(c),
-        (None, Some(b)) => Some(b),
-        (None, None) => None,
-    }
-}
-
-/// Compiled-path variant of [`keep_best`]: scores the baseline with a
-/// throwaway [`redep_model::IncrementalScore`] instead of the naive
-/// `Objective::evaluate`. `score_full`/`assign_from` are bit-identical to
-/// the naive evaluation, so the pick is unchanged — but the baseline check
-/// drops from an O(L log L) BTreeMap walk to one O(L) dense pass, which
-/// dominated small compiled runs (~300µs of a 2–6ms run at 20×160).
-pub(crate) fn keep_best_compiled(
-    c: &crate::compiled::Compiled,
-    objective: &dyn Objective,
+    c: &crate::compiled::Compiled<'_>,
     initial: Option<&Deployment>,
     candidate: Option<(Deployment, f64)>,
 ) -> Option<(Deployment, f64)> {
@@ -190,13 +159,12 @@ pub(crate) fn keep_best_compiled(
         if !c.constraints.check(&assign) {
             return None;
         }
-        let mut inc = redep_model::IncrementalScore::new(&c.model, &c.objective);
-        let value = inc.assign_from(&assign);
+        let value = c.scorer().assign_from(&assign);
         Some((d.clone(), value))
     });
     match (candidate, baseline) {
         (Some((cd, cv)), Some((bd, bv))) => {
-            if objective.is_improvement(bv, cv) {
+            if c.objective.is_improvement(bv, cv) {
                 Some((cd, cv))
             } else {
                 Some((bd, bv))
@@ -302,26 +270,13 @@ mod tests {
         let remote: Deployment = [(a, h0), (b, h1)].into_iter().collect();
         let lv = Availability.evaluate(&m, &local);
 
-        let picked = keep_best(
-            &m,
-            &Availability,
-            m.constraints(),
-            Some(&remote),
-            Some((local.clone(), lv)),
-        )
-        .unwrap();
+        let c = crate::compiled::compile(&m, &Availability, m.constraints());
+        let picked = keep_best(&c, Some(&remote), Some((local.clone(), lv))).unwrap();
         assert_eq!(picked.0, local);
 
         // With a better baseline, the baseline wins.
         let rv = Availability.evaluate(&m, &remote);
-        let picked = keep_best(
-            &m,
-            &Availability,
-            m.constraints(),
-            Some(&local),
-            Some((remote, rv)),
-        )
-        .unwrap();
+        let picked = keep_best(&c, Some(&local), Some((remote, rv))).unwrap();
         assert_eq!(picked.0, local);
     }
 }

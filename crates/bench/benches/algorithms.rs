@@ -67,11 +67,11 @@ fn bench_approximative(c: &mut Criterion) {
     }
 }
 
-/// Compiled evaluation core vs the naive trait-object path, on the two
-/// mutation-driven searches the compiled core was built for. `Uncompiled`
-/// hides `Objective::compiled` so the identical body runs through from-scratch
-/// `evaluate` calls instead of dense delta scoring.
-fn bench_compiled_vs_naive(c: &mut Criterion) {
+/// Dense vs opaque scoring on the same body, for the two mutation-driven
+/// searches the compiled core was built for. `Uncompiled` hides
+/// `Objective::compiled`, so the body scores every candidate with a
+/// from-scratch `evaluate` instead of a dense delta.
+fn bench_dense_vs_opaque(c: &mut Criterion) {
     let (model, initial) = instance(8, 32);
 
     let mut group = c.benchmark_group("annealing_8x32");
@@ -80,14 +80,14 @@ fn bench_compiled_vs_naive(c: &mut Criterion) {
         iterations: 2_000,
         ..AnnealingConfig::default()
     });
-    group.bench_function("compiled", |b| {
+    group.bench_function("dense", |b| {
         b.iter(|| {
             annealing
                 .run(&model, &Availability, model.constraints(), Some(&initial))
                 .unwrap()
         })
     });
-    group.bench_function("naive", |b| {
+    group.bench_function("opaque", |b| {
         b.iter(|| {
             annealing
                 .run(
@@ -107,14 +107,14 @@ fn bench_compiled_vs_naive(c: &mut Criterion) {
         generations: 20,
         ..GeneticConfig::default()
     });
-    group.bench_function("compiled", |b| {
+    group.bench_function("dense", |b| {
         b.iter(|| {
             genetic
                 .run(&model, &Availability, model.constraints(), Some(&initial))
                 .unwrap()
         })
     });
-    group.bench_function("naive", |b| {
+    group.bench_function("opaque", |b| {
         b.iter(|| {
             genetic
                 .run(
@@ -158,7 +158,7 @@ criterion_group!(
     benches,
     bench_exact,
     bench_approximative,
-    bench_compiled_vs_naive,
+    bench_dense_vs_opaque,
     bench_avala_hot_loop
 );
 criterion_main!(benches);

@@ -1,12 +1,11 @@
-//! Criterion benches for the runtime fast path this PR introduced: the
-//! router hot loop (interned-symbol adjacency, `Arc`-shared payloads) and
-//! the wire codec (binary vs the legacy JSON format), matching the
-//! `exp_e6_pipeline` experiment at micro scale.
+//! Criterion benches for the runtime hot path: the router loop
+//! (interned-symbol adjacency, `Arc`-shared payloads) and the wire codec,
+//! matching the `exp_e6_pipeline` experiment at micro scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use redep_model::HostId;
 use redep_netsim::SimTime;
-use redep_prism::{Architecture, ComponentBehavior, ComponentCtx, Event, WireCodec};
+use redep_prism::{Architecture, ComponentBehavior, ComponentCtx, Event};
 
 /// Re-emits every event it receives until its budget runs out, keeping the
 /// connector's route→pump loop saturated.
@@ -58,21 +57,11 @@ fn sample_event() -> Event {
 
 fn bench_codec(c: &mut Criterion) {
     let event = sample_event();
-    let binary = event.encode_with(WireCodec::Binary).unwrap();
-    let json = event.encode_with(WireCodec::Json).unwrap();
-    assert!(binary.len() <= json.len());
+    let bytes = event.encode().unwrap();
 
     let mut group = c.benchmark_group("codec_roundtrip");
-    group.bench_function("binary_encode", |b| {
-        b.iter(|| event.encode_with(WireCodec::Binary).unwrap())
-    });
-    group.bench_function("json_encode", |b| {
-        b.iter(|| event.encode_with(WireCodec::Json).unwrap())
-    });
-    group.bench_function("binary_decode", |b| {
-        b.iter(|| Event::decode(&binary).unwrap())
-    });
-    group.bench_function("json_decode", |b| b.iter(|| Event::decode(&json).unwrap()));
+    group.bench_function("encode", |b| b.iter(|| event.encode().unwrap()));
+    group.bench_function("decode", |b| b.iter(|| Event::decode(&bytes).unwrap()));
     group.finish();
 }
 

@@ -14,8 +14,31 @@ use redep_algorithms::{
     StochasticAlgorithm,
 };
 use redep_bench::{print_table, ExpReport};
-use redep_model::{Availability, Generator, GeneratorConfig, Objective, Uncompiled};
+use redep_model::{
+    Availability, ComponentId, ConstraintChecker, ConstraintViolation, Deployment, DeploymentModel,
+    Generator, GeneratorConfig, HostId, Objective, Uncompiled,
+};
 use std::time::Instant;
+
+/// The checker-side counterpart of [`Uncompiled`] for E3c: delegates the
+/// naive checks and leaves `compile` at its `None` default, so the
+/// algorithms probe constraints through the trait object.
+#[derive(Debug)]
+struct OpaqueChecker<'a>(&'a dyn ConstraintChecker);
+
+impl ConstraintChecker for OpaqueChecker<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn check(&self, model: &DeploymentModel, d: &Deployment) -> Result<(), ConstraintViolation> {
+        self.0.check(model, d)
+    }
+
+    fn admits(&self, model: &DeploymentModel, d: &Deployment, c: ComponentId, h: HostId) -> bool {
+        self.0.admits(model, d, c, h)
+    }
+}
 
 /// E3d generator config: beyond ~100 hosts the default densities produce
 /// quadratically many links, which measures the generator, not the
@@ -171,11 +194,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &rows,
     );
 
-    // --- Compiled evaluation core vs the naive path ---------------------
+    // --- Dense vs opaque scoring on the same body ----------------------
     // The two mutation-driven searches the compiled core targets, on the
-    // acceptance-size instance (8 hosts × 32 components). `Uncompiled`
-    // hides `Objective::compiled` so the same body pays a from-scratch
-    // `evaluate` per proposal instead of an O(deg) delta.
+    // acceptance-size instance (8 hosts × 32 components). `Uncompiled` and
+    // `OpaqueChecker` hide the dense forms, so the one body scores each
+    // proposal with a from-scratch `evaluate` — and checks it with the
+    // trait object's `check`/`admits` — on the decoded assignment instead
+    // of an O(deg) delta over dense tables: the work a custom objective
+    // and checker cost, which is what the ≥5× gate has always compared.
     let system = Generator::generate(&GeneratorConfig::sized(8, 32).with_seed(3))?;
     let annealing = AnnealingAlgorithm::with_config(AnnealingConfig {
         iterations: 2_000,
@@ -190,18 +216,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     let mut min_speedup = f64::INFINITY;
     for (name, algo) in searches {
-        let time_of = |objective: &dyn Objective| -> Result<(f64, f64, u64, u64), Box<dyn std::error::Error>> {
+        let time_of = |objective: &dyn Objective,
+                       constraints: &dyn ConstraintChecker|
+         -> Result<(f64, f64, u64, u64), Box<dyn std::error::Error>> {
             // Median-of-5 wall time for stability outside Criterion.
             let mut times = Vec::new();
             let mut last = None;
             for _ in 0..5 {
                 let started = Instant::now();
-                let r = algo.run(
-                    &system.model,
-                    objective,
-                    system.model.constraints(),
-                    Some(&system.initial),
-                )?;
+                let r = algo.run(&system.model, objective, constraints, Some(&system.initial))?;
                 times.push(started.elapsed().as_secs_f64());
                 last = Some(r);
             }
@@ -209,16 +232,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let r = last.expect("five runs");
             Ok((times[2], r.value, r.full_evaluations, r.delta_evaluations))
         };
-        let (fast, fast_value, full, delta) = time_of(&Availability)?;
-        let (slow, slow_value, _, _) = time_of(&Uncompiled(&Availability))?;
+        let checker = system.model.constraints();
+        let (fast, fast_value, full, delta) = time_of(&Availability, checker)?;
+        let (slow, slow_value, _, _) =
+            time_of(&Uncompiled(&Availability), &OpaqueChecker(checker))?;
         assert!(
             (fast_value - slow_value).abs() <= 1e-12,
-            "{name}: compiled and naive paths disagree"
+            "{name}: dense and opaque scoring disagree"
         );
         let speedup = slow / fast.max(1e-9);
         min_speedup = min_speedup.min(speedup);
-        report.metric(format!("e3c.{name}.8x32.compiled_secs"), fast);
-        report.metric(format!("e3c.{name}.8x32.naive_secs"), slow);
+        report.metric(format!("e3c.{name}.8x32.dense_secs"), fast);
+        report.metric(format!("e3c.{name}.8x32.opaque_secs"), slow);
         report.metric(format!("e3c.{name}.8x32.speedup"), speedup);
         report.metric(format!("e3c.{name}.8x32.delta_evals"), delta as f64);
         report.metric(format!("e3c.{name}.8x32.full_evals"), full as f64);
@@ -231,13 +256,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]);
     }
     print_table(
-        "E3c: compiled delta scoring vs naive re-evaluation (8×32, median of 5)",
-        &["search", "compiled", "naive", "speedup", "delta/full evals"],
+        "E3c: dense vs opaque scoring on the same body (8×32, median of 5)",
+        &["search", "dense", "opaque", "speedup", "delta/full evals"],
         &rows,
     );
     report.note(format!(
-        "e3c acceptance: compiled annealing+genetic must be ≥5× the naive path \
-         on 8×32 (worst observed {min_speedup:.1}×)"
+        "e3c acceptance: dense scoring must run annealing+genetic ≥5× faster \
+         than opaque scoring on the same body, 8×32 (worst observed {min_speedup:.1}×)"
     ));
 
     let hier_speedup = run_e3d(&mut report, false)?;
@@ -254,7 +279,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nE3 PASS: Exact explodes past ~10⁶ placements while the \
          approximative algorithms handle 20×160 in milliseconds-to-seconds; \
-         the compiled core runs the mutation searches {min_speedup:.1}×+ faster \
+         dense scoring runs the mutation searches {min_speedup:.1}×+ faster than opaque \
          and the hierarchical engine reaches 1000×10000."
     );
     Ok(())

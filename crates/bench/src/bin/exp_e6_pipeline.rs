@@ -4,14 +4,16 @@
 //! network simulator) at three scales — 8×32, 64×256, 256×1024
 //! hosts×components — and measures the wall-clock event rate of the whole
 //! pipeline: routing through interned-symbol adjacency, `Arc`-shared
-//! payloads, the binary wire codec, and the calendar-queue scheduler.
+//! payloads, the wire codec, and the calendar-queue scheduler. Each run
+//! starts from a freshly built runtime, so the rates are *cold-start*
+//! rates over a short horizon (the `pipeline-steady` workload of
+//! `BENCHMARK.json` measures the same path after warm-up).
 //!
-//! Each scale runs twice: once on the **fast path** (the default binary
-//! codec) and once on the **legacy path** (`codec=json`, the serde_json
-//! wire format this PR replaced), so the report carries both numbers and
-//! their ratio. Events are counted by the middleware's own
-//! `pipeline.events.routed` counter and wire volume by
-//! `pipeline.codec.bytes`, giving events/second and bytes/event per cell.
+//! Events are counted by the middleware's own `pipeline.events.routed`
+//! counter and wire volume by `pipeline.codec.bytes`, giving events/second
+//! and bytes/event per cell. The 64×256 cell is gated against the last
+//! rate recorded for the serde_json wire format before it was removed
+//! ([`RECORDED_JSON_64X256`]).
 //!
 //! On top of the single-queue cells, the **sharded** conservative-PDES
 //! engine ([`redep_core::ShardedRuntime`]) is measured at 256×1024 (4
@@ -31,7 +33,6 @@ use redep_bench::{print_table, ExpReport};
 use redep_core::{RuntimeConfig, ShardedRuntime, SystemRuntime};
 use redep_model::{Generator, GeneratorConfig};
 use redep_netsim::SimTime;
-use redep_prism::{set_wire_codec, WireCodec};
 use redep_telemetry::Telemetry;
 use std::time::Instant;
 
@@ -40,7 +41,12 @@ use std::time::Instant;
 /// reference for the sharded speedup gate.
 const SEED_BASELINE_256X1024: f64 = 60_930.0;
 
-/// One measured cell: a (scale, codec) pair.
+/// The 64×256 rate of the serde_json wire format, as last recorded in the
+/// checked-in `BENCH_pipeline.json` (`events_per_sec_64x256_legacy`) before
+/// that format was deleted — the fixed reference for the ≥3× hot-path gate.
+const RECORDED_JSON_64X256: f64 = 64_326.0;
+
+/// One measured cell.
 struct Sample {
     /// Events routed through component handlers (`pipeline.events.routed`).
     events: u64,
@@ -66,14 +72,12 @@ impl Sample {
 }
 
 /// Builds a runtime at the given scale and runs it for `horizon` simulated
-/// seconds under `codec`, reading the pipeline counters afterwards.
+/// seconds, reading the pipeline counters afterwards.
 fn run_cell(
     hosts: usize,
     comps: usize,
     horizon: f64,
-    codec: WireCodec,
 ) -> Result<Sample, Box<dyn std::error::Error>> {
-    set_wire_codec(codec);
     let system = Generator::generate(&GeneratorConfig::sized(hosts, comps).with_seed(11))?;
     let runtime_config = RuntimeConfig {
         seed: 1,
@@ -105,7 +109,6 @@ fn run_cell(
         prev_events = now_events;
     }
     let wall_secs = started.elapsed().as_secs_f64();
-    set_wire_codec(WireCodec::Binary);
     Ok(Sample {
         events: routed.get(),
         bytes: bytes.get(),
@@ -116,8 +119,8 @@ fn run_cell(
 }
 
 /// Builds a *sharded* runtime at the given scale and runs it for `horizon`
-/// simulated seconds on the binary codec, reading the same pipeline
-/// counters summed across the per-shard telemetry handles.
+/// simulated seconds, reading the same pipeline counters summed across the
+/// per-shard telemetry handles.
 fn run_sharded_cell(
     hosts: usize,
     comps: usize,
@@ -125,7 +128,6 @@ fn run_sharded_cell(
     shards: usize,
     threads: usize,
 ) -> Result<Sample, Box<dyn std::error::Error>> {
-    set_wire_codec(WireCodec::Binary);
     let system = Generator::generate(&GeneratorConfig::sized(hosts, comps).with_seed(11))?;
     let runtime_config = RuntimeConfig {
         seed: 1,
@@ -174,7 +176,6 @@ fn run_sharded_cell(
 /// with journaling enabled and asserts the merged exports are
 /// byte-identical.
 fn shard_smoke() -> Result<(), Box<dyn std::error::Error>> {
-    set_wire_codec(WireCodec::Binary);
     const SHARDS: usize = 4;
     let run = |threads: usize| -> Result<String, Box<dyn std::error::Error>> {
         let system = Generator::generate(&GeneratorConfig::sized(16, 64).with_seed(11))?;
@@ -226,10 +227,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[(8, 32, 10.0), (64, 256, 5.0), (256, 1024, 1.0)]
     };
 
-    let mut report = ExpReport::new(
-        "pipeline",
-        "E6-pipeline: hot-path throughput, binary codec vs legacy JSON",
-    );
+    let mut report = ExpReport::new("pipeline", "E6-pipeline: hot-path event throughput");
     report.note(if quick {
         "quick mode: 8x32 only, 10 s simulated horizon"
     } else {
@@ -240,60 +238,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut gate_speedup = f64::INFINITY;
     let mut measured_single_256 = None;
     for &(hosts, comps, horizon) in scales {
-        let fast = run_cell(hosts, comps, horizon, WireCodec::Binary)?;
-        if (hosts, comps) == (256, 1024) {
-            measured_single_256 = Some(fast.events_per_sec());
-        }
-        let legacy = run_cell(hosts, comps, horizon, WireCodec::Json)?;
+        let sample = run_cell(hosts, comps, horizon)?;
         assert!(
-            fast.events > 0 && legacy.events > 0,
+            sample.events > 0,
             "{hosts}x{comps}: pipeline routed no events"
         );
-        let speedup = fast.events_per_sec() / legacy.events_per_sec().max(1e-9);
-        // The acceptance gate reads the 64x256 cell in full mode; quick
-        // mode gates on its only cell.
-        if quick || (hosts, comps) == (64, 256) {
-            gate_speedup = gate_speedup.min(speedup);
-        }
         let key = format!("{hosts}x{comps}");
-        report.metric(format!("events_per_sec_{key}_fast"), fast.events_per_sec());
         report.metric(
-            format!("events_per_sec_{key}_legacy"),
-            legacy.events_per_sec(),
+            format!("events_per_sec_{key}_fast"),
+            sample.events_per_sec(),
         );
         report.metric(
             format!("bytes_per_event_{key}_fast"),
-            fast.bytes_per_event(),
+            sample.bytes_per_event(),
         );
-        report.metric(
-            format!("bytes_per_event_{key}_legacy"),
-            legacy.bytes_per_event(),
-        );
-        report.metric(format!("speedup_{key}"), speedup);
         report.percentiles_of(
             format!("chunk_events_per_sec_{key}_fast"),
-            &fast.chunk_rates,
+            &sample.chunk_rates,
         );
-        report.add_journal_dropped(fast.journal_dropped + legacy.journal_dropped);
+        report.add_journal_dropped(sample.journal_dropped);
+        let mut vs_json = String::from("-");
+        match (hosts, comps) {
+            (64, 256) => {
+                let speedup = sample.events_per_sec() / RECORDED_JSON_64X256;
+                report.metric("speedup_vs_recorded_json_64x256", speedup);
+                gate_speedup = speedup;
+                vs_json = format!("{speedup:.1}×");
+            }
+            (256, 1024) => measured_single_256 = Some(sample.events_per_sec()),
+            _ => {}
+        }
         rows.push(vec![
             key,
-            format!("{:.0}", fast.events_per_sec()),
-            format!("{:.0}", legacy.events_per_sec()),
-            format!("{speedup:.1}×"),
-            format!("{:.0}", fast.bytes_per_event()),
-            format!("{:.0}", legacy.bytes_per_event()),
+            format!("{:.0}", sample.events_per_sec()),
+            format!("{:.0}", sample.bytes_per_event()),
+            vs_json,
         ]);
     }
     print_table(
         "E6-pipeline: wall-clock throughput (events routed per second)",
-        &[
-            "k×n",
-            "binary ev/s",
-            "json ev/s",
-            "speedup",
-            "B/ev bin",
-            "B/ev json",
-        ],
+        &["k×n", "ev/s", "B/ev", "vs recorded JSON"],
         &rows,
     );
 
@@ -360,27 +344,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &sharded_rows,
     );
 
-    // Acceptance: the binary fast path must clear the legacy JSON path by
-    // 3× at the 64×256 scale (quick mode only sanity-checks its one cell,
-    // since CI machines vary), and in full mode the sharded engine must
-    // clear 4× the seed single-shard baseline at 256×1024.
-    let threshold = if quick { 1.0 } else { 3.0 };
+    // Acceptance (full mode; quick mode only checks that its cells route
+    // events, since CI machines vary): the hot path must clear 3× the
+    // recorded JSON-codec rate at 64×256, and the sharded engine 4× the seed
+    // single-shard baseline at 256×1024.
+    let threshold = 3.0;
     let sharded_threshold = 4.0;
+    let hot_path_pass = quick || gate_speedup >= threshold;
     let sharded_pass = quick || sharded_gate >= sharded_threshold;
-    report.set_passed(gate_speedup >= threshold && sharded_pass);
-    report.note(format!(
-        "acceptance: fast path ≥{threshold}× legacy at the gated scale \
-         (observed {gate_speedup:.1}×)"
-    ));
+    report.set_passed(hot_path_pass && sharded_pass);
     if !quick {
+        report.note(format!(
+            "acceptance: hot path ≥{threshold}× the recorded JSON-codec rate \
+             ({RECORDED_JSON_64X256:.0} ev/s) at 64x256 (observed {gate_speedup:.1}×)"
+        ));
         report.note(format!(
             "acceptance: sharded ≥{sharded_threshold}× the seed single-shard baseline \
              ({SEED_BASELINE_256X1024:.0} ev/s) at 256x1024 (observed {sharded_gate:.1}×)"
         ));
     }
     assert!(
-        gate_speedup >= threshold,
-        "pipeline FAILED: speedup {gate_speedup:.1}× below the {threshold}× gate"
+        hot_path_pass,
+        "pipeline FAILED: hot path {gate_speedup:.1}× below the {threshold}× gate"
     );
     assert!(
         sharded_pass,
@@ -389,6 +374,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(file) = report.emit_if_requested()? {
         println!("\nwrote {file}");
     }
-    println!("\nE6-pipeline PASS: binary fast path {gate_speedup:.1}× the legacy JSON path.");
+    println!("\nE6-pipeline PASS.");
     Ok(())
 }

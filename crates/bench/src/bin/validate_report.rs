@@ -10,8 +10,11 @@
 //!
 //! Report-specific gates: a *full-mode* pipeline report (one carrying the
 //! `speedup_vs_seed_single_shard` metric) must clear the sharded-engine
-//! acceptance — ≥ 4× the seed single-shard baseline at 256×1024 — and must
-//! include the 1024×8192 sharded scale row. A full-mode *algorithms* report
+//! acceptance — ≥ 4× the seed single-shard baseline at 256×1024 — include
+//! the 1024×8192 sharded scale row, and clear the hot-path acceptance —
+//! `speedup_vs_recorded_json_64x256` ≥ 3; no pipeline report may carry a
+//! `*_legacy` metric (the JSON wire path those measured no longer exists).
+//! A full-mode *algorithms* report
 //! (one carrying `e3d.avala.20x160.speedup_vs_flat`) must clear the
 //! hierarchical-engine acceptance — ≥ 10× evals/s over the flat path for
 //! avala and decap, all four hierarchical algorithms completing 200×2000,
@@ -124,10 +127,17 @@ fn check_crash_recovery_gates(file: &str, report: &ExpReport) -> Result<(), Stri
     Ok(())
 }
 
-/// Enforces the sharded-pipeline acceptance on full-mode pipeline reports.
+/// Enforces the pipeline acceptances: no stale `*_legacy` metrics on any
+/// report, the sharded and hot-path gates on full-mode ones.
 fn check_pipeline_gates(file: &str, report: &ExpReport) -> Result<(), String> {
+    if let Some(key) = report.metrics.keys().find(|k| k.ends_with("_legacy")) {
+        return Err(format!(
+            "{file}: stale metric {key} — the JSON wire path it measured was \
+             removed; regenerate the report"
+        ));
+    }
     let Some(&speedup) = report.metrics.get("speedup_vs_seed_single_shard") else {
-        return Ok(()); // quick-mode report: nothing to gate
+        return Ok(()); // quick-mode report: nothing else to gate
     };
     if speedup < 4.0 {
         return Err(format!(
@@ -143,6 +153,18 @@ fn check_pipeline_gates(file: &str, report: &ExpReport) -> Result<(), String> {
         return Err(format!(
             "{file}: full-mode pipeline report is missing the 1024x8192 \
              sharded scale row"
+        ));
+    }
+    let key = "speedup_vs_recorded_json_64x256";
+    let hot_path = report
+        .metrics
+        .get(key)
+        .copied()
+        .ok_or_else(|| format!("{file}: full-mode pipeline report is missing {key}"))?;
+    if hot_path < 3.0 {
+        return Err(format!(
+            "{file}: hot-path speedup {hot_path:.2}× is below the 3× \
+             recorded-JSON-rate gate"
         ));
     }
     Ok(())

@@ -225,8 +225,9 @@ pub trait ConstraintChecker: fmt::Debug + Send + Sync {
     /// The compiled checker's `check`/`admits` must return the same booleans
     /// as the naive `check(..).is_ok()` / `admits(..)` for deployments over
     /// the compiled model's components and hosts. Checkers without a dense
-    /// form return `None` (the default), which keeps algorithms on the naive
-    /// path.
+    /// form return `None` (the default): algorithms then run the same body
+    /// but probe `check`/`admits` on the decoded assignment, and the
+    /// hierarchical `-h` variants run their flat body.
     fn compile(
         &self,
         model: &DeploymentModel,

@@ -25,8 +25,9 @@
 //! * [`CompiledConstraints`] — the dense form of [`ConstraintSet`] /
 //!   [`MemoryConstraint`] checks (obtained via
 //!   [`ConstraintChecker::compile`]).
-//! * [`Uncompiled`] — an opt-out wrapper forcing the naive path (used by
-//!   benchmarks and equivalence tests).
+//! * [`Uncompiled`] — a wrapper hiding an objective's dense form, so
+//!   algorithms score it through [`Objective::evaluate`] like any custom
+//!   objective (used by benchmarks and equivalence tests).
 //!
 //! # Exactness
 //!
@@ -36,7 +37,7 @@
 //! left-to-right in that order, and the path-reliability matrix replays
 //! [`DeploymentModel::best_path`]'s exact search per pair. Delta updates
 //! (`set`/`peek`) are subject to ordinary floating-point drift of the order
-//! of a few ULPs; callers that need exact agreement with the naive path
+//! of a few ULPs; callers that need exact agreement with `evaluate`
 //! (e.g. for recording a best-so-far value) re-anchor with
 //! [`IncrementalScore::score_full`].
 //!
@@ -1171,9 +1172,10 @@ impl CompiledConstraints {
 
 // ---- opt-out wrapper ------------------------------------------------------
 
-/// Wraps an objective and hides its compiled form, forcing every algorithm
-/// onto the naive evaluation path. Used by benchmarks and the
-/// compiled-vs-naive equivalence tests.
+/// Wraps an objective and hides its compiled form, so every algorithm scores
+/// it through [`Objective::evaluate`](crate::Objective::evaluate) — the same
+/// body, opaque scoring. Used by benchmarks and the dense-vs-opaque
+/// equivalence tests, which hold the dense forms to the naive evaluators.
 #[derive(Debug)]
 pub struct Uncompiled<'a>(pub &'a dyn crate::Objective);
 

@@ -93,8 +93,9 @@ pub trait Objective: fmt::Debug + Send + Sync {
     /// [`IncrementalScore`](crate::IncrementalScore) instead of
     /// [`evaluate`](Self::evaluate); the compiled form must produce the same
     /// value as `evaluate` for any deployment over the compiled model.
-    /// Custom objectives default to `None`, which keeps every algorithm on
-    /// the naive path.
+    /// Custom objectives default to `None`: algorithms then run the same
+    /// body but score every candidate with a full `evaluate` (no deltas),
+    /// and the hierarchical `-h` variants run their flat body.
     fn compiled(&self) -> Option<CompiledObjective> {
         None
     }

@@ -1,12 +1,10 @@
-//! Wire codecs for events and transport frames.
+//! The wire codec for events and transport frames.
 //!
-//! The default codec is a compact length-prefixed little-endian binary
-//! format: symbol names travel as LEB128 varint interner ids, parameter
-//! values as one tag byte plus a raw value, payloads as varint-length raw
-//! bytes. The previous `serde_json` encoding is retained behind the
-//! `codec=json` debug option ([`set_wire_codec`]) for human-readable frame
-//! dumps; decoders sniff the leading magic byte, so both codecs can coexist
-//! on one link.
+//! A compact length-prefixed little-endian binary format: symbol names
+//! travel as LEB128 varint interner ids, parameter values as one tag byte
+//! plus a raw value, payloads as varint-length raw bytes. Every encoding
+//! starts with a magic byte; bytes that do not are rejected with a
+//! [`PrismError::Codec`] naming the offending byte.
 //!
 //! Shipping interner ids is sound here because the "wire" never leaves the
 //! process: netsim simulates all hosts in one address space sharing one
@@ -40,44 +38,12 @@ use crate::event::{Event, EventKind, ParamVec};
 use crate::symbol::Symbol;
 use crate::PrismError;
 use redep_model::ParamValue;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Leading byte of a binary-encoded [`Event`]. Distinct from `{` (0x7B), so
-/// decoders can tell binary frames from JSON ones.
+/// Leading byte of an encoded [`Event`].
 pub const EVENT_MAGIC: u8 = 0xE5;
 
-/// Leading byte of a binary-encoded transport frame.
+/// Leading byte of an encoded transport frame.
 pub(crate) const WIRE_MAGIC: u8 = 0xEB;
-
-/// Which encoding [`Event::encode`] and the transport use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WireCodec {
-    /// Compact binary (the default).
-    Binary,
-    /// `serde_json`, kept as a debug option for readable frame dumps.
-    Json,
-}
-
-static WIRE_CODEC: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the process-wide wire codec (`codec=json` debug switch).
-pub fn set_wire_codec(codec: WireCodec) {
-    WIRE_CODEC.store(
-        match codec {
-            WireCodec::Binary => 0,
-            WireCodec::Json => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The currently selected process-wide wire codec.
-pub fn wire_codec() -> WireCodec {
-    match WIRE_CODEC.load(Ordering::Relaxed) {
-        0 => WireCodec::Binary,
-        _ => WireCodec::Json,
-    }
-}
 
 // --- varint primitives ---------------------------------------------------
 
@@ -150,6 +116,20 @@ fn codec_err(msg: &str) -> PrismError {
     PrismError::Codec(msg.to_owned())
 }
 
+/// Consumes the leading magic byte of a `what` ("event" / "frame")
+/// encoding, naming whatever is there instead when it is missing.
+fn expect_magic(bytes: &[u8], magic: u8, what: &str) -> Result<(), PrismError> {
+    match bytes.first() {
+        Some(&b) if b == magic => Ok(()),
+        Some(&b) => Err(PrismError::Codec(format!(
+            "not a wire {what}: leading byte {b:#04x}, expected magic {magic:#04x}"
+        ))),
+        None => Err(PrismError::Codec(format!(
+            "not a wire {what}: empty input, expected magic {magic:#04x}"
+        ))),
+    }
+}
+
 // --- event codec ---------------------------------------------------------
 
 const TAG_FALSE: u8 = 0;
@@ -168,7 +148,7 @@ const FLAG_TRACE: u8 = 0b100;
 /// the span id.
 const FLAG_TRACE_PARENT: u8 = 0b1000;
 
-/// Encodes an event in the binary layout (see module docs).
+/// Encodes an event (layout in the module docs).
 pub(crate) fn encode_event(e: &Event) -> Vec<u8> {
     let mut out = Vec::with_capacity(24 + e.payload.len());
     out.push(EVENT_MAGIC);
@@ -229,13 +209,10 @@ pub(crate) fn encode_event(e: &Event) -> Vec<u8> {
     out
 }
 
-/// Decodes a binary event, rejecting trailing garbage.
+/// Decodes an event, rejecting foreign bytes and trailing garbage.
 pub(crate) fn decode_event(bytes: &[u8]) -> Result<Event, PrismError> {
-    let mut pos = 0usize;
-    if bytes.get(pos) != Some(&EVENT_MAGIC) {
-        return Err(codec_err("bad event magic"));
-    }
-    pos += 1;
+    expect_magic(bytes, EVENT_MAGIC, "event")?;
+    let mut pos = 1usize;
     let kind = match bytes.get(pos) {
         Some(0) => EventKind::Request,
         Some(1) => EventKind::Reply,
@@ -332,7 +309,7 @@ const WIRE_ACK: u8 = 3;
 const WIRE_PING: u8 = 4;
 const WIRE_PONG: u8 = 5;
 
-/// Encodes a transport frame in the binary layout (see module docs).
+/// Encodes a transport frame (layout in the module docs).
 pub(crate) fn encode_wire(m: &WireMsg) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     out.push(WIRE_MAGIC);
@@ -377,13 +354,22 @@ pub(crate) fn encode_wire(m: &WireMsg) -> Vec<u8> {
     out
 }
 
-/// Decodes a binary transport frame, rejecting trailing garbage.
+/// The wire bytes of an unreliable application frame carrying `event` (an
+/// [`Event::encode`] result) to `to_component`. Hosts build their frames
+/// internally; this is for harnesses that put a *stray* frame on a link
+/// (`Simulator::inject`) — one no host would emit, such as traffic for a
+/// component that has moved away or not arrived yet.
+pub fn encode_raw_frame(to_component: Symbol, event: Vec<u8>) -> Vec<u8> {
+    encode_wire(&WireMsg::Raw {
+        to_component,
+        event,
+    })
+}
+
+/// Decodes a transport frame, rejecting foreign bytes and trailing garbage.
 pub(crate) fn decode_wire(bytes: &[u8]) -> Result<WireMsg, PrismError> {
-    let mut pos = 0usize;
-    if bytes.get(pos) != Some(&WIRE_MAGIC) {
-        return Err(codec_err("bad wire magic"));
-    }
-    pos += 1;
+    expect_magic(bytes, WIRE_MAGIC, "frame")?;
+    let mut pos = 1usize;
     let variant = *bytes.get(pos).ok_or_else(|| codec_err("truncated frame"))?;
     pos += 1;
     let msg = match variant {
@@ -558,12 +544,31 @@ mod tests {
         }
     }
 
+    /// The `Codec` message a decoder produced for `bytes`.
+    fn codec_message<T: std::fmt::Debug>(result: Result<T, PrismError>) -> String {
+        match result {
+            Err(PrismError::Codec(msg)) => msg,
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn codec_switch_is_observable() {
-        assert_eq!(wire_codec(), WireCodec::Binary);
-        set_wire_codec(WireCodec::Json);
-        assert_eq!(wire_codec(), WireCodec::Json);
-        set_wire_codec(WireCodec::Binary);
-        assert_eq!(wire_codec(), WireCodec::Binary);
+    fn foreign_bytes_are_rejected_naming_the_offending_byte() {
+        // Empty input.
+        assert!(codec_message(decode_event(&[])).contains("empty input"));
+        assert!(codec_message(decode_wire(&[])).contains("empty input"));
+        // A JSON document (`{` = 0x7b): no magic, no sniffing.
+        let json = br#"{"name":"n","kind":"Notification","params":{}}"#;
+        assert!(codec_message(decode_event(json)).contains("0x7b"));
+        assert!(codec_message(decode_wire(json)).contains("0x7b"));
+        // The other decoder's magic is foreign too.
+        assert!(codec_message(decode_event(&[WIRE_MAGIC, 3, 0])).contains("0xeb"));
+        assert!(codec_message(decode_wire(&[EVENT_MAGIC, 2, 0])).contains("0xe5"));
+    }
+
+    #[test]
+    fn input_truncated_right_after_the_magic_is_rejected() {
+        assert!(codec_message(decode_event(&[EVENT_MAGIC])).contains("event kind"));
+        assert!(codec_message(decode_wire(&[WIRE_MAGIC])).contains("truncated"));
     }
 }

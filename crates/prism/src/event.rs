@@ -3,12 +3,10 @@
 use crate::symbol::Symbol;
 use redep_model::ParamValue;
 use redep_telemetry::TraceCtx;
-use serde::{Deserialize, Serialize, Value};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The role an event plays in an interaction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EventKind {
     /// A request expecting a reply.
     Request,
@@ -33,9 +31,8 @@ impl fmt::Display for EventKind {
 /// Most events carry at most a handful of parameters, so the list stores up
 /// to [`INLINE_PARAMS`] entries inline (no heap allocation at all for the
 /// common case) and spills to a `Vec` beyond that. Entries are kept sorted
-/// by parameter *name* on insert, preserving the overwrite semantics,
-/// deterministic iteration order, and JSON shape of the `BTreeMap` it
-/// replaced.
+/// by parameter *name* on insert, preserving the overwrite semantics and
+/// deterministic iteration order of the `BTreeMap` it replaced.
 #[derive(Clone, Debug)]
 pub(crate) enum ParamVec {
     /// Up to [`INLINE_PARAMS`] entries, filled prefix-first.
@@ -305,46 +302,26 @@ impl Event {
         })
     }
 
-    /// Serializes the event for the wire: the compact binary codec by
-    /// default, JSON when the `codec=json` debug option is active (see
-    /// [`crate::codec::set_wire_codec`]).
+    /// Serializes the event for the wire (the binary layout documented in
+    /// [`crate::codec`]).
     ///
     /// # Errors
     ///
-    /// Returns [`crate::PrismError::Codec`] if serialization fails.
+    /// Encoding itself cannot fail today; the `Result` keeps call sites
+    /// uniform with [`decode`](Self::decode).
     pub fn encode(&self) -> Result<Vec<u8>, crate::PrismError> {
-        self.encode_with(crate::codec::wire_codec())
+        Ok(crate::codec::encode_event(self))
     }
 
-    /// Serializes with an explicit codec, bypassing the global setting.
+    /// Deserializes an event from the wire.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::PrismError::Codec`] if serialization fails.
-    pub fn encode_with(
-        &self,
-        codec: crate::codec::WireCodec,
-    ) -> Result<Vec<u8>, crate::PrismError> {
-        match codec {
-            crate::codec::WireCodec::Binary => Ok(crate::codec::encode_event(self)),
-            crate::codec::WireCodec::Json => {
-                serde_json::to_vec(self).map_err(|e| crate::PrismError::Codec(e.to_string()))
-            }
-        }
-    }
-
-    /// Deserializes an event from the wire. The codec is sniffed from the
-    /// leading byte, so binary and JSON frames can coexist on one link.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::PrismError::Codec`] for malformed bytes.
+    /// Returns [`crate::PrismError::Codec`] for malformed bytes; input that
+    /// does not start with [`crate::codec::EVENT_MAGIC`] is reported with
+    /// its leading byte.
     pub fn decode(bytes: &[u8]) -> Result<Self, crate::PrismError> {
-        if bytes.first() == Some(&crate::codec::EVENT_MAGIC) {
-            crate::codec::decode_event(bytes)
-        } else {
-            serde_json::from_slice(bytes).map_err(|e| crate::PrismError::Codec(e.to_string()))
-        }
+        crate::codec::decode_event(bytes)
     }
 }
 
@@ -378,109 +355,6 @@ fn decimal_width(i: i64) -> u64 {
         if magnitude == 0 {
             return w;
         }
-    }
-}
-
-impl Serialize for Event {
-    fn serialize(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("name".to_owned(), self.name.serialize());
-        obj.insert("kind".to_owned(), self.kind.serialize());
-        let mut params = BTreeMap::new();
-        for (k, v) in self.params.iter() {
-            params.insert(k.as_str().to_owned(), v.serialize());
-        }
-        obj.insert("params".to_owned(), Value::Object(params));
-        if !self.payload.is_empty() {
-            obj.insert("payload".to_owned(), self.payload.serialize());
-        }
-        if let Some(source) = self.source {
-            obj.insert("source".to_owned(), source.serialize());
-        }
-        if let Some(size) = self.size {
-            obj.insert("size".to_owned(), size.serialize());
-        }
-        if let Some(trace) = self.trace {
-            let mut t = BTreeMap::new();
-            t.insert("trace_id".to_owned(), trace.trace_id.serialize());
-            t.insert("span_id".to_owned(), trace.span_id.serialize());
-            if let Some(parent) = trace.parent_id {
-                t.insert("parent_id".to_owned(), parent.serialize());
-            }
-            obj.insert("trace".to_owned(), Value::Object(t));
-        }
-        Value::Object(obj)
-    }
-}
-
-impl Deserialize for Event {
-    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
-        let Value::Object(obj) = value else {
-            return Err(serde::Error::expected("event object", value));
-        };
-        let name = Symbol::deserialize(
-            obj.get("name")
-                .ok_or_else(|| serde::Error::custom("event missing 'name'"))?,
-        )?;
-        let kind = EventKind::deserialize(
-            obj.get("kind")
-                .ok_or_else(|| serde::Error::custom("event missing 'kind'"))?,
-        )?;
-        let mut params = ParamVec::new();
-        if let Some(v) = obj.get("params") {
-            let Value::Object(map) = v else {
-                return Err(serde::Error::expected("params object", v));
-            };
-            for (k, v) in map {
-                params.insert(Symbol::intern(k), ParamValue::deserialize(v)?);
-            }
-        }
-        let payload = match obj.get("payload") {
-            Some(v) => Vec::<u8>::deserialize(v)?,
-            None => Vec::new(),
-        };
-        let source = match obj.get("source") {
-            Some(v) => Some(Symbol::deserialize(v)?),
-            None => None,
-        };
-        let size = match obj.get("size") {
-            Some(v) => Some(u64::deserialize(v)?),
-            None => None,
-        };
-        let trace = match obj.get("trace") {
-            Some(v) => {
-                let Value::Object(t) = v else {
-                    return Err(serde::Error::expected("trace object", v));
-                };
-                let trace_id = u64::deserialize(
-                    t.get("trace_id")
-                        .ok_or_else(|| serde::Error::custom("trace missing 'trace_id'"))?,
-                )?;
-                let span_id = u64::deserialize(
-                    t.get("span_id")
-                        .ok_or_else(|| serde::Error::custom("trace missing 'span_id'"))?,
-                )?;
-                let parent_id = match t.get("parent_id") {
-                    Some(p) => Some(u64::deserialize(p)?),
-                    None => None,
-                };
-                Some(TraceCtx {
-                    trace_id,
-                    span_id,
-                    parent_id,
-                })
-            }
-            None => None,
-        };
-        Ok(Event {
-            name,
-            kind,
-            params,
-            payload,
-            source,
-            size,
-            trace,
-        })
     }
 }
 
@@ -583,28 +457,11 @@ mod tests {
     }
 
     #[test]
-    fn json_codec_roundtrip_and_cross_codec_equivalence() {
-        use crate::codec::WireCodec;
-        let mut e = Event::reply("status")
-            .with_param("ok", true)
-            .with_param("detail", "fine")
-            .with_payload(vec![9, 8, 7]);
-        e.set_source("probe");
-        let json = e.encode_with(WireCodec::Json).unwrap();
-        let binary = e.encode_with(WireCodec::Binary).unwrap();
-        assert_eq!(Event::decode(&json).unwrap(), e);
-        assert_eq!(Event::decode(&binary).unwrap(), e);
-        assert!(
-            binary.len() <= json.len(),
-            "binary ({}) must not exceed JSON ({})",
-            binary.len(),
-            json.len()
-        );
-    }
-
-    #[test]
     fn decode_rejects_garbage() {
-        assert!(Event::decode(b"not json").is_err());
+        assert!(matches!(
+            Event::decode(b"not an event"),
+            Err(crate::PrismError::Codec(_))
+        ));
     }
 
     #[test]

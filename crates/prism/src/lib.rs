@@ -53,7 +53,6 @@ pub mod workload;
 pub use admin::{AdminComponent, DeployerComponent, DeploymentCommand, RedeploymentStatus};
 pub use architecture::Architecture;
 pub use brick::{BrickId, ComponentBehavior, ComponentCtx, ComponentFactory};
-pub use codec::{set_wire_codec, wire_codec, WireCodec};
 pub use connector::Connector;
 pub use durable::{
     Checkpoint, DurableBackend, DurableStore, JournalRecord, OpKind, OpVerdict, RecoveredState,

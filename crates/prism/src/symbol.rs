@@ -13,7 +13,7 @@
 //! * reading the name back never takes a lock.
 //!
 //! The interner is process-global rather than per-architecture so that the
-//! binary wire codec can ship symbol ids between simulated hosts of one
+//! wire codec can ship symbol ids between simulated hosts of one
 //! process (see [`crate::codec`]). Interned strings are leaked deliberately:
 //! the vocabulary of a simulation is bounded, and a leaked name is exactly
 //! what makes `Symbol::as_str` lock-free.
@@ -23,7 +23,6 @@
 //! and orderings all use the interned *string* ([`Symbol`]'s `Ord` compares
 //! names, not ids) — so double-run byte-identical journals are preserved.
 
-use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
@@ -178,23 +177,6 @@ impl PartialEq<&str> for Symbol {
     }
 }
 
-// Symbols serialize as their string on the JSON debug codec, so `codec=json`
-// frames stay human-readable and never leak process-local ids.
-impl Serialize for Symbol {
-    fn serialize(&self) -> Value {
-        Value::String(self.name.to_owned())
-    }
-}
-
-impl Deserialize for Symbol {
-    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
-        match value {
-            Value::String(s) => Ok(Symbol::intern(s)),
-            other => Err(serde::Error::expected("string symbol", other)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,15 +214,6 @@ mod tests {
         let mut v = vec![z, a];
         v.sort();
         assert_eq!(v, [a, z]);
-    }
-
-    #[test]
-    fn serde_roundtrip_via_string() {
-        let s = Symbol::intern("serde-sym");
-        let v = s.serialize();
-        assert_eq!(v, Value::String("serde-sym".to_owned()));
-        assert_eq!(Symbol::deserialize(&v).unwrap(), s);
-        assert!(Symbol::deserialize(&Value::Bool(true)).is_err());
     }
 
     #[test]

@@ -19,11 +19,10 @@ use crate::codec;
 use crate::symbol::Symbol;
 use redep_model::HostId;
 use redep_netsim::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A frame on the simulated wire.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub(crate) enum WireMsg {
     /// A frame in transit to a non-neighbor, relayed hop by hop along each
     /// host's routing table. Every hop is an independent (lossy) link send,
@@ -72,20 +71,11 @@ pub(crate) enum WireMsg {
 
 impl WireMsg {
     pub(crate) fn encode(&self) -> Vec<u8> {
-        match codec::wire_codec() {
-            codec::WireCodec::Binary => codec::encode_wire(self),
-            codec::WireCodec::Json => {
-                serde_json::to_vec(self).expect("wire messages always serialize")
-            }
-        }
+        codec::encode_wire(self)
     }
 
     pub(crate) fn decode(bytes: &[u8]) -> Result<Self, crate::PrismError> {
-        if bytes.first() == Some(&codec::WIRE_MAGIC) {
-            codec::decode_wire(bytes)
-        } else {
-            serde_json::from_slice(bytes).map_err(|e| crate::PrismError::Codec(e.to_string()))
-        }
+        codec::decode_wire(bytes)
     }
 
     /// The trace context of the embedded event, for frames that carry one

@@ -4,6 +4,7 @@
 
 use redep_model::HostId;
 use redep_netsim::{Duration, LinkSpec, SimTime, Simulator};
+use redep_prism::codec::encode_raw_frame;
 use redep_prism::workload::{InteractionSpec, EV_APP, WORKLOAD_TYPE};
 use redep_prism::{host::HostConfig, ComponentFactory, Event, PrismHost, WorkloadComponent};
 use std::collections::{BTreeMap, BTreeSet};
@@ -386,8 +387,7 @@ fn stale_senders_chase_migrated_components_one_hop() {
         .stats()
         .app_events_sent;
     let stray = Event::notification(EV_APP).encode().unwrap();
-    let frame = serde_json::json!({ "Raw": { "to_component": "b", "event": stray } });
-    sim.inject(h(0), h(1), serde_json::to_vec(&frame).unwrap(), 64);
+    sim.inject(h(0), h(1), encode_raw_frame("b".into(), stray), 64);
     sim.run_until(SimTime::from_secs_f64(11.0));
     let stats = sim.node_ref::<PrismHost>(h(1)).unwrap().services().stats();
     assert_eq!(
@@ -411,10 +411,7 @@ fn events_buffered_during_migration_are_replayed() {
         .with_param("prism.forwarded", true)
         .encode()
         .unwrap();
-    let frame = serde_json::json!({
-        "Raw": { "to_component": "b", "event": stray }
-    });
-    sim.inject(h(0), h(2), serde_json::to_vec(&frame).unwrap(), 64);
+    sim.inject(h(0), h(2), encode_raw_frame("b".into(), stray), 64);
     sim.run_until(SimTime::from_secs_f64(6.0));
     let buffered = sim
         .node_ref::<PrismHost>(h(2))

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use redep_prism::monitor::pair_map;
-use redep_prism::{Event, StabilityGauge, TraceCtx, WireCodec};
+use redep_prism::{Event, StabilityGauge, TraceCtx};
 use std::collections::BTreeMap;
 
 fn event_strategy() -> impl Strategy<Value = Event> {
@@ -50,29 +50,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn events_roundtrip_through_the_wire_codec(event in event_strategy()) {
-        let bytes = event.encode().unwrap();
-        let back = Event::decode(&bytes).unwrap();
-        prop_assert_eq!(back, event);
-    }
-
-    #[test]
-    fn both_codecs_roundtrip_and_binary_never_exceeds_json(event in event_strategy()) {
-        // Cross-codec equivalence: the same event survives either wire
-        // format, and `decode` tells them apart by the leading magic byte.
-        let binary = event.encode_with(WireCodec::Binary).unwrap();
-        let json = event.encode_with(WireCodec::Json).unwrap();
-        prop_assert_eq!(Event::decode(&binary).unwrap(), event.clone());
-        prop_assert_eq!(Event::decode(&json).unwrap(), event);
-        // The size claim the binary codec exists for.
-        prop_assert!(
-            binary.len() <= json.len(),
-            "binary frame ({}) larger than JSON ({})", binary.len(), json.len()
-        );
-    }
-
-    #[test]
-    fn traced_events_roundtrip_through_both_codecs(
+    fn events_roundtrip_through_the_codec(
         event in event_strategy(),
         trace in proptest::option::of(trace_strategy()),
     ) {
@@ -80,10 +58,9 @@ proptest! {
             Some(ctx) => event.with_trace(ctx),
             None => event,
         };
-        let binary = event.encode_with(WireCodec::Binary).unwrap();
-        let json = event.encode_with(WireCodec::Json).unwrap();
-        prop_assert_eq!(Event::decode(&binary).unwrap(), event.clone());
-        prop_assert_eq!(Event::decode(&json).unwrap(), event);
+        let bytes = event.encode().unwrap();
+        let back = Event::decode(&bytes).unwrap();
+        prop_assert_eq!(back, event);
     }
 
     #[test]
@@ -102,10 +79,10 @@ proptest! {
         const FLAG_SIZE: u8 = 0b10;
         const FLAG_TRACE_BITS: u8 = 0b1100;
 
-        let plain = event.encode_with(WireCodec::Binary).unwrap();
+        let plain = event.encode().unwrap();
         prop_assert_eq!(plain[2] & FLAG_TRACE_BITS, 0, "trace-less event set a trace flag");
 
-        let traced = event.clone().with_trace(trace).encode_with(WireCodec::Binary).unwrap();
+        let traced = event.clone().with_trace(trace).encode().unwrap();
         // Walk the header: magic, kind, flags, then the name varint and the
         // optional source/size varints — the trace fields sit right after.
         let mut pos = 3;

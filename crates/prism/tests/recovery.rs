@@ -6,6 +6,7 @@
 
 use redep_model::HostId;
 use redep_netsim::{Duration, LinkSpec, SimTime, Simulator};
+use redep_prism::codec::encode_raw_frame;
 use redep_prism::workload::{InteractionSpec, EV_APP, WORKLOAD_TYPE};
 use redep_prism::{
     host::HostConfig, ComponentFactory, Event, OpKind, PrismHost, WorkloadComponent,
@@ -221,8 +222,7 @@ fn buffered_events_survive_the_crash_and_replay_after_migration() {
         .with_param("prism.forwarded", true)
         .encode()
         .unwrap();
-    let frame = serde_json::json!({ "Raw": { "to_component": "b", "event": stray } });
-    sim.inject(h(0), h(2), serde_json::to_vec(&frame).unwrap(), 64);
+    sim.inject(h(0), h(2), encode_raw_frame("b".into(), stray), 64);
     sim.run_until(SimTime::from_secs_f64(6.0));
     assert!(
         sim.node_ref::<PrismHost>(h(2))
