@@ -23,7 +23,16 @@
 //! same-run measured single-shard rate is also reported for transparency —
 //! see EXPERIMENTS.md for the methodology.
 //!
-//! `--quick` runs only the 8×32 cells (the CI smoke configuration);
+//! Both engines also run one **steady-state** cell at 32×128: 12 simulated
+//! seconds of warm-up (past the longest link delay, monitor stabilisation
+//! and the first periodic checkpoint), then 10 timed seconds — the
+//! `pipeline-steady` configuration. Besides its event rate the cell reports
+//! an exact count, the durable-journal bytes appended per routed event
+//! (`durable_bytes_per_event_32x128`), gated at [`MAX_DURABLE_BYTES_PER_EVENT`]
+//! so a return of whole-state journaling fails CI on any machine.
+//!
+//! `--quick` runs only the 8×32 cells and the steady cells (the CI smoke
+//! configuration);
 //! `--json` writes `BENCH_pipeline.json` in the shared `ExpReport` schema.
 //! `--shard-smoke` skips the benchmark and instead runs the sharded engine
 //! at two thread counts, asserting the merged journals are byte-identical
@@ -46,12 +55,22 @@ const SEED_BASELINE_256X1024: f64 = 60_930.0;
 /// that format was deleted — the fixed reference for the ≥3× hot-path gate.
 const RECORDED_JSON_64X256: f64 = 64_326.0;
 
+/// Ceiling on durable-journal bytes per routed event in the 32×128 steady
+/// cell. Event deliveries and timers take ~27 B/event; journaling every
+/// host's monitoring snapshot on every report took 413.
+const MAX_DURABLE_BYTES_PER_EVENT: f64 = 100.0;
+
+/// The steady-state cell: (hosts, components, warm-up s, timed s).
+const STEADY: (usize, usize, f64, f64) = (32, 128, 12.0, 10.0);
+
 /// One measured cell.
 struct Sample {
     /// Events routed through component handlers (`pipeline.events.routed`).
     events: u64,
     /// Bytes produced by the wire codec (`pipeline.codec.bytes`).
     bytes: u64,
+    /// Bytes the hosts appended to their durable journals.
+    durable_bytes: u64,
     /// Wall-clock seconds for the simulated horizon.
     wall_secs: f64,
     /// Per-chunk throughput samples (events/s over each horizon slice),
@@ -60,6 +79,9 @@ struct Sample {
     /// Journal-overflow count (always 0 with a disabled handle; recorded so
     /// `validate_report` can gate on it).
     journal_dropped: u64,
+    /// `(kind, records, bytes)` of the durable journals since the build,
+    /// from the `prism.durable.journal.{records,bytes}.<kind>` counters.
+    journal_kinds: Vec<(&'static str, u64, u64)>,
 }
 
 impl Sample {
@@ -69,13 +91,45 @@ impl Sample {
     fn bytes_per_event(&self) -> f64 {
         self.bytes as f64 / self.events.max(1) as f64
     }
+    fn durable_bytes_per_event(&self) -> f64 {
+        self.durable_bytes as f64 / self.events.max(1) as f64
+    }
 }
 
-/// Builds a runtime at the given scale and runs it for `horizon` simulated
-/// seconds, reading the pipeline counters afterwards.
+/// Reads the per-kind durable-journal counters of `handles`.
+fn journal_kinds(handles: &[Telemetry]) -> Vec<(&'static str, u64, u64)> {
+    let read = |name: String| -> u64 {
+        handles
+            .iter()
+            .map(|t| t.metrics().counter(&name).get())
+            .sum()
+    };
+    redep_prism::RECORD_KINDS
+        .iter()
+        .map(|kind| {
+            (
+                *kind,
+                read(format!("prism.durable.journal.records.{kind}")),
+                read(format!("prism.durable.journal.bytes.{kind}")),
+            )
+        })
+        .collect()
+}
+
+/// Journal bytes appended so far, summed over `hosts`.
+fn durable_bytes<'a>(hosts: impl Iterator<Item = &'a redep_prism::PrismHost>) -> u64 {
+    hosts
+        .map(|host| host.services().durable().bytes_appended())
+        .sum()
+}
+
+/// Builds a runtime at the given scale, runs `warmup` simulated seconds
+/// untimed, then times `horizon` more, reading the pipeline counters over
+/// the timed part.
 fn run_cell(
     hosts: usize,
     comps: usize,
+    warmup: f64,
     horizon: f64,
 ) -> Result<Sample, Box<dyn std::error::Error>> {
     let system = Generator::generate(&GeneratorConfig::sized(hosts, comps).with_seed(11))?;
@@ -95,13 +149,17 @@ fn run_cell(
     // — the slice rates feed the percentile summary, exposing throughput
     // jitter that the aggregate mean hides.
     const CHUNKS: u32 = 10;
+    rt.sim_mut().run_until(SimTime::from_secs_f64(warmup));
+    let journaled =
+        |rt: &SystemRuntime| durable_bytes(rt.hosts().iter().filter_map(|&h| rt.host(h)));
+    let (events_before, bytes_before, durable_before) = (routed.get(), bytes.get(), journaled(&rt));
     let mut chunk_rates = Vec::with_capacity(CHUNKS as usize);
-    let mut prev_events = 0u64;
+    let mut prev_events = events_before;
     let started = Instant::now();
     for chunk in 1..=CHUNKS {
         let chunk_started = Instant::now();
         rt.sim_mut().run_until(SimTime::from_secs_f64(
-            horizon * f64::from(chunk) / f64::from(CHUNKS),
+            warmup + horizon * f64::from(chunk) / f64::from(CHUNKS),
         ));
         let chunk_secs = chunk_started.elapsed().as_secs_f64();
         let now_events = routed.get();
@@ -110,20 +168,23 @@ fn run_cell(
     }
     let wall_secs = started.elapsed().as_secs_f64();
     Ok(Sample {
-        events: routed.get(),
-        bytes: bytes.get(),
+        events: routed.get() - events_before,
+        bytes: bytes.get() - bytes_before,
+        durable_bytes: journaled(&rt) - durable_before,
         wall_secs,
         chunk_rates,
         journal_dropped: telemetry.journal().dropped(),
+        journal_kinds: journal_kinds(&[telemetry]),
     })
 }
 
-/// Builds a *sharded* runtime at the given scale and runs it for `horizon`
-/// simulated seconds, reading the same pipeline counters summed across the
+/// Builds a *sharded* runtime at the given scale and runs it like
+/// [`run_cell`], reading the same pipeline counters summed across the
 /// per-shard telemetry handles.
 fn run_sharded_cell(
     hosts: usize,
     comps: usize,
+    warmup: f64,
     horizon: f64,
     shards: usize,
     threads: usize,
@@ -148,13 +209,19 @@ fn run_sharded_cell(
         |counters: &[redep_telemetry::Counter]| counters.iter().map(|c| c.get()).sum::<u64>();
 
     const CHUNKS: u32 = 10;
+    rt.sim_mut()
+        .run_until(SimTime::from_secs_f64(warmup), threads);
+    let journaled =
+        |rt: &ShardedRuntime| durable_bytes(rt.hosts().iter().filter_map(|&h| rt.host(h)));
+    let (events_before, bytes_before, durable_before) =
+        (total(&routed), total(&bytes), journaled(&rt));
     let mut chunk_rates = Vec::with_capacity(CHUNKS as usize);
-    let mut prev_events = 0u64;
+    let mut prev_events = events_before;
     let started = Instant::now();
     for chunk in 1..=CHUNKS {
         let chunk_started = Instant::now();
         rt.sim_mut().run_until(
-            SimTime::from_secs_f64(horizon * f64::from(chunk) / f64::from(CHUNKS)),
+            SimTime::from_secs_f64(warmup + horizon * f64::from(chunk) / f64::from(CHUNKS)),
             threads,
         );
         let chunk_secs = chunk_started.elapsed().as_secs_f64();
@@ -164,12 +231,25 @@ fn run_sharded_cell(
     }
     let wall_secs = started.elapsed().as_secs_f64();
     Ok(Sample {
-        events: total(&routed),
-        bytes: total(&bytes),
+        events: total(&routed) - events_before,
+        bytes: total(&bytes) - bytes_before,
+        durable_bytes: journaled(&rt) - durable_before,
         wall_secs,
         chunk_rates,
         journal_dropped: handles.iter().map(|t| t.journal().dropped()).sum(),
+        journal_kinds: journal_kinds(&handles),
     })
+}
+
+/// Worker threads for `shards` shards. Never oversubscribe: threads beyond
+/// the machine's cores only add barrier wake-ups per window round. Results
+/// are byte-identical at any thread count (the shard-smoke gate), so the
+/// thread count is purely an execution detail.
+fn threads_for(shards: usize) -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZero::get)
+        .unwrap_or(1)
+        .min(shards)
 }
 
 /// The CI determinism gate: runs the sharded pipeline at two thread counts
@@ -229,16 +309,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut report = ExpReport::new("pipeline", "E6-pipeline: hot-path event throughput");
     report.note(if quick {
-        "quick mode: 8x32 only, 10 s simulated horizon"
+        "quick mode: 8x32 cold (10 s simulated) and the 32x128 steady cells"
     } else {
-        "full mode: 8x32 / 64x256 / 256x1024, horizons 10/5/1 s simulated"
+        "full mode: 8x32 / 64x256 / 256x1024 cold, horizons 10/5/1 s simulated, and the 32x128 steady cells"
     });
 
     let mut rows = Vec::new();
     let mut gate_speedup = f64::INFINITY;
     let mut measured_single_256 = None;
     for &(hosts, comps, horizon) in scales {
-        let sample = run_cell(hosts, comps, horizon)?;
+        let sample = run_cell(hosts, comps, 0.0, horizon)?;
         assert!(
             sample.events > 0,
             "{hosts}x{comps}: pipeline routed no events"
@@ -292,15 +372,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sharded_rows = Vec::new();
     let mut sharded_gate = f64::INFINITY;
     for &(hosts, comps, horizon, shards) in sharded_scales {
-        // Never oversubscribe: worker threads beyond the machine's cores only
-        // add barrier wake-ups per window round. Results are byte-identical
-        // at any thread count (the shard-smoke gate), so the thread count is
-        // purely an execution detail.
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZero::get)
-            .unwrap_or(1)
-            .min(shards);
-        let sample = run_sharded_cell(hosts, comps, horizon, shards, threads)?;
+        let threads = threads_for(shards);
+        let sample = run_sharded_cell(hosts, comps, 0.0, horizon, shards, threads)?;
         assert!(
             sample.events > 0,
             "{hosts}x{comps} sharded: pipeline routed no events"
@@ -344,15 +417,87 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &sharded_rows,
     );
 
-    // Acceptance (full mode; quick mode only checks that its cells route
-    // events, since CI machines vary): the hot path must clear 3× the
-    // recorded JSON-codec rate at 64×256, and the sharded engine 4× the seed
-    // single-shard baseline at 256×1024.
+    // Steady-state cells, one per engine, in both modes: the rate after
+    // warm-up, and the exact journal-bytes-per-event count of the
+    // single-queue cell.
+    const STEADY_SHARDS: usize = 2;
+    let (hosts, comps, warmup, horizon) = STEADY;
+    let key = format!("{hosts}x{comps}");
+    let single = run_cell(hosts, comps, warmup, horizon)?;
+    let sharded = run_sharded_cell(
+        hosts,
+        comps,
+        warmup,
+        horizon,
+        STEADY_SHARDS,
+        threads_for(STEADY_SHARDS),
+    )?;
+    let durable_per_event = single.durable_bytes_per_event();
+    report.metric(
+        format!("steady_events_per_sec_{key}_fast"),
+        single.events_per_sec(),
+    );
+    report.metric(
+        format!("steady_events_per_sec_{key}_sharded{STEADY_SHARDS}"),
+        sharded.events_per_sec(),
+    );
+    report.metric(format!("durable_bytes_per_event_{key}"), durable_per_event);
+    report.add_journal_dropped(single.journal_dropped + sharded.journal_dropped);
+    print_table(
+        "E6-pipeline: steady state (12 s warm-up, 10 s timed)",
+        &["k×n", "engine", "ev/s", "durable B/ev"],
+        &[
+            vec![
+                key.clone(),
+                "single queue".into(),
+                format!("{:.0}", single.events_per_sec()),
+                format!("{durable_per_event:.1}"),
+            ],
+            vec![
+                key,
+                format!("{STEADY_SHARDS} shards"),
+                format!("{:.0}", sharded.events_per_sec()),
+                format!("{:.1}", sharded.durable_bytes_per_event()),
+            ],
+        ],
+    );
+
+    // Where the single-queue cell's journal bytes went (warm-up included):
+    // a record kind with a large mean size is state journaled whole.
+    let kind_rows: Vec<Vec<String>> = single
+        .journal_kinds
+        .iter()
+        .filter(|(_, records, _)| *records > 0)
+        .map(|(kind, records, bytes)| {
+            vec![
+                (*kind).to_owned(),
+                format!("{records}"),
+                format!("{bytes}"),
+                format!("{:.0}", *bytes as f64 / *records as f64),
+            ]
+        })
+        .collect();
+    print_table(
+        "E6-pipeline: durable journal by record kind (32x128, single queue, 22 s)",
+        &["kind", "records", "bytes", "mean B"],
+        &kind_rows,
+    );
+
+    // Acceptance. The journal-bytes count is exact, so it gates in both
+    // modes. The rates gate in full mode only (quick mode only checks that
+    // its cells route events, since CI machines vary): the hot path must
+    // clear 3× the recorded JSON-codec rate at 64×256, and the sharded
+    // engine 4× the seed single-shard baseline at 256×1024.
     let threshold = 3.0;
     let sharded_threshold = 4.0;
     let hot_path_pass = quick || gate_speedup >= threshold;
     let sharded_pass = quick || sharded_gate >= sharded_threshold;
-    report.set_passed(hot_path_pass && sharded_pass);
+    let durable_pass = single.events > 0 && durable_per_event <= MAX_DURABLE_BYTES_PER_EVENT;
+    report.set_passed(hot_path_pass && sharded_pass && durable_pass);
+    report.note(format!(
+        "acceptance: durable journal ≤{MAX_DURABLE_BYTES_PER_EVENT} B per routed event in the \
+         32x128 steady cell (observed {durable_per_event:.1})"
+    ));
     if !quick {
         report.note(format!(
             "acceptance: hot path ≥{threshold}× the recorded JSON-codec rate \
@@ -370,6 +515,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(
         sharded_pass,
         "pipeline FAILED: sharded speedup {sharded_gate:.1}× below the {sharded_threshold}× gate"
+    );
+    assert!(
+        durable_pass,
+        "pipeline FAILED: {durable_per_event:.1} durable journal bytes per event, above the \
+         {MAX_DURABLE_BYTES_PER_EVENT} B gate"
     );
     if let Some(file) = report.emit_if_requested()? {
         println!("\nwrote {file}");

@@ -13,7 +13,10 @@
 //! acceptance — ≥ 4× the seed single-shard baseline at 256×1024 — include
 //! the 1024×8192 sharded scale row, and clear the hot-path acceptance —
 //! `speedup_vs_recorded_json_64x256` ≥ 3; no pipeline report may carry a
-//! `*_legacy` metric (the JSON wire path those measured no longer exists).
+//! `*_legacy` metric (the JSON wire path those measured no longer exists),
+//! and any pipeline report carrying the steady cell's exact count
+//! `durable_bytes_per_event_32x128` (quick mode included) must keep it
+//! ≤ 100 — whole-state journaling took 413.
 //! A full-mode *algorithms* report
 //! (one carrying `e3d.avala.20x160.speedup_vs_flat`) must clear the
 //! hierarchical-engine acceptance — ≥ 10× evals/s over the flat path for
@@ -127,14 +130,24 @@ fn check_crash_recovery_gates(file: &str, report: &ExpReport) -> Result<(), Stri
     Ok(())
 }
 
-/// Enforces the pipeline acceptances: no stale `*_legacy` metrics on any
-/// report, the sharded and hot-path gates on full-mode ones.
+/// Enforces the pipeline acceptances: no stale `*_legacy` metrics and a
+/// bounded journal-bytes-per-event count on any report, the sharded and
+/// hot-path gates on full-mode ones.
 fn check_pipeline_gates(file: &str, report: &ExpReport) -> Result<(), String> {
     if let Some(key) = report.metrics.keys().find(|k| k.ends_with("_legacy")) {
         return Err(format!(
             "{file}: stale metric {key} — the JSON wire path it measured was \
              removed; regenerate the report"
         ));
+    }
+    if let Some(&bytes) = report.metrics.get("durable_bytes_per_event_32x128") {
+        if bytes > 100.0 {
+            return Err(format!(
+                "{file}: {bytes:.1} durable journal bytes per routed event in the \
+                 32x128 steady cell is above the 100 B gate — is control-plane \
+                 state journaled whole again?"
+            ));
+        }
     }
     let Some(&speedup) = report.metrics.get("speedup_vs_seed_single_shard") else {
         return Ok(()); // quick-mode report: nothing else to gate

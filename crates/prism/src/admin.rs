@@ -38,11 +38,13 @@
 
 use crate::architecture::Architecture;
 use crate::brick::{BrickId, ComponentFactory};
-use crate::durable::JournalRecord;
+use crate::codec::{get_bytes, get_varint, put_bytes, put_varint};
+use crate::durable::{get_f64, get_str, get_u32, put_f64, put_str, JournalRecord};
 use crate::event::Event;
 use crate::host::{HostConfig, HostServices, ADMIN_ADDRESS, DEPLOYER_ADDRESS};
 use crate::monitor::{EventFrequencyMonitor, MonitoringSnapshot};
 use crate::stability::StabilityGauge;
+use crate::PrismError;
 use redep_model::HostId;
 use redep_netsim::{Duration, SimTime};
 use redep_telemetry::{
@@ -136,28 +138,35 @@ impl RedeploymentStatus {
     }
 }
 
-/// The serde shape of [`AdminComponent::durable_blob`].
-#[derive(Serialize, Deserialize, Default)]
-struct AdminDurable {
-    reliabilities: BTreeMap<HostId, f64>,
-    reports_sent: u64,
-    /// The last assembled [`MonitoringSnapshot`], pre-encoded.
-    last_snapshot: Option<Vec<u8>>,
+/// Writes an optional [`TraceCtx`]: a presence byte (0 none, 1 root, 2 with
+/// parent) and then the ids.
+fn put_ctx(out: &mut Vec<u8>, ctx: Option<TraceCtx>) {
+    let Some(ctx) = ctx else {
+        return put_varint(out, 0);
+    };
+    put_varint(out, 1 + u64::from(ctx.parent_id.is_some()));
+    put_varint(out, ctx.trace_id);
+    put_varint(out, ctx.span_id);
+    if let Some(parent) = ctx.parent_id {
+        put_varint(out, parent);
+    }
 }
 
-/// A [`TraceCtx`] flattened for serde (trace id, span id, parent span id).
-type DurableCtx = (u64, u64, Option<u64>);
-
-fn ctx_durable(ctx: Option<TraceCtx>) -> Option<DurableCtx> {
-    ctx.map(|c| (c.trace_id, c.span_id, c.parent_id))
-}
-
-fn ctx_restore(ctx: Option<DurableCtx>) -> Option<TraceCtx> {
-    ctx.map(|(trace_id, span_id, parent_id)| TraceCtx {
-        trace_id,
-        span_id,
-        parent_id,
-    })
+fn get_ctx(bytes: &[u8], pos: &mut usize) -> Result<Option<TraceCtx>, PrismError> {
+    let presence = get_varint(bytes, pos)?;
+    if presence == 0 {
+        return Ok(None);
+    }
+    if presence > 2 {
+        return Err(PrismError::Codec(format!("bad trace presence {presence}")));
+    }
+    Ok(Some(TraceCtx {
+        trace_id: get_varint(bytes, pos)?,
+        span_id: get_varint(bytes, pos)?,
+        parent_id: (presence == 2)
+            .then(|| get_varint(bytes, pos))
+            .transpose()?,
+    }))
 }
 
 /// A deployment command: where each named component should live.
@@ -174,6 +183,9 @@ pub struct AdminComponent {
     latest_reliabilities: BTreeMap<HostId, f64>,
     reports_sent: u64,
     last_snapshot: Option<MonitoringSnapshot>,
+    /// `last_snapshot` as encoded for shipping (empty while there is none):
+    /// the report payload and the durable state share these bytes.
+    last_encoded: Vec<u8>,
     /// Allocates span ids for protocol hops handled on this host.
     tracer: SpanIdGen,
 }
@@ -198,6 +210,7 @@ impl AdminComponent {
             latest_reliabilities: BTreeMap::new(),
             reports_sent: 0,
             last_snapshot: None,
+            last_encoded: Vec::new(),
             tracer: SpanIdGen::new(DOMAIN_HOST, host.raw()),
         }
     }
@@ -219,30 +232,49 @@ impl AdminComponent {
     }
 
     /// Serializes the admin's durable state (persisted in every checkpoint
-    /// and every `MonitorWindow` journal record). The stability gauges and
-    /// the *open* window's raw interaction counts are deliberately volatile:
-    /// the window in flight at a crash is lost, which is exactly what the
-    /// recovery report's `MonitorWindow` not-completed verdict says.
+    /// and every `MonitorWindow` journal record) in the store's binary
+    /// framing: the reliability estimates as (host varint, f64 bits) pairs,
+    /// the report count, and the last snapshot's encoded bytes once, raw.
+    /// The stability gauges and the *open* window's raw interaction counts
+    /// are deliberately volatile: the window in flight at a crash is lost,
+    /// which is exactly what the recovery report's `MonitorWindow`
+    /// not-completed verdict says.
     pub(crate) fn durable_blob(&self) -> Vec<u8> {
-        let durable = AdminDurable {
-            reliabilities: self.latest_reliabilities.clone(),
-            reports_sent: self.reports_sent,
-            last_snapshot: self.last_snapshot.as_ref().and_then(|s| s.encode().ok()),
-        };
-        serde_json::to_vec(&durable).expect("admin durable state serializes")
+        let mut out =
+            Vec::with_capacity(16 + 10 * self.latest_reliabilities.len() + self.last_encoded.len());
+        put_varint(&mut out, self.latest_reliabilities.len() as u64);
+        for (peer, reliability) in &self.latest_reliabilities {
+            put_varint(&mut out, u64::from(peer.raw()));
+            put_f64(&mut out, *reliability);
+        }
+        put_varint(&mut out, self.reports_sent);
+        put_bytes(&mut out, &self.last_encoded);
+        out
     }
 
     /// Restores the durable half of the admin from a [`Self::durable_blob`]
-    /// (monitors and gauges restart empty). Malformed blobs are ignored.
-    pub(crate) fn restore_durable(&mut self, blob: &[u8]) {
-        let Ok(durable) = serde_json::from_slice::<AdminDurable>(blob) else {
-            return;
-        };
-        self.latest_reliabilities = durable.reliabilities;
-        self.reports_sent = durable.reports_sent;
-        self.last_snapshot = durable
-            .last_snapshot
-            .and_then(|bytes| MonitoringSnapshot::decode(&bytes).ok());
+    /// (monitors and gauges restart empty).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PrismError::Codec`] for a truncated or over-long blob and
+    /// leaves the admin untouched.
+    pub(crate) fn restore_durable(&mut self, blob: &[u8]) -> Result<(), PrismError> {
+        let pos = &mut 0usize;
+        let mut reliabilities = BTreeMap::new();
+        for _ in 0..get_varint(blob, pos)? {
+            reliabilities.insert(HostId::new(get_u32(blob, pos)?), get_f64(blob, pos)?);
+        }
+        let reports_sent = get_varint(blob, pos)?;
+        let encoded = get_bytes(blob, pos)?;
+        if *pos != blob.len() {
+            return Err(PrismError::Codec("trailing bytes after admin state".into()));
+        }
+        self.latest_reliabilities = reliabilities;
+        self.reports_sent = reports_sent;
+        self.last_snapshot = MonitoringSnapshot::decode(encoded).ok();
+        self.last_encoded = encoded.to_vec();
+        Ok(())
     }
 
     /// Records one named interaction (called by the host runtime for every
@@ -340,11 +372,11 @@ impl AdminComponent {
             reliabilities: self.latest_reliabilities.clone(),
             taken_at_secs: now.as_secs_f64(),
         };
-        self.last_snapshot = Some(snapshot.clone());
+        self.last_encoded = snapshot.encode().expect("snapshots serialize");
+        self.last_snapshot = Some(snapshot);
 
         if self.freq_gauge.is_stable() && self.rel_gauge.is_stable() {
-            let report = Event::notification(EV_REPORT)
-                .with_payload(snapshot.encode().expect("snapshots serialize"));
+            let report = Event::notification(EV_REPORT).with_payload(self.last_encoded.clone());
             services.send_reliable(services.deployer_host(), DEPLOYER_ADDRESS, &report);
             self.reports_sent += 1;
         }
@@ -420,9 +452,7 @@ impl AdminComponent {
             send_nack(services, &component, epoch, "absent", ctx);
             return;
         };
-        services.journal(JournalRecord::ComponentDetached {
-            name: component.clone(),
-        });
+        services.journal(JournalRecord::ComponentDetached { name: &component });
         let doc = TransferDoc {
             name: component,
             type_name,
@@ -466,19 +496,16 @@ impl AdminComponent {
         };
         let _ = arch.weld(id, app_connector);
         services.journal(JournalRecord::ComponentAttached {
-            name: doc.name.clone(),
-            type_name: doc.type_name.clone(),
-            state: doc.state.clone(),
+            name: &doc.name,
+            type_name: &doc.type_name,
+            state: &doc.state,
         });
         services.directory_set(doc.name.clone(), self.host);
         // Replay events buffered while the component was in flight. Each
         // replayed event is journaled like any other local delivery, so
         // crash recovery re-applies it to the migrant's recovered state.
         for buffered in services.take_buffered(&doc.name) {
-            services.journal(JournalRecord::Delivery {
-                component: doc.name.clone(),
-                event: buffered.encode().expect("events serialize"),
-            });
+            services.journal_delivery(&doc.name, &buffered);
             let _ = arch.publish(&doc.name, buffered);
         }
         send_ack(services, &doc.name, doc.epoch, ctx);
@@ -545,36 +572,124 @@ struct PendingMove {
     settled: bool,
 }
 
-/// The serde shape of one [`PendingMove`] inside [`DeployerDurable`].
-#[derive(Serialize, Deserialize)]
-struct PendingMoveDurable {
-    dest: HostId,
-    holder: HostId,
-    attempts: u32,
-    deadline_us: u64,
-    started_us: u64,
-    settled: bool,
-    ctx: Option<DurableCtx>,
+impl PendingMove {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_varint(out, u64::from(self.dest.raw()));
+        put_varint(out, u64::from(self.holder.raw()));
+        put_varint(out, u64::from(self.attempts));
+        put_varint(out, self.deadline.as_micros());
+        put_varint(out, self.started.as_micros());
+        put_varint(out, u64::from(self.settled));
+        put_ctx(out, self.ctx);
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, PrismError> {
+        Ok(PendingMove {
+            dest: HostId::new(get_u32(bytes, pos)?),
+            holder: HostId::new(get_u32(bytes, pos)?),
+            attempts: get_u32(bytes, pos)?,
+            deadline: SimTime::from_micros(get_varint(bytes, pos)?),
+            started: SimTime::from_micros(get_varint(bytes, pos)?),
+            settled: get_varint(bytes, pos)? != 0,
+            ctx: get_ctx(bytes, pos)?,
+        })
+    }
 }
 
-/// The serde shape of [`DeployerComponent::durable_blob`]: everything the
-/// deployer needs to keep steering the *current epoch* across a crash.
-/// Replacing the whole blob on every deployer transition is coarse on
-/// purpose — transitions are rare, and a full snapshot is simpler to get
-/// exactly right than per-field deltas.
-#[derive(Serialize, Deserialize, Default)]
-struct DeployerDurable {
+/// Everything the deployer needs to keep steering the *current epoch*
+/// across a crash, journaled whole whenever a transition changes it.
+/// Monitoring snapshots are not part of it: the journal carries each as its
+/// own `ReportReceived` delta, and only checkpoints store the full set. The
+/// per-move deadline and attempt budget come from [`HostConfig`], and the
+/// span-id allocator restarts deterministically, so neither is persisted.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+struct EpochState {
     epoch: u64,
     requested: u64,
     confirmed: u64,
+    /// The directory the current epoch is steering towards (re-sent with
+    /// every retry so late joiners converge on the same view).
     target_directory: BTreeMap<String, HostId>,
-    known_hosts: Vec<HostId>,
-    /// Encoded [`MonitoringSnapshot`]s (each names its own host).
-    snapshots: Vec<Vec<u8>>,
-    pending: Vec<(String, PendingMoveDurable)>,
-    failed: Vec<(String, String)>,
-    failed_ctx: Vec<(String, DurableCtx)>,
-    epoch_ctx: Option<DurableCtx>,
+    /// Hosts a component was ever moved away from. Like the reporting hosts
+    /// (the snapshot keys) they receive every directory refresh.
+    move_sources: BTreeSet<HostId>,
+    /// Moves of the current epoch still awaiting confirmation.
+    pending: BTreeMap<String, PendingMove>,
+    /// Moves of the current epoch given up on, with the last failure reason.
+    failed: BTreeMap<String, String>,
+    /// Trace contexts of this epoch's failed moves (the move is out of
+    /// `pending`, but its span id is still needed for `prism.migration.failed`).
+    failed_ctx: BTreeMap<String, TraceCtx>,
+    /// The framework span the current epoch's moves are children of.
+    epoch_ctx: Option<TraceCtx>,
+}
+
+impl EpochState {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.epoch);
+        put_varint(out, self.requested);
+        put_varint(out, self.confirmed);
+        put_varint(out, self.target_directory.len() as u64);
+        for (component, host) in &self.target_directory {
+            put_str(out, component);
+            put_varint(out, u64::from(host.raw()));
+        }
+        put_varint(out, self.move_sources.len() as u64);
+        for host in &self.move_sources {
+            put_varint(out, u64::from(host.raw()));
+        }
+        put_varint(out, self.pending.len() as u64);
+        for (component, mv) in &self.pending {
+            put_str(out, component);
+            mv.encode_into(out);
+        }
+        put_varint(out, self.failed.len() as u64);
+        for (component, reason) in &self.failed {
+            put_str(out, component);
+            put_str(out, reason);
+        }
+        put_varint(out, self.failed_ctx.len() as u64);
+        for (component, ctx) in &self.failed_ctx {
+            put_str(out, component);
+            put_ctx(out, Some(*ctx));
+        }
+        put_ctx(out, self.epoch_ctx);
+    }
+
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, PrismError> {
+        let mut state = EpochState {
+            epoch: get_varint(bytes, pos)?,
+            requested: get_varint(bytes, pos)?,
+            confirmed: get_varint(bytes, pos)?,
+            ..EpochState::default()
+        };
+        for _ in 0..get_varint(bytes, pos)? {
+            state
+                .target_directory
+                .insert(get_str(bytes, pos)?, HostId::new(get_u32(bytes, pos)?));
+        }
+        for _ in 0..get_varint(bytes, pos)? {
+            state.move_sources.insert(HostId::new(get_u32(bytes, pos)?));
+        }
+        for _ in 0..get_varint(bytes, pos)? {
+            state
+                .pending
+                .insert(get_str(bytes, pos)?, PendingMove::decode(bytes, pos)?);
+        }
+        for _ in 0..get_varint(bytes, pos)? {
+            state
+                .failed
+                .insert(get_str(bytes, pos)?, get_str(bytes, pos)?);
+        }
+        for _ in 0..get_varint(bytes, pos)? {
+            let component = get_str(bytes, pos)?;
+            let ctx = get_ctx(bytes, pos)?
+                .ok_or_else(|| PrismError::Codec("failed move without a trace".into()))?;
+            state.failed_ctx.insert(component, ctx);
+        }
+        state.epoch_ctx = get_ctx(bytes, pos)?;
+        Ok(state)
+    }
 }
 
 /// The master-host deployer (the paper's `DeployerComponent` — the
@@ -582,28 +697,14 @@ struct DeployerDurable {
 pub struct DeployerComponent {
     host: HostId,
     snapshots: BTreeMap<HostId, MonitoringSnapshot>,
-    /// Hosts the deployer has ever heard of (reports, past move sources);
-    /// all of them receive directory refreshes.
-    known_hosts: BTreeSet<HostId>,
-    /// Moves of the current epoch still awaiting confirmation.
-    pending: BTreeMap<String, PendingMove>,
-    /// Moves of the current epoch given up on, with the last failure reason.
-    failed: BTreeMap<String, String>,
-    /// The directory the current epoch is steering towards (re-sent with
-    /// every retry so late joiners converge on the same view).
-    target_directory: BTreeMap<String, HostId>,
-    epoch: u64,
-    requested: u64,
-    confirmed: u64,
+    state: EpochState,
+    /// `state` as last journaled or restored: a transition is journaled
+    /// when the two differ ([`Self::take_changed_state`]).
+    journaled: EpochState,
     move_deadline: Duration,
     max_move_attempts: u32,
     /// Allocates the per-move and per-configure span ids.
     tracer: SpanIdGen,
-    /// The framework span the current epoch's moves are children of.
-    epoch_ctx: Option<TraceCtx>,
-    /// Trace contexts of this epoch's failed moves (the move is out of
-    /// `pending`, but its span id is still needed for `prism.migration.failed`).
-    failed_ctx: BTreeMap<String, TraceCtx>,
     /// Where move open/settle records go (a disabled no-op sink until the
     /// host installs its telemetry handle).
     telemetry: Telemetry,
@@ -614,9 +715,9 @@ impl std::fmt::Debug for DeployerComponent {
         f.debug_struct("DeployerComponent")
             .field("host", &self.host)
             .field("snapshots", &self.snapshots.len())
-            .field("epoch", &self.epoch)
-            .field("pending", &self.pending.len())
-            .field("failed", &self.failed.len())
+            .field("epoch", &self.state.epoch)
+            .field("pending", &self.state.pending.len())
+            .field("failed", &self.state.failed.len())
             .finish()
     }
 }
@@ -626,18 +727,11 @@ impl DeployerComponent {
         DeployerComponent {
             host,
             snapshots: BTreeMap::new(),
-            known_hosts: BTreeSet::new(),
-            pending: BTreeMap::new(),
-            failed: BTreeMap::new(),
-            target_directory: BTreeMap::new(),
-            epoch: 0,
-            requested: 0,
-            confirmed: 0,
+            state: EpochState::default(),
+            journaled: EpochState::default(),
             move_deadline: config.move_deadline,
             max_move_attempts: config.max_move_attempts,
             tracer: SpanIdGen::new(DOMAIN_DEPLOYER, host.raw()),
-            epoch_ctx: None,
-            failed_ctx: BTreeMap::new(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -651,10 +745,11 @@ impl DeployerComponent {
     /// The trace context of a move still pending — or already failed — in
     /// the current epoch (for the host runtime's retry/failure telemetry).
     pub(crate) fn move_ctx(&self, component: &str) -> Option<TraceCtx> {
-        self.pending
+        self.state
+            .pending
             .get(component)
             .and_then(|mv| mv.ctx)
-            .or_else(|| self.failed_ctx.get(component).copied())
+            .or_else(|| self.state.failed_ctx.get(component).copied())
     }
 
     /// Emits the settle record of one move span. Outcomes: `confirmed`,
@@ -682,109 +777,93 @@ impl DeployerComponent {
     /// framework that reconciles an incomplete epoch, so no run ends with
     /// unsettled move spans. Accounting (`status()`) is untouched.
     pub(crate) fn abandon_pending(&mut self, now: SimTime) {
-        let components: Vec<String> = self.pending.keys().cloned().collect();
+        let components: Vec<String> = self.state.pending.keys().cloned().collect();
         for component in components {
-            let mv = self.pending[&component].clone();
+            let mv = self.state.pending[&component].clone();
             self.settle_move(&component, &mv, now, "abandoned");
-            self.pending
+            self.state
+                .pending
                 .get_mut(&component)
                 .expect("still pending")
                 .settled = true;
         }
     }
 
-    /// Serializes the deployer's durable state (journaled after every
-    /// deployer transition and persisted in checkpoints). The per-move
-    /// deadline and attempt budget come from [`HostConfig`], and the span-id
-    /// allocator restarts deterministically, so neither is persisted.
-    pub(crate) fn durable_blob(&self) -> Vec<u8> {
-        let durable = DeployerDurable {
-            epoch: self.epoch,
-            requested: self.requested,
-            confirmed: self.confirmed,
-            target_directory: self.target_directory.clone(),
-            known_hosts: self.known_hosts.iter().copied().collect(),
-            snapshots: self
-                .snapshots
-                .values()
-                .filter_map(|s| s.encode().ok())
-                .collect(),
-            pending: self
-                .pending
-                .iter()
-                .map(|(component, mv)| {
-                    (
-                        component.clone(),
-                        PendingMoveDurable {
-                            dest: mv.dest,
-                            holder: mv.holder,
-                            attempts: mv.attempts,
-                            deadline_us: mv.deadline.as_micros(),
-                            started_us: mv.started.as_micros(),
-                            settled: mv.settled,
-                            ctx: ctx_durable(mv.ctx),
-                        },
-                    )
-                })
-                .collect(),
-            failed: self
-                .failed
-                .iter()
-                .map(|(c, r)| (c.clone(), r.clone()))
-                .collect(),
-            failed_ctx: self
-                .failed_ctx
-                .iter()
-                .filter_map(|(c, ctx)| ctx_durable(Some(*ctx)).map(|d| (c.clone(), d)))
-                .collect(),
-            epoch_ctx: ctx_durable(self.epoch_ctx),
-        };
-        serde_json::to_vec(&durable).expect("deployer durable state serializes")
+    /// The epoch state to journal as a `DeployerState` record, if a
+    /// transition changed it since it was last journaled; `None` after
+    /// activity that changed nothing (an idle deploy tick, a stale ack, a
+    /// relayed event), so such activity appends nothing.
+    pub(crate) fn take_changed_state(&mut self) -> Option<Vec<u8>> {
+        if self.state == self.journaled {
+            return None;
+        }
+        self.journaled = self.state.clone();
+        let mut out = Vec::new();
+        self.state.encode_into(&mut out);
+        Some(out)
     }
 
-    /// Restores the deployer from a [`Self::durable_blob`]. Malformed blobs
-    /// are ignored (the deployer then restarts with an empty epoch 0, and
-    /// the recovery report's not-completed verdicts say what was dropped).
-    pub(crate) fn restore_durable(&mut self, blob: &[u8]) {
-        let Ok(durable) = serde_json::from_slice::<DeployerDurable>(blob) else {
+    /// The deployer's full durable state for a checkpoint, in the store's
+    /// binary framing: the epoch state followed by every monitoring
+    /// snapshot, each encoded once.
+    pub(crate) fn checkpoint_blob(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.state.encode_into(&mut out);
+        put_varint(&mut out, self.snapshots.len() as u64);
+        for snapshot in self.snapshots.values() {
+            put_bytes(&mut out, &snapshot.encode().expect("snapshots serialize"));
+        }
+        out
+    }
+
+    /// Restores the deployer from a `DeployerState` record (the epoch state
+    /// alone: the snapshots stay as they are) or, `with_snapshots`, from a
+    /// [`Self::checkpoint_blob`] (the snapshot set follows and replaces the
+    /// current one).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PrismError::Codec`] for a malformed blob and leaves the
+    /// deployer untouched (the recovery report's verdicts and self-check
+    /// then say what was dropped).
+    pub(crate) fn restore_durable(
+        &mut self,
+        blob: &[u8],
+        with_snapshots: bool,
+    ) -> Result<(), PrismError> {
+        let pos = &mut 0usize;
+        let state = EpochState::decode(blob, pos)?;
+        let mut snapshots = None;
+        if with_snapshots {
+            let set = snapshots.insert(BTreeMap::new());
+            for _ in 0..get_varint(blob, pos)? {
+                let snapshot = MonitoringSnapshot::decode(get_bytes(blob, pos)?)?;
+                set.insert(snapshot.host, snapshot);
+            }
+        }
+        if *pos != blob.len() {
+            return Err(PrismError::Codec(
+                "trailing bytes after deployer state".into(),
+            ));
+        }
+        self.journaled = state.clone();
+        self.state = state;
+        if let Some(snapshots) = snapshots {
+            self.snapshots = snapshots;
+        }
+        Ok(())
+    }
+
+    /// Takes in one monitoring report payload and journals it as a
+    /// `ReportReceived` delta — the live `EV_REPORT` path, and (journaling
+    /// being a no-op then) the replay of that record. An undecodable report
+    /// is dropped and leaves no record.
+    pub(crate) fn accept_report(&mut self, services: &mut HostServices, payload: &[u8]) {
+        let Ok(snapshot) = MonitoringSnapshot::decode(payload) else {
             return;
         };
-        self.epoch = durable.epoch;
-        self.requested = durable.requested;
-        self.confirmed = durable.confirmed;
-        self.target_directory = durable.target_directory;
-        self.known_hosts = durable.known_hosts.into_iter().collect();
-        self.snapshots = durable
-            .snapshots
-            .iter()
-            .filter_map(|bytes| MonitoringSnapshot::decode(bytes).ok())
-            .map(|s| (s.host, s))
-            .collect();
-        self.pending = durable
-            .pending
-            .into_iter()
-            .map(|(component, mv)| {
-                (
-                    component,
-                    PendingMove {
-                        dest: mv.dest,
-                        holder: mv.holder,
-                        attempts: mv.attempts,
-                        deadline: SimTime::from_micros(mv.deadline_us),
-                        started: SimTime::from_micros(mv.started_us),
-                        settled: mv.settled,
-                        ctx: ctx_restore(mv.ctx),
-                    },
-                )
-            })
-            .collect();
-        self.failed = durable.failed.into_iter().collect();
-        self.failed_ctx = durable
-            .failed_ctx
-            .into_iter()
-            .filter_map(|(c, d)| ctx_restore(Some(d)).map(|ctx| (c, ctx)))
-            .collect();
-        self.epoch_ctx = ctx_restore(durable.epoch_ctx);
+        self.snapshots.insert(snapshot.host, snapshot);
+        services.journal(JournalRecord::ReportReceived { payload });
     }
 
     /// Monitoring snapshots collected from every reporting host.
@@ -795,11 +874,12 @@ impl DeployerComponent {
     /// Progress of the redeployment issued by the last `effect` call.
     pub fn status(&self) -> RedeploymentStatus {
         RedeploymentStatus {
-            epoch: self.epoch,
-            requested: self.requested,
-            confirmed: self.confirmed,
-            in_flight: self.pending.keys().cloned().collect(),
+            epoch: self.state.epoch,
+            requested: self.state.requested,
+            confirmed: self.state.confirmed,
+            in_flight: self.state.pending.keys().cloned().collect(),
             failed: self
+                .state
                 .failed
                 .iter()
                 .map(|(c, r)| (c.clone(), r.clone()))
@@ -829,6 +909,7 @@ impl DeployerComponent {
         // Moves still open from the previous epoch are dropped; settle their
         // spans so the journal shows *why* they never confirmed.
         let superseded: Vec<(String, PendingMove)> = self
+            .state
             .pending
             .iter()
             .map(|(c, m)| (c.clone(), m.clone()))
@@ -836,13 +917,13 @@ impl DeployerComponent {
         for (component, mv) in superseded {
             self.settle_move(&component, &mv, now, "superseded");
         }
-        self.epoch += 1;
-        self.epoch_ctx = parent;
-        self.pending.clear();
-        self.failed.clear();
-        self.failed_ctx.clear();
-        self.requested = 0;
-        self.confirmed = 0;
+        self.state.epoch += 1;
+        self.state.epoch_ctx = parent;
+        self.state.pending.clear();
+        self.state.failed.clear();
+        self.state.failed_ctx.clear();
+        self.state.requested = 0;
+        self.state.confirmed = 0;
         let mut fetches_by_host: BTreeMap<HostId, Vec<(String, HostId)>> = BTreeMap::new();
         let mut new_directory = current.clone();
         for (component, to) in &target {
@@ -864,11 +945,11 @@ impl DeployerComponent {
                             .field("component", component.clone())
                             .field("from", from.raw())
                             .field("to", to.raw())
-                            .field("epoch", self.epoch)
+                            .field("epoch", self.state.epoch)
                             .trace(ctx)
                             .emit();
                     }
-                    self.pending.insert(
+                    self.state.pending.insert(
                         component.clone(),
                         PendingMove {
                             dest: *to,
@@ -880,26 +961,27 @@ impl DeployerComponent {
                             settled: false,
                         },
                     );
-                    self.requested += 1;
+                    self.state.requested += 1;
                     // The source host may hold nothing else afterwards, yet
                     // it must learn the new directory to chase stale events.
-                    self.known_hosts.insert(*from);
+                    self.state.move_sources.insert(*from);
                 }
                 None => {}
             }
         }
-        self.target_directory = new_directory.clone();
+        self.state.target_directory = new_directory.clone();
         // Every known host gets the new directory — component holders, but
         // also bystanders (known from their monitoring reports), whose
         // stale directories would otherwise misroute application events.
         let mut all_hosts: BTreeSet<HostId> = new_directory.values().copied().collect();
-        all_hosts.extend(self.known_hosts.iter().copied());
+        all_hosts.extend(self.snapshots.keys().copied());
+        all_hosts.extend(self.state.move_sources.iter().copied());
         all_hosts.insert(self.host);
         for host in all_hosts {
             let doc = ConfigureDoc {
                 directory: new_directory.clone(),
                 fetches: fetches_by_host.remove(&host).unwrap_or_default(),
-                epoch: self.epoch,
+                epoch: self.state.epoch,
             };
             let mut configure = Event::request(EV_CONFIGURE)
                 .with_payload(serde_json::to_vec(&doc).expect("configure docs serialize"));
@@ -922,6 +1004,7 @@ impl DeployerComponent {
     ) -> (Vec<String>, Vec<(String, String)>) {
         let now = services.now();
         let overdue: Vec<String> = self
+            .state
             .pending
             .iter()
             .filter(|(_, mv)| mv.deadline <= now)
@@ -934,6 +1017,7 @@ impl DeployerComponent {
                 retried.push(component);
             } else {
                 let reason = self
+                    .state
                     .failed
                     .get(&component)
                     .cloned()
@@ -947,16 +1031,22 @@ impl DeployerComponent {
     /// Re-issues one pending move (or gives it up when its budget is spent).
     /// Returns `true` if a retry went out.
     fn retry_move(&mut self, services: &mut HostServices, component: &str, reason: &str) -> bool {
-        let Some(mv) = self.pending.get_mut(component) else {
+        let Some(mv) = self.state.pending.get_mut(component) else {
             return false;
         };
         if mv.attempts >= self.max_move_attempts {
-            let mv = self.pending.remove(component).expect("just looked up");
+            let mv = self
+                .state
+                .pending
+                .remove(component)
+                .expect("just looked up");
             self.settle_move(component, &mv, services.now(), "failed");
             if let Some(ctx) = mv.ctx {
-                self.failed_ctx.insert(component.to_owned(), ctx);
+                self.state.failed_ctx.insert(component.to_owned(), ctx);
             }
-            self.failed.insert(component.to_owned(), reason.to_owned());
+            self.state
+                .failed
+                .insert(component.to_owned(), reason.to_owned());
             return false;
         }
         mv.attempts += 1;
@@ -977,9 +1067,9 @@ impl DeployerComponent {
         let dest = mv.dest;
         let ctx = mv.ctx;
         let doc = ConfigureDoc {
-            directory: self.target_directory.clone(),
+            directory: self.state.target_directory.clone(),
             fetches: vec![(component.to_owned(), holder)],
-            epoch: self.epoch,
+            epoch: self.state.epoch,
         };
         let mut configure = Event::request(EV_CONFIGURE)
             .with_payload(serde_json::to_vec(&doc).expect("configure docs serialize"));
@@ -995,29 +1085,24 @@ impl DeployerComponent {
     /// Handles a control event addressed to [`DEPLOYER_ADDRESS`].
     pub(crate) fn handle(&mut self, services: &mut HostServices, event: &Event) {
         match event.name() {
-            EV_REPORT => {
-                if let Ok(snapshot) = MonitoringSnapshot::decode(event.payload()) {
-                    self.known_hosts.insert(snapshot.host);
-                    self.snapshots.insert(snapshot.host, snapshot);
-                }
-            }
+            EV_REPORT => self.accept_report(services, event.payload()),
             EV_ACK => {
-                if event_epoch(event) != self.epoch {
+                if event_epoch(event) != self.state.epoch {
                     return; // stale ack from a superseded redeployment
                 }
                 if let Some(component) = event.param_text(P_COMPONENT) {
-                    if let Some(mv) = self.pending.remove(component) {
+                    if let Some(mv) = self.state.pending.remove(component) {
                         self.settle_move(component, &mv, services.now(), "confirmed");
-                        self.confirmed += 1;
+                        self.state.confirmed += 1;
                         // A confirmed arrival supersedes any earlier verdict
                         // a racing nack may have recorded.
-                        self.failed.remove(component);
-                        self.failed_ctx.remove(component);
+                        self.state.failed.remove(component);
+                        self.state.failed_ctx.remove(component);
                     }
                 }
             }
             EV_NACK => {
-                if event_epoch(event) != self.epoch {
+                if event_epoch(event) != self.state.epoch {
                     return;
                 }
                 let Some(component) = event.param_text(P_COMPONENT).map(str::to_owned) else {
@@ -1095,8 +1180,8 @@ mod tests {
     fn status_reports_completion() {
         let mut d = deployer();
         assert!(d.status().is_complete());
-        d.pending.insert("x".into(), pending_move(1, 2, 1));
-        d.requested = 1;
+        d.state.pending.insert("x".into(), pending_move(1, 2, 1));
+        d.state.requested = 1;
         assert!(!d.status().is_complete());
         d.handle(
             &mut dummy_services(),
@@ -1112,9 +1197,9 @@ mod tests {
     #[test]
     fn stale_epoch_acks_are_ignored() {
         let mut d = deployer();
-        d.epoch = 3;
-        d.pending.insert("x".into(), pending_move(1, 2, 1));
-        d.requested = 1;
+        d.state.epoch = 3;
+        d.state.pending.insert("x".into(), pending_move(1, 2, 1));
+        d.state.requested = 1;
         // An ack from epoch 2 (a superseded redeployment) must not count.
         d.handle(
             &mut dummy_services(),
@@ -1140,18 +1225,21 @@ mod tests {
         let mut d = deployer();
         let mut services = dummy_services();
         let budget = d.max_move_attempts;
-        d.pending.insert("x".into(), pending_move(1, 2, 1));
-        d.requested = 1;
+        d.state.pending.insert("x".into(), pending_move(1, 2, 1));
+        d.state.requested = 1;
         let nack = Event::notification(EV_NACK)
             .with_param(P_COMPONENT, "x")
             .with_param(P_EPOCH, 0i64)
             .with_param(P_REASON, "absent");
         for _ in 1..budget {
             d.handle(&mut services, &nack);
-            assert!(d.pending.contains_key("x"), "retry should keep it pending");
+            assert!(
+                d.state.pending.contains_key("x"),
+                "retry should keep it pending"
+            );
         }
         d.handle(&mut services, &nack);
-        assert!(d.pending.is_empty());
+        assert!(d.state.pending.is_empty());
         let s = d.status();
         assert!(s.is_settled(), "given-up move settles the epoch");
         assert!(!s.is_complete(), "…but does not complete it");
@@ -1162,7 +1250,7 @@ mod tests {
     fn deadline_expiry_reissues_with_reresolved_holder() {
         let mut d = deployer();
         let mut services = dummy_services();
-        d.pending.insert("x".into(), pending_move(1, 2, 1));
+        d.state.pending.insert("x".into(), pending_move(1, 2, 1));
         // A fresh inventory shows the component actually lives on host 5.
         let snap = MonitoringSnapshot {
             host: HostId::new(5),
@@ -1177,8 +1265,8 @@ mod tests {
         let (retried, failed) = d.on_deploy_tick(&mut services);
         assert_eq!(retried, vec!["x".to_owned()]);
         assert!(failed.is_empty());
-        assert_eq!(d.pending["x"].holder, HostId::new(5));
-        assert_eq!(d.pending["x"].attempts, 2);
+        assert_eq!(d.state.pending["x"].holder, HostId::new(5));
+        assert_eq!(d.state.pending["x"].attempts, 2);
     }
 
     #[test]
@@ -1194,8 +1282,8 @@ mod tests {
         assert_eq!(d.status().epoch, 1);
         assert_eq!(d.status().requested, 1);
         // Leftover state must not leak into the next call.
-        d.failed.insert("ghost".into(), "timeout".into());
-        d.confirmed = 7;
+        d.state.failed.insert("ghost".into(), "timeout".into());
+        d.state.confirmed = 7;
         d.effect(
             &mut services,
             [("x".to_owned(), HostId::new(3))].into(),
@@ -1219,6 +1307,241 @@ mod tests {
         d.handle(&mut dummy_services(), &report);
         assert_eq!(d.snapshots().len(), 1);
         assert!(d.snapshots().contains_key(&HostId::new(3)));
+    }
+
+    #[test]
+    fn only_real_transitions_offer_an_epoch_state_to_journal() {
+        let mut d = deployer();
+        let mut services = dummy_services();
+        // Nothing pending: a deploy tick is idle and must journal nothing.
+        d.on_deploy_tick(&mut services);
+        assert!(d.take_changed_state().is_none());
+        d.state.epoch = 3;
+        d.state.pending.insert("x".into(), pending_move(1, 2, 1));
+        assert!(d.take_changed_state().is_some(), "the set-up is a change");
+        let ack = |epoch: i64| {
+            Event::notification(EV_ACK)
+                .with_param(P_COMPONENT, "x")
+                .with_param(P_EPOCH, epoch)
+        };
+        d.handle(&mut services, &ack(2));
+        assert!(
+            d.take_changed_state().is_none(),
+            "a stale ack changes nothing"
+        );
+        d.handle(&mut services, &ack(3));
+        let state = d
+            .take_changed_state()
+            .expect("a confirmed move is a transition");
+        assert!(
+            d.take_changed_state().is_none(),
+            "the flag clears once taken"
+        );
+        let mut back = deployer();
+        back.restore_durable(&state, false).unwrap();
+        assert_eq!(back.status(), d.status());
+    }
+
+    #[test]
+    fn a_report_journals_its_payload_once_and_no_epoch_state() {
+        let mut d = deployer();
+        let mut services = dummy_services();
+        let snap = MonitoringSnapshot {
+            host: HostId::new(3),
+            components: [("x".to_owned(), "workload".to_owned())].into(),
+            taken_at_secs: 9.0,
+            ..MonitoringSnapshot::default()
+        };
+        let payload = snap.encode().unwrap();
+        let before = services.durable().bytes_appended();
+        d.handle(
+            &mut services,
+            &Event::notification(EV_REPORT).with_payload(payload.clone()),
+        );
+        assert!(d.take_changed_state().is_none());
+        let appended = services.durable().bytes_appended() - before;
+        assert!(
+            appended >= payload.len() as u64 && appended <= payload.len() as u64 + 16,
+            "{appended} journal bytes for a {} byte report",
+            payload.len()
+        );
+        // Replaying the record rebuilds exactly what the live handler built.
+        let tail = services.durable().recover().tail;
+        let [JournalRecord::ReportReceived { payload: logged }] = &tail[..] else {
+            panic!("expected one ReportReceived record, got {tail:?}");
+        };
+        let mut back = deployer();
+        back.accept_report(&mut dummy_services(), logged);
+        assert_eq!(back.checkpoint_blob(), d.checkpoint_blob());
+        // A report that does not decode is dropped and leaves no record.
+        d.handle(
+            &mut services,
+            &Event::notification(EV_REPORT).with_payload(b"not json".to_vec()),
+        );
+        assert_eq!(services.durable().records_appended(), 1);
+    }
+
+    mod framing {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn ctx_of(seed: u64) -> Option<TraceCtx> {
+            match seed % 3 {
+                0 => None,
+                1 => Some(TraceCtx {
+                    trace_id: seed,
+                    span_id: seed / 3,
+                    parent_id: None,
+                }),
+                _ => Some(TraceCtx {
+                    trace_id: seed,
+                    span_id: seed / 3,
+                    parent_id: Some(seed / 7),
+                }),
+            }
+        }
+
+        /// A deployer whose every durable field is filled from the inputs.
+        fn deployer_of(names: &[String], seed: u64, rates: &[f64]) -> DeployerComponent {
+            let mut d = deployer();
+            d.state.epoch = seed % 1000;
+            d.state.requested = seed % 17;
+            d.state.confirmed = seed % 5;
+            d.state.epoch_ctx = ctx_of(seed);
+            for (i, name) in names.iter().enumerate() {
+                let i = i as u64;
+                let host = HostId::new((seed.wrapping_add(i) % 64) as u32);
+                d.state.target_directory.insert(name.clone(), host);
+                d.state.move_sources.insert(host);
+                match (seed + i) % 3 {
+                    0 => {
+                        d.state.pending.insert(
+                            name.clone(),
+                            PendingMove {
+                                dest: host,
+                                holder: HostId::new(i as u32),
+                                attempts: (seed % 5) as u32 + 1,
+                                deadline: SimTime::from_micros(seed / 2 + i),
+                                ctx: ctx_of(seed + i),
+                                started: SimTime::from_micros(seed / 4),
+                                settled: (seed + i).is_multiple_of(2),
+                            },
+                        );
+                    }
+                    1 => {
+                        d.state.failed.insert(name.clone(), format!("reason-{i}"));
+                        if let Some(ctx) = ctx_of(seed + i) {
+                            d.state.failed_ctx.insert(name.clone(), ctx);
+                        }
+                    }
+                    _ => {}
+                }
+                let mut snapshot = MonitoringSnapshot {
+                    host,
+                    taken_at_secs: i as f64 + 0.5,
+                    ..MonitoringSnapshot::default()
+                };
+                snapshot.components.insert(name.clone(), "workload".into());
+                for (j, rate) in rates.iter().enumerate() {
+                    snapshot
+                        .frequencies
+                        .insert((name.clone(), format!("peer-{j}")), *rate);
+                }
+                d.snapshots.insert(host, snapshot);
+            }
+            d
+        }
+
+        proptest! {
+            /// The deployer's binary framing round-trips every durable
+            /// field, a `DeployerState` record leaves the snapshots alone,
+            /// and a blob cut anywhere (a torn write) or extended is
+            /// rejected without touching the deployer.
+            #[test]
+            fn deployer_state_round_trips_and_rejects_damage(
+                names in proptest::collection::vec("[a-z]{1,10}", 0..6),
+                seed in any::<u64>(),
+                rates in proptest::collection::vec(0.0f64..1e6, 0..4),
+                cut in 1usize..4096,
+            ) {
+                let mut d = deployer_of(&names, seed, &rates);
+                let full = d.checkpoint_blob();
+                let mut back = deployer();
+                back.restore_durable(&full, true).unwrap();
+                prop_assert_eq!(back.checkpoint_blob(), full.clone());
+                prop_assert_eq!(back.snapshots(), d.snapshots());
+                prop_assert_eq!(&back.state, &d.state);
+                prop_assert!(back.take_changed_state().is_none(), "restored is not changed");
+
+                // Epoch state alone: snapshots survive the replace.
+                let state = d.take_changed_state().unwrap_or_default();
+                prop_assert_eq!(state.is_empty(), d.state == EpochState::default());
+                let mut other = deployer_of(&names, seed.wrapping_add(1), &rates);
+                let kept = other.snapshots().clone();
+                if !state.is_empty() {
+                    other.restore_durable(&state, false).unwrap();
+                    prop_assert_eq!(&other.state, &d.state);
+                    prop_assert_eq!(other.snapshots(), &kept);
+                }
+
+                let before = back.checkpoint_blob();
+                let torn = &full[..full.len() - cut.min(full.len())];
+                prop_assert!(back.restore_durable(torn, true).is_err());
+                let mut longer = full.clone();
+                longer.push(0);
+                prop_assert!(back.restore_durable(&longer, true).is_err());
+                // A checkpoint blob is not a `DeployerState` record.
+                prop_assert!(back.restore_durable(&full, false).is_err());
+                if !state.is_empty() {
+                    let torn = &state[..state.len() - cut.min(state.len())];
+                    prop_assert!(back.restore_durable(torn, false).is_err());
+                }
+                prop_assert_eq!(back.checkpoint_blob(), before);
+            }
+
+            /// The admin's binary framing round-trips bit-exact floats and
+            /// the raw snapshot bytes, and rejects a torn or extended blob.
+            #[test]
+            fn admin_state_round_trips_and_rejects_damage(
+                peers in proptest::collection::vec((0u32..4096, any::<u64>()), 0..8),
+                reports_sent in any::<u64>(),
+                with_snapshot in any::<bool>(),
+                cut in 1usize..512,
+            ) {
+                let config = HostConfig::default();
+                let mut admin = AdminComponent::new(HostId::new(1), &config);
+                for (peer, bits) in &peers {
+                    // Any bit pattern, NaNs included: the blob stores bits.
+                    admin
+                        .latest_reliabilities
+                        .insert(HostId::new(*peer), f64::from_bits(*bits));
+                }
+                admin.reports_sent = reports_sent;
+                if with_snapshot {
+                    let snapshot = MonitoringSnapshot {
+                        host: HostId::new(1),
+                        taken_at_secs: 2.5,
+                        ..MonitoringSnapshot::default()
+                    };
+                    admin.last_encoded = snapshot.encode().unwrap();
+                    admin.last_snapshot = Some(snapshot);
+                }
+                let blob = admin.durable_blob();
+                let mut back = AdminComponent::new(HostId::new(1), &config);
+                back.restore_durable(&blob).unwrap();
+                prop_assert_eq!(back.durable_blob(), blob.clone());
+                prop_assert_eq!(back.reports_sent(), reports_sent);
+                prop_assert_eq!(back.last_snapshot(), admin.last_snapshot());
+
+                let mut fresh = AdminComponent::new(HostId::new(1), &config);
+                let empty = fresh.durable_blob();
+                prop_assert!(fresh.restore_durable(&blob[..blob.len() - cut.min(blob.len())]).is_err());
+                let mut longer = blob.clone();
+                longer.push(7);
+                prop_assert!(fresh.restore_durable(&longer).is_err());
+                prop_assert_eq!(fresh.durable_blob(), empty);
+            }
+        }
     }
 
     fn dummy_services() -> HostServices {

@@ -151,6 +151,13 @@ const FLAG_TRACE_PARENT: u8 = 0b1000;
 /// Encodes an event (layout in the module docs).
 pub(crate) fn encode_event(e: &Event) -> Vec<u8> {
     let mut out = Vec::with_capacity(24 + e.payload.len());
+    encode_event_into(e, &mut out);
+    out
+}
+
+/// Appends the encoding of an event to `out` (the journaling path reuses
+/// one buffer across events).
+pub(crate) fn encode_event_into(e: &Event, out: &mut Vec<u8>) {
     out.push(EVENT_MAGIC);
     out.push(match e.kind {
         EventKind::Request => 0,
@@ -171,29 +178,29 @@ pub(crate) fn encode_event(e: &Event) -> Vec<u8> {
         }
     }
     out.push(flags);
-    put_symbol(&mut out, e.name);
+    put_symbol(out, e.name);
     if let Some(src) = e.source {
-        put_symbol(&mut out, src);
+        put_symbol(out, src);
     }
     if let Some(size) = e.size {
-        put_varint(&mut out, size);
+        put_varint(out, size);
     }
     if let Some(trace) = e.trace {
-        put_varint(&mut out, trace.trace_id);
-        put_varint(&mut out, trace.span_id);
+        put_varint(out, trace.trace_id);
+        put_varint(out, trace.span_id);
         if let Some(parent) = trace.parent_id {
-            put_varint(&mut out, parent);
+            put_varint(out, parent);
         }
     }
-    put_varint(&mut out, e.params.len() as u64);
+    put_varint(out, e.params.len() as u64);
     for (k, v) in e.params.iter() {
-        put_symbol(&mut out, *k);
+        put_symbol(out, *k);
         match v {
             ParamValue::Bool(false) => out.push(TAG_FALSE),
             ParamValue::Bool(true) => out.push(TAG_TRUE),
             ParamValue::Int(i) => {
                 out.push(TAG_INT);
-                put_varint(&mut out, zigzag(*i));
+                put_varint(out, zigzag(*i));
             }
             ParamValue::Float(f) => {
                 out.push(TAG_FLOAT);
@@ -201,12 +208,11 @@ pub(crate) fn encode_event(e: &Event) -> Vec<u8> {
             }
             ParamValue::Text(s) => {
                 out.push(TAG_TEXT);
-                put_bytes(&mut out, s.as_bytes());
+                put_bytes(out, s.as_bytes());
             }
         }
     }
-    put_bytes(&mut out, &e.payload);
-    out
+    put_bytes(out, &e.payload);
 }
 
 /// Decodes an event, rejecting foreign bytes and trailing garbage.

@@ -8,11 +8,16 @@
 //!
 //! * the **checkpoint**: one [`Checkpoint`] snapshot of the host's full
 //!   durable state (components, directory, buffers, channel sequence state,
-//!   component timers, admin/deployer blobs), replaced atomically on every
-//!   [`DurableStore::checkpoint`] call, which also truncates the journal;
+//!   component timers, admin state, deployer state with every monitoring
+//!   snapshot), replaced atomically on every [`DurableStore::checkpoint`]
+//!   call, which also truncates the journal;
 //! * the **journal**: an append-only sequence of [`JournalRecord`]s, each
 //!   framed as a LEB128 length prefix followed by the record body (the same
 //!   varint primitives as the wire codec in [`crate::codec`]).
+//!
+//! A record costs what changed, not what exists (monitoring snapshots enter
+//! one [`JournalRecord::ReportReceived`] delta at a time);
+//! [`DurableStore::stats_by_kind`] says where a journal's bytes went.
 //!
 //! Recovery ([`DurableStore::recover`]) decodes the checkpoint, then decodes
 //! journal records until the bytes run out *or a record is torn* — a partial
@@ -42,21 +47,25 @@ use crate::codec::{get_bytes, get_varint, put_bytes, put_varint};
 use crate::error::PrismError;
 use redep_model::HostId;
 use redep_netsim::SimTime;
-use redep_telemetry::Counter;
+use redep_telemetry::{Counter, MetricsRegistry};
 
 /// One durable mutation of host state, appended to the write-ahead journal
 /// *after* the in-memory effect is applied (the journal is a redo log; every
 /// record is idempotent to re-apply on a freshly wiped host).
+///
+/// Generic over how names (`S`) and byte strings (`B`) are held: recovery
+/// decodes owned records (the defaults); the append path builds
+/// [`RecordRef`]s borrowing what the caller already holds.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum JournalRecord {
+pub enum JournalRecord<S = String, B = Vec<u8>> {
     /// An application event was published into a local component. Replay
     /// re-publishes it and pumps the architecture; the internal emission
     /// cascade re-runs deterministically.
     Delivery {
         /// Target component instance name.
-        component: String,
+        component: S,
         /// The encoded [`Event`](crate::Event).
-        event: Vec<u8>,
+        event: B,
     },
     /// A component timer with this id fired (and was consumed).
     TimerFired {
@@ -68,33 +77,33 @@ pub enum JournalRecord {
         /// The host-level timer id.
         id: u64,
         /// Component instance name the timer belongs to.
-        component: String,
+        component: S,
         /// The component-level token to deliver when it fires.
         token: u64,
     },
     /// One directory entry was written (component → host).
     DirectorySet {
         /// Component instance name.
-        component: String,
+        component: S,
         /// Raw id of the host now holding it.
         host: u32,
     },
     /// The whole directory was replaced.
     DirectoryReplaced {
         /// The full new mapping (component name, raw host id).
-        directory: Vec<(String, u32)>,
+        directory: Vec<(S, u32)>,
     },
     /// An event was parked for a component that is absent (mid-migration).
     EventBuffered {
         /// Component the event waits for.
-        component: String,
+        component: S,
         /// The encoded [`Event`](crate::Event).
-        event: Vec<u8>,
+        event: B,
     },
     /// A component's parked events were all drained (replayed on arrival).
     BufferDrained {
         /// Component whose buffer emptied.
-        component: String,
+        component: S,
     },
     /// A reliable-channel send to this peer consumed a sequence number.
     /// Replay restores the sender-side `next_seq` exactly, so a recovered
@@ -109,16 +118,16 @@ pub enum JournalRecord {
     /// migration move.
     ComponentAttached {
         /// Component instance name.
-        name: String,
+        name: S,
         /// Factory type name used to rebuild it.
-        type_name: String,
+        type_name: S,
         /// Serialized component state.
-        state: Vec<u8>,
+        state: B,
     },
     /// A component was detached and shipped away.
     ComponentDetached {
         /// Component instance name.
-        name: String,
+        name: S,
     },
     /// A monitoring window closed; carries the admin component's durable
     /// state as of the close. The window *in flight* at a crash has no such
@@ -126,17 +135,29 @@ pub enum JournalRecord {
     /// `MonitorWindow` not-completed verdict reports.
     MonitorWindow {
         /// Serialized admin durable state (see `AdminComponent`).
-        admin: Vec<u8>,
+        admin: B,
     },
-    /// The deployer's durable state after deployer activity (an epoch
-    /// opened, an ack/nack processed, a retry tick). Coarse-grained on
-    /// purpose: deployer transitions are rare, and replacing the whole blob
-    /// is simpler to get exactly right than replaying per-field deltas.
+    /// The deployer's epoch state (epoch, progress counters, target
+    /// directory, move sources, pending and failed moves) after a transition
+    /// that changed it: an epoch opened, a move confirmed, retried, failed
+    /// or abandoned. Monitoring snapshots are *not* in here — each arrives
+    /// as its own [`JournalRecord::ReportReceived`] delta.
     DeployerState {
-        /// Serialized deployer durable state (see `DeployerComponent`).
-        blob: Vec<u8>,
+        /// Serialized deployer epoch state (see `DeployerComponent`).
+        blob: B,
+    },
+    /// The deployer accepted one monitoring report. Replay decodes the
+    /// payload and inserts that one snapshot, exactly as the live handler
+    /// did.
+    ReportReceived {
+        /// The report event's payload: one encoded `MonitoringSnapshot`,
+        /// byte for byte as it arrived.
+        payload: B,
     },
 }
+
+/// A [`JournalRecord`] that borrows its names and bytes.
+pub type RecordRef<'a> = JournalRecord<&'a str, &'a [u8]>;
 
 const TAG_DELIVERY: u64 = 0;
 const TAG_TIMER_FIRED: u64 = 1;
@@ -150,90 +171,125 @@ const TAG_COMPONENT_ATTACHED: u64 = 8;
 const TAG_COMPONENT_DETACHED: u64 = 9;
 const TAG_MONITOR_WINDOW: u64 = 10;
 const TAG_DEPLOYER_STATE: u64 = 11;
+const TAG_REPORT_RECEIVED: u64 = 12;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+/// Stable lower-case label of every record kind, indexed by wire tag (the
+/// `<kind>` of the `prism.durable.journal.{records,bytes}.<kind>` counters).
+pub const RECORD_KINDS: [&str; 13] = [
+    "delivery",
+    "timer_fired",
+    "timer_armed",
+    "directory_set",
+    "directory_replaced",
+    "event_buffered",
+    "buffer_drained",
+    "channel_send",
+    "component_attached",
+    "component_detached",
+    "monitor_window",
+    "deployer_state",
+    "report_received",
+];
+
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
 }
 
-fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String, PrismError> {
+pub(crate) fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String, PrismError> {
     let b = get_bytes(bytes, pos)?;
     String::from_utf8(b.to_vec()).map_err(|_| PrismError::Codec("invalid utf-8".into()))
 }
 
-impl JournalRecord {
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn get_f64(bytes: &[u8], pos: &mut usize) -> Result<f64, PrismError> {
+    let raw = pos
+        .checked_add(8)
+        .and_then(|end| bytes.get(*pos..end))
+        .ok_or_else(|| PrismError::Codec("truncated f64".into()))?;
+    *pos += 8;
+    Ok(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
+}
+
+pub(crate) fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, PrismError> {
+    u32::try_from(get_varint(bytes, pos)?)
+        .map_err(|_| PrismError::Codec("value out of u32 range".into()))
+}
+
+impl<S: AsRef<str>, B: AsRef<[u8]>> JournalRecord<S, B> {
+    /// The record's wire tag, which is also its index in [`RECORD_KINDS`].
+    fn tag(&self) -> u64 {
+        match self {
+            JournalRecord::Delivery { .. } => TAG_DELIVERY,
+            JournalRecord::TimerFired { .. } => TAG_TIMER_FIRED,
+            JournalRecord::TimerArmed { .. } => TAG_TIMER_ARMED,
+            JournalRecord::DirectorySet { .. } => TAG_DIRECTORY_SET,
+            JournalRecord::DirectoryReplaced { .. } => TAG_DIRECTORY_REPLACED,
+            JournalRecord::EventBuffered { .. } => TAG_EVENT_BUFFERED,
+            JournalRecord::BufferDrained { .. } => TAG_BUFFER_DRAINED,
+            JournalRecord::ChannelSend { .. } => TAG_CHANNEL_SEND,
+            JournalRecord::ComponentAttached { .. } => TAG_COMPONENT_ATTACHED,
+            JournalRecord::ComponentDetached { .. } => TAG_COMPONENT_DETACHED,
+            JournalRecord::MonitorWindow { .. } => TAG_MONITOR_WINDOW,
+            JournalRecord::DeployerState { .. } => TAG_DEPLOYER_STATE,
+            JournalRecord::ReportReceived { .. } => TAG_REPORT_RECEIVED,
+        }
+    }
+
     /// Encodes the record body (tag + fields) into `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.tag());
         match self {
-            JournalRecord::Delivery { component, event } => {
-                put_varint(out, TAG_DELIVERY);
-                put_str(out, component);
-                put_bytes(out, event);
+            JournalRecord::Delivery { component, event }
+            | JournalRecord::EventBuffered { component, event } => {
+                put_str(out, component.as_ref());
+                put_bytes(out, event.as_ref());
             }
-            JournalRecord::TimerFired { id } => {
-                put_varint(out, TAG_TIMER_FIRED);
-                put_varint(out, *id);
-            }
+            JournalRecord::TimerFired { id } => put_varint(out, *id),
             JournalRecord::TimerArmed {
                 id,
                 component,
                 token,
             } => {
-                put_varint(out, TAG_TIMER_ARMED);
                 put_varint(out, *id);
-                put_str(out, component);
+                put_str(out, component.as_ref());
                 put_varint(out, *token);
             }
             JournalRecord::DirectorySet { component, host } => {
-                put_varint(out, TAG_DIRECTORY_SET);
-                put_str(out, component);
+                put_str(out, component.as_ref());
                 put_varint(out, u64::from(*host));
             }
             JournalRecord::DirectoryReplaced { directory } => {
-                put_varint(out, TAG_DIRECTORY_REPLACED);
                 put_varint(out, directory.len() as u64);
                 for (component, host) in directory {
-                    put_str(out, component);
+                    put_str(out, component.as_ref());
                     put_varint(out, u64::from(*host));
                 }
             }
-            JournalRecord::EventBuffered { component, event } => {
-                put_varint(out, TAG_EVENT_BUFFERED);
-                put_str(out, component);
-                put_bytes(out, event);
-            }
-            JournalRecord::BufferDrained { component } => {
-                put_varint(out, TAG_BUFFER_DRAINED);
-                put_str(out, component);
-            }
-            JournalRecord::ChannelSend { peer } => {
-                put_varint(out, TAG_CHANNEL_SEND);
-                put_varint(out, u64::from(*peer));
-            }
+            JournalRecord::BufferDrained { component } => put_str(out, component.as_ref()),
+            JournalRecord::ChannelSend { peer } => put_varint(out, u64::from(*peer)),
             JournalRecord::ComponentAttached {
                 name,
                 type_name,
                 state,
             } => {
-                put_varint(out, TAG_COMPONENT_ATTACHED);
-                put_str(out, name);
-                put_str(out, type_name);
-                put_bytes(out, state);
+                put_str(out, name.as_ref());
+                put_str(out, type_name.as_ref());
+                put_bytes(out, state.as_ref());
             }
-            JournalRecord::ComponentDetached { name } => {
-                put_varint(out, TAG_COMPONENT_DETACHED);
-                put_str(out, name);
-            }
-            JournalRecord::MonitorWindow { admin } => {
-                put_varint(out, TAG_MONITOR_WINDOW);
-                put_bytes(out, admin);
-            }
-            JournalRecord::DeployerState { blob } => {
-                put_varint(out, TAG_DEPLOYER_STATE);
-                put_bytes(out, blob);
+            JournalRecord::ComponentDetached { name } => put_str(out, name.as_ref()),
+            JournalRecord::MonitorWindow { admin: bytes }
+            | JournalRecord::DeployerState { blob: bytes }
+            | JournalRecord::ReportReceived { payload: bytes } => {
+                put_bytes(out, bytes.as_ref());
             }
         }
     }
+}
 
+impl JournalRecord {
     /// Decodes one record body.
     ///
     /// # Errors
@@ -256,17 +312,13 @@ impl JournalRecord {
             },
             TAG_DIRECTORY_SET => JournalRecord::DirectorySet {
                 component: get_str(bytes, pos)?,
-                host: u32::try_from(get_varint(bytes, pos)?)
-                    .map_err(|_| PrismError::Codec("host id out of range".into()))?,
+                host: get_u32(bytes, pos)?,
             },
             TAG_DIRECTORY_REPLACED => {
                 let n = get_varint(bytes, pos)? as usize;
                 let mut directory = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    let component = get_str(bytes, pos)?;
-                    let host = u32::try_from(get_varint(bytes, pos)?)
-                        .map_err(|_| PrismError::Codec("host id out of range".into()))?;
-                    directory.push((component, host));
+                    directory.push((get_str(bytes, pos)?, get_u32(bytes, pos)?));
                 }
                 JournalRecord::DirectoryReplaced { directory }
             }
@@ -278,8 +330,7 @@ impl JournalRecord {
                 component: get_str(bytes, pos)?,
             },
             TAG_CHANNEL_SEND => JournalRecord::ChannelSend {
-                peer: u32::try_from(get_varint(bytes, pos)?)
-                    .map_err(|_| PrismError::Codec("host id out of range".into()))?,
+                peer: get_u32(bytes, pos)?,
             },
             TAG_COMPONENT_ATTACHED => JournalRecord::ComponentAttached {
                 name: get_str(bytes, pos)?,
@@ -295,6 +346,9 @@ impl JournalRecord {
             TAG_DEPLOYER_STATE => JournalRecord::DeployerState {
                 blob: get_bytes(bytes, pos)?.to_vec(),
             },
+            TAG_REPORT_RECEIVED => JournalRecord::ReportReceived {
+                payload: get_bytes(bytes, pos)?.to_vec(),
+            },
             other => {
                 return Err(PrismError::Codec(format!("unknown journal tag {other}")));
             }
@@ -305,8 +359,9 @@ impl JournalRecord {
 
 /// Magic prefix of an encoded [`Checkpoint`].
 const CKPT_MAGIC: &[u8; 4] = b"RDCP";
-/// Checkpoint format version.
-const CKPT_VERSION: u64 = 1;
+/// Checkpoint format version (2: admin and deployer state in the store's
+/// binary framing instead of JSON blobs).
+const CKPT_VERSION: u64 = 2;
 
 /// A full snapshot of one host's durable state, written periodically (every
 /// `checkpoint_interval_windows` monitoring windows) and at start.
@@ -334,9 +389,10 @@ pub struct Checkpoint {
     pub timers: Vec<(u64, String, u64)>,
     /// Next component-timer ordinal (so recovered ids never collide).
     pub next_timer: u64,
-    /// The admin component's durable state blob.
+    /// The admin component's durable state (see `AdminComponent`).
     pub admin: Vec<u8>,
-    /// The deployer's durable state blob, on the master host.
+    /// On the master host, the deployer's epoch state followed by every
+    /// monitoring snapshot it holds (see `DeployerComponent`).
     pub deployer: Option<Vec<u8>>,
 }
 
@@ -422,10 +478,7 @@ impl Checkpoint {
         let n = get_varint(bytes, pos)? as usize;
         let mut directory = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            let component = get_str(bytes, pos)?;
-            let host = u32::try_from(get_varint(bytes, pos)?)
-                .map_err(|_| PrismError::Codec("host id out of range".into()))?;
-            directory.push((component, host));
+            directory.push((get_str(bytes, pos)?, get_u32(bytes, pos)?));
         }
         let n = get_varint(bytes, pos)? as usize;
         let mut buffered = Vec::with_capacity(n.min(1024));
@@ -441,8 +494,7 @@ impl Checkpoint {
         let n = get_varint(bytes, pos)? as usize;
         let mut channels = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            let peer = u32::try_from(get_varint(bytes, pos)?)
-                .map_err(|_| PrismError::Codec("host id out of range".into()))?;
+            let peer = get_u32(bytes, pos)?;
             let next_seq = get_varint(bytes, pos)?;
             let next_expected = get_varint(bytes, pos)?;
             channels.push((peer, next_seq, next_expected));
@@ -603,23 +655,33 @@ pub struct RecoveredState {
     pub torn_bytes: usize,
 }
 
+/// Room reserved ahead of a record body for its LEB128 length prefix.
+const MAX_PREFIX: usize = 10;
+
 /// The per-host durable store: write-ahead journal + checkpoint snapshots.
 pub struct DurableStore {
     backend: Box<dyn DurableBackend>,
+    /// Reused frame buffer: [`MAX_PREFIX`] bytes of room, then the body.
     scratch: Vec<u8>,
-    records: u64,
-    bytes: u64,
+    /// Reused buffer for the frame's length prefix.
+    prefix: Vec<u8>,
     checkpoints: u64,
+    /// `(records, framed bytes)` appended per kind, indexed like
+    /// [`RECORD_KINDS`].
+    by_kind: [(u64, u64); RECORD_KINDS.len()],
     record_counter: Counter,
     byte_counter: Counter,
     checkpoint_counter: Counter,
+    /// Per-kind `(records, bytes)` counters, indexed like [`RECORD_KINDS`];
+    /// empty until [`DurableStore::set_counters`] installs a registry.
+    kind_counters: Vec<(Counter, Counter)>,
 }
 
 impl std::fmt::Debug for DurableStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableStore")
-            .field("records", &self.records)
-            .field("bytes", &self.bytes)
+            .field("records", &self.records_appended())
+            .field("bytes", &self.bytes_appended())
             .field("checkpoints", &self.checkpoints)
             .finish()
     }
@@ -642,12 +704,13 @@ impl DurableStore {
         DurableStore {
             backend,
             scratch: Vec::new(),
-            records: 0,
-            bytes: 0,
+            prefix: Vec::with_capacity(MAX_PREFIX),
             checkpoints: 0,
+            by_kind: [(0, 0); RECORD_KINDS.len()],
             record_counter: Counter::default(),
             byte_counter: Counter::default(),
             checkpoint_counter: Counter::default(),
+            kind_counters: Vec::new(),
         }
     }
 
@@ -663,26 +726,51 @@ impl DurableStore {
         )?)))
     }
 
-    /// Installs the telemetry counters bumped on every append/checkpoint
-    /// (`prism.durable.journal.records`, `.journal.bytes`,
-    /// `.checkpoint.count`).
-    pub fn set_counters(&mut self, records: Counter, bytes: Counter, checkpoints: Counter) {
-        self.record_counter = records;
-        self.byte_counter = bytes;
-        self.checkpoint_counter = checkpoints;
+    /// Registers the telemetry counters bumped on every append/checkpoint:
+    /// the totals `prism.durable.journal.records`, `.journal.bytes` and
+    /// `.checkpoint.count`, plus `prism.durable.journal.{records,bytes}.<kind>`
+    /// for every record kind.
+    pub fn set_counters(&mut self, metrics: &MetricsRegistry) {
+        self.record_counter = metrics.counter("prism.durable.journal.records");
+        self.byte_counter = metrics.counter("prism.durable.journal.bytes");
+        self.checkpoint_counter = metrics.counter("prism.durable.checkpoint.count");
+        self.kind_counters = RECORD_KINDS
+            .iter()
+            .map(|kind| {
+                (
+                    metrics.counter(&format!("prism.durable.journal.records.{kind}")),
+                    metrics.counter(&format!("prism.durable.journal.bytes.{kind}")),
+                )
+            })
+            .collect();
     }
 
-    /// Appends one record to the journal (length-prefixed framing).
-    pub fn append(&mut self, record: &JournalRecord) {
+    /// Appends one record to the journal (length-prefixed framing). The
+    /// frame is assembled in a reused buffer and handed to the backend in
+    /// one write, so a crash tears at most the final record.
+    pub fn append<S: AsRef<str>, B: AsRef<[u8]>>(&mut self, record: &JournalRecord<S, B>) {
+        // Body first, after room for the longest prefix; the prefix is then
+        // written right-aligned against it.
         self.scratch.clear();
+        self.scratch.resize(MAX_PREFIX, 0);
         record.encode_into(&mut self.scratch);
-        let mut frame = Vec::with_capacity(self.scratch.len() + 5);
-        put_bytes(&mut frame, &self.scratch);
-        self.backend.append(&frame);
-        self.records += 1;
-        self.bytes += frame.len() as u64;
+        self.prefix.clear();
+        put_varint(&mut self.prefix, (self.scratch.len() - MAX_PREFIX) as u64);
+        let start = MAX_PREFIX - self.prefix.len();
+        self.scratch[start..MAX_PREFIX].copy_from_slice(&self.prefix);
+        let frame = &self.scratch[start..];
+        self.backend.append(frame);
+
+        let framed = frame.len() as u64;
+        let kind = record.tag() as usize;
+        self.by_kind[kind].0 += 1;
+        self.by_kind[kind].1 += framed;
         self.record_counter.inc();
-        self.byte_counter.add(frame.len() as u64);
+        self.byte_counter.add(framed);
+        if let Some((records, bytes)) = self.kind_counters.get(kind) {
+            records.inc();
+            bytes.add(framed);
+        }
     }
 
     /// Writes a checkpoint, truncating the journal.
@@ -728,12 +816,20 @@ impl DurableStore {
 
     /// Total records appended since the store was created.
     pub fn records_appended(&self) -> u64 {
-        self.records
+        self.by_kind.iter().map(|k| k.0).sum()
     }
 
     /// Total journal bytes appended since the store was created.
     pub fn bytes_appended(&self) -> u64 {
-        self.bytes
+        self.by_kind.iter().map(|k| k.1).sum()
+    }
+
+    /// `(kind, records, framed bytes)` appended per record kind, in
+    /// [`RECORD_KINDS`] order, kinds never appended included. Counts only:
+    /// the table never enters a journal.
+    pub fn stats_by_kind(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
+        let kinds = RECORD_KINDS.iter().zip(&self.by_kind);
+        kinds.map(|(kind, (records, bytes))| (*kind, *records, *bytes))
     }
 
     /// Total checkpoints written since the store was created.
@@ -810,8 +906,12 @@ pub struct RecoveryReport {
     /// Bytes of torn journal tail ignored (0 on a clean journal).
     pub torn_bytes: usize,
     /// Self-check: replayed state is byte-identical to the state the host
-    /// held at the crash instant (components + directory).
+    /// held at the crash instant — component snapshots, directory, and the
+    /// admin's and deployer's durable state.
     pub state_equiv: bool,
+    /// Which parts failed the self-check (`components`, `directory`,
+    /// `admin`, `deployer`); empty exactly when `state_equiv` holds.
+    pub diverged: Vec<&'static str>,
     /// One verdict per in-flight operation.
     pub verdicts: Vec<OpVerdict>,
 }
@@ -836,44 +936,61 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sample_records() -> Vec<JournalRecord> {
-        vec![
-            JournalRecord::Delivery {
-                component: "a".into(),
-                event: vec![1, 2, 3],
+    /// One record of kind `kind` (a [`RECORD_KINDS`] index) built from the
+    /// given parts, so generated inputs reach every kind.
+    fn record_of(kind: usize, name: &str, bytes: &[u8], n: u64, host: u32) -> JournalRecord {
+        let (s, b) = (name.to_owned(), bytes.to_vec());
+        match kind {
+            0 => JournalRecord::Delivery {
+                component: s,
+                event: b,
             },
-            JournalRecord::TimerFired { id: 1007 },
-            JournalRecord::TimerArmed {
-                id: 1008,
-                component: "a".into(),
-                token: 2,
+            1 => JournalRecord::TimerFired { id: n },
+            2 => JournalRecord::TimerArmed {
+                id: n,
+                component: s,
+                token: n / 3,
             },
-            JournalRecord::DirectorySet {
-                component: "b".into(),
-                host: 3,
+            3 => JournalRecord::DirectorySet { component: s, host },
+            4 => JournalRecord::DirectoryReplaced {
+                directory: vec![(s.clone(), host), (format!("{s}2"), host / 2)],
             },
-            JournalRecord::DirectoryReplaced {
-                directory: vec![("a".into(), 0), ("b".into(), 3)],
+            5 => JournalRecord::EventBuffered {
+                component: s,
+                event: b,
             },
-            JournalRecord::EventBuffered {
-                component: "c".into(),
-                event: vec![9],
-            },
-            JournalRecord::BufferDrained {
-                component: "c".into(),
-            },
-            JournalRecord::ChannelSend { peer: 2 },
-            JournalRecord::ComponentAttached {
-                name: "c".into(),
+            6 => JournalRecord::BufferDrained { component: s },
+            7 => JournalRecord::ChannelSend { peer: host },
+            8 => JournalRecord::ComponentAttached {
+                name: s,
                 type_name: "workload".into(),
-                state: vec![4, 5],
+                state: b,
             },
-            JournalRecord::ComponentDetached { name: "b".into() },
-            JournalRecord::MonitorWindow {
-                admin: vec![7, 7, 7],
-            },
-            JournalRecord::DeployerState { blob: vec![8] },
-        ]
+            9 => JournalRecord::ComponentDetached { name: s },
+            10 => JournalRecord::MonitorWindow { admin: b },
+            11 => JournalRecord::DeployerState { blob: b },
+            12 => JournalRecord::ReportReceived { payload: b },
+            _ => unreachable!("kind index out of RECORD_KINDS"),
+        }
+    }
+
+    fn sample_records() -> Vec<JournalRecord> {
+        (0..RECORD_KINDS.len())
+            .map(|kind| record_of(kind, "a", &[1, 2, 3], 1007, 3))
+            .collect()
+    }
+
+    /// Field-less kinds leave `S`/`B` open; tests pin the owned defaults.
+    fn fired(id: u64) -> JournalRecord {
+        JournalRecord::TimerFired { id }
+    }
+
+    fn framed(record: &JournalRecord) -> Vec<u8> {
+        let mut body = Vec::new();
+        record.encode_into(&mut body);
+        let mut frame = Vec::new();
+        put_bytes(&mut frame, &body);
+        frame
     }
 
     fn sample_checkpoint() -> Checkpoint {
@@ -893,12 +1010,84 @@ mod tests {
 
     #[test]
     fn records_round_trip() {
-        for rec in sample_records() {
+        for (kind, rec) in sample_records().into_iter().enumerate() {
             let mut bytes = Vec::new();
             rec.encode_into(&mut bytes);
             let back = JournalRecord::decode(&bytes, &mut 0).unwrap();
             assert_eq!(back, rec);
+            assert_eq!(rec.tag() as usize, kind, "tags index RECORD_KINDS");
         }
+    }
+
+    #[test]
+    fn borrowed_records_encode_like_owned_ones() {
+        let owned = JournalRecord::Delivery {
+            component: "comp".to_owned(),
+            event: vec![7; 40],
+        };
+        let borrowed: RecordRef<'_> = JournalRecord::Delivery {
+            component: "comp",
+            event: &[7; 40],
+        };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        owned.encode_into(&mut a);
+        borrowed.encode_into(&mut b);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn frames_are_length_prefixed_at_every_prefix_width() {
+        // Bodies around the 1→2 and 2→3 byte LEB128 prefix boundaries.
+        for len in [0usize, 1, 120, 127, 128, 16_380, 16_384, 70_000] {
+            let rec = JournalRecord::ReportReceived {
+                payload: vec![0xAB; len],
+            };
+            let mut store = DurableStore::in_memory();
+            store.append(&rec);
+            store.append(&fired(9));
+            let recovered = store.recover();
+            assert_eq!(recovered.torn_bytes, 0, "payload of {len} bytes");
+            assert_eq!(recovered.tail, vec![rec.clone(), fired(9)]);
+            assert_eq!(
+                store.bytes_appended(),
+                (framed(&rec).len() + framed(&fired(9)).len()) as u64
+            );
+        }
+    }
+
+    #[test]
+    fn stats_by_kind_attribute_every_append() {
+        let metrics = MetricsRegistry::new();
+        let mut store = DurableStore::in_memory();
+        store.set_counters(&metrics);
+        let report = JournalRecord::ReportReceived {
+            payload: vec![1; 500],
+        };
+        store.append(&report);
+        store.append(&report);
+        store.append(&record_of(7, "", &[], 0, 4));
+        let table: Vec<_> = store.stats_by_kind().collect();
+        assert_eq!(table.len(), RECORD_KINDS.len());
+        let of = |kind: &str| *table.iter().find(|k| k.0 == kind).unwrap();
+        let report_bytes = 2 * framed(&report).len() as u64;
+        assert_eq!(of("report_received"), ("report_received", 2, report_bytes));
+        assert_eq!(of("channel_send").1, 1);
+        assert_eq!(of("delivery"), ("delivery", 0, 0));
+        let sum = |part: fn(&(&str, u64, u64)) -> u64| table.iter().map(part).sum::<u64>();
+        assert_eq!(sum(|k| k.1), store.records_appended());
+        assert_eq!(sum(|k| k.2), store.bytes_appended());
+        // The telemetry counters mirror the table and the totals.
+        let counter = |name: &str| metrics.counter(name).get();
+        assert_eq!(counter("prism.durable.journal.records.report_received"), 2);
+        assert_eq!(
+            counter("prism.durable.journal.bytes.report_received"),
+            report_bytes
+        );
+        assert_eq!(counter("prism.durable.journal.records"), 3);
+        assert_eq!(
+            counter("prism.durable.journal.bytes"),
+            store.bytes_appended()
+        );
     }
 
     #[test]
@@ -922,7 +1111,7 @@ mod tests {
     fn store_recovers_checkpoint_and_tail() {
         let mut store = DurableStore::in_memory();
         // Records before the checkpoint must vanish with it.
-        store.append(&JournalRecord::TimerFired { id: 1000 });
+        store.append(&fired(1000));
         store.checkpoint(&sample_checkpoint());
         for rec in sample_records() {
             store.append(&rec);
@@ -946,9 +1135,9 @@ mod tests {
         let build = |extra: bool| {
             let mut store = DurableStore::in_memory();
             store.checkpoint(&sample_checkpoint());
-            store.append(&JournalRecord::ChannelSend { peer: 1 });
+            store.append(&record_of(7, "", &[], 0, 1));
             if extra {
-                store.append(&JournalRecord::TimerFired { id: 1001 });
+                store.append(&fired(1001));
             }
             store.digest()
         };
@@ -957,33 +1146,75 @@ mod tests {
     }
 
     proptest! {
+        /// Every record kind round-trips for arbitrary field contents, and
+        /// the store frames it exactly as length prefix + body.
+        #[test]
+        fn any_record_round_trips(
+            kind in 0usize..RECORD_KINDS.len(),
+            name in "[a-z]{1,12}",
+            bytes in proptest::collection::vec(any::<u8>(), 0..400),
+            n in any::<u64>(),
+            host in any::<u32>(),
+        ) {
+            let rec = record_of(kind, &name, &bytes, n, host);
+            let mut body = Vec::new();
+            rec.encode_into(&mut body);
+            let mut pos = 0;
+            prop_assert_eq!(&JournalRecord::decode(&body, &mut pos).unwrap(), &rec);
+            prop_assert_eq!(pos, body.len());
+            let mut store = DurableStore::in_memory();
+            store.append(&rec);
+            prop_assert_eq!(store.recover().tail, vec![rec.clone()]);
+            prop_assert_eq!(store.bytes_appended(), framed(&rec).len() as u64);
+        }
+
+        /// A record with a tag this build does not know (a newer writer, or
+        /// corruption) is not guessed at: decoding fails, and recovery keeps
+        /// the intact prefix and reports the rest as torn.
+        #[test]
+        fn unknown_tag_stops_recovery_at_the_intact_prefix(
+            kind in 0usize..RECORD_KINDS.len(),
+            tag in RECORD_KINDS.len() as u64..1_000_000,
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut body = Vec::new();
+            put_varint(&mut body, tag);
+            body.extend_from_slice(&bytes);
+            prop_assert!(JournalRecord::decode(&body, &mut 0).is_err());
+
+            let known = record_of(kind, "a", &bytes, 5, 1);
+            let mut alien = Vec::new();
+            put_bytes(&mut alien, &body);
+            let mut backend = MemBackend::default();
+            backend.append(&framed(&known));
+            backend.append(&alien);
+            backend.append(&framed(&known));
+            let rec = DurableStore::with_backend(Box::new(backend)).recover();
+            prop_assert_eq!(rec.tail, vec![known.clone()]);
+            prop_assert_eq!(rec.torn_bytes, alien.len() + framed(&known).len());
+        }
+
         /// Any record sequence survives framing, and truncating the framed
         /// journal anywhere inside the final record drops exactly that
         /// record: recovery returns the intact prefix and reports the torn
         /// fragment instead of erroring or inventing data.
         #[test]
         fn torn_tail_is_ignored(
-            picks in proptest::collection::vec(0usize..12, 1..20),
-            cut in 1usize..64,
+            picks in proptest::collection::vec(0usize..RECORD_KINDS.len(), 1..20),
+            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+            cut in 1usize..256,
         ) {
-            let all = sample_records();
-            let records: Vec<JournalRecord> =
-                picks.iter().map(|&i| all[i].clone()).collect();
-            let mut backend = MemBackend::default();
-            let mut frames = Vec::new();
-            let mut framed = Vec::new();
-            for rec in &records {
-                let mut body = Vec::new();
-                rec.encode_into(&mut body);
-                let mut frame = Vec::new();
-                put_bytes(&mut frame, &body);
-                framed.extend_from_slice(&frame);
-                frames.push(frame.len());
-            }
-            let last = *frames.last().unwrap();
+            let records: Vec<JournalRecord> = picks
+                .iter()
+                .map(|&kind| record_of(kind, "comp", &bytes, 77, 2))
+                .collect();
+            let frames: Vec<Vec<u8>> = records.iter().map(framed).collect();
+            let journal = frames.concat();
+            let last = frames.last().unwrap().len();
             // Cut strictly inside the final record's frame.
             let cut = cut.min(last - 1).max(1);
-            backend.append(&framed[..framed.len() - cut]);
+            let mut backend = MemBackend::default();
+            backend.append(&journal[..journal.len() - cut]);
             let store = DurableStore::with_backend(Box::new(backend));
             let rec = store.recover();
             prop_assert_eq!(&rec.tail[..], &records[..records.len() - 1]);
@@ -1028,7 +1259,7 @@ mod tests {
         /// and nothing reordered.
         #[test]
         fn recover_returns_exactly_what_was_written(
-            picks in proptest::collection::vec(0usize..12, 0..24),
+            picks in proptest::collection::vec(0usize..RECORD_KINDS.len(), 0..24),
             with_ckpt in any::<bool>(),
         ) {
             let all = sample_records();

@@ -10,7 +10,9 @@
 use crate::admin::{AdminComponent, DeployerComponent};
 use crate::architecture::{Architecture, HostAction};
 use crate::brick::{BrickId, ComponentBehavior, ComponentFactory};
-use crate::durable::{Checkpoint, DurableStore, JournalRecord, OpKind, OpVerdict, RecoveryReport};
+use crate::durable::{
+    Checkpoint, DurableStore, JournalRecord, OpKind, OpVerdict, RecordRef, RecoveryReport,
+};
 use crate::event::Event;
 use crate::monitor::{EventFrequencyMonitor, ReliabilityProbe};
 use crate::symbol::Symbol;
@@ -152,6 +154,8 @@ pub struct HostServices {
     /// Set while `on_restart` replays the store: journaling hooks no-op, so
     /// replaying a record never re-journals it.
     replaying: bool,
+    /// Reused buffer for the encoded event of a `Delivery` record.
+    event_scratch: Vec<u8>,
 }
 
 impl fmt::Debug for HostServices {
@@ -184,16 +188,31 @@ impl HostServices {
             stats: HostStats::default(),
             durable: DurableStore::in_memory(),
             replaying: false,
+            event_scratch: Vec::new(),
         }
     }
 
     /// Appends one record to the write-ahead journal — unless a crash
     /// recovery is currently replaying that very journal.
-    pub(crate) fn journal(&mut self, record: JournalRecord) {
+    pub(crate) fn journal(&mut self, record: RecordRef<'_>) {
         if self.replaying {
             return;
         }
         self.durable.append(&record);
+    }
+
+    /// Journals the publication of `event` into the local `component` — the
+    /// per-event record, so the event is encoded into a reused buffer.
+    pub(crate) fn journal_delivery(&mut self, component: &str, event: &Event) {
+        if self.replaying {
+            return;
+        }
+        self.event_scratch.clear();
+        crate::codec::encode_event_into(event, &mut self.event_scratch);
+        self.durable.append(&JournalRecord::Delivery {
+            component,
+            event: &self.event_scratch[..],
+        });
     }
 
     /// The durable store (journal + checkpoints) backing this host.
@@ -253,7 +272,7 @@ impl HostServices {
         self.journal(JournalRecord::DirectoryReplaced {
             directory: directory
                 .iter()
-                .map(|(c, h)| (c.clone(), h.raw()))
+                .map(|(c, h)| (c.as_str(), h.raw()))
                 .collect(),
         });
         self.directory = directory;
@@ -263,7 +282,7 @@ impl HostServices {
     pub fn directory_set(&mut self, component: impl Into<String>, host: HostId) {
         let component = component.into();
         self.journal(JournalRecord::DirectorySet {
-            component: component.clone(),
+            component: &component,
             host: host.raw(),
         });
         self.dir_index.insert(component.clone(), host);
@@ -356,8 +375,8 @@ impl HostServices {
         }
         self.stats.events_buffered += 1;
         self.journal(JournalRecord::EventBuffered {
-            component: component.to_owned(),
-            event: event.encode().expect("events serialize"),
+            component,
+            event: &event.encode().expect("events serialize"),
         });
         self.buffered
             .entry(component.to_owned())
@@ -369,9 +388,7 @@ impl HostServices {
     pub fn take_buffered(&mut self, component: &str) -> Vec<Event> {
         let events = self.buffered.remove(component).unwrap_or_default();
         if !events.is_empty() {
-            self.journal(JournalRecord::BufferDrained {
-                component: component.to_owned(),
-            });
+            self.journal(JournalRecord::BufferDrained { component });
         }
         self.stats.events_replayed += events.len() as u64;
         events
@@ -549,13 +566,7 @@ impl PrismHost {
             .histogram("prism.routing.latency_us", ROUTING_LATENCY_BOUNDS_US);
         self.events_routed = telemetry.metrics().counter("pipeline.events.routed");
         self.codec_bytes = telemetry.metrics().counter("pipeline.codec.bytes");
-        self.services.durable.set_counters(
-            telemetry.metrics().counter("prism.durable.journal.records"),
-            telemetry.metrics().counter("prism.durable.journal.bytes"),
-            telemetry
-                .metrics()
-                .counter("prism.durable.checkpoint.count"),
-        );
+        self.services.durable.set_counters(telemetry.metrics());
         if let Some(deployer) = self.deployer.as_mut() {
             deployer.set_telemetry(telemetry.clone());
         }
@@ -586,6 +597,17 @@ impl PrismHost {
             metrics
                 .gauge(&format!("prism.{host}.{name}"))
                 .set(value as f64);
+        }
+        // The per-kind journal table of this host's store: which record
+        // kinds its journal bytes went to.
+        for (kind, records, bytes) in self.services.durable.stats_by_kind() {
+            for (what, value) in [("records", records), ("bytes", bytes)] {
+                if value > 0 {
+                    metrics
+                        .gauge(&format!("prism.{host}.durable.{what}.{kind}"))
+                        .set(value as f64);
+                }
+            }
         }
     }
 
@@ -696,8 +718,7 @@ impl PrismHost {
             .field("in_flight", deployer.status().in_flight.len())
             .trace_opt(parent)
             .emit();
-        let blob = deployer.durable_blob();
-        self.services.journal(JournalRecord::DeployerState { blob });
+        self.journal_deployer();
         Ok(())
     }
 
@@ -709,6 +730,20 @@ impl PrismHost {
         let now = self.services.now;
         if let Some(deployer) = self.deployer.as_mut() {
             deployer.abandon_pending(now);
+        }
+        self.journal_deployer();
+    }
+
+    /// Journals the deployer's epoch state if the activity just handled
+    /// changed it.
+    fn journal_deployer(&mut self) {
+        let changed = self
+            .deployer
+            .as_mut()
+            .and_then(DeployerComponent::take_changed_state);
+        if let Some(blob) = changed {
+            self.services
+                .journal(JournalRecord::DeployerState { blob: &blob });
         }
     }
 
@@ -832,7 +867,7 @@ impl PrismHost {
                 .collect(),
             next_timer: self.next_timer,
             admin: self.admin.durable_blob(),
-            deployer: self.deployer.as_ref().map(|d| d.durable_blob()),
+            deployer: self.deployer.as_ref().map(|d| d.checkpoint_blob()),
         };
         self.services.durable.checkpoint(&checkpoint);
         self.windows_since_checkpoint = 0;
@@ -904,19 +939,13 @@ impl PrismHost {
                         builder.emit();
                     }
                 }
-                if let Some(deployer) = self.deployer.as_ref() {
-                    let blob = deployer.durable_blob();
-                    self.services.journal(JournalRecord::DeployerState { blob });
-                }
+                self.journal_deployer();
             }
             name => {
                 let _ = reliable_origin;
                 if self.arch.contains_component(name) {
                     self.services.stats.app_events_received += 1;
-                    self.services.journal(JournalRecord::Delivery {
-                        component: name.to_owned(),
-                        event: event.encode().expect("events serialize"),
-                    });
+                    self.services.journal_delivery(name, &event);
                     self.arch
                         .publish(name, event)
                         .expect("component exists; publish cannot fail");
@@ -1002,7 +1031,7 @@ impl PrismHost {
                         self.timers.insert(id, (component, token));
                         self.services.journal(JournalRecord::TimerArmed {
                             id,
-                            component: component.as_str().to_owned(),
+                            component: component.as_str(),
                             token,
                         });
                         ctx.set_timer(delay, id);
@@ -1137,6 +1166,12 @@ impl Node for PrismHost {
         let mut live_components = self.arch.component_snapshots();
         live_components.sort();
         let live_directory = self.services.directory.clone();
+        // The control plane's durable state in its canonical encoding:
+        // byte-equal blobs mean equal reliabilities, report count and last
+        // snapshot (admin), and equal epoch, counters, move sources, pending
+        // and failed moves and snapshots (deployer).
+        let live_admin = self.admin.durable_blob();
+        let live_deployer = self.deployer.as_ref().map(|d| d.checkpoint_blob());
 
         // -- wipe: the crash loses every volatile structure ----------------
         self.arch = Architecture::new(format!("arch-{host}"), host);
@@ -1204,9 +1239,11 @@ impl Node for PrismHost {
                 self.timers.insert(id, (Symbol::intern(&component), token));
             }
             self.next_timer = ckpt.next_timer;
-            self.admin.restore_durable(&ckpt.admin);
+            // A malformed blob restores nothing; the self-check below then
+            // reports the divergence.
+            let _ = self.admin.restore_durable(&ckpt.admin);
             if let (Some(deployer), Some(blob)) = (self.deployer.as_mut(), ckpt.deployer.as_ref()) {
-                deployer.restore_durable(blob);
+                let _ = deployer.restore_durable(blob, true);
             }
         }
 
@@ -1290,11 +1327,16 @@ impl Node for PrismHost {
                     let _ = self.arch.detach_component(&name);
                 }
                 JournalRecord::MonitorWindow { admin } => {
-                    self.admin.restore_durable(&admin);
+                    let _ = self.admin.restore_durable(&admin);
                 }
                 JournalRecord::DeployerState { blob } => {
                     if let Some(deployer) = self.deployer.as_mut() {
-                        deployer.restore_durable(&blob);
+                        let _ = deployer.restore_durable(&blob, false);
+                    }
+                }
+                JournalRecord::ReportReceived { payload } => {
+                    if let Some(deployer) = self.deployer.as_mut() {
+                        deployer.accept_report(&mut self.services, &payload);
                     }
                 }
             }
@@ -1303,8 +1345,19 @@ impl Node for PrismHost {
         // -- self-check + per-operation verdicts ---------------------------
         let mut recovered_components = self.arch.component_snapshots();
         recovered_components.sort();
-        let state_equiv =
-            recovered_components == live_components && self.services.directory == live_directory;
+        let diverged: Vec<&'static str> = [
+            ("components", recovered_components != live_components),
+            ("directory", self.services.directory != live_directory),
+            ("admin", self.admin.durable_blob() != live_admin),
+            (
+                "deployer",
+                self.deployer.as_ref().map(|d| d.checkpoint_blob()) != live_deployer,
+            ),
+        ]
+        .into_iter()
+        .filter_map(|(part, differs)| differs.then_some(part))
+        .collect();
+        let state_equiv = diverged.is_empty();
 
         let mut verdicts = Vec::new();
         // A migrant whose attach record reached the journal verifiably
@@ -1356,6 +1409,7 @@ impl Node for PrismHost {
             .field("replayed", replayed)
             .field("torn_bytes", torn_bytes)
             .field("state_equiv", state_equiv)
+            .field("diverged", diverged.join(","))
             .field("verdicts", verdicts.len())
             .emit();
         for verdict in &verdicts {
@@ -1379,6 +1433,7 @@ impl Node for PrismHost {
             replayed,
             torn_bytes,
             state_equiv,
+            diverged,
             verdicts,
         });
         self.services.replaying = false;
@@ -1446,10 +1501,9 @@ impl Node for PrismHost {
                             .trace_opt(move_ctx)
                             .emit();
                     }
-                    let blob = deployer.durable_blob();
-                    self.services.journal(JournalRecord::DeployerState { blob });
                     ctx.set_timer(self.config.deploy_tick, TOKEN_DEPLOY);
                 }
+                self.journal_deployer();
             }
             TOKEN_MONITOR => {
                 let reports_before = self.admin.reports_sent();
@@ -1473,9 +1527,9 @@ impl Node for PrismHost {
                 // A closed window commits the admin's durable state; the
                 // window cut short by a crash has no such record, which is
                 // what its not-completed recovery verdict reports.
-                let admin_blob = self.admin.durable_blob();
+                let admin = self.admin.durable_blob();
                 self.services
-                    .journal(JournalRecord::MonitorWindow { admin: admin_blob });
+                    .journal(JournalRecord::MonitorWindow { admin: &admin });
                 self.windows_since_checkpoint += 1;
                 if self.windows_since_checkpoint >= self.config.checkpoint_interval_windows {
                     self.checkpoint_now(ctx.now());

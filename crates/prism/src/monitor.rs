@@ -130,7 +130,6 @@ pub struct EventFrequencyMonitor {
     /// `src → dst → index into slots`; lookups borrow `&str`, no allocation.
     index: HashMap<String, HashMap<String, usize>>,
     last_hit: usize,
-    completed: Vec<FrequencyWindow>,
 }
 
 impl EventFrequencyMonitor {
@@ -147,7 +146,6 @@ impl EventFrequencyMonitor {
             slots: Vec::new(),
             index: HashMap::new(),
             last_hit: 0,
-            completed: Vec::new(),
         }
     }
 
@@ -172,18 +170,7 @@ impl EventFrequencyMonitor {
         self.index.clear();
         self.last_hit = 0;
         self.window_started = now;
-        self.completed.push(closed.clone());
         closed
-    }
-
-    /// All completed windows, oldest first.
-    pub fn completed(&self) -> &[FrequencyWindow] {
-        &self.completed
-    }
-
-    /// The most recently completed window, if any.
-    pub fn latest(&self) -> Option<&FrequencyWindow> {
-        self.completed.last()
     }
 }
 
@@ -347,7 +334,8 @@ mod tests {
         m.roll_window(t(1.0));
         let w2 = m.roll_window(t(2.0));
         assert_eq!(w2.frequency("a", "b"), 0.0);
-        assert_eq!(m.completed().len(), 2);
+        assert_eq!(w2.window_secs, 1.0);
+        assert!(w2.counts.is_empty(), "a closed window leaked into the next");
     }
 
     #[test]

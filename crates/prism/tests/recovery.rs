@@ -9,7 +9,8 @@ use redep_netsim::{Duration, LinkSpec, SimTime, Simulator};
 use redep_prism::codec::encode_raw_frame;
 use redep_prism::workload::{InteractionSpec, EV_APP, WORKLOAD_TYPE};
 use redep_prism::{
-    host::HostConfig, ComponentFactory, Event, OpKind, PrismHost, WorkloadComponent,
+    host::HostConfig, ComponentFactory, Event, JournalRecord, MonitoringSnapshot, OpKind,
+    PrismHost, WorkloadComponent,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -281,4 +282,267 @@ fn journals_are_byte_identical_across_identical_runs() {
     let first = run(());
     let second = run(());
     assert_eq!(first, second, "durable stores diverged between runs");
+}
+
+// ---- control-plane deltas ----------------------------------------------------
+
+/// `n` fully meshed hosts. The master `h0` runs the deployer and holds no
+/// application component (so its journal carries control-plane records
+/// only); component `c<i>` on host `i` sends to the next one at 5 events/s.
+fn mesh_system(n: u32, seed: u64, checkpoint_interval: u32) -> Simulator {
+    let hosts: Vec<HostId> = (0..n).map(h).collect();
+    let name = |i: u32| format!("c{i}");
+    let directory: BTreeMap<String, HostId> = (1..n).map(|i| (name(i), h(i))).collect();
+    let mut sim = Simulator::new(seed);
+    for &me in &hosts {
+        let neighbors: Vec<HostId> = hosts.iter().copied().filter(|x| *x != me).collect();
+        let mut host = PrismHost::new(me, factory(), config(h(0), &neighbors, checkpoint_interval));
+        if me == h(0) {
+            host.enable_deployer();
+        } else {
+            let next = me.raw() % (n - 1) + 1;
+            host.add_app_component(
+                name(me.raw()),
+                WorkloadComponent::new(vec![InteractionSpec {
+                    peer: name(next),
+                    frequency: 5.0,
+                    event_size: 100,
+                }]),
+            )
+            .unwrap();
+        }
+        host.set_initial_directory(directory.clone());
+        sim.add_host(me, host);
+    }
+    for (i, &a) in hosts.iter().enumerate() {
+        for &b in &hosts[i + 1..] {
+            sim.set_link(a, b, LinkSpec::default());
+        }
+    }
+    sim
+}
+
+fn master(sim: &Simulator) -> &PrismHost {
+    sim.node_ref::<PrismHost>(h(0)).unwrap()
+}
+
+/// Crashes and restarts `host` at the current instant: the restart hook
+/// replays the store before anything else happens.
+fn bounce(sim: &mut Simulator, host: HostId) {
+    sim.set_host_up(host, false);
+    sim.set_host_up(host, true);
+}
+
+/// `(records, framed bytes)` the host's store appended of `kind`.
+fn kind_stats(host: &PrismHost, kind: &str) -> (u64, u64) {
+    let mut table = host.services().durable().stats_by_kind();
+    let (_, records, bytes) = table.find(|k| k.0 == kind).unwrap();
+    (records, bytes)
+}
+
+fn assert_recovered_exactly(host: &PrismHost, nth: usize) {
+    let report = &host.recovery_reports()[nth];
+    assert!(
+        report.state_equiv && report.diverged.is_empty(),
+        "recovery {nth} diverged from the pre-crash state: {report:?}"
+    );
+}
+
+#[test]
+fn master_crash_between_checkpoints_replays_report_deltas() {
+    // Checkpoints at t = 8 s and 16 s (every 4 windows of 2 s); the reports
+    // of the windows closing at 10 s and 12 s exist only as `ReportReceived`
+    // records in the journal tail when the master crashes at 13.3 s.
+    let crash_at = SimTime::from_secs_f64(13.3);
+    let mut never = mesh_system(4, 23, 4);
+    never.run_until(crash_at);
+    let tail = master(&never).services().durable().recover().tail;
+    let reported: BTreeSet<HostId> = tail
+        .iter()
+        .filter_map(|r| match r {
+            JournalRecord::ReportReceived { payload } => {
+                Some(MonitoringSnapshot::decode(payload).unwrap().host)
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(
+        reported.len() >= 2,
+        "want reports of >= 2 hosts in the tail, got {reported:?}"
+    );
+
+    let mut crashed = mesh_system(4, 23, 4);
+    crashed.run_until(crash_at);
+    bounce(&mut crashed, h(0));
+    let report = &master(&crashed).recovery_reports()[0];
+    assert_recovered_exactly(master(&crashed), 0);
+    assert!(report.checkpoint_seq >= 1, "{report:?}");
+    assert!(report.replayed >= reported.len() as u64, "{report:?}");
+    // The recovered deployer is the never-crashed run's deployer.
+    let (a, b) = (
+        master(&never).deployer().unwrap(),
+        master(&crashed).deployer().unwrap(),
+    );
+    assert_eq!(a.snapshots(), b.snapshots());
+    assert_eq!(a.status(), b.status());
+    assert!(b.snapshots().len() >= 2);
+
+    // …and it keeps collecting: later windows land in the recovered map.
+    crashed.run_until(SimTime::from_secs_f64(30.0));
+    let snapshots = master(&crashed).deployer().unwrap().snapshots();
+    for host in (1..4).map(h) {
+        assert!(
+            snapshots[&host].taken_at_secs >= 24.0,
+            "{host} stopped reporting after the master's recovery"
+        );
+    }
+}
+
+#[test]
+fn master_crash_mid_redeployment_keeps_the_epoch_and_finishes_it() {
+    let run = |crash: bool| {
+        let mut sim = mesh_system(4, 29, 4);
+        sim.run_until(SimTime::from_secs_f64(13.3));
+        sim.node_mut::<PrismHost>(h(0))
+            .unwrap()
+            .effect_redeployment([("c1".to_owned(), h(3))].into())
+            .unwrap();
+        // The configure is on the wire, the ack is not back yet.
+        sim.run_until(SimTime::from_secs_f64(13.3015));
+        if crash {
+            bounce(&mut sim, h(0));
+        }
+        sim
+    };
+    let (never, mut crashed) = (run(false), run(true));
+    assert_recovered_exactly(master(&crashed), 0);
+    let status = master(&crashed).deployer().unwrap().status();
+    assert_eq!(status.in_flight, vec!["c1".to_owned()], "{status:?}");
+    assert_eq!(status, master(&never).deployer().unwrap().status());
+    assert_eq!(
+        master(&crashed).deployer().unwrap().snapshots(),
+        master(&never).deployer().unwrap().snapshots()
+    );
+    let report = &master(&crashed).recovery_reports()[0];
+    assert!(
+        report
+            .verdicts
+            .iter()
+            .any(|v| v.kind == OpKind::MigrationMove && v.subject == "c1" && !v.completed),
+        "{report:?}"
+    );
+
+    // The recovered deployer still steers the epoch to completion.
+    crashed.run_until(SimTime::from_secs_f64(40.0));
+    let status = master(&crashed).deployer().unwrap().status();
+    assert!(status.is_complete() && status.confirmed == 1, "{status:?}");
+    assert!(crashed
+        .node_ref::<PrismHost>(h(3))
+        .unwrap()
+        .architecture()
+        .contains_component("c1"));
+}
+
+#[test]
+fn retried_and_abandoned_moves_survive_a_master_crash() {
+    // The holder is down, so the move stalls, its deadline (8 s) expires and
+    // a deploy tick re-issues it: a deployer transition with no message in.
+    let mut sim = mesh_system(4, 31, 4);
+    sim.run_until(SimTime::from_secs_f64(13.3));
+    sim.set_host_up(h(1), false);
+    sim.node_mut::<PrismHost>(h(0))
+        .unwrap()
+        .effect_redeployment([("c1".to_owned(), h(2))].into())
+        .unwrap();
+    sim.run_until(SimTime::from_secs_f64(23.5));
+    assert!(
+        kind_stats(master(&sim), "deployer_state").0 >= 2,
+        "the retry was not journaled"
+    );
+    bounce(&mut sim, h(0));
+    assert_recovered_exactly(master(&sim), 0);
+
+    // A framework giving the epoch up settles the move spans; that flag is
+    // durable state too.
+    sim.node_mut::<PrismHost>(h(0))
+        .unwrap()
+        .abandon_pending_moves();
+    bounce(&mut sim, h(0));
+    assert_recovered_exactly(master(&sim), 1);
+    let status = master(&sim).deployer().unwrap().status();
+    assert_eq!(status.in_flight, vec!["c1".to_owned()], "{status:?}");
+}
+
+#[test]
+fn master_crashes_leave_byte_identical_stores_across_runs() {
+    let run = |()| {
+        let mut sim = mesh_system(4, 37, 4);
+        sim.run_until(SimTime::from_secs_f64(13.3));
+        bounce(&mut sim, h(0));
+        sim.node_mut::<PrismHost>(h(0))
+            .unwrap()
+            .effect_redeployment([("c2".to_owned(), h(1))].into())
+            .unwrap();
+        sim.run_until(SimTime::from_secs_f64(13.3015));
+        bounce(&mut sim, h(0));
+        sim.run_until(SimTime::from_secs_f64(30.0));
+        assert_recovered_exactly(master(&sim), 0);
+        assert_recovered_exactly(master(&sim), 1);
+        (0..4)
+            .map(|x| sim.node_ref::<PrismHost>(h(x)).unwrap().durable_digest())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(run(()), run(()), "durable stores diverged between runs");
+}
+
+/// Journal bytes the master appended per received report, beyond the
+/// report's own payload, on an `n`-host mesh in steady state.
+fn report_overhead_bytes(n: u32) -> f64 {
+    // No periodic checkpoint: the journal tail holds every report.
+    let mut sim = mesh_system(n, 41, u32::MAX);
+    sim.run_until(SimTime::from_secs_f64(20.5));
+    // Between two window closes only pings and deploy ticks happen; with no
+    // move overdue, a deploy tick (at 21 s) must append nothing at all.
+    let quiet = master(&sim).services().durable().bytes_appended();
+    sim.run_until(SimTime::from_secs_f64(21.5));
+    assert_eq!(
+        master(&sim).services().durable().bytes_appended(),
+        quiet,
+        "an idle deploy tick appended journal bytes ({n} hosts)"
+    );
+
+    let payloads: Vec<usize> = master(&sim)
+        .services()
+        .durable()
+        .recover()
+        .tail
+        .iter()
+        .filter_map(|r| match r {
+            JournalRecord::ReportReceived { payload } => Some(payload.len()),
+            _ => None,
+        })
+        .collect();
+    let (reports, report_bytes) = kind_stats(master(&sim), "report_received");
+    assert_eq!(reports, payloads.len() as u64);
+    assert!(
+        payloads.len() >= 3 * (n as usize - 1),
+        "steady state not reached: {} reports from {n} hosts",
+        payloads.len()
+    );
+    // No epoch was opened, so no deployer state was ever journaled: every
+    // byte the reports caused is in their own records.
+    assert_eq!(kind_stats(master(&sim), "deployer_state").0, 0);
+    let payload_bytes: usize = payloads.iter().sum();
+    (report_bytes as f64 - payload_bytes as f64) / payloads.len() as f64
+}
+
+#[test]
+fn journal_bytes_per_report_do_not_grow_with_host_count() {
+    for n in [8, 16] {
+        let overhead = report_overhead_bytes(n);
+        assert!(
+            (0.0..=16.0).contains(&overhead),
+            "{overhead} journal bytes per report beyond its payload at {n} hosts"
+        );
+    }
 }
