@@ -257,6 +257,17 @@ impl Score<'_> {
         }
     }
 
+    /// [`peek`](Self::peek) for every entry of `hosts`, in order, into `out`.
+    pub fn peek_many(&mut self, comp: u32, hosts: &[u32], out: &mut Vec<f64>) {
+        match self {
+            Score::Dense(s) => s.peek_many(comp, hosts, out),
+            Score::Opaque(o) => {
+                out.clear();
+                out.extend(hosts.iter().map(|&h| o.peek(comp, h)));
+            }
+        }
+    }
+
     /// How many from-scratch evaluations this scorer performed.
     pub fn full_evaluations(&self) -> u64 {
         match self {

@@ -17,8 +17,8 @@
 //! gracefully with lower awareness (experiment E9 sweeps this).
 //!
 //! The partial views are never materialized: a bid is an incident-link sum
-//! over the [`redep_model::CompiledModel`] CSR index, masked by a
-//! precomputed host-visibility matrix — the submodel
+//! over the [`redep_model::CompiledModel`] CSR index, masked by a host
+//! visibility bitset — the submodel
 //! [`AwarenessGraph::partial_view`] would build, without the per-bid clone.
 
 use crate::compiled::{compile, Compiled};
@@ -26,8 +26,8 @@ use crate::hierarchy::HierarchicalConfig;
 use crate::parallel::run_shards;
 use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
 use redep_model::{
-    AwarenessGraph, ConstraintChecker, Deployment, DeploymentModel, Hierarchy, Objective,
-    UNASSIGNED,
+    AwarenessGraph, CompiledModel, ConstraintChecker, Deployment, DeploymentModel, Hierarchy,
+    Objective, UNASSIGNED,
 };
 use std::time::Instant;
 
@@ -53,6 +53,125 @@ pub enum MonitoringExchange {
         /// Merge steps per round (1 doubles the view radius each round).
         hops: usize,
     },
+}
+
+/// What every host can see during one run: bit `b` of row `a` is set iff
+/// host `a` is aware of host `b` (dense indices; hosts outside the model
+/// cannot bid or conduct, so they drop out).
+struct Views {
+    /// `u64` words per row.
+    width: usize,
+    /// Row-major visibility bitset, `n_hosts` rows.
+    bits: Vec<u64>,
+    /// Row `a` as an ascending host list: the peers an auctioneer invites.
+    aware: Vec<Vec<u32>>,
+    /// Set once a gossip exchange finds nothing to add. The views are then
+    /// closed under "what my peers see", which no later exchange can undo,
+    /// so later exchanges are skipped.
+    saturated: bool,
+}
+
+impl Views {
+    fn new(cm: &CompiledModel, awareness: &AwarenessGraph) -> Views {
+        let aware = cm.host_ids().iter().map(|&a| {
+            let peers = awareness.aware_of(a);
+            peers.iter().filter_map(|&h| cm.host_index(h)).collect()
+        });
+        Views::from_lists(aware.collect())
+    }
+
+    /// Views from each host's ascending list of the hosts it is aware of.
+    fn from_lists(aware: Vec<Vec<u32>>) -> Views {
+        let width = aware.len().div_ceil(64);
+        let mut bits = vec![0u64; aware.len() * width];
+        for (a, peers) in aware.iter().enumerate() {
+            for &b in peers {
+                bits[a * width + b as usize / 64] |= 1 << (b % 64);
+            }
+        }
+        Views {
+            width,
+            bits,
+            // No hosts, no rows to exchange: closed from the start.
+            saturated: aware.is_empty(),
+            aware,
+        }
+    }
+
+    /// Whether host `a` is aware of host `b`.
+    #[inline]
+    fn sees(&self, a: u32, b: u32) -> bool {
+        self.bits[a as usize * self.width + b as usize / 64] >> (b % 64) & 1 == 1
+    }
+
+    /// One monitoring exchange of `hops` merge steps; returns whether any
+    /// view widened. A step is `new(a) = row(a) ∪ ⋃_{p ∈ aware(a)} row(p)`
+    /// over the rows the previous step left, with `aware(a)` the peer list
+    /// `a` entered the exchange with — symmetric whenever the input
+    /// relation is, and a fixed point for isolated hosts.
+    fn gossip(&mut self, hops: usize) -> bool {
+        if self.saturated {
+            return false;
+        }
+        let w = self.width;
+        let mut widened = false;
+        for _ in 0..hops {
+            let mut next = self.bits.clone();
+            for (row, peers) in next.chunks_exact_mut(w).zip(&self.aware) {
+                for &p in peers {
+                    let seen = &self.bits[p as usize * w..][..w];
+                    row.iter_mut().zip(seen).for_each(|(r, s)| *r |= s);
+                }
+            }
+            if next == self.bits {
+                break;
+            }
+            widened = true;
+            self.bits = next;
+        }
+        if widened {
+            for (list, row) in self.aware.iter_mut().zip(self.bits.chunks_exact(w)) {
+                list.clear();
+                for (i, &word) in row.iter().enumerate() {
+                    let mut rest = word;
+                    while rest != 0 {
+                        list.push(i as u32 * 64 + rest.trailing_zeros());
+                        rest &= rest - 1;
+                    }
+                }
+            }
+        } else {
+            // Nothing changed on the first step, where `aware` still equals
+            // the rows: the views are closed.
+            self.saturated = true;
+        }
+        widened
+    }
+}
+
+/// The components on each host under `assign`, ascending per host.
+fn comps_by_host(assign: &[u32], n_hosts: usize) -> Vec<Vec<u32>> {
+    let mut by_host = vec![Vec::new(); n_hosts];
+    for (ci, &h) in assign.iter().enumerate() {
+        if h != UNASSIGNED {
+            by_host[h as usize].push(ci as u32);
+        }
+    }
+    by_host
+}
+
+/// What `host` puts up for auction: the components it held when the round
+/// began plus those this round's `moves` — `(component, from, to)` — have
+/// brought it since, ascending. Nothing has left yet: a host's components
+/// only leave through its own auction, and it conducts one per round.
+fn comps_on(by_host: &[Vec<u32>], moves: &[(u32, u32, u32)], host: u32) -> Vec<u32> {
+    let mut on = by_host[host as usize].clone();
+    let held = on.len();
+    on.extend(moves.iter().filter(|m| m.2 == host).map(|m| m.0));
+    if on.len() > held {
+        on.sort_unstable();
+    }
+    on
 }
 
 /// The decentralized auction algorithm.
@@ -125,15 +244,9 @@ impl DecApAlgorithm {
     /// count at the connecting link's reliability. The submodel a bidder
     /// sees is implied by the visibility mask, so the bid reduces to a
     /// masked incident-link sum.
-    fn bid(
-        c: &Compiled<'_>,
-        visible: &[Vec<bool>],
-        assign: &[u32],
-        bidder: u32,
-        comp: u32,
-    ) -> Option<f64> {
+    fn bid(c: &Compiled<'_>, views: &Views, assign: &[u32], bidder: u32, comp: u32) -> Option<f64> {
         let hc = assign[comp as usize];
-        if hc == UNASSIGNED || !visible[bidder as usize][hc as usize] {
+        if hc == UNASSIGNED || !views.sees(bidder, hc) {
             return None; // cannot even see the auctioned component
         }
         let cm = &c.model;
@@ -142,7 +255,7 @@ impl DecApAlgorithm {
             let l = &cm.links()[li as usize];
             let d = l.other(comp);
             let hd = assign[d as usize];
-            if hd == UNASSIGNED || !visible[bidder as usize][hd as usize] {
+            if hd == UNASSIGNED || !views.sees(bidder, hd) {
                 continue; // neighbor outside the bidder's view
             }
             if hd == bidder {
@@ -154,36 +267,32 @@ impl DecApAlgorithm {
         Some(value)
     }
 
-    /// One or more gossip widening passes on the dense visibility matrix;
-    /// returns whether anything changed. `new_aware(a) = ∪_{p ∈ aware(a)}
-    /// aware(p)` — symmetric whenever the input relation is, and a fixed
-    /// point for isolated hosts.
-    fn gossip(visible: &mut Vec<Vec<bool>>, aware_dense: &mut [Vec<u32>], hops: usize) -> bool {
-        let n = visible.len();
-        let mut widened = false;
-        for _ in 0..hops {
-            let mut next = visible.clone();
-            for (a, row) in next.iter_mut().enumerate() {
-                for &p in &aware_dense[a] {
-                    for (b, cell) in row.iter_mut().enumerate() {
-                        if visible[p as usize][b] {
-                            *cell = true;
-                        }
-                    }
-                }
-            }
-            if next == *visible {
-                break;
-            }
-            widened = true;
-            *visible = next;
+    /// Runs the configured monitoring exchange between two rounds; returns
+    /// whether any view widened.
+    fn exchange_views(&self, views: &mut Views) -> bool {
+        match self.exchange {
+            MonitoringExchange::None => false,
+            MonitoringExchange::Gossip { hops } => views.gossip(hops),
         }
-        if widened {
-            for (a, list) in aware_dense.iter_mut().enumerate() {
-                *list = (0..n as u32).filter(|&b| visible[a][b as usize]).collect();
-            }
+    }
+
+    /// DecAp improves a *running* deployment; without a valid one, start
+    /// from a deterministic first-fit.
+    fn starting_assignment(
+        c: &Compiled<'_>,
+        model: &DeploymentModel,
+        constraints: &dyn ConstraintChecker,
+        initial: Option<&Deployment>,
+    ) -> Result<Vec<u32>, AlgoError> {
+        if let Some(d) = initial.filter(|d| constraints.check(model, d).is_ok()) {
+            return Ok(c.model.compile_assignment(d));
         }
-        widened
+        let mut a = vec![UNASSIGNED; c.model.n_comps()];
+        for ci in 0..a.len() as u32 {
+            let host = (0..c.model.n_hosts() as u32).find(|&h| c.constraints.admits(&a, ci, h));
+            a[ci as usize] = host.ok_or(AlgoError::NoFeasibleDeployment)?;
+        }
+        Ok(a)
     }
 
     fn search(
@@ -197,46 +306,8 @@ impl DecApAlgorithm {
     ) -> Result<AlgoResult, AlgoError> {
         let cm = &c.model;
         let n_hosts = cm.n_hosts();
-        let n_comps = cm.n_comps();
-        let host_ids = cm.host_ids();
-
-        // Precompute the visibility mask and per-host awareness lists once
-        // (hosts outside the model cannot bid or conduct, so they drop out).
-        let mut visible: Vec<Vec<bool>> = (0..n_hosts)
-            .map(|a| {
-                (0..n_hosts)
-                    .map(|b| awareness.is_aware(host_ids[a], host_ids[b]))
-                    .collect()
-            })
-            .collect();
-        let mut aware_dense: Vec<Vec<u32>> = (0..n_hosts)
-            .map(|a| {
-                awareness
-                    .aware_of(host_ids[a])
-                    .iter()
-                    .filter_map(|&h| cm.host_index(h))
-                    .collect()
-            })
-            .collect();
-
-        // DecAp improves a *running* deployment; without one, start from a
-        // deterministic first-fit.
-        let mut assign: Vec<u32> = match initial {
-            Some(d) if constraints.check(model, d).is_ok() => cm.compile_assignment(d),
-            _ => {
-                let mut a = vec![UNASSIGNED; n_comps];
-                'comp: for ci in 0..n_comps as u32 {
-                    for h in 0..n_hosts as u32 {
-                        if c.constraints.admits(&a, ci, h) {
-                            a[ci as usize] = h;
-                            continue 'comp;
-                        }
-                    }
-                    return Err(AlgoError::NoFeasibleDeployment);
-                }
-                a
-            }
-        };
+        let mut views = Views::new(cm, awareness);
+        let mut assign = Self::starting_assignment(c, model, constraints, initial)?;
 
         let mut inc = c.scorer();
         let mut evaluations = 0u64;
@@ -247,20 +318,18 @@ impl DecApAlgorithm {
             // Auction scheduling: a host may conduct an auction only if no
             // host it is aware of already conducted one this round.
             let mut conducted = vec![false; n_hosts];
+            let by_host = comps_by_host(&assign, n_hosts);
+            let mut moves = Vec::new();
             for auctioneer in 0..n_hosts as u32 {
-                let aware = &aware_dense[auctioneer as usize];
+                let aware = &views.aware[auctioneer as usize];
                 if aware.iter().any(|&a| conducted[a as usize]) {
                     continue;
                 }
                 conducted[auctioneer as usize] = true;
 
-                let on_auctioneer: Vec<u32> = (0..n_comps as u32)
-                    .filter(|&ci| assign[ci as usize] == auctioneer)
-                    .collect();
-                for comp in on_auctioneer {
+                for comp in comps_on(&by_host, &moves, auctioneer) {
                     // Retention value: the auctioneer's own bid.
-                    let retention =
-                        Self::bid(c, &visible, &assign, auctioneer, comp).unwrap_or(0.0);
+                    let retention = Self::bid(c, &views, &assign, auctioneer, comp).unwrap_or(0.0);
                     // Collect bids from aware peers that could legally host
                     // the component (admissibility judged with it lifted out).
                     let mut bids: Vec<(u32, f64)> = Vec::new();
@@ -271,7 +340,7 @@ impl DecApAlgorithm {
                         if !admissible {
                             continue;
                         }
-                        if let Some(b) = Self::bid(c, &visible, &assign, bidder, comp) {
+                        if let Some(b) = Self::bid(c, &views, &assign, bidder, comp) {
                             bids.push((bidder, b));
                         }
                     }
@@ -288,6 +357,7 @@ impl DecApAlgorithm {
                         if bid > retention {
                             assign[comp as usize] = winner;
                             if c.constraints.check(&assign) {
+                                moves.push((comp, auctioneer, winner));
                                 moved = true;
                             } else {
                                 assign[comp as usize] = auctioneer;
@@ -299,12 +369,7 @@ impl DecApAlgorithm {
             evaluations += 1;
             last_value = inc.assign_from(&assign);
             convergence.push((round as u64 + 1, last_value));
-            let widened = match self.exchange {
-                MonitoringExchange::None => false,
-                MonitoringExchange::Gossip { hops } => {
-                    Self::gossip(&mut visible, &mut aware_dense, hops)
-                }
-            };
+            let widened = self.exchange_views(&mut views);
             // A widened view can unlock auctions that had no visible bidder,
             // so only stop once both the deployment and the views are stable.
             if !moved && !widened {
@@ -354,44 +419,10 @@ impl DecApAlgorithm {
     ) -> Result<AlgoResult, AlgoError> {
         let cm = &c.model;
         let n_hosts = cm.n_hosts();
-        let n_comps = cm.n_comps();
-        let host_ids = cm.host_ids();
         let hier = Hierarchy::build(cm, &hcfg.clustering());
         let k = hier.n_clusters();
-
-        let mut visible: Vec<Vec<bool>> = (0..n_hosts)
-            .map(|a| {
-                (0..n_hosts)
-                    .map(|b| awareness.is_aware(host_ids[a], host_ids[b]))
-                    .collect()
-            })
-            .collect();
-        let mut aware_dense: Vec<Vec<u32>> = (0..n_hosts)
-            .map(|a| {
-                awareness
-                    .aware_of(host_ids[a])
-                    .iter()
-                    .filter_map(|&h| cm.host_index(h))
-                    .collect()
-            })
-            .collect();
-
-        let mut assign: Vec<u32> = match initial {
-            Some(d) if constraints.check(model, d).is_ok() => cm.compile_assignment(d),
-            _ => {
-                let mut a = vec![UNASSIGNED; n_comps];
-                'comp: for ci in 0..n_comps as u32 {
-                    for h in 0..n_hosts as u32 {
-                        if c.constraints.admits(&a, ci, h) {
-                            a[ci as usize] = h;
-                            continue 'comp;
-                        }
-                    }
-                    return Err(AlgoError::NoFeasibleDeployment);
-                }
-                a
-            }
-        };
+        let mut views = Views::new(cm, awareness);
+        let mut assign = Self::starting_assignment(c, model, constraints, initial)?;
 
         struct AuctionOut {
             /// `(component, from-host, to-host)` winning moves, in the order
@@ -418,9 +449,9 @@ impl DecApAlgorithm {
         for round in 0..self.max_rounds {
             rounds_done = round as u64 + 1;
             let round_load = c.constraints.load_of(&assign);
+            let by_host = comps_by_host(&assign, n_hosts);
             let inc_ref = &inc;
-            let visible_ref = &visible;
-            let aware_ref = &aware_dense;
+            let views_ref = &views;
             let load_ref = &round_load;
             let base_delta = inc.delta_evaluations();
             let outs: Vec<AuctionOut> = run_shards(k as u32, hcfg.threads.max(1) as u32, |shard| {
@@ -431,7 +462,7 @@ impl DecApAlgorithm {
                 let mut scratch: Vec<u32> = local.assignment().to_vec();
                 let mut load = load_ref.clone();
                 let mut conducted = vec![false; n_hosts];
-                let mut proposals = Vec::new();
+                let mut proposals: Vec<(u32, u32, u32)> = Vec::new();
                 let mut local_pruned = 0u64;
                 // Rotate the conduction order by round: under wide
                 // awareness the "no aware host already conducting" rule
@@ -440,18 +471,15 @@ impl DecApAlgorithm {
                 let cluster_hosts = hier.hosts(shard);
                 for idx in 0..cluster_hosts.len() {
                     let auctioneer = cluster_hosts[(idx + round) % cluster_hosts.len()];
-                    let aware = &aware_ref[auctioneer as usize];
+                    let aware = &views_ref.aware[auctioneer as usize];
                     if aware.iter().any(|&a| conducted[a as usize]) {
                         continue;
                     }
                     conducted[auctioneer as usize] = true;
 
-                    let on_auctioneer: Vec<u32> = (0..n_comps as u32)
-                        .filter(|&ci| scratch[ci as usize] == auctioneer)
-                        .collect();
-                    for comp in on_auctioneer {
+                    for comp in comps_on(&by_host, &proposals, auctioneer) {
                         let retention =
-                            Self::bid(c, visible_ref, &scratch, auctioneer, comp).unwrap_or(0.0);
+                            Self::bid(c, views_ref, &scratch, auctioneer, comp).unwrap_or(0.0);
                         // Everything outside the awareness view is a
                         // pruned candidate: it never gets priced.
                         local_pruned += (n_hosts as u64).saturating_sub(aware.len() as u64);
@@ -465,7 +493,7 @@ impl DecApAlgorithm {
                             if !admissible {
                                 continue;
                             }
-                            if let Some(b) = Self::bid(c, visible_ref, &scratch, bidder, comp) {
+                            if let Some(b) = Self::bid(c, views_ref, &scratch, bidder, comp) {
                                 bids.push((bidder, b));
                             }
                         }
@@ -529,12 +557,7 @@ impl DecApAlgorithm {
             debug_assert!(c.constraints.check(&assign));
             last_value = inc.assign_from(&assign);
             convergence.push((round as u64 + 1, last_value));
-            let widened = match self.exchange {
-                MonitoringExchange::None => false,
-                MonitoringExchange::Gossip { hops } => {
-                    Self::gossip(&mut visible, &mut aware_dense, hops)
-                }
-            };
+            let widened = self.exchange_views(&mut views);
             if moved || widened {
                 idle_rounds = 0;
             } else {
@@ -618,6 +641,7 @@ impl RedeploymentAlgorithm for DecApAlgorithm {
 mod tests {
     use super::*;
     use redep_model::{Availability, Generator, GeneratorConfig};
+    use std::collections::BTreeSet;
 
     fn generated(seed: u64) -> (DeploymentModel, Deployment) {
         let s = Generator::generate(&GeneratorConfig::sized(5, 15).with_seed(seed)).unwrap();
@@ -753,6 +777,85 @@ mod tests {
                 gossiped.value,
                 stat.value
             );
+        }
+    }
+
+    #[test]
+    fn gossip_on_an_empty_model_is_a_no_op() {
+        // Zero hosts means zero-width rows; the exchange must not chunk them.
+        assert!(!Views::from_lists(Vec::new()).gossip(1));
+        let m = DeploymentModel::new();
+        let r = DecApAlgorithm::new()
+            .with_exchange(MonitoringExchange::Gossip { hops: 2 })
+            .run(&m, &Availability, m.constraints(), None)
+            .unwrap();
+        assert!(r.deployment.is_empty());
+        assert_eq!(r.value, 1.0);
+    }
+
+    /// One exchange by the set definition: per step, every host adds the
+    /// rows of the peers it entered the exchange with.
+    fn naive_gossip(rows: &mut [BTreeSet<u32>], hops: usize) {
+        let entered = rows.to_vec();
+        for _ in 0..hops {
+            let before = rows.to_vec();
+            for (row, peers) in rows.iter_mut().zip(&entered) {
+                for &p in peers {
+                    row.extend(&before[p as usize]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gossip_is_the_union_of_peer_rows_across_word_boundaries() {
+        for n in [63u32, 64, 65, 130] {
+            for hops in [1usize, 2] {
+                // Asymmetric on purpose: `a` lists `b` without `b` listing
+                // `a`. Hosts divisible by 7 start isolated; the last host
+                // is isolated and listed by nobody.
+                let mut rows: Vec<BTreeSet<u32>> = (0..n)
+                    .map(|a| {
+                        let mut row = BTreeSet::from([a]);
+                        if a % 7 != 0 && a != n - 1 {
+                            row.extend([(a * 5 + 3) % (n - 1), (a + 1) % (n - 1)]);
+                        }
+                        row
+                    })
+                    .collect();
+                let lists = |rows: &[BTreeSet<u32>]| -> Vec<Vec<u32>> {
+                    rows.iter().map(|r| r.iter().copied().collect()).collect()
+                };
+                let mut views = Views::from_lists(lists(&rows));
+                for exchange in 0.. {
+                    let before = rows.clone();
+                    naive_gossip(&mut rows, hops);
+                    let widened = views.gossip(hops);
+                    assert_eq!(widened, rows != before, "n {n} hops {hops} #{exchange}");
+                    assert_eq!(views.aware, lists(&rows), "n {n} hops {hops} #{exchange}");
+                    for a in 0..n {
+                        for b in 0..n {
+                            assert_eq!(views.sees(a, b), rows[a as usize].contains(&b));
+                        }
+                    }
+                    if !widened {
+                        break;
+                    }
+                }
+                // Closed views stay closed: the skipped exchange is a no-op
+                // by the set definition too.
+                assert!(views.saturated);
+                let closed = rows.clone();
+                naive_gossip(&mut rows, hops);
+                assert_eq!(rows, closed);
+                assert!(!views.gossip(hops));
+                assert_eq!(views.aware, lists(&closed));
+                assert_eq!(views.aware[n as usize - 1], [n - 1], "isolated host");
+                assert!(rows
+                    .iter()
+                    .take(n as usize - 1)
+                    .all(|r| !r.contains(&(n - 1))));
+            }
         }
     }
 

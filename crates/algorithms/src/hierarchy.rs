@@ -272,32 +272,21 @@ pub(crate) fn coarse_descent(cc: &Compiled<'_>, passes: usize) -> CoarseOutcome 
     let mut inc = cc.scorer();
     inc.assign_from(&out.cluster_assign);
     let mut load = cc.constraints.load_of(&out.cluster_assign);
+    let (mut cand, mut priced) = (Vec::new(), Vec::new());
     for _ in 0..passes {
         let mut moved = false;
         for ci in 0..n {
             let cur = out.cluster_assign[ci as usize];
             let cur_value = inc.value();
-            let mut best: Option<(u32, f64)> = None;
-            for h in 0..k {
-                if h == cur
-                    || !cc
+            cand.clear();
+            cand.extend((0..k).filter(|&h| {
+                h != cur
+                    && cc
                         .constraints
                         .admits_with_load(&out.cluster_assign, &load, ci, h)
-                {
-                    continue;
-                }
-                let v = inc.peek(ci, h);
-                if cc.objective.is_improvement(cur_value, v) {
-                    let better = match best {
-                        Some((_, bv)) => cc.objective.is_improvement(bv, v),
-                        None => true,
-                    };
-                    if better {
-                        best = Some((h, v));
-                    }
-                }
-            }
-            if let Some((h, _)) = best {
+            }));
+            inc.peek_many(ci, &cand, &mut priced);
+            if let Some((h, _)) = best_admissible(cc, cur_value, &cand, &priced, |_| true) {
                 let mem = cm.comp_memory()[ci as usize];
                 load[cur as usize] -= mem;
                 load[h as usize] += mem;
@@ -313,6 +302,28 @@ pub(crate) fn coarse_descent(cc: &Compiled<'_>, passes: usize) -> CoarseOutcome 
     out.full += inc.full_evaluations();
     out.delta += inc.delta_evaluations();
     out
+}
+
+/// Best-improvement selection over a priced candidate list: the candidate
+/// that improves on `cur_value` the most, first one winning ties, the
+/// admissibility probe run only for candidates that would take the lead.
+fn best_admissible(
+    c: &Compiled<'_>,
+    cur_value: f64,
+    cand: &[u32],
+    priced: &[f64],
+    admits: impl Fn(u32) -> bool,
+) -> Option<(u32, f64)> {
+    let mut best: Option<(u32, f64)> = None;
+    for (&h, &v) in cand.iter().zip(priced) {
+        if c.objective.is_improvement(cur_value, v)
+            && best.is_none_or(|(_, bv)| c.objective.is_improvement(bv, v))
+            && admits(h)
+        {
+            best = Some((h, v));
+        }
+    }
+    best
 }
 
 /// One refinement shard's result.
@@ -418,7 +429,7 @@ where
         let comps = &comps_by_cluster[shard as usize];
         let mut pruned = 0u64;
         let mut rounds = 0u64;
-        let mut cand: Vec<u32> = Vec::new();
+        let (mut cand, mut priced) = (Vec::<u32>::new(), Vec::new());
         for _ in 0..cfg.refine_rounds {
             if comps.is_empty() {
                 break;
@@ -451,35 +462,18 @@ where
                 // The flat path would score a move to every host; charge
                 // the ones the frontier cut skipped.
                 pruned += (n_hosts as u64).saturating_sub(cand.len() as u64);
+                cand.retain(|&h| h != cur_host);
+                // Price first, gate on admissibility only for improving
+                // candidates: every frontier candidate gets a real delta
+                // scoring while the O(groups) constraint probe runs only
+                // for the few that could win. Selection is unchanged —
+                // an inadmissible improver was skipped before too.
                 let cur_value = local.value();
-                let mut best: Option<(u32, f64)> = None;
-                for &h in &cand {
-                    if h == cur_host {
-                        continue;
-                    }
-                    // Price first, gate on admissibility only for improving
-                    // candidates: every frontier candidate gets a real delta
-                    // scoring while the O(groups) constraint probe runs only
-                    // for the few that could win. Selection is unchanged —
-                    // an inadmissible improver was skipped before too.
-                    let v = local.peek(ci, h);
-                    if c.objective.is_improvement(cur_value, v) {
-                        let better = match best {
-                            Some((_, bv)) => c.objective.is_improvement(bv, v),
-                            None => true,
-                        };
-                        if better
-                            && c.constraints.admits_with_load(
-                                local.assignment(),
-                                &local_load,
-                                ci,
-                                h,
-                            )
-                        {
-                            best = Some((h, v));
-                        }
-                    }
-                }
+                local.peek_many(ci, &cand, &mut priced);
+                let best = best_admissible(c, cur_value, &cand, &priced, |h| {
+                    c.constraints
+                        .admits_with_load(local.assignment(), &local_load, ci, h)
+                });
                 if let Some((h, _)) = best {
                     let mem = cm.comp_memory()[ci as usize];
                     local_load[cur_host as usize] -= mem;
@@ -536,7 +530,7 @@ where
     //    deterministic pass on the master state, preserves byte-identical
     //    results at any thread count.
     let mut load = c.constraints.load_of(&assign);
-    let mut cand: Vec<u32> = Vec::new();
+    let (mut cand, mut priced) = (Vec::<u32>::new(), Vec::new());
     for ci in 0..n_comps as u32 {
         let cur_host = assign[ci as usize];
         cand.clear();
@@ -550,23 +544,12 @@ where
         cand.sort_unstable();
         cand.dedup();
         pruned += (n_hosts as u64).saturating_sub(cand.len() as u64);
+        cand.retain(|&h| h != cur_host);
         let cur_value = inc.value();
-        let mut best: Option<(u32, f64)> = None;
-        for &h in &cand {
-            if h == cur_host {
-                continue;
-            }
-            let v = inc.peek(ci, h);
-            if c.objective.is_improvement(cur_value, v) {
-                let better = match best {
-                    Some((_, bv)) => c.objective.is_improvement(bv, v),
-                    None => true,
-                };
-                if better && c.constraints.admits_with_load(&assign, &load, ci, h) {
-                    best = Some((h, v));
-                }
-            }
-        }
+        inc.peek_many(ci, &cand, &mut priced);
+        let best = best_admissible(c, cur_value, &cand, &priced, |h| {
+            c.constraints.admits_with_load(&assign, &load, ci, h)
+        });
         if let Some((h, v)) = best {
             let mem = cm.comp_memory()[ci as usize];
             load[cur_host as usize] -= mem;

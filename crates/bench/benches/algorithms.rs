@@ -7,10 +7,11 @@ use redep_algorithms::genetic::GeneticConfig;
 use redep_algorithms::hierarchy::HierarchicalConfig;
 use redep_algorithms::{
     AnnealingAlgorithm, AvalaAlgorithm, DecApAlgorithm, ExactAlgorithm, GeneticAlgorithm,
-    RedeploymentAlgorithm, StochasticAlgorithm,
+    MonitoringExchange, RedeploymentAlgorithm, StochasticAlgorithm,
 };
 use redep_model::{
-    Availability, Deployment, DeploymentModel, Generator, GeneratorConfig, Uncompiled,
+    Availability, CompiledModel, CompiledObjective, Deployment, DeploymentModel, GeneratedSystem,
+    Generator, GeneratorConfig, IncrementalScore, PartKind, Uncompiled,
 };
 
 fn instance(hosts: usize, comps: usize) -> (DeploymentModel, Deployment) {
@@ -154,11 +155,94 @@ fn bench_avala_hot_loop(c: &mut Criterion) {
     group.finish();
 }
 
+/// The E3d 200×2000 system.
+fn sparse_200x2000() -> GeneratedSystem {
+    Generator::generate(&GeneratorConfig::sparse(200, 2000).with_seed(5)).unwrap()
+}
+
+/// Regression guard for the monitoring exchange around the auctions: with
+/// per-cell visibility and a gossip pass every round this solve took
+/// ~110 ms, three quarters of it outside the auctions; with bitset views
+/// that stop exchanging at their fixed point it takes ~30 ms.
+fn bench_decap_h(c: &mut Criterion) {
+    let system = sparse_200x2000();
+    let model = &system.model;
+    let decap = DecApAlgorithm::new()
+        .with_hierarchy(HierarchicalConfig::default())
+        .with_exchange(MonitoringExchange::Gossip { hops: 1 });
+    let mut group = c.benchmark_group("decap_h_200x2000");
+    group.sample_size(10);
+    group.bench_function("gossip_1_hop", |b| {
+        b.iter(|| {
+            decap
+                .run(
+                    model,
+                    &Availability,
+                    model.constraints(),
+                    Some(&system.initial),
+                )
+                .unwrap()
+        })
+    });
+    group.finish();
+}
+
+/// One component's whole frontier priced in a batch vs host by host — the
+/// same kernel, the same results; the batch gathers the incident links and
+/// their current contributions once instead of once per candidate.
+fn bench_peek_many_vs_peek(c: &mut Criterion) {
+    let system = sparse_200x2000();
+    let cm = CompiledModel::compile(&system.model);
+    let objective = CompiledObjective::single(PartKind::Availability);
+    let mut score = IncrementalScore::new(&cm, &objective);
+    score.assign_from(&cm.compile_assignment(&system.initial));
+    // Each component's polish frontier: the hosts of its neighbours.
+    let frontiers: Vec<Vec<u32>> = (0..cm.n_comps() as u32)
+        .map(|ci| {
+            let mut hosts: Vec<u32> = cm
+                .incident(ci)
+                .iter()
+                .map(|&li| score.assignment()[cm.links()[li as usize].other(ci) as usize])
+                .collect();
+            hosts.sort_unstable();
+            hosts.dedup();
+            hosts
+        })
+        .collect();
+    let mut group = c.benchmark_group("peek_many_vs_peek");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("peek", "200x2000"), |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            for (ci, hosts) in frontiers.iter().enumerate() {
+                for &h in hosts {
+                    sum += score.peek(ci as u32, h);
+                }
+            }
+            sum
+        })
+    });
+    let mut priced = Vec::new();
+    group.bench_function(BenchmarkId::new("peek_many", "200x2000"), |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            for (ci, hosts) in frontiers.iter().enumerate() {
+                score.peek_many(ci as u32, hosts, &mut priced);
+                sum += priced.iter().sum::<f64>();
+            }
+            sum
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_exact,
     bench_approximative,
     bench_dense_vs_opaque,
-    bench_avala_hot_loop
+    bench_avala_hot_loop,
+    bench_decap_h,
+    bench_peek_many_vs_peek
 );
 criterion_main!(benches);

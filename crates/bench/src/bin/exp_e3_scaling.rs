@@ -16,7 +16,7 @@ use redep_algorithms::{
 use redep_bench::{print_table, ExpReport};
 use redep_model::{
     Availability, ComponentId, ConstraintChecker, ConstraintViolation, Deployment, DeploymentModel,
-    Generator, GeneratorConfig, HostId, Objective, Uncompiled,
+    GeneratedSystem, Generator, GeneratorConfig, HostId, Objective, Uncompiled,
 };
 use std::time::Instant;
 
@@ -38,25 +38,6 @@ impl ConstraintChecker for OpaqueChecker<'_> {
     fn admits(&self, model: &DeploymentModel, d: &Deployment, c: ComponentId, h: HostId) -> bool {
         self.0.admits(model, d, c, h)
     }
-}
-
-/// E3d generator config: beyond ~100 hosts the default densities produce
-/// quadratically many links, which measures the generator, not the
-/// algorithms. Cap the expected degree at ~16 on both layers (the spanning
-/// tree keeps the network connected regardless).
-fn sparse(hosts: usize, comps: usize, seed: u64) -> GeneratorConfig {
-    let mut cfg = GeneratorConfig::sized(hosts, comps).with_seed(seed);
-    cfg.physical_density = cfg.physical_density.min(16.0 / hosts as f64);
-    cfg.logical_density = cfg.logical_density.min(16.0 / comps as f64);
-    // The default memory ranges assume ~3 components per host (≈30%
-    // utilization); denser ratios would make packing infeasible, so scale
-    // host memory to keep utilization constant.
-    let ratio = comps as f64 / hosts.max(1) as f64;
-    if ratio > 3.0 {
-        let f = ratio / 3.0;
-        cfg.host_memory = redep_model::Range::new(80.0 * f, 120.0 * f);
-    }
-    cfg
 }
 
 /// The four hierarchical variants under test, freshly configured.
@@ -106,11 +87,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     if quick {
         run_e3d(&mut report, true)?;
-        report.note("quick mode: E3d 200x2000 avala-h only");
+        report.note(
+            "quick mode: E3d 200x2000 avala-h and decap-h only; decap-h solved at 1 and 2 \
+             threads with identical placement, rounds and delta evaluations",
+        );
         if let Some(file) = report.emit_if_requested()? {
             println!("\nwrote {file}");
         }
-        println!("\nE3 quick PASS: hierarchical avala completed 200x2000.");
+        println!("\nE3 quick PASS: hierarchical avala and decap completed 200x2000.");
         return Ok(());
     }
     // --- Exact's wall: k^n growth -------------------------------------
@@ -285,9 +269,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Runs one algorithm on a generated system and asserts what every E3d cell
+/// promises: a complete, constraint-valid placement no worse than the
+/// initial one. Returns the result and the wall seconds.
+fn solve_checked(
+    algo: &dyn RedeploymentAlgorithm,
+    system: &GeneratedSystem,
+) -> Result<(AlgoResult, f64), Box<dyn std::error::Error>> {
+    let model = &system.model;
+    let started = Instant::now();
+    let r = algo.run(
+        model,
+        &Availability,
+        model.constraints(),
+        Some(&system.initial),
+    )?;
+    let elapsed = started.elapsed().as_secs_f64();
+    r.deployment.validate(model)?;
+    model.constraints().check(model, &r.deployment)?;
+    let before = Availability.evaluate(model, &system.initial);
+    assert!(
+        r.value >= before - 1e-12,
+        "{} placed worse than the initial deployment: {} < {before}",
+        r.algorithm,
+        r.value
+    );
+    Ok((r, elapsed))
+}
+
 /// E3d: the hierarchical placement engine. Returns the worst observed
 /// avala/decap hierarchical-vs-flat throughput ratio at 20×160 (the
-/// acceptance gate); `quick` runs only the 200×2000 avala-h cell.
+/// acceptance gate); `quick` runs only the 200×2000 avala-h and decap-h
+/// cells.
 fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<f64, Box<dyn std::error::Error>> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -298,20 +311,13 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<f64, Box<dyn std::erro
     };
 
     // --- 200×2000: every hierarchical algorithm completes ---------------
-    let system = Generator::generate(&sparse(200, 2000, 5))?;
+    let system = Generator::generate(&GeneratorConfig::sparse(200, 2000).with_seed(5))?;
     let mut rows = Vec::new();
     for (name, algo) in hier_algos(hcfg) {
-        if quick && name != "avala" {
+        if quick && name != "avala" && name != "decap" {
             continue;
         }
-        let started = Instant::now();
-        let r = algo.run(
-            &system.model,
-            &Availability,
-            system.model.constraints(),
-            Some(&system.initial),
-        )?;
-        let elapsed = started.elapsed().as_secs_f64();
+        let (r, elapsed) = solve_checked(algo.as_ref(), &system)?;
         report.metric(
             format!("e3d.{name}.200x2000.evals_per_sec"),
             scorings_per_sec(&r, elapsed),
@@ -336,6 +342,27 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<f64, Box<dyn std::erro
             "pruned candidates",
         ],
         &rows,
+    );
+    // The auctions' exact counts, not their wall time, are what a CI box can
+    // check: a decap-h solve is the same at any thread count.
+    let decap_at = |threads| {
+        let algos = hier_algos(HierarchicalConfig { threads, ..hcfg });
+        let (_, algo) = algos.iter().find(|(name, _)| *name == "decap").unwrap();
+        solve_checked(algo.as_ref(), &system).map(|(r, _)| r)
+    };
+    let (one, two) = (decap_at(1)?, decap_at(2)?);
+    assert_eq!(one.algorithm, "decap-h");
+    assert_eq!(one.deployment, two.deployment, "decap-h placement");
+    assert_eq!(one.refine_rounds, two.refine_rounds, "decap-h rounds");
+    assert_eq!(
+        one.delta_evaluations, two.delta_evaluations,
+        "decap-h delta evaluations"
+    );
+    assert!(one.refine_rounds > 0 && one.delta_evaluations > 0);
+    report.metric("e3d.decap.200x2000.rounds", one.refine_rounds as f64);
+    report.metric(
+        "e3d.decap.200x2000.delta_evals",
+        one.delta_evaluations as f64,
     );
     if quick {
         return Ok(f64::INFINITY);
@@ -412,32 +439,39 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<f64, Box<dyn std::erro
         &rows,
     );
 
-    // --- 1000×10000: the scale row ---------------------------------------
-    let system = Generator::generate(&sparse(1000, 10_000, 6))?;
-    let algo = AvalaAlgorithm::new().with_hierarchy(hcfg);
-    let started = Instant::now();
-    let r = algo.run(
-        &system.model,
-        &Availability,
-        system.model.constraints(),
-        Some(&system.initial),
-    )?;
-    let elapsed = started.elapsed().as_secs_f64();
-    report.metric("e3d.avala.1000x10000.wall_secs", elapsed);
-    report.metric(
-        "e3d.avala.1000x10000.evals_per_sec",
-        scorings_per_sec(&r, elapsed),
-    );
-    report.metric("e3d.avala.1000x10000.value", r.value);
-    print_table(
-        "E3d: scale row — 1000 hosts × 10000 components (avala-h)",
-        &["wall", "value", "clusters", "pruned candidates"],
-        &[vec![
-            format!("{elapsed:.1}s"),
+    // --- 1000×10000: the scale rows --------------------------------------
+    let system = Generator::generate(&GeneratorConfig::sparse(1000, 10_000).with_seed(6))?;
+    let mut rows = Vec::new();
+    for (name, algo) in hier_algos(hcfg) {
+        let (r, elapsed) = solve_checked(algo.as_ref(), &system)?;
+        assert!(
+            r.pruned_evaluations > 0,
+            "{name}-h priced every host at 1000x10000"
+        );
+        report.metric(format!("e3d.{name}.1000x10000.wall_secs"), elapsed);
+        report.metric(
+            format!("e3d.{name}.1000x10000.evals_per_sec"),
+            scorings_per_sec(&r, elapsed),
+        );
+        report.metric(format!("e3d.{name}.1000x10000.value"), r.value);
+        rows.push(vec![
+            r.algorithm.clone(),
+            format!("{elapsed:.2}s"),
             format!("{:.3}", r.value),
             r.hierarchy_clusters.to_string(),
             r.pruned_evaluations.to_string(),
-        ]],
+        ]);
+    }
+    print_table(
+        "E3d: scale rows — 1000 hosts × 10000 components",
+        &[
+            "algorithm",
+            "wall",
+            "value",
+            "clusters",
+            "pruned candidates",
+        ],
+        &rows,
     );
 
     Ok(gate_speedup)

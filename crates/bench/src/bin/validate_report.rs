@@ -21,7 +21,8 @@
 //! (one carrying `e3d.avala.20x160.speedup_vs_flat`) must clear the
 //! hierarchical-engine acceptance — ≥ 10× evals/s over the flat path for
 //! avala and decap, all four hierarchical algorithms completing 200×2000,
-//! and the 1000×10000 scale row. A full-mode *faults* report (one carrying
+//! and the 1000×10000 scale rows of avala and decap, decap's within 2 s
+//! (it took 8.7 s while its monitoring exchange was cubic). A full-mode *faults* report (one carrying
 //! `.avala.` cells) must show every `*.decap.final` availability ≥ 0.90 —
 //! the partial-view starvation fix the hierarchical auctions exist for.
 //! Quick-mode (CI smoke) reports omit those metrics and skip the gates —
@@ -63,13 +64,23 @@ fn check_algorithms_gates(file: &str, report: &ExpReport) -> Result<(), String> 
             ));
         }
     }
-    if !report
-        .metrics
-        .contains_key("e3d.avala.1000x10000.wall_secs")
-    {
+    for algo in ["avala", "decap"] {
+        if !report
+            .metrics
+            .contains_key(&format!("e3d.{algo}.1000x10000.wall_secs"))
+        {
+            return Err(format!(
+                "{file}: full-mode algorithms report is missing the 1000x10000 \
+                 scale row for {algo}"
+            ));
+        }
+    }
+    let decap_secs = report.metrics["e3d.decap.1000x10000.wall_secs"];
+    if decap_secs > 2.0 {
         return Err(format!(
-            "{file}: full-mode algorithms report is missing the 1000x10000 \
-             scale row"
+            "{file}: decap-h took {decap_secs:.2} s at 1000x10000, above the 2 s \
+             gate — with bitset views and a gossip fixed point it takes ~0.5 s, \
+             with an O(hosts³) exchange every round it took 8.7 s"
         ));
     }
     Ok(())

@@ -53,7 +53,7 @@ use crate::deployment::Deployment;
 use crate::ids::{ComponentId, HostId};
 use crate::model::DeploymentModel;
 use crate::objectives::Direction;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel host index marking an unassigned component in a dense
 /// assignment vector.
@@ -86,13 +86,11 @@ impl CompiledLink {
     }
 }
 
-/// An immutable dense-index snapshot of a [`DeploymentModel`].
-///
-/// Compile once per analysis, then evaluate millions of candidate
-/// assignments against it. The snapshot does not observe later model edits.
-#[derive(Clone, Debug)]
-pub struct CompiledModel {
-    host_ids: Vec<HostId>,
+/// The component side of a snapshot: ids, logical links and their incident
+/// index, memory demands. It does not depend on the hosts, so the coarse
+/// super-node model shares the fine model's copy instead of rebuilding it.
+#[derive(PartialEq, Debug)]
+struct LogicalLayer {
     comp_ids: Vec<ComponentId>,
     links: Vec<CompiledLink>,
     /// CSR offsets into `incident_links`, length `n_comps + 1`.
@@ -100,6 +98,20 @@ pub struct CompiledModel {
     /// Link indices incident to each component, grouped per component and
     /// ordered ascending by the opposite endpoint's dense index.
     incident_links: Vec<u32>,
+    /// Σ frequency over links with positive frequency, in link order — the
+    /// denominator shared by the frequency-weighted objectives.
+    total_weight: f64,
+    comp_memory: Vec<f64>,
+}
+
+/// An immutable dense-index snapshot of a [`DeploymentModel`].
+///
+/// Compile once per analysis, then evaluate millions of candidate
+/// assignments against it. The snapshot does not observe later model edits.
+#[derive(Clone, Debug)]
+pub struct CompiledModel {
+    host_ids: Vec<HostId>,
+    logical: Arc<LogicalLayer>,
     reliability: Vec<f64>,
     security: Vec<f64>,
     delay: Vec<f64>,
@@ -109,10 +121,6 @@ pub struct CompiledModel {
     /// O(n²) best-path replay is prohibitive at fleet scale and only
     /// [`PathAwareAvailability`](crate::PathAwareAvailability) needs it.
     path_reliability: OnceLock<Vec<f64>>,
-    /// Σ frequency over links with positive frequency, in link order — the
-    /// denominator shared by the frequency-weighted objectives.
-    total_weight: f64,
-    comp_memory: Vec<f64>,
     host_memory: Vec<f64>,
 }
 
@@ -122,15 +130,12 @@ impl PartialEq for CompiledModel {
     /// equals a fresh compile of the same model.
     fn eq(&self, other: &Self) -> bool {
         self.host_ids == other.host_ids
-            && self.comp_ids == other.comp_ids
-            && self.links == other.links
+            && self.logical == other.logical
             && self.reliability == other.reliability
             && self.security == other.security
             && self.delay == other.delay
             && self.bandwidth == other.bandwidth
             && self.connected == other.connected
-            && self.total_weight == other.total_weight
-            && self.comp_memory == other.comp_memory
             && self.host_memory == other.host_memory
     }
 }
@@ -246,62 +251,50 @@ impl CompiledModel {
 
         CompiledModel {
             host_ids,
-            comp_ids,
-            links,
-            incident_offsets,
-            incident_links,
+            logical: Arc::new(LogicalLayer {
+                comp_ids,
+                links,
+                incident_offsets,
+                incident_links,
+                total_weight,
+                comp_memory,
+            }),
             reliability,
             security,
             delay,
             bandwidth,
             connected,
             path_reliability: OnceLock::new(),
-            total_weight,
-            comp_memory,
             host_memory,
         }
     }
 
-    /// Assembles a snapshot directly from dense parts — the hierarchy pass
-    /// uses this to build the super-node coarse model without materializing
-    /// a naive [`DeploymentModel`]. `host_ids` and `comp_ids` must be
-    /// ascending; matrices are row-major `n×n` over `host_ids`.
+    /// The same components and logical links over a different set of hosts
+    /// — the hierarchy pass uses this to build the super-node coarse model
+    /// without materializing a naive [`DeploymentModel`] or re-deriving the
+    /// component side. `host_ids` must be ascending; matrices are row-major
+    /// `n×n` over `host_ids`.
     #[allow(clippy::too_many_arguments)] // dense assembly mirrors the struct
-    pub(crate) fn from_parts(
+    pub(crate) fn with_hosts(
+        &self,
         host_ids: Vec<HostId>,
-        comp_ids: Vec<ComponentId>,
-        links: Vec<CompiledLink>,
         reliability: Vec<f64>,
         security: Vec<f64>,
         delay: Vec<f64>,
         bandwidth: Vec<f64>,
         connected: Vec<bool>,
-        comp_memory: Vec<f64>,
         host_memory: Vec<f64>,
     ) -> CompiledModel {
         debug_assert!(host_ids.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(comp_ids.windows(2).all(|w| w[0] < w[1]));
-        let mut total_weight = 0.0;
-        for l in &links {
-            if l.frequency > 0.0 || l.frequency.is_nan() {
-                total_weight += l.frequency;
-            }
-        }
-        let (incident_offsets, incident_links) = build_incident_index(&links, comp_ids.len());
         CompiledModel {
             host_ids,
-            comp_ids,
-            links,
-            incident_offsets,
-            incident_links,
+            logical: Arc::clone(&self.logical),
             reliability,
             security,
             delay,
             bandwidth,
             connected,
             path_reliability: OnceLock::new(),
-            total_weight,
-            comp_memory,
             host_memory,
         }
     }
@@ -362,7 +355,7 @@ impl CompiledModel {
     /// Number of components.
     #[inline]
     pub fn n_comps(&self) -> usize {
-        self.comp_ids.len()
+        self.logical.comp_ids.len()
     }
 
     /// Host ids in dense-index order (ascending).
@@ -374,22 +367,22 @@ impl CompiledModel {
     /// Component ids in dense-index order (ascending).
     #[inline]
     pub fn comp_ids(&self) -> &[ComponentId] {
-        &self.comp_ids
+        &self.logical.comp_ids
     }
 
     /// The logical links in [`ComponentPair`](crate::ComponentPair) order.
     #[inline]
     pub fn links(&self) -> &[CompiledLink] {
-        &self.links
+        &self.logical.links
     }
 
     /// Indices (into [`links`](Self::links)) of the links incident to
     /// `comp`, ordered ascending by the opposite endpoint's dense index.
     #[inline]
     pub fn incident(&self, comp: u32) -> &[u32] {
-        let lo = self.incident_offsets[comp as usize] as usize;
-        let hi = self.incident_offsets[comp as usize + 1] as usize;
-        &self.incident_links[lo..hi]
+        let lo = self.logical.incident_offsets[comp as usize] as usize;
+        let hi = self.logical.incident_offsets[comp as usize + 1] as usize;
+        &self.logical.incident_links[lo..hi]
     }
 
     /// Direct-link reliability between two dense host indices.
@@ -440,13 +433,13 @@ impl CompiledModel {
     /// the frequency-weighted objectives.
     #[inline]
     pub fn total_weight(&self) -> f64 {
-        self.total_weight
+        self.logical.total_weight
     }
 
     /// Required memory per dense component index.
     #[inline]
     pub fn comp_memory(&self) -> &[f64] {
-        &self.comp_memory
+        &self.logical.comp_memory
     }
 
     /// Available memory per dense host index.
@@ -464,7 +457,7 @@ impl CompiledModel {
     /// Dense index of a component id, if the component is in the snapshot.
     #[inline]
     pub fn comp_index(&self, c: ComponentId) -> Option<u32> {
-        self.comp_ids.binary_search(&c).ok().map(|i| i as u32)
+        self.comp_ids().binary_search(&c).ok().map(|i| i as u32)
     }
 
     /// Flattens a [`Deployment`] over this model into a dense assignment
@@ -472,7 +465,7 @@ impl CompiledModel {
     /// components assigned to hosts outside the model) map to
     /// [`UNASSIGNED`]; components unknown to the model are ignored.
     pub fn compile_assignment(&self, deployment: &Deployment) -> Vec<u32> {
-        self.comp_ids
+        self.comp_ids()
             .iter()
             .map(|&c| {
                 deployment
@@ -488,7 +481,7 @@ impl CompiledModel {
         let mut d = Deployment::new();
         for (i, &h) in assign.iter().enumerate() {
             if h != UNASSIGNED {
-                d.assign(self.comp_ids[i], self.host_ids[h as usize]);
+                d.assign(self.comp_ids()[i], self.host_ids[h as usize]);
             }
         }
         d
@@ -531,8 +524,10 @@ impl PartKind {
     }
 
     /// This link's contribution to the part's raw sum under the given
-    /// endpoint assignments ([`UNASSIGNED`] allowed).
-    #[inline]
+    /// endpoint assignments ([`UNASSIGNED`] allowed). Always inlined, so a
+    /// caller that names the kind ([`price`](Self::price)) gets a copy with
+    /// the `match` folded away.
+    #[inline(always)]
     fn contribution(&self, m: &CompiledModel, link: &CompiledLink, ha: u32, hb: u32) -> f64 {
         match *self {
             PartKind::Availability => {
@@ -623,6 +618,72 @@ impl PartKind {
         match self.direction() {
             Direction::Maximize => value,
             Direction::Minimize => 1.0 / (1.0 + value.max(0.0)),
+        }
+    }
+
+    /// The pricing kernel: this part's raw sum after moving one component
+    /// from `cur` to each of `hosts`, written to every `stride`-th cell of
+    /// `out`. `incident` are the component's links with the opposite hosts
+    /// already looked up, `old` their contributions with the component on
+    /// `cur`. Each candidate starts from `start` and adds `new − old` link
+    /// by link in incident order — the arithmetic of a lone delta move, to
+    /// the bit. The kind is matched once, outside the candidate and link
+    /// loops: every arm expands to its own copy of them around an inlined
+    /// `contribution`.
+    #[allow(clippy::too_many_arguments)] // one flat call per (part, batch)
+    fn price(
+        self,
+        m: &CompiledModel,
+        incident: &[Incident],
+        old: &[f64],
+        cur: u32,
+        start: f64,
+        hosts: &[u32],
+        out: &mut [f64],
+        stride: usize,
+    ) {
+        macro_rules! arm {
+            ($kind:expr) => {
+                for (&host, cell) in hosts.iter().zip(out.iter_mut().step_by(stride)) {
+                    let mut sum = start;
+                    if host != cur {
+                        for (i, &o) in incident.iter().zip(old) {
+                            let (ha, hb) = i.ends(host);
+                            sum += $kind.contribution(m, &i.link, ha, hb) - o;
+                        }
+                    }
+                    *cell = sum;
+                }
+            };
+        }
+        match self {
+            PartKind::Availability => arm!(PartKind::Availability),
+            PartKind::PathAwareAvailability => arm!(PartKind::PathAwareAvailability),
+            PartKind::Latency { penalty } => arm!(PartKind::Latency { penalty }),
+            PartKind::CommunicationVolume => arm!(PartKind::CommunicationVolume),
+            PartKind::LinkSecurity => arm!(PartKind::LinkSecurity),
+        }
+    }
+}
+
+/// One incident link of the component a batch prices, gathered once.
+#[derive(Clone, Copy, Debug)]
+struct Incident {
+    link: CompiledLink,
+    /// Host of the opposite endpoint ([`UNASSIGNED`] allowed).
+    opposite: u32,
+    /// Whether the priced component is the link's `a` endpoint.
+    is_a: bool,
+}
+
+impl Incident {
+    /// The link's `(a, b)` hosts with the priced component on `host`.
+    #[inline(always)]
+    fn ends(&self, host: u32) -> (u32, u32) {
+        if self.is_a {
+            (host, self.opposite)
+        } else {
+            (self.opposite, host)
         }
     }
 }
@@ -721,18 +782,27 @@ impl CompiledObjective {
 /// Holds a dense assignment plus per-part raw sums. [`score_full`] rebuilds
 /// the sums by walking every link (bit-identical to the naive evaluator);
 /// [`set`] commits a single-component move touching only its incident links
-/// (O(deg(c))); [`peek`] prices a move without committing it.
+/// (O(deg(c))); [`peek`] prices a move without committing it and
+/// [`peek_many`] prices a whole candidate list for one component. The three
+/// share one pricing kernel, so a batch returns exactly — to the bit — what
+/// the same moves priced one by one return, and counts them the same.
 ///
 /// [`score_full`]: IncrementalScore::score_full
 /// [`set`]: IncrementalScore::set
 /// [`peek`]: IncrementalScore::peek
+/// [`peek_many`]: IncrementalScore::peek_many
 #[derive(Clone, Debug)]
 pub struct IncrementalScore<'m> {
     model: &'m CompiledModel,
     objective: CompiledObjective,
     assign: Vec<u32>,
     sums: Vec<f64>,
-    scratch: Vec<f64>,
+    /// Kernel scratch: the priced component's incident links, their current
+    /// contributions to one part, and the per-part sums of every candidate
+    /// (candidate-major).
+    incident: Vec<Incident>,
+    old: Vec<f64>,
+    priced: Vec<f64>,
     full_evals: u64,
     delta_evals: u64,
 }
@@ -740,13 +810,14 @@ pub struct IncrementalScore<'m> {
 impl<'m> IncrementalScore<'m> {
     /// Creates a scorer with every component unassigned.
     pub fn new(model: &'m CompiledModel, objective: &CompiledObjective) -> IncrementalScore<'m> {
-        let n_parts = objective.parts().len();
         IncrementalScore {
             model,
             objective: objective.clone(),
             assign: vec![UNASSIGNED; model.n_comps()],
-            sums: vec![0.0; n_parts],
-            scratch: vec![0.0; n_parts],
+            sums: vec![0.0; objective.parts().len()],
+            incident: Vec::new(),
+            old: Vec::new(),
+            priced: Vec::new(),
             full_evals: 0,
             delta_evals: 0,
         }
@@ -794,29 +865,54 @@ impl<'m> IncrementalScore<'m> {
         self.objective.score(&self.sums, self.model)
     }
 
+    /// Fills `priced` with the per-part sums the assignment would have with
+    /// `comp` on each of `hosts` (candidate-major): gathers the incident
+    /// links once, then runs [`PartKind::price`] per part.
+    fn price(&mut self, comp: u32, hosts: &[u32]) {
+        let m = self.model;
+        let n_parts = self.sums.len();
+        self.priced.clear();
+        self.priced.resize(hosts.len() * n_parts, 0.0);
+        if hosts.is_empty() {
+            return;
+        }
+        let cur = self.assign[comp as usize];
+        self.incident.clear();
+        for &li in m.incident(comp) {
+            let link = m.links()[li as usize];
+            let is_a = link.a == comp;
+            let opposite = self.assign[if is_a { link.b } else { link.a } as usize];
+            self.incident.push(Incident {
+                link,
+                opposite,
+                is_a,
+            });
+        }
+        for (p, &(kind, _)) in self.objective.parts().iter().enumerate() {
+            self.old.clear();
+            self.old.extend(self.incident.iter().map(|i| {
+                let (ha, hb) = i.ends(cur);
+                kind.contribution(m, &i.link, ha, hb)
+            }));
+            kind.price(
+                m,
+                &self.incident,
+                &self.old,
+                cur,
+                self.sums[p],
+                hosts,
+                &mut self.priced[p..],
+                n_parts,
+            );
+        }
+    }
+
     /// Commits moving `comp` to `host` ([`UNASSIGNED`] to unassign),
     /// updating only the incident links' contributions.
     pub fn set(&mut self, comp: u32, host: u32) {
         self.delta_evals += 1;
-        let old = self.assign[comp as usize];
-        if old == host {
-            return;
-        }
-        let m = self.model;
-        for &li in m.incident(comp) {
-            let link = &m.links()[li as usize];
-            let (oa, ob, na, nb) = if link.a == comp {
-                let hb = self.assign[link.b as usize];
-                (old, hb, host, hb)
-            } else {
-                let ha = self.assign[link.a as usize];
-                (ha, old, ha, host)
-            };
-            for (p, &(kind, _)) in self.objective.parts().iter().enumerate() {
-                self.sums[p] +=
-                    kind.contribution(m, link, na, nb) - kind.contribution(m, link, oa, ob);
-            }
-        }
+        self.price(comp, &[host]);
+        self.sums.copy_from_slice(&self.priced);
         self.assign[comp as usize] = host;
     }
 
@@ -824,26 +920,24 @@ impl<'m> IncrementalScore<'m> {
     /// without committing the move.
     pub fn peek(&mut self, comp: u32, host: u32) -> f64 {
         self.delta_evals += 1;
-        self.scratch.copy_from_slice(&self.sums);
-        let old = self.assign[comp as usize];
-        if old != host {
-            let m = self.model;
-            for &li in m.incident(comp) {
-                let link = &m.links()[li as usize];
-                let (oa, ob, na, nb) = if link.a == comp {
-                    let hb = self.assign[link.b as usize];
-                    (old, hb, host, hb)
-                } else {
-                    let ha = self.assign[link.a as usize];
-                    (ha, old, ha, host)
-                };
-                for (p, &(kind, _)) in self.objective.parts().iter().enumerate() {
-                    self.scratch[p] +=
-                        kind.contribution(m, link, na, nb) - kind.contribution(m, link, oa, ob);
-                }
-            }
-        }
-        self.objective.score(&self.scratch, self.model)
+        self.price(comp, &[host]);
+        self.objective.score(&self.priced, self.model)
+    }
+
+    /// [`peek`](Self::peek) for a list of candidate hosts of one component:
+    /// replaces `out` with one score per entry of `hosts`, in order, each
+    /// bit-identical to what `peek(comp, host)` returns, and counts
+    /// `hosts.len()` delta evaluations. Entries may repeat, be the current
+    /// host, or be [`UNASSIGNED`].
+    pub fn peek_many(&mut self, comp: u32, hosts: &[u32], out: &mut Vec<f64>) {
+        self.delta_evals += hosts.len() as u64;
+        self.price(comp, hosts);
+        let n_parts = self.sums.len();
+        out.clear();
+        out.extend((0..hosts.len()).map(|i| {
+            let sums = &self.priced[i * n_parts..(i + 1) * n_parts];
+            self.objective.score(sums, self.model)
+        }));
     }
 
     /// How many full-sum recomputations this scorer performed.

@@ -115,6 +115,24 @@ impl GeneratorConfig {
         }
     }
 
+    /// The fleet-scale rule: beyond ~100 hosts the default densities
+    /// produce quadratically many links, so this caps the expected degree at
+    /// ~16 on both layers (the spanning tree keeps the network connected
+    /// regardless) and scales host memory with components per host — the
+    /// default ranges assume ~3, and denser ratios would make packing
+    /// infeasible.
+    pub fn sparse(hosts: usize, components: usize) -> Self {
+        let mut cfg = GeneratorConfig::sized(hosts, components);
+        cfg.physical_density = cfg.physical_density.min(16.0 / hosts as f64);
+        cfg.logical_density = cfg.logical_density.min(16.0 / components as f64);
+        let ratio = components as f64 / hosts.max(1) as f64;
+        if ratio > 3.0 {
+            let f = ratio / 3.0;
+            cfg.host_memory = Range::new(80.0 * f, 120.0 * f);
+        }
+        cfg
+    }
+
     /// Returns a copy with a different seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -186,6 +204,41 @@ impl Generator {
         Ok(GeneratedSystem { model, initial })
     }
 
+    /// Wires one layer over `n` endpoints: a random spanning tree (so the
+    /// layer is connected), then every remaining pair with probability
+    /// `density`. `link(a, b, rng)` lays one link between endpoint indices.
+    ///
+    /// The only pairs that can already be linked when the density pass
+    /// reaches them are the tree edges, so the pass checks a per-index list
+    /// of those instead of probing the model's link map n²/2 times. The
+    /// draw sequence is exactly the one the map probes produced: a shuffle
+    /// consumes the same draws whatever it permutes, and the `&&` still
+    /// skips the density draw for a tree edge.
+    fn wire(
+        n: usize,
+        density: f64,
+        rng: &mut ChaCha8Rng,
+        mut link: impl FnMut(usize, usize, &mut ChaCha8Rng) -> Result<(), ModelError>,
+    ) -> Result<(), ModelError> {
+        let mut shuffled: Vec<usize> = (0..n).collect();
+        shuffled.shuffle(rng);
+        let mut tree: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for i in 1..n {
+            let (parent, child) = (shuffled[rng.random_range(0..i)], shuffled[i]);
+            link(parent, child, rng)?;
+            tree[parent.min(child)].push(parent.max(child));
+        }
+        let density = density.clamp(0.0, 1.0);
+        for (i, tree_edges) in tree.iter().enumerate() {
+            for j in (i + 1)..n {
+                if !tree_edges.contains(&j) && rng.random_bool(density) {
+                    link(i, j, rng)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Connects hosts: a random spanning tree for connectivity, then extra
     /// links with probability `physical_density`.
     fn wire_physical(
@@ -194,22 +247,9 @@ impl Generator {
         config: &GeneratorConfig,
         rng: &mut ChaCha8Rng,
     ) -> Result<(), ModelError> {
-        let mut shuffled = hosts.to_vec();
-        shuffled.shuffle(rng);
-        for i in 1..shuffled.len() {
-            let parent = shuffled[rng.random_range(0..i)];
-            Self::link_hosts(model, parent, shuffled[i], config, rng)?;
-        }
-        for i in 0..hosts.len() {
-            for j in (i + 1)..hosts.len() {
-                if model.physical_link(hosts[i], hosts[j]).is_none()
-                    && rng.random_bool(config.physical_density.clamp(0.0, 1.0))
-                {
-                    Self::link_hosts(model, hosts[i], hosts[j], config, rng)?;
-                }
-            }
-        }
-        Ok(())
+        Self::wire(hosts.len(), config.physical_density, rng, |a, b, rng| {
+            Self::link_hosts(model, hosts[a], hosts[b], config, rng)
+        })
     }
 
     fn link_hosts(
@@ -237,22 +277,12 @@ impl Generator {
         config: &GeneratorConfig,
         rng: &mut ChaCha8Rng,
     ) -> Result<(), ModelError> {
-        let mut shuffled = components.to_vec();
-        shuffled.shuffle(rng);
-        for i in 1..shuffled.len() {
-            let parent = shuffled[rng.random_range(0..i)];
-            Self::link_components(model, parent, shuffled[i], config, rng)?;
-        }
-        for i in 0..components.len() {
-            for j in (i + 1)..components.len() {
-                if model.logical_link(components[i], components[j]).is_none()
-                    && rng.random_bool(config.logical_density.clamp(0.0, 1.0))
-                {
-                    Self::link_components(model, components[i], components[j], config, rng)?;
-                }
-            }
-        }
-        Ok(())
+        Self::wire(
+            components.len(),
+            config.logical_density,
+            rng,
+            |a, b, rng| Self::link_components(model, components[a], components[b], config, rng),
+        )
     }
 
     fn link_components(
@@ -477,6 +507,78 @@ mod tests {
         let d = Generator::random_valid_deployment(&s.model, &mut rng).unwrap();
         assert_eq!(d.host_of(c0), Some(h0));
         s.model.constraints().check(&s.model, &d).unwrap();
+    }
+
+    /// FNV-1a over everything the generator draws: host and component
+    /// memory, both link layers with their parameters, and the initial
+    /// deployment, each in id order.
+    fn fingerprint(s: &GeneratedSystem) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for h in s.model.hosts() {
+            eat(h.memory().to_bits());
+        }
+        for c in s.model.components() {
+            eat(c.required_memory().to_bits());
+        }
+        for l in s.model.physical_links() {
+            eat(l.ends().lo().raw() as u64);
+            eat(l.ends().hi().raw() as u64);
+            eat(l.reliability().to_bits());
+            eat(l.bandwidth().to_bits());
+            eat(l.delay().to_bits());
+        }
+        for l in s.model.logical_links() {
+            eat(l.ends().lo().raw() as u64);
+            eat(l.ends().hi().raw() as u64);
+            eat(l.frequency().to_bits());
+            eat(l.event_size().to_bits());
+        }
+        for (c, h) in s.initial.iter() {
+            eat(c.raw() as u64);
+            eat(h.raw() as u64);
+        }
+        hash
+    }
+
+    #[test]
+    fn generated_systems_are_pinned() {
+        // Recorded before wiring stopped probing the model's link maps for
+        // every pair: the RNG draw sequence, and with it every generated
+        // system, must not move.
+        let cases = [
+            (
+                GeneratorConfig::sized(8, 32).with_seed(7),
+                23,
+                209,
+                0xf589_4e72_8c14_598e_u64,
+            ),
+            (
+                GeneratorConfig::sparse(200, 2000).with_seed(176),
+                1705,
+                17883,
+                0x2baa_e692_3452_0af2,
+            ),
+            (
+                GeneratorConfig {
+                    physical_density: 1.0,
+                    ..GeneratorConfig::sized(12, 40).with_seed(5)
+                },
+                66,
+                341,
+                0xde25_6813_9f88_fe04,
+            ),
+        ];
+        for (config, physical, logical, pin) in cases {
+            let s = Generator::generate(&config).unwrap();
+            assert_eq!(s.model.physical_link_count(), physical, "{config:?}");
+            assert_eq!(s.model.logical_link_count(), logical, "{config:?}");
+            assert_eq!(fingerprint(&s), pin, "{config:?}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! config: no RNG, no iteration-order dependence, so hierarchical results
 //! stay byte-identical at any thread count.
 
-use crate::eval::{CompiledLink, CompiledModel};
+use crate::eval::CompiledModel;
 use crate::ids::HostId;
 
 /// Configuration of the host-clustering pass.
@@ -233,17 +233,13 @@ impl Hierarchy {
         let host_ids: Vec<HostId> = (0..self.clusters.len())
             .map(|i| HostId::new(i as u32))
             .collect();
-        let links: Vec<CompiledLink> = model.links().to_vec();
-        CompiledModel::from_parts(
+        model.with_hosts(
             host_ids,
-            model.comp_ids().to_vec(),
-            links,
             self.reliability.clone(),
             self.security.clone(),
             self.delay.clone(),
             self.bandwidth.clone(),
             self.connected.clone(),
-            model.comp_memory().to_vec(),
             self.capacity.clone(),
         )
     }

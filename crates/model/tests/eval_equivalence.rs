@@ -9,9 +9,9 @@
 
 use proptest::prelude::*;
 use redep_model::{
-    Availability, CommunicationVolume, CompiledModel, Composite, ConstraintChecker, Generator,
-    GeneratorConfig, IncrementalScore, Latency, LinkSecurity, Objective, PathAwareAvailability,
-    Range, UNASSIGNED,
+    keys, Availability, CommunicationVolume, CompiledModel, Composite, ConstraintChecker,
+    Generator, GeneratorConfig, IncrementalScore, Latency, LinkSecurity, Objective,
+    PathAwareAvailability, Range, UNASSIGNED,
 };
 
 fn config_strategy() -> impl Strategy<Value = GeneratorConfig> {
@@ -150,6 +150,70 @@ proptest! {
             let naive = obj.evaluate(&system.model, &cm.decode_assignment(&current));
             prop_assert!(close(pure, naive), "{}", obj.name());
             prop_assert_eq!(inc.value(), pure, "{}", obj.name());
+        }
+    }
+
+    #[test]
+    fn peek_many_is_bitwise_a_sequence_of_peeks(
+        config in config_strategy(),
+        raw in proptest::collection::vec(any::<u32>(), 1..16),
+        dull in proptest::collection::vec(any::<u32>(), 0..6),
+        batches in proptest::collection::vec(
+            (any::<u32>(), proptest::collection::vec(any::<u32>(), 0..12)),
+            1..8,
+        ),
+    ) {
+        let mut system = Generator::generate(&config).unwrap();
+        // Silence a few links: zero frequency, and a negative one written
+        // past the setter's guard (the evaluators skip both).
+        let ends: Vec<_> = system.model.logical_links().map(|l| l.ends()).collect();
+        for (i, &pick) in dull.iter().enumerate() {
+            let Some(pair) = ends.get(pick as usize % ends.len().max(1)) else { break };
+            let frequency = if i % 2 == 0 { 0.0 } else { -3.0 };
+            system.model.set_logical_link(pair.lo(), pair.hi(), |l| {
+                l.params_mut().set(keys::INTERACTION_FREQUENCY, frequency);
+            }).unwrap();
+        }
+        let cm = CompiledModel::compile(&system.model);
+        let (n_hosts, n_comps) = (cm.n_hosts() as u32, cm.n_comps() as u32);
+        // Leaves some neighbours unassigned.
+        let assign = to_assignment(&raw, cm.n_hosts(), cm.n_comps());
+        for obj in objectives() {
+            let co = obj.compiled().expect("objective compiles");
+            let mut batched = IncrementalScore::new(&cm, &co);
+            batched.assign_from(&assign);
+            let mut single = batched.clone();
+            let mut out = vec![f64::NAN; 3]; // stale content must be replaced
+            for (rc, picks) in &batches {
+                let comp = rc % n_comps;
+                // Candidates: any host, the unassign slot, and — first when
+                // there is one — the component's current host.
+                let mut hosts: Vec<u32> = picks
+                    .iter()
+                    .map(|p| match p % (n_hosts + 1) {
+                        h if h == n_hosts => UNASSIGNED,
+                        h => h,
+                    })
+                    .collect();
+                if let Some(first) = hosts.first_mut() {
+                    *first = batched.assignment()[comp as usize];
+                }
+                batched.peek_many(comp, &hosts, &mut out);
+                let one_by_one: Vec<f64> = hosts.iter().map(|&h| single.peek(comp, h)).collect();
+                prop_assert_eq!(
+                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    one_by_one.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{}: comp {} hosts {:?}", obj.name(), comp, hosts
+                );
+                prop_assert_eq!(batched.delta_evaluations(), single.delta_evaluations());
+                // Pricing commits nothing; a committed move keeps both
+                // scorers in step for the next batch.
+                prop_assert_eq!(batched.value().to_bits(), single.value().to_bits());
+                if let Some(&host) = hosts.last() {
+                    batched.set(comp, host);
+                    single.set(comp, host);
+                }
+            }
         }
     }
 
