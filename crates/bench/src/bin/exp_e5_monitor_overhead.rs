@@ -6,7 +6,12 @@
 //!
 //! Measured here as event-pumping throughput of an architecture with its
 //! connector monitor enabled vs. absent, plus the monitor's memory
-//! footprint relative to the host runtime's working state.
+//! footprint relative to the host runtime's working state. This is the price
+//! of the *tap* alone, in a bare pump that does nothing else; what closing a
+//! window, encoding the report and decoding it at the deployer add is told
+//! by `exp_e6_pipeline`'s steady cell and the `monitor_window_close` /
+//! `snapshot_codec` Criterion benches (EXPERIMENTS.md § E5, "in the
+//! pipeline").
 
 use redep_bench::{fmt_f, print_table, ExpReport};
 use redep_model::HostId;
@@ -71,10 +76,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let overhead = (p - m) / p * 100.0;
 
     // Memory: a frequency monitor keeps one counter slot per observed
-    // component pair (two names + two u64 counters) plus the struct header —
-    // compare against a conservative 64 KiB PDA-class middleware image (the
-    // deployment target the paper measured on).
-    let per_pair = 2 * (24 + 16) + 16; // two small Strings + count + bytes
+    // component pair (two interned names + two u64 counters) and one index
+    // entry pointing at it (u64 key, usize slot, one control byte) plus the
+    // struct header — compare against a conservative 64 KiB PDA-class
+    // middleware image (the deployment target the paper measured on).
+    let per_pair = std::mem::size_of::<redep_prism::monitor::PairCount>() + 8 + 8 + 1;
     let monitor_bytes = std::mem::size_of::<EventFrequencyMonitor>() + 2 * per_pair;
     let mem_overhead = monitor_bytes as f64 / (64.0 * 1024.0) * 100.0;
 

@@ -27,9 +27,14 @@
 //! seconds of warm-up (past the longest link delay, monitor stabilisation
 //! and the first periodic checkpoint), then 10 timed seconds — the
 //! `pipeline-steady` configuration. Besides its event rate the cell reports
-//! an exact count, the durable-journal bytes appended per routed event
+//! exact counts: the durable-journal bytes appended per routed event
 //! (`durable_bytes_per_event_32x128`), gated at [`MAX_DURABLE_BYTES_PER_EVENT`]
-//! so a return of whole-state journaling fails CI on any machine.
+//! so a return of whole-state journaling fails CI on any machine; the share
+//! of those bytes monitoring causes (`monitor_journal_bytes_per_event_32x128`:
+//! `monitor_window` + `report_received` records); and the mean journaled
+//! monitoring report (`report_payload_bytes_mean_32x128`: one encoded
+//! snapshot plus a few framing bytes), gated at [`MAX_REPORT_BYTES`] so a
+//! return of a text encoding — or of pair names written twice — fails too.
 //!
 //! `--quick` runs only the 8×32 cells and the steady cells (the CI smoke
 //! configuration);
@@ -60,6 +65,10 @@ const RECORDED_JSON_64X256: f64 = 64_326.0;
 /// host's monitoring snapshot on every report took 413.
 const MAX_DURABLE_BYTES_PER_EVENT: f64 = 100.0;
 
+/// Ceiling on the mean journaled monitoring report in the 32×128 steady
+/// cell (~130 component pairs per host). The JSON document took 6 460 B.
+const MAX_REPORT_BYTES: f64 = 4_500.0;
+
 /// The steady-state cell: (hosts, components, warm-up s, timed s).
 const STEADY: (usize, usize, f64, f64) = (32, 128, 12.0, 10.0);
 
@@ -71,6 +80,9 @@ struct Sample {
     bytes: u64,
     /// Bytes the hosts appended to their durable journals.
     durable_bytes: u64,
+    /// The part of `durable_bytes` in `monitor_window` and `report_received`
+    /// records.
+    monitor_journal_bytes: u64,
     /// Wall-clock seconds for the simulated horizon.
     wall_secs: f64,
     /// Per-chunk throughput samples (events/s over each horizon slice),
@@ -94,6 +106,24 @@ impl Sample {
     fn durable_bytes_per_event(&self) -> f64 {
         self.durable_bytes as f64 / self.events.max(1) as f64
     }
+    fn monitor_journal_bytes_per_event(&self) -> f64 {
+        self.monitor_journal_bytes as f64 / self.events.max(1) as f64
+    }
+    /// Mean `report_received` record, in bytes (0 when none was journaled).
+    fn report_bytes_mean(&self) -> f64 {
+        let (_, records, bytes) = self.journal_kinds[kind_index("report_received")];
+        bytes as f64 / records.max(1) as f64
+    }
+}
+
+fn kind_index(kind: &str) -> usize {
+    let index = redep_prism::RECORD_KINDS.iter().position(|k| *k == kind);
+    index.expect("a journal record kind")
+}
+
+/// Journal bytes in the two record kinds monitoring causes.
+fn monitor_bytes(kinds: &[(&'static str, u64, u64)]) -> u64 {
+    kinds[kind_index("monitor_window")].2 + kinds[kind_index("report_received")].2
 }
 
 /// Reads the per-kind durable-journal counters of `handles`.
@@ -153,6 +183,7 @@ fn run_cell(
     let journaled =
         |rt: &SystemRuntime| durable_bytes(rt.hosts().iter().filter_map(|&h| rt.host(h)));
     let (events_before, bytes_before, durable_before) = (routed.get(), bytes.get(), journaled(&rt));
+    let monitor_before = monitor_bytes(&journal_kinds(std::slice::from_ref(&telemetry)));
     let mut chunk_rates = Vec::with_capacity(CHUNKS as usize);
     let mut prev_events = events_before;
     let started = Instant::now();
@@ -167,14 +198,16 @@ fn run_cell(
         prev_events = now_events;
     }
     let wall_secs = started.elapsed().as_secs_f64();
+    let journal_kinds = journal_kinds(std::slice::from_ref(&telemetry));
     Ok(Sample {
         events: routed.get() - events_before,
         bytes: bytes.get() - bytes_before,
         durable_bytes: journaled(&rt) - durable_before,
+        monitor_journal_bytes: monitor_bytes(&journal_kinds) - monitor_before,
         wall_secs,
         chunk_rates,
         journal_dropped: telemetry.journal().dropped(),
-        journal_kinds: journal_kinds(&[telemetry]),
+        journal_kinds,
     })
 }
 
@@ -215,6 +248,7 @@ fn run_sharded_cell(
         |rt: &ShardedRuntime| durable_bytes(rt.hosts().iter().filter_map(|&h| rt.host(h)));
     let (events_before, bytes_before, durable_before) =
         (total(&routed), total(&bytes), journaled(&rt));
+    let monitor_before = monitor_bytes(&journal_kinds(&handles));
     let mut chunk_rates = Vec::with_capacity(CHUNKS as usize);
     let mut prev_events = events_before;
     let started = Instant::now();
@@ -230,14 +264,16 @@ fn run_sharded_cell(
         prev_events = now_events;
     }
     let wall_secs = started.elapsed().as_secs_f64();
+    let journal_kinds = journal_kinds(&handles);
     Ok(Sample {
         events: total(&routed) - events_before,
         bytes: total(&bytes) - bytes_before,
         durable_bytes: journaled(&rt) - durable_before,
+        monitor_journal_bytes: monitor_bytes(&journal_kinds) - monitor_before,
         wall_secs,
         chunk_rates,
         journal_dropped: handles.iter().map(|t| t.journal().dropped()).sum(),
-        journal_kinds: journal_kinds(&handles),
+        journal_kinds,
     })
 }
 
@@ -433,6 +469,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         threads_for(STEADY_SHARDS),
     )?;
     let durable_per_event = single.durable_bytes_per_event();
+    let report_bytes = single.report_bytes_mean();
     report.metric(
         format!("steady_events_per_sec_{key}_fast"),
         single.events_per_sec(),
@@ -442,24 +479,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sharded.events_per_sec(),
     );
     report.metric(format!("durable_bytes_per_event_{key}"), durable_per_event);
+    report.metric(
+        format!("monitor_journal_bytes_per_event_{key}"),
+        single.monitor_journal_bytes_per_event(),
+    );
+    report.metric(format!("report_payload_bytes_mean_{key}"), report_bytes);
     report.add_journal_dropped(single.journal_dropped + sharded.journal_dropped);
     print_table(
         "E6-pipeline: steady state (12 s warm-up, 10 s timed)",
-        &["k×n", "engine", "ev/s", "durable B/ev"],
         &[
+            "k×n",
+            "engine",
+            "ev/s",
+            "durable B/ev",
+            "of it monitoring",
+            "report B",
+        ],
+        &[
+            ("single queue".to_owned(), &single),
+            (format!("{STEADY_SHARDS} shards"), &sharded),
+        ]
+        .map(|(engine, cell)| {
             vec![
                 key.clone(),
-                "single queue".into(),
-                format!("{:.0}", single.events_per_sec()),
-                format!("{durable_per_event:.1}"),
-            ],
-            vec![
-                key,
-                format!("{STEADY_SHARDS} shards"),
-                format!("{:.0}", sharded.events_per_sec()),
-                format!("{:.1}", sharded.durable_bytes_per_event()),
-            ],
-        ],
+                engine,
+                format!("{:.0}", cell.events_per_sec()),
+                format!("{:.1}", cell.durable_bytes_per_event()),
+                format!("{:.1}", cell.monitor_journal_bytes_per_event()),
+                format!("{:.0}", cell.report_bytes_mean()),
+            ]
+        }),
     );
 
     // Where the single-queue cell's journal bytes went (warm-up included):
@@ -483,20 +532,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &kind_rows,
     );
 
-    // Acceptance. The journal-bytes count is exact, so it gates in both
-    // modes. The rates gate in full mode only (quick mode only checks that
-    // its cells route events, since CI machines vary): the hot path must
-    // clear 3× the recorded JSON-codec rate at 64×256, and the sharded
-    // engine 4× the seed single-shard baseline at 256×1024.
+    // Acceptance. The journal-bytes and report-size counts are exact, so
+    // they gate in both modes. The rates gate in full mode only (quick mode
+    // only checks that its cells route events, since CI machines vary): the
+    // hot path must clear 3× the recorded JSON-codec rate at 64×256, and the
+    // sharded engine 4× the seed single-shard baseline at 256×1024.
     let threshold = 3.0;
     let sharded_threshold = 4.0;
     let hot_path_pass = quick || gate_speedup >= threshold;
     let sharded_pass = quick || sharded_gate >= sharded_threshold;
     let durable_pass = single.events > 0 && durable_per_event <= MAX_DURABLE_BYTES_PER_EVENT;
-    report.set_passed(hot_path_pass && sharded_pass && durable_pass);
+    let report_pass = report_bytes > 0.0 && report_bytes <= MAX_REPORT_BYTES;
+    report.set_passed(hot_path_pass && sharded_pass && durable_pass && report_pass);
     report.note(format!(
         "acceptance: durable journal ≤{MAX_DURABLE_BYTES_PER_EVENT} B per routed event in the \
-         32x128 steady cell (observed {durable_per_event:.1})"
+         32x128 steady cell (observed {durable_per_event:.1}); mean journaled monitoring report \
+         ≤{MAX_REPORT_BYTES} B (observed {report_bytes:.0})"
     ));
     if !quick {
         report.note(format!(
@@ -520,6 +571,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         durable_pass,
         "pipeline FAILED: {durable_per_event:.1} durable journal bytes per event, above the \
          {MAX_DURABLE_BYTES_PER_EVENT} B gate"
+    );
+    assert!(
+        report_pass,
+        "pipeline FAILED: mean journaled monitoring report of {report_bytes:.0} B, outside the \
+         (0, {MAX_REPORT_BYTES}] B gate"
     );
     if let Some(file) = report.emit_if_requested()? {
         println!("\nwrote {file}");

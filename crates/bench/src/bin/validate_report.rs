@@ -16,7 +16,8 @@
 //! `*_legacy` metric (the JSON wire path those measured no longer exists),
 //! and any pipeline report carrying the steady cell's exact count
 //! `durable_bytes_per_event_32x128` (quick mode included) must keep it
-//! ≤ 100 — whole-state journaling took 413.
+//! ≤ 100 — whole-state journaling took 413 — and its
+//! `report_payload_bytes_mean_32x128` ≤ 4 500 — the JSON report took 6 460.
 //! A full-mode *algorithms* report
 //! (one carrying `e3d.avala.20x160.speedup_vs_flat`) must clear the
 //! hierarchical-engine acceptance — ≥ 10× evals/s over the flat path for
@@ -157,6 +158,15 @@ fn check_pipeline_gates(file: &str, report: &ExpReport) -> Result<(), String> {
                 "{file}: {bytes:.1} durable journal bytes per routed event in the \
                  32x128 steady cell is above the 100 B gate — is control-plane \
                  state journaled whole again?"
+            ));
+        }
+    }
+    if let Some(&bytes) = report.metrics.get("report_payload_bytes_mean_32x128") {
+        if bytes > 4_500.0 {
+            return Err(format!(
+                "{file}: a mean journaled monitoring report of {bytes:.0} B in the \
+                 32x128 steady cell is above the 4500 B gate — is the snapshot a \
+                 text document again, or are pair names written twice?"
             ));
         }
     }

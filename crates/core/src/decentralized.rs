@@ -182,16 +182,6 @@ impl DecentralizedFramework {
         reports
     }
 
-    /// Collects the latest snapshot of every host's local monitor.
-    fn collect_snapshots(&self) -> Vec<MonitoringSnapshot> {
-        self.runtime
-            .hosts()
-            .iter()
-            .filter_map(|&h| self.runtime.host(h))
-            .filter_map(|host| host.admin().last_snapshot().cloned())
-            .collect()
-    }
-
     /// Runs one decentralized cycle:
     ///
     /// 1. advance the system for `monitor_for` (local monitors accumulate),
@@ -230,10 +220,17 @@ impl DecentralizedFramework {
             .iter()
             .flat_map(|r| r.completed_moves().map(str::to_owned))
             .collect();
-        let snapshots = self.collect_snapshots();
+        // The latest snapshot of every host's local monitor.
+        let snapshots: Vec<&MonitoringSnapshot> = self
+            .runtime
+            .hosts()
+            .iter()
+            .filter_map(|&h| self.runtime.host(h))
+            .filter_map(|host| host.admin().last_snapshot())
+            .collect();
         let hosts_reporting = snapshots.len();
         self.adapter
-            .apply_snapshots(&mut self.system, &snapshots)
+            .apply_snapshots(&mut self.system, snapshots)
             .map_err(CoreError::Desi)?;
 
         let model = self.system.model().clone();

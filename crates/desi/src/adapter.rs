@@ -54,9 +54,8 @@ impl MiddlewareAdapter {
         let deployer = host.deployer().ok_or_else(|| {
             DesiError::Adapter(format!("{} runs no deployer", self.deployer_host))
         })?;
-        let snapshots: Vec<MonitoringSnapshot> = deployer.snapshots().values().cloned().collect();
-        self.apply_snapshots(system, &snapshots)?;
-        Ok(snapshots.len())
+        self.apply_snapshots(system, deployer.snapshots().values())?;
+        Ok(deployer.snapshots().len())
     }
 
     /// Applies already-extracted snapshots (exposed separately so the
@@ -67,10 +66,10 @@ impl MiddlewareAdapter {
     ///
     /// Returns [`DesiError::Adapter`] if a snapshot names a component the
     /// model does not know.
-    pub fn apply_snapshots(
+    pub fn apply_snapshots<'a>(
         &self,
         system: &mut SystemData,
-        snapshots: &[MonitoringSnapshot],
+        snapshots: impl IntoIterator<Item = &'a MonitoringSnapshot>,
     ) -> Result<(), DesiError> {
         let ids = system.component_ids_by_name();
         let mut deployment = system.deployment().clone();
@@ -83,11 +82,11 @@ impl MiddlewareAdapter {
                 deployment.assign(id, snap.host);
             }
             // Interaction parameters.
-            for ((a, b), freq) in &snap.frequencies {
-                let (Some(&ca), Some(&cb)) = (ids.get(a), ids.get(b)) else {
+            for (pair, freq) in &snap.frequencies {
+                let (Some(&ca), Some(&cb)) = (ids.get(&pair.0), ids.get(&pair.1)) else {
                     continue;
                 };
-                let size = snap.event_sizes.get(&(a.clone(), b.clone())).copied();
+                let size = snap.event_sizes.get(pair).copied();
                 system.model_mut().set_logical_link(ca, cb, |l| {
                     l.set_frequency(*freq);
                     if let Some(s) = size {

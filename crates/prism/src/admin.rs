@@ -42,8 +42,9 @@ use crate::codec::{get_bytes, get_varint, put_bytes, put_varint};
 use crate::durable::{get_f64, get_str, get_u32, put_f64, put_str, JournalRecord};
 use crate::event::Event;
 use crate::host::{HostConfig, HostServices, ADMIN_ADDRESS, DEPLOYER_ADDRESS};
-use crate::monitor::{EventFrequencyMonitor, MonitoringSnapshot};
+use crate::monitor::{EventFrequencyMonitor, FrequencyWindow, MonitoringSnapshot};
 use crate::stability::StabilityGauge;
+use crate::symbol::Symbol;
 use crate::PrismError;
 use redep_model::HostId;
 use redep_netsim::{Duration, SimTime};
@@ -281,13 +282,13 @@ impl AdminComponent {
     /// `send_to`, local or remote).
     pub(crate) fn observe_interaction(
         &mut self,
-        src: Option<&str>,
-        dst: &str,
+        src: Option<Symbol>,
+        dst: Symbol,
         event: &Event,
         now: SimTime,
     ) {
         use crate::monitor::ConnectorMonitor;
-        let src = src.unwrap_or("?");
+        let src = src.unwrap_or_else(|| Symbol::intern("?"));
         self.interactions.observe(src, dst, event, now);
     }
 
@@ -321,38 +322,8 @@ impl AdminComponent {
             self.latest_reliabilities.insert(peer, smoothed);
         }
 
-        // Merge the two frequency sources (named sends + connector traffic),
-        // canonicalizing pair order and aggregating raw counts so each
-        // observed event contributes exactly once.
-        let mut counts: BTreeMap<(String, String), u64> = BTreeMap::new();
-        let mut bytes: BTreeMap<(String, String), u64> = BTreeMap::new();
-        let mut frequencies: BTreeMap<(String, String), f64> = BTreeMap::new();
-        for window in [&named, &bus] {
-            if window.window_secs <= 0.0 {
-                continue;
-            }
-            for ((s, d), count) in &window.counts {
-                let key = if s <= d {
-                    (s.clone(), d.clone())
-                } else {
-                    (d.clone(), s.clone())
-                };
-                *counts.entry(key.clone()).or_insert(0) += count;
-                *frequencies.entry(key.clone()).or_insert(0.0) +=
-                    *count as f64 / window.window_secs;
-                if let Some(b) = window.bytes.get(&(s.clone(), d.clone())) {
-                    *bytes.entry(key).or_insert(0) += b;
-                }
-            }
-        }
-        let event_sizes: BTreeMap<(String, String), f64> = counts
-            .iter()
-            .filter(|(_, c)| **c > 0)
-            .map(|(key, c)| {
-                let total = bytes.get(key).copied().unwrap_or(0);
-                (key.clone(), total as f64 / *c as f64)
-            })
-            .collect();
+        // Merge the two frequency sources (named sends + connector traffic).
+        let (frequencies, event_sizes) = FrequencyWindow::estimates(&[&named, &bus]);
 
         // Platform-independent half: ε-stability across windows.
         let total_rate: f64 = frequencies.values().sum();
@@ -372,7 +343,7 @@ impl AdminComponent {
             reliabilities: self.latest_reliabilities.clone(),
             taken_at_secs: now.as_secs_f64(),
         };
-        self.last_encoded = snapshot.encode().expect("snapshots serialize");
+        self.last_encoded = snapshot.encode();
         self.last_snapshot = Some(snapshot);
 
         if self.freq_gauge.is_stable() && self.rel_gauge.is_stable() {
@@ -811,7 +782,7 @@ impl DeployerComponent {
         self.state.encode_into(&mut out);
         put_varint(&mut out, self.snapshots.len() as u64);
         for snapshot in self.snapshots.values() {
-            put_bytes(&mut out, &snapshot.encode().expect("snapshots serialize"));
+            put_bytes(&mut out, &snapshot.encode());
         }
         out
     }
@@ -857,11 +828,17 @@ impl DeployerComponent {
     /// Takes in one monitoring report payload and journals it as a
     /// `ReportReceived` delta — the live `EV_REPORT` path, and (journaling
     /// being a no-op then) the replay of that record. An undecodable report
-    /// is dropped and leaves no record.
+    /// is dropped and leaves no record; so is a stale one — the reliable
+    /// channel delivers exactly once but not in order, and a retransmitted
+    /// report can arrive after its host's next.
     pub(crate) fn accept_report(&mut self, services: &mut HostServices, payload: &[u8]) {
         let Ok(snapshot) = MonitoringSnapshot::decode(payload) else {
             return;
         };
+        let held = self.snapshots.get(&snapshot.host);
+        if held.is_some_and(|held| held.taken_at_secs > snapshot.taken_at_secs) {
+            return;
+        }
         self.snapshots.insert(snapshot.host, snapshot);
         services.journal(JournalRecord::ReportReceived { payload });
     }
@@ -1260,7 +1237,7 @@ mod tests {
         };
         d.handle(
             &mut services,
-            &Event::notification(EV_REPORT).with_payload(snap.encode().unwrap()),
+            &Event::notification(EV_REPORT).with_payload(snap.encode()),
         );
         let (retried, failed) = d.on_deploy_tick(&mut services);
         assert_eq!(retried, vec!["x".to_owned()]);
@@ -1303,7 +1280,7 @@ mod tests {
             host: HostId::new(3),
             ..MonitoringSnapshot::default()
         };
-        let report = Event::notification(EV_REPORT).with_payload(snap.encode().unwrap());
+        let report = Event::notification(EV_REPORT).with_payload(snap.encode());
         d.handle(&mut dummy_services(), &report);
         assert_eq!(d.snapshots().len(), 1);
         assert!(d.snapshots().contains_key(&HostId::new(3)));
@@ -1352,7 +1329,7 @@ mod tests {
             taken_at_secs: 9.0,
             ..MonitoringSnapshot::default()
         };
-        let payload = snap.encode().unwrap();
+        let payload = snap.encode();
         let before = services.durable().bytes_appended();
         d.handle(
             &mut services,
@@ -1373,12 +1350,192 @@ mod tests {
         let mut back = deployer();
         back.accept_report(&mut dummy_services(), logged);
         assert_eq!(back.checkpoint_blob(), d.checkpoint_blob());
-        // A report that does not decode is dropped and leaves no record.
-        d.handle(
-            &mut services,
-            &Event::notification(EV_REPORT).with_payload(b"not json".to_vec()),
-        );
+        // A report that does not decode — a frame cut short, or the JSON
+        // document reports once were — is dropped and leaves no record.
+        for damaged in [&payload[..payload.len() - 1], br#"{"host":3}"#] {
+            d.handle(
+                &mut services,
+                &Event::notification(EV_REPORT).with_payload(damaged.to_vec()),
+            );
+        }
         assert_eq!(services.durable().records_appended(), 1);
+    }
+
+    #[test]
+    fn a_stale_report_does_not_replace_a_newer_one() {
+        let mut d = deployer();
+        let mut services = dummy_services();
+        let report = |taken_at_secs: f64, component: &str| {
+            let snap = MonitoringSnapshot {
+                host: HostId::new(3),
+                components: [(component.to_owned(), "workload".to_owned())].into(),
+                taken_at_secs,
+                ..MonitoringSnapshot::default()
+            };
+            Event::notification(EV_REPORT).with_payload(snap.encode())
+        };
+        // The window-4 report overtakes the retransmitted window-2 report.
+        d.handle(&mut services, &report(4.0, "new"));
+        d.handle(&mut services, &report(2.0, "old"));
+        let held = &d.snapshots()[&HostId::new(3)];
+        assert_eq!(held.taken_at_secs, 4.0);
+        assert!(held.components.contains_key("new"));
+        assert_eq!(
+            services.durable().records_appended(),
+            1,
+            "a dropped report leaves no record"
+        );
+        d.handle(&mut services, &report(6.0, "newer"));
+        assert_eq!(d.snapshots()[&HostId::new(3)].taken_at_secs, 6.0);
+        // Replaying what was journaled reaches the same snapshot set.
+        let mut back = deployer();
+        for record in services.durable().recover().tail {
+            let JournalRecord::ReportReceived { payload } = record else {
+                panic!("expected only ReportReceived records, got {record:?}");
+            };
+            back.accept_report(&mut dummy_services(), &payload);
+        }
+        assert_eq!(back.checkpoint_blob(), d.checkpoint_blob());
+    }
+
+    /// Emits one `said` notification of the asked-for size per `say` event.
+    struct Talker;
+    impl crate::brick::ComponentBehavior for Talker {
+        fn type_name(&self) -> &str {
+            "talker"
+        }
+        fn handle(&mut self, ctx: &mut crate::brick::ComponentCtx<'_>, event: &Event) {
+            if let Some(bytes) = event.param("bytes").and_then(|v| v.as_i64()) {
+                ctx.emit(Event::notification("said").with_size(bytes as u64));
+            }
+        }
+    }
+
+    /// The window close pinned against the values the five-map merge
+    /// produced before it became one pass: both pair orders on both sources,
+    /// pairs only one source saw, a zero-length window (its observations are
+    /// dropped), and a second window that must not inherit from the first.
+    #[test]
+    fn window_close_matches_the_recorded_estimates() {
+        let host = HostId::new(1);
+        let mut arch = Architecture::new("pin", host);
+        let bus = arch.add_connector("bus");
+        for name in ["alpha", "beta", "gamma"] {
+            let id = arch.add_component(name, Talker).unwrap();
+            arch.weld(id, bus).unwrap();
+        }
+        let window = HostConfig::default().monitor_window;
+        arch.attach_monitor(bus, EventFrequencyMonitor::new(window))
+            .unwrap();
+        let mut admin = AdminComponent::new(host, &HostConfig::default());
+        let mut services = crate::host::test_support::services(host);
+
+        let say = |arch: &mut Architecture, who: &str, bytes: i64, times: usize| {
+            for _ in 0..times {
+                arch.publish(who, Event::request("say").with_param("bytes", bytes))
+                    .unwrap();
+            }
+            arch.pump(SimTime::ZERO);
+        };
+        let named =
+            |admin: &mut AdminComponent, src: Option<&str>, dst: &str, bytes: u64, times| {
+                let event = Event::notification("n").with_size(bytes);
+                for _ in 0..times {
+                    admin.observe_interaction(
+                        src.map(Symbol::intern),
+                        dst.into(),
+                        &event,
+                        SimTime::ZERO,
+                    );
+                }
+            };
+        let close = |admin: &mut AdminComponent,
+                     arch: &mut Architecture,
+                     services: &mut HostServices,
+                     at: f64| {
+            crate::host::test_support::set_now(services, SimTime::from_secs_f64(at));
+            admin.on_monitor_window(arch, services, bus);
+            admin.last_snapshot().unwrap().clone()
+        };
+
+        let inventory: BTreeMap<String, String> = ["alpha", "beta", "gamma"]
+            .map(|name| (name.to_owned(), "talker".to_owned()))
+            .into();
+        let pairs = |rows: &[(&str, &str, f64)]| -> BTreeMap<(String, String), f64> {
+            rows.iter()
+                .map(|(a, b, v)| ((a.to_string(), b.to_string()), *v))
+                .collect()
+        };
+
+        // Window 1, 1.7 s long.
+        say(&mut arch, "alpha", 100, 3);
+        say(&mut arch, "beta", 40, 1);
+        named(&mut admin, Some("alpha"), "beta", 64, 2);
+        named(&mut admin, Some("beta"), "alpha", 10, 1);
+        named(&mut admin, None, "gamma", 7, 1);
+        named(&mut admin, Some("alpha"), "remote", 1000, 5);
+        let first = close(&mut admin, &mut arch, &mut services, 1.7);
+        assert_eq!(first.components, inventory);
+        assert_eq!(
+            first.frequencies,
+            pairs(&[
+                ("?", "gamma", 0.5882352941176471),
+                ("alpha", "beta", 4.117647058823529),
+                ("alpha", "gamma", 1.7647058823529411),
+                ("alpha", "remote", 2.9411764705882355),
+                ("beta", "gamma", 0.5882352941176471),
+            ])
+        );
+        assert_eq!(
+            first.event_sizes,
+            pairs(&[
+                ("?", "gamma", 7.0),
+                ("alpha", "beta", 68.28571428571429),
+                ("alpha", "gamma", 100.0),
+                ("alpha", "remote", 1000.0),
+                ("beta", "gamma", 40.0),
+            ])
+        );
+
+        // A zero-length window: what it observed is dropped with it.
+        say(&mut arch, "gamma", 9, 2);
+        named(&mut admin, Some("gamma"), "alpha", 9, 4);
+        let empty = close(&mut admin, &mut arch, &mut services, 1.7);
+        assert_eq!(empty.components, inventory);
+        assert!(empty.frequencies.is_empty() && empty.event_sizes.is_empty());
+
+        // Window 2, 2.3 s long: first-seen order reversed, one new pair, and
+        // window 1's other pairs silent.
+        say(&mut arch, "beta", 30, 2);
+        say(&mut arch, "alpha", 50, 1);
+        named(&mut admin, Some("beta"), "alpha", 11, 3);
+        named(&mut admin, Some("alpha"), "beta", 13, 1);
+        named(&mut admin, Some("gamma"), "remote", 5, 1);
+        let second = close(&mut admin, &mut arch, &mut services, 4.0);
+        assert_eq!(second.components, inventory);
+        assert_eq!(
+            second.frequencies,
+            pairs(&[
+                ("alpha", "beta", 3.0434782608695654),
+                ("alpha", "gamma", 0.4347826086956522),
+                ("beta", "gamma", 0.8695652173913044),
+                ("gamma", "remote", 0.4347826086956522),
+            ])
+        );
+        assert_eq!(
+            second.event_sizes,
+            pairs(&[
+                ("alpha", "beta", 22.285714285714285),
+                ("alpha", "gamma", 50.0),
+                ("beta", "gamma", 30.0),
+                ("gamma", "remote", 5.0),
+            ])
+        );
+        // The shipped bytes are the snapshot, encoded once.
+        assert_eq!(
+            MonitoringSnapshot::decode(&admin.last_encoded).unwrap(),
+            second
+        );
     }
 
     mod framing {
@@ -1523,7 +1680,7 @@ mod tests {
                         taken_at_secs: 2.5,
                         ..MonitoringSnapshot::default()
                     };
-                    admin.last_encoded = snapshot.encode().unwrap();
+                    admin.last_encoded = snapshot.encode();
                     admin.last_snapshot = Some(snapshot);
                 }
                 let blob = admin.durable_blob();

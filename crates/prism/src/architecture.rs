@@ -505,7 +505,7 @@ impl Architecture {
             if let Some(conn) = self.connector_slot_mut(conn_id) {
                 for &(_, dst_name) in &recipients[start..] {
                     for m in conn.monitors_mut() {
-                        m.observe(src_name.as_str(), dst_name.as_str(), &event, now);
+                        m.observe(src_name, dst_name, &event, now);
                     }
                 }
             }

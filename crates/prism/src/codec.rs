@@ -1,4 +1,4 @@
-//! The wire codec for events and transport frames.
+//! The wire codec for events, transport frames and monitoring snapshots.
 //!
 //! A compact length-prefixed little-endian binary format: symbol names
 //! travel as LEB128 varint interner ids, parameter values as one tag byte
@@ -9,7 +9,9 @@
 //! Shipping interner ids is sound here because the "wire" never leaves the
 //! process: netsim simulates all hosts in one address space sharing one
 //! interner (see [`crate::symbol`]), and encoded frames never reach
-//! journals or reports.
+//! journals or reports. A monitoring snapshot does — it is a report
+//! payload, a `ReportReceived` record and part of every checkpoint — so it
+//! spells its names out and holds no id.
 //!
 //! # Binary layout
 //!
@@ -33,6 +35,21 @@
 //! Transport frame (`0xEB` magic): `[0xEB][variant u8]` then the variant's
 //! fields in order, ids/seqs/nonces as varints, embedded frames as varint
 //! length + bytes.
+//!
+//! Monitoring snapshot (`0xE6` magic; [`crate::MonitoringSnapshot`], names as
+//! varint length + UTF-8 bytes, every float 8 bytes f64 LE):
+//!
+//! ```text
+//! [0xE6][host varint][taken_at_secs f64]
+//! [component_count varint]
+//!   repeat: [name][type name]
+//! repeat, in pair order, each pair once: [flags varint, 1..=3][a][b]
+//!   [frequency f64  — iff flags bit0]
+//!   [event size f64 — iff flags bit1]
+//! [0]
+//! [reliability_count varint]
+//!   repeat: [peer varint][reliability f64]
+//! ```
 
 use crate::event::{Event, EventKind, ParamVec};
 use crate::symbol::Symbol;
@@ -44,6 +61,9 @@ pub const EVENT_MAGIC: u8 = 0xE5;
 
 /// Leading byte of an encoded transport frame.
 pub(crate) const WIRE_MAGIC: u8 = 0xEB;
+
+/// Leading byte of an encoded [`crate::MonitoringSnapshot`].
+pub(crate) const SNAPSHOT_MAGIC: u8 = 0xE6;
 
 // --- varint primitives ---------------------------------------------------
 
@@ -116,9 +136,9 @@ fn codec_err(msg: &str) -> PrismError {
     PrismError::Codec(msg.to_owned())
 }
 
-/// Consumes the leading magic byte of a `what` ("event" / "frame")
-/// encoding, naming whatever is there instead when it is missing.
-fn expect_magic(bytes: &[u8], magic: u8, what: &str) -> Result<(), PrismError> {
+/// Consumes the leading magic byte of a `what` ("event" / "frame" /
+/// "snapshot") encoding, naming whatever is there instead when it is missing.
+pub(crate) fn expect_magic(bytes: &[u8], magic: u8, what: &str) -> Result<(), PrismError> {
     match bytes.first() {
         Some(&b) if b == magic => Ok(()),
         Some(&b) => Err(PrismError::Codec(format!(

@@ -1004,8 +1004,8 @@ impl PrismHost {
                         // monitor counts it at the sender.
                         self.services.stats.app_events_emitted += 1;
                         self.admin.observe_interaction(
-                            event.source(),
-                            to_component.as_str(),
+                            event.source,
+                            to_component,
                             &event,
                             ctx.now(),
                         );
@@ -1556,5 +1556,10 @@ pub(crate) mod test_support {
     /// Builds a bare `HostServices` for unit tests in sibling modules.
     pub(crate) fn services(host: HostId) -> HostServices {
         HostServices::new(host, &HostConfig::default())
+    }
+
+    /// Moves the services' clock (the host runtime does this per activation).
+    pub(crate) fn set_now(services: &mut HostServices, now: SimTime) {
+        services.now = now;
     }
 }

@@ -2,9 +2,8 @@
 //! invariants.
 
 use proptest::prelude::*;
-use redep_prism::monitor::pair_map;
-use redep_prism::{Event, StabilityGauge, TraceCtx};
-use std::collections::BTreeMap;
+use redep_model::HostId;
+use redep_prism::{Event, MonitoringSnapshot, StabilityGauge, TraceCtx};
 
 fn event_strategy() -> impl Strategy<Value = Event> {
     (
@@ -36,6 +35,24 @@ fn trace_strategy() -> impl Strategy<Value = TraceCtx> {
             span_id,
             parent_id,
         })
+}
+
+/// Component-like names, a few outside ASCII, the empty one included.
+fn name_strategy() -> &'static str {
+    "[a-z0-9._éßλ日本🦀-]{0,12}"
+}
+
+/// Any float but a NaN (which no estimate is, and `==` cannot compare):
+/// zeros of both signs, subnormals, the extremes and the infinities.
+fn estimate_strategy() -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(|bits| {
+        let value = f64::from_bits(bits);
+        if value.is_nan() {
+            f64::MAX
+        } else {
+            value
+        }
+    })
 }
 
 /// Advances `pos` past one LEB128 varint in the binary event layout.
@@ -138,22 +155,6 @@ proptest! {
     }
 
     #[test]
-    fn pair_map_round_trips_any_pair_keyed_map(
-        entries in proptest::collection::btree_map(
-            ("[a-z0-9._-]{0,12}", "[a-z0-9._-]{0,12}"),
-            -1e12f64..1e12,
-            0..16,
-        ),
-    ) {
-        let map: BTreeMap<(String, String), f64> = entries;
-        let value = pair_map::serialize(&map);
-        let text = serde_json::to_string(&value).unwrap();
-        let back: BTreeMap<(String, String), f64> =
-            pair_map::deserialize(&serde_json::from_str(&text).unwrap()).unwrap();
-        prop_assert_eq!(back, map);
-    }
-
-    #[test]
     fn relative_gauge_scales_with_magnitude(scale in 1.0f64..1e6) {
         // ±1% wiggle at any magnitude is stable for a 5% relative gauge…
         let mut g = StabilityGauge::new_relative(0.05, 2);
@@ -167,5 +168,60 @@ proptest! {
             g.push(scale * (1.0 + 0.2 * (i % 2) as f64));
         }
         prop_assert!(!g.is_stable());
+    }
+}
+
+proptest! {
+    // Every prefix of every case is decoded — quadratic in the encoding's
+    // length — so fewer cases than above.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn snapshots_round_trip_and_reject_damage(
+        host in any::<u32>(),
+        taken_at_secs in estimate_strategy(),
+        components in proptest::collection::btree_map(name_strategy(), name_strategy(), 0..6),
+        frequencies in proptest::collection::btree_map(
+            (name_strategy(), name_strategy()),
+            estimate_strategy(),
+            0..300,
+        ),
+        sized in 0usize..4,
+        lone_sizes in proptest::collection::btree_map(
+            (name_strategy(), name_strategy()),
+            estimate_strategy(),
+            0..4,
+        ),
+        reliabilities in proptest::collection::btree_map(any::<u32>(), estimate_strategy(), 0..8),
+    ) {
+        let mut snapshot = MonitoringSnapshot {
+            host: HostId::new(host),
+            components,
+            taken_at_secs,
+            // Most, all or none of the pairs have a size; a few have only one.
+            event_sizes: lone_sizes,
+            reliabilities: reliabilities.into_iter().map(|(h, r)| (HostId::new(h), r)).collect(),
+            ..MonitoringSnapshot::default()
+        };
+        for (i, (pair, freq)) in frequencies.iter().enumerate() {
+            if i % 4 < sized {
+                snapshot.event_sizes.insert(pair.clone(), freq * 0.5);
+            }
+        }
+        snapshot.frequencies = frequencies;
+        let bytes = snapshot.encode();
+        let back = MonitoringSnapshot::decode(&bytes).unwrap();
+        prop_assert_eq!(&back, &snapshot);
+        // Bit-exact, signed zeros and all.
+        prop_assert_eq!(back.encode(), bytes.clone());
+        for cut in 0..bytes.len() {
+            prop_assert!(MonitoringSnapshot::decode(&bytes[..cut]).is_err(), "prefix {}", cut);
+        }
+        let mut longer = bytes;
+        longer.push(0);
+        for extra in 0..=u8::MAX {
+            *longer.last_mut().unwrap() = extra;
+            prop_assert!(MonitoringSnapshot::decode(&longer).is_err(), "suffix {}", extra);
+        }
     }
 }

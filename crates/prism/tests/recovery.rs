@@ -6,7 +6,9 @@
 
 use redep_model::HostId;
 use redep_netsim::{Duration, LinkSpec, SimTime, Simulator};
+use redep_prism::admin::EV_REPORT;
 use redep_prism::codec::encode_raw_frame;
+use redep_prism::host::DEPLOYER_ADDRESS;
 use redep_prism::workload::{InteractionSpec, EV_APP, WORKLOAD_TYPE};
 use redep_prism::{
     host::HostConfig, ComponentFactory, Event, JournalRecord, MonitoringSnapshot, OpKind,
@@ -396,6 +398,37 @@ fn master_crash_between_checkpoints_replays_report_deltas() {
             "{host} stopped reporting after the master's recovery"
         );
     }
+}
+
+#[test]
+fn a_report_overtaken_by_a_newer_one_is_dropped_live_and_on_replay() {
+    // No periodic checkpoint: every accepted report is in the journal tail.
+    let mut sim = mesh_system(4, 29, u32::MAX);
+    sim.run_until(SimTime::from_secs_f64(13.3));
+    let held = master(&sim).deployer().unwrap().snapshots().clone();
+    let journaled = kind_stats(master(&sim), "report_received");
+    // h1's report of two windows ago, retransmitted until now: the reliable
+    // channel hands it over although h1's later reports already arrived.
+    let mut stale = held[&h(1)].clone();
+    stale.taken_at_secs -= 4.0;
+    stale
+        .components
+        .insert("ghost".into(), WORKLOAD_TYPE.into());
+    let report = Event::notification(EV_REPORT).with_payload(stale.encode());
+    let frame = encode_raw_frame(DEPLOYER_ADDRESS.into(), report.encode().unwrap());
+    sim.inject(h(1), h(0), frame, 64);
+    sim.run_until(SimTime::from_secs_f64(13.4));
+    assert_eq!(master(&sim).deployer().unwrap().snapshots(), &held);
+    assert_eq!(
+        kind_stats(master(&sim), "report_received"),
+        journaled,
+        "a dropped report must append no record"
+    );
+
+    bounce(&mut sim, h(0));
+    assert_recovered_exactly(master(&sim), 0);
+    assert!(master(&sim).recovery_reports()[0].replayed >= journaled.0);
+    assert_eq!(master(&sim).deployer().unwrap().snapshots(), &held);
 }
 
 #[test]
