@@ -35,6 +35,12 @@
 //! monitoring report (`report_payload_bytes_mean_32x128`: one encoded
 //! snapshot plus a few framing bytes), gated at [`MAX_REPORT_BYTES`] so a
 //! return of a text encoding — or of pair names written twice — fails too.
+//! The binary also counts every call into the global allocator: the single
+//! queue is deterministic, so allocator calls and bytes requested over the
+//! timed window, per routed event (`allocs_per_event_32x128`,
+//! `alloc_bytes_per_event_32x128`), repeat exactly and the first is gated at
+//! [`MAX_ALLOCS_PER_EVENT`] — the tripwire for a per-message buffer that is
+//! rebuilt instead of kept.
 //!
 //! `--quick` runs only the 8×32 cells and the steady cells (the CI smoke
 //! configuration);
@@ -48,7 +54,49 @@ use redep_core::{RuntimeConfig, ShardedRuntime, SystemRuntime};
 use redep_model::{Generator, GeneratorConfig};
 use redep_netsim::SimTime;
 use redep_telemetry::Telemetry;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// The system allocator with two relaxed counters in front: calls that
+/// obtain memory (`alloc`, `alloc_zeroed`, `realloc`) and the bytes they ask
+/// for. Statistics only — they publish no other data.
+struct CountingAlloc;
+
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count_alloc(bytes: usize) {
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc(layout.size());
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The single-shard 256×1024 fast-path rate recorded in the checked-in
 /// `BENCH_pipeline.json` before the sharded engine landed — the fixed
@@ -69,6 +117,15 @@ const MAX_DURABLE_BYTES_PER_EVENT: f64 = 100.0;
 /// cell (~130 component pairs per host). The JSON document took 6 460 B.
 const MAX_REPORT_BYTES: f64 = 4_500.0;
 
+/// `allocs_per_event_32x128` at the commit before the per-message path
+/// kept its buffers (`host_actions`/`outbox` regrown every flush, a boxed
+/// closure per delivery, a second buffer per decoded frame).
+const PARENT_ALLOCS_PER_EVENT: f64 = 5.5556;
+
+/// Ceiling on allocator calls per routed event in the 32×128 steady cell
+/// (single queue): 0.7 × what that commit took.
+const MAX_ALLOCS_PER_EVENT: f64 = 0.7 * PARENT_ALLOCS_PER_EVENT;
+
 /// The steady-state cell: (hosts, components, warm-up s, timed s).
 const STEADY: (usize, usize, f64, f64) = (32, 128, 12.0, 10.0);
 
@@ -83,6 +140,10 @@ struct Sample {
     /// The part of `durable_bytes` in `monitor_window` and `report_received`
     /// records.
     monitor_journal_bytes: u64,
+    /// Calls into the global allocator over the timed window.
+    allocs: u64,
+    /// Bytes those calls requested.
+    alloc_bytes: u64,
     /// Wall-clock seconds for the simulated horizon.
     wall_secs: f64,
     /// Per-chunk throughput samples (events/s over each horizon slice),
@@ -102,6 +163,12 @@ impl Sample {
     }
     fn bytes_per_event(&self) -> f64 {
         self.bytes as f64 / self.events.max(1) as f64
+    }
+    fn allocs_per_event(&self) -> f64 {
+        self.allocs as f64 / self.events.max(1) as f64
+    }
+    fn alloc_bytes_per_event(&self) -> f64 {
+        self.alloc_bytes as f64 / self.events.max(1) as f64
     }
     fn durable_bytes_per_event(&self) -> f64 {
         self.durable_bytes as f64 / self.events.max(1) as f64
@@ -186,6 +253,13 @@ fn run_cell(
     let monitor_before = monitor_bytes(&journal_kinds(std::slice::from_ref(&telemetry)));
     let mut chunk_rates = Vec::with_capacity(CHUNKS as usize);
     let mut prev_events = events_before;
+    let allocated = || {
+        (
+            ALLOC_CALLS.load(Ordering::Relaxed),
+            ALLOC_BYTES.load(Ordering::Relaxed),
+        )
+    };
+    let (allocs_before, alloc_bytes_before) = allocated();
     let started = Instant::now();
     for chunk in 1..=CHUNKS {
         let chunk_started = Instant::now();
@@ -198,8 +272,11 @@ fn run_cell(
         prev_events = now_events;
     }
     let wall_secs = started.elapsed().as_secs_f64();
+    let (allocs, alloc_bytes) = allocated();
     let journal_kinds = journal_kinds(std::slice::from_ref(&telemetry));
     Ok(Sample {
+        allocs: allocs - allocs_before,
+        alloc_bytes: alloc_bytes - alloc_bytes_before,
         events: routed.get() - events_before,
         bytes: bytes.get() - bytes_before,
         durable_bytes: journaled(&rt) - durable_before,
@@ -266,6 +343,10 @@ fn run_sharded_cell(
     let wall_secs = started.elapsed().as_secs_f64();
     let journal_kinds = journal_kinds(&handles);
     Ok(Sample {
+        // Thread spawns and barrier timing make the sharded counts vary run
+        // to run; only the single queue's are reported.
+        allocs: 0,
+        alloc_bytes: 0,
         events: total(&routed) - events_before,
         bytes: total(&bytes) - bytes_before,
         durable_bytes: journaled(&rt) - durable_before,
@@ -484,6 +565,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         single.monitor_journal_bytes_per_event(),
     );
     report.metric(format!("report_payload_bytes_mean_{key}"), report_bytes);
+    let allocs_per_event = single.allocs_per_event();
+    report.metric(format!("allocs_per_event_{key}"), allocs_per_event);
+    report.metric(
+        format!("alloc_bytes_per_event_{key}"),
+        single.alloc_bytes_per_event(),
+    );
     report.add_journal_dropped(single.journal_dropped + sharded.journal_dropped);
     print_table(
         "E6-pipeline: steady state (12 s warm-up, 10 s timed)",
@@ -494,6 +581,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "durable B/ev",
             "of it monitoring",
             "report B",
+            "allocs/ev",
+            "alloc B/ev",
         ],
         &[
             ("single queue".to_owned(), &single),
@@ -507,6 +596,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 format!("{:.1}", cell.durable_bytes_per_event()),
                 format!("{:.1}", cell.monitor_journal_bytes_per_event()),
                 format!("{:.0}", cell.report_bytes_mean()),
+                format!("{:.4}", cell.allocs_per_event()),
+                format!("{:.1}", cell.alloc_bytes_per_event()),
             ]
         }),
     );
@@ -543,11 +634,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sharded_pass = quick || sharded_gate >= sharded_threshold;
     let durable_pass = single.events > 0 && durable_per_event <= MAX_DURABLE_BYTES_PER_EVENT;
     let report_pass = report_bytes > 0.0 && report_bytes <= MAX_REPORT_BYTES;
-    report.set_passed(hot_path_pass && sharded_pass && durable_pass && report_pass);
+    let allocs_pass = allocs_per_event > 0.0 && allocs_per_event <= MAX_ALLOCS_PER_EVENT;
+    report.set_passed(hot_path_pass && sharded_pass && durable_pass && report_pass && allocs_pass);
     report.note(format!(
         "acceptance: durable journal ≤{MAX_DURABLE_BYTES_PER_EVENT} B per routed event in the \
          32x128 steady cell (observed {durable_per_event:.1}); mean journaled monitoring report \
-         ≤{MAX_REPORT_BYTES} B (observed {report_bytes:.0})"
+         ≤{MAX_REPORT_BYTES} B (observed {report_bytes:.0}); allocator calls per routed event \
+         ≤{MAX_ALLOCS_PER_EVENT:.4} = 0.7 × the {PARENT_ALLOCS_PER_EVENT} measured before the \
+         per-message path kept its buffers (observed {allocs_per_event:.4})"
     ));
     if !quick {
         report.note(format!(
@@ -576,6 +670,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report_pass,
         "pipeline FAILED: mean journaled monitoring report of {report_bytes:.0} B, outside the \
          (0, {MAX_REPORT_BYTES}] B gate"
+    );
+    assert!(
+        allocs_pass,
+        "pipeline FAILED: {allocs_per_event:.4} allocator calls per routed event, outside the \
+         (0, {MAX_ALLOCS_PER_EVENT:.4}] gate"
     );
     if let Some(file) = report.emit_if_requested()? {
         println!("\nwrote {file}");

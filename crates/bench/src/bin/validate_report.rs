@@ -17,7 +17,10 @@
 //! and any pipeline report carrying the steady cell's exact count
 //! `durable_bytes_per_event_32x128` (quick mode included) must keep it
 //! ≤ 100 — whole-state journaling took 413 — and its
-//! `report_payload_bytes_mean_32x128` ≤ 4 500 — the JSON report took 6 460.
+//! `report_payload_bytes_mean_32x128` ≤ 4 500 — the JSON report took 6 460 —
+//! and its `allocs_per_event_32x128` ≤ 3.889 (0.7 × the 5.5556 allocator
+//! calls per routed event measured before the per-message path kept its
+//! buffers).
 //! A full-mode *algorithms* report
 //! (one carrying `e3d.avala.20x160.speedup_vs_flat`) must clear the
 //! hierarchical-engine acceptance — ≥ 10× evals/s over the flat path for
@@ -167,6 +170,15 @@ fn check_pipeline_gates(file: &str, report: &ExpReport) -> Result<(), String> {
                 "{file}: a mean journaled monitoring report of {bytes:.0} B in the \
                  32x128 steady cell is above the 4500 B gate — is the snapshot a \
                  text document again, or are pair names written twice?"
+            ));
+        }
+    }
+    if let Some(&allocs) = report.metrics.get("allocs_per_event_32x128") {
+        if allocs > 0.7 * 5.5556 {
+            return Err(format!(
+                "{file}: {allocs:.4} allocator calls per routed event in the 32x128 \
+                 steady cell is above the 3.889 gate (0.7 × the 5.5556 of the tree-keyed \
+                 path) — is a per-message buffer rebuilt instead of kept?"
             ));
         }
     }

@@ -115,7 +115,7 @@ use crate::calendar::CalendarQueue;
 use crate::faultplan::{FaultAction, FaultPlan};
 use crate::message::Message;
 use crate::node::{Node, NodeAction, NodeCtx};
-use crate::stats::NetStats;
+use crate::stats::{NetStats, NO_LINK_STATS};
 use crate::time::{Duration, SimTime};
 use crate::topology::NetworkTopology;
 use redep_model::{HostId, HostPair};
@@ -143,11 +143,6 @@ const SEQ_MASK: u64 = (1 << HOST_SHIFT) - 1;
 fn pack_key(kind: u64, host: u32, seq: u64) -> u64 {
     debug_assert!(seq <= SEQ_MASK, "per-host sequence exhausted");
     (kind << KIND_SHIFT) | ((host as u64) << HOST_SHIFT) | (seq & SEQ_MASK)
-}
-
-/// Directed link identifier: `src ≪ 32 | dst` over dense indices.
-fn link_key(src: u32, dst: u32) -> u64 {
-    ((src as u64) << 32) | dst as u64
 }
 
 /// Deterministic loss decision: a splitmix64-style hash of
@@ -304,10 +299,6 @@ impl ShardPlan {
     fn shard_of_dense(&self, dense: u32) -> usize {
         self.shard_of[dense as usize] as usize
     }
-
-    fn host_at(&self, dense: u32) -> HostId {
-        self.hosts[dense as usize]
-    }
 }
 
 /// Directed runtime state of one link, owned by the source host's shard.
@@ -324,6 +315,9 @@ struct LinkDir {
     loss_counter: u64,
     /// `(reliability, bandwidth)` before a degrade episode, for restore.
     saved_spec: Option<(f64, f64)>,
+    /// The pair's slot in the owning shard's [`NetStats`], resolved on this
+    /// direction's first send or first delivery of the reverse direction.
+    stats: u32,
 }
 
 /// What happens at a scheduled instant inside one shard.
@@ -369,8 +363,13 @@ struct ShardCore {
     queue: CalendarQueue<ShardEvent>,
     /// Node behaviors by dense index; `None` for hosts on other shards.
     nodes: Vec<Option<Box<dyn Node>>>,
-    /// Directed link state for links whose source host this shard owns.
-    links: HashMap<u64, LinkDir>,
+    /// The topology the simulator was built from, shared by all shards and
+    /// read only for its host-pair → link-slot table.
+    topology: Arc<NetworkTopology>,
+    /// Directed link state by `2 × link slot + direction` (see
+    /// [`ShardCore::dir_index`]); `None` for directions whose source host
+    /// another shard owns.
+    dirs: Vec<Option<LinkDir>>,
     /// Host up/down by dense index — replicated on every shard, kept in
     /// sync by fault broadcast.
     host_up: Vec<bool>,
@@ -389,28 +388,32 @@ struct ShardCore {
     outbound: Vec<(usize, SimTime, u64, Message)>,
     scratch: Vec<NodeAction>,
     processed: u64,
+    /// Deliveries this shard scheduled (into its own queue or `outbound`)
+    /// and deliveries it popped; the difference, summed over shards, is
+    /// [`ShardedSimulator::in_flight`].
+    flights_started: u64,
+    flights_landed: u64,
 }
 
 impl ShardCore {
-    fn new(idx: usize, seed: u64, plan: Arc<ShardPlan>, topology: &NetworkTopology) -> Self {
+    fn new(idx: usize, seed: u64, plan: Arc<ShardPlan>, topology: Arc<NetworkTopology>) -> Self {
         let n = plan.hosts().len();
-        let mut links = HashMap::new();
+        let mut dirs: Vec<Option<LinkDir>> = Vec::new();
+        dirs.resize_with(2 * topology.link_slot_count(), || None);
         for (pair, state) in topology.links() {
-            let (lo, hi) = (plan.dense(pair.lo()), plan.dense(pair.hi()));
-            for (src, dst) in [(lo, hi), (hi, lo)] {
-                if plan.shard_of_dense(src) == idx {
-                    links.insert(
-                        link_key(src, dst),
-                        LinkDir {
-                            reliability: state.spec.reliability,
-                            bandwidth: state.spec.bandwidth,
-                            delay: Duration::from_secs_f64(state.spec.delay),
-                            up: state.up,
-                            busy_until: SimTime::ZERO,
-                            loss_counter: 0,
-                            saved_spec: None,
-                        },
-                    );
+            for (src, dst) in [(pair.lo(), pair.hi()), (pair.hi(), pair.lo())] {
+                if plan.shard_of(src) == idx {
+                    let at = Self::dir_index(&topology, src, dst).expect("listed link");
+                    dirs[at] = Some(LinkDir {
+                        reliability: state.spec.reliability,
+                        bandwidth: state.spec.bandwidth,
+                        delay: Duration::from_secs_f64(state.spec.delay),
+                        up: state.up,
+                        busy_until: SimTime::ZERO,
+                        loss_counter: 0,
+                        saved_spec: None,
+                        stats: NO_LINK_STATS,
+                    });
                 }
             }
         }
@@ -428,7 +431,8 @@ impl ShardCore {
             now: SimTime::ZERO,
             queue: CalendarQueue::new(),
             nodes: (0..n).map(|_| None).collect(),
-            links,
+            topology,
+            dirs,
             host_up,
             host_seq: vec![0; n],
             stats: NetStats::new(),
@@ -439,7 +443,26 @@ impl ShardCore {
             outbound: Vec::new(),
             scratch: Vec::new(),
             processed: 0,
+            flights_started: 0,
+            flights_landed: 0,
         }
+    }
+
+    /// Index into `dirs` of the direction `src → dst`, if a link between
+    /// the two was configured.
+    fn dir_index(topology: &NetworkTopology, src: HostId, dst: HostId) -> Option<usize> {
+        Some(2 * topology.link_slot(src, dst)? + usize::from(src > dst))
+    }
+
+    /// The stat slot of the pair behind the direction `src → dst` at `at`,
+    /// if this shard owns it — resolved through the ordered pair index only
+    /// on first touch.
+    fn dir_stats(&mut self, at: usize, src: HostId, dst: HostId) -> Option<u32> {
+        let dir = self.dirs[at].as_mut()?;
+        if dir.stats == NO_LINK_STATS {
+            dir.stats = self.stats.slot(src, dst);
+        }
+        Some(dir.stats)
     }
 
     fn next_key(&mut self, kind: u64, dense: u32) -> u64 {
@@ -494,13 +517,20 @@ impl ShardCore {
                 self.run_callback(host, |node, ctx| node.on_start(ctx));
             }
             ShardEvent::Deliver { msg } => {
+                self.flights_landed += 1;
                 let (src, dst, bytes) = (msg.src, msg.dst, msg.size);
+                // The receiver's shard accounts the delivery, so it reads
+                // the pair's stat slot off the direction it owns: the
+                // reverse one (absent only for loopback).
+                let stats = Self::dir_index(&self.topology, dst, src)
+                    .and_then(|at| self.dir_stats(at, dst, src))
+                    .unwrap_or(NO_LINK_STATS);
                 if self.host_up[self.plan.dense(dst) as usize] {
-                    self.stats.record_delivered(src, dst, bytes);
+                    self.stats.record_delivered(stats, bytes);
                     self.counters.delivered.inc();
                     self.run_callback(dst, |node, ctx| node.on_message(ctx, msg));
                 } else {
-                    self.stats.record_disconnected(src, dst);
+                    self.stats.record_disconnected(stats);
                     self.record_drop(src, dst, "host_down");
                 }
             }
@@ -520,16 +550,17 @@ impl ShardCore {
 
     fn run_callback(&mut self, host: HostId, f: impl FnOnce(&mut dyn Node, &mut NodeCtx<'_>)) {
         let dense = self.plan.dense(host);
-        let Some(mut node) = self.nodes[dense as usize].take() else {
+        let Some(node) = self.nodes[dense as usize].as_mut() else {
             return;
         };
+        self.scratch.clear();
+        f(
+            node.as_mut(),
+            &mut NodeCtx::new(host, self.now, &mut self.scratch),
+        );
+        // The buffer is lent out while its actions run (they re-enter
+        // `self`) and handed back with its capacity.
         let mut actions = std::mem::take(&mut self.scratch);
-        actions.clear();
-        {
-            let mut ctx = NodeCtx::new(host, self.now, &mut actions);
-            f(node.as_mut(), &mut ctx);
-        }
-        self.nodes[dense as usize] = Some(node);
         for action in actions.drain(..) {
             match action {
                 NodeAction::Send { dst, payload, size } => {
@@ -562,11 +593,11 @@ impl ShardCore {
     /// Routes one message: sender-owned directed link state, counter-hash
     /// loss, full-duplex occupancy. Cross-shard deliveries go to `outbound`.
     fn dispatch_send(&mut self, src: HostId, dst: HostId, payload: Vec<u8>, size: u64) {
-        self.stats.record_sent(src, dst);
         self.counters.sent.inc();
         let src_dense = self.plan.dense(src);
         if src == dst {
             // Loopback: immediate delivery if the host is up.
+            self.stats.record_sent(NO_LINK_STATS);
             if self.host_up[src_dense as usize] {
                 let key = self.next_key(KIND_DELIVER, src_dense);
                 let msg = Message {
@@ -576,9 +607,10 @@ impl ShardCore {
                     size,
                     sent_at: self.now,
                 };
+                self.flights_started += 1;
                 self.queue.push(self.now, key, ShardEvent::Deliver { msg });
             } else {
-                self.stats.record_disconnected(src, dst);
+                self.stats.record_disconnected(NO_LINK_STATS);
                 self.record_drop(src, dst, "host_down");
             }
             return;
@@ -586,7 +618,14 @@ impl ShardCore {
         let dst_dense = self.plan.dense(dst);
         let ends_up = self.host_up[src_dense as usize] && self.host_up[dst_dense as usize];
         let (seed, now) = (self.seed, self.now);
-        let deliver_at = match self.links.get_mut(&link_key(src_dense, dst_dense)) {
+        let at = Self::dir_index(&self.topology, src, dst);
+        // No configured link: the pair is still accounted, by its index.
+        let stats = match at.and_then(|at| self.dir_stats(at, src, dst)) {
+            Some(stats) => stats,
+            None => self.stats.slot(src, dst),
+        };
+        self.stats.record_sent(stats);
+        let deliver_at = match at.and_then(|at| self.dirs[at].as_mut()) {
             None => None,
             Some(link) if !link.up || !ends_up => None,
             Some(link) => {
@@ -595,7 +634,7 @@ impl ShardCore {
                 if loss_roll(seed, src_dense, dst_dense, counter)
                     >= link.reliability.clamp(0.0, 1.0)
                 {
-                    self.stats.record_loss(src, dst);
+                    self.stats.record_loss(stats);
                     self.record_drop(src, dst, "loss");
                     return;
                 }
@@ -609,7 +648,7 @@ impl ShardCore {
             }
         };
         let Some(deliver_at) = deliver_at else {
-            self.stats.record_disconnected(src, dst);
+            self.stats.record_disconnected(stats);
             self.record_drop(src, dst, "disconnected");
             return;
         };
@@ -621,6 +660,7 @@ impl ShardCore {
             size,
             sent_at: now,
         };
+        self.flights_started += 1;
         let dst_shard = self.plan.shard_of_dense(dst_dense);
         if dst_shard == self.idx {
             self.queue
@@ -689,8 +729,7 @@ impl ShardCore {
                 reliability_factor,
                 bandwidth_factor,
             } => {
-                for key in self.owned_directions(a, b) {
-                    let link = self.links.get_mut(&key).expect("owned direction");
+                for link in self.owned_directions(a, b) {
                     link.saved_spec
                         .get_or_insert((link.reliability, link.bandwidth));
                     link.reliability = (link.reliability * reliability_factor).clamp(0.0, 1.0);
@@ -698,8 +737,7 @@ impl ShardCore {
                 }
             }
             FaultAction::Restore(a, b) => {
-                for key in self.owned_directions(a, b) {
-                    let link = self.links.get_mut(&key).expect("owned direction");
+                for link in self.owned_directions(a, b) {
                     if let Some((reliability, bandwidth)) = link.saved_spec.take() {
                         link.reliability = reliability;
                         link.bandwidth = bandwidth;
@@ -711,17 +749,13 @@ impl ShardCore {
         }
     }
 
-    /// The directed keys of link `a ↔ b` whose source this shard owns.
-    fn owned_directions(&self, a: HostId, b: HostId) -> Vec<u64> {
-        let (da, db) = (self.plan.dense(a), self.plan.dense(b));
-        let mut keys = Vec::new();
-        if self.plan.shard_of_dense(da) == self.idx && self.links.contains_key(&link_key(da, db)) {
-            keys.push(link_key(da, db));
-        }
-        if self.plan.shard_of_dense(db) == self.idx && self.links.contains_key(&link_key(db, da)) {
-            keys.push(link_key(db, da));
-        }
-        keys
+    /// The directions of link `a ↔ b` whose source this shard owns.
+    fn owned_directions(&mut self, a: HostId, b: HostId) -> impl Iterator<Item = &mut LinkDir> {
+        let both = match Self::dir_index(&self.topology, a.min(b), a.max(b)) {
+            Some(at) => &mut self.dirs[at..at + 2],
+            None => &mut [],
+        };
+        both.iter_mut().flatten()
     }
 
     fn fault_host_up(
@@ -776,8 +810,8 @@ impl ShardCore {
         tracer: &SpanIdGen,
         root: &TraceCtx,
     ) {
-        for key in self.owned_directions(a, b) {
-            self.links.get_mut(&key).expect("owned direction").up = up;
+        for link in self.owned_directions(a, b) {
+            link.up = up;
         }
         if journal {
             self.telemetry
@@ -798,10 +832,12 @@ impl ShardCore {
                 group_of.insert(*h, i);
             }
         }
-        for (key, link) in self.links.iter_mut() {
-            let (src, dst) = ((*key >> 32) as u32, *key as u32);
-            let (sh, dh) = (self.plan.host_at(src), self.plan.host_at(dst));
-            if let (Some(x), Some(y)) = (group_of.get(&sh), group_of.get(&dh)) {
+        for (pair, _) in self.topology.links() {
+            let (Some(x), Some(y)) = (group_of.get(&pair.lo()), group_of.get(&pair.hi())) else {
+                continue;
+            };
+            let at = Self::dir_index(&self.topology, pair.lo(), pair.hi()).expect("listed link");
+            for link in self.dirs[at..at + 2].iter_mut().flatten() {
                 if heal {
                     // Re-raise exactly the cross-group links; same-group
                     // links keep their state (a concurrent link-down fault
@@ -860,8 +896,9 @@ impl ShardedSimulator {
 
     /// Builds a sharded simulator with an explicit placement plan.
     pub fn with_plan(seed: u64, topology: &NetworkTopology, plan: Arc<ShardPlan>) -> Self {
+        let topology = Arc::new(topology.clone());
         let cores = (0..plan.shards())
-            .map(|idx| ShardCore::new(idx, seed, plan.clone(), topology))
+            .map(|idx| ShardCore::new(idx, seed, plan.clone(), topology.clone()))
             .collect();
         ShardedSimulator {
             plan,
@@ -967,6 +1004,18 @@ impl ShardedSimulator {
             total.merge(&core.stats);
         }
         total
+    }
+
+    /// Messages accepted by the network but not yet delivered: pending
+    /// deliveries in the shard queues (between [`run_until`](Self::run_until)
+    /// calls the mailboxes and outbound buffers are empty). With the merged
+    /// statistics this makes conservation checkable whenever the simulator
+    /// is stopped: `sent == delivered + dropped + in_flight`, as on
+    /// [`Simulator::in_flight`](crate::Simulator::in_flight).
+    pub fn in_flight(&self) -> usize {
+        let started: u64 = self.cores.iter().map(|c| c.flights_started).sum();
+        let landed: u64 = self.cores.iter().map(|c| c.flights_landed).sum();
+        (started - landed) as usize
     }
 
     /// Borrows the node on `host`, downcast to its concrete type.
@@ -1482,5 +1531,94 @@ mod tests {
             prop_assert_eq!(journal, reference_journal);
             prop_assert_eq!(stats, reference_stats);
         }
+    }
+
+    /// Lossy, thin ring with a mid-transfer host crash: every host bursts
+    /// at its successor at t = 0, so for ~0.3 s many messages are in flight,
+    /// some are lost, and host 2 drops what reaches it while it is down.
+    fn lossy_crashing_sim(shards: usize) -> ShardedSimulator {
+        let mut topo = NetworkTopology::new();
+        for i in 0..6 {
+            topo.set_link(
+                h(i),
+                h((i + 1) % 6),
+                LinkSpec {
+                    reliability: 0.8,
+                    bandwidth: 10_000.0, // 64 bytes: 6.4 ms on the medium
+                    delay: 0.05,
+                },
+            );
+        }
+        let mut sim = ShardedSimulator::new(5, &topo, shards);
+        for i in 0..6 {
+            let (peer, count, size) = (h((i + 1) % 6), 40, 64);
+            sim.add_host(h(i), Burst { peer, count, size });
+        }
+        sim.install_fault_plan(&FaultPlan::new().episode(
+            0.1,
+            0.1,
+            crate::faultplan::FaultKind::HostCrash { host: h(2) },
+        ));
+        sim
+    }
+
+    #[test]
+    fn conservation_holds_mid_flight_and_at_quiescence_on_any_shard_count() {
+        let mut seen = Vec::new();
+        for shards in [1, 2] {
+            let mut sim = lossy_crashing_sim(shards);
+            let mut stops = Vec::new();
+            // Stop mid-transfer — before, during and after the crash — then
+            // let the queues drain.
+            for stop in [0.05, 0.15, 0.25, 5.0] {
+                sim.run_until(SimTime::from_secs_f64(stop), shards);
+                let s = sim.stats();
+                assert_eq!(sim.in_flight() > 0, stop < 1.0, "in flight at {stop} s");
+                assert_eq!(
+                    s.sent,
+                    s.delivered + s.dropped_loss + s.dropped_disconnected + sim.in_flight() as u64,
+                    "{shards} shards at {stop} s"
+                );
+                stops.push((s, sim.in_flight()));
+            }
+            let end = &stops[3].0;
+            assert_eq!(end.sent, 240);
+            assert!(end.dropped_loss > 0 && end.dropped_disconnected > 0);
+            seen.push(stops);
+        }
+        assert_eq!(seen[0], seen[1], "in-flight counts are layout-invariant");
+    }
+
+    #[test]
+    fn merged_shard_stats_equal_the_single_engine_stats() {
+        // Lossless links and hosts that stay up: both engines deliver every
+        // message (3 → 0 has no link: both drop it), so they must agree on
+        // every counter of every pair.
+        let topo = ring(5, 0.002);
+        let sends = |i: u32| Burst {
+            peer: h([1, 0, 3, 0, 0][i as usize]),
+            count: 3 + i,
+            size: 100 + u64::from(i),
+        };
+        let mut single = crate::Simulator::new(3);
+        for (pair, state) in topo.links() {
+            single.set_link(pair.lo(), pair.hi(), state.spec);
+        }
+        let mut sharded = ShardedSimulator::new(3, &topo, 2);
+        for i in 0..5 {
+            single.add_host(h(i), sends(i));
+            sharded.add_host(h(i), sends(i));
+        }
+        single.run_to_completion();
+        sharded.run_until(SimTime::from_secs_f64(10.0), 2);
+        let merged = sharded.stats();
+        assert_eq!(merged.links().count(), 4);
+        assert_eq!(merged.dropped_disconnected, 6);
+        assert_eq!(&merged, single.stats());
+        let json = |s: &NetStats| {
+            use serde::Serialize;
+            serde_json::to_string(&s.serialize()).unwrap()
+        };
+        assert_eq!(json(&merged), json(single.stats()));
     }
 }

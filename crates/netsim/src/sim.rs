@@ -5,7 +5,7 @@ use crate::faultplan::{FaultAction, FaultPlan};
 use crate::fluctuation::FluctuationModel;
 use crate::message::Message;
 use crate::node::{Node, NodeAction, NodeCtx};
-use crate::stats::NetStats;
+use crate::stats::{NetStats, NO_LINK_STATS};
 use crate::time::{Duration, SimTime};
 use crate::topology::{LinkSpec, NetworkTopology};
 use rand::{Rng, SeedableRng};
@@ -14,6 +14,16 @@ use redep_model::HostId;
 use redep_telemetry::{trace::DOMAIN_NET, Counter, SpanIdGen, Telemetry, TraceCtx};
 use std::any::Any;
 use std::collections::BTreeMap;
+
+/// The simulator's state for one link slot of the topology.
+#[derive(Clone, Copy)]
+struct LinkSide {
+    /// Medium occupancy: transmissions serialize behind each other
+    /// (half-duplex), so bursts over thin links experience queueing delay.
+    busy_until: SimTime,
+    /// The pair's slot in [`NetStats`], resolved on the first send.
+    stats: u32,
+}
 
 /// What happens at a scheduled instant.
 #[derive(Debug)]
@@ -61,14 +71,15 @@ pub struct Simulator {
     /// maintained incrementally so [`Simulator::in_flight`] is O(1) instead
     /// of an O(n) queue scan.
     deliver_in_flight: usize,
-    nodes: BTreeMap<HostId, Box<dyn Node>>,
+    /// Node behaviors by raw host id.
+    nodes: Vec<Option<Box<dyn Node>>>,
     topology: NetworkTopology,
     rng: ChaCha8Rng,
     stats: NetStats,
     fluctuations: Vec<(Duration, Box<dyn FluctuationModel>)>,
-    /// Per-link medium occupancy: transmissions serialize behind each other
-    /// (half-duplex), so bursts over thin links experience queueing delay.
-    link_busy_until: BTreeMap<redep_model::HostPair, SimTime>,
+    /// Per-link state by topology link slot, grown as links are first used
+    /// (the topology may gain links mid-run through `topology_mut`).
+    link_sides: Vec<LinkSide>,
     /// Timers that fired while their host was down, kept in firing order and
     /// replayed when the host comes back up. Without this a restarted host
     /// would have lost every periodic loop (retransmit, ping, monitoring)
@@ -92,7 +103,7 @@ impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("now", &self.now)
-            .field("hosts", &self.nodes.len())
+            .field("hosts", &self.nodes.iter().flatten().count())
             .field("pending_events", &self.queue.len())
             .finish()
     }
@@ -109,12 +120,12 @@ impl Simulator {
             seq: 0,
             queue: CalendarQueue::new(),
             deliver_in_flight: 0,
-            nodes: BTreeMap::new(),
+            nodes: Vec::new(),
             topology: NetworkTopology::new(),
             rng: ChaCha8Rng::seed_from_u64(seed),
             stats: NetStats::new(),
             fluctuations: Vec::new(),
-            link_busy_until: BTreeMap::new(),
+            link_sides: Vec::new(),
             deferred_timers: BTreeMap::new(),
             degraded_specs: BTreeMap::new(),
             scratch: Vec::new(),
@@ -179,12 +190,13 @@ impl Simulator {
     ///
     /// Panics if the host already carries a node.
     pub fn add_host(&mut self, host: HostId, node: impl Node) {
-        assert!(
-            !self.nodes.contains_key(&host),
-            "host {host} already has a node"
-        );
+        assert!(!self.has_node(host), "host {host} already has a node");
         self.topology.add_host(host);
-        self.nodes.insert(host, Box::new(node));
+        let raw = host.raw() as usize;
+        if self.nodes.len() <= raw {
+            self.nodes.resize_with(raw + 1, || None);
+        }
+        self.nodes[raw] = Some(Box::new(node));
         self.schedule(self.now, Event::Start { host });
     }
 
@@ -352,15 +364,17 @@ impl Simulator {
     /// Borrows the node on `host`, downcast to its concrete type.
     pub fn node_ref<T: Node>(&self, host: HostId) -> Option<&T> {
         self.nodes
-            .get(&host)
-            .and_then(|n| (n.as_ref() as &dyn Any).downcast_ref::<T>())
+            .get(host.raw() as usize)?
+            .as_deref()
+            .and_then(|n| (n as &dyn Any).downcast_ref::<T>())
     }
 
     /// Mutably borrows the node on `host`, downcast to its concrete type.
     pub fn node_mut<T: Node>(&mut self, host: HostId) -> Option<&mut T> {
         self.nodes
-            .get_mut(&host)
-            .and_then(|n| (n.as_mut() as &mut dyn Any).downcast_mut::<T>())
+            .get_mut(host.raw() as usize)?
+            .as_deref_mut()
+            .and_then(|n| (n as &mut dyn Any).downcast_mut::<T>())
     }
 
     /// Sends a message from outside any node (e.g. a test driver). Subject
@@ -398,12 +412,37 @@ impl Simulator {
             .emit();
     }
 
+    fn has_node(&self, host: HostId) -> bool {
+        matches!(self.nodes.get(host.raw() as usize), Some(Some(_)))
+    }
+
+    /// The topology link slot of `src`–`dst` (if a link was ever configured)
+    /// and the pair's stat slot. Only a link's first send, and sends where
+    /// no link exists, touch the ordered pair index of [`NetStats`].
+    fn resolve_link(&mut self, src: HostId, dst: HostId) -> (Option<usize>, u32) {
+        let Some(slot) = self.topology.link_slot(src, dst) else {
+            return (None, self.stats.slot(src, dst));
+        };
+        if self.link_sides.len() <= slot {
+            let unresolved = LinkSide {
+                busy_until: SimTime::ZERO,
+                stats: NO_LINK_STATS,
+            };
+            self.link_sides.resize(slot + 1, unresolved);
+        }
+        let side = &mut self.link_sides[slot];
+        if side.stats == NO_LINK_STATS {
+            side.stats = self.stats.slot(src, dst);
+        }
+        (Some(slot), side.stats)
+    }
+
     /// Routes one message through the simulated network.
     fn dispatch_send(&mut self, src: HostId, dst: HostId, payload: Vec<u8>, size: u64) {
-        self.stats.record_sent(src, dst);
         self.counters.sent.inc();
         if src == dst {
             // Loopback: immediate delivery if the host is up.
+            self.stats.record_sent(NO_LINK_STATS);
             if self.topology.host_is_up(src) {
                 let msg = Message {
                     src,
@@ -414,39 +453,34 @@ impl Simulator {
                 };
                 self.schedule(self.now, Event::Deliver { msg });
             } else {
-                self.stats.record_disconnected(src, dst);
+                self.stats.record_disconnected(NO_LINK_STATS);
                 self.record_drop(src, dst, "host_down");
             }
             return;
         }
-        if !self.topology.reachable(src, dst) {
-            self.stats.record_disconnected(src, dst);
+        let (slot, stats) = self.resolve_link(src, dst);
+        self.stats.record_sent(stats);
+        let link = slot
+            .and_then(|slot| self.topology.link_at(slot))
+            .filter(|l| l.up && self.topology.host_is_up(src) && self.topology.host_is_up(dst));
+        let Some(spec) = link.map(|l| l.spec) else {
+            self.stats.record_disconnected(stats);
             self.record_drop(src, dst, "disconnected");
             return;
-        }
-        let spec = self
-            .topology
-            .link(src, dst)
-            .expect("reachable implies link exists")
-            .spec;
+        };
         if !self.rng.random_bool(spec.reliability.clamp(0.0, 1.0)) {
-            self.stats.record_loss(src, dst);
+            self.stats.record_loss(stats);
             self.record_drop(src, dst, "loss");
             return;
         }
         // Medium occupancy: the transmission starts when the link is free
         // and holds it for the serialization time; propagation delay then
         // runs in parallel with the next transmission.
-        let pair = redep_model::HostPair::new(src, dst);
-        let free_at = self
-            .link_busy_until
-            .get(&pair)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
-            .max(self.now);
+        let side = &mut self.link_sides[slot.expect("a live link has a slot")];
+        let free_at = side.busy_until.max(self.now);
         let transmit = Duration::from_secs_f64(size as f64 / spec.bandwidth);
         let done_transmitting = free_at + transmit;
-        self.link_busy_until.insert(pair, done_transmitting);
+        side.busy_until = done_transmitting;
         let deliver_at = done_transmitting + Duration::from_secs_f64(spec.delay);
         let msg = Message {
             src,
@@ -460,16 +494,17 @@ impl Simulator {
 
     /// Runs one node callback and applies the actions it buffered.
     fn run_callback(&mut self, host: HostId, f: impl FnOnce(&mut dyn Node, &mut NodeCtx<'_>)) {
-        let Some(mut node) = self.nodes.remove(&host) else {
+        let Some(Some(node)) = self.nodes.get_mut(host.raw() as usize) else {
             return;
         };
+        self.scratch.clear();
+        f(
+            node.as_mut(),
+            &mut NodeCtx::new(host, self.now, &mut self.scratch),
+        );
+        // The buffer is lent out while its actions run (they re-enter
+        // `self`) and handed back with its capacity.
         let mut actions = std::mem::take(&mut self.scratch);
-        actions.clear();
-        {
-            let mut ctx = NodeCtx::new(host, self.now, &mut actions);
-            f(node.as_mut(), &mut ctx);
-        }
-        self.nodes.insert(host, node);
         for action in actions.drain(..) {
             match action {
                 NodeAction::Send { dst, payload, size } => {
@@ -499,19 +534,25 @@ impl Simulator {
             }
             Event::Deliver { msg } => {
                 let (src, dst, bytes) = (msg.src, msg.dst, msg.size);
+                // A delivery follows a send over the same pair, so the
+                // pair's stat slot is already resolved.
+                let stats = match self.topology.link_slot(src, dst) {
+                    Some(slot) => self.link_sides[slot].stats,
+                    None => NO_LINK_STATS,
+                };
                 if self.topology.host_is_up(dst) {
-                    self.stats.record_delivered(src, dst, bytes);
+                    self.stats.record_delivered(stats, bytes);
                     self.counters.delivered.inc();
                     self.run_callback(dst, |node, ctx| node.on_message(ctx, msg));
                 } else {
-                    self.stats.record_disconnected(src, dst);
+                    self.stats.record_disconnected(stats);
                     self.record_drop(src, dst, "host_down");
                 }
             }
             Event::Timer { host, token } => {
                 if self.topology.host_is_up(host) {
                     self.run_callback(host, |node, ctx| node.on_timer(ctx, token));
-                } else if self.nodes.contains_key(&host) {
+                } else if self.has_node(host) {
                     // Defer instead of dropping: the token replays when the
                     // host restarts, so its periodic loops survive the crash.
                     self.deferred_timers.entry(host).or_default().push(token);
@@ -1290,5 +1331,64 @@ mod tests {
         let a = run(42);
         assert!(!a.is_empty());
         assert_eq!(a, run(42), "same seed must export identical journals");
+    }
+
+    /// Two 1000-byte messages over a 10 kB/s, 0.5 s link: the second queues
+    /// behind the first, so the last delivery is at 0.7 s, not 0.6 s.
+    fn thin_link() -> LinkSpec {
+        LinkSpec {
+            reliability: 1.0,
+            bandwidth: 10_000.0,
+            delay: 0.5,
+        }
+    }
+
+    #[test]
+    fn link_added_mid_run_through_topology_mut_carries_traffic() {
+        let mut sim = Simulator::new(1);
+        for n in 0..3 {
+            sim.add_host(h(n), sink());
+        }
+        sim.set_link(h(0), h(1), thin_link());
+        sim.inject(h(0), h(1), vec![1], 1000);
+        sim.inject(h(0), h(2), vec![2], 1000); // no link yet: dropped
+        sim.run_until(SimTime::from_secs_f64(0.05));
+        sim.topology_mut().set_link(h(0), h(2), thin_link());
+        sim.inject(h(0), h(2), vec![3], 1000);
+        sim.inject(h(2), h(0), vec![4], 1000);
+        sim.run_to_completion();
+        // The new link has its own medium, busy from 0.05 s: 0.25 + 0.5.
+        assert_eq!(sim.now().as_micros(), 750_000);
+        let new = sim.stats().link(h(0), h(2));
+        assert_eq!(
+            (new.sent, new.delivered, new.dropped_disconnected),
+            (3, 2, 1)
+        );
+        assert_eq!(sim.stats().link(h(0), h(1)).delivered, 1);
+        assert_eq!(sim.node_ref::<Sink>(h(2)).unwrap().received.len(), 1);
+    }
+
+    #[test]
+    fn busy_medium_survives_removing_and_recreating_the_link() {
+        let mut sim = Simulator::new(1);
+        for n in 0..3 {
+            sim.add_host(h(n), sink());
+        }
+        sim.set_link(h(0), h(1), thin_link());
+        sim.inject(h(0), h(1), vec![1], 1000); // holds the medium until 0.1 s
+        assert!(sim.topology_mut().remove_link(h(0), h(1)).is_some());
+        sim.inject(h(0), h(1), vec![2], 1000); // no link: dropped
+                                               // Another pair configured in between must not inherit the occupancy.
+        sim.topology_mut().set_link(h(1), h(2), thin_link());
+        sim.topology_mut().set_link(h(1), h(0), thin_link());
+        sim.inject(h(1), h(2), vec![3], 1000); // free medium: arrives at 0.6 s
+        sim.inject(h(1), h(0), vec![4], 1000); // waits for message 1: 0.7 s
+        sim.run_until(SimTime::from_secs_f64(0.65));
+        assert_eq!(sim.node_ref::<Sink>(h(2)).unwrap().received.len(), 1);
+        assert_eq!(sim.in_flight(), 1);
+        sim.run_to_completion();
+        assert_eq!(sim.now().as_micros(), 700_000);
+        let l = sim.stats().link(h(0), h(1));
+        assert_eq!((l.sent, l.delivered, l.dropped_disconnected), (3, 2, 1));
     }
 }

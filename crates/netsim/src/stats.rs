@@ -48,22 +48,69 @@ impl fmt::Display for LinkStats {
     }
 }
 
-/// Renders `per_link` as an array of `[pair, stats]` entries: [`HostPair`]
-/// serializes as an object, so it cannot be a JSON map key directly.
-mod per_link_map {
-    use super::{HostPair, LinkStats};
-    use serde::{Deserialize, Error, Serialize, Value};
-    use std::collections::BTreeMap;
+/// The stat slot of a message that crosses no link (loopback traffic is not
+/// accounted per-link).
+pub(crate) const NO_LINK_STATS: u32 = u32::MAX;
 
-    /// Serializes the map as an array of `[pair, stats]` pairs.
-    pub fn serialize(map: &BTreeMap<HostPair, LinkStats>) -> Value {
-        Value::Array(map.iter().map(|entry| entry.serialize()).collect())
+/// Per-link counters in a slot table. The engines resolve a pair's slot once
+/// per link ([`NetStats::slot`]) and bump counters by index after that; the
+/// ordered pair index serves only first touch, [`NetStats::link`], ordered
+/// iteration and [`NetStats::merge`].
+#[derive(Clone, Debug, Default)]
+struct PerLink {
+    slots: Vec<LinkStats>,
+    index: BTreeMap<HostPair, u32>,
+}
+
+impl PerLink {
+    fn iter(&self) -> impl Iterator<Item = (HostPair, &LinkStats)> {
+        self.index
+            .iter()
+            .map(|(pair, slot)| (*pair, &self.slots[*slot as usize]))
     }
 
-    /// Rebuilds the map from an array of `[pair, stats]` pairs.
-    pub fn deserialize(value: &Value) -> Result<BTreeMap<HostPair, LinkStats>, Error> {
-        let pairs = Vec::<(HostPair, LinkStats)>::deserialize(value)?;
-        Ok(pairs.into_iter().collect())
+    fn slot(&mut self, pair: HostPair) -> u32 {
+        *self.index.entry(pair).or_insert_with(|| {
+            self.slots.push(LinkStats::default());
+            u32::try_from(self.slots.len() - 1).expect("stat slots fit u32")
+        })
+    }
+}
+
+/// Equality is by content in endpoint order, not by slot numbering (which
+/// records first-touch order and differs between a merged and a single run).
+impl PartialEq for PerLink {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+impl Eq for PerLink {}
+
+/// Renders `per_link` as an array of `[pair, stats]` entries in endpoint
+/// order: [`HostPair`] serializes as an object, so it cannot be a JSON map
+/// key directly.
+mod per_link_map {
+    use super::{HostPair, LinkStats, PerLink};
+    use serde::{Deserialize, Error, Serialize, Value};
+
+    /// Serializes the table as an array of `[pair, stats]` pairs.
+    pub fn serialize(table: &PerLink) -> Value {
+        Value::Array(
+            table
+                .iter()
+                .map(|(pair, stats)| (pair, *stats).serialize())
+                .collect(),
+        )
+    }
+
+    /// Rebuilds the table from an array of `[pair, stats]` pairs.
+    pub fn deserialize(value: &Value) -> Result<PerLink, Error> {
+        let mut table = PerLink::default();
+        for (pair, stats) in Vec::<(HostPair, LinkStats)>::deserialize(value)? {
+            let slot = table.slot(pair);
+            table.slots[slot as usize] = stats;
+        }
+        Ok(table)
     }
 }
 
@@ -81,7 +128,7 @@ pub struct NetStats {
     /// Total bytes delivered.
     pub bytes_delivered: u64,
     #[serde(with = "per_link_map")]
-    per_link: BTreeMap<HostPair, LinkStats>,
+    per_link: PerLink,
 }
 
 impl NetStats {
@@ -97,14 +144,15 @@ impl NetStats {
     /// Panics if `a == b`; loopback traffic is not accounted per-link.
     pub fn link(&self, a: HostId, b: HostId) -> LinkStats {
         self.per_link
+            .index
             .get(&HostPair::new(a, b))
-            .copied()
+            .map(|slot| self.per_link.slots[*slot as usize])
             .unwrap_or_default()
     }
 
     /// Iterates over per-link statistics in endpoint order.
     pub fn links(&self) -> impl Iterator<Item = (HostPair, &LinkStats)> {
-        self.per_link.iter().map(|(p, s)| (*p, s))
+        self.per_link.iter()
     }
 
     /// Overall delivery ratio (`1.0` when nothing was sent).
@@ -116,40 +164,47 @@ impl NetStats {
         }
     }
 
-    fn entry(&mut self, src: HostId, dst: HostId) -> Option<&mut LinkStats> {
+    /// The stat slot of the pair `src`–`dst`, allocated on first touch
+    /// ([`NO_LINK_STATS`] for loopback). A walk of the pair index: engines
+    /// call this once per link and keep the answer.
+    pub(crate) fn slot(&mut self, src: HostId, dst: HostId) -> u32 {
         if src == dst {
-            None
+            NO_LINK_STATS
         } else {
-            Some(self.per_link.entry(HostPair::new(src, dst)).or_default())
+            self.per_link.slot(HostPair::new(src, dst))
         }
     }
 
-    pub(crate) fn record_sent(&mut self, src: HostId, dst: HostId) {
+    fn at(&mut self, slot: u32) -> Option<&mut LinkStats> {
+        self.per_link.slots.get_mut(slot as usize)
+    }
+
+    pub(crate) fn record_sent(&mut self, slot: u32) {
         self.sent += 1;
-        if let Some(l) = self.entry(src, dst) {
+        if let Some(l) = self.at(slot) {
             l.sent += 1;
         }
     }
 
-    pub(crate) fn record_delivered(&mut self, src: HostId, dst: HostId, bytes: u64) {
+    pub(crate) fn record_delivered(&mut self, slot: u32, bytes: u64) {
         self.delivered += 1;
         self.bytes_delivered += bytes;
-        if let Some(l) = self.entry(src, dst) {
+        if let Some(l) = self.at(slot) {
             l.delivered += 1;
             l.bytes_delivered += bytes;
         }
     }
 
-    pub(crate) fn record_loss(&mut self, src: HostId, dst: HostId) {
+    pub(crate) fn record_loss(&mut self, slot: u32) {
         self.dropped_loss += 1;
-        if let Some(l) = self.entry(src, dst) {
+        if let Some(l) = self.at(slot) {
             l.dropped_loss += 1;
         }
     }
 
-    pub(crate) fn record_disconnected(&mut self, src: HostId, dst: HostId) {
+    pub(crate) fn record_disconnected(&mut self, slot: u32) {
         self.dropped_disconnected += 1;
-        if let Some(l) = self.entry(src, dst) {
+        if let Some(l) = self.at(slot) {
             l.dropped_disconnected += 1;
         }
     }
@@ -165,8 +220,9 @@ impl NetStats {
         self.dropped_loss += other.dropped_loss;
         self.dropped_disconnected += other.dropped_disconnected;
         self.bytes_delivered += other.bytes_delivered;
-        for (pair, stats) in &other.per_link {
-            let l = self.per_link.entry(*pair).or_default();
+        for (pair, stats) in other.per_link.iter() {
+            let slot = self.per_link.slot(pair);
+            let l = &mut self.per_link.slots[slot as usize];
             l.sent += stats.sent;
             l.delivered += stats.delivered;
             l.dropped_loss += stats.dropped_loss;
@@ -234,10 +290,12 @@ mod tests {
     #[test]
     fn counters_accumulate_globally_and_per_link() {
         let mut s = NetStats::new();
-        s.record_sent(h(0), h(1));
-        s.record_delivered(h(0), h(1), 10);
-        s.record_sent(h(0), h(1));
-        s.record_loss(h(0), h(1));
+        let l01 = s.slot(h(0), h(1));
+        assert_eq!(s.slot(h(1), h(0)), l01, "a pair has one slot");
+        s.record_sent(l01);
+        s.record_delivered(l01, 10);
+        s.record_sent(l01);
+        s.record_loss(l01);
         assert_eq!(s.sent, 2);
         assert_eq!(s.delivered, 1);
         assert_eq!(s.dropped_loss, 1);
@@ -251,8 +309,9 @@ mod tests {
     #[test]
     fn loopback_traffic_counts_globally_only() {
         let mut s = NetStats::new();
-        s.record_sent(h(0), h(0));
-        s.record_delivered(h(0), h(0), 4);
+        let loopback = s.slot(h(0), h(0));
+        s.record_sent(loopback);
+        s.record_delivered(loopback, 4);
         assert_eq!(s.sent, 1);
         assert_eq!(s.delivered, 1);
         assert_eq!(s.links().count(), 0);
@@ -273,10 +332,11 @@ mod tests {
     #[test]
     fn net_stats_round_trip_through_json() {
         let mut s = NetStats::new();
-        s.record_sent(h(0), h(1));
-        s.record_delivered(h(0), h(1), 64);
-        s.record_sent(h(2), h(3));
-        s.record_loss(h(2), h(3));
+        let (l01, l23) = (s.slot(h(0), h(1)), s.slot(h(2), h(3)));
+        s.record_sent(l01);
+        s.record_delivered(l01, 64);
+        s.record_sent(l23);
+        s.record_loss(l23);
         let json = serde_json::to_string(&s.serialize()).unwrap();
         let back = NetStats::deserialize(&serde_json::from_str(&json).unwrap()).unwrap();
         assert_eq!(back, s);
@@ -286,8 +346,9 @@ mod tests {
     #[test]
     fn publish_gauges_exports_truth() {
         let mut s = NetStats::new();
-        s.record_sent(h(0), h(1));
-        s.record_delivered(h(0), h(1), 8);
+        let l01 = s.slot(h(0), h(1));
+        s.record_sent(l01);
+        s.record_delivered(l01, 8);
         let metrics = redep_telemetry::MetricsRegistry::new();
         s.publish_gauges(&metrics);
         assert_eq!(metrics.gauge("net.truth.sent").get(), 1.0);
@@ -296,5 +357,41 @@ mod tests {
             metrics.gauge("net.truth.link.h0-h1.delivery_ratio").get(),
             1.0
         );
+    }
+
+    /// The counts of a small run — two links, a loopback send, a send with
+    /// no link — serialize to the bytes the tree-keyed `NetStats` produced
+    /// for the same run before the slot table (recorded on that commit).
+    #[test]
+    fn serialized_form_is_unchanged_by_the_slot_table() {
+        use crate::{LinkSpec, Node, Simulator};
+        const RECORDED: &str = concat!(
+            r#"{"bytes_delivered":36,"delivered":4,"dropped_disconnected":1,"dropped_loss":0,"#,
+            r#""per_link":[[{"hi":1,"lo":0},{"bytes_delivered":18,"delivered":2,"#,
+            r#""dropped_disconnected":0,"dropped_loss":0,"sent":2}],[{"hi":3,"lo":0},"#,
+            r#"{"bytes_delivered":0,"delivered":0,"dropped_disconnected":1,"dropped_loss":0,"#,
+            r#""sent":1}],[{"hi":2,"lo":1},{"bytes_delivered":5,"delivered":1,"#,
+            r#""dropped_disconnected":0,"dropped_loss":0,"sent":1}]],"sent":5}"#
+        );
+        struct Sink;
+        impl Node for Sink {}
+        let mut sim = Simulator::new(1);
+        for n in 0..4 {
+            sim.add_host(h(n), Sink);
+        }
+        // Links and first sends in an order that is not endpoint order.
+        sim.set_link(h(2), h(1), LinkSpec::default());
+        sim.set_link(h(0), h(1), LinkSpec::default());
+        sim.inject(h(2), h(1), vec![1], 5);
+        sim.inject(h(0), h(1), vec![1, 2], 7);
+        sim.inject(h(1), h(0), vec![3], 11);
+        sim.inject(h(0), h(0), vec![4], 13);
+        sim.inject(h(3), h(0), vec![5], 17);
+        sim.run_to_completion();
+        let json = serde_json::to_string(&sim.stats().serialize()).unwrap();
+        assert_eq!(json, RECORDED);
+        let back = NetStats::deserialize(&serde_json::from_str(&json).unwrap()).unwrap();
+        assert_eq!(&back, sim.stats());
+        assert_eq!(serde_json::to_string(&back.serialize()).unwrap(), RECORDED);
     }
 }

@@ -59,15 +59,55 @@ pub struct LinkState {
     pub up: bool,
 }
 
+/// Exclusive upper bound on raw host ids: the dense tables below are indexed
+/// by raw id, and the sharded engine packs a host index into 26 key bits.
+pub const MAX_RAW_HOST_ID: u32 = 1 << 26;
+
+/// One link slot. A slot is bound to its endpoint pair for the topology's
+/// lifetime: [`NetworkTopology::remove_link`] empties the state but keeps
+/// the slot, so engine side tables keyed by slot stay keyed by pair.
+#[derive(Clone, Debug)]
+struct LinkSlot {
+    ends: HostPair,
+    state: Option<LinkState>,
+}
+
+/// Per-host row of the dense table, indexed by raw host id.
+#[derive(Clone, Debug, Default)]
+struct HostRow {
+    up: bool,
+    /// `(peer raw id, link slot)` for every link ever configured at this
+    /// host, sorted by peer.
+    links: Vec<(u32, u32)>,
+}
+
 /// The simulated network: hosts, links and their live state.
 ///
 /// The topology can be edited while a simulation runs — that is how
 /// fluctuation models and fault injection work.
-#[derive(Clone, PartialEq, Debug, Default)]
+///
+/// Per-message lookups ([`NetworkTopology::host_is_up`],
+/// [`NetworkTopology::link_slot`]) index dense tables by raw host id and
+/// link slot; memory is O(largest raw host id + links ever configured).
+#[derive(Clone, Debug, Default)]
 pub struct NetworkTopology {
+    /// Registered hosts in id order (cold: enumeration only).
     hosts: BTreeSet<HostId>,
-    host_up: BTreeMap<HostId, bool>,
-    links: BTreeMap<HostPair, LinkState>,
+    rows: Vec<HostRow>,
+    slots: Vec<LinkSlot>,
+}
+
+/// Equality is by content — hosts, their status and the live links — not by
+/// slot numbering, which records the order links were configured in.
+impl PartialEq for NetworkTopology {
+    fn eq(&self, other: &Self) -> bool {
+        self.hosts == other.hosts
+            && self
+                .hosts
+                .iter()
+                .all(|h| self.host_is_up(*h) == other.host_is_up(*h))
+            && self.links().eq(other.links())
+    }
 }
 
 impl NetworkTopology {
@@ -103,9 +143,22 @@ impl NetworkTopology {
     }
 
     /// Registers a host (idempotent); hosts start up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the raw host id is not below [`MAX_RAW_HOST_ID`].
     pub fn add_host(&mut self, h: HostId) {
-        self.hosts.insert(h);
-        self.host_up.entry(h).or_insert(true);
+        assert!(
+            h.raw() < MAX_RAW_HOST_ID,
+            "raw host ids must be below {MAX_RAW_HOST_ID}, got {h}"
+        );
+        if self.hosts.insert(h) {
+            let raw = h.raw() as usize;
+            if self.rows.len() <= raw {
+                self.rows.resize_with(raw + 1, HostRow::default);
+            }
+            self.rows[raw].up = true;
+        }
     }
 
     /// Returns `true` if the host is registered.
@@ -125,41 +178,87 @@ impl NetworkTopology {
     /// Panics if the spec is invalid or `a == b`.
     pub fn set_link(&mut self, a: HostId, b: HostId, spec: LinkSpec) {
         spec.validate();
+        let ends = HostPair::new(a, b);
         self.add_host(a);
         self.add_host(b);
-        self.links
-            .insert(HostPair::new(a, b), LinkState { spec, up: true });
+        let state = Some(LinkState { spec, up: true });
+        match self.link_slot(a, b) {
+            Some(slot) => self.slots[slot].state = state,
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("link slots fit u32");
+                self.slots.push(LinkSlot { ends, state });
+                for (host, peer) in [(a, b), (b, a)] {
+                    let row = &mut self.rows[host.raw() as usize].links;
+                    let at = row.partition_point(|&(p, _)| p < peer.raw());
+                    row.insert(at, (peer.raw(), slot));
+                }
+            }
+        }
     }
 
     /// Removes a link entirely.
     pub fn remove_link(&mut self, a: HostId, b: HostId) -> Option<LinkState> {
-        self.links.remove(&HostPair::new(a, b))
+        let slot = self.link_slot(a, b)?;
+        self.slots[slot].state.take()
+    }
+
+    /// The slot of the link between `a` and `b`: a small index, stable for
+    /// the topology's lifetime, that engines key their per-link side tables
+    /// by. `None` when no link was ever configured between the two (a
+    /// removed link keeps its slot).
+    pub fn link_slot(&self, a: HostId, b: HostId) -> Option<usize> {
+        let row = &self.rows.get(a.raw() as usize)?.links;
+        let at = row.binary_search_by_key(&b.raw(), |&(p, _)| p).ok()?;
+        Some(row[at].1 as usize)
+    }
+
+    /// Number of link slots handed out so far (the exclusive upper bound of
+    /// [`NetworkTopology::link_slot`]).
+    pub fn link_slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The live state of the link in `slot` (`None` once removed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` was never handed out.
+    pub fn link_at(&self, slot: usize) -> Option<&LinkState> {
+        self.slots[slot].state.as_ref()
     }
 
     /// Returns the live state of a link.
     pub fn link(&self, a: HostId, b: HostId) -> Option<&LinkState> {
-        if a == b {
-            return None;
-        }
-        self.links.get(&HostPair::new(a, b))
+        self.link_at(self.link_slot(a, b)?)
     }
 
     /// Mutable access to a link's state.
     pub fn link_mut(&mut self, a: HostId, b: HostId) -> Option<&mut LinkState> {
-        if a == b {
-            return None;
-        }
-        self.links.get_mut(&HostPair::new(a, b))
+        let slot = self.link_slot(a, b)?;
+        self.slots[slot].state.as_mut()
     }
 
     /// Iterates over `(endpoints, state)` in endpoint order.
     pub fn links(&self) -> impl Iterator<Item = (HostPair, &LinkState)> {
-        self.links.iter().map(|(p, s)| (*p, s))
+        self.rows.iter().enumerate().flat_map(move |(lo, row)| {
+            let above = row.links.partition_point(|&(p, _)| p as usize <= lo);
+            row.links[above..].iter().filter_map(move |&(_, slot)| {
+                let slot = &self.slots[slot as usize];
+                slot.state.as_ref().map(|state| (slot.ends, state))
+            })
+        })
     }
 
-    /// Mutable iteration over link states (for fluctuation models).
+    /// Mutable iteration over link states (for fluctuation models), in
+    /// endpoint order.
     pub fn links_mut(&mut self) -> impl Iterator<Item = (HostPair, &mut LinkState)> {
-        self.links.iter_mut().map(|(p, s)| (*p, s))
+        let mut live: Vec<(HostPair, &mut LinkState)> = self
+            .slots
+            .iter_mut()
+            .filter_map(|slot| slot.state.as_mut().map(|state| (slot.ends, state)))
+            .collect();
+        live.sort_unstable_by_key(|&(ends, _)| ends);
+        live.into_iter()
     }
 
     /// Marks a link up or down.
@@ -172,12 +271,12 @@ impl NetworkTopology {
     /// Marks a host up or down.
     pub fn set_host_up(&mut self, h: HostId, up: bool) {
         self.add_host(h);
-        self.host_up.insert(h, up);
+        self.rows[h.raw() as usize].up = up;
     }
 
     /// Whether a host is currently up.
     pub fn host_is_up(&self, h: HostId) -> bool {
-        *self.host_up.get(&h).unwrap_or(&false)
+        self.rows.get(h.raw() as usize).is_some_and(|row| row.up)
     }
 
     /// Whether `a` can currently reach `b` in one hop: both hosts up, link
@@ -192,25 +291,39 @@ impl NetworkTopology {
         self.link(a, b).is_some_and(|l| l.up)
     }
 
-    /// Takes every link whose endpoints fall into different groups down
-    /// (links within a group come back up). Hosts not named stay untouched.
-    pub fn partition(&mut self, groups: &[Vec<HostId>]) {
+    /// Applies `f(group of lo, group of hi, state)` to every live link whose
+    /// endpoints are both named by the grouping.
+    fn for_grouped_links(
+        &mut self,
+        groups: &[Vec<HostId>],
+        mut f: impl FnMut(usize, usize, &mut LinkState),
+    ) {
         let mut group_of: BTreeMap<HostId, usize> = BTreeMap::new();
         for (i, g) in groups.iter().enumerate() {
             for h in g {
                 group_of.insert(*h, i);
             }
         }
-        for (pair, state) in self.links.iter_mut() {
-            if let (Some(x), Some(y)) = (group_of.get(&pair.lo()), group_of.get(&pair.hi())) {
-                state.up = x == y
+        for slot in &mut self.slots {
+            let (Some(x), Some(y)) = (group_of.get(&slot.ends.lo()), group_of.get(&slot.ends.hi()))
+            else {
+                continue;
+            };
+            if let Some(state) = slot.state.as_mut() {
+                f(*x, *y, state);
             }
         }
     }
 
+    /// Takes every link whose endpoints fall into different groups down
+    /// (links within a group come back up). Hosts not named stay untouched.
+    pub fn partition(&mut self, groups: &[Vec<HostId>]) {
+        self.for_grouped_links(groups, |x, y, state| state.up = x == y);
+    }
+
     /// Brings every link back up (heals all partitions).
     pub fn heal(&mut self) {
-        for state in self.links.values_mut() {
+        for state in self.slots.iter_mut().filter_map(|s| s.state.as_mut()) {
             state.up = true;
         }
     }
@@ -221,19 +334,11 @@ impl NetworkTopology {
     /// keep their current state (so a concurrent link-down fault survives a
     /// partition heal).
     pub fn heal_between(&mut self, groups: &[Vec<HostId>]) {
-        let mut group_of: BTreeMap<HostId, usize> = BTreeMap::new();
-        for (i, g) in groups.iter().enumerate() {
-            for h in g {
-                group_of.insert(*h, i);
+        self.for_grouped_links(groups, |x, y, state| {
+            if x != y {
+                state.up = true;
             }
-        }
-        for (pair, state) in self.links.iter_mut() {
-            if let (Some(x), Some(y)) = (group_of.get(&pair.lo()), group_of.get(&pair.hi())) {
-                if x != y {
-                    state.up = true;
-                }
-            }
-        }
+        });
     }
 }
 
@@ -336,5 +441,120 @@ mod tests {
                 ..LinkSpec::default()
             },
         );
+    }
+
+    #[test]
+    fn removed_link_keeps_its_slot_and_a_new_pair_gets_its_own() {
+        let mut t = NetworkTopology::new();
+        t.set_link(h(0), h(1), LinkSpec::default());
+        let slot = t.link_slot(h(1), h(0)).unwrap();
+        assert!(t.remove_link(h(0), h(1)).is_some());
+        assert!(t.remove_link(h(0), h(1)).is_none());
+        assert!(t.link(h(0), h(1)).is_none());
+        assert_eq!(t.links().count(), 0);
+        t.set_link(h(2), h(3), LinkSpec::default());
+        assert_ne!(t.link_slot(h(2), h(3)), Some(slot));
+        t.set_link(h(1), h(0), LinkSpec::default());
+        assert_eq!(t.link_slot(h(0), h(1)), Some(slot));
+        assert_eq!(t.link_slot_count(), 2);
+        assert_eq!(t.link_slot(h(0), h(0)), None);
+        assert_eq!(t.link_slot(h(0), h(9)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "raw host ids must be below")]
+    fn raw_host_ids_are_bounded() {
+        NetworkTopology::new().add_host(h(MAX_RAW_HOST_ID));
+    }
+
+    /// The tree-backed topology this module had before its tables went
+    /// dense: the reference model for the property test below.
+    #[derive(Default)]
+    struct TreeModel {
+        host_up: BTreeMap<HostId, bool>,
+        links: BTreeMap<HostPair, LinkState>,
+    }
+
+    impl TreeModel {
+        fn add_host(&mut self, host: HostId) {
+            self.host_up.entry(host).or_insert(true);
+        }
+        fn up(&self, host: HostId) -> bool {
+            self.host_up.get(&host).copied().unwrap_or(false)
+        }
+        fn reachable(&self, a: HostId, b: HostId) -> bool {
+            self.up(a)
+                && self.up(b)
+                && (a == b || self.links.get(&HostPair::new(a, b)).is_some_and(|l| l.up))
+        }
+        fn regroup(&mut self, groups: &[Vec<HostId>], f: impl Fn(bool, &mut LinkState)) {
+            let group_of = |host: HostId| groups.iter().rposition(|g| g.contains(&host));
+            for (pair, state) in self.links.iter_mut() {
+                if let (Some(x), Some(y)) = (group_of(pair.lo()), group_of(pair.hi())) {
+                    f(x == y, state);
+                }
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random edit sequences over dense (0..6) and sparse (multiples of
+        /// 7919) raw ids: the dense tables agree with the tree model on
+        /// hosts, every link, every reachability, and the *order* of
+        /// `links()` and `links_mut()`.
+        #[test]
+        fn dense_tables_agree_with_the_tree_model(
+            sparse in any::<bool>(),
+            ops in proptest::collection::vec((0u8..9, 0u32..6, 0u32..6, any::<bool>()), 1..60),
+        ) {
+            let id = |n: u32| h(if sparse { n * 7919 } else { n });
+            let spec = |n: u32| LinkSpec { delay: f64::from(n), ..LinkSpec::default() };
+            let mut topo = NetworkTopology::new();
+            let mut model = TreeModel::default();
+            for (step, (op, a, b, flag)) in ops.into_iter().enumerate() {
+                let (ha, hb) = (id(a), id(b));
+                let groups = vec![vec![id(0), id(1), ha], vec![id(2), hb], vec![id(4)]];
+                match op {
+                    0 => { topo.add_host(ha); model.add_host(ha); }
+                    1 | 2 if a != b => {
+                        topo.set_link(ha, hb, spec(step as u32));
+                        model.add_host(ha);
+                        model.add_host(hb);
+                        model.links.insert(HostPair::new(ha, hb), LinkState { spec: spec(step as u32), up: true });
+                    }
+                    3 if a != b => {
+                        prop_assert_eq!(topo.remove_link(ha, hb), model.links.remove(&HostPair::new(ha, hb)));
+                    }
+                    4 if a != b => {
+                        topo.set_link_up(ha, hb, flag);
+                        if let Some(l) = model.links.get_mut(&HostPair::new(ha, hb)) { l.up = flag; }
+                    }
+                    5 => { topo.set_host_up(ha, flag); model.host_up.insert(ha, flag); }
+                    6 => { topo.partition(&groups); model.regroup(&groups, |same, l| l.up = same); }
+                    7 => { topo.heal_between(&groups); model.regroup(&groups, |same, l| l.up |= !same); }
+                    8 => { topo.heal(); model.links.values_mut().for_each(|l| l.up = true); }
+                    _ => {}
+                }
+                prop_assert_eq!(topo.hosts(), model.host_up.keys().copied().collect::<Vec<_>>());
+                let expected: Vec<(HostPair, LinkState)> = model.links.iter().map(|(p, l)| (*p, *l)).collect();
+                let listed: Vec<(HostPair, LinkState)> = topo.links().map(|(p, l)| (p, *l)).collect();
+                prop_assert_eq!(&listed, &expected);
+                let listed_mut: Vec<(HostPair, LinkState)> = topo.links_mut().map(|(p, l)| (p, *l)).collect();
+                prop_assert_eq!(&listed_mut, &expected);
+                for x in 0..6 {
+                    for y in 0..6 {
+                        let (hx, hy) = (id(x), id(y));
+                        prop_assert_eq!(topo.reachable(hx, hy), model.reachable(hx, hy));
+                        if x != y {
+                            prop_assert_eq!(topo.link(hx, hy), model.links.get(&HostPair::new(hx, hy)));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -114,7 +114,13 @@ pub struct Architecture {
     /// from one counter, so both tables are sparse by design. Indexing
     /// replaces the name-keyed `BTreeMap` lookups on the routing hot path.
     components: Vec<Option<ComponentSlot>>,
+    /// Components in name order (cold: inventories, checkpoints, `&str`
+    /// accessors).
     by_name: BTreeMap<String, BrickId>,
+    /// The same components as `(symbol id, brick)` sorted by symbol id — the
+    /// per-event lookup of [`Architecture::publish`] and
+    /// [`Architecture::deliver_timer`], whose callers hold the `Symbol`.
+    by_symbol: Vec<(u32, BrickId)>,
     /// Connector slots indexed by `BrickId::raw()` (see `components`).
     connectors: Vec<Option<Connector>>,
     queue: VecDeque<Delivery>,
@@ -149,6 +155,7 @@ impl Architecture {
             next_brick: 0,
             components: Vec::new(),
             by_name: BTreeMap::new(),
+            by_symbol: Vec::new(),
             connectors: Vec::new(),
             queue: VecDeque::new(),
             host_actions: Vec::new(),
@@ -230,6 +237,8 @@ impl Architecture {
         let id = self.fresh_id();
         let symbol = Symbol::intern(&name);
         self.by_name.insert(name, id);
+        let at = self.by_symbol.partition_point(|&(s, _)| s < symbol.id());
+        self.by_symbol.insert(at, (symbol.id(), id));
         let idx = id.raw() as usize;
         if self.components.len() <= idx {
             self.components.resize_with(idx + 1, || None);
@@ -257,6 +266,7 @@ impl Architecture {
         let slot = self.components[id.raw() as usize]
             .take()
             .expect("maps in sync");
+        self.by_symbol.retain(|&(_, brick)| brick != id);
         for conn in slot.welded {
             if let Some(c) = self.connector_slot_mut(conn) {
                 c.unweld(id);
@@ -376,6 +386,21 @@ impl Architecture {
         self.by_name.contains_key(name)
     }
 
+    /// [`Architecture::contains_component`] for callers that hold the
+    /// component's `Symbol`.
+    pub(crate) fn contains_symbol(&self, name: Symbol) -> bool {
+        self.brick_of(name).is_some()
+    }
+
+    /// The component interned as `name`, if it is attached here.
+    fn brick_of(&self, name: Symbol) -> Option<BrickId> {
+        let at = self
+            .by_symbol
+            .binary_search_by_key(&name.id(), |&(s, _)| s)
+            .ok()?;
+        Some(self.by_symbol[at].1)
+    }
+
     /// `(instance name, type name)` of every component, in name order.
     pub fn component_inventory(&self) -> Vec<(String, String)> {
         self.by_name
@@ -439,11 +464,26 @@ impl Architecture {
     /// currently attached — the caller (host runtime) buffers such events
     /// during migrations.
     pub fn publish(&mut self, to_component: &str, event: Event) -> Result<(), PrismError> {
+        // A name that was never interned names no component: resolve
+        // without interning (see `Symbol::intern`).
+        match Symbol::lookup(to_component) {
+            Some(symbol) => self.publish_to(symbol, event),
+            None => Err(PrismError::UnknownComponent(to_component.to_owned())),
+        }
+    }
+
+    /// [`Architecture::publish`] for callers that hold the component's
+    /// `Symbol` (the per-event path of the host runtime).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PrismError::UnknownComponent`] when no such component is
+    /// currently attached.
+    pub fn publish_to(&mut self, to_component: Symbol, event: Event) -> Result<(), PrismError> {
         let id = self
-            .by_name
-            .get(to_component)
-            .ok_or_else(|| PrismError::UnknownComponent(to_component.to_owned()))?;
-        self.queue.push_back(Delivery::Handle(*id, Arc::new(event)));
+            .brick_of(to_component)
+            .ok_or_else(|| PrismError::UnknownComponent(to_component.as_str().to_owned()))?;
+        self.queue.push_back(Delivery::Handle(id, Arc::new(event)));
         Ok(())
     }
 
@@ -453,12 +493,11 @@ impl Architecture {
     ///
     /// Returns [`PrismError::UnknownComponent`] when the component has left
     /// this architecture (e.g. it migrated away after arming the timer).
-    pub fn deliver_timer(&mut self, component: &str, token: u64) -> Result<(), PrismError> {
+    pub fn deliver_timer(&mut self, component: Symbol, token: u64) -> Result<(), PrismError> {
         let id = self
-            .by_name
-            .get(component)
-            .ok_or_else(|| PrismError::UnknownComponent(component.to_owned()))?;
-        self.queue.push_back(Delivery::Timer(*id, token));
+            .brick_of(component)
+            .ok_or_else(|| PrismError::UnknownComponent(component.as_str().to_owned()))?;
+        self.queue.push_back(Delivery::Timer(id, token));
         Ok(())
     }
 
@@ -529,12 +568,8 @@ impl Architecture {
         while let Some(delivery) = self.queue.pop_front() {
             processed += 1;
             self.events_processed += 1;
-            type Work = Box<dyn FnOnce(&mut dyn ComponentBehavior, &mut ComponentCtx<'_>)>;
-            let (id, work): (BrickId, Work) = match delivery {
-                Delivery::Attach(id) => (id, Box::new(|b, ctx| b.on_attach(ctx))),
-                Delivery::Handle(id, event) => (id, Box::new(move |b, ctx| b.handle(ctx, &event))),
-                Delivery::Timer(id, token) => (id, Box::new(move |b, ctx| b.on_timer(ctx, token))),
-            };
+            let (Delivery::Attach(id) | Delivery::Handle(id, _) | Delivery::Timer(id, _)) =
+                delivery;
             let Some(mut slot) = self
                 .components
                 .get_mut(id.raw() as usize)
@@ -546,7 +581,12 @@ impl Architecture {
             actions.clear();
             {
                 let mut ctx = ComponentCtx::new(slot.name, self.host, now, &mut actions);
-                work(slot.behavior.as_mut(), &mut ctx);
+                let behavior = slot.behavior.as_mut();
+                match &delivery {
+                    Delivery::Attach(_) => behavior.on_attach(&mut ctx),
+                    Delivery::Handle(_, event) => behavior.handle(&mut ctx, event),
+                    Delivery::Timer(_, token) => behavior.on_timer(&mut ctx, *token),
+                }
             }
             let name = slot.name;
             self.components[id.raw() as usize] = Some(slot);
@@ -583,9 +623,25 @@ impl Architecture {
         processed
     }
 
-    /// Takes the host-level effects accumulated by pumping.
-    pub(crate) fn take_host_actions(&mut self) -> Vec<HostAction> {
+    /// Lends out the buffer of host-level effects accumulated by pumping.
+    /// The host drains it and hands it back
+    /// ([`Architecture::return_host_actions`]) before the next pump, so the
+    /// one buffer keeps its capacity; nothing but `pump` writes to it.
+    pub(crate) fn lend_host_actions(&mut self) -> Vec<HostAction> {
         std::mem::take(&mut self.host_actions)
+    }
+
+    /// Takes the lent buffer back, emptied — unless a burst (every component
+    /// of a host attaching at once arms hundreds of timers) grew it past
+    /// what a steady host needs: a `HostAction` is 360 bytes, so that
+    /// buffer is released instead of pinned for the rest of the run.
+    pub(crate) fn return_host_actions(&mut self, mut actions: Vec<HostAction>) {
+        const KEPT: usize = 16;
+        debug_assert!(self.host_actions.is_empty(), "pumped while lent out");
+        if actions.capacity() <= KEPT {
+            actions.clear();
+            self.host_actions = actions;
+        }
     }
 }
 
@@ -738,7 +794,7 @@ mod tests {
         }
         let mut a = arch();
         a.add_component("t", TimerSink::default()).unwrap();
-        a.deliver_timer("t", 9).unwrap();
+        a.deliver_timer(Symbol::intern("t"), 9).unwrap();
         a.pump(SimTime::ZERO);
         assert_eq!(a.component_ref::<TimerSink>("t").unwrap().tokens, [9]);
     }
@@ -757,7 +813,7 @@ mod tests {
         let mut a = arch();
         a.add_component("rc", RemoteCaller).unwrap();
         a.pump(SimTime::ZERO);
-        let actions = a.take_host_actions();
+        let actions = a.lend_host_actions();
         assert_eq!(actions.len(), 1);
         match &actions[0] {
             HostAction::SendRemote {
@@ -771,8 +827,12 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Actions are drained.
-        assert!(a.take_host_actions().is_empty());
+        // Handed back, the buffer is empty and keeps its capacity.
+        let capacity = actions.capacity();
+        a.return_host_actions(actions);
+        let actions = a.lend_host_actions();
+        assert!(actions.is_empty());
+        assert_eq!(actions.capacity(), capacity);
     }
 
     #[test]

@@ -6,12 +6,19 @@
 //! starts with a magic byte; bytes that do not are rejected with a
 //! [`PrismError::Codec`] naming the offending byte.
 //!
-//! Shipping interner ids is sound here because the "wire" never leaves the
-//! process: netsim simulates all hosts in one address space sharing one
-//! interner (see [`crate::symbol`]), and encoded frames never reach
-//! journals or reports. A monitoring snapshot does — it is a report
-//! payload, a `ReportReceived` record and part of every checkpoint — so it
-//! spells its names out and holds no id.
+//! Shipping interner ids works because the "wire" never leaves the process:
+//! netsim simulates all hosts in one address space sharing one interner (see
+//! [`crate::symbol`]). Ids do reach past the wire, though. The durable
+//! journal's `Delivery` and `EventBuffered` records hold id-encoded events,
+//! so a file-backed store replays only in the process that wrote it; and a
+//! frame is charged its *encoded* length (`WireMsg::wire_size`), so the
+//! varint width of an id shows in `prism.durable_bytes`, `prism.codec_bytes`
+//! and, through transmit time, in the simulated clock. Runs repeat exactly
+//! because they intern the same names in the same order — **interning order
+//! is part of the determinism contract** until journaled events carry names
+//! (see [`Symbol::intern`]). A monitoring snapshot outlives the process — it
+//! is a report payload, a `ReportReceived` record and part of every
+//! checkpoint — so it spells its names out and holds no id.
 //!
 //! # Binary layout
 //!
@@ -168,9 +175,12 @@ const FLAG_TRACE: u8 = 0b100;
 /// the span id.
 const FLAG_TRACE_PARENT: u8 = 0b1000;
 
-/// Encodes an event (layout in the module docs).
+/// Encodes an event (layout in the module docs). The buffer is sized for
+/// the fixed fields (~10 bytes), 16 bytes per parameter, the payload — and
+/// the frame header [`encode_wire`] writes into the same buffer, so a frame
+/// that carries a 4 KB report does not double its buffer to fit 8 more bytes.
 pub(crate) fn encode_event(e: &Event) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + e.payload.len());
+    let mut out = Vec::with_capacity(24 + 16 * e.params.len() + e.payload.len());
     encode_event_into(e, &mut out);
     out
 }
@@ -335,48 +345,42 @@ const WIRE_ACK: u8 = 3;
 const WIRE_PING: u8 = 4;
 const WIRE_PONG: u8 = 5;
 
-/// Encodes a transport frame (layout in the module docs).
-pub(crate) fn encode_wire(m: &WireMsg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
+/// Encodes a transport frame (layout in the module docs). Consumes it: a
+/// frame's body (embedded event or frame) is its last field, so the header
+/// is written behind the body in the body's own buffer and rotated to the
+/// front — the mirror of [`decode_wire`], and no second allocation while the
+/// buffer has a header's worth of spare capacity ([`encode_event`] leaves it).
+pub(crate) fn encode_wire(mut m: WireMsg) -> Vec<u8> {
+    let (mut out, variant) = match &mut m {
+        WireMsg::Forward { frame, .. } => (std::mem::take(frame), WIRE_FORWARD),
+        WireMsg::Raw { event, .. } => (std::mem::take(event), WIRE_RAW),
+        WireMsg::Seq { event, .. } => (std::mem::take(event), WIRE_SEQ),
+        WireMsg::Ack { .. } => (Vec::with_capacity(12), WIRE_ACK),
+        WireMsg::Ping { .. } => (Vec::with_capacity(12), WIRE_PING),
+        WireMsg::Pong { .. } => (Vec::with_capacity(12), WIRE_PONG),
+    };
+    let body = out.len();
     out.push(WIRE_MAGIC);
+    out.push(variant);
     match m {
-        WireMsg::Forward { src, dst, frame } => {
-            out.push(WIRE_FORWARD);
+        WireMsg::Forward { src, dst, .. } => {
             put_varint(&mut out, u64::from(src.raw()));
             put_varint(&mut out, u64::from(dst.raw()));
-            put_bytes(&mut out, frame);
         }
-        WireMsg::Raw {
-            to_component,
-            event,
-        } => {
-            out.push(WIRE_RAW);
-            put_symbol(&mut out, *to_component);
-            put_bytes(&mut out, event);
-        }
+        WireMsg::Raw { to_component, .. } => put_symbol(&mut out, to_component),
         WireMsg::Seq {
-            seq,
-            to_component,
-            event,
+            seq, to_component, ..
         } => {
-            out.push(WIRE_SEQ);
-            put_varint(&mut out, *seq);
-            put_symbol(&mut out, *to_component);
-            put_bytes(&mut out, event);
+            put_varint(&mut out, seq);
+            put_symbol(&mut out, to_component);
         }
-        WireMsg::Ack { seq } => {
-            out.push(WIRE_ACK);
-            put_varint(&mut out, *seq);
-        }
-        WireMsg::Ping { nonce } => {
-            out.push(WIRE_PING);
-            put_varint(&mut out, *nonce);
-        }
-        WireMsg::Pong { nonce } => {
-            out.push(WIRE_PONG);
-            put_varint(&mut out, *nonce);
+        WireMsg::Ack { seq: n } | WireMsg::Ping { nonce: n } | WireMsg::Pong { nonce: n } => {
+            put_varint(&mut out, n);
+            return out;
         }
     }
+    put_varint(&mut out, body as u64);
+    out.rotate_left(body);
     out
 }
 
@@ -386,51 +390,63 @@ pub(crate) fn encode_wire(m: &WireMsg) -> Vec<u8> {
 /// (`Simulator::inject`) — one no host would emit, such as traffic for a
 /// component that has moved away or not arrived yet.
 pub fn encode_raw_frame(to_component: Symbol, event: Vec<u8>) -> Vec<u8> {
-    encode_wire(&WireMsg::Raw {
+    encode_wire(WireMsg::Raw {
         to_component,
         event,
     })
 }
 
+/// A frame's body (embedded event or frame): its last field, length-prefixed
+/// at `pos`. The received buffer itself, header dropped, becomes the body —
+/// no second allocation per received frame.
+fn into_body(mut bytes: Vec<u8>, mut pos: usize) -> Result<Vec<u8>, PrismError> {
+    let len = get_bytes(&bytes, &mut pos)?.len();
+    if pos != bytes.len() {
+        return Err(codec_err("trailing bytes after frame"));
+    }
+    bytes.drain(..pos - len);
+    Ok(bytes)
+}
+
 /// Decodes a transport frame, rejecting foreign bytes and trailing garbage.
-pub(crate) fn decode_wire(bytes: &[u8]) -> Result<WireMsg, PrismError> {
-    expect_magic(bytes, WIRE_MAGIC, "frame")?;
+pub(crate) fn decode_wire(bytes: Vec<u8>) -> Result<WireMsg, PrismError> {
+    expect_magic(&bytes, WIRE_MAGIC, "frame")?;
     let mut pos = 1usize;
     let variant = *bytes.get(pos).ok_or_else(|| codec_err("truncated frame"))?;
     pos += 1;
     let msg = match variant {
         WIRE_FORWARD => {
-            let src = get_host(bytes, &mut pos)?;
-            let dst = get_host(bytes, &mut pos)?;
-            let frame = get_bytes(bytes, &mut pos)?.to_vec();
-            WireMsg::Forward { src, dst, frame }
+            let src = get_host(&bytes, &mut pos)?;
+            let dst = get_host(&bytes, &mut pos)?;
+            let frame = into_body(bytes, pos)?;
+            return Ok(WireMsg::Forward { src, dst, frame });
         }
         WIRE_RAW => {
-            let to_component = get_symbol(bytes, &mut pos)?;
-            let event = get_bytes(bytes, &mut pos)?.to_vec();
-            WireMsg::Raw {
+            let to_component = get_symbol(&bytes, &mut pos)?;
+            let event = into_body(bytes, pos)?;
+            return Ok(WireMsg::Raw {
                 to_component,
                 event,
-            }
+            });
         }
         WIRE_SEQ => {
-            let seq = get_varint(bytes, &mut pos)?;
-            let to_component = get_symbol(bytes, &mut pos)?;
-            let event = get_bytes(bytes, &mut pos)?.to_vec();
-            WireMsg::Seq {
+            let seq = get_varint(&bytes, &mut pos)?;
+            let to_component = get_symbol(&bytes, &mut pos)?;
+            let event = into_body(bytes, pos)?;
+            return Ok(WireMsg::Seq {
                 seq,
                 to_component,
                 event,
-            }
+            });
         }
         WIRE_ACK => WireMsg::Ack {
-            seq: get_varint(bytes, &mut pos)?,
+            seq: get_varint(&bytes, &mut pos)?,
         },
         WIRE_PING => WireMsg::Ping {
-            nonce: get_varint(bytes, &mut pos)?,
+            nonce: get_varint(&bytes, &mut pos)?,
         },
         WIRE_PONG => WireMsg::Pong {
-            nonce: get_varint(bytes, &mut pos)?,
+            nonce: get_varint(&bytes, &mut pos)?,
         },
         _ => return Err(codec_err("bad wire variant")),
     };
@@ -561,12 +577,12 @@ mod tests {
             WireMsg::Pong { nonce: 8 },
         ];
         for m in frames {
-            let bytes = encode_wire(&m);
+            let bytes = encode_wire(m.clone());
             assert_eq!(bytes[0], WIRE_MAGIC);
-            assert_eq!(decode_wire(&bytes).unwrap(), m);
+            assert_eq!(decode_wire(bytes.clone()).unwrap(), m);
             let mut padded = bytes.clone();
             padded.push(1);
-            assert!(decode_wire(&padded).is_err());
+            assert!(decode_wire(padded).is_err());
         }
     }
 
@@ -582,19 +598,19 @@ mod tests {
     fn foreign_bytes_are_rejected_naming_the_offending_byte() {
         // Empty input.
         assert!(codec_message(decode_event(&[])).contains("empty input"));
-        assert!(codec_message(decode_wire(&[])).contains("empty input"));
+        assert!(codec_message(decode_wire(vec![])).contains("empty input"));
         // A JSON document (`{` = 0x7b): no magic, no sniffing.
         let json = br#"{"name":"n","kind":"Notification","params":{}}"#;
         assert!(codec_message(decode_event(json)).contains("0x7b"));
-        assert!(codec_message(decode_wire(json)).contains("0x7b"));
+        assert!(codec_message(decode_wire(json.to_vec())).contains("0x7b"));
         // The other decoder's magic is foreign too.
         assert!(codec_message(decode_event(&[WIRE_MAGIC, 3, 0])).contains("0xeb"));
-        assert!(codec_message(decode_wire(&[EVENT_MAGIC, 2, 0])).contains("0xe5"));
+        assert!(codec_message(decode_wire(vec![EVENT_MAGIC, 2, 0])).contains("0xe5"));
     }
 
     #[test]
     fn input_truncated_right_after_the_magic_is_rejected() {
         assert!(codec_message(decode_event(&[EVENT_MAGIC])).contains("event kind"));
-        assert!(codec_message(decode_wire(&[WIRE_MAGIC])).contains("truncated"));
+        assert!(codec_message(decode_wire(vec![WIRE_MAGIC])).contains("truncated"));
     }
 }

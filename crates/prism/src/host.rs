@@ -16,13 +16,14 @@ use crate::durable::{
 use crate::event::Event;
 use crate::monitor::{EventFrequencyMonitor, ReliabilityProbe};
 use crate::symbol::Symbol;
+use crate::timers::TimerTable;
 use crate::transport::{ReliableChannel, WireMsg};
 use crate::PrismError;
 use redep_model::HostId;
 use redep_netsim::{Duration, Message, Node, NodeCtx, SimTime};
 
 use redep_telemetry::{Counter, Histogram, Telemetry, TraceCtx};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 /// Reserved component address of the admin on every host.
@@ -133,18 +134,26 @@ pub struct HostServices {
     host: HostId,
     now: SimTime,
     deployer_host: HostId,
-    neighbors: BTreeSet<HostId>,
+    /// Physical neighbors, ascending (probed per outbound frame).
+    neighbors: Vec<HostId>,
     routes: BTreeMap<HostId, HostId>,
     directory: BTreeMap<String, HostId>,
-    /// Derived O(1) lookup index over `directory` — the per-event `locate`
-    /// path must not pay a string-keyed tree walk. Rebuilt on every
-    /// directory mutation; never iterated, so its order cannot leak.
-    dir_index: HashMap<String, HostId>,
-    channels: BTreeMap<HostId, ReliableChannel>,
+    /// Answers of `directory` already given, as `(symbol id, location)`
+    /// sorted by id — the per-event [`HostServices::locate_symbol`] must not
+    /// pay a string-keyed tree walk. Emptied on every directory mutation and
+    /// refilled on demand, so it never interns a name (see
+    /// [`Symbol::intern`]) and holds only what this host asked about.
+    dir_memo: Vec<(u32, Option<HostId>)>,
+    /// Reliable channels by peer, ascending (checkpoints and the RTO sweep
+    /// walk them in peer order).
+    channels: Vec<(HostId, ReliableChannel)>,
     rto: Duration,
     /// The platform-dependent reliability monitor (ping counters).
     pub(crate) probe: ReliabilityProbe,
-    outbox: Vec<(HostId, WireMsg)>,
+    /// Frames waiting for the next flush, oldest first. A deque: the flush
+    /// pops what was queued before it began while local loopbacks queue
+    /// behind, in the one buffer.
+    outbox: VecDeque<(HostId, WireMsg)>,
     buffered: BTreeMap<String, Vec<Event>>,
     next_nonce: u64,
     buffer_during_migration: bool,
@@ -174,14 +183,14 @@ impl HostServices {
             host,
             now: SimTime::ZERO,
             deployer_host: config.deployer_host,
-            neighbors: config.neighbors.clone(),
+            neighbors: config.neighbors.iter().copied().collect(),
             routes: config.routes.clone(),
             directory: BTreeMap::new(),
-            dir_index: HashMap::new(),
-            channels: BTreeMap::new(),
+            dir_memo: Vec::new(),
+            channels: Vec::new(),
             rto: config.rto,
             probe: ReliabilityProbe::new(),
-            outbox: Vec::new(),
+            outbox: VecDeque::new(),
             buffered: BTreeMap::new(),
             next_nonce: 0,
             buffer_during_migration: config.buffer_during_migration,
@@ -235,14 +244,35 @@ impl HostServices {
         self.deployer_host
     }
 
-    /// Hosts directly reachable from here.
-    pub fn neighbors(&self) -> &BTreeSet<HostId> {
+    /// Hosts directly reachable from here, ascending.
+    pub fn neighbors(&self) -> &[HostId] {
         &self.neighbors
     }
 
     /// Whether `peer` is directly reachable.
     pub fn can_reach(&self, peer: HostId) -> bool {
-        self.neighbors.contains(&peer)
+        self.neighbors.binary_search(&peer).is_ok()
+    }
+
+    /// The reliable channel to `peer`, if one was ever opened.
+    fn channel_mut(&mut self, peer: HostId) -> Option<&mut ReliableChannel> {
+        let at = self
+            .channels
+            .binary_search_by_key(&peer, |(p, _)| *p)
+            .ok()?;
+        Some(&mut self.channels[at].1)
+    }
+
+    /// The reliable channel to `peer`, opened idle on first use.
+    fn channel_entry(&mut self, peer: HostId) -> &mut ReliableChannel {
+        let at = match self.channels.binary_search_by_key(&peer, |(p, _)| *p) {
+            Ok(at) => at,
+            Err(at) => {
+                self.channels.insert(at, (peer, ReliableChannel::new()));
+                at
+            }
+        };
+        &mut self.channels[at].1
     }
 
     /// Activity counters.
@@ -266,9 +296,7 @@ impl HostServices {
 
     /// Replaces the whole directory (sent with every redeployment command).
     pub fn replace_directory(&mut self, directory: BTreeMap<String, HostId>) {
-        self.dir_index.clear();
-        self.dir_index
-            .extend(directory.iter().map(|(c, h)| (c.clone(), *h)));
+        self.dir_memo.clear();
         self.journal(JournalRecord::DirectoryReplaced {
             directory: directory
                 .iter()
@@ -285,13 +313,30 @@ impl HostServices {
             component: &component,
             host: host.raw(),
         });
-        self.dir_index.insert(component.clone(), host);
+        self.dir_memo.clear();
         self.directory.insert(component, host);
     }
 
     /// Looks up where a component currently lives.
     pub fn locate(&self, component: &str) -> Option<HostId> {
-        self.dir_index.get(component).copied()
+        self.directory.get(component).copied()
+    }
+
+    /// [`HostServices::locate`] for the per-event path, whose callers hold
+    /// the component's `Symbol`: one directory walk per name per directory
+    /// version, an integer search after that.
+    fn locate_symbol(&mut self, component: Symbol) -> Option<HostId> {
+        match self
+            .dir_memo
+            .binary_search_by_key(&component.id(), |&(id, _)| id)
+        {
+            Ok(at) => self.dir_memo[at].1,
+            Err(at) => {
+                let there = self.locate(component.as_str());
+                self.dir_memo.insert(at, (component.id(), there));
+                there
+            }
+        }
     }
 
     /// Sends a control event reliably to a component on `dst`. Unreachable
@@ -303,7 +348,7 @@ impl HostServices {
         if dst == self.host {
             // Local control messages short-circuit at the host layer; the
             // runtime routes them on the next processing pass.
-            self.outbox.push((
+            self.outbox.push_back((
                 dst,
                 WireMsg::Raw {
                     to_component,
@@ -314,7 +359,7 @@ impl HostServices {
         }
         if self.next_hop(dst).is_some() || dst == self.deployer_host {
             let (now, rto) = (self.now, self.rto);
-            let frame = self.channels.entry(dst).or_default().send(
+            let frame = self.channel_entry(dst).send(
                 to_component,
                 event.encode().expect("events serialize"),
                 now,
@@ -337,7 +382,7 @@ impl HostServices {
                 .with_param(crate::admin::P_FINAL_COMPONENT, to_component.as_str())
                 .with_payload(event.encode().expect("events serialize"));
             let (now, rto) = (self.now, self.rto);
-            let frame = self.channels.entry(self.deployer_host).or_default().send(
+            let frame = self.channel_entry(self.deployer_host).send(
                 Symbol::intern(DEPLOYER_ADDRESS),
                 wrapped.encode().expect("events serialize"),
                 now,
@@ -407,7 +452,7 @@ impl HostServices {
     /// The neighbor to relay through for `dst` (the destination itself
     /// when directly connected).
     pub fn next_hop(&self, dst: HostId) -> Option<HostId> {
-        if self.neighbors.contains(&dst) {
+        if self.can_reach(dst) {
             Some(dst)
         } else {
             self.routes.get(&dst).copied()
@@ -418,8 +463,8 @@ impl HostServices {
     /// table when `dst` is not a neighbor. Unroutable frames are dropped
     /// (and counted).
     fn wire(&mut self, dst: HostId, frame: WireMsg) {
-        if dst == self.host || self.neighbors.contains(&dst) {
-            self.outbox.push((dst, frame));
+        if dst == self.host || self.can_reach(dst) {
+            self.outbox.push_back((dst, frame));
             return;
         }
         match self.next_hop(dst) {
@@ -429,7 +474,7 @@ impl HostServices {
                     dst,
                     frame: frame.encode(),
                 };
-                self.outbox.push((hop, wrapped));
+                self.outbox.push_back((hop, wrapped));
             }
             None => {
                 self.stats.frames_unroutable += 1;
@@ -441,7 +486,7 @@ impl HostServices {
         let nonce = self.next_nonce;
         self.next_nonce += 1;
         self.probe.record_ping(peer);
-        self.outbox.push((peer, WireMsg::Ping { nonce }));
+        self.outbox.push_back((peer, WireMsg::Ping { nonce }));
     }
 }
 
@@ -459,7 +504,8 @@ pub struct PrismHost {
     config: HostConfig,
     app_connector: BrickId,
     next_timer: u64,
-    timers: BTreeMap<u64, (Symbol, u64)>,
+    /// Armed component timers by host-level id: `(component, its token)`.
+    timers: TimerTable<(Symbol, u64)>,
     /// Monitoring windows closed since the last checkpoint.
     windows_since_checkpoint: u32,
     /// Every crash recovery this host performed, in order (cumulative; see
@@ -546,7 +592,7 @@ impl PrismHost {
             config,
             app_connector,
             next_timer: 0,
-            timers: BTreeMap::new(),
+            timers: TimerTable::new(),
             windows_since_checkpoint: 0,
             recovery_reports: Vec::new(),
             fresh_reports: 0,
@@ -862,8 +908,9 @@ impl PrismHost {
                 .collect(),
             timers: self
                 .timers
-                .iter()
-                .map(|(id, (component, token))| (*id, component.as_str().to_owned(), *token))
+                .sorted()
+                .into_iter()
+                .map(|(id, (component, token))| (id, component.as_str().to_owned(), *token))
                 .collect(),
             next_timer: self.next_timer,
             admin: self.admin.durable_blob(),
@@ -873,25 +920,23 @@ impl PrismHost {
         self.windows_since_checkpoint = 0;
     }
 
-    /// Pumps the architecture to a fixpoint while *discarding* every host
+    /// Pumps the architecture while *discarding* every host
     /// action — the replay half of crash recovery. The original run already
     /// carried those effects out: remote sends hit the wire before the
     /// crash, each local delivery hop has its own journal record, and timers
     /// are restored from the checkpoint plus `TimerArmed` records.
     fn replay_pump(&mut self, now: SimTime) {
-        loop {
-            self.arch.pump(now);
-            if self.arch.take_host_actions().is_empty() {
-                break;
-            }
-        }
+        // One pump is the fixpoint: discarded actions feed nothing back.
+        self.arch.pump(now);
+        let discarded = self.arch.lend_host_actions();
+        self.arch.return_host_actions(discarded);
     }
 
     /// Routes an event to a component address on this host: meta-level
     /// addresses go to admin/deployer, everything else into the
     /// architecture (or the migration buffer).
-    fn deliver_local(&mut self, to_component: &str, event: Event, reliable_origin: bool) {
-        match to_component {
+    fn deliver_local(&mut self, to_component: Symbol, event: Event) {
+        match to_component.as_str() {
             ADMIN_ADDRESS => {
                 let phase = migration_phase(event.name());
                 let replayed_before = self.services.stats.events_replayed;
@@ -942,12 +987,11 @@ impl PrismHost {
                 self.journal_deployer();
             }
             name => {
-                let _ = reliable_origin;
-                if self.arch.contains_component(name) {
+                if self.arch.contains_symbol(to_component) {
                     self.services.stats.app_events_received += 1;
                     self.services.journal_delivery(name, &event);
                     self.arch
-                        .publish(name, event)
+                        .publish_to(to_component, event)
                         .expect("component exists; publish cannot fail");
                 } else {
                     // The target is not here (mid-migration or a stale
@@ -955,13 +999,13 @@ impl PrismHost {
                     // elsewhere and the event has not been forwarded yet,
                     // chase the component once; otherwise park the event for
                     // replay — the paper's buffering during redeployment.
-                    match self.services.locate(name) {
+                    match self.services.locate_symbol(to_component) {
                         Some(there)
                             if there != self.arch.host()
                                 && event.param(FORWARDED_MARKER).is_none() =>
                         {
                             let event = event.with_param(FORWARDED_MARKER, true);
-                            self.services.send_raw(there, name, &event);
+                            self.services.send_raw(there, to_component, &event);
                         }
                         _ => self.services.buffer_event(name, event),
                     }
@@ -978,11 +1022,9 @@ impl PrismHost {
         loop {
             let pumped = self.arch.pump(ctx.now());
             self.events_routed.add(pumped);
-            let actions = self.arch.take_host_actions();
-            if actions.is_empty() {
-                break;
-            }
-            for action in actions {
+            let mut actions = self.arch.lend_host_actions();
+            let done = actions.is_empty();
+            for action in actions.drain(..) {
                 match action {
                     HostAction::SendRemote {
                         host,
@@ -990,7 +1032,7 @@ impl PrismHost {
                         event,
                     } => {
                         if host == self.arch.host() {
-                            self.deliver_local(to_component.as_str(), event, false);
+                            self.deliver_local(to_component, event);
                         } else {
                             self.services.send_raw(host, to_component, &event);
                         }
@@ -1009,9 +1051,9 @@ impl PrismHost {
                             &event,
                             ctx.now(),
                         );
-                        match self.services.locate(to_component.as_str()) {
+                        match self.services.locate_symbol(to_component) {
                             Some(host) if host == self.arch.host() => {
-                                self.deliver_local(to_component.as_str(), event, false);
+                                self.deliver_local(to_component, event);
                             }
                             Some(host) => {
                                 self.services.send_raw(host, to_component, &event);
@@ -1038,8 +1080,15 @@ impl PrismHost {
                     }
                 }
             }
+            self.arch.return_host_actions(actions);
+            if done {
+                break;
+            }
         }
-        for (dst, frame) in std::mem::take(&mut self.services.outbox) {
+        // Frames queued so far go out; what their local loopbacks queue in
+        // turn waits, behind them, for the next activation.
+        for _ in 0..self.services.outbox.len() {
+            let (dst, frame) = self.services.outbox.pop_front().expect("counted");
             if dst == self.arch.host() {
                 // Local loopback of a control frame.
                 if let WireMsg::Raw {
@@ -1048,7 +1097,7 @@ impl PrismHost {
                 } = frame
                 {
                     if let Ok(event) = Event::decode(&event) {
-                        self.deliver_local(to_component.as_str(), event, true);
+                        self.deliver_local(to_component, event);
                     }
                 }
                 continue;
@@ -1070,14 +1119,14 @@ impl PrismHost {
         // stop probing that peer at the backoff cap and retry pending
         // frames at the base RTO (recovers in-flight control traffic
         // quickly once a partition heals or a lossy streak ends).
-        if let Some(ch) = self.services.channels.get_mut(&origin) {
-            let (now, rto) = (self.services.now, self.services.rto);
+        let (now, rto) = (self.services.now, self.services.rto);
+        if let Some(ch) = self.services.channel_mut(origin) {
             ch.on_peer_activity(now, rto);
         }
         match frame {
             WireMsg::Forward { src, dst, frame } => {
                 if dst == self.arch.host() {
-                    if let Ok(inner) = WireMsg::decode(&frame) {
+                    if let Ok(inner) = WireMsg::decode(frame) {
                         self.handle_frame(src, inner);
                     }
                 } else {
@@ -1087,7 +1136,7 @@ impl PrismHost {
                             self.services.stats.frames_forwarded += 1;
                             self.services
                                 .outbox
-                                .push((hop, WireMsg::Forward { src, dst, frame }));
+                                .push_back((hop, WireMsg::Forward { src, dst, frame }));
                         }
                         None => {
                             self.services.stats.frames_unroutable += 1;
@@ -1097,7 +1146,9 @@ impl PrismHost {
             }
             WireMsg::Ping { nonce } => {
                 // Pings are neighbor-to-neighbor; answer directly.
-                self.services.outbox.push((origin, WireMsg::Pong { nonce }));
+                self.services
+                    .outbox
+                    .push_back((origin, WireMsg::Pong { nonce }));
             }
             WireMsg::Pong { .. } => {
                 self.services.probe.record_pong(origin);
@@ -1107,7 +1158,7 @@ impl PrismHost {
                 event,
             } => {
                 if let Ok(event) = Event::decode(&event) {
-                    self.deliver_local(to_component.as_str(), event, false);
+                    self.deliver_local(to_component, event);
                 }
             }
             WireMsg::Seq {
@@ -1117,20 +1168,14 @@ impl PrismHost {
             } => {
                 // Ack travels back to the origin, possibly multi-hop.
                 self.services.wire(origin, WireMsg::Ack { seq });
-                let fresh = self
-                    .services
-                    .channels
-                    .entry(origin)
-                    .or_default()
-                    .on_seq(seq);
-                if fresh {
+                if self.services.channel_entry(origin).on_seq(seq) {
                     if let Ok(event) = Event::decode(&event) {
-                        self.deliver_local(to_component.as_str(), event, true);
+                        self.deliver_local(to_component, event);
                     }
                 }
             }
             WireMsg::Ack { seq } => {
-                if let Some(ch) = self.services.channels.get_mut(&origin) {
+                if let Some(ch) = self.services.channel_mut(origin) {
                     ch.on_ack(seq);
                 }
             }
@@ -1183,7 +1228,7 @@ impl Node for PrismHost {
             )
             .expect("connector just created");
         self.services.directory.clear();
-        self.services.dir_index.clear();
+        self.services.dir_memo.clear();
         self.services.channels.clear();
         self.services.outbox.clear();
         self.services.buffered.clear();
@@ -1216,9 +1261,7 @@ impl Node for PrismHost {
             // are restored from the checkpoint instead, so discard them.
             self.replay_pump(now);
             for (component, raw) in ckpt.directory {
-                let there = HostId::new(raw);
-                self.services.dir_index.insert(component.clone(), there);
-                self.services.directory.insert(component, there);
+                self.services.directory_set(component, HostId::new(raw));
             }
             for (component, events) in ckpt.buffered {
                 let parked: Vec<Event> = events
@@ -1230,10 +1273,8 @@ impl Node for PrismHost {
                 }
             }
             for (peer, next_seq, next_expected) in ckpt.channels {
-                self.services.channels.insert(
-                    HostId::new(peer),
-                    ReliableChannel::restore(next_seq, next_expected),
-                );
+                *self.services.channel_entry(HostId::new(peer)) =
+                    ReliableChannel::restore(next_seq, next_expected);
             }
             for (id, component, token) in ckpt.timers {
                 self.timers.insert(id, (Symbol::intern(&component), token));
@@ -1263,8 +1304,8 @@ impl Node for PrismHost {
                     }
                 }
                 JournalRecord::TimerFired { id } => {
-                    if let Some((component, token)) = self.timers.remove(&id) {
-                        let _ = self.arch.deliver_timer(component.as_str(), token);
+                    if let Some((component, token)) = self.timers.remove(id) {
+                        let _ = self.arch.deliver_timer(component, token);
                         self.replay_pump(now);
                     }
                 }
@@ -1277,18 +1318,15 @@ impl Node for PrismHost {
                     self.next_timer = self.next_timer.max(id - TOKEN_COMPONENT_BASE + 1);
                 }
                 JournalRecord::DirectorySet { component, host } => {
-                    let there = HostId::new(host);
-                    self.services.dir_index.insert(component.clone(), there);
-                    self.services.directory.insert(component, there);
+                    self.services.directory_set(component, HostId::new(host));
                 }
                 JournalRecord::DirectoryReplaced { directory } => {
-                    self.services.dir_index.clear();
-                    self.services.directory.clear();
-                    for (component, host) in directory {
-                        let there = HostId::new(host);
-                        self.services.dir_index.insert(component.clone(), there);
-                        self.services.directory.insert(component, there);
-                    }
+                    self.services.replace_directory(
+                        directory
+                            .into_iter()
+                            .map(|(component, host)| (component, HostId::new(host)))
+                            .collect(),
+                    );
                 }
                 JournalRecord::EventBuffered { component, event } => {
                     if let Ok(event) = Event::decode(&event) {
@@ -1305,9 +1343,7 @@ impl Node for PrismHost {
                 }
                 JournalRecord::ChannelSend { peer } => {
                     self.services
-                        .channels
-                        .entry(HostId::new(peer))
-                        .or_default()
+                        .channel_entry(HostId::new(peer))
                         .bump_next_seq();
                 }
                 JournalRecord::ComponentAttached {
@@ -1445,7 +1481,7 @@ impl Node for PrismHost {
         // in simulation microseconds.
         self.routing_latency
             .observe((ctx.now().as_micros() - msg.sent_at.as_micros()) as f64);
-        let Ok(frame) = WireMsg::decode(&msg.payload) else {
+        let Ok(frame) = WireMsg::decode(msg.payload) else {
             return;
         };
         self.handle_frame(msg.src, frame);
@@ -1462,6 +1498,9 @@ impl Node for PrismHost {
                 let (now, rto) = (self.services.now, self.services.rto);
                 let mut frames = Vec::new();
                 for (peer, ch) in self.services.channels.iter_mut() {
+                    if ch.in_flight() == 0 {
+                        continue;
+                    }
                     for frame in ch.due_retransmits(now, rto) {
                         frames.push((*peer, frame));
                     }
@@ -1473,8 +1512,8 @@ impl Node for PrismHost {
                 ctx.set_timer(self.config.rto, TOKEN_RTO);
             }
             TOKEN_PING => {
-                let peers: Vec<HostId> = self.services.neighbors.iter().copied().collect();
-                for peer in peers {
+                for i in 0..self.services.neighbors.len() {
+                    let peer = self.services.neighbors[i];
                     self.services.ping(peer);
                 }
                 ctx.set_timer(self.config.ping_interval, TOKEN_PING);
@@ -1537,11 +1576,11 @@ impl Node for PrismHost {
                 ctx.set_timer(self.config.monitor_window, TOKEN_MONITOR);
             }
             id => {
-                if let Some((component, token)) = self.timers.remove(&id) {
+                if let Some((component, token)) = self.timers.remove(id) {
                     self.services.journal(JournalRecord::TimerFired { id });
                     // The component may have migrated away; its timer dies
                     // with the departure.
-                    let _ = self.arch.deliver_timer(component.as_str(), token);
+                    let _ = self.arch.deliver_timer(component, token);
                 }
             }
         }

@@ -47,6 +47,7 @@ pub mod host;
 pub mod monitor;
 pub mod stability;
 pub mod symbol;
+pub mod timers;
 pub mod transport;
 pub mod workload;
 

@@ -116,14 +116,15 @@ impl FrequencyWindow {
     }
 }
 
-/// Hashes the one `u64` a pair key is: a multiply and a fold, not SipHash.
-/// The keys are interner ids, never outside input.
-#[derive(Default)]
-struct PairHasher(u64);
+/// Hashes the one `u64` a key is: a multiply and a fold, not SipHash. For
+/// keys the program issues itself (interner ids, timer ids), never outside
+/// input.
+#[derive(Clone, Default, Debug)]
+pub(crate) struct IdHasher(u64);
 
-impl Hasher for PairHasher {
+impl Hasher for IdHasher {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("pair keys hash as one u64");
+        unreachable!("id keys hash as one u64");
     }
 
     fn write_u64(&mut self, key: u64) {
@@ -155,7 +156,7 @@ pub struct EventFrequencyMonitor {
     /// Every pair seen so far, in first-seen order.
     slots: Vec<PairCount>,
     /// `src id << 32 | dst id` → index into `slots`.
-    index: HashMap<u64, usize, BuildHasherDefault<PairHasher>>,
+    index: HashMap<u64, usize, BuildHasherDefault<IdHasher>>,
 }
 
 impl EventFrequencyMonitor {

@@ -18,11 +18,19 @@
 //! the vocabulary of a simulation is bounded, and a leaked name is exactly
 //! what makes `Symbol::as_str` lock-free.
 //!
-//! Determinism note: symbol *ids* depend on interning order and may differ
-//! between runs. Nothing observable derives from ids — journals, reports,
-//! and orderings all use the interned *string* ([`Symbol`]'s `Ord` compares
-//! names, not ids) — so double-run byte-identical journals are preserved.
+//! Determinism note: symbol *ids* depend on interning order. Orderings,
+//! telemetry journals and reports use the interned *string* ([`Symbol`]'s
+//! `Ord` compares names, not ids), but the wire codec ships ids as varints,
+//! so id *widths* reach everything that measures an encoded event: the wire
+//! size a frame is charged (and through transmit time the simulated clock),
+//! `pipeline.codec.bytes`, and the `Delivery`/`EventBuffered` records of the
+//! durable journal. **Interning order is therefore part of the determinism
+//! contract**: a run is reproducible because it interns the same names in
+//! the same order, and a code path that interns a name earlier than before
+//! (say, while building an index) moves those byte counts. Resolve cold
+//! `&str` keys with [`Symbol::lookup`], which never interns.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
@@ -59,9 +67,22 @@ fn interner() -> &'static Mutex<Interner> {
     })
 }
 
+thread_local! {
+    /// This thread's copy of the interner's append-only name table, so
+    /// [`Symbol::from_id`] — called for every symbol of every decoded frame,
+    /// from every shard thread — takes the global lock only for ids interned
+    /// since the copy was last extended.
+    static NAMES: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+}
+
 impl Symbol {
     /// Interns a name, returning its symbol. Idempotent: the same string
     /// always maps to the same symbol within one process.
+    ///
+    /// A *new* name takes the next id, and ids travel as varints in encoded
+    /// events — so adding a call site that may see a name first changes
+    /// simulated byte counts (see the module docs). To look a name up in a
+    /// symbol-keyed table, use [`Symbol::lookup`].
     pub fn intern(name: &str) -> Symbol {
         let mut table = interner().lock().expect("interner poisoned");
         if let Some(&id) = table.by_name.get(name) {
@@ -77,12 +98,29 @@ impl Symbol {
         Symbol { id, name: leaked }
     }
 
+    /// The symbol of an already-interned name; `None` — and no interning —
+    /// when the name was never interned. For `&str` callers that meet a
+    /// symbol-keyed table: a name that has no symbol is in no such table.
+    pub fn lookup(name: &str) -> Option<Symbol> {
+        let table = interner().lock().expect("interner poisoned");
+        let id = *table.by_name.get(name)?;
+        Some(Symbol {
+            id,
+            name: table.names[id as usize],
+        })
+    }
+
     /// Resolves a raw interner id (the wire representation of the binary
     /// codec). Returns `None` for ids this process never interned.
     pub fn from_id(id: u32) -> Option<Symbol> {
-        let table = interner().lock().expect("interner poisoned");
-        let name = *table.names.get(id as usize)?;
-        Some(Symbol { id, name })
+        NAMES.with_borrow_mut(|names| {
+            if names.len() <= id as usize {
+                let table = interner().lock().expect("interner poisoned");
+                names.extend_from_slice(&table.names[names.len()..]);
+            }
+            let name = *names.get(id as usize)?;
+            Some(Symbol { id, name })
+        })
     }
 
     /// The interned string. Lock-free: the name is borrowed from the
@@ -203,6 +241,38 @@ mod tests {
         let a = Symbol::intern("resolvable");
         assert_eq!(Symbol::from_id(a.id()), Some(a));
         assert_eq!(Symbol::from_id(u32::MAX), None);
+    }
+
+    #[test]
+    fn lookup_never_interns() {
+        let name = "lookup-only-test-symbol";
+        assert_eq!(Symbol::lookup(name), None);
+        assert_eq!(Symbol::lookup(name), None, "a miss must not intern");
+        let s = Symbol::intern(name);
+        assert_eq!(Symbol::lookup(name), Some(s));
+    }
+
+    #[test]
+    fn from_id_on_another_thread_sees_later_interns() {
+        use std::sync::mpsc::channel;
+        let early = Symbol::intern("cross-thread-early");
+        let (to_worker, from_main) = channel::<u32>();
+        let (to_main, from_worker) = channel::<Option<Symbol>>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                // The first lookup fills this thread's copy of the table;
+                // the second id was interned after that.
+                for id in from_main {
+                    to_main.send(Symbol::from_id(id)).unwrap();
+                }
+            });
+            to_worker.send(early.id()).unwrap();
+            assert_eq!(from_worker.recv().unwrap(), Some(early));
+            let late = Symbol::intern("cross-thread-late");
+            to_worker.send(late.id()).unwrap();
+            assert_eq!(from_worker.recv().unwrap(), Some(late));
+            drop(to_worker);
+        });
     }
 
     #[test]

@@ -70,11 +70,13 @@ pub(crate) enum WireMsg {
 }
 
 impl WireMsg {
-    pub(crate) fn encode(&self) -> Vec<u8> {
+    /// Encodes the frame (consumed: its body's buffer becomes the bytes).
+    pub(crate) fn encode(self) -> Vec<u8> {
         codec::encode_wire(self)
     }
 
-    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, crate::PrismError> {
+    /// Decodes a received buffer (consumed: it becomes the frame's body).
+    pub(crate) fn decode(bytes: Vec<u8>) -> Result<Self, crate::PrismError> {
         codec::decode_wire(bytes)
     }
 
@@ -87,7 +89,7 @@ impl WireMsg {
             WireMsg::Raw { event, .. } | WireMsg::Seq { event, .. } => {
                 crate::Event::decode(event).ok()?.trace()
             }
-            WireMsg::Forward { frame, .. } => WireMsg::decode(frame).ok()?.trace_ctx(),
+            WireMsg::Forward { frame, .. } => WireMsg::decode(frame.clone()).ok()?.trace_ctx(),
             WireMsg::Ack { .. } | WireMsg::Ping { .. } | WireMsg::Pong { .. } => None,
         }
     }
@@ -388,7 +390,7 @@ mod proptests {
         #[test]
         fn wire_roundtrip_any_payload(seq in any::<u64>(), payload in proptest::collection::vec(any::<u8>(), 0..128)) {
             let m = WireMsg::Seq { seq, to_component: "x".into(), event: payload };
-            prop_assert_eq!(WireMsg::decode(&m.encode()).unwrap(), m);
+            prop_assert_eq!(WireMsg::decode(m.clone().encode()).unwrap(), m);
         }
     }
 }
@@ -486,8 +488,8 @@ mod tests {
             to_component: "admin".into(),
             event: vec![1, 2],
         };
-        assert_eq!(WireMsg::decode(&m.encode()).unwrap(), m);
-        assert!(WireMsg::decode(b"junk").is_err());
+        assert_eq!(WireMsg::decode(m.clone().encode()).unwrap(), m);
+        assert!(WireMsg::decode(b"junk".to_vec()).is_err());
     }
 
     #[test]

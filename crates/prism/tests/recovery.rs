@@ -133,6 +133,69 @@ fn crash_recovery_replays_journal_and_preserves_state() {
 }
 
 #[test]
+fn checkpoint_lists_timers_in_id_order_and_recovery_rearms_them() {
+    // "a" on h0 emits to "b" at 5 Hz and to "c" at 0.4 Hz: the slow timer
+    // keeps an old id alive while the fast one burns through new ones, so
+    // the live set is never contiguous and fires out of id order.
+    let hosts = [h(0), h(1)];
+    let mut sim = Simulator::new(3);
+    let directory: BTreeMap<String, HostId> = [("a", h(0)), ("b", h(1)), ("c", h(1))]
+        .map(|(c, at)| (c.to_owned(), at))
+        .into();
+    for &me in &hosts {
+        let mut host = PrismHost::new(me, factory(), config(h(0), &[h(1 - me.raw())], 1));
+        if me == h(0) {
+            host.enable_deployer();
+            let to = |peer: &str, frequency| InteractionSpec {
+                peer: peer.into(),
+                frequency,
+                event_size: 100,
+            };
+            host.add_app_component(
+                "a",
+                WorkloadComponent::new(vec![to("b", 5.0), to("c", 0.4)]),
+            )
+            .unwrap();
+        } else {
+            for name in ["b", "c"] {
+                host.add_app_component(name, WorkloadComponent::new(vec![]))
+                    .unwrap();
+            }
+        }
+        host.set_initial_directory(directory.clone());
+        sim.add_host(me, host);
+    }
+    sim.set_link(h(0), h(1), LinkSpec::default());
+    let received = |sim: &Simulator, name: &str| {
+        let host = sim.node_ref::<PrismHost>(h(1)).unwrap();
+        let component = host.architecture().component_ref::<WorkloadComponent>(name);
+        component.unwrap().received()
+    };
+
+    // Checkpoints at 0, 2 and 4 s (every window); stop between two.
+    sim.run_until(SimTime::from_secs_f64(4.5));
+    let checkpoint = master(&sim).services().durable().recover().checkpoint;
+    let timers = checkpoint.expect("a checkpoint was written").timers;
+    assert_eq!(
+        timers.len(),
+        2,
+        "one live timer per interaction: {timers:?}"
+    );
+    assert!(
+        timers[0].0 + 1 < timers[1].0,
+        "ascending, with fired ids between"
+    );
+    assert_eq!((timers[0].2, timers[1].2), (1, 0), "slow token first");
+
+    let (b_before, c_before) = (received(&sim, "b"), received(&sim, "c"));
+    bounce(&mut sim, h(0));
+    assert_recovered_exactly(master(&sim), 0);
+    sim.run_until(SimTime::from_secs_f64(12.0));
+    assert!(received(&sim, "b") >= b_before + 30, "fast timer re-armed");
+    assert!(received(&sim, "c") >= c_before + 2, "slow timer re-armed");
+}
+
+#[test]
 fn periodic_checkpoints_shorten_the_replayed_tail() {
     // A host checkpointing every monitor window recovers from a recent
     // checkpoint; one that never checkpoints after start replays everything
