@@ -3,11 +3,11 @@
 //! Multi-start algorithms (Stochastic restarts, Genetic islands, Annealing
 //! chains) split their work into `shards`, each with a fixed RNG stream
 //! derived from `(seed, shard index)` by [`shard_seed`]. [`run_shards`]
-//! executes the shard bodies on a scoped thread pool and returns the results
-//! *in shard order*, so merging is a sequential fold whose outcome — like
-//! the shard bodies themselves — is independent of the thread count and of
-//! scheduling interleavings. The same configuration therefore produces
-//! byte-identical results on 1, 2, or 8 threads.
+//! executes the shard bodies on the caller and scoped helper threads and
+//! returns the results *in shard order*, so merging is a sequential fold
+//! whose outcome — like the shard bodies themselves — is independent of the
+//! thread count and of scheduling interleavings. The same configuration
+//! therefore produces byte-identical results on 1, 2, or 8 threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -30,10 +30,11 @@ pub(crate) fn shard_seed(seed: u64, shard: u32) -> u64 {
 /// Runs `body(shard)` for every shard on up to `threads` workers and returns
 /// the results in shard order.
 ///
-/// Workers claim shard indices from an atomic counter and deposit each
-/// result in its shard's slot, so the returned vector is a pure function of
-/// `body` regardless of thread count. `threads <= 1` (or a single shard)
-/// runs inline without spawning.
+/// Workers — the calling thread and `threads − 1` scoped ones — claim shard
+/// indices from an atomic counter and deposit each result in its shard's
+/// slot, so the returned vector is a pure function of `body` regardless of
+/// thread count. `threads <= 1` (or a single shard) runs inline without
+/// spawning.
 pub(crate) fn run_shards<T, F>(shards: u32, threads: u32, body: F) -> Vec<T>
 where
     T: Send,
@@ -46,17 +47,19 @@ where
     }
     let slots: Vec<Mutex<Option<T>>> = (0..shards).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= shards as usize {
-                    break;
-                }
-                let result = body(i as u32);
-                *slots[i].lock().expect("shard slot poisoned") = Some(result);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= shards as usize {
+            break;
         }
+        let result = body(i as u32);
+        *slots[i].lock().expect("shard slot poisoned") = Some(result);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()

@@ -42,6 +42,16 @@
 //! [`MAX_ALLOCS_PER_EVENT`] — the tripwire for a per-message buffer that is
 //! rebuilt instead of kept.
 //!
+//! The sharded steady cell also reports what the window protocol says about
+//! itself ([`redep_netsim::RoundStats`]): `shard_*_32x128` are exact counts,
+//! asserted equal between a one-thread run of the cell and the threaded one.
+//! Two wall-clock figures ride along, recorded and never gated (a CI box may
+//! have one core; `available_parallelism` and each sharded cell's thread
+//! count are in the report for that reason): `thread_speedup_32x128`, the
+//! threaded rate over the one-thread rate, and `barrier_wait_share_32x128_t<i>`,
+//! the share of the timed window thread `i` spent waiting at the round
+//! barrier.
+//!
 //! `--quick` runs only the 8×32 cells and the steady cells (the CI smoke
 //! configuration);
 //! `--json` writes `BENCH_pipeline.json` in the shared `ExpReport` schema.
@@ -52,7 +62,7 @@
 use redep_bench::{print_table, ExpReport};
 use redep_core::{RuntimeConfig, ShardedRuntime, SystemRuntime};
 use redep_model::{Generator, GeneratorConfig};
-use redep_netsim::SimTime;
+use redep_netsim::{RoundStats, SimTime};
 use redep_telemetry::Telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -155,6 +165,11 @@ struct Sample {
     /// `(kind, records, bytes)` of the durable journals since the build,
     /// from the `prism.durable.journal.{records,bytes}.<kind>` counters.
     journal_kinds: Vec<(&'static str, u64, u64)>,
+    /// Sharded cells: the window protocol's exact report over the whole run
+    /// (warm-up included), and per thread the share of the timed window it
+    /// waited at the round barrier (wall-clock).
+    rounds: RoundStats,
+    barrier_wait_shares: Vec<f64>,
 }
 
 impl Sample {
@@ -285,6 +300,8 @@ fn run_cell(
         chunk_rates,
         journal_dropped: telemetry.journal().dropped(),
         journal_kinds,
+        rounds: RoundStats::default(),
+        barrier_wait_shares: Vec::new(),
     })
 }
 
@@ -326,6 +343,7 @@ fn run_sharded_cell(
     let (events_before, bytes_before, durable_before) =
         (total(&routed), total(&bytes), journaled(&rt));
     let monitor_before = monitor_bytes(&journal_kinds(&handles));
+    let waited_before = rt.sim().barrier_wait_secs();
     let mut chunk_rates = Vec::with_capacity(CHUNKS as usize);
     let mut prev_events = events_before;
     let started = Instant::now();
@@ -342,9 +360,15 @@ fn run_sharded_cell(
     }
     let wall_secs = started.elapsed().as_secs_f64();
     let journal_kinds = journal_kinds(&handles);
+    // One entry per thread: only the first shard of a chunk ever waits.
+    let waited = rt.sim().barrier_wait_secs();
+    let barrier_wait_shares = (waited.iter().zip(&waited_before))
+        .filter(|(after, _)| **after > 0.0)
+        .map(|(after, before)| (after - before) / wall_secs.max(1e-9))
+        .collect();
     Ok(Sample {
-        // Thread spawns and barrier timing make the sharded counts vary run
-        // to run; only the single queue's are reported.
+        // Channel and barrier timing make the sharded counts vary run to
+        // run; only the single queue's are reported.
         allocs: 0,
         alloc_bytes: 0,
         events: total(&routed) - events_before,
@@ -355,18 +379,21 @@ fn run_sharded_cell(
         chunk_rates,
         journal_dropped: handles.iter().map(|t| t.journal().dropped()).sum(),
         journal_kinds,
+        rounds: rt.sim().round_stats(),
+        barrier_wait_shares,
     })
 }
 
-/// Worker threads for `shards` shards. Never oversubscribe: threads beyond
-/// the machine's cores only add barrier wake-ups per window round. Results
-/// are byte-identical at any thread count (the shard-smoke gate), so the
-/// thread count is purely an execution detail.
+/// Threads for `shards` shards. Never oversubscribe: a thread beyond the
+/// machine's cores only makes the others yield to it at every barrier.
+/// Results are byte-identical at any thread count (the shard-smoke gate), so
+/// the thread count is purely an execution detail.
 fn threads_for(shards: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1)
-        .min(shards)
+    cores().min(shards)
+}
+
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
 /// The CI determinism gate: runs the sharded pipeline at two thread counts
@@ -430,6 +457,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         "full mode: 8x32 / 64x256 / 256x1024 cold, horizons 10/5/1 s simulated, and the 32x128 steady cells"
     });
+    // What every sharded rate below ran on.
+    report.metric("available_parallelism", cores() as f64);
 
     let mut rows = Vec::new();
     let mut gate_speedup = f64::INFINITY;
@@ -500,6 +529,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("events_per_sec_{key}_sharded{shards}"),
             sample.events_per_sec(),
         );
+        report.metric(format!("threads_{key}_sharded{shards}"), threads as f64);
         report.percentiles_of(
             format!("chunk_events_per_sec_{key}_sharded{shards}"),
             &sample.chunk_rates,
@@ -524,13 +554,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sharded_rows.push(vec![
             key,
             format!("{shards}"),
+            format!("{threads}"),
             format!("{:.0}", sample.events_per_sec()),
             vs_seed,
         ]);
     }
     print_table(
         "E6-pipeline: sharded conservative-PDES throughput",
-        &["k×n", "shards", "ev/s", "vs seed 1-shard"],
+        &["k×n", "shards", "threads", "ev/s", "vs seed 1-shard"],
         &sharded_rows,
     );
 
@@ -541,14 +572,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (hosts, comps, warmup, horizon) = STEADY;
     let key = format!("{hosts}x{comps}");
     let single = run_cell(hosts, comps, warmup, horizon)?;
-    let sharded = run_sharded_cell(
-        hosts,
-        comps,
-        warmup,
-        horizon,
-        STEADY_SHARDS,
-        threads_for(STEADY_SHARDS),
-    )?;
+    let steady_threads = threads_for(STEADY_SHARDS);
+    let sharded = run_sharded_cell(hosts, comps, warmup, horizon, STEADY_SHARDS, steady_threads)?;
+    let one_thread = run_sharded_cell(hosts, comps, warmup, horizon, STEADY_SHARDS, 1)?;
+    assert_eq!(
+        sharded.rounds, one_thread.rounds,
+        "pipeline FAILED: the window protocol's counts depend on the thread count"
+    );
     let durable_per_event = single.durable_bytes_per_event();
     let report_bytes = single.report_bytes_mean();
     report.metric(
@@ -559,6 +589,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         format!("steady_events_per_sec_{key}_sharded{STEADY_SHARDS}"),
         sharded.events_per_sec(),
     );
+    report.metric(
+        format!("threads_{key}_sharded{STEADY_SHARDS}"),
+        steady_threads as f64,
+    );
+    // Wall-clock, recorded and not gated: ≈ 1 by construction on one core.
+    let thread_speedup = sharded.events_per_sec() / one_thread.events_per_sec().max(1e-9);
+    report.metric(format!("thread_speedup_{key}"), thread_speedup);
+    for (thread, share) in sharded.barrier_wait_shares.iter().enumerate() {
+        report.metric(format!("barrier_wait_share_{key}_t{thread}"), *share);
+    }
+    let rounds = &sharded.rounds;
+    let events_per_round = rounds.events as f64 / rounds.rounds.max(1) as f64;
+    let cross_shard_ratio =
+        rounds.cross_shard as f64 / (rounds.cross_shard + rounds.same_shard).max(1) as f64;
+    let exact_counts = [
+        ("rounds", rounds.rounds as f64),
+        ("lookahead_us", rounds.lookahead_us as f64),
+        ("events_per_round_mean", events_per_round),
+        ("cross_shard_ratio", cross_shard_ratio),
+        ("deepest_mailbox", rounds.deepest_mailbox as f64),
+    ];
+    for (name, value) in exact_counts {
+        report.metric(format!("shard_{name}_{key}"), value);
+    }
+    for shard in 0..rounds.shard_events.len() {
+        let per_shard = [
+            ("events", rounds.shard_events[shard]),
+            ("max_window_events", rounds.max_window_events[shard]),
+            ("idle_rounds", rounds.idle_rounds[shard]),
+        ];
+        for (name, value) in per_shard {
+            report.metric(format!("shard_{name}_{key}_s{shard}"), value as f64);
+        }
+    }
     report.metric(format!("durable_bytes_per_event_{key}"), durable_per_event);
     report.metric(
         format!("monitor_journal_bytes_per_event_{key}"),
@@ -600,6 +664,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 format!("{:.1}", cell.alloc_bytes_per_event()),
             ]
         }),
+    );
+
+    print_table(
+        "E6-pipeline: the window protocol on the sharded steady cell (22 s, exact counts; waits are wall-clock)",
+        &[
+            "threads",
+            "vs 1 thread",
+            "rounds",
+            "lookahead µs",
+            "ev/round mean",
+            "max by shard",
+            "cross-shard",
+            "deepest mailbox",
+            "idle rounds by shard",
+            "events by shard",
+            "barrier wait by thread",
+        ],
+        &[vec![
+            format!("{steady_threads} of {} cores", cores()),
+            format!("{thread_speedup:.2}×"),
+            format!("{}", rounds.rounds),
+            format!("{}", rounds.lookahead_us),
+            format!("{events_per_round:.0}"),
+            format!("{:?}", rounds.max_window_events),
+            format!("{:.1} %", 100.0 * cross_shard_ratio),
+            format!("{}", rounds.deepest_mailbox),
+            format!("{:?}", rounds.idle_rounds),
+            format!("{:?}", rounds.shard_events),
+            (sharded.barrier_wait_shares.iter())
+                .map(|share| format!("{:.0} %", 100.0 * share))
+                .collect::<Vec<_>>()
+                .join(" "),
+        ]],
     );
 
     // Where the single-queue cell's journal bytes went (warm-up included):

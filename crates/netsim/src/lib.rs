@@ -76,7 +76,7 @@ pub use faultplan::{FaultEpisode, FaultKind, FaultPlan};
 pub use fluctuation::{FluctuationModel, MarkovLinkChurn, RandomWalkFluctuation};
 pub use message::Message;
 pub use node::{Node, NodeCtx};
-pub use shard::{ShardPlan, ShardedSimulator};
+pub use shard::{RoundStats, ShardPlan, ShardedSimulator};
 pub use sim::Simulator;
 pub use stats::{LinkStats, NetStats};
 pub use time::{Duration, SimTime};

@@ -30,6 +30,24 @@
 //! Windows jump to the global minimum event time instead of marching in
 //! fixed `L` steps, so idle simulated time costs nothing.
 //!
+//! # Threading
+//!
+//! [`ShardedSimulator::run_until`] splits the shards into one contiguous
+//! chunk per thread. The **calling thread runs the first chunk itself**; the
+//! others are *lent* over a channel to **kept workers** — threads the
+//! simulator starts the first time a thread count asks for them and keeps
+//! until it drops — and come back over a second channel when the call ends,
+//! so a driver that steps in small increments pays no spawn and no join per
+//! step. Every party runs the same round function (one party at
+//! `threads == 1`), meeting twice per round at a generation-counting
+//! barrier on two atomics whose waiters **stay runnable**: a bounded
+//! `spin_loop`, then `yield_now`. Nothing parks on a futex inside a round —
+//! a futex wake-up tends to land the woken thread on the waker's CPU, which
+//! stacked both shard threads on one core for whole calls. A panic in a node
+//! callback raises the barrier's `aborted` flag, which releases every waiter,
+//! and `run_until` re-raises it on the calling thread naming the shard.
+//! [`ShardedSimulator::round_stats`] is the protocol's report on itself.
+//!
 //! # Determinism rules
 //!
 //! The engine produces **identical journals for any shard count and any
@@ -122,8 +140,11 @@ use redep_model::{HostId, HostPair};
 use redep_telemetry::{trace::DOMAIN_NET, Counter, SpanIdGen, Telemetry, TraceCtx};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Packed-key event kinds, ordered: at one timestamp, start callbacks run
 /// before fault actions, fault actions before timers, timers before
@@ -334,6 +355,13 @@ struct ShardCounters {
     delivered: Counter,
     dropped_loss: Counter,
     dropped_disconnected: Counter,
+    /// The `netsim.shard.*` mirror of [`RoundStats`]' sums, bumped once per
+    /// window (`rounds` by shard 0 only, so that it sums over the handles).
+    rounds: Counter,
+    events: Counter,
+    idle_rounds: Counter,
+    cross_shard: Counter,
+    same_shard: Counter,
 }
 
 impl ShardCounters {
@@ -344,14 +372,235 @@ impl ShardCounters {
             delivered: m.counter("net.delivered"),
             dropped_loss: m.counter("net.dropped_loss"),
             dropped_disconnected: m.counter("net.dropped_disconnected"),
+            rounds: m.counter("netsim.shard.rounds"),
+            events: m.counter("netsim.shard.events"),
+            idle_rounds: m.counter("netsim.shard.idle_rounds"),
+            cross_shard: m.counter("netsim.shard.cross_shard"),
+            same_shard: m.counter("netsim.shard.same_shard"),
         }
     }
+}
+
+/// The window protocol's report on itself ([`ShardedSimulator::round_stats`]).
+/// Every figure is an exact count accumulated once per window — never per
+/// event — and is the same at any thread count. (Not at any shard count or
+/// `run_until` step size: a deadline ends a window early.)
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RoundStats {
+    /// Windows run.
+    pub rounds: u64,
+    /// Events processed, all windows and shards together.
+    pub events: u64,
+    /// Events processed, per shard.
+    pub shard_events: Vec<u64>,
+    /// Most events a shard processed in one window, per shard.
+    pub max_window_events: Vec<u64>,
+    /// Windows in which a shard had no local event to process, per shard.
+    pub idle_rounds: Vec<u64>,
+    /// Deliveries handed to another shard's mailbox.
+    pub cross_shard: u64,
+    /// Deliveries scheduled into the sender's own queue (loopback included).
+    pub same_shard: u64,
+    /// Most messages one shard found in its mailbox at a round's start.
+    pub deepest_mailbox: u64,
+    /// The lookahead every window was given, in microseconds.
+    pub lookahead_us: u64,
+}
+
+/// One shard's share of [`RoundStats`].
+#[derive(Default)]
+struct WindowTally {
+    rounds: u64,
+    idle_rounds: u64,
+    cross_shard: u64,
+    deepest_mailbox: u64,
+    max_window_events: u64,
+    /// First shard of a thread's chunk only: wall time that thread has
+    /// waited at the barrier. For reports, never for the journal.
+    barrier_wait: std::time::Duration,
 }
 
 /// A cross-shard mail slot: `(deliver time, event key, message)` triples
 /// pushed by sender shards at window end and drained by the owner at the
 /// next round's barrier.
-type Mailbox = Mutex<Vec<(SimTime, u64, Message)>>;
+type Mailbox = Mutex<Vec<Mail>>;
+type Mail = (SimTime, u64, Message);
+
+/// Polls a waiter makes with `spin_loop` before it starts to `yield_now`:
+/// short, so that with more threads than cores a waiter soon makes way.
+const SPIN_POLLS: u32 = 1 << 7;
+/// Polls an idle worker makes for its next job before it blocks on the
+/// channel — a couple of milliseconds, longer than the gap between two
+/// `run_until` steps of a driver loop, because the futex wake-up that ends
+/// a blocked wait is what can land it on the caller's CPU.
+const IDLE_POLLS: u32 = 1 << 12;
+
+/// One poll of a wait whose waiter stays runnable.
+fn snooze(polls: &mut u32) {
+    if *polls < SPIN_POLLS {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+    *polls = polls.saturating_add(1);
+}
+
+/// Receives from a channel whose other end is usually about to send: polls
+/// before it blocks. `None` once the sender is gone.
+fn recv_polling<T>(from: &Receiver<T>) -> Option<T> {
+    let mut polls = 0;
+    while polls < IDLE_POLLS {
+        match from.try_recv() {
+            Ok(value) => return Some(value),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) => snooze(&mut polls),
+        }
+    }
+    from.recv().ok()
+}
+
+/// A reusable generation-counting barrier on two atomics whose waiters
+/// never park (module docs, *Threading*).
+#[derive(Default)]
+struct RoundBarrier {
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    /// Raised for a party that unwound out of its rounds and will never
+    /// arrive again; releases every waiter. A bare flag (`Relaxed`): the
+    /// failure itself travels with the returned chunk.
+    aborted: AtomicBool,
+}
+
+impl RoundBarrier {
+    /// Returns once `parties` threads have arrived — `false` if the call
+    /// was aborted instead. What a party wrote before it arrived is visible
+    /// to every party after the wait: the arrivals chain through the
+    /// `AcqRel` counter to the last one, whose `Release` of the new
+    /// generation pairs with each waiter's `Acquire` load of it.
+    fn wait(&self, parties: usize) -> bool {
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == parties {
+            // Nobody re-arrives before seeing the new generation, which is
+            // also what publishes this reset.
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.store(generation + 1, Ordering::Release);
+        }
+        let mut polls = 0;
+        while self.generation.load(Ordering::Acquire) == generation {
+            if self.aborted.load(Ordering::Relaxed) {
+                return false;
+            }
+            snooze(&mut polls);
+        }
+        !self.aborted.load(Ordering::Relaxed)
+    }
+}
+
+/// What the calling thread and its kept workers share across calls.
+struct Shared {
+    mailboxes: Vec<Mailbox>,
+    /// Ping-pong minimum slots: round `r` votes into slot `r % 2` and
+    /// pre-resets slot `(r + 1) % 2`, which nobody reads until the next
+    /// round — two barrier waits per round instead of three.
+    min_slots: [AtomicU64; 2],
+    barrier: RoundBarrier,
+}
+
+/// A chunk of shards lent for one call, with the call's deadline (µs) and
+/// party count.
+type Job = (Vec<ShardCore>, u64, usize);
+/// The shard whose callback panicked, and the panic's message.
+type Failure = (usize, String);
+
+/// A kept shard thread: runs its party's rounds on each chunk it is lent
+/// and sends the chunk back. It ends when `jobs` disconnects.
+struct Worker {
+    jobs: Sender<Job>,
+    returned: Receiver<(Vec<ShardCore>, Option<Failure>)>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+fn spawn_worker(shared: Arc<Shared>) -> Worker {
+    let (jobs, inbox) = channel::<Job>();
+    let (outbox, returned) = channel();
+    let thread = std::thread::spawn(move || {
+        while let Some((mut chunk, deadline_us, parties)) = recv_polling(&inbox) {
+            let failure = run_party(&mut chunk, &shared, deadline_us, parties);
+            if outbox.send((chunk, failure)).is_err() {
+                break;
+            }
+        }
+    });
+    Worker {
+        jobs,
+        returned,
+        thread,
+    }
+}
+
+/// Runs one party's rounds. A panic out of a node callback is caught and
+/// the barrier aborted, so that no other party waits for this one again.
+fn run_party(
+    chunk: &mut [ShardCore],
+    shared: &Shared,
+    deadline_us: u64,
+    parties: usize,
+) -> Option<Failure> {
+    let mut at = chunk[0].idx;
+    let rounds = AssertUnwindSafe(|| run_rounds(chunk, shared, deadline_us, parties, &mut at));
+    let payload = catch_unwind(rounds).err()?;
+    shared.barrier.aborted.store(true, Ordering::Relaxed);
+    let message = match payload.downcast_ref::<String>() {
+        Some(message) => message.as_str(),
+        None => payload.downcast_ref().copied().unwrap_or("(no message)"),
+    };
+    Some((at, message.to_owned()))
+}
+
+/// One party's side of a `run_until` call, the same at every thread count
+/// (a lone party passes each barrier at once). `at` names the shard whose
+/// window is running, for [`run_party`]'s panic report.
+fn run_rounds(
+    chunk: &mut [ShardCore],
+    shared: &Shared,
+    deadline_us: u64,
+    parties: usize,
+    at: &mut usize,
+) {
+    let lookahead_us = chunk[0].plan.lookahead_us;
+    let wait = |leader: &mut ShardCore| {
+        let arrived = Instant::now();
+        let released = shared.barrier.wait(parties);
+        leader.tally.barrier_wait += arrived.elapsed();
+        released
+    };
+    let mut round = 0usize;
+    // Phase 1: all sends of the previous window are in the mailboxes once
+    // everyone arrives.
+    while wait(&mut chunk[0]) {
+        let mut local_min = u64::MAX;
+        for core in chunk.iter_mut() {
+            core.drain_mailbox(&shared.mailboxes[core.idx]);
+            local_min = local_min.min(core.next_time_us());
+        }
+        shared.min_slots[(round + 1) % 2].store(u64::MAX, Ordering::Relaxed);
+        shared.min_slots[round % 2].fetch_min(local_min, Ordering::AcqRel);
+        // Phase 2: the global minimum is complete.
+        if !wait(&mut chunk[0]) {
+            break;
+        }
+        let min_us = shared.min_slots[round % 2].load(Ordering::Acquire);
+        if min_us > deadline_us {
+            break;
+        }
+        let window_end = window_end_us(min_us, lookahead_us, deadline_us);
+        for core in chunk.iter_mut() {
+            *at = core.idx;
+            core.run_window(window_end, &shared.mailboxes);
+        }
+        round += 1;
+    }
+}
 
 /// One shard: a self-contained event loop over the hosts it owns plus
 /// replicated host-up state for everyone else.
@@ -383,9 +632,14 @@ struct ShardCore {
     deferred_timers: BTreeMap<u32, Vec<u64>>,
     /// The expanded fault schedule, shared by all shards.
     faults: Arc<Vec<(SimTime, FaultAction)>>,
-    /// Cross-shard messages produced this window, flushed to mailboxes at
-    /// window end: `(dst_shard, deliver_at, key, msg)`.
-    outbound: Vec<(usize, SimTime, u64, Message)>,
+    /// Cross-shard messages produced this window, one outbox per
+    /// destination shard, each appended to its mailbox under one lock at
+    /// window end.
+    outbound: Vec<Vec<Mail>>,
+    /// The mailbox's contents while they are queued; swapped with the
+    /// mailbox's buffer so both keep their capacity.
+    inbox: Vec<Mail>,
+    tally: WindowTally,
     scratch: Vec<NodeAction>,
     processed: u64,
     /// Deliveries this shard scheduled (into its own queue or `outbound`)
@@ -397,7 +651,7 @@ struct ShardCore {
 
 impl ShardCore {
     fn new(idx: usize, seed: u64, plan: Arc<ShardPlan>, topology: Arc<NetworkTopology>) -> Self {
-        let n = plan.hosts().len();
+        let (n, shards) = (plan.hosts().len(), plan.shards());
         let mut dirs: Vec<Option<LinkDir>> = Vec::new();
         dirs.resize_with(2 * topology.link_slot_count(), || None);
         for (pair, state) in topology.links() {
@@ -440,7 +694,9 @@ impl ShardCore {
             counters,
             deferred_timers: BTreeMap::new(),
             faults: Arc::new(Vec::new()),
-            outbound: Vec::new(),
+            outbound: (0..shards).map(|_| Vec::new()).collect(),
+            inbox: Vec::new(),
+            tally: WindowTally::default(),
             scratch: Vec::new(),
             processed: 0,
             flights_started: 0,
@@ -474,8 +730,12 @@ impl ShardCore {
     /// Drains this shard's mailbox into the local queue. Insertion order is
     /// irrelevant: the calendar queue pops in `(time, key)` order.
     fn drain_mailbox(&mut self, mailbox: &Mailbox) {
-        let incoming = std::mem::take(&mut *mailbox.lock().expect("mailbox poisoned"));
-        for (time, key, msg) in incoming {
+        std::mem::swap(
+            &mut *mailbox.lock().expect("mailbox poisoned"),
+            &mut self.inbox,
+        );
+        self.tally.deepest_mailbox = self.tally.deepest_mailbox.max(self.inbox.len() as u64);
+        for (time, key, msg) in self.inbox.drain(..) {
             self.queue.push(time, key, ShardEvent::Deliver { msg });
         }
     }
@@ -489,8 +749,9 @@ impl ShardCore {
     }
 
     /// Processes every local event with `time < window_end_us`, then flushes
-    /// cross-shard messages to the mailboxes.
+    /// cross-shard messages to the mailboxes and tallies the window.
     fn run_window(&mut self, window_end_us: u64, mailboxes: &[Mailbox]) {
+        let (processed, started) = (self.processed, self.flights_started);
         loop {
             match self.queue.peek_time() {
                 Some(t) if t.as_micros() < window_end_us => {}
@@ -503,12 +764,29 @@ impl ShardCore {
             self.processed += 1;
             self.handle(event);
         }
-        for (dst_shard, time, key, msg) in self.outbound.drain(..) {
-            mailboxes[dst_shard]
-                .lock()
-                .expect("mailbox poisoned")
-                .push((time, key, msg));
+        let mut crossed = 0;
+        for (outbox, mailbox) in self.outbound.iter_mut().zip(mailboxes) {
+            if !outbox.is_empty() {
+                crossed += outbox.len() as u64;
+                mailbox.lock().expect("mailbox poisoned").append(outbox);
+            }
         }
+        let events = self.processed - processed;
+        self.tally.rounds += 1;
+        self.tally.max_window_events = self.tally.max_window_events.max(events);
+        self.tally.cross_shard += crossed;
+        if self.idx == 0 {
+            self.counters.rounds.inc();
+        }
+        if events == 0 {
+            self.tally.idle_rounds += 1;
+            self.counters.idle_rounds.inc();
+        }
+        self.counters.events.add(events);
+        self.counters.cross_shard.add(crossed);
+        self.counters
+            .same_shard
+            .add(self.flights_started - started - crossed);
     }
 
     fn handle(&mut self, event: ShardEvent) {
@@ -666,7 +944,7 @@ impl ShardCore {
             self.queue
                 .push(deliver_at, key, ShardEvent::Deliver { msg });
         } else {
-            self.outbound.push((dst_shard, deliver_at, key, msg));
+            self.outbound[dst_shard].push((deliver_at, key, msg));
         }
     }
 
@@ -869,6 +1147,21 @@ pub struct ShardedSimulator {
     plan: Arc<ShardPlan>,
     cores: Vec<ShardCore>,
     now: SimTime,
+    shared: Arc<Shared>,
+    /// Kept shard threads, started when a call first asks for them; worker
+    /// `i` runs chunk `i + 1` (the calling thread runs chunk 0).
+    workers: Vec<Worker>,
+}
+
+impl Drop for ShardedSimulator {
+    fn drop(&mut self) {
+        for Worker { jobs, thread, .. } in self.workers.drain(..) {
+            drop(jobs);
+            // A worker only panics with its chunk lent, which `run_until`
+            // has already reported.
+            let _ = thread.join();
+        }
+    }
 }
 
 impl std::fmt::Debug for ShardedSimulator {
@@ -878,6 +1171,7 @@ impl std::fmt::Debug for ShardedSimulator {
             .field("shards", &self.cores.len())
             .field("hosts", &self.plan.hosts().len())
             .field("lookahead", &self.plan.lookahead())
+            .field("workers", &self.workers.len())
             .finish()
     }
 }
@@ -900,10 +1194,17 @@ impl ShardedSimulator {
         let cores = (0..plan.shards())
             .map(|idx| ShardCore::new(idx, seed, plan.clone(), topology.clone()))
             .collect();
+        let shared = Arc::new(Shared {
+            mailboxes: (0..plan.shards()).map(|_| Mutex::default()).collect(),
+            min_slots: [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)],
+            barrier: RoundBarrier::default(),
+        });
         ShardedSimulator {
             plan,
             cores,
             now: SimTime::ZERO,
+            shared,
+            workers: Vec::new(),
         }
     }
 
@@ -1034,77 +1335,83 @@ impl ShardedSimulator {
             .and_then(|n| (n as &mut dyn Any).downcast_mut::<T>())
     }
 
+    /// The window protocol's report on itself; its sums are mirrored as
+    /// `netsim.shard.*` counters on the shard telemetry handles.
+    pub fn round_stats(&self) -> RoundStats {
+        let each = |f: fn(&ShardCore) -> u64| self.cores.iter().map(f).collect::<Vec<_>>();
+        let cross_shard = each(|c| c.tally.cross_shard).iter().sum();
+        let shard_events = each(|c| c.processed);
+        RoundStats {
+            rounds: self.cores[0].tally.rounds,
+            events: shard_events.iter().sum(),
+            shard_events,
+            max_window_events: each(|c| c.tally.max_window_events),
+            idle_rounds: each(|c| c.tally.idle_rounds),
+            cross_shard,
+            same_shard: each(|c| c.flights_started).iter().sum::<u64>() - cross_shard,
+            deepest_mailbox: each(|c| c.tally.deepest_mailbox)
+                .into_iter()
+                .max()
+                .unwrap_or(0),
+            lookahead_us: self.plan.lookahead_us,
+        }
+    }
+
+    /// Wall-clock seconds each thread has waited at the round barrier, by
+    /// the first shard of its chunk (zero for the others): what shard
+    /// imbalance, or a missing core, costs. For reports only.
+    pub fn barrier_wait_secs(&self) -> Vec<f64> {
+        let waits = self.cores.iter().map(|c| c.tally.barrier_wait);
+        waits.map(|wait| wait.as_secs_f64()).collect()
+    }
+
     /// Runs the simulation up to and including `deadline`, using up to
-    /// `threads` OS threads (clamped to the shard count; `1` runs the exact
-    /// same window schedule sequentially). Returns the number of events
-    /// processed.
+    /// `threads` OS threads (clamped to the shard count): the calling
+    /// thread plus kept workers, which the simulator starts on first need
+    /// and ends when it drops (see the [module docs](self), *Threading*).
+    /// Returns the number of events processed.
     ///
     /// The result — journals, statistics, node state — is byte-identical
     /// for every thread count, and for every shard count of the same
     /// topology and seed.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic out of a node callback, naming its shard.
     pub fn run_until(&mut self, deadline: SimTime, threads: usize) -> u64 {
         let shards = self.cores.len();
         let deadline_us = deadline.as_micros();
-        let lookahead_us = self.plan.lookahead_us;
         let before: u64 = self.cores.iter().map(|c| c.processed).sum();
-        let mailboxes: Vec<Mailbox> = (0..shards).map(|_| Mutex::new(Vec::new())).collect();
-        let threads = threads.clamp(1, shards);
-        if threads == 1 {
-            // Sequential fallback: the identical round/window schedule
-            // without barriers.
-            loop {
-                let mut min_us = u64::MAX;
-                for core in &mut self.cores {
-                    core.drain_mailbox(&mailboxes[core.idx]);
-                    min_us = min_us.min(core.next_time_us());
-                }
-                if min_us > deadline_us {
-                    break;
-                }
-                let window_end = window_end_us(min_us, lookahead_us, deadline_us);
-                for core in &mut self.cores {
-                    core.run_window(window_end, &mailboxes);
-                }
-            }
-        } else {
-            let chunk_size = shards.div_ceil(threads);
-            let chunks: Vec<&mut [ShardCore]> = self.cores.chunks_mut(chunk_size).collect();
-            let barrier = Barrier::new(chunks.len());
-            // Ping-pong minimum slots: round `r` votes into slot `r % 2` and
-            // pre-resets slot `(r + 1) % 2`, which nobody reads until the
-            // next round — two barriers per round instead of three.
-            let min_slots = [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)];
-            std::thread::scope(|scope| {
-                for chunk in chunks {
-                    let (barrier, min_slots, mailboxes) = (&barrier, &min_slots, &mailboxes);
-                    scope.spawn(move || {
-                        let mut round = 0usize;
-                        loop {
-                            // Phase 1: all sends of the previous window are
-                            // in the mailboxes once everyone arrives.
-                            barrier.wait();
-                            let mut local_min = u64::MAX;
-                            for core in chunk.iter_mut() {
-                                core.drain_mailbox(&mailboxes[core.idx]);
-                                local_min = local_min.min(core.next_time_us());
-                            }
-                            min_slots[(round + 1) % 2].store(u64::MAX, Ordering::Relaxed);
-                            min_slots[round % 2].fetch_min(local_min, Ordering::AcqRel);
-                            // Phase 2: the global minimum is complete.
-                            barrier.wait();
-                            let min_us = min_slots[round % 2].load(Ordering::Acquire);
-                            if min_us > deadline_us {
-                                break;
-                            }
-                            let window_end = window_end_us(min_us, lookahead_us, deadline_us);
-                            for core in chunk.iter_mut() {
-                                core.run_window(window_end, mailboxes);
-                            }
-                            round += 1;
-                        }
-                    });
-                }
-            });
+        let chunk_size = shards.div_ceil(threads.clamp(1, shards));
+        let parties = shards.div_ceil(chunk_size);
+        while self.workers.len() + 1 < parties {
+            self.workers.push(spawn_worker(self.shared.clone()));
+        }
+        // No party is inside the protocol between calls: start it clean,
+        // also after a call that was aborted.
+        let shared = &*self.shared;
+        shared.barrier.arrived.store(0, Ordering::Relaxed);
+        shared.barrier.aborted.store(false, Ordering::Relaxed);
+        for slot in &shared.min_slots {
+            slot.store(u64::MAX, Ordering::Relaxed);
+        }
+        // Lend every chunk but the first (the job channel publishes the
+        // resets above to its worker), run the first here, take them back.
+        let mut cores = std::mem::take(&mut self.cores);
+        for party in (1..parties).rev() {
+            let job = (cores.split_off(party * chunk_size), deadline_us, parties);
+            let lent = self.workers[party - 1].jobs.send(job);
+            lent.expect("shard worker is gone");
+        }
+        let mut failure = run_party(&mut cores, shared, deadline_us, parties);
+        for worker in &self.workers[..parties - 1] {
+            let (mut chunk, failed) = recv_polling(&worker.returned).expect("shard worker is gone");
+            cores.append(&mut chunk);
+            failure = failure.or(failed);
+        }
+        self.cores = cores;
+        if let Some((shard, message)) = failure {
+            panic!("a node callback on shard {shard} panicked: {message}");
         }
         for core in &mut self.cores {
             core.now = core.now.max(deadline);
@@ -1166,6 +1473,8 @@ mod tests {
         peers: Vec<HostId>,
         at: usize,
         got: u32,
+        /// The threads its message callbacks ran on.
+        ran_on: Vec<std::thread::ThreadId>,
     }
     impl Node for Gossip {
         fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -1181,6 +1490,10 @@ mod tests {
         }
         fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _msg: Message) {
             self.got += 1;
+            let thread = std::thread::current().id();
+            if !self.ran_on.contains(&thread) {
+                self.ran_on.push(thread);
+            }
         }
     }
 
@@ -1212,6 +1525,7 @@ mod tests {
                     peers,
                     at: host.raw() as usize,
                     got: 0,
+                    ran_on: Vec::new(),
                 },
             );
         }
@@ -1484,6 +1798,215 @@ mod tests {
     }
 
     use crate::faultplan::FaultKind;
+
+    #[test]
+    fn barrier_lets_nobody_pass_early() {
+        // More parties than cores: waiters must make way for the late ones.
+        for parties in [3usize, 8] {
+            const GENERATIONS: usize = 10_000;
+            let barrier = RoundBarrier::default();
+            let arrivals = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..parties {
+                    scope.spawn(|| {
+                        for generation in 0..GENERATIONS {
+                            arrivals.fetch_add(1, Ordering::Relaxed);
+                            assert!(barrier.wait(parties));
+                            // Everyone has arrived for this generation, and
+                            // nobody can be two arrivals ahead of this thread.
+                            let seen = arrivals.load(Ordering::Relaxed);
+                            assert!(seen >= (generation + 1) * parties, "passed early");
+                            assert!(seen < (generation + 2) * parties, "lapped");
+                        }
+                    });
+                }
+            });
+            assert_eq!(arrivals.into_inner(), GENERATIONS * parties);
+        }
+    }
+
+    /// Crash and partition episodes that cross shard boundaries on `ring(8, _)`.
+    fn crossing_faults() -> FaultPlan {
+        FaultPlan::new()
+            .episode(0.3, 0.4, FaultKind::HostCrash { host: h(2) })
+            .episode(
+                0.5,
+                0.5,
+                FaultKind::Partition {
+                    groups: vec![vec![h(0), h(1), h(2), h(3)], vec![h(4), h(5), h(6), h(7)]],
+                },
+            )
+    }
+
+    fn faulty_gossip_sim(shards: usize) -> ShardedSimulator {
+        let mut sim = gossip_sim(&ring(8, 0.001), shards, 6);
+        sim.install_fault_plan(&crossing_faults());
+        sim
+    }
+
+    fn outcome(sim: &ShardedSimulator) -> (String, NetStats, usize, RoundStats) {
+        let journal = sim.export_merged_jsonl();
+        (journal, sim.stats(), sim.in_flight(), sim.round_stats())
+    }
+
+    #[test]
+    fn small_steps_keep_one_worker_beside_the_caller_and_match_one_long_call() {
+        let mut whole = faulty_gossip_sim(2);
+        whole.run_until(SimTime::from_secs_f64(2.0), 2);
+        let mut stepped = faulty_gossip_sim(2);
+        for step in 1..=200u64 {
+            stepped.run_until(SimTime::from_micros(step * 10_000), 2);
+        }
+        assert_eq!(stepped.workers.len(), 1, "a worker is started once");
+        // (Round counts differ: every deadline ends a window early.)
+        assert_eq!(outcome(&stepped).0, outcome(&whole).0);
+        assert_eq!(outcome(&stepped).1, outcome(&whole).1);
+        assert_eq!(stepped.in_flight(), whole.in_flight());
+        // Each chunk stayed on its thread, and the caller ran the first.
+        let ran_on = |host| stepped.node_ref::<Gossip>(host).unwrap().ran_on.clone();
+        let shard_of = |host| stepped.plan().shard_of(host);
+        let on_worker = (0..8).map(h).find(|host| shard_of(*host) == 1).unwrap();
+        assert_eq!(shard_of(h(0)), 0);
+        assert_eq!(ran_on(h(0)), [std::thread::current().id()]);
+        assert_eq!(ran_on(on_worker).len(), 1, "one kept worker over 200 calls");
+        assert_ne!(ran_on(on_worker), ran_on(h(0)));
+    }
+
+    #[test]
+    fn thread_count_may_change_between_calls() {
+        let mut sequential = faulty_gossip_sim(4);
+        let mut varying = faulty_gossip_sim(4);
+        for (step, threads) in [2, 4, 1, 2].into_iter().enumerate() {
+            let deadline = SimTime::from_secs_f64(0.5 * (step + 1) as f64);
+            sequential.run_until(deadline, 1);
+            varying.run_until(deadline, threads);
+        }
+        assert!(sequential.workers.is_empty());
+        assert_eq!(varying.workers.len(), 3);
+        assert_eq!(outcome(&varying), outcome(&sequential));
+    }
+
+    #[test]
+    fn more_threads_than_shards_and_cores_completes() {
+        let mut sim = faulty_gossip_sim(2);
+        sim.run_until(SimTime::from_secs_f64(2.0), 8);
+        assert_eq!(sim.workers.len(), 1, "threads are clamped to the shards");
+        let mut reference = faulty_gossip_sim(2);
+        reference.run_until(SimTime::from_secs_f64(2.0), 1);
+        assert_eq!(outcome(&sim), outcome(&reference));
+    }
+
+    #[test]
+    fn dropping_the_simulator_ends_its_workers() {
+        fn assert_send<T: Send>() {}
+        assert_send::<ShardedSimulator>();
+        let mut sim = faulty_gossip_sim(4);
+        sim.run_until(SimTime::from_secs_f64(0.2), 4);
+        // Every worker holds the shared state for as long as it lives.
+        let shared = Arc::downgrade(&sim.shared);
+        assert_eq!(shared.strong_count(), 4);
+        drop(sim);
+        assert_eq!(shared.strong_count(), 0, "a worker outlived its simulator");
+    }
+
+    #[test]
+    fn round_stats_are_exact_and_thread_count_invariant() {
+        let run = |threads: usize| {
+            let mut sim = faulty_gossip_sim(4);
+            let events = sim.run_until(SimTime::from_secs_f64(2.0), threads);
+            (events, sim)
+        };
+        let (events, sim) = run(1);
+        let stats = sim.round_stats();
+        assert_eq!(stats, run(2).1.round_stats());
+        assert_eq!(stats, run(4).1.round_stats());
+        assert_eq!(stats.events, events);
+        assert_eq!(stats.lookahead_us, 1_000);
+        assert!(stats.rounds > 100 && stats.rounds <= 2_001, "{stats:?}");
+        for (most, events) in stats.max_window_events.iter().zip(&stats.shard_events) {
+            assert!(*most >= events.div_ceil(stats.rounds) && most <= events);
+        }
+        assert_eq!(stats.idle_rounds.len(), 4);
+        assert!(stats.idle_rounds.iter().all(|idle| *idle < stats.rounds));
+        // A scheduled delivery is in flight, delivered, or dropped at a host
+        // that crashed meanwhile; a message lost or refused at the sender
+        // never was one.
+        let (net, scheduled) = (sim.stats(), stats.cross_shard + stats.same_shard);
+        assert!(scheduled >= net.delivered + sim.in_flight() as u64);
+        assert!(scheduled <= net.sent - net.dropped_loss);
+        assert!(stats.cross_shard > stats.same_shard && stats.deepest_mailbox > 0);
+        // The telemetry mirror, summed over the shard handles.
+        let mirrored = |name: &str| -> u64 {
+            let handles = sim.shard_telemetries();
+            handles
+                .iter()
+                .map(|t| t.metrics().counter(name).get())
+                .sum()
+        };
+        assert_eq!(mirrored("netsim.shard.rounds"), stats.rounds);
+        assert_eq!(mirrored("netsim.shard.events"), stats.events);
+        assert_eq!(mirrored("netsim.shard.cross_shard"), stats.cross_shard);
+        assert_eq!(mirrored("netsim.shard.same_shard"), stats.same_shard);
+        assert_eq!(
+            mirrored("netsim.shard.idle_rounds"),
+            stats.idle_rounds.iter().sum::<u64>()
+        );
+    }
+
+    /// Gossips like its peers until `t = 0.5 s`, then panics in a callback.
+    struct Bomb;
+    impl Node for Bomb {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            ctx.set_timer(Duration::from_millis(500), 0);
+        }
+        fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _token: u64) {
+            panic!("boom at 0.5 s");
+        }
+    }
+
+    /// Runs 4 shards with a [`Bomb`] on shard 1 — never the caller's — and
+    /// re-raises what `run_until` raised, after checking it came promptly
+    /// and left a simulator that can be dropped.
+    fn bomb_on_shard_1(threads: usize) {
+        let mut sim = ShardedSimulator::new(1, &ring(8, 0.001), 4);
+        let peers: Vec<HostId> = (0..8).map(h).collect();
+        for host in (0..8).filter(|host| *host != 5) {
+            let gossip = Gossip {
+                peers: peers.clone(),
+                at: host as usize,
+                got: 0,
+                ran_on: Vec::new(),
+            };
+            sim.add_host(h(host), gossip);
+        }
+        sim.add_host(h(5), Bomb);
+        assert_eq!(sim.plan().shard_of(h(5)), 1);
+        let started = std::time::Instant::now();
+        let raised = catch_unwind(AssertUnwindSafe(|| {
+            sim.run_until(SimTime::from_secs_f64(2.0), threads)
+        }))
+        .expect_err("the callback's panic must surface");
+        assert!(
+            started.elapsed().as_secs_f64() < 1.0,
+            "took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(sim.cores.len(), 4, "every lent chunk came back");
+        drop(sim);
+        std::panic::resume_unwind(raised);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1 panicked: boom at 0.5 s")]
+    fn a_panicking_callback_surfaces_at_2_threads() {
+        bomb_on_shard_1(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1 panicked: boom at 0.5 s")]
+    fn a_panicking_callback_surfaces_at_4_threads() {
+        bomb_on_shard_1(4);
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
