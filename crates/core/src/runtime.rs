@@ -7,9 +7,10 @@
 
 use crate::error::CoreError;
 use redep_model::{ComponentId, Deployment, DeploymentModel, HostId};
-use redep_netsim::{Duration, NetworkTopology, ShardedSimulator, Simulator};
+use redep_netsim::{Duration, NetworkTopology, Node, ShardedSimulator, Simulator};
 use redep_prism::workload::{InteractionSpec, WORKLOAD_TYPE};
 use redep_prism::{host::HostConfig, ComponentFactory, PrismHost, WorkloadComponent};
+use redep_telemetry::Telemetry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of a system runtime.
@@ -51,19 +52,72 @@ impl Default for RuntimeConfig {
     }
 }
 
+/// What a [`Runtime`] needs of its engine — implemented by the one
+/// simulation engine, [`ShardedSimulator`], and by its one-shard face,
+/// [`Simulator`].
+pub trait Engine {
+    /// Borrows the node on `host`, downcast to its concrete type.
+    fn node_ref<T: Node>(&self, host: HostId) -> Option<&T>;
+    /// Mutably borrows the node on `host`, downcast to its concrete type.
+    fn node_mut<T: Node>(&mut self, host: HostId) -> Option<&mut T>;
+    /// Registers a node on `host`.
+    fn add_host(&mut self, host: HostId, node: impl Node);
+    /// The (first shard's) telemetry handle, where system-wide gauges go.
+    fn telemetry(&self) -> &Telemetry;
+    /// Folds the ground-truth network statistics into `net.truth.*` gauges.
+    fn publish_gauges(&self);
+}
+
+macro_rules! delegate_engine {
+    ($($engine:ty),*) => {$(
+        impl Engine for $engine {
+            fn node_ref<T: Node>(&self, host: HostId) -> Option<&T> {
+                <$engine>::node_ref(self, host)
+            }
+            fn node_mut<T: Node>(&mut self, host: HostId) -> Option<&mut T> {
+                <$engine>::node_mut(self, host)
+            }
+            fn add_host(&mut self, host: HostId, node: impl Node) {
+                <$engine>::add_host(self, host, node)
+            }
+            fn telemetry(&self) -> &Telemetry {
+                <$engine>::telemetry(self)
+            }
+            fn publish_gauges(&self) {
+                <$engine>::publish_gauges(self)
+            }
+        }
+    )*};
+}
+
+delegate_engine!(Simulator, ShardedSimulator);
+
 /// A running distributed system: one [`PrismHost`] per model host, workload
-/// components realizing the model's logical links, all executing inside a
-/// [`Simulator`] whose topology mirrors the model's physical links.
-pub struct SystemRuntime {
-    sim: Simulator,
+/// components realizing the model's logical links, all executing inside the
+/// simulation engine `S` over a topology that mirrors the model's physical
+/// links.
+///
+/// One body, two engines: [`SystemRuntime`] runs on the one-shard
+/// [`Simulator`] (what the frameworks drive), [`ShardedRuntime`] on the
+/// [`ShardedSimulator`] over several shards and threads. Built from the same
+/// model, deployment and config, the two run byte-identically.
+pub struct Runtime<S> {
+    sim: S,
     hosts: Vec<HostId>,
     master: Option<HostId>,
     names: BTreeMap<ComponentId, String>,
 }
 
-impl std::fmt::Debug for SystemRuntime {
+/// The runtime on the one-shard [`Simulator`].
+pub type SystemRuntime = Runtime<Simulator>;
+
+/// The runtime on the [`ShardedSimulator`], partitioned over shards and run
+/// on up to as many threads.
+pub type ShardedRuntime = Runtime<ShardedSimulator>;
+
+impl<S> std::fmt::Debug for Runtime<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SystemRuntime")
+        f.debug_struct("Runtime")
             .field("hosts", &self.hosts.len())
             .field("components", &self.names.len())
             .field("master", &self.master)
@@ -87,21 +141,90 @@ impl SystemRuntime {
         deployment: &Deployment,
         config: &RuntimeConfig,
     ) -> Result<Self, CoreError> {
-        let (assembled, names) = assemble_hosts(model, deployment, config)?;
         let mut sim = Simulator::new(config.seed);
+        for (pair, state) in NetworkTopology::from_model(model).links() {
+            sim.set_link(pair.lo(), pair.hi(), state.spec);
+        }
+        Runtime::mount(sim, model, deployment, config)
+    }
+
+    /// Installs one telemetry handle across the whole running system: the
+    /// simulator and every Prism host share it, so network, middleware, and
+    /// framework records interleave in a single sim-time-ordered journal.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        for &h in &self.hosts {
+            if let Some(host) = self.sim.node_mut::<PrismHost>(h) {
+                host.set_telemetry(telemetry.clone());
+            }
+        }
+        self.sim.set_telemetry(telemetry);
+    }
+
+    /// Advances the system by `span` of simulated time.
+    pub fn run_for(&mut self, span: Duration) {
+        self.sim.run_for(span);
+    }
+}
+
+impl ShardedRuntime {
+    /// Assembles and starts a runtime for `model` deployed as `deployment`,
+    /// partitioned into `shards` shards.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SystemRuntime::build`].
+    pub fn build(
+        model: &DeploymentModel,
+        deployment: &Deployment,
+        config: &RuntimeConfig,
+        shards: usize,
+    ) -> Result<Self, CoreError> {
+        let topology = NetworkTopology::from_model(model);
+        let sim = ShardedSimulator::new(config.seed, &topology, shards);
+        Runtime::mount(sim, model, deployment, config)
+    }
+
+    /// Installs per-shard telemetry: each Prism host journals into its
+    /// shard's handle, so the merged export
+    /// ([`ShardedSimulator::export_merged_jsonl`]) interleaves middleware
+    /// and network records in one global order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one handle per shard is given.
+    pub fn set_telemetry(&mut self, handles: Vec<Telemetry>) {
+        for &h in &self.hosts {
+            let telemetry = handles[self.sim.plan().shard_of(h)].clone();
+            if let Some(host) = self.sim.node_mut::<PrismHost>(h) {
+                host.set_telemetry(telemetry);
+            }
+        }
+        self.sim.set_telemetry(handles);
+    }
+
+    /// Advances the system by `span` of simulated time on up to `threads`
+    /// OS threads. Returns the number of events processed.
+    pub fn run_for(&mut self, span: Duration, threads: usize) -> u64 {
+        let deadline = self.sim.now() + span;
+        self.sim.run_until(deadline, threads)
+    }
+}
+
+impl<S: Engine> Runtime<S> {
+    /// Mounts one assembled [`PrismHost`] per model host on `sim`.
+    fn mount(
+        mut sim: S,
+        model: &DeploymentModel,
+        deployment: &Deployment,
+        config: &RuntimeConfig,
+    ) -> Result<Self, CoreError> {
+        let (assembled, names) = assemble_hosts(model, deployment, config)?;
         let mut hosts = Vec::with_capacity(assembled.len());
         for (h, prism) in assembled {
             hosts.push(h);
             sim.add_host(h, prism);
         }
-
-        // Network topology mirrors the model's physical links.
-        let topo = NetworkTopology::from_model(model);
-        for (pair, state) in topo.links() {
-            sim.set_link(pair.lo(), pair.hi(), state.spec);
-        }
-
-        Ok(SystemRuntime {
+        Ok(Runtime {
             sim,
             hosts,
             master: config.master,
@@ -109,21 +232,9 @@ impl SystemRuntime {
         })
     }
 
-    /// Installs one telemetry handle across the whole running system: the
-    /// simulator and every Prism host share it, so network, middleware, and
-    /// framework records interleave in a single sim-time-ordered journal.
-    pub fn set_telemetry(&mut self, telemetry: redep_telemetry::Telemetry) {
-        let hosts = self.hosts.clone();
-        for h in hosts {
-            if let Some(host) = self.host_mut(h) {
-                host.set_telemetry(telemetry.clone());
-            }
-        }
-        self.sim.set_telemetry(telemetry);
-    }
-
-    /// The system-wide telemetry handle (disabled unless installed).
-    pub fn telemetry(&self) -> &redep_telemetry::Telemetry {
+    /// The system-wide telemetry handle (disabled unless installed; the
+    /// first shard's on a sharded runtime).
+    pub fn telemetry(&self) -> &Telemetry {
         self.sim.telemetry()
     }
 
@@ -144,18 +255,13 @@ impl SystemRuntime {
     }
 
     /// The underlying simulator.
-    pub fn sim(&self) -> &Simulator {
+    pub fn sim(&self) -> &S {
         &self.sim
     }
 
     /// The underlying simulator, mutable (fault injection, fluctuation, …).
-    pub fn sim_mut(&mut self) -> &mut Simulator {
+    pub fn sim_mut(&mut self) -> &mut S {
         &mut self.sim
-    }
-
-    /// Advances the system by `span` of simulated time.
-    pub fn run_for(&mut self, span: Duration) {
-        self.sim.run_for(span);
     }
 
     /// All host ids.
@@ -234,8 +340,8 @@ impl SystemRuntime {
     /// by the frameworks after reconciling an incomplete redeployment.
     pub fn resync_directories(&mut self) {
         let actual = self.actual_deployment();
-        for h in self.hosts.clone() {
-            if let Some(host) = self.host_mut(h) {
+        for &h in &self.hosts {
+            if let Some(host) = self.sim.node_mut::<PrismHost>(h) {
                 host.resync_directory(actual.clone());
             }
         }
@@ -248,8 +354,8 @@ impl SystemRuntime {
     /// decisions read durable facts instead of guessing from silence.
     pub fn drain_recovery_reports(&mut self) -> Vec<redep_prism::RecoveryReport> {
         let mut out = Vec::new();
-        for h in self.hosts.clone() {
-            if let Some(host) = self.host_mut(h) {
+        for &h in &self.hosts {
+            if let Some(host) = self.sim.node_mut::<PrismHost>(h) {
                 out.extend(host.take_fresh_recovery_reports());
             }
         }
@@ -261,8 +367,8 @@ impl SystemRuntime {
 /// component-name table.
 type AssembledHosts = (Vec<(HostId, PrismHost)>, BTreeMap<ComponentId, String>);
 
-/// Assembles one configured [`PrismHost`] per model host — the common
-/// front half of [`SystemRuntime::build`] and [`ShardedRuntime::build`].
+/// Assembles one configured [`PrismHost`] per model host — the front half
+/// of [`Runtime::mount`].
 fn assemble_hosts(
     model: &DeploymentModel,
     deployment: &Deployment,
@@ -350,141 +456,6 @@ fn assemble_hosts(
         assembled.push((h, prism));
     }
     Ok((assembled, names))
-}
-
-/// A running distributed system on the **sharded** conservative-PDES
-/// simulator ([`ShardedSimulator`]): the same per-host Prism middleware as
-/// [`SystemRuntime`], but the event loop is partitioned over shards and can
-/// run on multiple threads — and is deterministic across both counts.
-///
-/// Used by the scale experiments (thousands of hosts); the frameworks'
-/// adaptation loops still run on [`SystemRuntime`], whose single-queue
-/// simulator supports runtime topology edits and fluctuation models.
-pub struct ShardedRuntime {
-    sim: ShardedSimulator,
-    hosts: Vec<HostId>,
-    master: Option<HostId>,
-    names: BTreeMap<ComponentId, String>,
-}
-
-impl std::fmt::Debug for ShardedRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedRuntime")
-            .field("hosts", &self.hosts.len())
-            .field("components", &self.names.len())
-            .field("shards", &self.sim.plan().shards())
-            .finish()
-    }
-}
-
-impl ShardedRuntime {
-    /// Assembles and starts a sharded runtime for `model` deployed as
-    /// `deployment`, partitioned into `shards` shards.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SystemRuntime::build`].
-    pub fn build(
-        model: &DeploymentModel,
-        deployment: &Deployment,
-        config: &RuntimeConfig,
-        shards: usize,
-    ) -> Result<Self, CoreError> {
-        let (assembled, names) = assemble_hosts(model, deployment, config)?;
-        let topo = NetworkTopology::from_model(model);
-        let mut sim = ShardedSimulator::new(config.seed, &topo, shards);
-        let mut hosts = Vec::with_capacity(assembled.len());
-        for (h, prism) in assembled {
-            hosts.push(h);
-            sim.add_host(h, prism);
-        }
-        Ok(ShardedRuntime {
-            sim,
-            hosts,
-            master: config.master,
-            names,
-        })
-    }
-
-    /// Installs per-shard telemetry: each Prism host journals into its
-    /// shard's handle, so the merged export
-    /// ([`ShardedSimulator::export_merged_jsonl`]) interleaves middleware
-    /// and network records in one global order.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly one handle per shard is given.
-    pub fn set_telemetry(&mut self, handles: Vec<redep_telemetry::Telemetry>) {
-        for &h in &self.hosts.clone() {
-            let shard = self.sim.plan().shard_of(h);
-            let telemetry = handles[shard].clone();
-            if let Some(host) = self.host_mut(h) {
-                host.set_telemetry(telemetry);
-            }
-        }
-        self.sim.set_telemetry(handles);
-    }
-
-    /// The underlying sharded simulator.
-    pub fn sim(&self) -> &ShardedSimulator {
-        &self.sim
-    }
-
-    /// The underlying sharded simulator, mutable (fault plans, …).
-    pub fn sim_mut(&mut self) -> &mut ShardedSimulator {
-        &mut self.sim
-    }
-
-    /// Advances the system by `span` of simulated time on up to `threads`
-    /// OS threads. Returns the number of events processed.
-    pub fn run_for(&mut self, span: Duration, threads: usize) -> u64 {
-        let deadline = self.sim.now() + span;
-        self.sim.run_until(deadline, threads)
-    }
-
-    /// All host ids.
-    pub fn hosts(&self) -> &[HostId] {
-        &self.hosts
-    }
-
-    /// The master host, when one exists.
-    pub fn master(&self) -> Option<HostId> {
-        self.master
-    }
-
-    /// Component instance names by model id.
-    pub fn component_names(&self) -> &BTreeMap<ComponentId, String> {
-        &self.names
-    }
-
-    /// Borrows the Prism runtime of one host.
-    pub fn host(&self, h: HostId) -> Option<&PrismHost> {
-        self.sim.node_ref::<PrismHost>(h)
-    }
-
-    /// Mutably borrows the Prism runtime of one host.
-    pub fn host_mut(&mut self, h: HostId) -> Option<&mut PrismHost> {
-        self.sim.node_mut::<PrismHost>(h)
-    }
-
-    /// The *measured* availability so far — same definition as
-    /// [`SystemRuntime::measured_availability`].
-    pub fn measured_availability(&self) -> f64 {
-        let mut emitted = 0;
-        let mut received = 0;
-        for &h in &self.hosts {
-            if let Some(host) = self.host(h) {
-                let stats = host.services().stats();
-                emitted += stats.app_events_emitted;
-                received += stats.app_events_received;
-            }
-        }
-        if emitted == 0 {
-            1.0
-        } else {
-            received as f64 / emitted as f64
-        }
-    }
 }
 
 /// Computes per-host next-hop routing tables over the model's physical
@@ -616,6 +587,97 @@ mod tests {
         assert_eq!(run(2, 1), reference, "diverged at 2 shards");
         assert_eq!(run(2, 2), reference, "diverged at 2 threads");
         assert_eq!(run(3, 2), reference, "diverged at 3 shards / 2 threads");
+    }
+
+    /// The proof that there is one engine: under a fault plan with a crash,
+    /// a partition, a degrade and a flap, plus Markov link churn, the
+    /// one-shard `SystemRuntime` and the `ShardedRuntime` at several shard
+    /// and thread counts journal, count and measure byte for byte alike.
+    #[test]
+    fn system_runtime_equals_sharded_runtime_under_faults_and_churn() {
+        use redep_netsim::{FaultKind, FaultPlan, MarkovLinkChurn};
+        let s = Generator::generate(&GeneratorConfig::sized(8, 24).with_seed(5)).unwrap();
+        let (m, d) = (s.model, s.initial);
+        let links: Vec<_> = m.physical_links().map(|l| l.ends()).collect();
+        let hosts = m.host_ids();
+        let (half, h) = (hosts.len() / 2, |i: usize| hosts[i]);
+        let plan = FaultPlan::new()
+            .episode(3.0, 2.0, FaultKind::HostCrash { host: h(2) })
+            .episode(
+                5.0,
+                2.0,
+                FaultKind::Partition {
+                    groups: vec![hosts[..half].to_vec(), hosts[half..].to_vec()],
+                },
+            )
+            .episode(
+                2.0,
+                4.0,
+                FaultKind::LinkDegrade {
+                    a: links[0].lo(),
+                    b: links[0].hi(),
+                    reliability_factor: 0.5,
+                    bandwidth_factor: 0.25,
+                },
+            )
+            .episode(
+                1.0,
+                3.0,
+                FaultKind::LinkFlap {
+                    a: links[1].lo(),
+                    b: links[1].hi(),
+                    period_secs: 0.4,
+                },
+            );
+        let churn = || MarkovLinkChurn::new(0.05, 0.5);
+        let (span, every) = (Duration::from_secs_f64(10.0), Duration::from_secs_f64(1.0));
+        let config = RuntimeConfig::default();
+        let handle = || redep_telemetry::Telemetry::new(1 << 20);
+
+        let mut single = SystemRuntime::build(&m, &d, &config).unwrap();
+        single.set_telemetry(handle());
+        single.sim_mut().install_fault_plan(&plan);
+        single.sim_mut().add_fluctuation(every, churn());
+        single.run_for(span);
+        assert_eq!(single.telemetry().journal().dropped(), 0);
+        let journal = single.telemetry().export_jsonl();
+        for needle in [
+            "net.fault",
+            "net.partition",
+            "net.fluctuation",
+            "net.host.state",
+        ] {
+            assert!(journal.contains(needle), "no {needle} in the journal");
+        }
+        let reference = (
+            journal,
+            single.sim().stats().clone(),
+            single.measured_availability(),
+        );
+        for (shards, threads) in [(1, 1), (2, 2), (8, 2)] {
+            let mut sharded = ShardedRuntime::build(&m, &d, &config, shards).unwrap();
+            sharded.set_telemetry((0..shards).map(|_| handle()).collect());
+            sharded.sim_mut().install_fault_plan(&plan);
+            sharded.sim_mut().add_fluctuation(every, churn());
+            sharded.run_for(span, threads);
+            let outcome = (
+                sharded.sim().export_merged_jsonl(),
+                sharded.sim().stats(),
+                sharded.measured_availability(),
+            );
+            assert!(outcome == reference, "{shards} shards, {threads} threads");
+        }
+    }
+
+    #[test]
+    fn unknown_hosts_have_no_prism_host_on_either_engine() {
+        let (m, d) = system();
+        let single = SystemRuntime::build(&m, &d, &RuntimeConfig::default()).unwrap();
+        let sharded = ShardedRuntime::build(&m, &d, &RuntimeConfig::default(), 2).unwrap();
+        let unknown = HostId::new(99);
+        assert!(single.host(unknown).is_none());
+        assert!(sharded.host(unknown).is_none());
+        assert!(sharded.host(sharded.hosts()[0]).is_some());
     }
 
     #[test]

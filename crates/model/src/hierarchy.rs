@@ -9,17 +9,58 @@
 //! engine can first solve the small comp→cluster problem on a coarse model
 //! and then refine host choices within each cluster independently.
 //!
-//! Clustering follows the same recipe as `netsim::shard`'s partitioner:
+//! Clustering shares [`delay_units`] with `netsim::shard`'s partitioner:
 //! hosts joined by low-delay links (delay ≤ [`HierarchyConfig::delay_threshold`])
-//! are unioned into connectivity communities with a path-halving union-find,
-//! and the resulting units are folded round-robin — in ascending order of
-//! their smallest host index — into the target number of clusters. The
-//! whole construction is a pure function of the compiled model and the
-//! config: no RNG, no iteration-order dependence, so hierarchical results
-//! stay byte-identical at any thread count.
+//! form connectivity units, and the units are folded round-robin — in
+//! ascending order of their smallest host index — into the target number of
+//! clusters. The whole construction is a pure function of the compiled
+//! model and the config: no RNG, no iteration-order dependence, so
+//! hierarchical results stay byte-identical at any thread count.
 
 use crate::eval::CompiledModel;
 use crate::ids::HostId;
+
+/// Groups hosts `0..hosts` into connectivity units: the two ends of every
+/// `(a, b, delay)` link with `delay ≤ threshold` share a unit. Units come
+/// out in ascending order of their smallest member, members ascending — a
+/// pure function of the input, whatever order the links arrive in.
+///
+/// # Panics
+///
+/// Panics if a link names a host index `≥ hosts`.
+pub fn delay_units(
+    hosts: usize,
+    links: impl IntoIterator<Item = (u32, u32, f64)>,
+    threshold: f64,
+) -> Vec<Vec<u32>> {
+    // Path-halving union-find whose smaller root always wins, so every
+    // root is its unit's smallest member.
+    let mut parent: Vec<u32> = (0..hosts as u32).collect();
+    fn find(parent: &mut [u32], mut x: u32) -> u32 {
+        while parent[x as usize] != x {
+            parent[x as usize] = parent[parent[x as usize] as usize];
+            x = parent[x as usize];
+        }
+        x
+    }
+    for (a, b, delay) in links {
+        if delay <= threshold {
+            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+            parent[ra.max(rb) as usize] = ra.min(rb);
+        }
+    }
+    let mut unit_of_root = vec![u32::MAX; hosts];
+    let mut units: Vec<Vec<u32>> = Vec::new();
+    for h in 0..hosts as u32 {
+        let root = find(&mut parent, h) as usize;
+        if unit_of_root[root] == u32::MAX {
+            unit_of_root[root] = units.len() as u32;
+            units.push(Vec::new());
+        }
+        units[unit_of_root[root] as usize].push(h);
+    }
+    units
+}
 
 /// Configuration of the host-clustering pass.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -88,43 +129,12 @@ impl Hierarchy {
             };
         }
 
-        // Union-find with path halving over low-delay links, exactly the
-        // machinery netsim::shard partitions simulation shards with.
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if model.connected(a as u32, b as u32)
-                    && model.delay(a as u32, b as u32) <= config.delay_threshold
-                {
-                    let (ra, rb) = (find(&mut parent, a as u32), find(&mut parent, b as u32));
-                    if ra != rb {
-                        // Deterministic orientation: smaller root wins.
-                        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                        parent[hi as usize] = lo;
-                    }
-                }
-            }
-        }
-
-        // Units in ascending order of their smallest member (= their root,
-        // because unions always keep the smaller index as root).
-        let mut unit_of_root = vec![u32::MAX; n];
-        let mut units: Vec<Vec<u32>> = Vec::new();
-        for h in 0..n as u32 {
-            let r = find(&mut parent, h) as usize;
-            if unit_of_root[r] == u32::MAX {
-                unit_of_root[r] = units.len() as u32;
-                units.push(Vec::new());
-            }
-            units[unit_of_root[r] as usize].push(h);
-        }
+        let links = (0..n as u32).flat_map(|a| {
+            (a + 1..n as u32)
+                .filter(move |&b| model.connected(a, b))
+                .map(move |b| (a, b, model.delay(a, b)))
+        });
+        let units = delay_units(n, links, config.delay_threshold);
 
         // Fold units round-robin into the target cluster count.
         let target = if config.target_clusters == 0 {
@@ -367,6 +377,15 @@ mod tests {
             assert_eq!(coarse.host_memory()[k], sum);
             assert_eq!(h.capacities()[k], sum);
         }
+    }
+
+    #[test]
+    fn delay_units_are_ordered_by_smallest_member_whatever_the_link_order() {
+        let links = [(4, 1, 0.0), (3, 0, 0.5), (2, 4, 0.0), (5, 3, 0.2)];
+        let expected = vec![vec![0], vec![1, 2, 4], vec![3, 5]];
+        assert_eq!(delay_units(6, links, 0.2), expected);
+        assert_eq!(delay_units(6, links.into_iter().rev(), 0.2), expected);
+        assert_eq!(delay_units(3, [], 0.0), vec![vec![0], vec![1], vec![2]]);
     }
 
     #[test]

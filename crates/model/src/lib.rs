@@ -91,7 +91,7 @@ pub use eval::{
     IncrementalScore, PartKind, Uncompiled, UNASSIGNED,
 };
 pub use generator::{GeneratedSystem, Generator, GeneratorConfig, Range};
-pub use hierarchy::{Hierarchy, HierarchyConfig};
+pub use hierarchy::{delay_units, Hierarchy, HierarchyConfig};
 pub use ids::{ComponentId, HostId};
 pub use links::{ComponentPair, HostPair, LogicalLink, PhysicalLink};
 pub use model::{DeploymentModel, PathQuality};

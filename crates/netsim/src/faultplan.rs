@@ -356,10 +356,9 @@ mod tests {
     // A `HostCrash` episode `[start, start + duration)` is closed at its
     // start and open at its end: an event landing exactly at the crash
     // instant is lost, one landing exactly at the restart instant is
-    // processed. The tests below pin that contract — the fault action for an
-    // instant is scheduled at plan-install time, so its queue sequence number
-    // is lower than any same-instant event scheduled later during the run,
-    // and the `(time, seq)` calendar order makes it win the tie.
+    // processed. The tests below pin that contract — a fault action's packed
+    // key has the broadcast kind, which sorts before every timer and
+    // delivery, so the `(time, key)` calendar order makes it win the tie.
 
     use crate::node::{Node, NodeCtx};
     use crate::sim::Simulator;
@@ -436,7 +435,7 @@ mod tests {
     fn message_at_crash_instant_is_dropped_at_restart_instant_delivered() {
         let log = boundary_run();
         let texts: Vec<&str> = log.iter().map(|(_, s)| s.as_str()).collect();
-        // t == crash start: the HostDown action (installed early, lower seq)
+        // t == crash start: the HostDown action (broadcast kind, lower key)
         // beats the same-instant delivery, which is dropped.
         assert!(
             !texts.contains(&"msg@1000000"),
@@ -477,8 +476,8 @@ mod tests {
             .collect();
         // The restart hook runs inside the HostUp action; a timer due
         // exactly at the restart instant (armed pre-crash, so an older
-        // sequence number) beats the freshly-scheduled deferred replay; the
-        // same-instant message (sent after the fault action) comes last.
+        // per-host sequence number) beats the freshly-scheduled deferred
+        // replay; the same-instant message (delivery kind) comes last.
         assert_eq!(
             at_restart,
             vec!["restart", "timer:2", "timer:1", "msg@2000000"],

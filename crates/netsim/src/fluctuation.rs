@@ -2,29 +2,32 @@
 //!
 //! The paper motivates redeployment with networks whose "bandwidth
 //! fluctuations and the unreliability of network links affect the system's
-//! properties". A [`FluctuationModel`] is invoked periodically by the
-//! simulator ([`Simulator::add_fluctuation`]) and mutates the live topology.
+//! properties". A [`FluctuationModel`] perturbs one link at a time: the
+//! engine ticks every installed model periodically
+//! ([`ShardedSimulator::add_fluctuation`], and the same on the one-shard
+//! [`Simulator`]) and hands it, for each live link, a uniform draw that
+//! hashes `(seed, model, tick, link slot)`. There is no RNG stream, so a
+//! fluctuating run is the same under any shard layout.
 //!
-//! [`Simulator::add_fluctuation`]: crate::Simulator::add_fluctuation
+//! [`ShardedSimulator::add_fluctuation`]: crate::ShardedSimulator::add_fluctuation
+//! [`Simulator`]: crate::Simulator
 
-use crate::topology::NetworkTopology;
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
+use crate::topology::LinkState;
 use std::fmt;
 
-/// A process that perturbs link qualities over time.
-pub trait FluctuationModel: fmt::Debug + 'static {
+/// A process that perturbs link qualities over time, one link per call.
+pub trait FluctuationModel: fmt::Debug + Send + Sync + 'static {
     /// Short name for diagnostics.
     fn name(&self) -> &str;
 
-    /// Perturbs the topology once. Called every configured interval with the
-    /// simulation's RNG, so fluctuation is part of the deterministic run.
-    fn apply(&mut self, topology: &mut NetworkTopology, rng: &mut ChaCha8Rng);
+    /// Perturbs one link once. `draw` is uniform in `[0, 1)` and independent
+    /// per link and tick. A model must not shorten `link.spec.delay`: the
+    /// sharded engine's lookahead rests on it.
+    fn perturb(&self, link: &mut LinkState, draw: f64);
 }
 
-/// Reliability random walk: each application nudges every link's reliability
-/// by a uniform step in `[-amplitude, +amplitude]`, clamped to
-/// `[floor, ceiling]`.
+/// Reliability random walk: each tick nudges every link's reliability by a
+/// uniform step in `[-amplitude, +amplitude)`, clamped to `[floor, ceiling]`.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct RandomWalkFluctuation {
     /// Maximum absolute per-step change.
@@ -56,21 +59,14 @@ impl FluctuationModel for RandomWalkFluctuation {
         "reliability random walk"
     }
 
-    fn apply(&mut self, topology: &mut NetworkTopology, rng: &mut ChaCha8Rng) {
-        for (_, state) in topology.links_mut() {
-            let step = if self.amplitude == 0.0 {
-                0.0
-            } else {
-                rng.random_range(-self.amplitude..=self.amplitude)
-            };
-            state.spec.reliability =
-                (state.spec.reliability + step).clamp(self.floor, self.ceiling);
-        }
+    fn perturb(&self, link: &mut LinkState, draw: f64) {
+        let step = self.amplitude * (2.0 * draw - 1.0);
+        link.spec.reliability = (link.spec.reliability + step).clamp(self.floor, self.ceiling);
     }
 }
 
 /// Two-state Markov link churn: an up link goes down with probability
-/// `p_down` per application; a down link recovers with probability `p_up`.
+/// `p_down` per tick; a down link recovers with probability `p_up`.
 ///
 /// This reproduces the intermittent disconnection the paper's
 /// disconnected-operation work targets.
@@ -100,15 +96,10 @@ impl FluctuationModel for MarkovLinkChurn {
         "markov link churn"
     }
 
-    fn apply(&mut self, topology: &mut NetworkTopology, rng: &mut ChaCha8Rng) {
-        for (_, state) in topology.links_mut() {
-            if state.up {
-                if rng.random_bool(self.p_down) {
-                    state.up = false;
-                }
-            } else if rng.random_bool(self.p_up) {
-                state.up = true;
-            }
+    fn perturb(&self, link: &mut LinkState, draw: f64) {
+        let flip = if link.up { self.p_down } else { self.p_up };
+        if draw < flip {
+            link.up = !link.up;
         }
     }
 }
@@ -117,80 +108,62 @@ impl FluctuationModel for MarkovLinkChurn {
 mod tests {
     use super::*;
     use crate::topology::LinkSpec;
-    use rand::SeedableRng;
-    use redep_model::HostId;
 
-    fn topo() -> NetworkTopology {
-        let mut t = NetworkTopology::new();
-        t.set_link(
-            HostId::new(0),
-            HostId::new(1),
-            LinkSpec {
+    fn link() -> LinkState {
+        LinkState {
+            spec: LinkSpec {
                 reliability: 0.5,
                 ..LinkSpec::default()
             },
-        );
-        t
+            up: true,
+        }
+    }
+
+    /// Draws spread over `[0, 1)` (golden-ratio steps).
+    fn draws(n: usize) -> impl Iterator<Item = f64> {
+        (0..n).map(|i| (i as f64 * 0.618_033_988_75).fract())
     }
 
     #[test]
     fn random_walk_stays_in_bounds() {
-        let mut t = topo();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut walk = RandomWalkFluctuation::new(0.3);
-        for _ in 0..200 {
-            walk.apply(&mut t, &mut rng);
-            let r = t
-                .link(HostId::new(0), HostId::new(1))
-                .unwrap()
-                .spec
-                .reliability;
+        let mut l = link();
+        let walk = RandomWalkFluctuation::new(0.3);
+        for draw in draws(200).chain([0.0, 0.999_999]) {
+            walk.perturb(&mut l, draw);
+            let r = l.spec.reliability;
             assert!((0.05..=1.0).contains(&r), "reliability escaped bounds: {r}");
         }
     }
 
     #[test]
     fn random_walk_actually_moves() {
-        let mut t = topo();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let before = t
-            .link(HostId::new(0), HostId::new(1))
-            .unwrap()
-            .spec
-            .reliability;
-        RandomWalkFluctuation::new(0.2).apply(&mut t, &mut rng);
-        let after = t
-            .link(HostId::new(0), HostId::new(1))
-            .unwrap()
-            .spec
-            .reliability;
-        assert_ne!(before, after);
+        let mut l = link();
+        RandomWalkFluctuation::new(0.2).perturb(&mut l, 0.9);
+        assert!((l.spec.reliability - 0.66).abs() < 1e-12);
+        RandomWalkFluctuation::new(0.2).perturb(&mut l, 0.25);
+        assert!((l.spec.reliability - 0.56).abs() < 1e-12);
     }
 
     #[test]
     fn zero_amplitude_walk_is_identity() {
-        let mut t = topo();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        RandomWalkFluctuation::new(0.0).apply(&mut t, &mut rng);
-        assert_eq!(
-            t.link(HostId::new(0), HostId::new(1))
-                .unwrap()
-                .spec
-                .reliability,
-            0.5
-        );
+        let mut l = link();
+        for draw in draws(10) {
+            RandomWalkFluctuation::new(0.0).perturb(&mut l, draw);
+        }
+        assert_eq!(l.spec.reliability, 0.5);
     }
 
     #[test]
     fn churn_takes_links_down_and_up() {
-        let mut t = topo();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut churn = MarkovLinkChurn::new(1.0, 0.0);
-        churn.apply(&mut t, &mut rng);
-        assert!(!t.link(HostId::new(0), HostId::new(1)).unwrap().up);
-        let mut recover = MarkovLinkChurn::new(0.0, 1.0);
-        recover.apply(&mut t, &mut rng);
-        assert!(t.link(HostId::new(0), HostId::new(1)).unwrap().up);
+        let mut l = link();
+        MarkovLinkChurn::new(1.0, 0.0).perturb(&mut l, 0.999);
+        assert!(!l.up);
+        MarkovLinkChurn::new(1.0, 0.0).perturb(&mut l, 0.0);
+        assert!(!l.up, "p_up = 0 never recovers");
+        MarkovLinkChurn::new(0.0, 1.0).perturb(&mut l, 0.999);
+        assert!(l.up);
+        MarkovLinkChurn::new(0.0, 1.0).perturb(&mut l, 0.0);
+        assert!(l.up, "p_down = 0 never fails");
     }
 
     #[test]

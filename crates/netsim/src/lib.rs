@@ -21,8 +21,11 @@
 //! * ground-truth **statistics** per link ([`NetStats`]) against which
 //!   monitoring accuracy can be judged.
 //!
-//! Everything is driven by a single seeded RNG and an ordered event queue, so
-//! a simulation is a pure function of (topology, node behavior, seed).
+//! There is one event loop, [`ShardedSimulator`]: per-shard event queues in
+//! `(time, packed key)` order, and every random decision a counter hash of
+//! the seed — no RNG stream. A simulation is therefore a pure function of
+//! (topology, node behavior, seed), byte-identical at any shard and thread
+//! count. [`Simulator`] is that engine at one shard.
 //!
 //! # Example
 //!

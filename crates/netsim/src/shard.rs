@@ -1,18 +1,20 @@
-//! Sharded conservative-PDES simulation: the topology is partitioned into
-//! shards, each running its own calendar queue and event loop, synchronized
-//! by conservative lookahead windows.
+//! The simulation engine: the topology is partitioned into shards, each
+//! running its own calendar queue and event loop, synchronized by
+//! conservative lookahead windows. It is the only event loop in the crate —
+//! [`Simulator`](crate::Simulator) is this engine at one shard.
 //!
 //! # Why
 //!
-//! The single-queue [`Simulator`](crate::Simulator) processes every event of
-//! every host through one loop. At thousands of hosts the event rate is the
-//! bottleneck. Classic conservative parallel discrete-event simulation
-//! (Chandy–Misra–Bryant style, here in its barrier-synchronized BSP form)
-//! exploits the one physical fact a network simulation guarantees: a message
-//! between two hosts takes at least the link's propagation delay. If every
-//! cross-shard link has delay ≥ `L`, then nothing a shard does in the time
-//! window `[W, W + L)` can affect another shard before `W + L` — so all
-//! shards can process the window concurrently with no rollback.
+//! One event loop over every event of every host is the bottleneck at
+//! thousands of hosts. Classic conservative parallel discrete-event
+//! simulation (Chandy–Misra–Bryant style, here in its barrier-synchronized
+//! BSP form) exploits the one physical fact a network simulation guarantees:
+//! a message between two hosts takes at least the link's propagation delay.
+//! If every cross-shard link has delay ≥ `L`, then nothing a shard does in
+//! the time window `[W, W + L)` can affect another shard before `W + L` — so
+//! all shards can process the window concurrently with no rollback. At one
+//! shard no link crosses, the lookahead is unbounded, and a `run_until` call
+//! is one window: a plain sequential event loop.
 //!
 //! # The protocol
 //!
@@ -60,18 +62,22 @@
 //!   counter. A host's callbacks run in the same relative order under any
 //!   sharding, so its counter advances identically — making every key, and
 //!   therefore every `(time, key)` processing order, shard-layout-invariant.
-//! * **Counter-hash loss sampling.** Message loss is decided by hashing
-//!   `(seed, src, dst, per-directed-link counter)` — not by a shared RNG
-//!   stream, whose interleaving would depend on the layout.
-//! * **Sender-owned link state.** The directed state of link `a → b`
-//!   (busy-until, degrade level, up/down) lives only in `a`'s shard and is
-//!   touched only by `a`'s sends and by fault actions, both of which are
-//!   deterministically ordered.
-//! * **Fault broadcast.** Every fault action is scheduled into *every*
-//!   shard's queue under the same key, so all replicas of host/link state
-//!   update at the same point of the `(time, key)` order; exactly one
-//!   designated shard journals the action (and derives its span IDs from a
-//!   per-action [`SpanIdGen`], so trace IDs are layout-invariant too).
+//! * **Counter-hash draws, no RNG stream.** Message loss is decided by
+//!   hashing `(seed, src, dst, per-directed-link counter)`, and fluctuation
+//!   model `m`'s draw for link slot `s` at its tick `t` by hashing
+//!   `(seed, m, t, s)` — never by a shared RNG stream, whose interleaving
+//!   would depend on the layout.
+//! * **Replicated topology, sender-owned media.** Every shard holds a
+//!   replica of the [`NetworkTopology`] — link specs, link and host up/down —
+//!   which broadcast actions update identically everywhere. The per-direction
+//!   state of link `a → b` (its own medium's busy-until, the loss counter,
+//!   the stat slot) lives only in `a`'s shard and is touched only by `a`'s
+//!   sends.
+//! * **Broadcast actions.** Every fault action and every fluctuation tick is
+//!   scheduled into *every* shard's queue under the same key, so all
+//!   replicas update at the same point of the `(time, key)` order; exactly
+//!   one designated shard journals it (fault span IDs come from a per-action
+//!   [`SpanIdGen`], so trace IDs are layout-invariant too).
 //! * **Order-stamped journals.** Each shard journals into its own
 //!   [`Telemetry`] handle; every record is stamped with the `(time, key)`
 //!   of the event that produced it, and
@@ -80,21 +86,10 @@
 //!
 //! Two zero-delay-connected hosts could violate the lookahead bound, so
 //! [`ShardPlan::partition`] first merges hosts connected by zero-delay links
-//! into one placement unit (union-find); cross-shard links then always have
-//! delay ≥ 1 µs.
-//!
-//! # Divergences from the single-queue engine
-//!
-//! The sharded engine is deterministic *against itself* (any `k`, any thread
-//! count), not bit-compatible with [`Simulator`](crate::Simulator):
-//!
-//! * Loss sampling is counter-hash based (above), not a shared
-//!   `ChaCha8Rng` stream.
-//! * Link occupancy is **full-duplex per direction** (`a → b` and `b → a`
-//!   have independent busy-until), where the legacy engine serializes both
-//!   directions behind one half-duplex medium.
-//! * Fluctuation models are not supported (they mutate global topology from
-//!   a shared RNG mid-run, which has no layout-invariant formulation).
+//! into one placement unit ([`redep_model::delay_units`]); cross-shard links
+//! then always have delay ≥ 1 µs. Fault actions and fluctuation never touch
+//! a delay, and a link edit between runs that would shorten the lookahead
+//! panics, so the bound holds for the simulator's lifetime.
 //!
 //! # Example
 //!
@@ -131,15 +126,16 @@
 
 use crate::calendar::CalendarQueue;
 use crate::faultplan::{FaultAction, FaultPlan};
+use crate::fluctuation::FluctuationModel;
 use crate::message::Message;
 use crate::node::{Node, NodeAction, NodeCtx};
 use crate::stats::{NetStats, NO_LINK_STATS};
 use crate::time::{Duration, SimTime};
-use crate::topology::NetworkTopology;
-use redep_model::{HostId, HostPair};
+use crate::topology::{LinkSpec, NetworkTopology};
+use redep_model::{delay_units, HostId, HostPair};
 use redep_telemetry::{trace::DOMAIN_NET, Counter, SpanIdGen, Telemetry, TraceCtx};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -147,10 +143,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Packed-key event kinds, ordered: at one timestamp, start callbacks run
-/// before fault actions, fault actions before timers, timers before
-/// deliveries.
+/// before broadcast actions (fault actions, then fluctuation ticks),
+/// broadcast actions before timers, timers before deliveries.
 const KIND_START: u64 = 0;
-const KIND_FAULT: u64 = 1;
+const KIND_BROADCAST: u64 = 1;
 const KIND_TIMER: u64 = 2;
 const KIND_DELIVER: u64 = 3;
 
@@ -166,14 +162,15 @@ fn pack_key(kind: u64, host: u32, seq: u64) -> u64 {
     (kind << KIND_SHIFT) | ((host as u64) << HOST_SHIFT) | (seq & SEQ_MASK)
 }
 
-/// Deterministic loss decision: a splitmix64-style hash of
-/// `(seed, src, dst, counter)` mapped to `[0, 1)`. The counter advances per
-/// send over the directed link, so the decision sequence is a pure function
-/// of the sender's behavior — independent of shard layout, unlike a shared
-/// RNG stream.
-fn loss_roll(seed: u64, src: u32, dst: u32, counter: u64) -> f64 {
+/// Deterministic draw in `[0, 1)`: a splitmix64-style hash of
+/// `(seed, stream, counter)`. A loss draw's stream is its directed link
+/// `src ≪ 32 | dst` (dense indices) and its counter advances per send over
+/// that direction, so the decision sequence is a pure function of the
+/// sender's behavior — independent of shard layout, unlike a shared RNG
+/// stream. Fluctuation draws use [`FLUCTUATION_STREAM`] streams.
+fn unit_draw(seed: u64, stream: u64, counter: u64) -> f64 {
     let mut x = seed
-        .wrapping_add(((src as u64) << 32) | dst as u64)
+        .wrapping_add(stream)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(counter);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -182,16 +179,23 @@ fn loss_roll(seed: u64, src: u32, dst: u32, counter: u64) -> f64 {
     ((x >> 11) as f64) * (1.0 / (1u64 << 53) as f64)
 }
 
+/// Fluctuation model `m`'s draw for link slot `s` has stream
+/// `FLUCTUATION_STREAM | m ≪ 32 | s` and the model's tick as its counter;
+/// the top bit keeps these streams apart from every loss stream.
+const FLUCTUATION_STREAM: u64 = 1 << 63;
+
 /// A deterministic host-to-shard placement plus the conservative lookahead
 /// it yields.
 ///
 /// Built once from the initial topology; the placement and the lookahead are
 /// fixed for the simulation's lifetime (fault actions may drop or degrade
-/// links, but never shorten a delay, so the bound stays valid).
+/// links, but never shorten a delay, so the bound stays valid). Only a
+/// one-shard plan grows: a host it did not know is appended.
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
     shards: usize,
-    /// All hosts, ascending; a host's position is its *dense index*.
+    /// All hosts, ascending (then any appended); a host's position is its
+    /// *dense index*.
     hosts: Vec<HostId>,
     /// Dense index by raw host id (`u32::MAX` = not a host).
     dense_by_raw: Vec<u32>,
@@ -205,11 +209,11 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Partitions the topology's hosts over `shards` shards.
     ///
-    /// Hosts connected by zero-delay links are first merged into one
-    /// placement unit (union-find), guaranteeing every cross-shard link has
-    /// delay ≥ 1 µs — the engine's lookahead floor. Units are then dealt
-    /// round-robin over shards in order of their smallest host id, so the
-    /// placement is a pure function of `(topology, shards)`.
+    /// Hosts connected by links of under 1 µs delay are first merged into
+    /// one placement unit ([`delay_units`]), guaranteeing every cross-shard
+    /// link has delay ≥ 1 µs — the engine's lookahead floor. Units are then
+    /// dealt round-robin over shards in order of their smallest host id, so
+    /// the placement is a pure function of `(topology, shards)`.
     ///
     /// # Panics
     ///
@@ -227,49 +231,23 @@ impl ShardPlan {
             dense_by_raw[h.raw() as usize] = i as u32;
         }
         let dense = |h: HostId| dense_by_raw[h.raw() as usize];
+        let delay_us = |spec: &LinkSpec| (spec.delay * 1e6) as u64;
 
-        // Union-find over zero-delay-connected hosts.
-        let mut parent: Vec<u32> = (0..hosts.len() as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
+        let links = topology.links().map(|(pair, state)| {
+            let delay = delay_us(&state.spec) as f64;
+            (dense(pair.lo()), dense(pair.hi()), delay)
+        });
+        let mut shard_of = vec![0; hosts.len()];
+        for (i, unit) in delay_units(hosts.len(), links, 0.0).iter().enumerate() {
+            for &host in unit {
+                shard_of[host as usize] = (i % shards) as u32;
             }
-            x
-        }
-        for (pair, state) in topology.links() {
-            if (state.spec.delay * 1e6) as u64 == 0 {
-                let (a, b) = (
-                    find(&mut parent, dense(pair.lo())),
-                    find(&mut parent, dense(pair.hi())),
-                );
-                // Smaller root wins: keeps component labels deterministic.
-                if a < b {
-                    parent[b as usize] = a;
-                } else {
-                    parent[a as usize] = b;
-                }
-            }
-        }
-
-        // Deal components over shards in first-member order.
-        let mut shard_of = vec![u32::MAX; hosts.len()];
-        let mut component_shard: HashMap<u32, u32> = HashMap::new();
-        let mut next = 0u32;
-        for i in 0..hosts.len() as u32 {
-            let root = find(&mut parent, i);
-            let shard = *component_shard.entry(root).or_insert_with(|| {
-                let s = next % shards as u32;
-                next += 1;
-                s
-            });
-            shard_of[i as usize] = shard;
         }
 
         let mut lookahead_us = u64::MAX;
         for (pair, state) in topology.links() {
             if shard_of[dense(pair.lo()) as usize] != shard_of[dense(pair.hi()) as usize] {
-                lookahead_us = lookahead_us.min((state.spec.delay * 1e6) as u64);
+                lookahead_us = lookahead_us.min(delay_us(&state.spec));
             }
         }
         debug_assert!(lookahead_us >= 1, "zero-delay link crossed shards");
@@ -307,46 +285,78 @@ impl ShardPlan {
         self.shard_of[self.dense(host) as usize] as usize
     }
 
+    fn try_dense(&self, host: HostId) -> Option<u32> {
+        let dense = self.dense_by_raw.get(host.raw() as usize).copied();
+        dense.filter(|&d| d != u32::MAX)
+    }
+
     fn dense(&self, host: HostId) -> u32 {
-        let d = self
-            .dense_by_raw
-            .get(host.raw() as usize)
-            .copied()
-            .unwrap_or(u32::MAX);
-        assert!(d != u32::MAX, "host {host} is not in the shard plan");
-        d
+        let dense = self.try_dense(host);
+        dense.unwrap_or_else(|| panic!("host {host} is not in the shard plan"))
     }
 
     fn shard_of_dense(&self, dense: u32) -> usize {
         self.shard_of[dense as usize] as usize
     }
+
+    /// Appends `host` with the next dense index; only a one-shard plan,
+    /// whose placement it cannot change, grows.
+    fn push(&mut self, host: HostId) {
+        assert!(
+            self.shards == 1 && self.hosts.len() + 1 < MAX_HOSTS,
+            "host {host} is not in the shard plan"
+        );
+        let raw = host.raw() as usize;
+        if self.dense_by_raw.len() <= raw {
+            self.dense_by_raw.resize(raw + 1, u32::MAX);
+        }
+        self.dense_by_raw[raw] = self.hosts.len() as u32;
+        self.hosts.push(host);
+        self.shard_of.push(0);
+    }
 }
 
-/// Directed runtime state of one link, owned by the source host's shard.
+/// The per-direction state of one link, used only by the source host's
+/// shard; the link's spec and up/down state live in the topology replica.
+#[derive(Clone, Copy)]
 struct LinkDir {
-    reliability: f64,
-    bandwidth: f64,
-    delay: Duration,
-    up: bool,
-    /// When this direction's medium frees up (full-duplex: independent of
-    /// the reverse direction — a documented divergence from the legacy
-    /// half-duplex engine).
+    /// When this direction's medium frees up: each direction serializes its
+    /// own transmissions, independently of the other.
     busy_until: SimTime,
-    /// Per-directed-link send counter feeding [`loss_roll`].
+    /// Per-directed-link send counter feeding the loss draw.
     loss_counter: u64,
-    /// `(reliability, bandwidth)` before a degrade episode, for restore.
-    saved_spec: Option<(f64, f64)>,
     /// The pair's slot in the owning shard's [`NetStats`], resolved on this
     /// direction's first send or first delivery of the reverse direction.
     stats: u32,
 }
 
+const FRESH_DIR: LinkDir = LinkDir {
+    busy_until: SimTime::ZERO,
+    loss_counter: 0,
+    stats: NO_LINK_STATS,
+};
+
 /// What happens at a scheduled instant inside one shard.
-enum ShardEvent {
-    Start { host: HostId },
-    Deliver { msg: Message },
-    Timer { host: HostId, token: u64 },
-    Fault { index: usize },
+enum Event {
+    Start {
+        host: HostId,
+    },
+    Deliver {
+        msg: Message,
+    },
+    Timer {
+        host: HostId,
+        token: u64,
+    },
+    /// A fault action, by index into the shared schedule.
+    Fault {
+        index: usize,
+    },
+    /// Tick `tick` of fluctuation model `model`.
+    Fluctuate {
+        model: usize,
+        tick: u64,
+    },
 }
 
 /// Per-shard cached counter handles (cloned per telemetry install).
@@ -602,26 +612,24 @@ fn run_rounds(
     }
 }
 
-/// One shard: a self-contained event loop over the hosts it owns plus
-/// replicated host-up state for everyone else.
+/// One shard: a self-contained event loop over the hosts it owns plus a
+/// replica of the live topology.
 struct ShardCore {
     idx: usize,
     seed: u64,
     plan: Arc<ShardPlan>,
     now: SimTime,
-    queue: CalendarQueue<ShardEvent>,
+    queue: CalendarQueue<Event>,
     /// Node behaviors by dense index; `None` for hosts on other shards.
     nodes: Vec<Option<Box<dyn Node>>>,
-    /// The topology the simulator was built from, shared by all shards and
-    /// read only for its host-pair → link-slot table.
-    topology: Arc<NetworkTopology>,
-    /// Directed link state by `2 × link slot + direction` (see
-    /// [`ShardCore::dir_index`]); `None` for directions whose source host
-    /// another shard owns.
-    dirs: Vec<Option<LinkDir>>,
-    /// Host up/down by dense index — replicated on every shard, kept in
-    /// sync by fault broadcast.
-    host_up: Vec<bool>,
+    /// This shard's replica of the live topology — link specs, link and
+    /// host up/down — kept identical on every shard by broadcast actions.
+    topology: NetworkTopology,
+    /// Per-direction link state by `2 × link slot + direction` (see
+    /// [`ShardCore::dir_at`]); only the source host's shard uses an entry.
+    dirs: Vec<LinkDir>,
+    /// `(reliability, bandwidth)` of each link before its degrade episode.
+    degraded: BTreeMap<HostPair, (f64, f64)>,
     /// Per-host event sequence counters (bumped only for owned hosts).
     host_seq: Vec<u64>,
     stats: NetStats,
@@ -630,8 +638,10 @@ struct ShardCore {
     /// Timers that fired while their (owned) host was down; replayed on
     /// restart.
     deferred_timers: BTreeMap<u32, Vec<u64>>,
-    /// The expanded fault schedule, shared by all shards.
-    faults: Arc<Vec<(SimTime, FaultAction)>>,
+    /// Every fault action installed so far, shared by all shards.
+    faults: Arc<Vec<FaultAction>>,
+    /// The fluctuation models with their intervals, in installation order.
+    fluctuations: Vec<(Duration, Arc<dyn FluctuationModel>)>,
     /// Cross-shard messages produced this window, one outbox per
     /// destination shard, each appended to its mailbox under one lock at
     /// window end.
@@ -650,32 +660,8 @@ struct ShardCore {
 }
 
 impl ShardCore {
-    fn new(idx: usize, seed: u64, plan: Arc<ShardPlan>, topology: Arc<NetworkTopology>) -> Self {
+    fn new(idx: usize, seed: u64, plan: Arc<ShardPlan>, topology: &NetworkTopology) -> Self {
         let (n, shards) = (plan.hosts().len(), plan.shards());
-        let mut dirs: Vec<Option<LinkDir>> = Vec::new();
-        dirs.resize_with(2 * topology.link_slot_count(), || None);
-        for (pair, state) in topology.links() {
-            for (src, dst) in [(pair.lo(), pair.hi()), (pair.hi(), pair.lo())] {
-                if plan.shard_of(src) == idx {
-                    let at = Self::dir_index(&topology, src, dst).expect("listed link");
-                    dirs[at] = Some(LinkDir {
-                        reliability: state.spec.reliability,
-                        bandwidth: state.spec.bandwidth,
-                        delay: Duration::from_secs_f64(state.spec.delay),
-                        up: state.up,
-                        busy_until: SimTime::ZERO,
-                        loss_counter: 0,
-                        saved_spec: None,
-                        stats: NO_LINK_STATS,
-                    });
-                }
-            }
-        }
-        let host_up = plan
-            .hosts()
-            .iter()
-            .map(|h| topology.host_is_up(*h))
-            .collect();
         let telemetry = Telemetry::disabled();
         let counters = ShardCounters::new(&telemetry);
         ShardCore {
@@ -685,15 +671,16 @@ impl ShardCore {
             now: SimTime::ZERO,
             queue: CalendarQueue::new(),
             nodes: (0..n).map(|_| None).collect(),
-            topology,
-            dirs,
-            host_up,
+            topology: topology.clone(),
+            dirs: vec![FRESH_DIR; 2 * topology.link_slot_count()],
+            degraded: BTreeMap::new(),
             host_seq: vec![0; n],
             stats: NetStats::new(),
             telemetry,
             counters,
             deferred_timers: BTreeMap::new(),
             faults: Arc::new(Vec::new()),
+            fluctuations: Vec::new(),
             outbound: (0..shards).map(|_| Vec::new()).collect(),
             inbox: Vec::new(),
             tally: WindowTally::default(),
@@ -706,19 +693,18 @@ impl ShardCore {
 
     /// Index into `dirs` of the direction `src → dst`, if a link between
     /// the two was configured.
-    fn dir_index(topology: &NetworkTopology, src: HostId, dst: HostId) -> Option<usize> {
-        Some(2 * topology.link_slot(src, dst)? + usize::from(src > dst))
+    fn dir_at(&self, src: HostId, dst: HostId) -> Option<usize> {
+        Some(2 * self.topology.link_slot(src, dst)? + usize::from(src > dst))
     }
 
-    /// The stat slot of the pair behind the direction `src → dst` at `at`,
-    /// if this shard owns it — resolved through the ordered pair index only
-    /// on first touch.
-    fn dir_stats(&mut self, at: usize, src: HostId, dst: HostId) -> Option<u32> {
-        let dir = self.dirs[at].as_mut()?;
+    /// The stat slot of the pair behind the direction `src → dst` at `at` —
+    /// resolved through the ordered pair index only on first touch.
+    fn dir_stats(&mut self, at: usize, src: HostId, dst: HostId) -> u32 {
+        let dir = &mut self.dirs[at];
         if dir.stats == NO_LINK_STATS {
             dir.stats = self.stats.slot(src, dst);
         }
-        Some(dir.stats)
+        dir.stats
     }
 
     fn next_key(&mut self, kind: u64, dense: u32) -> u64 {
@@ -736,8 +722,22 @@ impl ShardCore {
         );
         self.tally.deepest_mailbox = self.tally.deepest_mailbox.max(self.inbox.len() as u64);
         for (time, key, msg) in self.inbox.drain(..) {
-            self.queue.push(time, key, ShardEvent::Deliver { msg });
+            self.queue.push(time, key, Event::Deliver { msg });
         }
+    }
+
+    /// Appends each outbox to its mailbox, under one lock per destination.
+    /// Returns how many messages crossed.
+    fn flush(&mut self, mailboxes: &[Mailbox]) -> u64 {
+        let mut crossed = 0;
+        for (outbox, mailbox) in self.outbound.iter_mut().zip(mailboxes) {
+            if !outbox.is_empty() {
+                crossed += outbox.len() as u64;
+                mailbox.lock().expect("mailbox poisoned").append(outbox);
+            }
+        }
+        self.tally.cross_shard += crossed;
+        crossed
     }
 
     /// Earliest pending local event time, in microseconds.
@@ -764,17 +764,10 @@ impl ShardCore {
             self.processed += 1;
             self.handle(event);
         }
-        let mut crossed = 0;
-        for (outbox, mailbox) in self.outbound.iter_mut().zip(mailboxes) {
-            if !outbox.is_empty() {
-                crossed += outbox.len() as u64;
-                mailbox.lock().expect("mailbox poisoned").append(outbox);
-            }
-        }
+        let crossed = self.flush(mailboxes);
         let events = self.processed - processed;
         self.tally.rounds += 1;
         self.tally.max_window_events = self.tally.max_window_events.max(events);
-        self.tally.cross_shard += crossed;
         if self.idx == 0 {
             self.counters.rounds.inc();
         }
@@ -789,21 +782,22 @@ impl ShardCore {
             .add(self.flights_started - started - crossed);
     }
 
-    fn handle(&mut self, event: ShardEvent) {
+    fn handle(&mut self, event: Event) {
         match event {
-            ShardEvent::Start { host } => {
+            Event::Start { host } => {
                 self.run_callback(host, |node, ctx| node.on_start(ctx));
             }
-            ShardEvent::Deliver { msg } => {
+            Event::Deliver { msg } => {
                 self.flights_landed += 1;
                 let (src, dst, bytes) = (msg.src, msg.dst, msg.size);
                 // The receiver's shard accounts the delivery, so it reads
                 // the pair's stat slot off the direction it owns: the
                 // reverse one (absent only for loopback).
-                let stats = Self::dir_index(&self.topology, dst, src)
-                    .and_then(|at| self.dir_stats(at, dst, src))
-                    .unwrap_or(NO_LINK_STATS);
-                if self.host_up[self.plan.dense(dst) as usize] {
+                let stats = match self.dir_at(dst, src) {
+                    Some(at) => self.dir_stats(at, dst, src),
+                    None => NO_LINK_STATS,
+                };
+                if self.topology.host_is_up(dst) {
                     self.stats.record_delivered(stats, bytes);
                     self.counters.delivered.inc();
                     self.run_callback(dst, |node, ctx| node.on_message(ctx, msg));
@@ -812,9 +806,9 @@ impl ShardCore {
                     self.record_drop(src, dst, "host_down");
                 }
             }
-            ShardEvent::Timer { host, token } => {
+            Event::Timer { host, token } => {
                 let dense = self.plan.dense(host);
-                if self.host_up[dense as usize] {
+                if self.topology.host_is_up(host) {
                     self.run_callback(host, |node, ctx| node.on_timer(ctx, token));
                 } else if self.nodes[dense as usize].is_some() {
                     // Defer instead of dropping: replayed on restart so the
@@ -822,7 +816,22 @@ impl ShardCore {
                     self.deferred_timers.entry(dense).or_default().push(token);
                 }
             }
-            ShardEvent::Fault { index } => self.apply_fault(index),
+            Event::Fault { index } => {
+                // Span IDs come from a per-action generator, so they are
+                // identical under any layout.
+                let action = self.faults[index].clone();
+                let tracer = SpanIdGen::new(DOMAIN_NET, index as u32 + 1);
+                let root = tracer.root();
+                if self.journals(&action) {
+                    self.telemetry
+                        .event("net.fault", self.now.as_micros())
+                        .field("action", action.label())
+                        .trace(root)
+                        .emit();
+                }
+                self.apply(&action, Some((&tracer, root)));
+            }
+            Event::Fluctuate { model, tick } => self.fluctuate(model, tick),
         }
     }
 
@@ -847,7 +856,7 @@ impl ShardCore {
                 NodeAction::SetTimer { delay, token } => {
                     let key = self.next_key(KIND_TIMER, dense);
                     let at = self.now + delay;
-                    self.queue.push(at, key, ShardEvent::Timer { host, token });
+                    self.queue.push(at, key, Event::Timer { host, token });
                 }
             }
         }
@@ -868,69 +877,13 @@ impl ShardCore {
             .emit();
     }
 
-    /// Routes one message: sender-owned directed link state, counter-hash
-    /// loss, full-duplex occupancy. Cross-shard deliveries go to `outbound`.
+    /// Routes one message: the live spec and up/down state from the topology
+    /// replica, counter-hash loss, one medium per direction. Cross-shard
+    /// deliveries go to `outbound`.
     fn dispatch_send(&mut self, src: HostId, dst: HostId, payload: Vec<u8>, size: u64) {
         self.counters.sent.inc();
         let src_dense = self.plan.dense(src);
-        if src == dst {
-            // Loopback: immediate delivery if the host is up.
-            self.stats.record_sent(NO_LINK_STATS);
-            if self.host_up[src_dense as usize] {
-                let key = self.next_key(KIND_DELIVER, src_dense);
-                let msg = Message {
-                    src,
-                    dst,
-                    payload,
-                    size,
-                    sent_at: self.now,
-                };
-                self.flights_started += 1;
-                self.queue.push(self.now, key, ShardEvent::Deliver { msg });
-            } else {
-                self.stats.record_disconnected(NO_LINK_STATS);
-                self.record_drop(src, dst, "host_down");
-            }
-            return;
-        }
-        let dst_dense = self.plan.dense(dst);
-        let ends_up = self.host_up[src_dense as usize] && self.host_up[dst_dense as usize];
-        let (seed, now) = (self.seed, self.now);
-        let at = Self::dir_index(&self.topology, src, dst);
-        // No configured link: the pair is still accounted, by its index.
-        let stats = match at.and_then(|at| self.dir_stats(at, src, dst)) {
-            Some(stats) => stats,
-            None => self.stats.slot(src, dst),
-        };
-        self.stats.record_sent(stats);
-        let deliver_at = match at.and_then(|at| self.dirs[at].as_mut()) {
-            None => None,
-            Some(link) if !link.up || !ends_up => None,
-            Some(link) => {
-                let counter = link.loss_counter;
-                link.loss_counter += 1;
-                if loss_roll(seed, src_dense, dst_dense, counter)
-                    >= link.reliability.clamp(0.0, 1.0)
-                {
-                    self.stats.record_loss(stats);
-                    self.record_drop(src, dst, "loss");
-                    return;
-                }
-                // The transmission starts when this direction frees up and
-                // holds it for the serialization time; propagation delay
-                // then overlaps the next transmission.
-                let free_at = link.busy_until.max(now);
-                let done = free_at + Duration::from_secs_f64(size as f64 / link.bandwidth);
-                link.busy_until = done;
-                Some(done + link.delay)
-            }
-        };
-        let Some(deliver_at) = deliver_at else {
-            self.stats.record_disconnected(stats);
-            self.record_drop(src, dst, "disconnected");
-            return;
-        };
-        let key = self.next_key(KIND_DELIVER, src_dense);
+        let now = self.now;
         let msg = Message {
             src,
             dst,
@@ -938,67 +891,102 @@ impl ShardCore {
             size,
             sent_at: now,
         };
+        if src == dst {
+            // Loopback: immediate delivery if the host is up.
+            self.stats.record_sent(NO_LINK_STATS);
+            if self.topology.host_is_up(src) {
+                let key = self.next_key(KIND_DELIVER, src_dense);
+                self.flights_started += 1;
+                self.queue.push(now, key, Event::Deliver { msg });
+            } else {
+                self.stats.record_disconnected(NO_LINK_STATS);
+                self.record_drop(src, dst, "host_down");
+            }
+            return;
+        }
+        let at = self.dir_at(src, dst);
+        // No configured link: the pair is still accounted, by its index.
+        let stats = match at {
+            Some(at) => self.dir_stats(at, src, dst),
+            None => self.stats.slot(src, dst),
+        };
+        self.stats.record_sent(stats);
+        let ends_up = self.topology.host_is_up(src) && self.topology.host_is_up(dst);
+        let live = at.and_then(|at| self.topology.link_at(at / 2));
+        let Some(spec) = live.filter(|link| link.up && ends_up).map(|link| link.spec) else {
+            self.stats.record_disconnected(stats);
+            self.record_drop(src, dst, "disconnected");
+            return;
+        };
+        let dst_dense = self.plan.dense(dst);
+        let dir = &mut self.dirs[at.expect("a live link has a slot")];
+        let counter = dir.loss_counter;
+        dir.loss_counter += 1;
+        let stream = (u64::from(src_dense) << 32) | u64::from(dst_dense);
+        if unit_draw(self.seed, stream, counter) >= spec.reliability.clamp(0.0, 1.0) {
+            self.stats.record_loss(stats);
+            self.record_drop(src, dst, "loss");
+            return;
+        }
+        // The transmission starts when this direction frees up and holds it
+        // for the serialization time; propagation delay then overlaps the
+        // next transmission.
+        let done = dir.busy_until.max(now) + Duration::from_secs_f64(size as f64 / spec.bandwidth);
+        dir.busy_until = done;
+        let deliver_at = done + Duration::from_secs_f64(spec.delay);
+        let key = self.next_key(KIND_DELIVER, src_dense);
         self.flights_started += 1;
         let dst_shard = self.plan.shard_of_dense(dst_dense);
         if dst_shard == self.idx {
-            self.queue
-                .push(deliver_at, key, ShardEvent::Deliver { msg });
+            self.queue.push(deliver_at, key, Event::Deliver { msg });
         } else {
             self.outbound[dst_shard].push((deliver_at, key, msg));
         }
     }
 
-    /// Which shard journals a given fault action. Host faults belong to the
-    /// host's shard, link faults to the lower endpoint's shard, partitions
-    /// to shard 0 — any fixed deterministic rule works; one shard emitting
-    /// keeps the merged journal identical to a single-shard run.
-    fn fault_journal_shard(&self, action: &FaultAction) -> usize {
-        match action {
+    /// Whether this shard journals a broadcast action. Host actions belong
+    /// to the host's shard, link actions to the lower endpoint's shard,
+    /// partitions to shard 0 — any fixed deterministic rule works; one shard
+    /// emitting keeps the merged journal identical to a single-shard run.
+    fn journals(&self, action: &FaultAction) -> bool {
+        let shard = match action {
             FaultAction::HostDown(h) | FaultAction::HostUp(h) => self.plan.shard_of(*h),
             FaultAction::PartitionStart(_) | FaultAction::PartitionHeal(_) => 0,
             FaultAction::Degrade { a, b, .. }
             | FaultAction::Restore(a, b)
             | FaultAction::LinkDown(a, b)
             | FaultAction::LinkUp(a, b) => self.plan.shard_of(HostPair::new(*a, *b).lo()),
-        }
+        };
+        shard == self.idx
     }
 
-    /// Applies one fault action. Every shard runs this (replicas must stay
-    /// in sync); only the designated shard journals. Span IDs come from a
-    /// per-action generator, so they are identical under any layout.
-    fn apply_fault(&mut self, index: usize) {
-        let action = self.faults[index].1.clone();
-        let tracer = SpanIdGen::new(DOMAIN_NET, index as u32 + 1);
-        let root = tracer.root();
-        let journal = self.fault_journal_shard(&action) == self.idx;
-        if journal {
-            self.telemetry
-                .event("net.fault", self.now.as_micros())
-                .field("action", action.label())
-                .trace(root)
-                .emit();
-        }
+    /// Applies one topology action to this shard's replica. Every shard runs
+    /// it (replicas must stay in sync); only the designated shard journals,
+    /// with each record a child span of `trace`'s root when it comes from a
+    /// fault plan.
+    fn apply(&mut self, action: &FaultAction, trace: Option<(&SpanIdGen, TraceCtx)>) {
+        let journal = self.journals(action);
+        let t_us = self.now.as_micros();
+        let child = || trace.map(|(tracer, root)| tracer.child(&root));
         match action {
-            FaultAction::HostDown(h) => self.fault_host_up(h, false, journal, &tracer, &root),
-            FaultAction::HostUp(h) => self.fault_host_up(h, true, journal, &tracer, &root),
+            FaultAction::HostDown(h) => self.set_host_up(*h, false, journal, child),
+            FaultAction::HostUp(h) => self.set_host_up(*h, true, journal, child),
             FaultAction::PartitionStart(groups) => {
-                self.apply_partition(&groups, false);
+                self.topology.partition(groups);
                 if journal {
                     self.telemetry
-                        .event("net.partition", self.now.as_micros())
+                        .event("net.partition", t_us)
                         .field("groups", groups.len())
                         .field("hosts", groups.iter().map(Vec::len).sum::<usize>())
-                        .trace(tracer.child(&root))
+                        .trace_opt(child())
                         .emit();
                 }
             }
             FaultAction::PartitionHeal(groups) => {
-                self.apply_partition(&groups, true);
+                self.topology.heal_between(groups);
                 if journal {
-                    self.telemetry
-                        .event("net.partition.heal", self.now.as_micros())
-                        .trace(tracer.child(&root))
-                        .emit();
+                    let heal = self.telemetry.event("net.partition.heal", t_us);
+                    heal.trace_opt(child()).emit();
                 }
             }
             FaultAction::Degrade {
@@ -1007,127 +995,106 @@ impl ShardCore {
                 reliability_factor,
                 bandwidth_factor,
             } => {
-                for link in self.owned_directions(a, b) {
-                    link.saved_spec
-                        .get_or_insert((link.reliability, link.bandwidth));
-                    link.reliability = (link.reliability * reliability_factor).clamp(0.0, 1.0);
-                    link.bandwidth = (link.bandwidth * bandwidth_factor).max(1.0);
+                if let Some(link) = self.topology.link_mut(*a, *b) {
+                    let spec = &mut link.spec;
+                    let saved = (spec.reliability, spec.bandwidth);
+                    self.degraded.entry(HostPair::new(*a, *b)).or_insert(saved);
+                    spec.reliability = (spec.reliability * reliability_factor).clamp(0.0, 1.0);
+                    spec.bandwidth = (spec.bandwidth * bandwidth_factor).max(1.0);
                 }
             }
             FaultAction::Restore(a, b) => {
-                for link in self.owned_directions(a, b) {
-                    if let Some((reliability, bandwidth)) = link.saved_spec.take() {
-                        link.reliability = reliability;
-                        link.bandwidth = bandwidth;
-                    }
+                let saved = self.degraded.remove(&HostPair::new(*a, *b));
+                if let (Some((reliability, bandwidth)), Some(link)) =
+                    (saved, self.topology.link_mut(*a, *b))
+                {
+                    link.spec.reliability = reliability;
+                    link.spec.bandwidth = bandwidth;
                 }
             }
-            FaultAction::LinkDown(a, b) => self.fault_link_up(a, b, false, journal, &tracer, &root),
-            FaultAction::LinkUp(a, b) => self.fault_link_up(a, b, true, journal, &tracer, &root),
+            FaultAction::LinkDown(a, b) | FaultAction::LinkUp(a, b) => {
+                let up = matches!(action, FaultAction::LinkUp(..));
+                self.topology.set_link_up(*a, *b, up);
+                if journal {
+                    self.telemetry
+                        .event("net.link.state", t_us)
+                        .field("a", a.raw())
+                        .field("b", b.raw())
+                        .field("up", up)
+                        .trace_opt(child())
+                        .emit();
+                }
+            }
         }
     }
 
-    /// The directions of link `a ↔ b` whose source this shard owns.
-    fn owned_directions(&mut self, a: HostId, b: HostId) -> impl Iterator<Item = &mut LinkDir> {
-        let both = match Self::dir_index(&self.topology, a.min(b), a.max(b)) {
-            Some(at) => &mut self.dirs[at..at + 2],
-            None => &mut [],
-        };
-        both.iter_mut().flatten()
-    }
-
-    fn fault_host_up(
+    fn set_host_up(
         &mut self,
         host: HostId,
         up: bool,
         journal: bool,
-        tracer: &SpanIdGen,
-        root: &TraceCtx,
+        child: impl Fn() -> Option<TraceCtx>,
     ) {
         let dense = self.plan.dense(host);
-        let was_up = self.host_up[dense as usize];
-        self.host_up[dense as usize] = up;
+        let was_up = self.topology.host_is_up(host);
+        self.topology.set_host_up(host, up);
+        let t_us = self.now.as_micros();
         if journal {
             self.telemetry
-                .event("net.host.state", self.now.as_micros())
+                .event("net.host.state", t_us)
                 .field("host", host.raw())
                 .field("up", up)
-                .trace(tracer.child(root))
+                .trace_opt(child())
                 .emit();
         }
         if up && self.plan.shard_of_dense(dense) == self.idx {
-            // Restart hook before deferred replay: same ordering contract as
-            // `Simulator::set_host_up`, so sharded runs recover identically.
+            // The restart hook runs first: the node rebuilds its state
+            // (durable replay) before any deferred timer fires and before
+            // any same-instant queued event is delivered. A redundant "up"
+            // on a host that never went down is not a restart.
             if !was_up {
                 self.run_callback(host, |node, ctx| node.on_restart(ctx));
             }
             if let Some(tokens) = self.deferred_timers.remove(&dense) {
                 if journal {
                     self.telemetry
-                        .event("net.host.timer.replay", self.now.as_micros())
+                        .event("net.host.timer.replay", t_us)
                         .field("host", host.raw())
                         .field("timers", tokens.len())
-                        .trace(tracer.child(root))
+                        .trace_opt(child())
                         .emit();
                 }
                 for token in tokens {
                     let key = self.next_key(KIND_TIMER, dense);
-                    let at = self.now;
-                    self.queue.push(at, key, ShardEvent::Timer { host, token });
+                    self.queue.push(self.now, key, Event::Timer { host, token });
                 }
             }
         }
     }
 
-    fn fault_link_up(
-        &mut self,
-        a: HostId,
-        b: HostId,
-        up: bool,
-        journal: bool,
-        tracer: &SpanIdGen,
-        root: &TraceCtx,
-    ) {
-        for link in self.owned_directions(a, b) {
-            link.up = up;
+    /// Applies tick `tick` of fluctuation model `model` to every live link
+    /// of the replica and schedules the next tick. Each link's draw hashes
+    /// `(seed, model, tick, slot)`, so the result is layout-invariant.
+    fn fluctuate(&mut self, model: usize, tick: u64) {
+        let (interval, fluctuation) = self.fluctuations[model].clone();
+        let stream = FLUCTUATION_STREAM | (model as u64) << 32;
+        for (slot, link) in self.topology.slots_mut() {
+            let draw = unit_draw(self.seed, stream | slot as u64, tick);
+            fluctuation.perturb(link, draw);
         }
-        if journal {
+        if self.idx == 0 {
             self.telemetry
-                .event("net.link.state", self.now.as_micros())
-                .field("a", a.raw())
-                .field("b", b.raw())
-                .field("up", up)
-                .trace(tracer.child(root))
+                .event("net.fluctuation", self.now.as_micros())
+                .field("index", model)
+                .field("model", fluctuation.name().to_owned())
                 .emit();
         }
-    }
-
-    /// Applies a partition (or its heal) to this shard's directed links.
-    fn apply_partition(&mut self, groups: &[Vec<HostId>], heal: bool) {
-        let mut group_of: BTreeMap<HostId, usize> = BTreeMap::new();
-        for (i, group) in groups.iter().enumerate() {
-            for h in group {
-                group_of.insert(*h, i);
-            }
-        }
-        for (pair, _) in self.topology.links() {
-            let (Some(x), Some(y)) = (group_of.get(&pair.lo()), group_of.get(&pair.hi())) else {
-                continue;
-            };
-            let at = Self::dir_index(&self.topology, pair.lo(), pair.hi()).expect("listed link");
-            for link in self.dirs[at..at + 2].iter_mut().flatten() {
-                if heal {
-                    // Re-raise exactly the cross-group links; same-group
-                    // links keep their state (a concurrent link-down fault
-                    // survives a partition heal).
-                    if x != y {
-                        link.up = true;
-                    }
-                } else {
-                    link.up = x == y;
-                }
-            }
-        }
+        let key = pack_key(KIND_BROADCAST, 1 + model as u32, tick + 1);
+        let next = Event::Fluctuate {
+            model,
+            tick: tick + 1,
+        };
+        self.queue.push(self.now + interval, key, next);
     }
 }
 
@@ -1141,8 +1108,8 @@ impl ShardCore {
 /// * Each shard journals into its own [`Telemetry`] handle (install with
 ///   [`ShardedSimulator::set_telemetry`]); export the merged global journal
 ///   with [`ShardedSimulator::export_merged_jsonl`].
-/// * The topology is fixed at construction (plus fault actions); fluctuation
-///   models and runtime link edits are not supported.
+/// * Fault plans, fluctuation models and link edits between runs are
+///   broadcast to every shard's topology replica.
 pub struct ShardedSimulator {
     plan: Arc<ShardPlan>,
     cores: Vec<ShardCore>,
@@ -1178,8 +1145,8 @@ impl std::fmt::Debug for ShardedSimulator {
 
 impl ShardedSimulator {
     /// Builds a sharded simulator over `topology`, partitioned into
-    /// `shards` shards (see [`ShardPlan::partition`]). Link state is frozen
-    /// from the topology at this point.
+    /// `shards` shards (see [`ShardPlan::partition`]). Every shard starts
+    /// from a replica of the topology.
     pub fn new(seed: u64, topology: &NetworkTopology, shards: usize) -> Self {
         Self::with_plan(
             seed,
@@ -1190,9 +1157,8 @@ impl ShardedSimulator {
 
     /// Builds a sharded simulator with an explicit placement plan.
     pub fn with_plan(seed: u64, topology: &NetworkTopology, plan: Arc<ShardPlan>) -> Self {
-        let topology = Arc::new(topology.clone());
         let cores = (0..plan.shards())
-            .map(|idx| ShardCore::new(idx, seed, plan.clone(), topology.clone()))
+            .map(|idx| ShardCore::new(idx, seed, plan.clone(), topology))
             .collect();
         let shared = Arc::new(Shared {
             mailboxes: (0..plan.shards()).map(|_| Mutex::default()).collect(),
@@ -1219,27 +1185,124 @@ impl ShardedSimulator {
         self.now
     }
 
-    /// Registers a node on `host` (which must exist in the topology the
-    /// simulator was built from) and schedules its [`Node::on_start`].
+    /// The live topology: link specs, link and host up/down as broadcast
+    /// actions left them (every shard holds the same replica between runs).
+    pub(crate) fn topology(&self) -> &NetworkTopology {
+        &self.cores[0].topology
+    }
+
+    /// Registers a node on `host` and schedules its [`Node::on_start`]. A
+    /// one-shard simulator registers a host it does not know yet.
     ///
     /// # Panics
     ///
-    /// Panics if the host is unknown or already carries a node.
+    /// Panics if the host already carries a node, or is unknown to a plan of
+    /// several shards.
     pub fn add_host(&mut self, host: HostId, node: impl Node) {
+        self.add_boxed(host, Box::new(node));
+    }
+
+    pub(crate) fn add_boxed(&mut self, host: HostId, node: Box<dyn Node>) {
+        self.register(host);
         let dense = self.plan.dense(host);
-        let shard = self.plan.shard_of_dense(dense);
         let now = self.now;
-        let core = &mut self.cores[shard];
+        let core = &mut self.cores[self.plan.shard_of_dense(dense)];
+        let slot = &mut core.nodes[dense as usize];
+        assert!(slot.is_none(), "host {host} already has a node");
+        *slot = Some(node);
+        let key = pack_key(KIND_START, dense, 0);
+        core.queue.push(now, key, Event::Start { host });
+    }
+
+    /// Adds `host` to a one-shard plan that lacks it (see [`ShardPlan`]).
+    fn register(&mut self, host: HostId) {
+        if self.plan.try_dense(host).is_some() {
+            return;
+        }
+        let mut plan = ShardPlan::clone(&self.plan);
+        plan.push(host);
+        self.plan = Arc::new(plan);
+        for core in &mut self.cores {
+            core.plan = self.plan.clone();
+            core.nodes.push(None);
+            core.host_seq.push(0);
+            core.topology.add_host(host);
+        }
+    }
+
+    /// Creates or replaces the link between `a` and `b` on every shard's
+    /// replica, between runs. A one-shard simulator registers hosts it does
+    /// not know yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is invalid, `a == b`, an endpoint is unknown to a
+    /// plan of several shards, or the link crosses shards with a delay below
+    /// the lookahead (see the [module docs](self)).
+    pub fn set_link(&mut self, a: HostId, b: HostId, spec: LinkSpec) {
+        self.register(a);
+        self.register(b);
+        let lookahead_us = self.plan.lookahead_us;
         assert!(
-            core.nodes[dense as usize].is_none(),
-            "host {host} already has a node"
+            self.plan.shard_of(a) == self.plan.shard_of(b)
+                || (spec.delay * 1e6) as u64 >= lookahead_us,
+            "link {a}-{b} would shorten the lookahead of {lookahead_us} µs"
         );
-        core.nodes[dense as usize] = Some(Box::new(node));
-        core.queue.push(
-            now,
-            pack_key(KIND_START, dense, 0),
-            ShardEvent::Start { host },
+        for core in &mut self.cores {
+            core.topology.set_link(a, b, spec);
+            let dirs = 2 * core.topology.link_slot_count();
+            core.dirs.resize(dirs, FRESH_DIR);
+        }
+    }
+
+    /// Applies a topology action to every shard now, between runs, and
+    /// journals it untraced — the one-shard face's direct topology calls.
+    pub(crate) fn apply(&mut self, action: &FaultAction) {
+        for core in &mut self.cores {
+            core.apply(action, None);
+            core.flush(&self.shared.mailboxes);
+        }
+    }
+
+    /// Sends a message from outside any node, now, between runs.
+    pub(crate) fn inject(&mut self, src: HostId, dst: HostId, payload: Vec<u8>, size: u64) {
+        let core = &mut self.cores[self.plan.shard_of(src)];
+        core.dispatch_send(src, dst, payload, size);
+        core.flush(&self.shared.mailboxes);
+    }
+
+    /// Installs a fluctuation model applied every `interval`, from now on.
+    /// Each tick is broadcast to every shard; model `m`'s draw for link slot
+    /// `s` at its tick `t` hashes `(seed, m, t, s)` (see the
+    /// [module docs](self)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero.
+    pub fn add_fluctuation(&mut self, interval: Duration, model: impl FluctuationModel) {
+        assert!(
+            interval > Duration::ZERO,
+            "fluctuation interval must be positive"
         );
+        let model: Arc<dyn FluctuationModel> = Arc::new(model);
+        let at = self.now + interval;
+        for core in &mut self.cores {
+            let index = core.fluctuations.len();
+            core.fluctuations.push((interval, model.clone()));
+            let key = pack_key(KIND_BROADCAST, 1 + index as u32, 0);
+            let tick = Event::Fluctuate {
+                model: index,
+                tick: 0,
+            };
+            core.queue.push(at, key, tick);
+        }
+    }
+
+    /// When the earliest queued event is due, if any (at one shard nothing
+    /// waits in a mailbox).
+    pub(crate) fn next_event_time(&mut self) -> Option<SimTime> {
+        let pending = self.cores.iter_mut().filter_map(|c| c.queue.peek_time());
+        pending.min()
     }
 
     /// Installs per-shard telemetry handles (one per shard, index-aligned).
@@ -1274,25 +1337,26 @@ impl ShardedSimulator {
         redep_telemetry::merge_export_jsonl(&handles)
     }
 
-    /// Installs a fault plan. Every expanded action is broadcast into every
-    /// shard's queue under the same key (all replicas apply it; one shard
-    /// journals it) — see the [module docs](self).
+    /// Installs a fault plan: every episode is expanded into timed topology
+    /// actions ([`FaultPlan::expand`]), each broadcast into every shard's
+    /// queue under the same key (all replicas apply it; one shard journals
+    /// it as `net.fault`, the root of a trace the effects link back to) —
+    /// see the [module docs](self). Times are absolute simulated seconds;
+    /// actions already in the past run at the current instant. Plans
+    /// installed later add to the earlier ones.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
+        let expanded = plan.expand();
+        let first = self.cores[0].faults.len();
+        let mut faults = Vec::clone(&self.cores[0].faults);
+        faults.extend(expanded.iter().map(|(_, action)| action.clone()));
+        let faults = Arc::new(faults);
         let start = self.now;
-        let expanded = Arc::new(
-            plan.expand()
-                .into_iter()
-                .map(|(t, a)| (t.max(start), a))
-                .collect::<Vec<_>>(),
-        );
         for core in &mut self.cores {
-            core.faults = expanded.clone();
-            for (index, (time, _)) in expanded.iter().enumerate() {
-                core.queue.push(
-                    *time,
-                    pack_key(KIND_FAULT, 0, index as u64),
-                    ShardEvent::Fault { index },
-                );
+            core.faults = faults.clone();
+            for (index, (time, _)) in (first..).zip(&expanded) {
+                let key = pack_key(KIND_BROADCAST, 0, index as u64);
+                core.queue
+                    .push((*time).max(start), key, Event::Fault { index });
             }
         }
     }
@@ -1307,29 +1371,45 @@ impl ShardedSimulator {
         total
     }
 
-    /// Messages accepted by the network but not yet delivered: pending
-    /// deliveries in the shard queues (between [`run_until`](Self::run_until)
-    /// calls the mailboxes and outbound buffers are empty). With the merged
-    /// statistics this makes conservation checkable whenever the simulator
-    /// is stopped: `sent == delivered + dropped + in_flight`, as on
-    /// [`Simulator::in_flight`](crate::Simulator::in_flight).
+    /// Messages accepted by the network but not yet delivered. With the
+    /// merged statistics this makes conservation checkable whenever the
+    /// simulator is stopped: `sent == delivered + dropped + in_flight`.
     pub fn in_flight(&self) -> usize {
         let started: u64 = self.cores.iter().map(|c| c.flights_started).sum();
         let landed: u64 = self.cores.iter().map(|c| c.flights_landed).sum();
         (started - landed) as usize
     }
 
-    /// Borrows the node on `host`, downcast to its concrete type.
+    /// The statistics one shard gathered (at one shard: all of them).
+    pub(crate) fn shard_stats(&self, shard: usize) -> &NetStats {
+        &self.cores[shard].stats
+    }
+
+    /// The first shard's telemetry handle — at one shard the only one, and
+    /// where engine-wide gauges go ([`Self::publish_gauges`]).
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.cores[0].telemetry
+    }
+
+    /// Folds the merged ground-truth [`NetStats`] into the first shard's
+    /// `net.truth.*` gauges (see [`NetStats::publish_gauges`]).
+    pub fn publish_gauges(&self) {
+        self.stats().publish_gauges(self.telemetry().metrics());
+    }
+
+    /// Borrows the node on `host`, downcast to its concrete type (`None`
+    /// also for a host the simulator does not know).
     pub fn node_ref<T: Node>(&self, host: HostId) -> Option<&T> {
-        let dense = self.plan.dense(host);
+        let dense = self.plan.try_dense(host)?;
         self.cores[self.plan.shard_of_dense(dense)].nodes[dense as usize]
             .as_deref()
             .and_then(|n| (n as &dyn Any).downcast_ref::<T>())
     }
 
-    /// Mutably borrows the node on `host`, downcast to its concrete type.
+    /// Mutably borrows the node on `host`, downcast to its concrete type
+    /// (`None` also for a host the simulator does not know).
     pub fn node_mut<T: Node>(&mut self, host: HostId) -> Option<&mut T> {
-        let dense = self.plan.dense(host);
+        let dense = self.plan.try_dense(host)?;
         self.cores[self.plan.shard_of_dense(dense)].nodes[dense as usize]
             .as_deref_mut()
             .and_then(|n| (n as &mut dyn Any).downcast_mut::<T>())
@@ -1798,6 +1878,58 @@ mod tests {
     }
 
     use crate::faultplan::FaultKind;
+    use crate::fluctuation::{MarkovLinkChurn, RandomWalkFluctuation};
+
+    #[test]
+    fn unknown_hosts_have_no_node() {
+        let mut sim = gossip_sim(&ring(4, 0.001), 2, 1);
+        assert!(sim.node_ref::<Gossip>(h(2)).is_some());
+        assert!(sim.node_ref::<Gossip>(h(9)).is_none());
+        assert!(sim.node_mut::<Gossip>(h(4)).is_none());
+        assert!(sim.node_mut::<Sink>(h(1)).is_none(), "wrong type");
+    }
+
+    #[test]
+    #[should_panic(expected = "would shorten the lookahead")]
+    fn a_link_edit_that_would_shorten_the_lookahead_panics() {
+        let mut sim = gossip_sim(&ring(4, 0.002), 2, 1);
+        // Same-shard edits and cross-shard ones at the lookahead are fine.
+        let (a, b) = (h(0), h(2));
+        assert_eq!(sim.plan().shard_of(a), sim.plan().shard_of(b));
+        sim.set_link(a, b, LinkSpec::default());
+        let slow = LinkSpec {
+            delay: 0.002,
+            ..LinkSpec::default()
+        };
+        sim.set_link(h(0), h(1), slow);
+        sim.run_until(SimTime::from_secs_f64(0.1), 2);
+        sim.set_link(h(0), h(1), LinkSpec::default());
+    }
+
+    #[test]
+    fn journals_identical_across_shard_and_thread_counts_under_fluctuation() {
+        let run = |shards: usize, threads: usize| {
+            let mut sim = faulty_gossip_sim(shards);
+            sim.add_fluctuation(Duration::from_millis(40), MarkovLinkChurn::new(0.2, 0.5));
+            sim.add_fluctuation(Duration::from_millis(90), RandomWalkFluctuation::new(0.3));
+            sim.run_until(SimTime::from_secs_f64(1.0), threads);
+            sim.run_until(SimTime::from_secs_f64(2.0), threads);
+            let topology = sim.topology().clone();
+            (sim.export_merged_jsonl(), sim.stats(), topology)
+        };
+        let reference = run(1, 1);
+        assert!(reference.0.contains("net.fluctuation"));
+        assert!(reference.2.links().any(|(_, l)| l.spec.reliability < 1.0));
+        for shards in [1, 2, 8] {
+            for threads in [1, 2, 8] {
+                assert_eq!(
+                    run(shards, threads),
+                    reference,
+                    "{shards} shards, {threads} threads"
+                );
+            }
+        }
+    }
 
     #[test]
     fn barrier_lets_nobody_pass_early() {
@@ -2014,7 +2146,8 @@ mod tests {
         /// The tentpole gate: an arbitrary topology partitioned into
         /// k ∈ 1..=8 shards produces journals byte-identical to the
         /// single-shard run — including under an active fault plan whose
-        /// crash and partition cross shard boundaries.
+        /// crash and partition cross shard boundaries, and a fluctuation
+        /// model (link churn or a reliability walk) ticking on every shard.
         #[test]
         fn arbitrary_topologies_shard_transparently(
             hosts in 3u32..10,
@@ -2022,6 +2155,7 @@ mod tests {
             seed in 0u64..1000,
             shards in 2usize..=8,
             crash_host in 0u32..10,
+            churn in any::<bool>(),
         ) {
             // A connected ring plus arbitrary chords with 1–4 ms delays.
             let mut topo = ring(hosts, 0.001);
@@ -2046,6 +2180,11 @@ mod tests {
             let run = |k: usize| {
                 let mut sim = gossip_sim(&topo, k, seed);
                 sim.install_fault_plan(&plan);
+                if churn {
+                    sim.add_fluctuation(Duration::from_millis(70), MarkovLinkChurn::new(0.3, 0.6));
+                } else {
+                    sim.add_fluctuation(Duration::from_millis(50), RandomWalkFluctuation::new(0.2));
+                }
                 sim.run_until(SimTime::from_secs_f64(1.0), k.min(2));
                 (sim.export_merged_jsonl(), sim.stats())
             };

@@ -1,179 +1,112 @@
-//! The discrete-event simulation loop.
+//! The one-shard face of the simulation engine.
+//!
+//! [`Simulator`] is [`ShardedSimulator`] at one shard — the same event loop,
+//! loss draws, per-direction media and broadcast actions. On top it offers
+//! what a single-threaded driver wants: hosts and links registered one by
+//! one with no topology built first, and direct topology calls between runs
+//! (crash a host, cut a partition, take a link down).
 
-use crate::calendar::CalendarQueue;
 use crate::faultplan::{FaultAction, FaultPlan};
 use crate::fluctuation::FluctuationModel;
-use crate::message::Message;
-use crate::node::{Node, NodeAction, NodeCtx};
-use crate::stats::{NetStats, NO_LINK_STATS};
+use crate::node::Node;
+use crate::shard::ShardedSimulator;
+use crate::stats::NetStats;
 use crate::time::{Duration, SimTime};
 use crate::topology::{LinkSpec, NetworkTopology};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use redep_model::HostId;
-use redep_telemetry::{trace::DOMAIN_NET, Counter, SpanIdGen, Telemetry, TraceCtx};
+use redep_telemetry::Telemetry;
 use std::any::Any;
-use std::collections::BTreeMap;
 
-/// The simulator's state for one link slot of the topology.
-#[derive(Clone, Copy)]
-struct LinkSide {
-    /// Medium occupancy: transmissions serialize behind each other
-    /// (half-duplex), so bursts over thin links experience queueing delay.
-    busy_until: SimTime,
-    /// The pair's slot in [`NetStats`], resolved on the first send.
-    stats: u32,
-}
-
-/// What happens at a scheduled instant.
-#[derive(Debug)]
-enum Event {
-    Start { host: HostId },
-    Deliver { msg: Message },
-    Timer { host: HostId, token: u64 },
-    Fluctuate { index: usize },
-    Fault { action: FaultAction, ctx: TraceCtx },
-}
-
-/// Counter handles cached at telemetry install time, so the per-message hot
-/// path is a relaxed atomic increment and never touches the registry lock.
-struct NetCounters {
-    sent: Counter,
-    delivered: Counter,
-    dropped_loss: Counter,
-    dropped_disconnected: Counter,
-}
-
-impl NetCounters {
-    fn new(telemetry: &Telemetry) -> Self {
-        let metrics = telemetry.metrics();
-        NetCounters {
-            sent: metrics.counter("net.sent"),
-            delivered: metrics.counter("net.delivered"),
-            dropped_loss: metrics.counter("net.dropped_loss"),
-            dropped_disconnected: metrics.counter("net.dropped_disconnected"),
-        }
-    }
-}
-
-/// A deterministic discrete-event network simulator.
+/// A deterministic discrete-event network simulator: the engine at one
+/// shard. See the [crate docs](crate) for an end-to-end example.
 ///
-/// See the [crate docs](crate) for an end-to-end example.
+/// The shard plan — dense host indices, hence packed event keys — is built
+/// from the hosts and links registered so far at the first run, or at the
+/// first call that acts on the network, exactly as
+/// [`ShardPlan::partition`](crate::ShardPlan::partition) builds it. A run is
+/// therefore byte-identical to a [`ShardedSimulator`] run over the same
+/// topology at any shard and thread count.
 pub struct Simulator {
-    now: SimTime,
-    seq: u64,
-    /// Pending events in a calendar queue (bucketed time-wheel): O(1)
-    /// schedule and amortized O(1) pop for the near-future timer swarm, with
-    /// pop order identical to the `BinaryHeap` it replaced — see
-    /// [`CalendarQueue`].
-    queue: CalendarQueue<Event>,
-    /// Count of scheduled-but-unprocessed [`Event::Deliver`] entries,
-    /// maintained incrementally so [`Simulator::in_flight`] is O(1) instead
-    /// of an O(n) queue scan.
-    deliver_in_flight: usize,
-    /// Node behaviors by raw host id.
-    nodes: Vec<Option<Box<dyn Node>>>,
+    seed: u64,
+    engine: ShardedSimulator,
+    /// What was registered before the plan was built (`None` after).
+    staged: Option<Staged>,
+}
+
+/// Hosts, links and nodes registered before the plan was built.
+#[derive(Default)]
+struct Staged {
     topology: NetworkTopology,
-    rng: ChaCha8Rng,
-    stats: NetStats,
-    fluctuations: Vec<(Duration, Box<dyn FluctuationModel>)>,
-    /// Per-link state by topology link slot, grown as links are first used
-    /// (the topology may gain links mid-run through `topology_mut`).
-    link_sides: Vec<LinkSide>,
-    /// Timers that fired while their host was down, kept in firing order and
-    /// replayed when the host comes back up. Without this a restarted host
-    /// would have lost every periodic loop (retransmit, ping, monitoring)
-    /// forever — the silent-stall failure mode fault plans exist to expose.
-    deferred_timers: BTreeMap<HostId, Vec<u64>>,
-    /// Original link specs saved by [`FaultAction::Degrade`], restored at
-    /// episode end.
-    degraded_specs: BTreeMap<redep_model::HostPair, LinkSpec>,
-    scratch: Vec<NodeAction>,
-    telemetry: Telemetry,
-    counters: NetCounters,
-    /// Deterministic span IDs for fault traces (domain [`DOMAIN_NET`]).
-    tracer: SpanIdGen,
-    /// The fault action currently being applied; topology events emitted
-    /// while it is set (host/link state, partitions, timer replays) become
-    /// child spans of that fault, linking cause to effect in the journal.
-    fault_ctx: Option<TraceCtx>,
+    nodes: Vec<(HostId, Box<dyn Node>)>,
 }
 
 impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
-            .field("now", &self.now)
-            .field("hosts", &self.nodes.iter().flatten().count())
-            .field("pending_events", &self.queue.len())
+            .field("staged", &self.staged.is_some())
+            .field("engine", &self.engine)
             .finish()
     }
 }
 
 impl Simulator {
-    /// Creates a simulator with the given RNG seed and an empty topology.
+    /// Creates a simulator with the given seed and an empty topology.
     /// Telemetry starts as a no-op sink; see [`Simulator::set_telemetry`].
     pub fn new(seed: u64) -> Self {
-        let telemetry = Telemetry::disabled();
-        let counters = NetCounters::new(&telemetry);
         Simulator {
-            now: SimTime::ZERO,
-            seq: 0,
-            queue: CalendarQueue::new(),
-            deliver_in_flight: 0,
-            nodes: Vec::new(),
-            topology: NetworkTopology::new(),
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            stats: NetStats::new(),
-            fluctuations: Vec::new(),
-            link_sides: Vec::new(),
-            deferred_timers: BTreeMap::new(),
-            degraded_specs: BTreeMap::new(),
-            scratch: Vec::new(),
-            telemetry,
-            counters,
-            tracer: SpanIdGen::new(DOMAIN_NET, 0),
-            fault_ctx: None,
+            seed,
+            engine: ShardedSimulator::new(seed, &NetworkTopology::new(), 1),
+            staged: Some(Staged::default()),
         }
     }
 
+    /// The engine, its plan built from the staged hosts and links first if
+    /// that has not happened yet.
+    fn engine(&mut self) -> &mut ShardedSimulator {
+        if let Some(staged) = self.staged.take() {
+            self.engine = ShardedSimulator::new(self.seed, &staged.topology, 1);
+            for (host, node) in staged.nodes {
+                self.engine.add_boxed(host, node);
+            }
+        }
+        &mut self.engine
+    }
+
     /// Installs a telemetry handle. Counters for the message hot path are
-    /// re-cached from the handle's registry, so installation should happen
+    /// cached from the handle's registry, so installation should happen
     /// before the run starts (counts recorded under the previous handle stay
     /// with that handle's registry).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.counters = NetCounters::new(&telemetry);
-        self.telemetry = telemetry;
+        self.engine().set_telemetry(vec![telemetry]);
     }
 
     /// The telemetry handle (a disabled no-op sink unless one was installed).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.engine.telemetry()
     }
 
     /// Folds the ground-truth [`NetStats`] into the telemetry registry's
     /// `net.truth.*` gauges (see [`NetStats::publish_gauges`]).
     pub fn publish_gauges(&self) {
-        self.stats.publish_gauges(self.telemetry.metrics());
+        self.engine.publish_gauges();
     }
 
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.engine.now()
     }
 
     /// The live network topology.
     pub fn topology(&self) -> &NetworkTopology {
-        &self.topology
-    }
-
-    /// The live network topology, for runtime edits (fault injection etc.).
-    pub fn topology_mut(&mut self) -> &mut NetworkTopology {
-        &mut self.topology
+        match &self.staged {
+            Some(staged) => &staged.topology,
+            None => self.engine.topology(),
+        }
     }
 
     /// Ground-truth statistics gathered so far.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        self.engine.shard_stats(0)
     }
 
     /// Messages accepted by the network but not yet delivered (scheduled
@@ -181,7 +114,7 @@ impl Simulator {
     /// this makes conservation checkable at any instant:
     /// `sent == delivered + dropped + in_flight`.
     pub fn in_flight(&self) -> usize {
-        self.deliver_in_flight
+        self.engine.in_flight()
     }
 
     /// Registers a node on `host` and schedules its [`Node::on_start`].
@@ -190,14 +123,13 @@ impl Simulator {
     ///
     /// Panics if the host already carries a node.
     pub fn add_host(&mut self, host: HostId, node: impl Node) {
-        assert!(!self.has_node(host), "host {host} already has a node");
-        self.topology.add_host(host);
-        let raw = host.raw() as usize;
-        if self.nodes.len() <= raw {
-            self.nodes.resize_with(raw + 1, || None);
-        }
-        self.nodes[raw] = Some(Box::new(node));
-        self.schedule(self.now, Event::Start { host });
+        let Some(staged) = &mut self.staged else {
+            return self.engine.add_host(host, node);
+        };
+        let taken = staged.nodes.iter().any(|(h, _)| *h == host);
+        assert!(!taken, "host {host} already has a node");
+        staged.topology.add_host(host);
+        staged.nodes.push((host, Box::new(node)));
     }
 
     /// Creates or replaces the link between `a` and `b`.
@@ -206,416 +138,110 @@ impl Simulator {
     ///
     /// Panics if the spec is invalid or `a == b`.
     pub fn set_link(&mut self, a: HostId, b: HostId, spec: LinkSpec) {
-        self.topology.set_link(a, b, spec);
+        match &mut self.staged {
+            Some(staged) => staged.topology.set_link(a, b, spec),
+            None => self.engine.set_link(a, b, spec),
+        }
     }
 
     /// Marks a link up or down.
     pub fn set_link_up(&mut self, a: HostId, b: HostId, up: bool) {
-        self.topology.set_link_up(a, b, up);
-        let ctx = self.fault_child();
-        self.telemetry
-            .event("net.link.state", self.now.as_micros())
-            .field("a", a.raw())
-            .field("b", b.raw())
-            .field("up", up)
-            .trace_opt(ctx)
-            .emit();
-    }
-
-    /// A child context under the fault action currently being applied, if
-    /// any. Only called off the hot path (topology changes, replays).
-    fn fault_child(&self) -> Option<TraceCtx> {
-        self.fault_ctx.map(|ctx| self.tracer.child(&ctx))
+        let action = if up {
+            FaultAction::LinkUp(a, b)
+        } else {
+            FaultAction::LinkDown(a, b)
+        };
+        self.engine().apply(&action);
     }
 
     /// Marks a host up or down. A down host receives neither messages nor
     /// timer callbacks; messages are dropped, timers are deferred and replay
     /// immediately when the host comes back up (so periodic loops resume
-    /// after a restart instead of dying with the crash).
+    /// after a restart instead of dying with the crash), right after the
+    /// node's [`Node::on_restart`] hook.
     pub fn set_host_up(&mut self, host: HostId, up: bool) {
-        let was_up = self.topology.host_is_up(host);
-        self.topology.set_host_up(host, up);
-        let ctx = self.fault_child();
-        self.telemetry
-            .event("net.host.state", self.now.as_micros())
-            .field("host", host.raw())
-            .field("up", up)
-            .trace_opt(ctx)
-            .emit();
-        if up {
-            // Restart hook first: the node rebuilds its state (durable
-            // replay) before any deferred timer fires and before any
-            // same-instant queued event is delivered. A redundant "up" on a
-            // host that never went down is not a restart.
-            if !was_up {
-                self.run_callback(host, |node, ctx| node.on_restart(ctx));
-            }
-            if let Some(tokens) = self.deferred_timers.remove(&host) {
-                let replay_ctx = self.fault_child();
-                self.telemetry
-                    .event("net.host.timer.replay", self.now.as_micros())
-                    .field("host", host.raw())
-                    .field("timers", tokens.len())
-                    .trace_opt(replay_ctx)
-                    .emit();
-                for token in tokens {
-                    self.schedule(self.now, Event::Timer { host, token });
-                }
-            }
-        }
+        let action = if up {
+            FaultAction::HostUp(host)
+        } else {
+            FaultAction::HostDown(host)
+        };
+        self.engine().apply(&action);
     }
 
     /// Partitions the network (see [`NetworkTopology::partition`]).
     pub fn partition(&mut self, groups: &[Vec<HostId>]) {
-        self.topology.partition(groups);
-        let ctx = self.fault_child();
-        self.telemetry
-            .event("net.partition", self.now.as_micros())
-            .field("groups", groups.len())
-            .field("hosts", groups.iter().map(Vec::len).sum::<usize>())
-            .trace_opt(ctx)
-            .emit();
+        self.engine()
+            .apply(&FaultAction::PartitionStart(groups.to_vec()));
     }
 
-    /// Heals all partitions.
+    /// Heals all partitions: every link comes back up.
     pub fn heal(&mut self) {
-        self.topology.heal();
-        let ctx = self.fault_child();
-        self.telemetry
-            .event("net.partition.heal", self.now.as_micros())
-            .trace_opt(ctx)
-            .emit();
+        let engine = self.engine();
+        let each_alone = engine.plan().hosts().iter().map(|h| vec![*h]).collect();
+        engine.apply(&FaultAction::PartitionHeal(each_alone));
     }
 
-    /// Installs a fault plan: every episode is expanded into timed topology
-    /// actions on the event queue ([`FaultPlan::expand`]). Times are absolute
-    /// simulated seconds; actions already in the past run at the current
-    /// instant, preserving their relative order. Each applied action emits a
-    /// `net.fault` telemetry event, so a journal replays the fault history.
+    /// Installs a fault plan (see [`ShardedSimulator::install_fault_plan`]).
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        for (time, action) in plan.expand() {
-            // Each action roots its own trace; everything it knocks over
-            // (host/link state, partitions, deferred-timer replays) links
-            // back to it as child spans.
-            let ctx = self.tracer.root();
-            self.schedule(time.max(self.now), Event::Fault { action, ctx });
-        }
+        self.engine().install_fault_plan(plan);
     }
 
-    /// Applies one primitive fault action to the live topology.
-    fn apply_fault(&mut self, action: FaultAction, ctx: TraceCtx) {
-        self.telemetry
-            .event("net.fault", self.now.as_micros())
-            .field("action", action.label())
-            .trace(ctx)
-            .emit();
-        self.fault_ctx = Some(ctx);
-        match action {
-            FaultAction::HostDown(h) => self.set_host_up(h, false),
-            FaultAction::HostUp(h) => self.set_host_up(h, true),
-            FaultAction::PartitionStart(groups) => self.partition(&groups),
-            FaultAction::PartitionHeal(groups) => {
-                self.topology.heal_between(&groups);
-                let child = self.fault_child();
-                self.telemetry
-                    .event("net.partition.heal", self.now.as_micros())
-                    .trace_opt(child)
-                    .emit();
-            }
-            FaultAction::Degrade {
-                a,
-                b,
-                reliability_factor,
-                bandwidth_factor,
-            } => {
-                let pair = redep_model::HostPair::new(a, b);
-                if let Some(state) = self.topology.link_mut(a, b) {
-                    self.degraded_specs.entry(pair).or_insert(state.spec);
-                    state.spec.reliability =
-                        (state.spec.reliability * reliability_factor).clamp(0.0, 1.0);
-                    state.spec.bandwidth = (state.spec.bandwidth * bandwidth_factor).max(1.0);
-                }
-            }
-            FaultAction::Restore(a, b) => {
-                let pair = redep_model::HostPair::new(a, b);
-                if let Some(original) = self.degraded_specs.remove(&pair) {
-                    if let Some(state) = self.topology.link_mut(a, b) {
-                        state.spec = original;
-                    }
-                }
-            }
-            FaultAction::LinkDown(a, b) => self.set_link_up(a, b, false),
-            FaultAction::LinkUp(a, b) => self.set_link_up(a, b, true),
-        }
-        self.fault_ctx = None;
-    }
-
-    /// Installs a fluctuation model applied every `interval`.
+    /// Installs a fluctuation model applied every `interval` (see
+    /// [`ShardedSimulator::add_fluctuation`]).
     pub fn add_fluctuation(&mut self, interval: Duration, model: impl FluctuationModel) {
-        assert!(
-            interval > Duration::ZERO,
-            "fluctuation interval must be positive"
-        );
-        let index = self.fluctuations.len();
-        self.fluctuations.push((interval, Box::new(model)));
-        self.schedule(self.now + interval, Event::Fluctuate { index });
+        self.engine().add_fluctuation(interval, model);
     }
 
     /// Borrows the node on `host`, downcast to its concrete type.
     pub fn node_ref<T: Node>(&self, host: HostId) -> Option<&T> {
-        self.nodes
-            .get(host.raw() as usize)?
-            .as_deref()
-            .and_then(|n| (n as &dyn Any).downcast_ref::<T>())
+        let Some(staged) = &self.staged else {
+            return self.engine.node_ref(host);
+        };
+        let (_, node) = staged.nodes.iter().find(|(h, _)| *h == host)?;
+        (node.as_ref() as &dyn Any).downcast_ref()
     }
 
     /// Mutably borrows the node on `host`, downcast to its concrete type.
     pub fn node_mut<T: Node>(&mut self, host: HostId) -> Option<&mut T> {
-        self.nodes
-            .get_mut(host.raw() as usize)?
-            .as_deref_mut()
-            .and_then(|n| (n as &mut dyn Any).downcast_mut::<T>())
+        let Some(staged) = &mut self.staged else {
+            return self.engine.node_mut(host);
+        };
+        let (_, node) = staged.nodes.iter_mut().find(|(h, _)| *h == host)?;
+        (node.as_mut() as &mut dyn Any).downcast_mut()
     }
 
     /// Sends a message from outside any node (e.g. a test driver). Subject
     /// to the same loss/disconnection semantics as node sends.
     pub fn inject(&mut self, src: HostId, dst: HostId, payload: impl Into<Vec<u8>>, size: u64) {
-        self.dispatch_send(src, dst, payload.into(), size);
+        self.engine().inject(src, dst, payload.into(), size);
     }
 
-    /// Arms a timer on `host` from outside any node.
-    pub fn inject_timer(&mut self, host: HostId, delay: Duration, token: u64) {
-        self.schedule(self.now + delay, Event::Timer { host, token });
-    }
-
-    fn schedule(&mut self, time: SimTime, event: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        if matches!(event, Event::Deliver { .. }) {
-            self.deliver_in_flight += 1;
-        }
-        self.queue.push(time, seq, event);
-    }
-
-    /// Records one dropped message in the counters and the journal.
-    fn record_drop(&self, src: HostId, dst: HostId, reason: &'static str) {
-        let counter = match reason {
-            "loss" => &self.counters.dropped_loss,
-            _ => &self.counters.dropped_disconnected,
-        };
-        counter.inc();
-        self.telemetry
-            .event("net.link.drop", self.now.as_micros())
-            .field("src", src.raw())
-            .field("dst", dst.raw())
-            .field("reason", reason)
-            .emit();
-    }
-
-    fn has_node(&self, host: HostId) -> bool {
-        matches!(self.nodes.get(host.raw() as usize), Some(Some(_)))
-    }
-
-    /// The topology link slot of `src`–`dst` (if a link was ever configured)
-    /// and the pair's stat slot. Only a link's first send, and sends where
-    /// no link exists, touch the ordered pair index of [`NetStats`].
-    fn resolve_link(&mut self, src: HostId, dst: HostId) -> (Option<usize>, u32) {
-        let Some(slot) = self.topology.link_slot(src, dst) else {
-            return (None, self.stats.slot(src, dst));
-        };
-        if self.link_sides.len() <= slot {
-            let unresolved = LinkSide {
-                busy_until: SimTime::ZERO,
-                stats: NO_LINK_STATS,
-            };
-            self.link_sides.resize(slot + 1, unresolved);
-        }
-        let side = &mut self.link_sides[slot];
-        if side.stats == NO_LINK_STATS {
-            side.stats = self.stats.slot(src, dst);
-        }
-        (Some(slot), side.stats)
-    }
-
-    /// Routes one message through the simulated network.
-    fn dispatch_send(&mut self, src: HostId, dst: HostId, payload: Vec<u8>, size: u64) {
-        self.counters.sent.inc();
-        if src == dst {
-            // Loopback: immediate delivery if the host is up.
-            self.stats.record_sent(NO_LINK_STATS);
-            if self.topology.host_is_up(src) {
-                let msg = Message {
-                    src,
-                    dst,
-                    payload,
-                    size,
-                    sent_at: self.now,
-                };
-                self.schedule(self.now, Event::Deliver { msg });
-            } else {
-                self.stats.record_disconnected(NO_LINK_STATS);
-                self.record_drop(src, dst, "host_down");
-            }
-            return;
-        }
-        let (slot, stats) = self.resolve_link(src, dst);
-        self.stats.record_sent(stats);
-        let link = slot
-            .and_then(|slot| self.topology.link_at(slot))
-            .filter(|l| l.up && self.topology.host_is_up(src) && self.topology.host_is_up(dst));
-        let Some(spec) = link.map(|l| l.spec) else {
-            self.stats.record_disconnected(stats);
-            self.record_drop(src, dst, "disconnected");
-            return;
-        };
-        if !self.rng.random_bool(spec.reliability.clamp(0.0, 1.0)) {
-            self.stats.record_loss(stats);
-            self.record_drop(src, dst, "loss");
-            return;
-        }
-        // Medium occupancy: the transmission starts when the link is free
-        // and holds it for the serialization time; propagation delay then
-        // runs in parallel with the next transmission.
-        let side = &mut self.link_sides[slot.expect("a live link has a slot")];
-        let free_at = side.busy_until.max(self.now);
-        let transmit = Duration::from_secs_f64(size as f64 / spec.bandwidth);
-        let done_transmitting = free_at + transmit;
-        side.busy_until = done_transmitting;
-        let deliver_at = done_transmitting + Duration::from_secs_f64(spec.delay);
-        let msg = Message {
-            src,
-            dst,
-            payload,
-            size,
-            sent_at: self.now,
-        };
-        self.schedule(deliver_at, Event::Deliver { msg });
-    }
-
-    /// Runs one node callback and applies the actions it buffered.
-    fn run_callback(&mut self, host: HostId, f: impl FnOnce(&mut dyn Node, &mut NodeCtx<'_>)) {
-        let Some(Some(node)) = self.nodes.get_mut(host.raw() as usize) else {
-            return;
-        };
-        self.scratch.clear();
-        f(
-            node.as_mut(),
-            &mut NodeCtx::new(host, self.now, &mut self.scratch),
-        );
-        // The buffer is lent out while its actions run (they re-enter
-        // `self`) and handed back with its capacity.
-        let mut actions = std::mem::take(&mut self.scratch);
-        for action in actions.drain(..) {
-            match action {
-                NodeAction::Send { dst, payload, size } => {
-                    self.dispatch_send(host, dst, payload, size)
-                }
-                NodeAction::SetTimer { delay, token } => {
-                    self.schedule(self.now + delay, Event::Timer { host, token })
-                }
-            }
-        }
-        self.scratch = actions;
-    }
-
-    /// Processes the next event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((time, _seq, event)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(time >= self.now, "time went backwards");
-        self.now = time;
-        if matches!(event, Event::Deliver { .. }) {
-            self.deliver_in_flight -= 1;
-        }
-        match event {
-            Event::Start { host } => {
-                self.run_callback(host, |node, ctx| node.on_start(ctx));
-            }
-            Event::Deliver { msg } => {
-                let (src, dst, bytes) = (msg.src, msg.dst, msg.size);
-                // A delivery follows a send over the same pair, so the
-                // pair's stat slot is already resolved.
-                let stats = match self.topology.link_slot(src, dst) {
-                    Some(slot) => self.link_sides[slot].stats,
-                    None => NO_LINK_STATS,
-                };
-                if self.topology.host_is_up(dst) {
-                    self.stats.record_delivered(stats, bytes);
-                    self.counters.delivered.inc();
-                    self.run_callback(dst, |node, ctx| node.on_message(ctx, msg));
-                } else {
-                    self.stats.record_disconnected(stats);
-                    self.record_drop(src, dst, "host_down");
-                }
-            }
-            Event::Timer { host, token } => {
-                if self.topology.host_is_up(host) {
-                    self.run_callback(host, |node, ctx| node.on_timer(ctx, token));
-                } else if self.has_node(host) {
-                    // Defer instead of dropping: the token replays when the
-                    // host restarts, so its periodic loops survive the crash.
-                    self.deferred_timers.entry(host).or_default().push(token);
-                }
-            }
-            Event::Fault { action, ctx } => {
-                self.apply_fault(action, ctx);
-            }
-            Event::Fluctuate { index } => {
-                let (interval, mut model) = {
-                    let entry = &mut self.fluctuations[index];
-                    (entry.0, std::mem::replace(&mut entry.1, Box::new(NoFluct)))
-                };
-                model.apply(&mut self.topology, &mut self.rng);
-                self.telemetry
-                    .event("net.fluctuation", self.now.as_micros())
-                    .field("index", index)
-                    .field("model", model.name().to_owned())
-                    .emit();
-                self.fluctuations[index].1 = model;
-                self.schedule(self.now + interval, Event::Fluctuate { index });
-            }
-        }
-        true
-    }
-
-    /// Runs until the queue is exhausted or simulated time reaches `deadline`
-    /// (events at the deadline still run). Returns the number of events
-    /// processed.
+    /// Runs until simulated time reaches `deadline` (events at the deadline
+    /// still run), then sets the clock to the deadline. Returns the number
+    /// of events processed.
     ///
-    /// Fluctuation events keep a simulation alive forever, so simulations
+    /// Fluctuation ticks keep a simulation alive forever, so simulations
     /// with fluctuation must be driven by deadline, never to exhaustion.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut n = 0;
-        while let Some(next_time) = self.queue.peek_time() {
-            if next_time > deadline {
-                break;
-            }
-            self.step();
-            n += 1;
-        }
-        // Advance the clock to the deadline even if the queue drained early.
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        n
+        self.engine().run_until(deadline, 1)
     }
 
     /// Runs for `span` of simulated time from now.
     pub fn run_for(&mut self, span: Duration) -> u64 {
-        self.run_until(self.now + span)
+        self.run_until(self.now() + span)
     }
 
-    /// Runs until no events remain. Returns the number of events processed.
+    /// Runs until no events remain, leaving the clock at the last one.
+    /// Returns the number of events processed.
     ///
     /// # Panics
     ///
     /// Panics after `10_000_000` events as a runaway-loop guard; simulations
     /// with periodic timers or fluctuation must use [`Simulator::run_until`].
     pub fn run_to_completion(&mut self) -> u64 {
-        let mut n = 0u64;
-        while self.step() {
-            n += 1;
+        let mut n = 0;
+        while let Some(next) = self.engine().next_event_time() {
+            n += self.engine.run_until(next, 1);
             assert!(
                 n < 10_000_000,
                 "run_to_completion exceeded 10M events; use run_until for periodic workloads"
@@ -625,19 +251,10 @@ impl Simulator {
     }
 }
 
-/// Placeholder swapped in while a fluctuation model runs (never applied).
-#[derive(Debug)]
-struct NoFluct;
-impl FluctuationModel for NoFluct {
-    fn name(&self) -> &str {
-        "none"
-    }
-    fn apply(&mut self, _topology: &mut NetworkTopology, _rng: &mut ChaCha8Rng) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Message, NodeCtx};
 
     fn h(n: u32) -> HostId {
         HostId::new(n)
@@ -1344,7 +961,7 @@ mod tests {
     }
 
     #[test]
-    fn link_added_mid_run_through_topology_mut_carries_traffic() {
+    fn link_added_mid_run_carries_traffic() {
         let mut sim = Simulator::new(1);
         for n in 0..3 {
             sim.add_host(h(n), sink());
@@ -1353,12 +970,13 @@ mod tests {
         sim.inject(h(0), h(1), vec![1], 1000);
         sim.inject(h(0), h(2), vec![2], 1000); // no link yet: dropped
         sim.run_until(SimTime::from_secs_f64(0.05));
-        sim.topology_mut().set_link(h(0), h(2), thin_link());
+        sim.set_link(h(0), h(2), thin_link());
         sim.inject(h(0), h(2), vec![3], 1000);
         sim.inject(h(2), h(0), vec![4], 1000);
         sim.run_to_completion();
-        // The new link has its own medium, busy from 0.05 s: 0.25 + 0.5.
-        assert_eq!(sim.now().as_micros(), 750_000);
+        // The new link's two directions each have their own medium, free
+        // from 0.05 s: both messages arrive at 0.05 + 0.1 + 0.5.
+        assert_eq!(sim.now().as_micros(), 650_000);
         let new = sim.stats().link(h(0), h(2));
         assert_eq!(
             (new.sent, new.delivered, new.dropped_disconnected),
@@ -1368,6 +986,9 @@ mod tests {
         assert_eq!(sim.node_ref::<Sink>(h(2)).unwrap().received.len(), 1);
     }
 
+    /// Rewritten for the one engine: a downed link stands in for a removed
+    /// one (there is no `topology_mut`), and the reverse direction has its
+    /// own medium, so the wait is pinned on a second `0 → 1` send.
     #[test]
     fn busy_medium_survives_removing_and_recreating_the_link() {
         let mut sim = Simulator::new(1);
@@ -1375,20 +996,52 @@ mod tests {
             sim.add_host(h(n), sink());
         }
         sim.set_link(h(0), h(1), thin_link());
-        sim.inject(h(0), h(1), vec![1], 1000); // holds the medium until 0.1 s
-        assert!(sim.topology_mut().remove_link(h(0), h(1)).is_some());
-        sim.inject(h(0), h(1), vec![2], 1000); // no link: dropped
+        sim.inject(h(0), h(1), vec![1], 1000); // holds 0 → 1 until 0.1 s
+        sim.set_link_up(h(0), h(1), false);
+        sim.inject(h(0), h(1), vec![2], 1000); // link down: dropped
                                                // Another pair configured in between must not inherit the occupancy.
-        sim.topology_mut().set_link(h(1), h(2), thin_link());
-        sim.topology_mut().set_link(h(1), h(0), thin_link());
+        sim.set_link(h(1), h(2), thin_link());
+        sim.set_link(h(1), h(0), thin_link());
         sim.inject(h(1), h(2), vec![3], 1000); // free medium: arrives at 0.6 s
-        sim.inject(h(1), h(0), vec![4], 1000); // waits for message 1: 0.7 s
+        sim.inject(h(1), h(0), vec![4], 1000); // own direction: 0.6 s too
+        sim.inject(h(0), h(1), vec![5], 1000); // waits for message 1: 0.7 s
         sim.run_until(SimTime::from_secs_f64(0.65));
         assert_eq!(sim.node_ref::<Sink>(h(2)).unwrap().received.len(), 1);
+        assert_eq!(sim.node_ref::<Sink>(h(0)).unwrap().received.len(), 1);
         assert_eq!(sim.in_flight(), 1);
         sim.run_to_completion();
         assert_eq!(sim.now().as_micros(), 700_000);
         let l = sim.stats().link(h(0), h(1));
-        assert_eq!((l.sent, l.delivered, l.dropped_disconnected), (3, 2, 1));
+        assert_eq!((l.sent, l.delivered, l.dropped_disconnected), (4, 3, 1));
+    }
+
+    #[test]
+    fn unknown_hosts_have_no_node_before_and_after_the_plan_is_built() {
+        let mut sim = Simulator::new(0);
+        assert!(sim.node_ref::<Sink>(h(3)).is_none());
+        sim.add_host(h(0), sink());
+        sim.run_until(SimTime::from_secs_f64(1.0));
+        assert!(sim.node_ref::<Sink>(h(0)).is_some());
+        assert!(sim.node_ref::<Sink>(h(3)).is_none());
+        assert!(sim.node_mut::<Sink>(h(3)).is_none());
+    }
+
+    #[test]
+    fn hosts_added_between_runs_join_the_one_shard_plan() {
+        let mut sim = Simulator::new(2);
+        sim.add_host(h(5), sink());
+        sim.run_until(SimTime::from_secs_f64(0.5));
+        sim.add_host(
+            h(1),
+            Burst {
+                peer: h(5),
+                count: 4,
+                size: 10,
+            },
+        );
+        sim.set_link(h(1), h(5), LinkSpec::default());
+        sim.run_until(SimTime::from_secs_f64(1.0));
+        assert_eq!(sim.node_ref::<Sink>(h(5)).unwrap().received.len(), 4);
+        assert!(sim.topology().reachable(h(1), h(5)));
     }
 }

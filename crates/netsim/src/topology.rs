@@ -83,8 +83,8 @@ struct HostRow {
 
 /// The simulated network: hosts, links and their live state.
 ///
-/// The topology can be edited while a simulation runs — that is how
-/// fluctuation models and fault injection work.
+/// Every shard of the engine holds a replica, which fault actions,
+/// fluctuation ticks and link edits between runs update identically.
 ///
 /// Per-message lookups ([`NetworkTopology::host_is_up`],
 /// [`NetworkTopology::link_slot`]) index dense tables by raw host id and
@@ -249,16 +249,11 @@ impl NetworkTopology {
         })
     }
 
-    /// Mutable iteration over link states (for fluctuation models), in
-    /// endpoint order.
-    pub fn links_mut(&mut self) -> impl Iterator<Item = (HostPair, &mut LinkState)> {
-        let mut live: Vec<(HostPair, &mut LinkState)> = self
-            .slots
-            .iter_mut()
-            .filter_map(|slot| slot.state.as_mut().map(|state| (slot.ends, state)))
-            .collect();
-        live.sort_unstable_by_key(|&(ends, _)| ends);
-        live.into_iter()
+    /// Mutable iteration over the live links' states with their slots, in
+    /// slot order (for fluctuation, whose draw for a link is keyed by slot).
+    pub fn slots_mut(&mut self) -> impl Iterator<Item = (usize, &mut LinkState)> {
+        let slots = self.slots.iter_mut().enumerate();
+        slots.filter_map(|(slot, link)| link.state.as_mut().map(|state| (slot, state)))
     }
 
     /// Marks a link up or down.
@@ -504,8 +499,8 @@ mod tests {
 
         /// Random edit sequences over dense (0..6) and sparse (multiples of
         /// 7919) raw ids: the dense tables agree with the tree model on
-        /// hosts, every link, every reachability, and the *order* of
-        /// `links()` and `links_mut()`.
+        /// hosts, every link, every reachability, the *order* of `links()`,
+        /// and the live slots `slots_mut()` yields.
         #[test]
         fn dense_tables_agree_with_the_tree_model(
             sparse in any::<bool>(),
@@ -543,8 +538,11 @@ mod tests {
                 let expected: Vec<(HostPair, LinkState)> = model.links.iter().map(|(p, l)| (*p, *l)).collect();
                 let listed: Vec<(HostPair, LinkState)> = topo.links().map(|(p, l)| (p, *l)).collect();
                 prop_assert_eq!(&listed, &expected);
-                let listed_mut: Vec<(HostPair, LinkState)> = topo.links_mut().map(|(p, l)| (p, *l)).collect();
-                prop_assert_eq!(&listed_mut, &expected);
+                let slots: Vec<(usize, LinkState)> = topo.slots_mut().map(|(slot, l)| (slot, *l)).collect();
+                prop_assert_eq!(slots.len(), expected.len());
+                for (slot, state) in slots {
+                    prop_assert_eq!(topo.link_at(slot), Some(&state));
+                }
                 for x in 0..6 {
                     for y in 0..6 {
                         let (hx, hy) = (id(x), id(y));

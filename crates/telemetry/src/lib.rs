@@ -130,12 +130,12 @@ pub struct Event {
     /// Structured payload, in insertion order.
     pub fields: Vec<(Cow<'static, str>, FieldValue)>,
     /// Global-order stamp `[sim_time_us, event_key, intra]` used to merge
-    /// per-shard journals back into the single-queue processing order (see
-    /// [`merge_journals`]). The sharded simulator sets the first two
-    /// components per processed sim event via [`Telemetry::set_order`]; the
-    /// third counts records emitted under that sim event. Single-queue runs
-    /// never call `set_order`, so the first two components stay zero there,
-    /// and the stamp never appears in exported JSONL.
+    /// per-shard journals back into the one-shard processing order (see
+    /// [`merge_journals`]). The simulator sets the first two components per
+    /// processed sim event via [`Telemetry::set_order`]; the third counts
+    /// records emitted under that sim event. Records made outside a
+    /// simulation keep zeros there, and the stamp never appears in exported
+    /// JSONL.
     pub ord: [u64; 3],
 }
 
@@ -514,7 +514,7 @@ pub fn percentiles(samples: &[f64]) -> Option<[f64; 3]> {
 /// Each shard of the sharded simulator journals into its own [`Telemetry`]
 /// handle, stamping every record with the `(sim_time, queue_key)` of the sim
 /// event that produced it (see [`Telemetry::set_order`]). Because those keys
-/// reproduce the single-queue pop order, sorting the concatenation by
+/// are the one-shard pop order, sorting the concatenation by
 /// `(ord, shard_index)` yields exactly the record sequence a single-shard run
 /// would have journaled — provided no shard's journal dropped records.
 ///

@@ -8,7 +8,7 @@
 
 use redep::framework::{AnalyzerConfig, CentralizedFramework, RuntimeConfig};
 use redep::model::{Availability, Generator, GeneratorConfig};
-use redep::netsim::Duration;
+use redep::netsim::{Duration, LinkSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let system = Generator::generate(&GeneratorConfig::sized(4, 12).with_seed(77))?;
@@ -52,11 +52,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let hosts: Vec<_> = fw.runtime().hosts().to_vec();
         let sim = fw.runtime_mut().sim_mut();
         // Invert the quality order of two links.
-        if let Some(l) = sim.topology_mut().link_mut(hosts[0], hosts[1]) {
-            l.spec.reliability = 0.15;
-        }
-        if let Some(l) = sim.topology_mut().link_mut(hosts[2], hosts[3]) {
-            l.spec.reliability = 0.98;
+        for ((a, b), reliability) in [((0, 1), 0.15), ((2, 3), 0.98)] {
+            if let Some(link) = sim.topology().link(hosts[a], hosts[b]) {
+                let spec = LinkSpec {
+                    reliability,
+                    ..link.spec
+                };
+                sim.set_link(hosts[a], hosts[b], spec);
+            }
         }
     }
 

@@ -108,11 +108,10 @@ fn framework_survives_link_degradation_mid_run() {
     // Degrade every troop link sharply mid-run.
     {
         let sim = fw.runtime_mut().sim_mut();
-        let pairs: Vec<_> = sim.topology().links().map(|(p, _)| p).collect();
-        for p in pairs {
-            if let Some(link) = sim.topology_mut().link_mut(p.lo(), p.hi()) {
-                link.spec.reliability = (link.spec.reliability * 0.5).max(0.05);
-            }
+        let links: Vec<_> = sim.topology().links().map(|(p, l)| (p, l.spec)).collect();
+        for (p, mut spec) in links {
+            spec.reliability = (spec.reliability * 0.5).max(0.05);
+            sim.set_link(p.lo(), p.hi(), spec);
         }
     }
     // The framework keeps cycling (monitors pick up the new reality).
