@@ -203,9 +203,7 @@ fn run_cell(
             system.initial.clone(),
             &runtime_config,
         )?;
-        fw.set_recovery_policy(RecoveryPolicy::Reconcile {
-            max_effect_attempts: 2,
-        });
+        fw.set_recovery_policy(RecoveryPolicy::reconcile(2));
         fw.runtime_mut().set_telemetry(Telemetry::default());
         fw.runtime_mut().sim_mut().install_fault_plan(&plan);
         Framework::Decentralized(Box::new(fw))
@@ -220,9 +218,7 @@ fn run_cell(
             &runtime_config,
             analyzer_config,
         )?;
-        fw.set_recovery_policy(RecoveryPolicy::Reconcile {
-            max_effect_attempts: 2,
-        });
+        fw.set_recovery_policy(RecoveryPolicy::reconcile(2));
         fw.set_telemetry(Telemetry::default());
         fw.runtime_mut().sim_mut().install_fault_plan(&plan);
         Framework::Centralized(Box::new(fw))

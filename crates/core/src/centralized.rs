@@ -5,11 +5,10 @@
 
 use crate::analyzer::{AnalyzerConfig, AnalyzerDecision, CentralizedAnalyzer};
 use crate::error::CoreError;
-use crate::recovery::RecoveryPolicy;
+use crate::recovery::{self, RecoveryPolicy};
 use crate::runtime::{RuntimeConfig, SystemRuntime};
 use redep_algorithms::{
-    AnnealingAlgorithm, AvalaAlgorithm, ExactAlgorithm, GeneticAlgorithm, RedeploymentAlgorithm,
-    StochasticAlgorithm,
+    AnnealingAlgorithm, AvalaAlgorithm, ExactAlgorithm, GeneticAlgorithm, StochasticAlgorithm,
 };
 use redep_desi::{DeSi, MiddlewareAdapter};
 use redep_model::{Deployment, DeploymentModel, Objective};
@@ -48,7 +47,6 @@ pub struct CentralizedFramework {
     adapter: MiddlewareAdapter,
     analyzer: CentralizedAnalyzer,
     recovery: RecoveryPolicy,
-    telemetry: Telemetry,
     /// Allocates the per-cycle trace roots and framework-phase span ids.
     tracer: SpanIdGen,
 }
@@ -93,32 +91,27 @@ impl CentralizedFramework {
             adapter: MiddlewareAdapter::new(master),
             analyzer: CentralizedAnalyzer::new(analyzer_config),
             recovery: RecoveryPolicy::default(),
-            telemetry: Telemetry::disabled(),
             tracer: SpanIdGen::new(DOMAIN_FRAMEWORK, 0),
         })
     }
 
     /// Sets the reaction to redeployments that do not finish cleanly
-    /// (default: [`RecoveryPolicy::Reconcile`] with one re-effect).
+    /// (default: two effect attempts, then reconcile).
     pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
         self.recovery = policy;
     }
 
-    /// The active recovery policy.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.recovery
-    }
-
     /// Installs one telemetry handle across the framework and the running
-    /// system underneath it (see [`SystemRuntime::set_telemetry`]).
+    /// system underneath it (see [`SystemRuntime::set_telemetry`]); the
+    /// framework journals through the running system's handle.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.runtime.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
+        self.runtime.set_telemetry(telemetry);
     }
 
-    /// The framework's telemetry handle (disabled unless installed).
+    /// The framework's telemetry handle — the running system's (disabled
+    /// unless installed).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.runtime.telemetry()
     }
 
     /// The running system.
@@ -167,10 +160,7 @@ impl CentralizedFramework {
     ///
     /// # Errors
     ///
-    /// Propagates adapter and analyzer failures;
-    /// [`CoreError::RedeploymentTimeout`] only under
-    /// [`RecoveryPolicy::Abort`] when an accepted redeployment does not
-    /// complete within `effect_wait`.
+    /// Propagates adapter and analyzer failures.
     pub fn cycle(
         &mut self,
         objective: &dyn Objective,
@@ -183,30 +173,12 @@ impl CentralizedFramework {
         let cycle_start = self.runtime.sim().now();
         let cycle_ctx = self.tracer.root();
         self.runtime.run_for(monitor_for);
-        // Surface crash recoveries (durable checkpoint + journal replays)
-        // that happened while the system ran: the cycle's decisions should
-        // see verified facts about what each restarted host recovered, not
-        // infer them from monitoring silence.
-        for report in self.runtime.drain_recovery_reports() {
-            // Timestamped at the drain (the restart itself happened outside
-            // this cycle's span); the restart instant rides in a field.
-            self.telemetry
-                .event("core.recovery", self.runtime.sim().now().as_micros())
-                .field("mode", "crash-replay")
-                .field("recovered_at_us", report.at.as_micros())
-                .field("host", report.host.raw())
-                .field("checkpoint_seq", report.checkpoint_seq)
-                .field("replayed", report.replayed)
-                .field("state_equiv", report.state_equiv)
-                .field("verdicts", report.verdicts.len())
-                .field("completed", report.completed())
-                .trace(self.tracer.child(&cycle_ctx))
-                .emit();
-        }
+        recovery::drain_crash_replays(&mut self.runtime, &self.tracer, cycle_ctx);
         let snapshots = self
             .adapter
             .pull_monitoring_data(self.runtime.sim(), self.desi.system_mut())?;
-        self.telemetry
+        let telemetry = self.runtime.telemetry().clone();
+        telemetry
             .span(
                 "core.monitor",
                 cycle_start.as_micros(),
@@ -227,7 +199,7 @@ impl CentralizedFramework {
                 .evaluate(self.desi.system().model(), self.desi.system().deployment());
             self.analyzer.observe(now, availability);
             let d = self.analyzer.analyze(&mut self.desi, objective)?;
-            self.telemetry
+            telemetry
                 .event(
                     "core.analyzer.decision",
                     self.runtime.sim().now().as_micros(),
@@ -244,28 +216,21 @@ impl CentralizedFramework {
                 .emit();
             // Aggregate how much of the search ran on the compiled
             // delta-scoring path vs full rescoring.
-            let metrics = self.telemetry.metrics();
-            metrics
-                .counter("algo.eval.full")
-                .add(d.record.result.full_evaluations);
-            metrics
-                .counter("algo.eval.delta")
-                .add(d.record.result.delta_evaluations);
-            metrics
-                .counter("algo.eval.pruned")
-                .add(d.record.result.pruned_evaluations);
-            metrics
-                .counter("algo.hierarchy.clusters")
-                .add(d.record.result.hierarchy_clusters);
-            metrics
-                .counter("algo.hierarchy.refine_rounds")
-                .add(d.record.result.refine_rounds);
+            let result = &d.record.result;
+            for (counter, n) in [
+                ("algo.eval.full", result.full_evaluations),
+                ("algo.eval.delta", result.delta_evaluations),
+                ("algo.eval.pruned", result.pruned_evaluations),
+                ("algo.hierarchy.clusters", result.hierarchy_clusters),
+                ("algo.hierarchy.refine_rounds", result.refine_rounds),
+            ] {
+                telemetry.metrics().counter(counter).add(n);
+            }
             if d.accepted {
                 let effect_start = self.runtime.sim().now();
                 let redeploy_ctx = self.tracer.child(&cycle_ctx);
                 let measured_before = self.runtime.measured_availability();
                 let target = d.record.result.deployment.clone();
-                let step = Duration::from_millis(500);
                 for attempt in 1..=self.recovery.effect_attempts() {
                     if attempt > 1 {
                         // Ground every directory in the placement actually
@@ -282,21 +247,16 @@ impl CentralizedFramework {
                     )?;
                     // Drive the system until the epoch settles: everything
                     // confirmed, or every unfinished move given up on.
-                    let mut waited = Duration::ZERO;
-                    while waited < effect_wait {
-                        self.runtime.run_for(step);
-                        waited = waited + step;
-                        if self.adapter.redeployment_settled(self.runtime.sim())? {
-                            break;
-                        }
-                    }
+                    self.runtime.settle(effect_wait, &|rt| {
+                        Ok(self.adapter.redeployment_settled(rt.sim())?)
+                    })?;
                     if self.adapter.redeployment_complete(self.runtime.sim())? {
                         completed = true;
                         break;
                     }
                 }
                 failed_moves = self.adapter.redeployment_failures(self.runtime.sim())?;
-                self.telemetry
+                telemetry
                     .span(
                         "core.redeployment",
                         effect_start.as_micros(),
@@ -312,71 +272,33 @@ impl CentralizedFramework {
                 if completed {
                     self.desi.adopt_deployment(target);
                 } else {
-                    match self.recovery {
-                        RecoveryPolicy::Abort => {
-                            let master = self.runtime.master().expect("centralized");
-                            let mut stuck = self
-                                .runtime
-                                .host(master)
-                                .and_then(|h| h.deployer().map(|d| d.status().in_flight))
-                                .unwrap_or_default();
-                            stuck.extend(failed_moves.iter().map(|(c, _)| c.clone()));
-                            return Err(CoreError::RedeploymentTimeout(stuck));
-                        }
-                        RecoveryPolicy::Reconcile { .. } => {
-                            // Accept what the system actually reached: the
-                            // model follows reality, every directory is
-                            // rewritten from ground truth, and the next
-                            // cycle's analysis starts consistent. Giving up
-                            // settles the epoch's still-open move spans as
-                            // `abandoned` first, so the journal never ends
-                            // with dangling moves.
-                            self.adapter.abandon_pending_moves(self.runtime.sim_mut())?;
-                            let actual = self.runtime.actual_deployment_by_id();
-                            self.runtime.resync_directories();
-                            self.desi.adopt_deployment(actual);
-                            reconciled = true;
-                            self.telemetry
-                                .event("core.recovery", self.runtime.sim().now().as_micros())
-                                .field("mode", "reconcile")
-                                .field("failed_moves", failed_moves.len())
-                                .field(
-                                    "measured_availability",
-                                    self.runtime.measured_availability(),
-                                )
-                                .trace(self.tracer.child(&cycle_ctx))
-                                .emit();
-                        }
-                    }
+                    // Giving up settles the epoch's still-open move spans as
+                    // `abandoned` first, so the journal never ends with
+                    // dangling moves.
+                    self.adapter.abandon_pending_moves(self.runtime.sim_mut())?;
+                    recovery::reconcile(
+                        &mut self.runtime,
+                        self.desi.system_mut(),
+                        ("failed_moves", failed_moves.len()),
+                        &self.tracer,
+                        cycle_ctx,
+                    );
+                    reconciled = true;
                 }
             }
             decision = Some(d);
         }
 
-        // A transfer from a superseded epoch can land *after* that epoch
-        // settled (reliable channels retransmit through arbitrarily long
-        // outages), silently re-materializing a component the model gave up
-        // on. This can happen even when the *current* epoch completed, so
-        // the check is unconditional: never end a cycle with the model
-        // diverging from the running system.
-        {
-            let actual = self.runtime.actual_deployment_by_id();
-            if self.desi.system().deployment() != &actual {
-                self.runtime.resync_directories();
-                self.desi.adopt_deployment(actual);
-                reconciled = true;
-                self.telemetry
-                    .event("core.recovery", self.runtime.sim().now().as_micros())
-                    .field("mode", "drift")
-                    .trace(self.tracer.child(&cycle_ctx))
-                    .emit();
-            }
-        }
-
+        reconciled |= recovery::guard_drift(
+            &mut self.runtime,
+            self.desi.system_mut(),
+            &self.tracer,
+            cycle_ctx,
+        );
         let measured_availability = self.runtime.measured_availability();
         let model_matches_actual =
             self.desi.system().deployment() == &self.runtime.actual_deployment_by_id();
-        self.telemetry
+        telemetry
             .span(
                 "core.cycle",
                 cycle_start.as_micros(),
@@ -400,33 +322,6 @@ impl CentralizedFramework {
             measured_availability,
         })
     }
-
-    /// Convenience: run `cycles` cycles and return their reports.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failing cycle.
-    pub fn run_cycles(
-        &mut self,
-        objective: &dyn Objective,
-        cycles: usize,
-        monitor_for: Duration,
-        effect_wait: Duration,
-    ) -> Result<Vec<CycleReport>, CoreError> {
-        let mut reports = Vec::with_capacity(cycles);
-        for _ in 0..cycles {
-            reports.push(self.cycle(objective, monitor_for, effect_wait)?);
-        }
-        Ok(reports)
-    }
-}
-
-/// Registers a custom algorithm in a framework (helper for examples).
-pub fn register_algorithm(
-    framework: &mut CentralizedFramework,
-    algorithm: impl RedeploymentAlgorithm + 'static,
-) {
-    framework.desi_mut().container_mut().register(algorithm);
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! ("Local Effectors, which collaborate in performing the redeployment").
 
 use crate::error::CoreError;
-use crate::recovery::RecoveryPolicy;
+use crate::recovery::{self, RecoveryPolicy};
 use crate::runtime::{RuntimeConfig, SystemRuntime};
 use redep_algorithms::{
     CoordinationProtocol, DecApAlgorithm, HierarchicalConfig, MonitoringExchange,
@@ -20,6 +20,7 @@ use redep_model::{Availability, AwarenessGraph, Deployment, DeploymentModel, Hos
 use redep_netsim::Duration;
 use redep_prism::MonitoringSnapshot;
 use redep_telemetry::{trace::DOMAIN_FRAMEWORK, SpanIdGen, TraceCtx};
+use std::collections::BTreeMap;
 
 /// The outcome of one decentralized cycle.
 #[derive(Clone, PartialEq, Debug)]
@@ -54,7 +55,6 @@ pub struct DecentralizedFramework {
     runtime: SystemRuntime,
     system: SystemData,
     awareness: AwarenessGraph,
-    adapter: MiddlewareAdapter,
     recovery: RecoveryPolicy,
     /// Allocates the per-cycle trace roots and per-move span ids.
     tracer: SpanIdGen,
@@ -106,28 +106,20 @@ impl DecentralizedFramework {
             ..runtime_config.clone()
         };
         let runtime = SystemRuntime::build(&model, &initial, &config)?;
-        // The adapter is only used for its snapshot-application logic; the
-        // address is irrelevant in decentralized mode.
-        let adapter = MiddlewareAdapter::new(HostId::new(0));
         Ok(DecentralizedFramework {
             runtime,
             system: SystemData::new(model, initial),
             awareness,
-            adapter,
             recovery: RecoveryPolicy::default(),
             tracer: SpanIdGen::new(DOMAIN_FRAMEWORK, 0),
         })
     }
 
     /// Sets the reaction to adopted moves that do not land cleanly
-    /// (default: [`RecoveryPolicy::Reconcile`] with one re-request pass).
+    /// (default: two effect attempts — one re-request pass — then
+    /// reconcile).
     pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
         self.recovery = policy;
-    }
-
-    /// The active recovery policy.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.recovery
     }
 
     /// The running system.
@@ -156,32 +148,6 @@ impl DecentralizedFramework {
         self.runtime.run_for(span);
     }
 
-    /// Drains fresh crash-recovery reports (durable checkpoint + journal
-    /// replays), journals each as a `core.recovery` crash-replay event, and
-    /// returns them so callers can consult the per-operation verdicts.
-    fn drain_recoveries(&mut self, cycle_ctx: TraceCtx) -> Vec<redep_prism::RecoveryReport> {
-        let reports = self.runtime.drain_recovery_reports();
-        let telemetry = self.runtime.telemetry().clone();
-        let now_us = self.runtime.sim().now().as_micros();
-        for report in &reports {
-            // Timestamped at the drain (the restart itself happened outside
-            // this cycle's span); the restart instant rides in a field.
-            telemetry
-                .event("core.recovery", now_us)
-                .field("mode", "crash-replay")
-                .field("recovered_at_us", report.at.as_micros())
-                .field("host", report.host.raw())
-                .field("checkpoint_seq", report.checkpoint_seq)
-                .field("replayed", report.replayed)
-                .field("state_equiv", report.state_equiv)
-                .field("verdicts", report.verdicts.len())
-                .field("completed", report.completed())
-                .trace(self.tracer.child(&cycle_ctx))
-                .emit();
-        }
-        reports
-    }
-
     /// Runs one decentralized cycle:
     ///
     /// 1. advance the system for `monitor_for` (local monitors accumulate),
@@ -198,9 +164,7 @@ impl DecentralizedFramework {
     ///
     /// # Errors
     ///
-    /// Propagates adapter/algorithm failures;
-    /// [`CoreError::RedeploymentTimeout`] only under
-    /// [`RecoveryPolicy::Abort`] when moves do not complete.
+    /// Propagates adapter/algorithm failures.
     pub fn cycle(
         &mut self,
         objective: &dyn Objective,
@@ -215,11 +179,8 @@ impl DecentralizedFramework {
         // Moves whose landing a restarted host *proved* by replaying the
         // migrant's attach record from its durable journal. Seeded from
         // crashes during the monitoring phase, extended during effecting.
-        let mut recovered_landed: std::collections::BTreeSet<String> = self
-            .drain_recoveries(cycle_ctx)
-            .iter()
-            .flat_map(|r| r.completed_moves().map(str::to_owned))
-            .collect();
+        let mut recovered_landed =
+            recovery::drain_crash_replays(&mut self.runtime, &self.tracer, cycle_ctx);
         // The latest snapshot of every host's local monitor.
         let snapshots: Vec<&MonitoringSnapshot> = self
             .runtime
@@ -229,9 +190,7 @@ impl DecentralizedFramework {
             .filter_map(|host| host.admin().last_snapshot())
             .collect();
         let hosts_reporting = snapshots.len();
-        self.adapter
-            .apply_snapshots(&mut self.system, snapshots)
-            .map_err(CoreError::Desi)?;
+        MiddlewareAdapter::apply_snapshots(&mut self.system, snapshots)?;
 
         let model = self.system.model().clone();
         let current = self.system.deployment().clone();
@@ -252,38 +211,24 @@ impl DecentralizedFramework {
         let availability_proposed = Availability.evaluate(&model, &proposed);
 
         // Distributed voting: each host scores both alternatives on its own
-        // partial view and votes for the better one.
+        // partial view and votes for the better one. The report counts the
+        // hosts that scored both and strictly prefer the proposal.
         let mut alternatives: Vec<Vec<(HostId, f64)>> = vec![Vec::new(), Vec::new()];
+        let mut votes_for = 0;
         for &h in self.runtime.hosts() {
-            for (i, candidate) in [&current, &proposed].into_iter().enumerate() {
-                if let Ok(view) = self.awareness.partial_view(&model, candidate, h) {
-                    let score = Availability.evaluate(&view.model, &view.deployment);
-                    alternatives[i].push((h, score));
-                }
+            let scores = [&current, &proposed].map(|candidate| {
+                let view = self.awareness.partial_view(&model, candidate, h).ok()?;
+                Some(Availability.evaluate(&view.model, &view.deployment))
+            });
+            for (alternative, score) in alternatives.iter_mut().zip(scores) {
+                alternative.extend(score.map(|s| (h, s)));
+            }
+            if let [Some(a), Some(b)] = scores {
+                votes_for += usize::from(b > a);
             }
         }
         let auction_end = self.runtime.sim().now().as_micros();
         let choice = VotingProtocol.decide(&alternatives);
-        let votes_for = {
-            // Count how many hosts strictly prefer the proposal (for the report).
-            let mut n = 0;
-            for &h in self.runtime.hosts() {
-                let a = alternatives[0]
-                    .iter()
-                    .find(|(x, _)| *x == h)
-                    .map(|(_, s)| *s);
-                let b = alternatives[1]
-                    .iter()
-                    .find(|(x, _)| *x == h)
-                    .map(|(_, s)| *s);
-                if let (Some(a), Some(b)) = (a, b) {
-                    if b > a {
-                        n += 1;
-                    }
-                }
-            }
-            n
-        };
         let adopted = choice == Some(1) && proposed != current;
         self.runtime
             .telemetry()
@@ -310,8 +255,7 @@ impl DecentralizedFramework {
             // One span per pairwise move: the `.open` marker and the settle
             // record after the landing loop share a span id, and the
             // request/transfer hops journal as its children.
-            let mut move_ctxs: std::collections::BTreeMap<String, TraceCtx> =
-                std::collections::BTreeMap::new();
+            let mut move_ctxs: BTreeMap<String, TraceCtx> = BTreeMap::new();
             // Update every host's directory (the paper's model sync between
             // connected hosts, collapsed to one pass), then let destination
             // effectors request their components from the holders.
@@ -348,55 +292,43 @@ impl DecentralizedFramework {
             // Wait for the moves to land; re-request stragglers from their
             // *actual* holders between attempts (a crashed or partitioned
             // holder may have left the original pairwise request in limbo).
-            let step = Duration::from_millis(500);
-            let mut done = false;
             for attempt in 1..=self.recovery.effect_attempts() {
                 if attempt > 1 {
                     // Consult durable recovery verdicts before chasing: a
                     // destination that crashed and replayed the migrant's
                     // attach from its journal verifiably holds it, so a
                     // re-request would only spawn a duplicate transfer.
-                    recovered_landed.extend(
-                        self.drain_recoveries(cycle_ctx)
-                            .iter()
-                            .flat_map(|r| r.completed_moves().map(str::to_owned)),
-                    );
+                    recovered_landed.extend(recovery::drain_crash_replays(
+                        &mut self.runtime,
+                        &self.tracer,
+                        cycle_ctx,
+                    ));
                     let actual = self.runtime.actual_deployment();
                     for m in &migrations {
-                        if landed(&self.runtime, m) {
+                        let name = &names[&m.component];
+                        if landed(&self.runtime, m) || recovered_landed.contains(name) {
                             continue;
                         }
-                        let name = names[&m.component].clone();
-                        if recovered_landed.contains(&name) {
-                            continue;
-                        }
-                        if let Some(&holder) = actual.get(&name) {
+                        if let Some(&holder) = actual.get(name) {
                             if holder != m.to {
                                 // Re-requests carry the move's own span, so
                                 // every straggler chase chains back to the
                                 // move it serves.
-                                let ctx = move_ctxs.get(&name).copied();
+                                let ctx = move_ctxs.get(name).copied();
                                 if let Some(host) = self.runtime.host_mut(m.to) {
-                                    host.request_component_traced(&name, holder, ctx);
+                                    host.request_component_traced(name, holder, ctx);
                                 }
                             }
                         }
                     }
                 }
-                let mut waited = Duration::ZERO;
-                while waited < effect_wait {
-                    self.runtime.run_for(step);
-                    waited = waited + step;
-                    done = migrations.iter().all(|m| landed(&self.runtime, m));
-                    if done {
-                        break;
-                    }
-                }
-                if done {
+                completed = self.runtime.settle(effect_wait, &|rt| {
+                    Ok(migrations.iter().all(|m| landed(rt, m)))
+                })?;
+                if completed {
                     break;
                 }
             }
-            completed = done;
             // Settle every move span: landed moves confirm, stragglers are
             // abandoned (the reconcile below follows reality for them), so
             // no journal ends with an open move span.
@@ -430,68 +362,31 @@ impl DecentralizedFramework {
                     self.runtime.sim().now().as_micros(),
                 )
                 .field("moves", moves)
-                .field("completed", done)
+                .field("completed", completed)
                 .field("measured_before", measured_before)
                 .field("measured_after", self.runtime.measured_availability())
                 .trace(redeploy_ctx)
                 .emit();
-            if done {
+            if completed {
                 self.system.set_deployment(proposed);
             } else {
-                let stuck: Vec<String> = migrations
+                let stuck = migrations
                     .iter()
                     .filter(|m| !landed(&self.runtime, m))
-                    .map(|m| names[&m.component].clone())
-                    .collect();
-                match self.recovery {
-                    RecoveryPolicy::Abort => {
-                        return Err(CoreError::RedeploymentTimeout(stuck));
-                    }
-                    RecoveryPolicy::Reconcile { .. } => {
-                        // Follow reality: the synchronized model adopts the
-                        // placement actually reached, and every host's
-                        // directory is rewritten from ground truth so the
-                        // next cycle routes (and auctions) consistently.
-                        let actual = self.runtime.actual_deployment_by_id();
-                        self.runtime.resync_directories();
-                        self.system.set_deployment(actual);
-                        reconciled = true;
-                        self.runtime
-                            .telemetry()
-                            .event("core.recovery", self.runtime.sim().now().as_micros())
-                            .field("mode", "reconcile")
-                            .field("stuck_moves", stuck.len())
-                            .field(
-                                "measured_availability",
-                                self.runtime.measured_availability(),
-                            )
-                            .trace(self.tracer.child(&cycle_ctx))
-                            .emit();
-                    }
-                }
-            }
-        }
-
-        // A component shipped in an earlier cycle can land after that cycle
-        // reconciled without it (reliable channels retransmit through long
-        // outages). Fold such late arrivals back in before reporting — even
-        // after an in-cycle reconcile, since a transfer can land between the
-        // reconcile and the end of the cycle's bookkeeping.
-        {
-            let actual = self.runtime.actual_deployment_by_id();
-            if self.system.deployment() != &actual {
-                self.runtime.resync_directories();
-                self.system.set_deployment(actual);
+                    .count();
+                recovery::reconcile(
+                    &mut self.runtime,
+                    &mut self.system,
+                    ("stuck_moves", stuck),
+                    &self.tracer,
+                    cycle_ctx,
+                );
                 reconciled = true;
-                self.runtime
-                    .telemetry()
-                    .event("core.recovery", self.runtime.sim().now().as_micros())
-                    .field("mode", "drift")
-                    .trace(self.tracer.child(&cycle_ctx))
-                    .emit();
             }
         }
 
+        reconciled |=
+            recovery::guard_drift(&mut self.runtime, &mut self.system, &self.tracer, cycle_ctx);
         let measured_availability = self.runtime.measured_availability();
         let model_matches_actual =
             self.system.deployment() == &self.runtime.actual_deployment_by_id();

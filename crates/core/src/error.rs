@@ -17,8 +17,6 @@ pub enum CoreError {
     Prism(redep_prism::PrismError),
     /// The runtime could not be assembled from the model.
     Build(String),
-    /// A redeployment did not complete within its allotted time.
-    RedeploymentTimeout(Vec<String>),
 }
 
 impl fmt::Display for CoreError {
@@ -29,9 +27,6 @@ impl fmt::Display for CoreError {
             CoreError::Desi(e) => write!(f, "desi error: {e}"),
             CoreError::Prism(e) => write!(f, "middleware error: {e}"),
             CoreError::Build(msg) => write!(f, "runtime build failed: {msg}"),
-            CoreError::RedeploymentTimeout(stuck) => {
-                write!(f, "redeployment timed out; in flight: {}", stuck.join(", "))
-            }
         }
     }
 }
@@ -80,7 +75,5 @@ mod tests {
     fn conversions_and_sources() {
         let e: CoreError = redep_algorithms::AlgoError::NoFeasibleDeployment.into();
         assert!(e.source().is_some());
-        let e = CoreError::RedeploymentTimeout(vec!["tracker".into()]);
-        assert!(e.to_string().contains("tracker"));
     }
 }

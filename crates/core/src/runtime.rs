@@ -6,6 +6,7 @@
 //! centralized and the decentralized instantiations build on it.
 
 use crate::error::CoreError;
+use redep_desi::SystemData;
 use redep_model::{ComponentId, Deployment, DeploymentModel, HostId};
 use redep_netsim::{Duration, NetworkTopology, Node, ShardedSimulator, Simulator};
 use redep_prism::workload::{InteractionSpec, WORKLOAD_TYPE};
@@ -51,6 +52,9 @@ impl Default for RuntimeConfig {
         }
     }
 }
+
+/// The simulated time [`SystemRuntime::settle`] runs between two checks.
+pub(crate) const SETTLE_STEP: Duration = Duration::from_millis(500);
 
 /// What a [`Runtime`] needs of its engine — implemented by the one
 /// simulation engine, [`ShardedSimulator`], and by its one-shard face,
@@ -163,6 +167,41 @@ impl SystemRuntime {
     /// Advances the system by `span` of simulated time.
     pub fn run_for(&mut self, span: Duration) {
         self.sim.run_for(span);
+    }
+
+    /// Runs the system in steps of [`SETTLE_STEP`] until `settled` holds
+    /// after a step or `budget` has passed; returns whether it held. Both
+    /// frameworks wait out an effect attempt this way — the centralized one
+    /// on its deployer's epoch settling, the decentralized one on every
+    /// pairwise move landing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error `settled` returns.
+    pub(crate) fn settle(
+        &mut self,
+        budget: Duration,
+        settled: &dyn Fn(&Self) -> Result<bool, CoreError>,
+    ) -> Result<bool, CoreError> {
+        let mut waited = Duration::ZERO;
+        while waited < budget {
+            self.run_for(SETTLE_STEP);
+            waited = waited + SETTLE_STEP;
+            if settled(self)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Grounds `system` in the placement the running system actually
+    /// reached: every host's directory is rewritten from ground truth
+    /// ([`Runtime::resync_directories`]) and `system`'s deployment is set to
+    /// [`Runtime::actual_deployment_by_id`].
+    pub(crate) fn follow_actual(&mut self, system: &mut SystemData) {
+        let actual = self.actual_deployment_by_id();
+        self.resync_directories();
+        system.set_deployment(actual);
     }
 }
 

@@ -16,7 +16,7 @@ use crate::error::DesiError;
 use crate::system_data::SystemData;
 use redep_model::{keys, Deployment, HostId};
 use redep_netsim::Simulator;
-use redep_prism::{MonitoringSnapshot, PrismHost};
+use redep_prism::{DeployerComponent, MonitoringSnapshot, PrismHost};
 use std::collections::BTreeMap;
 
 /// Connects DeSi to a simulated Prism-MW system.
@@ -29,6 +29,30 @@ impl MiddlewareAdapter {
     /// Creates an adapter talking to the deployer on `deployer_host`.
     pub fn new(deployer_host: HostId) -> Self {
         MiddlewareAdapter { deployer_host }
+    }
+
+    /// The deployer running on the deployer host — the one lookup every
+    /// Monitor and Effector call goes through.
+    fn deployer<'a>(&self, sim: &'a Simulator) -> Result<&'a DeployerComponent, DesiError> {
+        let host = sim
+            .node_ref::<PrismHost>(self.deployer_host)
+            .ok_or_else(|| {
+                DesiError::Adapter(format!("no Prism host at {}", self.deployer_host))
+            })?;
+        host.deployer()
+            .ok_or_else(|| DesiError::Adapter(format!("{} runs no deployer", self.deployer_host)))
+    }
+
+    /// The deployer host, mutable, once [`MiddlewareAdapter::deployer`]
+    /// found a deployer on it.
+    fn deployer_host_mut<'a>(
+        &self,
+        sim: &'a mut Simulator,
+    ) -> Result<&'a mut PrismHost, DesiError> {
+        self.deployer(sim)?;
+        Ok(sim
+            .node_mut::<PrismHost>(self.deployer_host)
+            .expect("the deployer host was just found"))
     }
 
     /// The Monitor subcomponent: pulls the deployer's collected monitoring
@@ -46,28 +70,20 @@ impl MiddlewareAdapter {
         sim: &Simulator,
         system: &mut SystemData,
     ) -> Result<usize, DesiError> {
-        let host = sim
-            .node_ref::<PrismHost>(self.deployer_host)
-            .ok_or_else(|| {
-                DesiError::Adapter(format!("no Prism host at {}", self.deployer_host))
-            })?;
-        let deployer = host.deployer().ok_or_else(|| {
-            DesiError::Adapter(format!("{} runs no deployer", self.deployer_host))
-        })?;
-        self.apply_snapshots(system, deployer.snapshots().values())?;
-        Ok(deployer.snapshots().len())
+        let snapshots = self.deployer(sim)?.snapshots();
+        Self::apply_snapshots(system, snapshots.values())?;
+        Ok(snapshots.len())
     }
 
     /// Applies already-extracted snapshots (exposed separately so the
-    /// decentralized configuration can feed per-host snapshots through the
-    /// same code path).
+    /// decentralized configuration, which has no deployer, can feed
+    /// per-host snapshots through the same code path).
     ///
     /// # Errors
     ///
     /// Returns [`DesiError::Adapter`] if a snapshot names a component the
     /// model does not know.
     pub fn apply_snapshots<'a>(
-        &self,
         system: &mut SystemData,
         snapshots: impl IntoIterator<Item = &'a MonitoringSnapshot>,
     ) -> Result<(), DesiError> {
@@ -115,25 +131,10 @@ impl MiddlewareAdapter {
 
     /// The Effector subcomponent: pushes an improved deployment to the
     /// running system by handing the deployer a redeployment command
-    /// (executed by the admins as the simulation continues).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DesiError::Adapter`] when the deployer host is absent or
-    /// not running a deployer.
-    pub fn push_deployment(
-        &self,
-        sim: &mut Simulator,
-        system: &SystemData,
-        target: &Deployment,
-    ) -> Result<(), DesiError> {
-        self.push_deployment_traced(sim, system, target, None)
-    }
-
-    /// [`MiddlewareAdapter::push_deployment`] with the migration protocol
-    /// traced: every move span (and its configure/request/transfer/ack
-    /// cascade) journals as a child of `parent` — typically the framework's
-    /// redeployment span for the cycle that decided the move.
+    /// (executed by the admins as the simulation continues). Every move span
+    /// (and its configure/request/transfer/ack cascade) journals as a child
+    /// of `parent` — typically the framework's redeployment span for the
+    /// cycle that decided the move.
     ///
     /// # Errors
     ///
@@ -156,12 +157,8 @@ impl MiddlewareAdapter {
                 .to_owned();
             by_name.insert(name, h);
         }
-        let host = sim
-            .node_mut::<PrismHost>(self.deployer_host)
-            .ok_or_else(|| {
-                DesiError::Adapter(format!("no Prism host at {}", self.deployer_host))
-            })?;
-        host.effect_redeployment_traced(by_name, parent)
+        self.deployer_host_mut(sim)?
+            .effect_redeployment_traced(by_name, parent)
             .map_err(|e| DesiError::Adapter(e.to_string()))
     }
 
@@ -171,14 +168,10 @@ impl MiddlewareAdapter {
     ///
     /// # Errors
     ///
-    /// Returns [`DesiError::Adapter`] when the deployer host is absent.
+    /// Returns [`DesiError::Adapter`] when the deployer host is absent or
+    /// not running a deployer.
     pub fn abandon_pending_moves(&self, sim: &mut Simulator) -> Result<(), DesiError> {
-        let host = sim
-            .node_mut::<PrismHost>(self.deployer_host)
-            .ok_or_else(|| {
-                DesiError::Adapter(format!("no Prism host at {}", self.deployer_host))
-            })?;
-        host.abandon_pending_moves();
+        self.deployer_host_mut(sim)?.abandon_pending_moves();
         Ok(())
     }
 
@@ -190,15 +183,7 @@ impl MiddlewareAdapter {
     /// Returns [`DesiError::Adapter`] when the deployer host is absent or
     /// not running a deployer.
     pub fn redeployment_complete(&self, sim: &Simulator) -> Result<bool, DesiError> {
-        let host = sim
-            .node_ref::<PrismHost>(self.deployer_host)
-            .ok_or_else(|| {
-                DesiError::Adapter(format!("no Prism host at {}", self.deployer_host))
-            })?;
-        let deployer = host.deployer().ok_or_else(|| {
-            DesiError::Adapter(format!("{} runs no deployer", self.deployer_host))
-        })?;
-        Ok(deployer.status().is_complete())
+        Ok(self.deployer(sim)?.status().is_complete())
     }
 
     /// Whether the last pushed redeployment has *settled*: nothing is in
@@ -212,15 +197,7 @@ impl MiddlewareAdapter {
     /// Returns [`DesiError::Adapter`] when the deployer host is absent or
     /// not running a deployer.
     pub fn redeployment_settled(&self, sim: &Simulator) -> Result<bool, DesiError> {
-        let host = sim
-            .node_ref::<PrismHost>(self.deployer_host)
-            .ok_or_else(|| {
-                DesiError::Adapter(format!("no Prism host at {}", self.deployer_host))
-            })?;
-        let deployer = host.deployer().ok_or_else(|| {
-            DesiError::Adapter(format!("{} runs no deployer", self.deployer_host))
-        })?;
-        Ok(deployer.status().is_settled())
+        Ok(self.deployer(sim)?.status().is_settled())
     }
 
     /// Moves of the last pushed redeployment the deployer has given up on,
@@ -234,15 +211,7 @@ impl MiddlewareAdapter {
         &self,
         sim: &Simulator,
     ) -> Result<Vec<(String, String)>, DesiError> {
-        let host = sim
-            .node_ref::<PrismHost>(self.deployer_host)
-            .ok_or_else(|| {
-                DesiError::Adapter(format!("no Prism host at {}", self.deployer_host))
-            })?;
-        let deployer = host.deployer().ok_or_else(|| {
-            DesiError::Adapter(format!("{} runs no deployer", self.deployer_host))
-        })?;
-        Ok(deployer.status().failed)
+        Ok(self.deployer(sim)?.status().failed)
     }
 }
 
@@ -278,9 +247,7 @@ mod tests {
         snap.event_sizes.insert(("a".into(), "b".into()), 256.0);
         snap.reliabilities.insert(h1, 0.65);
 
-        MiddlewareAdapter::new(h0)
-            .apply_snapshots(&mut sys, &[snap])
-            .unwrap();
+        MiddlewareAdapter::apply_snapshots(&mut sys, &[snap]).unwrap();
 
         let (a, b) = (
             sys.model().component_ids()[0],
@@ -301,15 +268,41 @@ mod tests {
         };
         snap.components.insert("ghost".into(), "w".into());
         assert!(matches!(
-            MiddlewareAdapter::new(HostId::new(0)).apply_snapshots(&mut sys, &[snap]),
+            MiddlewareAdapter::apply_snapshots(&mut sys, &[snap]),
             Err(DesiError::Adapter(_))
         ));
     }
 
     #[test]
     fn adapter_errors_on_missing_deployer() {
-        let sim = Simulator::new(0);
-        let adapter = MiddlewareAdapter::new(HostId::new(0));
-        assert!(adapter.redeployment_complete(&sim).is_err());
+        // Host 0 runs nothing; host 1 runs Prism but no deployer. Every
+        // Monitor and Effector call names what is missing.
+        let (h0, h1) = (HostId::new(0), HostId::new(1));
+        let mut sim = Simulator::new(0);
+        let config = redep_prism::host::HostConfig::default();
+        sim.add_host(
+            h1,
+            PrismHost::new(h1, redep_prism::ComponentFactory::new(), config),
+        );
+        let sys = simple_system();
+        for (host, missing) in [(h0, "no Prism host at h"), (h1, "runs no deployer")] {
+            let adapter = MiddlewareAdapter::new(host);
+            let outcomes = [
+                adapter
+                    .pull_monitoring_data(&sim, &mut sys.clone())
+                    .map(drop),
+                adapter.redeployment_complete(&sim).map(drop),
+                adapter.redeployment_settled(&sim).map(drop),
+                adapter.redeployment_failures(&sim).map(drop),
+                adapter.push_deployment_traced(&mut sim, &sys, sys.deployment(), None),
+                adapter.abandon_pending_moves(&mut sim),
+            ];
+            for outcome in outcomes {
+                assert!(
+                    matches!(&outcome, Err(DesiError::Adapter(m)) if m.contains(missing)),
+                    "{host}: {outcome:?}"
+                );
+            }
+        }
     }
 }
