@@ -4,7 +4,7 @@
 //! a live workload; the experiment compares their estimates against the
 //! simulator's configured ground truth.
 
-use redep_bench::{fmt_f, mean, print_table, ExpReport};
+use redep_bench::{fmt_f, mean, print_table, Bound, ExpReport};
 use redep_core::{RuntimeConfig, SystemRuntime};
 use redep_model::{Generator, GeneratorConfig};
 use redep_netsim::Duration;
@@ -21,11 +21,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(|h| h.deployer())
         .map(|d| d.snapshots().clone())
         .unwrap_or_default();
-    assert_eq!(
-        snapshots.len(),
-        runtime.hosts().len(),
-        "E11 FAILED: not every host reported"
-    );
 
     // ---- reliability estimates ------------------------------------------
     let mut rows = Vec::new();
@@ -95,31 +90,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ],
         ],
     );
-    let passed = mean_rel_err < 0.15 && mean_freq_err < 0.25;
     let mut report = ExpReport::new(
         "e11",
         "monitored estimates vs simulator ground truth (Figure 8)",
     );
     report
-        .metric("mean_reliability_abs_error", mean_rel_err)
-        .metric("mean_frequency_rel_error", mean_freq_err)
-        .metric("hosts_reporting", snapshots.len() as f64)
+        .gate(
+            "mean_reliability_abs_error",
+            mean_rel_err,
+            Bound::AtMost(0.15),
+        )
+        .gate(
+            "mean_frequency_rel_error",
+            mean_freq_err,
+            Bound::AtMost(0.25),
+        )
+        .gate(
+            "hosts_reporting",
+            snapshots.len() as f64,
+            Bound::AtLeast(runtime.hosts().len() as f64),
+        )
         .metric("reliability_links_compared", rel_errors.len() as f64)
-        .metric("frequency_pairs_compared", freq_errors.len() as f64)
-        .note("tolerances: reliability abs error < 0.15, frequency rel error < 0.25")
-        .set_passed(passed);
-    if let Some(file) = report.emit_if_requested()? {
-        println!("\nwrote {file}");
-    }
-
-    assert!(
-        mean_rel_err < 0.15,
-        "E11 FAILED: reliability error {mean_rel_err:.3}"
-    );
-    assert!(
-        mean_freq_err < 0.25,
-        "E11 FAILED: frequency error {mean_freq_err:.3}"
-    );
-    println!("\nE11 PASS: monitors recover the system parameters within tolerance.");
-    Ok(())
+        .metric("frequency_pairs_compared", freq_errors.len() as f64);
+    report.finish()
 }

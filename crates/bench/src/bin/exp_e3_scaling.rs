@@ -13,7 +13,7 @@ use redep_algorithms::{
     GeneticAlgorithm, HierarchicalConfig, MonitoringExchange, RedeploymentAlgorithm,
     StochasticAlgorithm,
 };
-use redep_bench::{print_table, ExpReport};
+use redep_bench::{print_table, Bound, ExpReport};
 use redep_model::{
     Availability, ComponentId, ConstraintChecker, ConstraintViolation, Deployment, DeploymentModel,
     GeneratedSystem, Generator, GeneratorConfig, HostId, Objective, Uncompiled,
@@ -91,11 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "quick mode: E3d 200x2000 avala-h and decap-h only; decap-h solved at 1 and 2 \
              threads with identical placement, rounds and delta evaluations",
         );
-        if let Some(file) = report.emit_if_requested()? {
-            println!("\nwrote {file}");
-        }
-        println!("\nE3 quick PASS: hierarchical avala and decap completed 200x2000.");
-        return Ok(());
+        return report.finish();
     }
     // --- Exact's wall: k^n growth -------------------------------------
     let mut rows = Vec::new();
@@ -198,7 +194,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let searches: Vec<(&str, &dyn RedeploymentAlgorithm)> =
         vec![("annealing", &annealing), ("genetic", &genetic)];
     let mut rows = Vec::new();
-    let mut min_speedup = f64::INFINITY;
     for (name, algo) in searches {
         let time_of = |objective: &dyn Objective,
                        constraints: &dyn ConstraintChecker|
@@ -225,10 +220,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{name}: dense and opaque scoring disagree"
         );
         let speedup = slow / fast.max(1e-9);
-        min_speedup = min_speedup.min(speedup);
         report.metric(format!("e3c.{name}.8x32.dense_secs"), fast);
         report.metric(format!("e3c.{name}.8x32.opaque_secs"), slow);
-        report.metric(format!("e3c.{name}.8x32.speedup"), speedup);
+        // The acceptance: dense scoring runs the searches ≥ 5× faster
+        // than opaque scoring on the same body.
+        report.gate(
+            format!("e3c.{name}.8x32.speedup"),
+            speedup,
+            Bound::AtLeast(5.0),
+        );
         report.metric(format!("e3c.{name}.8x32.delta_evals"), delta as f64);
         report.metric(format!("e3c.{name}.8x32.full_evals"), full as f64);
         rows.push(vec![
@@ -244,34 +244,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &["search", "dense", "opaque", "speedup", "delta/full evals"],
         &rows,
     );
-    report.note(format!(
-        "e3c acceptance: dense scoring must run annealing+genetic ≥5× faster \
-         than opaque scoring on the same body, 8×32 (worst observed {min_speedup:.1}×)"
-    ));
-
-    let hier_speedup = run_e3d(&mut report, false)?;
-    report.set_passed(min_speedup >= 5.0 && hier_speedup >= 10.0);
-    report.note(format!(
-        "e3d acceptance: hierarchical avala+decap must price deployments ≥10× \
-         faster than the flat path on 20×160 (worst observed {hier_speedup:.1}×); \
-         throughput counts full+delta scorings uniformly on both paths"
-    ));
-
-    if let Some(file) = report.emit_if_requested()? {
-        println!("\nwrote {file}");
-    }
-    println!(
-        "\nE3 PASS: Exact explodes past ~10⁶ placements while the \
-         approximative algorithms handle 20×160 in milliseconds-to-seconds; \
-         dense scoring runs the mutation searches {min_speedup:.1}×+ faster than opaque \
-         and the hierarchical engine reaches 1000×10000."
-    );
-    Ok(())
+    run_e3d(&mut report, false)?;
+    report.finish()
 }
 
-/// Runs one algorithm on a generated system and asserts what every E3d cell
-/// promises: a complete, constraint-valid placement no worse than the
-/// initial one. Returns the result and the wall seconds.
+/// Runs one algorithm on a generated system and checks that it returned a
+/// complete, constraint-valid placement. Returns the result and the wall
+/// seconds.
 fn solve_checked(
     algo: &dyn RedeploymentAlgorithm,
     system: &GeneratedSystem,
@@ -287,21 +266,12 @@ fn solve_checked(
     let elapsed = started.elapsed().as_secs_f64();
     r.deployment.validate(model)?;
     model.constraints().check(model, &r.deployment)?;
-    let before = Availability.evaluate(model, &system.initial);
-    assert!(
-        r.value >= before - 1e-12,
-        "{} placed worse than the initial deployment: {} < {before}",
-        r.algorithm,
-        r.value
-    );
     Ok((r, elapsed))
 }
 
-/// E3d: the hierarchical placement engine. Returns the worst observed
-/// avala/decap hierarchical-vs-flat throughput ratio at 20×160 (the
-/// acceptance gate); `quick` runs only the 200×2000 avala-h and decap-h
-/// cells.
-fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<f64, Box<dyn std::error::Error>> {
+/// E3d: the hierarchical placement engine; `quick` runs only the 200×2000
+/// avala-h and decap-h cells.
+fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<(), Box<dyn std::error::Error>> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -323,7 +293,13 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<f64, Box<dyn std::erro
             scorings_per_sec(&r, elapsed),
         );
         report.metric(format!("e3d.{name}.200x2000.wall_ms"), elapsed * 1e3);
-        report.metric(format!("e3d.{name}.200x2000.value"), r.value);
+        // Every E3d row places no worse than the initial deployment.
+        let initial = Availability.evaluate(&system.model, &system.initial);
+        report.gate(
+            format!("e3d.{name}.200x2000.value"),
+            r.value,
+            Bound::AtLeast(initial),
+        );
         rows.push(vec![
             r.algorithm.clone(),
             format!("{:.0}ms", elapsed * 1e3),
@@ -365,7 +341,7 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<f64, Box<dyn std::erro
         one.delta_evaluations as f64,
     );
     if quick {
-        return Ok(f64::INFINITY);
+        return Ok(());
     }
 
     // --- 20×160: hierarchical vs flat throughput (the ≥10× gate) --------
@@ -386,7 +362,6 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<f64, Box<dyn std::erro
         ),
     ];
     let mut rows = Vec::new();
-    let mut gate_speedup = f64::INFINITY;
     for ((name, flat), (_, hier)) in flat_algos.into_iter().zip(hier_algos(hcfg)) {
         let time_of = |algo: &dyn RedeploymentAlgorithm| -> Result<(f64, AlgoResult), Box<dyn std::error::Error>> {
             // Median-of-5 wall time for stability outside Criterion.
@@ -411,12 +386,16 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<f64, Box<dyn std::erro
         let flat_rate = scorings_per_sec(&flat_r, flat_secs);
         let hier_rate = scorings_per_sec(&hier_r, hier_secs);
         let speedup = hier_rate / flat_rate.max(1e-9);
-        if name == "avala" || name == "decap" {
-            gate_speedup = gate_speedup.min(speedup);
-        }
         report.metric(format!("e3d.{name}.20x160.flat_evals_per_sec"), flat_rate);
         report.metric(format!("e3d.{name}.20x160.hier_evals_per_sec"), hier_rate);
-        report.metric(format!("e3d.{name}.20x160.speedup_vs_flat"), speedup);
+        let speedup_key = format!("e3d.{name}.20x160.speedup_vs_flat");
+        if name == "avala" || name == "decap" {
+            // The acceptance: the hierarchical engine prices deployments
+            // ≥ 10× faster than the flat path (full+delta scorings on both).
+            report.gate(speedup_key, speedup, Bound::AtLeast(10.0));
+        } else {
+            report.metric(speedup_key, speedup);
+        }
         report.metric(format!("e3d.{name}.20x160.flat_wall_ms"), flat_secs * 1e3);
         report.metric(format!("e3d.{name}.20x160.hier_wall_ms"), hier_secs * 1e3);
         rows.push(vec![
@@ -448,12 +427,20 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<f64, Box<dyn std::erro
             r.pruned_evaluations > 0,
             "{name}-h priced every host at 1000x10000"
         );
-        report.metric(format!("e3d.{name}.1000x10000.wall_secs"), elapsed);
+        let row = format!("e3d.{name}.1000x10000");
+        if name == "decap" {
+            // 0.5 s with bitset views and a gossip fixed point; an
+            // O(hosts³) exchange every round took 8.7 s.
+            report.gate(format!("{row}.wall_secs"), elapsed, Bound::AtMost(2.0));
+        } else {
+            report.metric(format!("{row}.wall_secs"), elapsed);
+        }
         report.metric(
-            format!("e3d.{name}.1000x10000.evals_per_sec"),
+            format!("{row}.evals_per_sec"),
             scorings_per_sec(&r, elapsed),
         );
-        report.metric(format!("e3d.{name}.1000x10000.value"), r.value);
+        let initial = Availability.evaluate(&system.model, &system.initial);
+        report.gate(format!("{row}.value"), r.value, Bound::AtLeast(initial));
         rows.push(vec![
             r.algorithm.clone(),
             format!("{elapsed:.2}s"),
@@ -474,5 +461,5 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<f64, Box<dyn std::erro
         &rows,
     );
 
-    Ok(gate_speedup)
+    Ok(())
 }

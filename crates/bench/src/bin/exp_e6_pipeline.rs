@@ -1,63 +1,57 @@
 //! E6-pipeline: runtime hot-path throughput of the event pipeline.
 //!
-//! Drives a full `SystemRuntime` (Prism hosts, workload components, the
-//! simulation engine at one shard) at three scales — 8×32, 64×256, 256×1024
-//! hosts×components — and measures the wall-clock event rate of the whole
-//! pipeline: routing through interned-symbol adjacency, `Arc`-shared
-//! payloads, the wire codec, and the calendar-queue scheduler. Each run
-//! starts from a freshly built runtime, so the rates are *cold-start*
-//! rates over a short horizon (the `pipeline-steady` workload of
+//! Drives a full [`redep_core::ShardedRuntime`] (Prism hosts, workload
+//! components, the simulation engine) at three one-shard scales — 8×32,
+//! 64×256, 256×1024 hosts×components — and prints the wall-clock event rate
+//! of the whole pipeline: routing through interned-symbol adjacency,
+//! `Arc`-shared payloads, the wire codec, and the calendar-queue scheduler.
+//! Each run starts from a freshly built runtime, so the rates are
+//! *cold-start* rates over a short horizon (the `pipeline-steady` workload of
 //! `BENCHMARK.json` measures the same path after warm-up).
 //!
 //! Events are counted by the middleware's own `pipeline.events.routed`
-//! counter and wire volume by `pipeline.codec.bytes`, giving events/second
-//! and bytes/event per cell. Rates are recorded, never gated against a
-//! constant: they are readings of one machine.
+//! counter and wire volume by `pipeline.codec.bytes`. The same engine over
+//! several shards is measured at 256×1024 (4 shards) and 1024×8192 (8
+//! shards), beside the same-run one-shard rate at 256×1024 — see
+//! EXPERIMENTS.md for the methodology. Rates, thread counts and barrier waits
+//! are readings of one machine: the tables print them, the report holds
+//! none of them.
 //!
-//! On top of the one-shard cells, the same engine over several shards
-//! ([`redep_core::ShardedRuntime`]) is measured at 256×1024 (4 shards) and
-//! 1024×8192 (8 shards), with the same-run one-shard rate at 256×1024
-//! reported beside it (`speedup_vs_measured_single_shard`) — see
-//! EXPERIMENTS.md for the methodology.
-//!
-//! Both engines also run one **steady-state** cell at 32×128: 12 simulated
-//! seconds of warm-up (past the longest link delay, monitor stabilisation
-//! and the first periodic checkpoint), then 10 timed seconds — the
-//! `pipeline-steady` configuration. Besides its event rate the cell reports
-//! exact counts: the durable-journal bytes appended per routed event
-//! (`durable_bytes_per_event_32x128`), gated at [`MAX_DURABLE_BYTES_PER_EVENT`]
-//! so a return of whole-state journaling fails CI on any machine; the share
-//! of those bytes monitoring causes (`monitor_journal_bytes_per_event_32x128`:
+//! The report holds what one run reproduces exactly. One **steady-state**
+//! cell at 32×128 runs on one shard and on two: 12 simulated seconds of
+//! warm-up (past the longest link delay, monitor stabilisation and the first
+//! periodic checkpoint), then 10 timed seconds — the `pipeline-steady`
+//! configuration. The one-shard cell's exact counts are gated: the
+//! durable-journal bytes appended per routed event
+//! (`durable_bytes_per_event_32x128`, at most [`MAX_DURABLE_BYTES_PER_EVENT`],
+//! so a return of whole-state journaling fails on any machine); the share of
+//! those bytes monitoring causes (`monitor_journal_bytes_per_event_32x128`:
 //! `monitor_window` + `report_received` records); and the mean journaled
 //! monitoring report (`report_payload_bytes_mean_32x128`: one encoded
-//! snapshot plus a few framing bytes), gated at [`MAX_REPORT_BYTES`] so a
-//! return of a text encoding — or of pair names written twice — fails too.
+//! snapshot plus a few framing bytes, at most [`MAX_REPORT_BYTES`], so a
+//! return of a text encoding — or of pair names written twice — fails too).
 //! The binary also counts every call into the global allocator: a one-shard
-//! run uses no thread, so allocator calls and bytes requested over the
-//! timed window, per routed event (`allocs_per_event_32x128`,
+//! run uses no thread, so allocator calls and bytes requested over the timed
+//! window, per routed event (`allocs_per_event_32x128`,
 //! `alloc_bytes_per_event_32x128`), repeat exactly and the first is gated at
 //! [`MAX_ALLOCS_PER_EVENT`] — the tripwire for a per-message buffer that is
 //! rebuilt instead of kept.
 //!
-//! The sharded steady cell also reports what the window protocol says about
+//! The two-shard steady cell reports what the window protocol says about
 //! itself ([`redep_netsim::RoundStats`]): `shard_*_32x128` are exact counts,
 //! asserted equal between a one-thread run of the cell and the threaded one.
-//! Two wall-clock figures ride along, recorded and never gated (a CI box may
-//! have one core; `available_parallelism` and each sharded cell's thread
-//! count are in the report for that reason): `thread_speedup_32x128`, the
-//! threaded rate over the one-thread rate, and `barrier_wait_share_32x128_t<i>`,
-//! the share of the timed window thread `i` spent waiting at the round
-//! barrier.
+//! Its table also prints the threaded rate over the one-thread rate and the
+//! share of the timed window each thread waited at the round barrier.
 //!
 //! `--quick` runs only the 8×32 cells and the steady cells (the CI smoke
-//! configuration);
+//! configuration, and the checked-in `BENCH_pipeline.json`);
 //! `--json` writes `BENCH_pipeline.json` in the shared `ExpReport` schema.
 //! `--shard-smoke` skips the benchmark and instead runs the pipeline on one
 //! shard (`SystemRuntime`) and on four shards at two thread counts,
 //! asserting all three journals are byte-identical (the CI one-engine and
 //! determinism gate).
 
-use redep_bench::{print_table, ExpReport};
+use redep_bench::{print_table, Bound, ExpReport};
 use redep_core::{RuntimeConfig, ShardedRuntime, SystemRuntime};
 use redep_model::{Generator, GeneratorConfig};
 use redep_netsim::{RoundStats, SimTime};
@@ -138,15 +132,13 @@ struct Sample {
     /// The part of `durable_bytes` in `monitor_window` and `report_received`
     /// records.
     monitor_journal_bytes: u64,
-    /// Calls into the global allocator over the timed window.
+    /// Calls into the global allocator over the timed window (one-shard
+    /// cells; 0 for several shards).
     allocs: u64,
     /// Bytes those calls requested.
     alloc_bytes: u64,
     /// Wall-clock seconds for the simulated horizon.
     wall_secs: f64,
-    /// Per-chunk throughput samples (events/s over each horizon slice),
-    /// feeding the report's p50/p90/p99 summary.
-    chunk_rates: Vec<f64>,
     /// Journal-overflow count (always 0 with a disabled handle; recorded so
     /// `validate_report` can gate on it).
     journal_dropped: u64,
@@ -223,80 +215,11 @@ fn durable_bytes<'a>(hosts: impl Iterator<Item = &'a redep_prism::PrismHost>) ->
         .sum()
 }
 
-/// Builds a runtime at the given scale, runs `warmup` simulated seconds
-/// untimed, then times `horizon` more, reading the pipeline counters over
-/// the timed part.
+/// Builds a runtime of `shards` shards at the given scale, runs `warmup`
+/// simulated seconds untimed on `threads` threads, then times `horizon`
+/// more, reading the pipeline counters summed across the per-shard
+/// telemetry handles over the timed part.
 fn run_cell(
-    hosts: usize,
-    comps: usize,
-    warmup: f64,
-    horizon: f64,
-) -> Result<Sample, Box<dyn std::error::Error>> {
-    let system = Generator::generate(&GeneratorConfig::sized(hosts, comps).with_seed(11))?;
-    let runtime_config = RuntimeConfig {
-        seed: 1,
-        ..RuntimeConfig::default()
-    };
-    let mut rt = SystemRuntime::build(&system.model, &system.initial, &runtime_config)?;
-    // A disabled handle journals nothing (we are measuring the hot path,
-    // not recording it) but its counters still count.
-    let telemetry = Telemetry::disabled();
-    rt.set_telemetry(telemetry.clone());
-    let routed = telemetry.metrics().counter("pipeline.events.routed");
-    let bytes = telemetry.metrics().counter("pipeline.codec.bytes");
-
-    // Run the horizon in ten equal slices, sampling the event rate of each
-    // — the slice rates feed the percentile summary, exposing throughput
-    // jitter that the aggregate mean hides.
-    const CHUNKS: u32 = 10;
-    rt.sim_mut().run_until(SimTime::from_secs_f64(warmup));
-    let journaled =
-        |rt: &SystemRuntime| durable_bytes(rt.hosts().iter().filter_map(|&h| rt.host(h)));
-    let (events_before, bytes_before, durable_before) = (routed.get(), bytes.get(), journaled(&rt));
-    let monitor_before = monitor_bytes(&journal_kinds(std::slice::from_ref(&telemetry)));
-    let mut chunk_rates = Vec::with_capacity(CHUNKS as usize);
-    let mut prev_events = events_before;
-    let allocated = || {
-        (
-            ALLOC_CALLS.load(Ordering::Relaxed),
-            ALLOC_BYTES.load(Ordering::Relaxed),
-        )
-    };
-    let (allocs_before, alloc_bytes_before) = allocated();
-    let started = Instant::now();
-    for chunk in 1..=CHUNKS {
-        let chunk_started = Instant::now();
-        rt.sim_mut().run_until(SimTime::from_secs_f64(
-            warmup + horizon * f64::from(chunk) / f64::from(CHUNKS),
-        ));
-        let chunk_secs = chunk_started.elapsed().as_secs_f64();
-        let now_events = routed.get();
-        chunk_rates.push((now_events - prev_events) as f64 / chunk_secs.max(1e-9));
-        prev_events = now_events;
-    }
-    let wall_secs = started.elapsed().as_secs_f64();
-    let (allocs, alloc_bytes) = allocated();
-    let journal_kinds = journal_kinds(std::slice::from_ref(&telemetry));
-    Ok(Sample {
-        allocs: allocs - allocs_before,
-        alloc_bytes: alloc_bytes - alloc_bytes_before,
-        events: routed.get() - events_before,
-        bytes: bytes.get() - bytes_before,
-        durable_bytes: journaled(&rt) - durable_before,
-        monitor_journal_bytes: monitor_bytes(&journal_kinds) - monitor_before,
-        wall_secs,
-        chunk_rates,
-        journal_dropped: telemetry.journal().dropped(),
-        journal_kinds,
-        rounds: RoundStats::default(),
-        barrier_wait_shares: Vec::new(),
-    })
-}
-
-/// Builds a *sharded* runtime at the given scale and runs it like
-/// [`run_cell`], reading the same pipeline counters summed across the
-/// per-shard telemetry handles.
-fn run_sharded_cell(
     hosts: usize,
     comps: usize,
     warmup: f64,
@@ -310,43 +233,51 @@ fn run_sharded_cell(
         ..RuntimeConfig::default()
     };
     let mut rt = ShardedRuntime::build(&system.model, &system.initial, &runtime_config, shards)?;
+    // Disabled handles journal nothing (we are measuring the hot path, not
+    // recording it) but their counters still count.
     let handles: Vec<Telemetry> = (0..shards).map(|_| Telemetry::disabled()).collect();
     rt.set_telemetry(handles.clone());
-    let routed: Vec<_> = handles
-        .iter()
-        .map(|t| t.metrics().counter("pipeline.events.routed"))
-        .collect();
-    let bytes: Vec<_> = handles
-        .iter()
-        .map(|t| t.metrics().counter("pipeline.codec.bytes"))
-        .collect();
-    let total =
-        |counters: &[redep_telemetry::Counter]| counters.iter().map(|c| c.get()).sum::<u64>();
+    let total = |name: &str| -> u64 {
+        let counters = handles.iter().map(|t| t.metrics().counter(name).get());
+        counters.sum()
+    };
+    let (routed, bytes) = ("pipeline.events.routed", "pipeline.codec.bytes");
+    let allocated = || {
+        (
+            ALLOC_CALLS.load(Ordering::Relaxed),
+            ALLOC_BYTES.load(Ordering::Relaxed),
+        )
+    };
 
+    // The horizon runs in ten equal slices: every slice end also ends a
+    // round of the window protocol, so the slices are part of what the
+    // sharded cell's exact round counts measure.
     const CHUNKS: u32 = 10;
     rt.sim_mut()
         .run_until(SimTime::from_secs_f64(warmup), threads);
     let journaled =
         |rt: &ShardedRuntime| durable_bytes(rt.hosts().iter().filter_map(|&h| rt.host(h)));
     let (events_before, bytes_before, durable_before) =
-        (total(&routed), total(&bytes), journaled(&rt));
+        (total(routed), total(bytes), journaled(&rt));
     let monitor_before = monitor_bytes(&journal_kinds(&handles));
     let waited_before = rt.sim().barrier_wait_secs();
-    let mut chunk_rates = Vec::with_capacity(CHUNKS as usize);
-    let mut prev_events = events_before;
+    let (allocs_before, alloc_bytes_before) = allocated();
     let started = Instant::now();
     for chunk in 1..=CHUNKS {
-        let chunk_started = Instant::now();
         rt.sim_mut().run_until(
             SimTime::from_secs_f64(warmup + horizon * f64::from(chunk) / f64::from(CHUNKS)),
             threads,
         );
-        let chunk_secs = chunk_started.elapsed().as_secs_f64();
-        let now_events = total(&routed);
-        chunk_rates.push((now_events - prev_events) as f64 / chunk_secs.max(1e-9));
-        prev_events = now_events;
     }
     let wall_secs = started.elapsed().as_secs_f64();
+    // Channel and barrier timing make multi-threaded allocation counts vary
+    // run to run; a one-shard run uses no thread, so only its are exact.
+    let (calls, requested) = allocated();
+    let (allocs, alloc_bytes) = if shards == 1 {
+        (calls - allocs_before, requested - alloc_bytes_before)
+    } else {
+        (0, 0)
+    };
     let journal_kinds = journal_kinds(&handles);
     // One entry per thread: only the first shard of a chunk ever waits.
     let waited = rt.sim().barrier_wait_secs();
@@ -355,16 +286,13 @@ fn run_sharded_cell(
         .map(|(after, before)| (after - before) / wall_secs.max(1e-9))
         .collect();
     Ok(Sample {
-        // Channel and barrier timing make multi-threaded counts vary run
-        // to run; only the one-shard cell's are reported.
-        allocs: 0,
-        alloc_bytes: 0,
-        events: total(&routed) - events_before,
-        bytes: total(&bytes) - bytes_before,
+        allocs,
+        alloc_bytes,
+        events: total(routed) - events_before,
+        bytes: total(bytes) - bytes_before,
         durable_bytes: journaled(&rt) - durable_before,
         monitor_journal_bytes: monitor_bytes(&journal_kinds) - monitor_before,
         wall_secs,
-        chunk_rates,
         journal_dropped: handles.iter().map(|t| t.journal().dropped()).sum(),
         journal_kinds,
         rounds: rt.sim().round_stats(),
@@ -460,21 +388,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         "full mode: 8x32 / 64x256 / 256x1024 cold, horizons 10/5/1 s simulated, and the 32x128 steady cells"
     });
-    // What every sharded rate below ran on.
-    report.metric("available_parallelism", cores() as f64);
 
     let mut rows = Vec::new();
     let mut measured_single_256 = None;
     for &(hosts, comps, horizon) in scales {
-        let sample = run_cell(hosts, comps, 0.0, horizon)?;
-        assert!(
-            sample.events > 0,
-            "{hosts}x{comps}: pipeline routed no events"
-        );
+        let sample = run_cell(hosts, comps, 0.0, horizon, 1, 1)?;
         let key = format!("{hosts}x{comps}");
-        report.metric(format!("events_per_sec_{key}"), sample.events_per_sec());
+        let events = sample.events as f64;
+        report.gate(format!("events_{key}"), events, Bound::AtLeast(1.0));
         report.metric(format!("bytes_per_event_{key}"), sample.bytes_per_event());
-        report.percentiles_of(format!("chunk_events_per_sec_{key}"), &sample.chunk_rates);
         report.add_journal_dropped(sample.journal_dropped);
         if (hosts, comps) == (256, 1024) {
             measured_single_256 = Some(sample.events_per_sec());
@@ -502,28 +424,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sharded_rows = Vec::new();
     for &(hosts, comps, horizon, shards) in sharded_scales {
         let threads = threads_for(shards);
-        let sample = run_sharded_cell(hosts, comps, 0.0, horizon, shards, threads)?;
-        assert!(
-            sample.events > 0,
-            "{hosts}x{comps} sharded: pipeline routed no events"
-        );
+        let sample = run_cell(hosts, comps, 0.0, horizon, shards, threads)?;
         let key = format!("{hosts}x{comps}");
-        report.metric(
-            format!("events_per_sec_{key}_sharded{shards}"),
-            sample.events_per_sec(),
-        );
-        report.metric(format!("threads_{key}_sharded{shards}"), threads as f64);
-        report.percentiles_of(
-            format!("chunk_events_per_sec_{key}_sharded{shards}"),
-            &sample.chunk_rates,
+        let events = sample.events as f64;
+        report.gate(
+            format!("events_{key}_sharded{shards}"),
+            events,
+            Bound::AtLeast(1.0),
         );
         report.add_journal_dropped(sample.journal_dropped);
-        let mut vs_one = String::from("-");
-        if let (Some(one), (256, 1024)) = (measured_single_256, (hosts, comps)) {
-            let speedup = sample.events_per_sec() / one.max(1e-9);
-            report.metric("speedup_vs_measured_single_shard", speedup);
-            vs_one = format!("{speedup:.1}×");
-        }
+        let vs_one = match (measured_single_256, (hosts, comps)) {
+            (Some(one), (256, 1024)) => format!("{:.1}×", sample.events_per_sec() / one.max(1e-9)),
+            _ => "-".to_owned(),
+        };
         sharded_rows.push(vec![
             key,
             format!("{shards}"),
@@ -543,34 +456,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     const STEADY_SHARDS: usize = 2;
     let (hosts, comps, warmup, horizon) = STEADY;
     let key = format!("{hosts}x{comps}");
-    let single = run_cell(hosts, comps, warmup, horizon)?;
+    let single = run_cell(hosts, comps, warmup, horizon, 1, 1)?;
     let steady_threads = threads_for(STEADY_SHARDS);
-    let sharded = run_sharded_cell(hosts, comps, warmup, horizon, STEADY_SHARDS, steady_threads)?;
-    let one_thread = run_sharded_cell(hosts, comps, warmup, horizon, STEADY_SHARDS, 1)?;
+    let sharded = run_cell(hosts, comps, warmup, horizon, STEADY_SHARDS, steady_threads)?;
+    let one_thread = run_cell(hosts, comps, warmup, horizon, STEADY_SHARDS, 1)?;
     assert_eq!(
         sharded.rounds, one_thread.rounds,
         "pipeline FAILED: the window protocol's counts depend on the thread count"
     );
-    let durable_per_event = single.durable_bytes_per_event();
-    let report_bytes = single.report_bytes_mean();
-    report.metric(
-        format!("steady_events_per_sec_{key}"),
-        single.events_per_sec(),
-    );
-    report.metric(
-        format!("steady_events_per_sec_{key}_sharded{STEADY_SHARDS}"),
-        sharded.events_per_sec(),
-    );
-    report.metric(
-        format!("threads_{key}_sharded{STEADY_SHARDS}"),
-        steady_threads as f64,
-    );
-    // Wall-clock, recorded and not gated: ≈ 1 by construction on one core.
     let thread_speedup = sharded.events_per_sec() / one_thread.events_per_sec().max(1e-9);
-    report.metric(format!("thread_speedup_{key}"), thread_speedup);
-    for (thread, share) in sharded.barrier_wait_shares.iter().enumerate() {
-        report.metric(format!("barrier_wait_share_{key}_t{thread}"), *share);
-    }
     let rounds = &sharded.rounds;
     let events_per_round = rounds.events as f64 / rounds.rounds.max(1) as f64;
     let cross_shard_ratio =
@@ -595,14 +489,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.metric(format!("shard_{name}_{key}_s{shard}"), value as f64);
         }
     }
-    report.metric(format!("durable_bytes_per_event_{key}"), durable_per_event);
+    // The one-shard cell's exact counts, gated so the gates hold on any
+    // machine. A journaled report is never empty, so a mean of ≥ 1 B says
+    // one was journaled.
+    let events = single.events as f64;
+    report.gate(format!("events_{key}"), events, Bound::AtLeast(1.0));
+    report.gate(
+        format!("durable_bytes_per_event_{key}"),
+        single.durable_bytes_per_event(),
+        Bound::AtMost(MAX_DURABLE_BYTES_PER_EVENT),
+    );
     report.metric(
         format!("monitor_journal_bytes_per_event_{key}"),
         single.monitor_journal_bytes_per_event(),
     );
-    report.metric(format!("report_payload_bytes_mean_{key}"), report_bytes);
-    let allocs_per_event = single.allocs_per_event();
-    report.metric(format!("allocs_per_event_{key}"), allocs_per_event);
+    let report_bytes = single.report_bytes_mean();
+    let report_key = format!("report_payload_bytes_mean_{key}");
+    report.gate(&report_key, report_bytes, Bound::AtLeast(1.0));
+    report.gate(report_key, report_bytes, Bound::AtMost(MAX_REPORT_BYTES));
+    let allocs = single.allocs as f64;
+    report.gate(format!("allocs_{key}"), allocs, Bound::AtLeast(1.0));
+    report.gate(
+        format!("allocs_per_event_{key}"),
+        single.allocs_per_event(),
+        Bound::AtMost(MAX_ALLOCS_PER_EVENT),
+    );
     report.metric(
         format!("alloc_bytes_per_event_{key}"),
         single.alloc_bytes_per_event(),
@@ -692,36 +603,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &kind_rows,
     );
 
-    // Acceptance: exact counts only, so the gates hold on any machine.
-    let durable_pass = single.events > 0 && durable_per_event <= MAX_DURABLE_BYTES_PER_EVENT;
-    let report_pass = report_bytes > 0.0 && report_bytes <= MAX_REPORT_BYTES;
-    let allocs_pass = allocs_per_event > 0.0 && allocs_per_event <= MAX_ALLOCS_PER_EVENT;
-    report.set_passed(durable_pass && report_pass && allocs_pass);
-    report.note(format!(
-        "acceptance: durable journal ≤{MAX_DURABLE_BYTES_PER_EVENT} B per routed event in the \
-         32x128 steady cell (observed {durable_per_event:.1}); mean journaled monitoring report \
-         ≤{MAX_REPORT_BYTES} B (observed {report_bytes:.0}); allocator calls per routed event \
-         ≤{MAX_ALLOCS_PER_EVENT:.4} = 0.7 × the {PARENT_ALLOCS_PER_EVENT} measured before the \
-         per-message path kept its buffers (observed {allocs_per_event:.4})"
-    ));
-    assert!(
-        durable_pass,
-        "pipeline FAILED: {durable_per_event:.1} durable journal bytes per event, above the \
-         {MAX_DURABLE_BYTES_PER_EVENT} B gate"
-    );
-    assert!(
-        report_pass,
-        "pipeline FAILED: mean journaled monitoring report of {report_bytes:.0} B, outside the \
-         (0, {MAX_REPORT_BYTES}] B gate"
-    );
-    assert!(
-        allocs_pass,
-        "pipeline FAILED: {allocs_per_event:.4} allocator calls per routed event, outside the \
-         (0, {MAX_ALLOCS_PER_EVENT:.4}] gate"
-    );
-    if let Some(file) = report.emit_if_requested()? {
-        println!("\nwrote {file}");
-    }
-    println!("\nE6-pipeline PASS.");
-    Ok(())
+    report.finish()
 }

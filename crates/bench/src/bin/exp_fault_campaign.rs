@@ -18,7 +18,7 @@
 //! `--quick` shrinks the matrix and horizons (the CI smoke configuration);
 //! `--json` writes `BENCH_faults.json` in the shared `ExpReport` schema.
 
-use redep_bench::{fmt_f, print_table, ExpReport};
+use redep_bench::{fmt_f, print_table, Bound, ExpReport};
 use redep_core::{
     AnalyzerConfig, CentralizedFramework, DecentralizedFramework, RecoveryPolicy, RuntimeConfig,
     SystemRuntime,
@@ -35,7 +35,10 @@ struct CellOutcome {
     dip: f64,
     recovery_secs: f64,
     final_availability: f64,
-    recovered: bool,
+    /// The cell has recovered when its final availability is back to this
+    /// share of its baseline (the final windows all come after the fault
+    /// ends, so one of them has then reached it too).
+    recovery_threshold: f64,
     consistency_violations: u64,
     journal: String,
     /// Every windowed availability sample, for percentile reporting.
@@ -271,7 +274,6 @@ fn run_cell(
         .map(|(t, _)| t - h.fault_end());
     let tail: Vec<f64> = samples.iter().rev().take(3).map(|(_, a)| *a).collect();
     let final_availability = tail.iter().sum::<f64>() / tail.len().max(1) as f64;
-    let recovered = recovery_secs.is_some() && final_availability >= recovery_threshold;
 
     // Reconstruct span trees from the journal and run the structural trace
     // invariants: every child span has a live parent, every opened move
@@ -308,7 +310,7 @@ fn run_cell(
         dip,
         recovery_secs: recovery_secs.unwrap_or(h.total - h.fault_end()),
         final_availability,
-        recovered,
+        recovery_threshold,
         consistency_violations,
         journal,
         availability_samples: samples.iter().map(|&(_, a)| a).collect(),
@@ -338,29 +340,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(dir) = &journal_dir {
         std::fs::create_dir_all(dir)?;
     }
-    // `--only <class>`: restrict the matrix to one fault class (the CI
-    // crash-recovery smoke runs `--only crash`).
-    let only = args
-        .iter()
-        .position(|a| a == "--only")
-        .map(|i| {
-            args.get(i + 1)
-                .cloned()
-                .ok_or("--only requires a fault class argument")
-        })
-        .transpose()?;
-    let classes: Vec<&str> = FAULT_CLASSES
-        .iter()
-        .copied()
-        .filter(|c| only.as_deref().is_none_or(|o| o == *c))
-        .collect();
-    if classes.is_empty() {
-        return Err(format!(
-            "--only {}: unknown fault class (expected one of {FAULT_CLASSES:?})",
-            only.unwrap_or_default()
-        )
-        .into());
-    }
     let algorithms: &[&str] = if quick {
         &["stochastic", "decap"]
     } else {
@@ -378,23 +357,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     let mut rows = Vec::new();
-    let mut all_recovered = true;
     let mut total_violations = 0;
     let mut total_trace_violations = 0usize;
-    let mut crash_recovery_ok = true;
-    for &class in &classes {
+    for class in FAULT_CLASSES {
         for &algo in algorithms {
             let cell = run_cell(class, algo, quick)?;
-            all_recovered &= cell.recovered;
             total_violations += cell.consistency_violations;
-            if class == "crash" {
-                // The crash cell must actually exercise durable recovery:
-                // the victim restarts, replays its store, self-checks state
-                // equivalence, and hands out at least one verdict.
-                crash_recovery_ok &= cell.recovery_reports >= 1
-                    && cell.recovery_verdicts >= 1
-                    && cell.recovery_state_equiv >= 1.0;
-            }
             for violation in &cell.trace_violations {
                 eprintln!("trace invariant [{class}.{algo}]: {violation}");
             }
@@ -404,19 +372,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.metric(format!("{key}.baseline"), cell.baseline);
             report.metric(format!("{key}.dip"), cell.dip);
             report.metric(format!("{key}.recovery_secs"), cell.recovery_secs);
-            report.metric(format!("{key}.final"), cell.final_availability);
-            report.metric(
-                format!("{key}.recover.reports"),
-                cell.recovery_reports as f64,
-            );
-            report.metric(
-                format!("{key}.recover.verdicts"),
-                cell.recovery_verdicts as f64,
-            );
-            report.metric(
-                format!("{key}.recover.state_equiv"),
-                cell.recovery_state_equiv,
-            );
+            let recovered = Bound::AtLeast(cell.recovery_threshold);
+            report.gate(format!("{key}.final"), cell.final_availability, recovered);
+            if algo == "decap" && !quick {
+                // The partial-view starvation fix the hierarchical auctions
+                // exist for: DecAp ends every fault class at ≥ 0.90.
+                report.gate(
+                    format!("{key}.final"),
+                    cell.final_availability,
+                    Bound::AtLeast(0.90),
+                );
+            }
+            let recover = [
+                ("reports", cell.recovery_reports as f64),
+                ("verdicts", cell.recovery_verdicts as f64),
+                ("state_equiv", cell.recovery_state_equiv),
+            ];
+            for (name, value) in recover {
+                let name = format!("{key}.recover.{name}");
+                if class == "crash" {
+                    // The crash cell must actually exercise durable recovery:
+                    // the victim restarts, replays its store, self-checks
+                    // state equivalence, and hands out at least one verdict.
+                    report.gate(name, value, Bound::AtLeast(1.0));
+                } else {
+                    report.metric(name, value);
+                }
+            }
             report.percentiles_of(format!("{key}.availability"), &cell.availability_samples);
             if let Some(dir) = &journal_dir {
                 std::fs::write(format!("{dir}/{class}_{algo}.jsonl"), &cell.journal)?;
@@ -428,7 +410,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 fmt_f(cell.dip),
                 format!("{:.1}", cell.recovery_secs),
                 fmt_f(cell.final_availability),
-                if cell.recovered { "yes" } else { "NO" }.to_owned(),
+                if recovered.holds(cell.final_availability) {
+                    "yes"
+                } else {
+                    "NO"
+                }
+                .to_owned(),
             ]);
         }
     }
@@ -464,43 +451,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         a.durable_digest.len()
     );
 
-    report.metric("consistency.violations", total_violations as f64);
-    report.metric("trace.violations", total_trace_violations as f64);
-    report.metric("determinism.identical", f64::from(u8::from(deterministic)));
-    report.set_passed(
-        all_recovered
-            && total_violations == 0
-            && total_trace_violations == 0
-            && deterministic
-            && crash_recovery_ok,
+    // No cycle may leave the model diverging from the running system, no
+    // journal may break the trace invariants, and identical runs must be
+    // identical.
+    report.gate(
+        "consistency.violations",
+        total_violations as f64,
+        Bound::AtMost(0.0),
     );
-
-    assert!(
-        all_recovered,
-        "fault campaign FAILED: a fault class did not recover"
+    report.gate(
+        "trace.violations",
+        total_trace_violations as f64,
+        Bound::AtMost(0.0),
     );
-    assert!(
-        crash_recovery_ok,
-        "fault campaign FAILED: a crash cell recovered without durable reports, \
-         verdicts, or state equivalence"
+    report.gate(
+        "determinism.identical",
+        f64::from(u8::from(deterministic)),
+        Bound::AtLeast(1.0),
     );
-    assert_eq!(
-        total_violations, 0,
-        "fault campaign FAILED: a cycle left the model diverging from the running system"
-    );
-    assert_eq!(
-        total_trace_violations, 0,
-        "fault campaign FAILED: a cell's journal violates the trace invariants"
-    );
-    assert!(
-        deterministic,
-        "fault campaign FAILED: identical runs produced different journals"
-    );
-    if let Some(file) = report.emit_if_requested()? {
-        println!("wrote {file}");
-    }
-    println!(
-        "\nfault campaign PASS: every fault class recovered; model == actual after every cycle."
-    );
-    Ok(())
+    report.finish()
 }

@@ -20,18 +20,46 @@ use std::fmt::Write as _;
 /// detect incompatible layouts.
 pub const REPORT_SCHEMA: &str = "redep-bench/v1";
 
+/// The acceptance bound of one gated metric.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Bound {
+    /// The metric must be at least this value.
+    AtLeast(f64),
+    /// The metric must be at most this value.
+    AtMost(f64),
+}
+
+impl Bound {
+    /// Whether `value` satisfies the bound.
+    pub fn holds(self, value: f64) -> bool {
+        match self {
+            Bound::AtLeast(x) => value >= x,
+            Bound::AtMost(x) => value <= x,
+        }
+    }
+
+    /// The bound's JSON key and limit.
+    fn key_and_limit(self) -> (&'static str, f64) {
+        match self {
+            Bound::AtLeast(x) => ("at_least", x),
+            Bound::AtMost(x) => ("at_most", x),
+        }
+    }
+}
+
 /// One experiment's machine-readable report: the shared `--json` schema for
 /// every `exp_*` binary.
 ///
-/// Binaries keep printing their human tables; calling
-/// [`ExpReport::emit_if_requested`] at the end additionally writes
-/// `BENCH_<id>.json` when the experiment was invoked with `--json`. One
-/// schema across binaries means a results dashboard needs exactly one
-/// parser:
+/// Binaries keep printing their human tables, record each acceptance bound
+/// with [`ExpReport::gate`] beside the metric it bounds, and end with
+/// [`ExpReport::finish`]. One schema across binaries means a results
+/// dashboard — and `validate_report` — needs exactly one parser and one
+/// check ([`ExpReport::violations`]):
 ///
 /// ```json
 /// {"schema":"redep-bench/v1","experiment":"e11","title":"...",
 ///  "passed":true,"metrics":{"mean_rel_error":0.02},
+///  "gates":[{"metric":"mean_rel_error","at_most":0.15}],
 ///  "percentiles":{"cycle_ms":{"p50":12.0,"p90":31.0,"p99":44.0}},
 ///  "journal_dropped":0,"notes":["..."]}
 /// ```
@@ -41,18 +69,23 @@ pub struct ExpReport {
     pub experiment: String,
     /// Human title of the experiment.
     pub title: String,
-    /// Whether every assertion of the experiment held.
+    /// Whether every gate held. [`ExpReport::gate`] keeps it so; a parsed
+    /// report carries what its file says, which [`ExpReport::violations`]
+    /// checks against the gates.
     pub passed: bool,
     /// Flat scalar results, keyed by metric name (sorted, so exports are
     /// deterministic).
     pub metrics: BTreeMap<String, f64>,
+    /// The acceptance bounds, in the order they were gated: metric name and
+    /// bound. A metric may carry several.
+    pub gates: Vec<(String, Bound)>,
     /// Distribution summaries (p50/p90/p99 per sample name), for metrics
     /// where a single scalar hides the tail.
     pub percentiles: BTreeMap<String, [f64; 3]>,
     /// Telemetry events dropped because a journal overflowed its capacity
     /// during the run. A non-zero count means the journal (and anything
     /// derived from it — trace trees, invariant checks) is incomplete, so
-    /// `validate_report` rejects such reports.
+    /// such a report is a violation.
     pub journal_dropped: u64,
     /// Free-form remarks (tolerances used, truncations applied, …).
     pub notes: Vec<String>,
@@ -66,6 +99,7 @@ impl ExpReport {
             title: title.into(),
             passed: true,
             metrics: BTreeMap::new(),
+            gates: Vec::new(),
             percentiles: BTreeMap::new(),
             journal_dropped: 0,
             notes: Vec::new(),
@@ -75,6 +109,16 @@ impl ExpReport {
     /// Records one scalar metric (last write wins on duplicate names).
     pub fn metric(&mut self, name: impl Into<String>, value: f64) -> &mut Self {
         self.metrics.insert(name.into(), value);
+        self
+    }
+
+    /// Records one metric together with its acceptance bound; a value
+    /// outside the bound fails the report.
+    pub fn gate(&mut self, name: impl Into<String>, value: f64, bound: Bound) -> &mut Self {
+        let name = name.into();
+        self.passed &= bound.holds(value);
+        self.metrics.insert(name.clone(), value);
+        self.gates.push((name, bound));
         self
     }
 
@@ -100,14 +144,71 @@ impl ExpReport {
         self
     }
 
-    /// Sets the pass/fail verdict.
-    pub fn set_passed(&mut self, passed: bool) -> &mut Self {
-        self.passed = passed;
-        self
+    /// Everything wrong with the report, whichever experiment wrote it: an
+    /// overflowed journal, a gate on a missing metric, a metric outside its
+    /// gate, and a `passed` verdict that disagrees with the gates. Empty
+    /// for a valid report.
+    pub fn violations(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        if self.journal_dropped > 0 {
+            out.push(format!(
+                "{} telemetry events dropped: the journal overflowed",
+                self.journal_dropped
+            ));
+        }
+        let mut gates_hold = true;
+        for (name, bound) in &self.gates {
+            let (key, limit) = bound.key_and_limit();
+            match self.metrics.get(name) {
+                Some(&value) if bound.holds(value) => continue,
+                Some(value) => out.push(format!("{name} = {value} fails {key} {limit}")),
+                None => out.push(format!("gate {key} {limit} names missing metric {name}")),
+            }
+            gates_hold = false;
+        }
+        if self.passed != gates_hold {
+            out.push(format!("passed: {} disagrees with the gates", self.passed));
+        }
+        out
+    }
+
+    /// Ends an experiment: writes `BENCH_<experiment>.json` into the current
+    /// directory when the process was invoked with `--json`, prints every
+    /// violation, and returns an error if there was one — so `main` fails
+    /// exactly when `validate_report` would reject the report.
+    ///
+    /// # Errors
+    ///
+    /// The file's I/O error, or a summary of the violations.
+    pub fn finish(&self) -> Result<(), Box<dyn std::error::Error>> {
+        if std::env::args().any(|a| a == "--json") {
+            let json = serde_json::to_string_pretty(&self.to_json())?;
+            std::fs::write(self.file_name(), json + "\n")?;
+            println!("\nwrote {}", self.file_name());
+        }
+        let violations = self.violations();
+        for violation in &violations {
+            eprintln!("{} FAILED: {violation}", self.experiment);
+        }
+        if !violations.is_empty() {
+            return Err(format!(
+                "{} FAILED ({} violations)",
+                self.experiment,
+                violations.len()
+            )
+            .into());
+        }
+        let gates = self.gates.len();
+        println!(
+            "\n{} PASS: every gate holds ({gates} gated).",
+            self.experiment
+        );
+        Ok(())
     }
 
     /// Renders the report as a JSON value with deterministic (sorted) keys.
     pub fn to_json(&self) -> Value {
+        let number = |x: f64| Value::Number(serde_json::Number::F(x));
         let mut obj = BTreeMap::new();
         obj.insert("schema".to_owned(), Value::String(REPORT_SCHEMA.to_owned()));
         obj.insert(
@@ -116,24 +217,25 @@ impl ExpReport {
         );
         obj.insert("title".to_owned(), Value::String(self.title.clone()));
         obj.insert("passed".to_owned(), Value::Bool(self.passed));
-        let metrics: BTreeMap<String, Value> = self
-            .metrics
-            .iter()
-            .map(|(k, &v)| (k.clone(), Value::Number(serde_json::Number::F(v))))
-            .collect();
-        obj.insert("metrics".to_owned(), Value::Object(metrics));
-        let percentiles: BTreeMap<String, Value> = self
-            .percentiles
-            .iter()
-            .map(|(k, &[p50, p90, p99])| {
-                let mut q = BTreeMap::new();
-                q.insert("p50".to_owned(), Value::Number(serde_json::Number::F(p50)));
-                q.insert("p90".to_owned(), Value::Number(serde_json::Number::F(p90)));
-                q.insert("p99".to_owned(), Value::Number(serde_json::Number::F(p99)));
-                (k.clone(), Value::Object(q))
-            })
-            .collect();
-        obj.insert("percentiles".to_owned(), Value::Object(percentiles));
+        let metrics = (self.metrics.iter()).map(|(k, &v)| (k.clone(), number(v)));
+        obj.insert("metrics".to_owned(), Value::Object(metrics.collect()));
+        let gates = self.gates.iter().map(|(name, bound)| {
+            let (key, limit) = bound.key_and_limit();
+            let mut gate = BTreeMap::new();
+            gate.insert("metric".to_owned(), Value::String(name.clone()));
+            gate.insert(key.to_owned(), number(limit));
+            Value::Object(gate)
+        });
+        obj.insert("gates".to_owned(), Value::Array(gates.collect()));
+        let percentiles = self.percentiles.iter().map(|(k, &[p50, p90, p99])| {
+            let q = [("p50", p50), ("p90", p90), ("p99", p99)];
+            let q = q.into_iter().map(|(p, v)| (p.to_owned(), number(v)));
+            (k.clone(), Value::Object(q.collect()))
+        });
+        obj.insert(
+            "percentiles".to_owned(),
+            Value::Object(percentiles.collect()),
+        );
         obj.insert(
             "journal_dropped".to_owned(),
             Value::Number(serde_json::Number::U(self.journal_dropped)),
@@ -152,82 +254,56 @@ impl ExpReport {
     /// Returns an error when the value is not an object, carries a different
     /// `schema` tag, or misses a required key.
     pub fn from_json(value: &Value) -> Result<Self, serde::Error> {
-        let missing = |key: &str| serde::Error::custom(format!("missing key {key}"));
         let obj = value
             .as_object()
             .ok_or_else(|| serde::Error::custom("report must be an object"))?;
-        let schema = obj
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or_else(|| missing("schema"))?;
+        let schema = field(obj, "schema", Value::as_str)?;
         if schema != REPORT_SCHEMA {
             return Err(serde::Error::custom(format!(
                 "unsupported schema {schema:?} (expected {REPORT_SCHEMA:?})"
             )));
         }
-        let text = |key: &str| {
-            obj.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| missing(key))
-        };
-        let metrics = obj
-            .get("metrics")
-            .and_then(Value::as_object)
-            .ok_or_else(|| missing("metrics"))?
-            .iter()
-            .map(|(k, v)| {
-                v.as_f64()
-                    .map(|f| (k.clone(), f))
-                    .ok_or_else(|| serde::Error::custom(format!("metric {k} is not a number")))
-            })
-            .collect::<Result<BTreeMap<_, _>, _>>()?;
-        // Optional-with-default for reports written before these fields
-        // existed; the schema tag stays `redep-bench/v1`.
-        let mut percentiles = BTreeMap::new();
-        if let Some(p) = obj.get("percentiles") {
-            let p = p
-                .as_object()
-                .ok_or_else(|| serde::Error::custom("percentiles must be an object"))?;
-            for (name, quantiles) in p {
-                let q = quantiles.as_object().ok_or_else(|| {
-                    serde::Error::custom(format!("percentiles[{name}] is not an object"))
-                })?;
-                let get = |key: &str| {
-                    q.get(key).and_then(Value::as_f64).ok_or_else(|| {
-                        serde::Error::custom(format!("percentiles[{name}] misses {key}"))
-                    })
+        let metrics = field(obj, "metrics", Value::as_object)?;
+        let metrics = (metrics.keys())
+            .map(|k| Ok((k.clone(), field(metrics, k, Value::as_f64)?)))
+            .collect::<Result<_, serde::Error>>()?;
+        let gates = (field(obj, "gates", Value::as_array)?.iter())
+            .map(|gate| {
+                let gate = gate
+                    .as_object()
+                    .ok_or_else(|| serde::Error::custom("a gate is not an object"))?;
+                let name = field(gate, "metric", Value::as_str)?.to_owned();
+                let bound = match (gate.contains_key("at_least"), gate.contains_key("at_most")) {
+                    (true, false) => Bound::AtLeast(field(gate, "at_least", Value::as_f64)?),
+                    (false, true) => Bound::AtMost(field(gate, "at_most", Value::as_f64)?),
+                    _ => {
+                        let error = format!("the gate on {name} needs exactly one bound");
+                        return Err(serde::Error::custom(error));
+                    }
                 };
-                percentiles.insert(name.clone(), [get("p50")?, get("p90")?, get("p99")?]);
-            }
-        }
-        let journal_dropped = match obj.get("journal_dropped") {
-            None => 0,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| serde::Error::custom("journal_dropped is not a count"))?,
-        };
-        let notes = obj
-            .get("notes")
-            .and_then(Value::as_array)
-            .ok_or_else(|| missing("notes"))?
-            .iter()
-            .map(|n| {
-                n.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| missing("notes[]"))
+                Ok((name, bound))
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<_, serde::Error>>()?;
+        let percentiles = field(obj, "percentiles", Value::as_object)?;
+        let percentiles = (percentiles.keys())
+            .map(|name| {
+                let q = field(percentiles, name, Value::as_object)?;
+                let p = |key| field(q, key, Value::as_f64);
+                Ok((name.clone(), [p("p50")?, p("p90")?, p("p99")?]))
+            })
+            .collect::<Result<_, serde::Error>>()?;
+        let notes = (field(obj, "notes", Value::as_array)?.iter())
+            .map(|n| n.as_str().map(str::to_owned))
+            .collect::<Option<_>>()
+            .ok_or_else(|| serde::Error::custom("a note is not a string"))?;
         Ok(ExpReport {
-            experiment: text("experiment")?,
-            title: text("title")?,
-            passed: obj
-                .get("passed")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| missing("passed"))?,
+            experiment: field(obj, "experiment", Value::as_str)?.to_owned(),
+            title: field(obj, "title", Value::as_str)?.to_owned(),
+            passed: field(obj, "passed", Value::as_bool)?,
             metrics,
+            gates,
             percentiles,
-            journal_dropped,
+            journal_dropped: field(obj, "journal_dropped", Value::as_u64)?,
             notes,
         })
     }
@@ -236,23 +312,16 @@ impl ExpReport {
     pub fn file_name(&self) -> String {
         format!("BENCH_{}.json", self.experiment)
     }
+}
 
-    /// Writes `BENCH_<experiment>.json` into the current directory when the
-    /// process was invoked with `--json`; a no-op otherwise. Returns the
-    /// file name when a file was written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error when the file cannot be written.
-    pub fn emit_if_requested(&self) -> std::io::Result<Option<String>> {
-        if !std::env::args().any(|a| a == "--json") {
-            return Ok(None);
-        }
-        let name = self.file_name();
-        let json = serde_json::to_string_pretty(&self.to_json()).expect("reports always serialize");
-        std::fs::write(&name, json + "\n")?;
-        Ok(Some(name))
-    }
+/// `obj[key]` read through `cast`, or an error naming the key.
+fn field<'a, T>(
+    obj: &'a BTreeMap<String, Value>,
+    key: &str,
+    cast: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<T, serde::Error> {
+    let value = (obj.get(key)).ok_or_else(|| serde::Error::custom(format!("missing key {key}")))?;
+    cast(value).ok_or_else(|| serde::Error::custom(format!("{key} has the wrong type")))
 }
 
 /// Prints a titled ASCII table: experiment binaries share one look.
@@ -347,36 +416,131 @@ mod tests {
         let mut report = ExpReport::new("e11", "monitor accuracy");
         report
             .metric("mean_rel_error", 0.021)
-            .metric("mean_freq_error", 0.104)
+            .gate("mean_freq_error", 0.104, Bound::AtMost(0.25))
+            .gate("mean_freq_error", 0.104, Bound::AtLeast(0.0))
+            .gate("hosts_reporting", 4.0, Bound::AtLeast(4.0))
             .percentiles_of("cycle_ms", &[10.0, 20.0, 30.0, 40.0])
             .add_journal_dropped(3)
-            .note("frequency table truncated to 15 rows")
-            .set_passed(true);
+            .note("frequency table truncated to 15 rows");
         let text = serde_json::to_string_pretty(&report.to_json()).unwrap();
         let back = ExpReport::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
         assert_eq!(back, report);
         assert!(text.contains(REPORT_SCHEMA));
-        assert!(text.contains("journal_dropped"));
+        assert!(text.contains("\"at_most\": 0.25"), "{text}");
+        assert_eq!(back.gates.len(), 3);
+        assert_eq!(
+            back.gates[2],
+            ("hosts_reporting".into(), Bound::AtLeast(4.0))
+        );
+        assert_eq!(back.metrics["mean_freq_error"], 0.104);
+        assert!(back.passed);
         assert_eq!(back.percentiles["cycle_ms"], [20.0, 40.0, 40.0]);
         assert_eq!(back.journal_dropped, 3);
         assert_eq!(report.file_name(), "BENCH_e11.json");
     }
 
-    #[test]
-    fn pre_percentile_reports_still_parse() {
-        // Reports written before the percentiles/journal_dropped fields
-        // existed keep the same schema tag and must keep parsing.
-        let mut report = ExpReport::new("e1", "legacy");
-        report.metric("x", 1.0);
-        let Value::Object(mut obj) = report.to_json() else {
+    /// A report with one passing and one failing gate, as JSON.
+    fn failing_report() -> Value {
+        let mut report = ExpReport::new("e3", "speed-up");
+        report.gate("dense_speedup", 7.1, Bound::AtLeast(5.0)).gate(
+            "opaque_secs",
+            0.5,
+            Bound::AtMost(0.1),
+        );
+        report.to_json()
+    }
+
+    fn edited(edit: impl FnOnce(&mut BTreeMap<String, Value>)) -> ExpReport {
+        let Value::Object(mut obj) = failing_report() else {
             panic!("reports serialize to objects")
         };
-        obj.remove("percentiles");
-        obj.remove("journal_dropped");
-        let back = ExpReport::from_json(&Value::Object(obj)).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.journal_dropped, 0);
-        assert!(back.percentiles.is_empty());
+        edit(&mut obj);
+        ExpReport::from_json(&Value::Object(obj)).unwrap()
+    }
+
+    #[test]
+    fn a_failing_gate_fails_the_report_and_finish() {
+        let mut report = ExpReport::new("e3", "speed-up");
+        report.gate("dense_speedup", 7.1, Bound::AtLeast(5.0));
+        assert!(report.passed && report.violations().is_empty());
+        assert!(report.finish().is_ok());
+        // The dense speed-up below its bound: the verdict and the exit
+        // status both follow the gate.
+        report.gate("genetic_speedup", 4.2, Bound::AtLeast(5.0));
+        assert!(!report.passed);
+        assert_eq!(
+            report.violations(),
+            ["genetic_speedup = 4.2 fails at_least 5"]
+        );
+        assert!(report.finish().is_err());
+        // An honest failing report is consistent: only the gate is flagged.
+        let back = ExpReport::from_json(&failing_report()).unwrap();
+        assert!(!back.passed);
+        assert_eq!(back.violations(), ["opaque_secs = 0.5 fails at_most 0.1"]);
+    }
+
+    #[test]
+    fn violations_reject_a_metric_outside_its_recorded_bound() {
+        let report = edited(|obj| {
+            let Some(Value::Object(metrics)) = obj.get_mut("metrics") else {
+                panic!("metrics is an object")
+            };
+            metrics.insert(
+                "dense_speedup".into(),
+                Value::Number(serde_json::Number::F(4.9)),
+            );
+        });
+        let violations = report.violations();
+        assert!(violations.contains(&"dense_speedup = 4.9 fails at_least 5".to_owned()));
+    }
+
+    #[test]
+    fn violations_reject_passed_beside_a_failing_gate() {
+        let report = edited(|obj| {
+            obj.insert("passed".into(), Value::Bool(true));
+        });
+        assert_eq!(
+            report.violations(),
+            [
+                "opaque_secs = 0.5 fails at_most 0.1",
+                "passed: true disagrees with the gates"
+            ]
+        );
+    }
+
+    #[test]
+    fn violations_reject_a_gate_on_a_missing_metric() {
+        let report = edited(|obj| {
+            let Some(Value::Object(metrics)) = obj.get_mut("metrics") else {
+                panic!("metrics is an object")
+            };
+            metrics.remove("dense_speedup");
+        });
+        let violations = report.violations();
+        assert!(
+            violations.contains(&"gate at_least 5 names missing metric dense_speedup".to_owned())
+        );
+    }
+
+    #[test]
+    fn violations_reject_an_overflowed_journal() {
+        let mut report = ExpReport::new("e1", "t");
+        report.add_journal_dropped(2);
+        assert!(report.passed);
+        assert_eq!(
+            report.violations(),
+            ["2 telemetry events dropped: the journal overflowed"]
+        );
+    }
+
+    #[test]
+    fn reports_without_gates_do_not_parse() {
+        let Value::Object(mut obj) = failing_report() else {
+            panic!("reports serialize to objects")
+        };
+        obj.remove("gates");
+        let err = ExpReport::from_json(&Value::Object(obj)).unwrap_err();
+        assert!(err.to_string().contains("missing key gates"), "{err}");
     }
 
     #[test]
