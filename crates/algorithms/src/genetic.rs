@@ -6,7 +6,6 @@
 //! points as every other algorithm in the crate.
 
 use crate::compiled::{compile, Compiled};
-use crate::parallel::{run_shards, shard_seed};
 use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
 use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
@@ -27,14 +26,6 @@ pub struct GeneticConfig {
     pub tournament: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Number of independent islands (multi-start); island `i` evolves on
-    /// the fixed seed stream derived from `(seed, i)`, so the merged result
-    /// is a pure function of the configuration. Values below 1 are treated
-    /// as 1.
-    pub shards: u32,
-    /// Worker threads the islands run on; any value produces the same
-    /// result. Values below 1 are treated as 1.
-    pub threads: u32,
 }
 
 impl Default for GeneticConfig {
@@ -45,8 +36,6 @@ impl Default for GeneticConfig {
             mutation_rate: 0.05,
             tournament: 3,
             seed: 0,
-            shards: 1,
-            threads: 1,
         }
     }
 }
@@ -104,169 +93,125 @@ impl GeneticAlgorithm {
             .filter(|d| d.validate(model).is_ok())
             .map(|d| cm.compile_assignment(d));
 
-        struct IslandOutcome {
-            candidate: Option<(Vec<u32>, f64)>,
-            evaluations: u64,
-            full: u64,
-            delta: u64,
-            trace: Vec<(u64, f64)>,
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let mut inc = c.scorer();
+        let mut evaluations = 0u64;
+
+        // Fitness is a pure function of the chromosome: a from-scratch
+        // score, never a delta chain, so equal chromosomes tie exactly.
+        let mut score_of = |genes: &[u32], evaluations: &mut u64| -> f64 {
+            if !c.constraints.check(genes) {
+                return c.objective.worst();
+            }
+            *evaluations += 1;
+            inc.assign_from(genes)
+        };
+
+        // Seed the population: the initial deployment (if valid) plus
+        // greedy-feasible random individuals.
+        let mut population: Vec<Vec<u32>> = Vec::with_capacity(cfg.population);
+        if let Some(genes) = &init_genes {
+            population.push(genes.clone());
+        }
+        while population.len() < cfg.population {
+            let mut d = vec![UNASSIGNED; n_comps];
+            let genes: Vec<u32> = (0..n_comps)
+                .map(|ci| {
+                    // Prefer admissible hosts; fall back to
+                    // uniform-random. The fallback is drawn
+                    // unconditionally so the RNG stream does not depend
+                    // on admissibility.
+                    let admissible: Vec<u32> = (0..n_hosts as u32)
+                        .filter(|&h| c.constraints.admits(&d, ci as u32, h))
+                        .collect();
+                    let pick = admissible.choose(&mut rng).copied();
+                    let fallback = rng.random_range(0..n_hosts) as u32;
+                    let h = pick.unwrap_or(fallback);
+                    d[ci] = h;
+                    h
+                })
+                .collect();
+            population.push(genes);
         }
 
-        let island = |shard: u32| -> IslandOutcome {
-            let mut rng = ChaCha8Rng::seed_from_u64(shard_seed(cfg.seed, shard));
-            let mut inc = c.scorer();
-            let mut evaluations = 0u64;
+        let mut scores: Vec<f64> = population
+            .iter()
+            .map(|g| score_of(g, &mut evaluations))
+            .collect();
 
-            // Fitness is a pure function of the chromosome: a from-scratch
-            // score, never a delta chain, so equal chromosomes tie exactly.
-            let mut score_of = |genes: &[u32], evaluations: &mut u64| -> f64 {
-                if !c.constraints.check(genes) {
-                    return c.objective.worst();
-                }
-                *evaluations += 1;
-                inc.assign_from(genes)
-            };
+        let better = |a: f64, b: f64| c.objective.is_improvement(b, a); // a better than b
 
-            // Seed the population: the initial deployment (if valid) plus
-            // greedy-feasible random individuals.
-            let mut population: Vec<Vec<u32>> = Vec::with_capacity(cfg.population);
-            if let Some(genes) = &init_genes {
-                population.push(genes.clone());
-            }
-            while population.len() < cfg.population {
-                let mut d = vec![UNASSIGNED; n_comps];
-                let genes: Vec<u32> = (0..n_comps)
-                    .map(|ci| {
-                        // Prefer admissible hosts; fall back to
-                        // uniform-random. The fallback is drawn
-                        // unconditionally so the RNG stream does not depend
-                        // on admissibility.
-                        let admissible: Vec<u32> = (0..n_hosts as u32)
-                            .filter(|&h| c.constraints.admits(&d, ci as u32, h))
-                            .collect();
-                        let pick = admissible.choose(&mut rng).copied();
-                        let fallback = rng.random_range(0..n_hosts) as u32;
-                        let h = pick.unwrap_or(fallback);
-                        d[ci] = h;
-                        h
-                    })
-                    .collect();
-                population.push(genes);
-            }
-
-            let mut scores: Vec<f64> = population
+        let mut trace = Vec::with_capacity(cfg.generations + 1);
+        let trace_best = |scores: &[f64], evaluations: u64, trace: &mut Vec<(u64, f64)>| {
+            let best = scores
                 .iter()
-                .map(|g| score_of(g, &mut evaluations))
-                .collect();
-
-            let better = |a: f64, b: f64| c.objective.is_improvement(b, a); // a better than b
-
-            let mut trace = Vec::with_capacity(cfg.generations + 1);
-            let trace_best = |scores: &[f64], evaluations: u64, trace: &mut Vec<(u64, f64)>| {
-                let best = scores
-                    .iter()
-                    .copied()
-                    .reduce(|x, y| {
-                        if c.objective.is_improvement(x, y) {
-                            y
-                        } else {
-                            x
-                        }
-                    })
-                    .expect("population non-empty");
-                trace.push((evaluations, best));
-            };
-            trace_best(&scores, evaluations, &mut trace);
-
-            for _ in 0..cfg.generations {
-                let mut next: Vec<Vec<u32>> = Vec::with_capacity(cfg.population);
-                // Elitism: carry the best individual over.
-                let best_idx = (0..population.len())
-                    .reduce(|x, y| if better(scores[y], scores[x]) { y } else { x })
-                    .expect("population non-empty");
-                next.push(population[best_idx].clone());
-
-                while next.len() < cfg.population {
-                    let pick = |rng: &mut ChaCha8Rng| {
-                        let mut best = rng.random_range(0..population.len());
-                        for _ in 1..cfg.tournament {
-                            let other = rng.random_range(0..population.len());
-                            if better(scores[other], scores[best]) {
-                                best = other;
-                            }
-                        }
-                        best
-                    };
-                    let pa = pick(&mut rng);
-                    let pb = pick(&mut rng);
-                    let mut child: Vec<u32> = (0..n_comps)
-                        .map(|i| {
-                            if rng.random_bool(0.5) {
-                                population[pa][i]
-                            } else {
-                                population[pb][i]
-                            }
-                        })
-                        .collect();
-                    for gene in child.iter_mut() {
-                        if rng.random_bool(cfg.mutation_rate) {
-                            *gene = rng.random_range(0..n_hosts) as u32;
-                        }
+                .copied()
+                .reduce(|x, y| {
+                    if c.objective.is_improvement(x, y) {
+                        y
+                    } else {
+                        x
                     }
-                    next.push(child);
-                }
-                population = next;
-                scores = population
-                    .iter()
-                    .map(|g| score_of(g, &mut evaluations))
-                    .collect();
-                trace_best(&scores, evaluations, &mut trace);
-            }
+                })
+                .expect("population non-empty");
+            trace.push((evaluations, best));
+        };
+        trace_best(&scores, evaluations, &mut trace);
 
+        for _ in 0..cfg.generations {
+            let mut next: Vec<Vec<u32>> = Vec::with_capacity(cfg.population);
+            // Elitism: carry the best individual over.
             let best_idx = (0..population.len())
                 .reduce(|x, y| if better(scores[y], scores[x]) { y } else { x })
                 .expect("population non-empty");
-            let candidate = if scores[best_idx] == c.objective.worst() {
-                None
-            } else {
-                Some((population.swap_remove(best_idx), scores[best_idx]))
-            };
-            IslandOutcome {
-                candidate,
-                evaluations,
-                full: inc.full_evaluations(),
-                delta: inc.delta_evaluations(),
-                trace,
-            }
-        };
+            next.push(population[best_idx].clone());
 
-        let outcomes = run_shards(cfg.shards.max(1), cfg.threads.max(1), island);
-
-        let mut best: Option<(Vec<u32>, f64)> = None;
-        let mut evaluations = 0u64;
-        let mut full = 0u64;
-        let mut delta = 0u64;
-        let mut convergence = Vec::new();
-        for o in outcomes {
-            evaluations += o.evaluations;
-            full += o.full;
-            delta += o.delta;
-            if convergence.is_empty() {
-                convergence = o.trace.clone();
-            }
-            if let Some((genes, v)) = o.candidate {
-                let take = match &best {
-                    Some((_, bv)) => c.objective.is_improvement(*bv, v),
-                    None => true,
+            while next.len() < cfg.population {
+                let pick = |rng: &mut ChaCha8Rng| {
+                    let mut best = rng.random_range(0..population.len());
+                    for _ in 1..cfg.tournament {
+                        let other = rng.random_range(0..population.len());
+                        if better(scores[other], scores[best]) {
+                            best = other;
+                        }
+                    }
+                    best
                 };
-                if take {
-                    best = Some((genes, v));
-                    convergence = o.trace;
+                let pa = pick(&mut rng);
+                let pb = pick(&mut rng);
+                let mut child: Vec<u32> = (0..n_comps)
+                    .map(|i| {
+                        if rng.random_bool(0.5) {
+                            population[pa][i]
+                        } else {
+                            population[pb][i]
+                        }
+                    })
+                    .collect();
+                for gene in child.iter_mut() {
+                    if rng.random_bool(cfg.mutation_rate) {
+                        *gene = rng.random_range(0..n_hosts) as u32;
+                    }
                 }
+                next.push(child);
             }
+            population = next;
+            scores = population
+                .iter()
+                .map(|g| score_of(g, &mut evaluations))
+                .collect();
+            trace_best(&scores, evaluations, &mut trace);
         }
 
-        let candidate = best.map(|(genes, v)| (cm.decode_assignment(&genes), v));
+        let best_idx = (0..population.len())
+            .reduce(|x, y| if better(scores[y], scores[x]) { y } else { x })
+            .expect("population non-empty");
+        let candidate = if scores[best_idx] == c.objective.worst() {
+            None
+        } else {
+            Some((population.swap_remove(best_idx), scores[best_idx]))
+        };
+        let candidate = candidate.map(|(genes, v)| (cm.decode_assignment(&genes), v));
         let (deployment, value) =
             keep_best(c, initial, candidate).ok_or(AlgoError::NoFeasibleDeployment)?;
         Ok(AlgoResult {
@@ -275,9 +220,9 @@ impl GeneticAlgorithm {
             value,
             evaluations,
             wall_time: started.elapsed(),
-            convergence,
-            full_evaluations: full,
-            delta_evaluations: delta,
+            convergence: trace,
+            full_evaluations: inc.full_evaluations(),
+            delta_evaluations: inc.delta_evaluations(),
             pruned_evaluations: 0,
             hierarchy_clusters: 0,
             refine_rounds: 0,
@@ -374,29 +319,6 @@ mod tests {
             .run(&m, &Availability, m.constraints(), None)
             .unwrap();
         assert!(r.deployment.is_empty());
-    }
-
-    #[test]
-    fn island_runs_are_thread_count_invariant() {
-        let (m, init) = generated(5);
-        let config = GeneticConfig {
-            generations: 8,
-            population: 16,
-            shards: 4,
-            threads: 1,
-            ..GeneticConfig::default()
-        };
-        let reference = GeneticAlgorithm::with_config(config)
-            .run(&m, &Availability, m.constraints(), Some(&init))
-            .unwrap();
-        for threads in [2u32, 8] {
-            let r = GeneticAlgorithm::with_config(GeneticConfig { threads, ..config })
-                .run(&m, &Availability, m.constraints(), Some(&init))
-                .unwrap();
-            assert_eq!(r.deployment, reference.deployment, "threads = {threads}");
-            assert_eq!(r.value, reference.value, "threads = {threads}");
-            assert_eq!(r.evaluations, reference.evaluations, "threads = {threads}");
-        }
     }
 
     #[test]

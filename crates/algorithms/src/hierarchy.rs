@@ -23,7 +23,7 @@
 //! Refinement shards never read another shard's mutable state: every shard
 //! starts from the same expanded assignment and only moves its own cluster's
 //! components between its own cluster's hosts, so the merged result — taken
-//! in cluster order exactly as `parallel.rs` merges multi-start shards — is
+//! in cluster order, the order `parallel.rs` returns shard results in — is
 //! a pure function of the inputs, byte-identical at any thread count.
 //!
 //! Cross-cluster constraint safety: collocated groups are preserved by the
@@ -35,10 +35,8 @@
 
 use crate::compiled::{Compiled, Constraints};
 use crate::parallel::run_shards;
+use crate::stochastic::restarts;
 use crate::traits::{keep_best, AlgoError, AlgoResult};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use redep_model::{CompiledConstraints, Deployment, Hierarchy, HierarchyConfig, UNASSIGNED};
 use std::time::Instant;
 
@@ -195,66 +193,20 @@ pub(crate) fn coarse_greedy(cc: &Compiled<'_>) -> CoarseOutcome {
     }
 }
 
-/// Stochastic-flavored coarse solver: `iterations` seeded random shuffles of
-/// cluster and component order, first-fit placement, best kept by strict
-/// improvement (first iteration wins ties).
+/// Stochastic-flavored coarse solver: the flat Stochastic restart loop
+/// ([`restarts`]) run on the coarse model, clusters standing in for hosts.
 pub(crate) fn coarse_random(cc: &Compiled<'_>, seed: u64, iterations: u32) -> CoarseOutcome {
-    let cm = &cc.model;
-    let k = cm.n_hosts() as u32;
-    let n = cm.n_comps() as u32;
-    if n == 0 || k == 0 {
-        return CoarseOutcome {
-            cluster_assign: vec![UNASSIGNED; n as usize],
-            full: 0,
-            delta: 0,
-        };
-    }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut inc = cc.scorer();
-    let mut cluster_order: Vec<u32> = (0..k).collect();
-    let mut comp_order: Vec<u32> = (0..n).collect();
-    let mut assign = vec![UNASSIGNED; n as usize];
-    let mut remaining: Vec<u32> = Vec::with_capacity(n as usize);
-    let mut best: Option<(Vec<u32>, f64)> = None;
-    for _ in 0..iterations.max(1) {
-        cluster_order.shuffle(&mut rng);
-        comp_order.shuffle(&mut rng);
-        assign.fill(UNASSIGNED);
-        let mut load = cc.constraints.load_of(&assign);
-        remaining.clear();
-        remaining.extend_from_slice(&comp_order);
-        for &h in &cluster_order {
-            remaining.retain(|&ci| {
-                if cc.constraints.admits_with_load(&assign, &load, ci, h) {
-                    assign[ci as usize] = h;
-                    load[h as usize] += cm.comp_memory()[ci as usize];
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        if !remaining.is_empty() {
-            continue;
-        }
-        let value = inc.assign_from(&assign);
-        let improved = match &best {
-            Some((_, bv)) => cc.objective.is_improvement(*bv, value),
-            None => true,
-        };
-        if improved {
-            best = Some((assign.clone(), value));
-        }
-    }
-    let cluster_assign = best
+    let r = restarts(cc, seed, iterations);
+    let cluster_assign = r
+        .best
         .map(|(a, _)| a)
         // No complete shuffle placement: fall back to the greedy coarse
         // assignment (the expand step repairs any remaining holes).
         .unwrap_or_else(|| coarse_greedy(cc).cluster_assign);
     CoarseOutcome {
         cluster_assign,
-        full: inc.full_evaluations(),
-        delta: inc.delta_evaluations(),
+        full: r.full,
+        delta: r.delta,
     }
 }
 

@@ -1,22 +1,24 @@
-//! Deterministic parallel multi-start plumbing.
+//! Deterministic parallel shard plumbing.
 //!
-//! Multi-start algorithms (Stochastic restarts, Genetic islands, Annealing
-//! chains) split their work into `shards`, each with a fixed RNG stream
-//! derived from `(seed, shard index)` by [`shard_seed`]. [`run_shards`]
-//! executes the shard bodies on the caller and scoped helper threads and
-//! returns the results *in shard order*, so merging is a sequential fold
-//! whose outcome — like the shard bodies themselves — is independent of the
-//! thread count and of scheduling interleavings. The same configuration
-//! therefore produces byte-identical results on 1, 2, or 8 threads.
+//! The flat search bodies (Stochastic, Annealing, Genetic) each run one
+//! seed stream on the calling thread. What runs in parallel is per-cluster
+//! work: the hierarchical engine's refinement shards and DecAp's
+//! per-cluster auctions. [`run_shards`] executes those shard bodies on the
+//! caller and scoped helper threads and returns the results *in shard
+//! order*, so merging is a sequential fold whose outcome — like the shard
+//! bodies themselves — is independent of the thread count and of scheduling
+//! interleavings. The same configuration therefore produces byte-identical
+//! results on 1, 2, or 8 threads. [`shard_seed`] derives decorrelated seed
+//! streams from one configured seed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The RNG seed for one shard of a multi-start run.
+/// The RNG seed of stream `shard` derived from `seed`.
 ///
-/// Shard 0 reuses `seed` unchanged, so a single-shard run replays the
-/// sequential algorithm bit-for-bit. Later shards get decorrelated streams
-/// through a splitmix64-style mix of `(seed, shard)`.
+/// Stream 0 is `seed` unchanged. Later streams are decorrelated through a
+/// splitmix64-style mix of `(seed, shard)`; `annealing-h`'s final chain
+/// runs on stream `u32::MAX`, which no flat body uses.
 pub(crate) fn shard_seed(seed: u64, shard: u32) -> u64 {
     if shard == 0 {
         return seed;

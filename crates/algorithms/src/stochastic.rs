@@ -8,7 +8,6 @@
 
 use crate::compiled::{compile, Compiled};
 use crate::hierarchy::{coarse_random, finish_hierarchical, run_hierarchical, HierarchicalConfig};
-use crate::parallel::{run_shards, shard_seed};
 use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -16,18 +15,16 @@ use rand_chacha::ChaCha8Rng;
 use redep_model::{ConstraintChecker, Deployment, DeploymentModel, Objective, UNASSIGNED};
 use std::time::Instant;
 
-/// Randomized first-fit, repeated `iterations` times; O(n²) per iteration.
+/// Randomized first-fit, repeated `iterations` times on one seeded stream;
+/// O(n²) per iteration.
 ///
 /// Placements run on dense indices and are scored through
 /// [`redep_model::IncrementalScore`] (or [`Objective::evaluate`] when the
-/// objective has no dense form); the iterations can additionally be split
-/// into parallel shards with [`with_parallelism`](Self::with_parallelism).
+/// objective has no dense form).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct StochasticAlgorithm {
     iterations: u32,
     seed: u64,
-    shards: u32,
-    threads: u32,
     hierarchy: Option<HierarchicalConfig>,
 }
 
@@ -43,13 +40,7 @@ impl StochasticAlgorithm {
 
     /// Creates the algorithm with the default iteration count and seed 0.
     pub fn new() -> Self {
-        StochasticAlgorithm {
-            iterations: Self::DEFAULT_ITERATIONS,
-            seed: 0,
-            shards: 1,
-            threads: 1,
-            hierarchy: None,
-        }
+        StochasticAlgorithm::with_config(Self::DEFAULT_ITERATIONS, 0)
     }
 
     /// Creates the algorithm with explicit iterations and seed.
@@ -62,21 +53,8 @@ impl StochasticAlgorithm {
         StochasticAlgorithm {
             iterations,
             seed,
-            shards: 1,
-            threads: 1,
             hierarchy: None,
         }
-    }
-
-    /// Splits the iterations into `shards` independent restarts (each with a
-    /// fixed seed stream derived from the configured seed) executed on up to
-    /// `threads` worker threads. The result is a pure function of
-    /// `(iterations, seed, shards)` — any thread count produces the same
-    /// deployment and value. Zero values are clamped to 1.
-    pub fn with_parallelism(mut self, shards: u32, threads: u32) -> Self {
-        self.shards = shards.max(1);
-        self.threads = threads.max(1);
-        self
     }
 
     /// Runs the hierarchical variant (`stochastic-h`): seeded random
@@ -90,122 +68,77 @@ impl StochasticAlgorithm {
     }
 }
 
-/// Per-shard search outcome.
-struct ShardOutcome {
-    best: Option<(Vec<u32>, f64)>,
-    evaluations: u64,
-    full: u64,
-    delta: u64,
-    trace: Vec<(u64, f64)>,
+/// What the restart loop found.
+pub(crate) struct Restarts {
+    /// The best complete, feasible placement and its score, if any restart
+    /// produced one.
+    pub best: Option<(Vec<u32>, f64)>,
+    /// Feasible placements scored.
+    pub evaluations: u64,
+    pub full: u64,
+    pub delta: u64,
+    /// `(evaluations, value)` at every improvement of the best.
+    pub trace: Vec<(u64, f64)>,
 }
 
-impl StochasticAlgorithm {
-    fn search(
-        &self,
-        c: &Compiled<'_>,
-        initial: Option<&Deployment>,
-        started: Instant,
-    ) -> Result<AlgoResult, AlgoError> {
-        let cm = &c.model;
-        let n_hosts = cm.n_hosts() as u32;
-        let n_comps = cm.n_comps() as u32;
-        let shards = self.shards;
-        // Iterations split round-robin so shard 0 with `shards == 1` replays
-        // the sequential run exactly.
-        let per_shard: Vec<u32> = (0..shards)
-            .map(|s| self.iterations / shards + u32::from(s < self.iterations % shards))
-            .collect();
-
-        let outcomes = run_shards(shards, self.threads, |shard| {
-            let mut rng = ChaCha8Rng::seed_from_u64(shard_seed(self.seed, shard));
-            let mut inc = c.scorer();
-            let mut assign = vec![UNASSIGNED; n_comps as usize];
-            let mut host_order: Vec<u32> = (0..n_hosts).collect();
-            let mut comp_order: Vec<u32> = (0..n_comps).collect();
-            let mut remaining: Vec<u32> = Vec::with_capacity(n_comps as usize);
-            let mut best: Option<(Vec<u32>, f64)> = None;
-            let mut evaluations = 0u64;
-            let mut trace = Vec::new();
-            for _ in 0..per_shard[shard as usize] {
-                host_order.shuffle(&mut rng);
-                comp_order.shuffle(&mut rng);
-                assign.fill(UNASSIGNED);
-                remaining.clear();
-                remaining.extend_from_slice(&comp_order);
-                for &h in &host_order {
-                    // Fill this host with as many of the remaining
-                    // components as fit, in their random order.
-                    remaining.retain(|&comp| {
-                        if c.constraints.admits(&assign, comp, h) {
-                            assign[comp as usize] = h;
-                            false
-                        } else {
-                            true
-                        }
-                    });
+/// The Stochastic restart loop: `iterations` times, shuffle host and
+/// component order on the stream seeded with `seed`, give each host in turn
+/// as many of the remaining components as it admits, and score the
+/// placement if it is complete and feasible; the best is kept by strict
+/// improvement, so the earliest restart wins ties. `stochastic` runs it on
+/// the model and `stochastic-h` on the coarse cluster model.
+pub(crate) fn restarts(c: &Compiled<'_>, seed: u64, iterations: u32) -> Restarts {
+    let cm = &c.model;
+    let n_comps = cm.n_comps() as u32;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut inc = c.scorer();
+    let mut assign = vec![UNASSIGNED; n_comps as usize];
+    let mut load = c.constraints.load_of(&assign);
+    let mut host_order: Vec<u32> = (0..cm.n_hosts() as u32).collect();
+    let mut comp_order: Vec<u32> = (0..n_comps).collect();
+    let mut remaining: Vec<u32> = Vec::with_capacity(n_comps as usize);
+    let mut best: Option<(Vec<u32>, f64)> = None;
+    let mut evaluations = 0u64;
+    let mut trace = Vec::new();
+    for _ in 0..iterations {
+        host_order.shuffle(&mut rng);
+        comp_order.shuffle(&mut rng);
+        assign.fill(UNASSIGNED);
+        load.fill(0.0);
+        remaining.clear();
+        remaining.extend_from_slice(&comp_order);
+        for &h in &host_order {
+            // Fill this host with as many of the remaining components as
+            // fit, in their random order.
+            remaining.retain(|&comp| {
+                if c.constraints.admits_with_load(&assign, &load, comp, h) {
+                    assign[comp as usize] = h;
+                    load[h as usize] += cm.comp_memory()[comp as usize];
+                    false
+                } else {
+                    true
                 }
-                if !remaining.is_empty() || !c.constraints.check(&assign) {
-                    continue;
-                }
-                evaluations += 1;
-                let value = inc.assign_from(&assign);
-                let improved = match &best {
-                    Some((_, bv)) => c.objective.is_improvement(*bv, value),
-                    None => true,
-                };
-                if improved {
-                    best = Some((assign.clone(), value));
-                    trace.push((evaluations, value));
-                }
-            }
-            ShardOutcome {
-                best,
-                evaluations,
-                full: inc.full_evaluations(),
-                delta: inc.delta_evaluations(),
-                trace,
-            }
-        });
-
-        // Merge in shard order with a strict-improvement rule, so the lowest
-        // shard wins ties and the outcome is independent of thread count.
-        let mut best: Option<(Vec<u32>, f64)> = None;
-        let mut evaluations = 0u64;
-        let mut full = 0u64;
-        let mut delta = 0u64;
-        let mut convergence = Vec::new();
-        for o in outcomes {
-            evaluations += o.evaluations;
-            full += o.full;
-            delta += o.delta;
-            if let Some((a, v)) = o.best {
-                let take = match &best {
-                    Some((_, bv)) => c.objective.is_improvement(*bv, v),
-                    None => true,
-                };
-                if take {
-                    best = Some((a, v));
-                    convergence = o.trace;
-                }
-            }
+            });
         }
-
-        let candidate = best.map(|(a, v)| (cm.decode_assignment(&a), v));
-        let (deployment, value) =
-            keep_best(c, initial, candidate).ok_or(AlgoError::NoFeasibleDeployment)?;
-        Ok(AlgoResult {
-            algorithm: FLAT_NAME.to_owned(),
-            deployment,
-            value,
-            evaluations,
-            wall_time: started.elapsed(),
-            convergence,
-            full_evaluations: full,
-            delta_evaluations: delta,
-            pruned_evaluations: 0,
-            hierarchy_clusters: 0,
-            refine_rounds: 0,
-        })
+        if !remaining.is_empty() || !c.constraints.check(&assign) {
+            continue;
+        }
+        evaluations += 1;
+        let value = inc.assign_from(&assign);
+        if best
+            .as_ref()
+            .is_none_or(|(_, bv)| c.objective.is_improvement(*bv, value))
+        {
+            best = Some((assign.clone(), value));
+            trace.push((evaluations, value));
+        }
+    }
+    Restarts {
+        best,
+        evaluations,
+        full: inc.full_evaluations(),
+        delta: inc.delta_evaluations(),
+        trace,
     }
 }
 
@@ -236,7 +169,23 @@ impl RedeploymentAlgorithm for StochasticAlgorithm {
             let out = run_hierarchical(&c, dense, hcfg, |cc| coarse_random(cc, seed, iters))?;
             return finish_hierarchical(&c, initial, started, self.name(), out);
         }
-        self.search(&c, initial, started)
+        let r = restarts(&c, self.seed, self.iterations);
+        let candidate = r.best.map(|(a, v)| (c.model.decode_assignment(&a), v));
+        let (deployment, value) =
+            keep_best(&c, initial, candidate).ok_or(AlgoError::NoFeasibleDeployment)?;
+        Ok(AlgoResult {
+            algorithm: FLAT_NAME.to_owned(),
+            deployment,
+            value,
+            evaluations: r.evaluations,
+            wall_time: started.elapsed(),
+            convergence: r.trace,
+            full_evaluations: r.full,
+            delta_evaluations: r.delta,
+            pruned_evaluations: 0,
+            hierarchy_clusters: 0,
+            refine_rounds: 0,
+        })
     }
 }
 
@@ -305,24 +254,6 @@ mod tests {
         assert!(r.evaluations > 0);
         assert_eq!(r.full_evaluations, r.evaluations);
         assert_eq!(r.delta_evaluations, 0);
-    }
-
-    #[test]
-    fn sharded_runs_are_thread_count_invariant() {
-        let (m, init) = generated();
-        let base = StochasticAlgorithm::with_config(60, 11).with_parallelism(8, 1);
-        let reference = base
-            .run(&m, &Availability, m.constraints(), Some(&init))
-            .unwrap();
-        for threads in [2u32, 8] {
-            let r = StochasticAlgorithm::with_config(60, 11)
-                .with_parallelism(8, threads)
-                .run(&m, &Availability, m.constraints(), Some(&init))
-                .unwrap();
-            assert_eq!(r.deployment, reference.deployment, "threads = {threads}");
-            assert_eq!(r.value, reference.value, "threads = {threads}");
-            assert_eq!(r.evaluations, reference.evaluations, "threads = {threads}");
-        }
     }
 
     #[test]

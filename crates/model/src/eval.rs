@@ -1082,21 +1082,37 @@ impl CompiledConstraints {
             }
         }
         if self.enforce_memory {
-            for h in 0..self.n_hosts {
-                let mut used = 0.0;
-                let mut any = false;
-                for (c, &hc) in assign.iter().enumerate() {
-                    if hc as usize == h {
-                        used += self.comp_memory[c];
-                        any = true;
-                    }
-                }
-                if any && used > self.host_memory[h] {
-                    return false;
-                }
+            // One pass in component order, as the per-host sums always
+            // were; a host with no components passes whatever its capacity.
+            let load = self.load_of(assign);
+            let over = |h: usize| load[h] > self.host_memory[h] && assign.contains(&(h as u32));
+            if (0..self.n_hosts).any(over) {
+                return false;
             }
         }
         true
+    }
+
+    /// The allowed-host mask and the group rules of a placement probe:
+    /// everything [`admits`](Self::admits) and
+    /// [`admits_with_load`](Self::admits_with_load) test except memory.
+    #[inline]
+    fn admits_placement(&self, assign: &[u32], comp: u32, host: u32) -> bool {
+        if !self.allowed[comp as usize * self.n_hosts + host as usize] {
+            return false;
+        }
+        self.member_groups[comp as usize].iter().all(|&g| {
+            let (kind, members) = &self.groups[g as usize];
+            match kind {
+                GroupKind::Collocated => members.iter().all(|&p| {
+                    let hp = assign[p as usize];
+                    hp == UNASSIGNED || hp == host
+                }),
+                GroupKind::Separated => members
+                    .iter()
+                    .all(|&p| p == comp || assign[p as usize] != host),
+            }
+        })
     }
 
     /// May `comp` be placed on `host` given the (possibly partial)
@@ -1107,28 +1123,8 @@ impl CompiledConstraints {
     pub fn admits(&self, assign: &[u32], comp: u32, host: u32) -> bool {
         let c = comp as usize;
         let h = host as usize;
-        if !self.allowed[c * self.n_hosts + h] {
+        if !self.admits_placement(assign, comp, host) {
             return false;
-        }
-        for &g in &self.member_groups[c] {
-            let (kind, members) = &self.groups[g as usize];
-            match kind {
-                GroupKind::Collocated => {
-                    for &p in members {
-                        let hp = assign[p as usize];
-                        if hp != UNASSIGNED && hp != host {
-                            return false;
-                        }
-                    }
-                }
-                GroupKind::Separated => {
-                    for &p in members {
-                        if p != comp && assign[p as usize] == host {
-                            return false;
-                        }
-                    }
-                }
-            }
         }
         if self.enforce_memory {
             let mut used = 0.0;
@@ -1168,28 +1164,8 @@ impl CompiledConstraints {
     pub fn admits_with_load(&self, assign: &[u32], load: &[f64], comp: u32, host: u32) -> bool {
         let c = comp as usize;
         let h = host as usize;
-        if !self.allowed[c * self.n_hosts + h] {
+        if !self.admits_placement(assign, comp, host) {
             return false;
-        }
-        for &g in &self.member_groups[c] {
-            let (kind, members) = &self.groups[g as usize];
-            match kind {
-                GroupKind::Collocated => {
-                    for &p in members {
-                        let hp = assign[p as usize];
-                        if hp != UNASSIGNED && hp != host {
-                            return false;
-                        }
-                    }
-                }
-                GroupKind::Separated => {
-                    for &p in members {
-                        if p != comp && assign[p as usize] == host {
-                            return false;
-                        }
-                    }
-                }
-            }
         }
         if self.enforce_memory {
             let mut used = load[h];
@@ -1575,6 +1551,18 @@ mod tests {
         assert!(!cc.check(&dense));
         dense[0] = 0;
         assert!(cc.check(&dense));
+    }
+
+    #[test]
+    fn memory_check_passes_an_empty_host_whatever_its_capacity() {
+        let cm = CompiledModel::compile(&fixture());
+        let mut cc = CompiledConstraints::new(&cm, false, true);
+        cc.comp_memory = vec![4.0; 3];
+        cc.host_memory = vec![8.0, 4.0, -1.0];
+        assert!(cc.check(&[0, 0, 1]));
+        assert!(cc.check(&[0, 1, UNASSIGNED]));
+        assert!(!cc.check(&[0, 0, 0]), "host 0 over capacity");
+        assert!(!cc.check(&[0, 1, 2]), "host 2 holds a component");
     }
 
     #[test]
