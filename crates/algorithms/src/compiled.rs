@@ -2,7 +2,10 @@
 //! adapter for objectives and checkers that have no dense form.
 //!
 //! An algorithm body calls [`compile`] once per run and then drives a
-//! [`Score`] and a [`Constraints`] over dense `u32` assignments. Both expose
+//! [`Score`] and a [`Constraints`] over dense `u32` assignments. The model
+//! snapshot inside is built once per model version by
+//! [`DeploymentModel::compiled`] and shared by every run until the model's
+//! next edit; the objective and checker are compiled per run. Both expose
 //! the call surface of [`IncrementalScore`] / [`CompiledConstraints`]; when
 //! [`Objective::compiled`] or [`ConstraintChecker::compile`] returns `None`
 //! the same calls are answered by the trait object on the decoded
@@ -14,12 +17,13 @@ use redep_model::{
     CompiledConstraints, CompiledModel, CompiledObjective, ComponentId, ConstraintChecker,
     Deployment, DeploymentModel, Direction, HostId, IncrementalScore, Objective, UNASSIGNED,
 };
+use std::sync::Arc;
 
 /// The inputs of one algorithm run.
 #[derive(Debug)]
 pub(crate) struct Compiled<'a> {
-    /// Dense snapshot of the model.
-    pub model: CompiledModel,
+    /// Dense snapshot of the model, shared with the model's memo.
+    pub model: Arc<CompiledModel>,
     /// The objective, dense or opaque.
     pub objective: ObjectiveForm<'a>,
     /// The constraint checker, dense or opaque.
@@ -33,7 +37,7 @@ pub(crate) fn compile<'a>(
     objective: &'a dyn Objective,
     constraints: &'a dyn ConstraintChecker,
 ) -> Compiled<'a> {
-    let cm = CompiledModel::compile(model);
+    let cm = model.compiled();
     let objective = match objective.compiled() {
         Some(co) => ObjectiveForm::Dense(co),
         None => ObjectiveForm::Opaque {

@@ -38,6 +38,7 @@ use crate::parallel::run_shards;
 use crate::stochastic::restarts;
 use crate::traits::{keep_best, AlgoError, AlgoResult};
 use redep_model::{CompiledConstraints, Deployment, Hierarchy, HierarchyConfig, UNASSIGNED};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of a hierarchical run, shared by all `*-h` algorithm
@@ -324,7 +325,7 @@ where
 
     // 1. Coarse solve on the super-node model under projected constraints.
     let coarse_compiled = Compiled {
-        model: hier.coarse_model(cm),
+        model: Arc::new(hier.coarse_model(cm)),
         objective: c.objective.clone(),
         constraints: Constraints::Dense(dense.project_to_clusters(
             hier.cluster_map(),
@@ -582,7 +583,7 @@ mod tests {
         let c = compiled(&s);
         let hier = Hierarchy::build(&c.model, &HierarchyConfig::default());
         let cc = Compiled {
-            model: hier.coarse_model(&c.model),
+            model: Arc::new(hier.coarse_model(&c.model)),
             objective: c.objective.clone(),
             constraints: Constraints::Dense(c.dense_constraints().unwrap().project_to_clusters(
                 hier.cluster_map(),

@@ -431,6 +431,36 @@ mod tests {
     }
 
     #[test]
+    fn every_analysis_solves_a_freshly_compiled_model() {
+        // Pulling monitoring data edits the DeSi model before each analysis,
+        // so no cycle can reuse the previous cycle's compiled snapshot.
+        let s = Generator::generate(&GeneratorConfig::sized(12, 96).with_seed(3)).unwrap();
+        let mut fw = CentralizedFramework::new(
+            s.model,
+            s.initial,
+            &RuntimeConfig::default(),
+            AnalyzerConfig::default(),
+        )
+        .unwrap();
+        let cycle = |fw: &mut CentralizedFramework| {
+            fw.cycle(
+                &Availability,
+                Duration::from_secs_f64(4.0),
+                Duration::from_secs_f64(30.0),
+            )
+            .unwrap()
+        };
+        let monitored = (0..4).any(|_| cycle(&mut fw).decision.is_some());
+        assert!(monitored, "no cycle gathered full monitoring data");
+        let before = fw.desi().system().model().compiled();
+        assert!(cycle(&mut fw).decision.is_some());
+        let model = fw.desi().system().model();
+        let after = model.compiled();
+        assert!(!std::sync::Arc::ptr_eq(&before, &after));
+        assert_eq!(*after, redep_model::CompiledModel::compile(model));
+    }
+
+    #[test]
     fn master_is_required() {
         let s = Generator::generate(&GeneratorConfig::sized(3, 6)).unwrap();
         let cfg = RuntimeConfig {

@@ -9,7 +9,8 @@
 //! component moved. This module removes that cost without changing any
 //! observable result:
 //!
-//! * [`CompiledModel`] — an immutable snapshot of a [`DeploymentModel`] with
+//! * [`CompiledModel`] — an immutable snapshot of a [`DeploymentModel`]
+//!   (built once per model version by [`DeploymentModel::compiled`]) with
 //!   hosts/components flattened to dense `u32` indices, logical links in a
 //!   flat `Vec<CompiledLink>` plus a per-component incident-link CSR index,
 //!   and host-pair reliability/security/delay/bandwidth as dense n×n
@@ -106,8 +107,11 @@ struct LogicalLayer {
 
 /// An immutable dense-index snapshot of a [`DeploymentModel`].
 ///
-/// Compile once per analysis, then evaluate millions of candidate
-/// assignments against it. The snapshot does not observe later model edits.
+/// Built once per model version by [`DeploymentModel::compiled`], which
+/// keeps it until the model's next edit, so every solve against an
+/// unchanged model evaluates its millions of candidate assignments against
+/// one shared snapshot. A snapshot does not observe later model edits;
+/// [`CompiledModel::compile`] builds a fresh one.
 #[derive(Clone, Debug)]
 pub struct CompiledModel {
     host_ids: Vec<HostId>,
@@ -962,19 +966,31 @@ pub enum GroupKind {
     Separated,
 }
 
-/// The dense form of a constraint checker: a per-component allowed-host
-/// mask, component groups, and the built-in memory-capacity check.
+/// Location row of a component no location constraint names.
+const FREE: u32 = u32::MAX;
+
+/// The dense form of a constraint checker: allowed-host masks for the
+/// components location constraints name, component groups, and the
+/// built-in memory-capacity check.
 ///
 /// Produced by [`ConstraintChecker::compile`](crate::ConstraintChecker::compile);
 /// `check`/`admits` return the same booleans the naive checker's
 /// `check(..).is_ok()` / `admits(..)` return for deployments over the
 /// compiled model's components and hosts.
+///
+/// The masks are sparse: a component gets a row of `n_hosts` flags only
+/// when [`pin_to`](Self::pin_to) or [`forbid_on`](Self::forbid_on) first
+/// names it, so building, projecting and dropping a checker costs
+/// O(comps + restricted × hosts) rather than O(comps × hosts).
 #[derive(Clone, PartialEq, Debug)]
 pub struct CompiledConstraints {
     n_hosts: usize,
     n_comps: usize,
     require_complete: bool,
-    allowed: Vec<bool>,
+    /// Per component: its row in `masks`, or [`FREE`].
+    location_row: Vec<u32>,
+    /// `n_hosts` allowed-host flags per restricted component, row-major.
+    masks: Vec<bool>,
     groups: Vec<(GroupKind, Vec<u32>)>,
     member_groups: Vec<Vec<u32>>,
     enforce_memory: bool,
@@ -995,7 +1011,8 @@ impl CompiledConstraints {
             n_hosts: model.n_hosts(),
             n_comps: model.n_comps(),
             require_complete,
-            allowed: vec![true; model.n_comps() * model.n_hosts()],
+            location_row: vec![FREE; model.n_comps()],
+            masks: Vec::new(),
             groups: Vec::new(),
             member_groups: vec![Vec::new(); model.n_comps()],
             enforce_memory,
@@ -1004,13 +1021,36 @@ impl CompiledConstraints {
         }
     }
 
+    /// `comp`'s allowed-host flags, allocated (all allowed) on first use.
+    fn mask_mut(&mut self, comp: u32) -> &mut [bool] {
+        let row = match self.location_row[comp as usize] {
+            FREE => {
+                let row = (self.masks.len() / self.n_hosts.max(1)) as u32;
+                self.masks.resize(self.masks.len() + self.n_hosts, true);
+                self.location_row[comp as usize] = row;
+                row
+            }
+            row => row,
+        };
+        let start = row as usize * self.n_hosts;
+        &mut self.masks[start..start + self.n_hosts]
+    }
+
+    /// Whether the location constraints let `comp` sit on `host`.
+    #[inline]
+    fn location_allows(&self, comp: usize, host: usize) -> bool {
+        match self.location_row[comp] {
+            FREE => true,
+            row => self.masks[row as usize * self.n_hosts + host],
+        }
+    }
+
     /// Restricts `comp` to the listed hosts (intersection semantics, like
     /// [`Constraint::PinnedTo`](crate::Constraint::PinnedTo)).
     pub fn pin_to(&mut self, comp: u32, hosts: &[u32]) {
-        let row = comp as usize * self.n_hosts;
-        for h in 0..self.n_hosts {
+        for (h, allowed) in self.mask_mut(comp).iter_mut().enumerate() {
             if !hosts.contains(&(h as u32)) {
-                self.allowed[row + h] = false;
+                *allowed = false;
             }
         }
     }
@@ -1018,10 +1058,10 @@ impl CompiledConstraints {
     /// Forbids `comp` from the listed hosts (like
     /// [`Constraint::NotOn`](crate::Constraint::NotOn)).
     pub fn forbid_on(&mut self, comp: u32, hosts: &[u32]) {
-        let row = comp as usize * self.n_hosts;
+        let mask = self.mask_mut(comp);
         for &h in hosts {
-            if (h as usize) < self.n_hosts {
-                self.allowed[row + h as usize] = false;
+            if let Some(allowed) = mask.get_mut(h as usize) {
+                *allowed = false;
             }
         }
     }
@@ -1046,7 +1086,7 @@ impl CompiledConstraints {
             return false;
         }
         for (c, &h) in assign.iter().enumerate() {
-            if h != UNASSIGNED && !self.allowed[c * self.n_hosts + h as usize] {
+            if h != UNASSIGNED && !self.location_allows(c, h as usize) {
                 return false;
             }
         }
@@ -1093,12 +1133,12 @@ impl CompiledConstraints {
         true
     }
 
-    /// The allowed-host mask and the group rules of a placement probe:
+    /// The location masks and the group rules of a placement probe:
     /// everything [`admits`](Self::admits) and
     /// [`admits_with_load`](Self::admits_with_load) test except memory.
     #[inline]
     fn admits_placement(&self, assign: &[u32], comp: u32, host: u32) -> bool {
-        if !self.allowed[comp as usize * self.n_hosts + host as usize] {
+        if !self.location_allows(comp as usize, host as usize) {
             return false;
         }
         self.member_groups[comp as usize].iter().all(|&g| {
@@ -1194,6 +1234,10 @@ impl CompiledConstraints {
     /// admits maps to an admitted cluster assignment, never the other way
     /// around, so coarse solutions always need the within-cluster
     /// refinement + repair pass to become exact.
+    ///
+    /// `cluster_of` must map the hosts onto all `n_clusters` clusters (none
+    /// empty, as [`Hierarchy`](crate::Hierarchy) builds them): a component
+    /// no location constraint names may go to every cluster.
     pub fn project_to_clusters(
         &self,
         cluster_of: &[u32],
@@ -1202,19 +1246,22 @@ impl CompiledConstraints {
     ) -> CompiledConstraints {
         debug_assert_eq!(cluster_of.len(), self.n_hosts);
         debug_assert_eq!(cluster_capacity.len(), n_clusters);
-        let mut allowed = vec![false; self.n_comps * n_clusters];
-        for c in 0..self.n_comps {
-            for h in 0..self.n_hosts {
-                if self.allowed[c * self.n_hosts + h] {
-                    allowed[c * n_clusters + cluster_of[h] as usize] = true;
-                }
+        debug_assert!((0..n_clusters as u32).all(|k| cluster_of.contains(&k)));
+        // Row r of the projection is row r of the source, so the per-
+        // component index carries over unchanged.
+        let rows = self.masks.chunks_exact(self.n_hosts.max(1));
+        let mut masks = vec![false; rows.len() * n_clusters];
+        for (row, mask) in rows.enumerate() {
+            for h in (0..self.n_hosts).filter(|&h| mask[h]) {
+                masks[row * n_clusters + cluster_of[h] as usize] = true;
             }
         }
         let mut projected = CompiledConstraints {
             n_hosts: n_clusters,
             n_comps: self.n_comps,
             require_complete: self.require_complete,
-            allowed,
+            location_row: self.location_row.clone(),
+            masks,
             groups: Vec::new(),
             member_groups: vec![Vec::new(); self.n_comps],
             enforce_memory: self.enforce_memory,

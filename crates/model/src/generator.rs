@@ -312,7 +312,7 @@ impl Generator {
         rng: &mut ChaCha8Rng,
     ) -> Result<Deployment, ModelError> {
         use crate::constraints::ConstraintChecker;
-        use crate::eval::{CompiledModel, UNASSIGNED};
+        use crate::eval::UNASSIGNED;
         const ATTEMPTS: usize = 200;
         let hosts = model.host_ids();
         let mut components = model.component_ids();
@@ -320,8 +320,10 @@ impl Generator {
         // Compiled fast path: per-candidate admission drops from a full
         // deployment scan to an O(groups) load lookup, which is what lets
         // the generator fabricate 1000×10000 systems in seconds. The naive
-        // loop below stays as the fallback for uncompilable checkers.
-        let cm = CompiledModel::compile(model);
+        // loop below stays as the fallback for uncompilable checkers. The
+        // model keeps this compile, so a generated system's first solve
+        // reuses it.
+        let cm = model.compiled();
         if let Some(cc) = model.constraints().compile(model, &cm) {
             for _ in 0..ATTEMPTS {
                 components.shuffle(rng);

@@ -1,12 +1,15 @@
 //! The deployment-architecture model itself.
 
 use crate::constraints::ConstraintSet;
+use crate::eval::CompiledModel;
 use crate::ids::{ComponentId, HostId};
 use crate::links::{ComponentPair, HostPair, LogicalLink, PhysicalLink};
 use crate::parts::{Component, Host};
 use crate::ModelError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// The model of a distributed system's deployment architecture.
 ///
@@ -18,6 +21,11 @@ use std::collections::BTreeMap;
 ///
 /// All collections are ordered maps, so iteration (and everything derived
 /// from it) is deterministic.
+///
+/// The model keeps its [`CompiledModel`] snapshot (see
+/// [`DeploymentModel::compiled`]) until the next edit: every `&mut self`
+/// method drops it first. The snapshot is derived data — ignored by `==`,
+/// never serialized, opaque in `Debug`.
 ///
 /// # Example
 ///
@@ -42,6 +50,26 @@ pub struct DeploymentModel {
     constraints: ConstraintSet,
     next_host: u32,
     next_component: u32,
+    #[serde(skip)]
+    compiled: CompiledMemo,
+}
+
+/// The compiled snapshot of the model's current version, built on first
+/// use. Clones share it (they are the same version); equality and `Debug`
+/// ignore it.
+#[derive(Clone, Default)]
+struct CompiledMemo(OnceLock<Arc<CompiledModel>>);
+
+impl PartialEq for CompiledMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for CompiledMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
 }
 
 /// Quality of a multi-hop path returned by [`DeploymentModel::best_path`].
@@ -94,6 +122,26 @@ impl DeploymentModel {
         DeploymentModel::default()
     }
 
+    /// The dense snapshot of this model version, compiled on first use.
+    ///
+    /// Later calls return the same `Arc` until the next edit, so every
+    /// solve against an unchanged model shares one compile (and one lazily
+    /// built path-reliability matrix). The result always equals
+    /// [`CompiledModel::compile`] of the model as it is now.
+    pub fn compiled(&self) -> Arc<CompiledModel> {
+        Arc::clone(
+            self.compiled
+                .0
+                .get_or_init(|| Arc::new(CompiledModel::compile(self))),
+        )
+    }
+
+    /// Drops the compiled snapshot; the first line of every `&mut self`
+    /// method.
+    fn edit(&mut self) {
+        self.compiled.0.take();
+    }
+
     // ---- hosts ----------------------------------------------------------
 
     /// Adds a host with a fresh id and the given name.
@@ -103,6 +151,7 @@ impl DeploymentModel {
     /// Currently infallible; the `Result` return leaves room for id-space
     /// exhaustion and name-uniqueness policies without breaking callers.
     pub fn add_host(&mut self, name: impl Into<String>) -> Result<HostId, ModelError> {
+        self.edit();
         let id = HostId::new(self.next_host);
         self.next_host += 1;
         self.hosts.insert(id, Host::new(id, name));
@@ -117,6 +166,7 @@ impl DeploymentModel {
     /// The caller is responsible for ensuring no deployment still maps
     /// components to this host.
     pub fn remove_host(&mut self, id: HostId) -> Result<Host, ModelError> {
+        self.edit();
         let host = self.hosts.remove(&id).ok_or(ModelError::UnknownHost(id))?;
         self.physical_links.retain(|pair, _| !pair.contains(id));
         Ok(host)
@@ -137,6 +187,7 @@ impl DeploymentModel {
     ///
     /// Returns [`ModelError::UnknownHost`] if the host does not exist.
     pub fn host_mut(&mut self, id: HostId) -> Result<&mut Host, ModelError> {
+        self.edit();
         self.hosts.get_mut(&id).ok_or(ModelError::UnknownHost(id))
     }
 
@@ -168,6 +219,7 @@ impl DeploymentModel {
     ///
     /// Currently infallible; see [`DeploymentModel::add_host`].
     pub fn add_component(&mut self, name: impl Into<String>) -> Result<ComponentId, ModelError> {
+        self.edit();
         let id = ComponentId::new(self.next_component);
         self.next_component += 1;
         self.components.insert(id, Component::new(id, name));
@@ -181,6 +233,7 @@ impl DeploymentModel {
     /// Returns [`ModelError::UnknownComponent`] if the component does not
     /// exist.
     pub fn remove_component(&mut self, id: ComponentId) -> Result<Component, ModelError> {
+        self.edit();
         let component = self
             .components
             .remove(&id)
@@ -208,6 +261,7 @@ impl DeploymentModel {
     /// Returns [`ModelError::UnknownComponent`] if the component does not
     /// exist.
     pub fn component_mut(&mut self, id: ComponentId) -> Result<&mut Component, ModelError> {
+        self.edit();
         self.components
             .get_mut(&id)
             .ok_or(ModelError::UnknownComponent(id))
@@ -252,6 +306,7 @@ impl DeploymentModel {
         b: HostId,
         configure: impl FnOnce(&mut PhysicalLink) -> R,
     ) -> Result<(), ModelError> {
+        self.edit();
         if !self.contains_host(a) {
             return Err(ModelError::UnknownHost(a));
         }
@@ -276,6 +331,7 @@ impl DeploymentModel {
         a: HostId,
         b: HostId,
     ) -> Result<PhysicalLink, ModelError> {
+        self.edit();
         self.physical_links
             .remove(&HostPair::new(a, b))
             .ok_or(ModelError::NoPhysicalLink(a, b))
@@ -322,6 +378,7 @@ impl DeploymentModel {
         b: ComponentId,
         configure: impl FnOnce(&mut LogicalLink) -> R,
     ) -> Result<(), ModelError> {
+        self.edit();
         if !self.contains_component(a) {
             return Err(ModelError::UnknownComponent(a));
         }
@@ -346,6 +403,7 @@ impl DeploymentModel {
         a: ComponentId,
         b: ComponentId,
     ) -> Result<LogicalLink, ModelError> {
+        self.edit();
         self.logical_links
             .remove(&ComponentPair::new(a, b))
             .ok_or(ModelError::NoLogicalLink(a, b))
@@ -518,6 +576,7 @@ impl DeploymentModel {
 
     /// Returns the constraint set for modification.
     pub fn constraints_mut(&mut self) -> &mut ConstraintSet {
+        self.edit();
         &mut self.constraints
     }
 
@@ -527,20 +586,24 @@ impl DeploymentModel {
     // agree on what `c3` means.
 
     pub(crate) fn import_host(&mut self, host: Host) {
+        self.edit();
         self.next_host = self.next_host.max(host.id().raw() + 1);
         self.hosts.insert(host.id(), host);
     }
 
     pub(crate) fn import_component(&mut self, component: Component) {
+        self.edit();
         self.next_component = self.next_component.max(component.id().raw() + 1);
         self.components.insert(component.id(), component);
     }
 
     pub(crate) fn import_physical_link(&mut self, link: PhysicalLink) {
+        self.edit();
         self.physical_links.insert(link.ends(), link);
     }
 
     pub(crate) fn import_logical_link(&mut self, link: LogicalLink) {
+        self.edit();
         self.logical_links.insert(link.ends(), link);
     }
 
@@ -608,6 +671,7 @@ impl DeploymentModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modifier::Modifier;
 
     fn two_host_model() -> (DeploymentModel, HostId, HostId) {
         let mut m = DeploymentModel::new();
@@ -806,6 +870,153 @@ mod tests {
         let p = m.best_path(a, c).unwrap();
         assert!((p.delay - 3.0).abs() < 1e-12);
         assert_eq!(p.bandwidth, 50.0);
+    }
+
+    /// One edit through a `&mut self` entry point (directly or through a
+    /// [`Modifier`]), or a JSON round trip, picked by `op`; `a`/`b` pick
+    /// parts, `v` is a value in [0, 1]. Edits that name nothing (an empty
+    /// model, a self-link) are skipped, and failed lookups are ignored:
+    /// either way the memo must stay right.
+    fn apply_edit(
+        m: &mut DeploymentModel,
+        modifier: &mut Modifier,
+        (op, a, b, v): (u8, u32, u32, f64),
+    ) {
+        use crate::constraints::Constraint;
+        use crate::params::keys;
+        let (hosts, comps) = (m.host_ids(), m.component_ids());
+        let host = |i: u32| hosts.get(i as usize % hosts.len().max(1)).copied();
+        let comp = |i: u32| comps.get(i as usize % comps.len().max(1)).copied();
+        let host_pair = match (host(a), host(b)) {
+            (Some(x), Some(y)) if x != y => Some((x, y)),
+            _ => None,
+        };
+        let comp_pair = match (comp(a), comp(b)) {
+            (Some(x), Some(y)) if x != y => Some((x, y)),
+            _ => None,
+        };
+        match op % 19 {
+            0 => {
+                let _ = m.add_host("added");
+            }
+            1 => {
+                let _ = host(a).map(|h| m.remove_host(h));
+            }
+            2 => {
+                let _ = host(a).map(|h| m.host_mut(h).map(|h| h.set_memory(v * 100.0)));
+            }
+            3 => {
+                let _ = m.add_component("added");
+            }
+            4 => {
+                let _ = comp(a).map(|c| m.remove_component(c));
+            }
+            5 => {
+                let _ =
+                    comp(a).map(|c| m.component_mut(c).map(|c| c.set_required_memory(v * 10.0)));
+            }
+            6 => {
+                let _ = host_pair.map(|(x, y)| m.set_physical_link(x, y, |l| l.set_reliability(v)));
+            }
+            7 => {
+                let _ = host_pair.map(|(x, y)| m.remove_physical_link(x, y));
+            }
+            8 => {
+                let _ = comp_pair.map(|(x, y)| m.set_logical_link(x, y, |l| l.set_frequency(v)));
+            }
+            9 => {
+                let _ = comp_pair.map(|(x, y)| m.remove_logical_link(x, y));
+            }
+            10 => {
+                if let Some((x, y)) = comp_pair {
+                    m.constraints_mut().add(Constraint::Separated {
+                        components: [x, y].into(),
+                    });
+                }
+            }
+            11 => {
+                let mut h = Host::new(HostId::new(a % 8), "imported");
+                h.set_memory(v * 100.0);
+                m.import_host(h);
+            }
+            12 => {
+                let mut c = Component::new(ComponentId::new(a % 16), "imported");
+                c.set_required_memory(v * 10.0);
+                m.import_component(c);
+            }
+            13 => {
+                if let Some((x, y)) = host_pair {
+                    let mut l = PhysicalLink::new(x, y);
+                    l.set_reliability(v);
+                    m.import_physical_link(l);
+                }
+            }
+            14 => {
+                if let Some((x, y)) = comp_pair {
+                    let mut l = LogicalLink::new(x, y);
+                    l.set_frequency(v);
+                    m.import_logical_link(l);
+                }
+            }
+            15 => {
+                let _ = host_pair
+                    .map(|(x, y)| modifier.set_physical_param(m, x, y, keys::LINK_RELIABILITY, v));
+            }
+            16 => {
+                let _ = match b % 3 {
+                    0 => host(a).map(|h| modifier.set_host_param(m, h, keys::HOST_MEMORY, v)),
+                    1 => comp(a)
+                        .map(|c| modifier.set_component_param(m, c, keys::COMPONENT_MEMORY, v)),
+                    _ => comp_pair.map(|(x, y)| {
+                        modifier.set_logical_param(m, x, y, keys::INTERACTION_FREQUENCY, v)
+                    }),
+                };
+            }
+            17 => {
+                let _ = modifier.undo(m);
+            }
+            _ => *m = serde_json::from_str(&serde_json::to_string(m).unwrap()).unwrap(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn compiled_snapshot_never_goes_stale(
+            seed in proptest::prelude::any::<u64>(),
+            edits in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<u8>(),
+                    proptest::prelude::any::<u32>(),
+                    proptest::prelude::any::<u32>(),
+                    0.0f64..=1.0,
+                ),
+                1..40,
+            ),
+        ) {
+            let config = crate::GeneratorConfig::sized(4, 8).with_seed(seed);
+            // The generator leaves its compile in the memo, so the first
+            // edit already has a snapshot to drop.
+            let mut m = crate::Generator::generate(&config).unwrap().model;
+            let mut modifier = Modifier::new();
+            let to_json = |m: &DeploymentModel| serde_json::to_string(m).unwrap();
+            for edit in edits {
+                apply_edit(&mut m, &mut modifier, edit);
+                let cold: DeploymentModel = serde_json::from_str(&to_json(&m)).unwrap();
+                let snapshot = m.compiled();
+                proptest::prop_assert_eq!(&*snapshot, &CompiledModel::compile(&m));
+                // Unedited, the model hands out the same snapshot, and so
+                // does a clone of it.
+                proptest::prop_assert!(Arc::ptr_eq(&snapshot, &m.compiled()));
+                proptest::prop_assert!(Arc::ptr_eq(&snapshot, &m.clone().compiled()));
+                // The memo is derived data: a populated one changes neither
+                // equality, the JSON nor the Debug output.
+                proptest::prop_assert_eq!(&m, &cold);
+                proptest::prop_assert_eq!(to_json(&m), to_json(&cold));
+                proptest::prop_assert_eq!(format!("{m:?}"), format!("{cold:?}"));
+            }
+        }
     }
 
     #[test]

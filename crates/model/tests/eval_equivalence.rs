@@ -5,14 +5,16 @@
 //! [`redep_model::IncrementalScore`]) must agree with the trait-object path
 //! to within 1e-12 on generated systems: full scores, arbitrary delta-move
 //! chains (including unassignments and re-assignments), and the compiled
-//! constraint checker's feasibility verdicts.
+//! constraint checker's feasibility verdicts — under random location and
+//! group constraints, and projected onto host clusters.
 
 use proptest::prelude::*;
 use redep_model::{
-    keys, Availability, CommunicationVolume, CompiledModel, Composite, ConstraintChecker,
-    Generator, GeneratorConfig, IncrementalScore, Latency, LinkSecurity, Objective,
-    PathAwareAvailability, Range, UNASSIGNED,
+    keys, Availability, CommunicationVolume, CompiledModel, Composite, Constraint,
+    ConstraintChecker, GeneratedSystem, Generator, GeneratorConfig, IncrementalScore, Latency,
+    LinkSecurity, Objective, PathAwareAvailability, Range, UNASSIGNED,
 };
+use std::collections::BTreeSet;
 
 fn config_strategy() -> impl Strategy<Value = GeneratorConfig> {
     (
@@ -73,6 +75,62 @@ fn to_assignment(raw: &[u32], n_hosts: usize, n_comps: usize) -> Vec<u32> {
             }
         })
         .collect()
+}
+
+/// Adds one constraint per pick that the system's initial deployment
+/// satisfies, so the compiled masks and groups are exercised by both
+/// verdicts. A pick is (kind, component, bitmask): the mask chooses hosts
+/// for `PinnedTo`/`NotOn` and peers for `Collocated`/`Separated`.
+fn add_satisfied_constraints(system: &mut GeneratedSystem, picks: &[(u8, u32, u32)]) {
+    let hosts = system.model.host_ids();
+    let comps = system.model.component_ids();
+    let initial = &system.initial;
+    let at = |c| {
+        initial
+            .host_of(c)
+            .expect("the initial deployment is complete")
+    };
+    for &(kind, pick, bits) in picks {
+        let c = comps[pick as usize % comps.len()];
+        let chosen = |i: usize| (bits >> (i % 32)) & 1 == 1;
+        let subset = hosts.iter().enumerate().filter(|&(i, _)| chosen(i));
+        let subset = subset.map(|(_, &h)| h);
+        let peers = comps.iter().enumerate().filter(|&(i, _)| chosen(i));
+        let peers = peers.map(|(_, &o)| o);
+        let constraint = match kind % 4 {
+            0 => Constraint::PinnedTo {
+                component: c,
+                hosts: subset.chain([at(c)]).collect(),
+            },
+            1 => Constraint::NotOn {
+                component: c,
+                hosts: subset.filter(|&h| h != at(c)).collect(),
+            },
+            2 => {
+                let components: BTreeSet<_> =
+                    peers.filter(|&o| at(o) == at(c)).chain([c]).collect();
+                // A one-member group is left out: the compiled checker drops
+                // it as never violated, while the naive `admits` still lets
+                // it veto a probe that moves its member while placed.
+                if components.len() < 2 {
+                    continue;
+                }
+                Constraint::Collocated { components }
+            }
+            _ => {
+                // The first member per host, `c` first.
+                let mut used = BTreeSet::new();
+                Constraint::Separated {
+                    components: [c]
+                        .into_iter()
+                        .chain(peers)
+                        .filter(|&o| used.insert(at(o)))
+                        .collect(),
+                }
+            }
+        };
+        system.model.constraints_mut().add(constraint);
+    }
 }
 
 proptest! {
@@ -221,38 +279,80 @@ proptest! {
     fn compiled_constraints_agree_with_naive_checker(
         config in config_strategy(),
         raw in proptest::collection::vec(any::<u32>(), 1..16),
+        picks in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..6),
     ) {
-        let system = Generator::generate(&config).unwrap();
+        let mut system = Generator::generate(&config).unwrap();
+        add_satisfied_constraints(&mut system, &picks);
         let cm = CompiledModel::compile(&system.model);
         let checker = system.model.constraints();
-        let Some(cc) = checker.compile(&system.model, &cm) else {
-            // Non-compilable constraint sets fall back to the naive path by
-            // construction; nothing to compare.
-            return Ok(());
-        };
-        let assign = to_assignment(&raw, cm.n_hosts(), cm.n_comps());
-        let deployment = cm.decode_assignment(&assign);
-        prop_assert_eq!(
-            cc.check(&assign),
-            checker.check(&system.model, &deployment).is_ok(),
-            "feasibility verdicts disagree"
-        );
-        // Incremental admission agrees as well.
-        for comp in 0..cm.n_comps() as u32 {
-            for host in 0..cm.n_hosts() as u32 {
+        prop_assert!(checker.check(&system.model, &system.initial).is_ok());
+        let cc = checker.compile(&system.model, &cm).expect("a ConstraintSet compiles");
+        let random = to_assignment(&raw, cm.n_hosts(), cm.n_comps());
+        for assign in [random, cm.compile_assignment(&system.initial)] {
+            let deployment = cm.decode_assignment(&assign);
+            prop_assert_eq!(
+                cc.check(&assign),
+                checker.check(&system.model, &deployment).is_ok(),
+                "feasibility verdicts disagree"
+            );
+            // Incremental admission agrees as well: for a relocation (`comp`
+            // lifted out first) and for a probe with `comp` still placed,
+            // with the memory scan and with a caller-kept load vector.
+            for comp in 0..cm.n_comps() as u32 {
+                let id = cm.comp_ids()[comp as usize];
                 let mut lifted = assign.clone();
                 lifted[comp as usize] = UNASSIGNED;
                 let mut without = deployment.clone();
-                without.unassign(cm.comp_ids()[comp as usize]);
+                without.unassign(id);
+                for host in 0..cm.n_hosts() as u32 {
+                    let h = cm.host_ids()[host as usize];
+                    for (dense, naive) in [(&lifted, &without), (&assign, &deployment)] {
+                        let expected = checker.admits(&system.model, naive, id, h);
+                        prop_assert_eq!(
+                            cc.admits(dense, comp, host),
+                            expected,
+                            "admission verdicts disagree for {}->{}", comp, host
+                        );
+                        prop_assert_eq!(
+                            cc.admits_with_load(dense, &cc.load_of(dense), comp, host),
+                            expected,
+                            "load-kept admission disagrees for {}->{}", comp, host
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn projection_admits_exactly_the_clusters_holding_an_allowed_host(
+        config in config_strategy(),
+        picks in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 0..6),
+        clusters in proptest::collection::vec(any::<u32>(), 1..6),
+    ) {
+        let mut system = Generator::generate(&config).unwrap();
+        add_satisfied_constraints(&mut system, &picks);
+        let cm = CompiledModel::compile(&system.model);
+        let checker = system.model.constraints();
+        let cc = checker.compile(&system.model, &cm).expect("a ConstraintSet compiles");
+        // Any partition of the hosts into k non-empty clusters (the
+        // projection's precondition, which `Hierarchy::build` meets);
+        // unbounded capacity, so memory never decides.
+        let k = clusters.len().min(cm.n_hosts());
+        let cluster_of: Vec<u32> = (0..cm.n_hosts())
+            .map(|h| if h < k { h as u32 } else { clusters[h % clusters.len()] % k as u32 })
+            .collect();
+        let projected = cc.project_to_clusters(&cluster_of, k, &vec![f64::INFINITY; k]);
+        let nobody = vec![UNASSIGNED; cm.n_comps()];
+        for (comp, &id) in cm.comp_ids().iter().enumerate() {
+            let allowed = checker.allowed_hosts(&system.model, id);
+            for cluster in 0..k as u32 {
+                let expected = (0..cm.n_hosts())
+                    .any(|h| cluster_of[h] == cluster && allowed.contains(&cm.host_ids()[h]));
                 prop_assert_eq!(
-                    cc.admits(&lifted, comp, host),
-                    checker.admits(
-                        &system.model,
-                        &without,
-                        cm.comp_ids()[comp as usize],
-                        cm.host_ids()[host as usize],
-                    ),
-                    "admission verdicts disagree for {comp}->{host}"
+                    projected.admits(&nobody, comp as u32, cluster),
+                    expected,
+                    "cluster {} for component {}", cluster, comp
                 );
             }
         }
