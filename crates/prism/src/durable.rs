@@ -837,20 +837,29 @@ impl DurableStore {
         self.checkpoints
     }
 
+    /// The checkpoint stream's bytes, if a checkpoint was ever written.
+    pub fn checkpoint_bytes(&self) -> Option<Vec<u8>> {
+        self.backend.read_checkpoint()
+    }
+
+    /// The journal stream's bytes: every frame appended since the last
+    /// checkpoint.
+    pub fn journal_bytes(&self) -> Vec<u8> {
+        self.backend.read_journal()
+    }
+
     /// The store's current contents — checkpoint bytes then journal bytes —
     /// the byte-identity witness for double-run determinism checks.
     pub fn digest(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        let ckpt = self.backend.read_checkpoint();
-        match &ckpt {
+        match self.checkpoint_bytes() {
             None => put_varint(&mut out, 0),
             Some(bytes) => {
                 put_varint(&mut out, 1);
-                put_bytes(&mut out, bytes);
+                put_bytes(&mut out, &bytes);
             }
         }
-        let journal = self.backend.read_journal();
-        put_bytes(&mut out, &journal);
+        put_bytes(&mut out, &self.journal_bytes());
         out
     }
 }

@@ -29,24 +29,31 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     hash
 }
 
-/// What a run leaves behind: its journal and every host's durable store.
+/// What a run leaves behind: its journal and every host's durable store,
+/// whose two streams are hashed apart — the checkpoints' encoding can
+/// change while the write-ahead journals stay byte for byte.
 struct Pinned {
     journal: String,
     journal_hash: u64,
-    durable_hash: u64,
+    /// Every host's checkpoint stream, in host order.
+    checkpoint_hash: u64,
+    /// Every host's write-ahead journal stream, in host order.
+    wal_hash: u64,
 }
 
 fn pin(rt: &SystemRuntime) -> Pinned {
     let telemetry = rt.telemetry();
     assert_eq!(telemetry.journal().dropped(), 0, "the journal overflowed");
     let journal = telemetry.export_jsonl();
-    let durable = rt
-        .hosts()
-        .iter()
-        .flat_map(|&h| rt.host(h).unwrap().durable_digest());
+    let stores = || {
+        rt.hosts()
+            .iter()
+            .map(|&h| rt.host(h).unwrap().services().durable())
+    };
     Pinned {
         journal_hash: fnv1a(journal.bytes()),
-        durable_hash: fnv1a(durable),
+        checkpoint_hash: fnv1a(stores().flat_map(|d| d.checkpoint_bytes().unwrap_or_default())),
+        wal_hash: fnv1a(stores().flat_map(|d| d.journal_bytes())),
         journal,
     }
 }
@@ -135,14 +142,23 @@ fn framework_journals_are_pinned() {
         ["crash-replay", "reconcile", "drift"]
     );
     assert_eq!(modes(&decentralized.journal), ["crash-replay", "reconcile"]);
+    let hashes = |p: &Pinned| (p.journal_hash, p.wal_hash, p.checkpoint_hash);
     assert_eq!(
-        (centralized.journal_hash, centralized.durable_hash),
-        (0x92cc_280b_0865_d740, 0xc95a_cd85_1d1d_7d6d),
-        "centralized journal or durable stores moved"
+        hashes(&centralized),
+        (
+            0x92cc_280b_0865_d740,
+            0xcdb1_a716_7223_b591,
+            0x8d68_5f12_9488_487a
+        ),
+        "centralized journal, write-ahead journals or checkpoints moved"
     );
     assert_eq!(
-        (decentralized.journal_hash, decentralized.durable_hash),
-        (0x89c6_520e_65cc_2805, 0x0a59_4eaa_bd0a_3595),
-        "decentralized journal or durable stores moved"
+        hashes(&decentralized),
+        (
+            0x89c6_520e_65cc_2805,
+            0xe94d_ace3_6389_3808,
+            0xc2f9_8a5d_a3ed_4241
+        ),
+        "decentralized journal, write-ahead journals or checkpoints moved"
     );
 }
