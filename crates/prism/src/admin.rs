@@ -774,44 +774,32 @@ impl DeployerComponent {
         Some(out)
     }
 
-    /// The deployer's full durable state for a checkpoint, in the store's
-    /// binary framing: the epoch state followed by every monitoring
-    /// snapshot, each encoded once.
-    pub(crate) fn checkpoint_blob(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.state.encode_into(&mut out);
-        put_varint(&mut out, self.snapshots.len() as u64);
-        for snapshot in self.snapshots.values() {
-            put_bytes(&mut out, &snapshot.encode());
-        }
-        out
+    /// The records that rebuild the deployer on a wiped host: its epoch
+    /// state as a `DeployerState` record, then one `ReportReceived` per
+    /// held snapshot in ascending host order. Checkpoints hold them, and
+    /// the recovery self-check compares them.
+    pub(crate) fn durable_records(&self) -> Vec<JournalRecord> {
+        let mut blob = Vec::new();
+        self.state.encode_into(&mut blob);
+        let reports = (self.snapshots.values()).map(|snapshot| JournalRecord::ReportReceived {
+            payload: snapshot.encode(),
+        });
+        std::iter::once(JournalRecord::DeployerState { blob })
+            .chain(reports)
+            .collect()
     }
 
-    /// Restores the deployer from a `DeployerState` record (the epoch state
-    /// alone: the snapshots stay as they are) or, `with_snapshots`, from a
-    /// [`Self::checkpoint_blob`] (the snapshot set follows and replaces the
-    /// current one).
+    /// Restores the deployer's epoch state from a `DeployerState` record
+    /// (the snapshots stay as they are).
     ///
     /// # Errors
     ///
     /// Returns [`PrismError::Codec`] for a malformed blob and leaves the
     /// deployer untouched (the recovery report's verdicts and self-check
     /// then say what was dropped).
-    pub(crate) fn restore_durable(
-        &mut self,
-        blob: &[u8],
-        with_snapshots: bool,
-    ) -> Result<(), PrismError> {
+    pub(crate) fn restore_durable(&mut self, blob: &[u8]) -> Result<(), PrismError> {
         let pos = &mut 0usize;
         let state = EpochState::decode(blob, pos)?;
-        let mut snapshots = None;
-        if with_snapshots {
-            let set = snapshots.insert(BTreeMap::new());
-            for _ in 0..get_varint(blob, pos)? {
-                let snapshot = MonitoringSnapshot::decode(get_bytes(blob, pos)?)?;
-                set.insert(snapshot.host, snapshot);
-            }
-        }
         if *pos != blob.len() {
             return Err(PrismError::Codec(
                 "trailing bytes after deployer state".into(),
@@ -819,9 +807,6 @@ impl DeployerComponent {
         }
         self.journaled = state.clone();
         self.state = state;
-        if let Some(snapshots) = snapshots {
-            self.snapshots = snapshots;
-        }
         Ok(())
     }
 
@@ -1315,7 +1300,7 @@ mod tests {
             "the flag clears once taken"
         );
         let mut back = deployer();
-        back.restore_durable(&state, false).unwrap();
+        back.restore_durable(&state).unwrap();
         assert_eq!(back.status(), d.status());
     }
 
@@ -1349,7 +1334,7 @@ mod tests {
         };
         let mut back = deployer();
         back.accept_report(&mut dummy_services(), logged);
-        assert_eq!(back.checkpoint_blob(), d.checkpoint_blob());
+        assert_eq!(back.durable_records(), d.durable_records());
         // A report that does not decode — a frame cut short, or the JSON
         // document reports once were — is dropped and leaves no record.
         for damaged in [&payload[..payload.len() - 1], br#"{"host":3}"#] {
@@ -1395,7 +1380,7 @@ mod tests {
             };
             back.accept_report(&mut dummy_services(), &payload);
         }
-        assert_eq!(back.checkpoint_blob(), d.checkpoint_blob());
+        assert_eq!(back.durable_records(), d.durable_records());
     }
 
     /// Emits one `said` notification of the asked-for size per `say` event.
@@ -1610,10 +1595,10 @@ mod tests {
         }
 
         proptest! {
-            /// The deployer's binary framing round-trips every durable
-            /// field, a `DeployerState` record leaves the snapshots alone,
-            /// and a blob cut anywhere (a torn write) or extended is
-            /// rejected without touching the deployer.
+            /// The deployer's records rebuild every durable field on a fresh
+            /// deployer, a `DeployerState` record leaves the snapshots
+            /// alone, and a state blob cut anywhere (a torn write) or
+            /// extended is rejected without touching the deployer.
             #[test]
             fn deployer_state_round_trips_and_rejects_damage(
                 names in proptest::collection::vec("[a-z]{1,10}", 0..6),
@@ -1622,10 +1607,18 @@ mod tests {
                 cut in 1usize..4096,
             ) {
                 let mut d = deployer_of(&names, seed, &rates);
-                let full = d.checkpoint_blob();
+                let records = d.durable_records();
                 let mut back = deployer();
-                back.restore_durable(&full, true).unwrap();
-                prop_assert_eq!(back.checkpoint_blob(), full.clone());
+                for record in &records {
+                    match record {
+                        JournalRecord::DeployerState { blob } => back.restore_durable(blob).unwrap(),
+                        JournalRecord::ReportReceived { payload } => {
+                            back.accept_report(&mut dummy_services(), payload);
+                        }
+                        other => panic!("not a deployer record: {other:?}"),
+                    }
+                }
+                prop_assert_eq!(back.durable_records(), records.clone());
                 prop_assert_eq!(back.snapshots(), d.snapshots());
                 prop_assert_eq!(&back.state, &d.state);
                 prop_assert!(back.take_changed_state().is_none(), "restored is not changed");
@@ -1636,24 +1629,20 @@ mod tests {
                 let mut other = deployer_of(&names, seed.wrapping_add(1), &rates);
                 let kept = other.snapshots().clone();
                 if !state.is_empty() {
-                    other.restore_durable(&state, false).unwrap();
+                    other.restore_durable(&state).unwrap();
                     prop_assert_eq!(&other.state, &d.state);
                     prop_assert_eq!(other.snapshots(), &kept);
                 }
 
-                let before = back.checkpoint_blob();
-                let torn = &full[..full.len() - cut.min(full.len())];
-                prop_assert!(back.restore_durable(torn, true).is_err());
-                let mut longer = full.clone();
+                let JournalRecord::DeployerState { blob } = &records[0] else {
+                    panic!("the epoch state comes first");
+                };
+                let torn = &blob[..blob.len() - cut.min(blob.len())];
+                prop_assert!(back.restore_durable(torn).is_err());
+                let mut longer = blob.clone();
                 longer.push(0);
-                prop_assert!(back.restore_durable(&longer, true).is_err());
-                // A checkpoint blob is not a `DeployerState` record.
-                prop_assert!(back.restore_durable(&full, false).is_err());
-                if !state.is_empty() {
-                    let torn = &state[..state.len() - cut.min(state.len())];
-                    prop_assert!(back.restore_durable(torn, false).is_err());
-                }
-                prop_assert_eq!(back.checkpoint_blob(), before);
+                prop_assert!(back.restore_durable(&longer).is_err());
+                prop_assert_eq!(back.durable_records(), records);
             }
 
             /// The admin's binary framing round-trips bit-exact floats and

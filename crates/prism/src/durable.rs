@@ -4,32 +4,39 @@
 //!
 //! # Store layout
 //!
-//! A [`DurableStore`] owns two byte streams behind a [`DurableBackend`]:
+//! A [`DurableStore`] owns two byte streams behind a [`DurableBackend`].
+//! Both hold [`JournalRecord`]s in one framing: a LEB128 length prefix
+//! followed by the record body (the same varint primitives as the wire codec
+//! in [`crate::codec`]).
 //!
-//! * the **checkpoint**: one [`Checkpoint`] snapshot of the host's full
-//!   durable state (components, directory, buffers, channel sequence state,
-//!   component timers, admin state, deployer state with every monitoring
-//!   snapshot), replaced atomically on every [`DurableStore::checkpoint`]
-//!   call, which also truncates the journal;
-//! * the **journal**: an append-only sequence of [`JournalRecord`]s, each
-//!   framed as a LEB128 length prefix followed by the record body (the same
-//!   varint primitives as the wire codec in [`crate::codec`]).
+//! * The **journal** is append-only: one record per durable mutation.
+//! * The **checkpoint** is a *compacted journal*: the records that rebuild
+//!   the host's current state on a wiped host. [`DurableStore::checkpoint`]
+//!   replaces it atomically and truncates the journal. The stream starts
+//!   with a magic, a version and the checkpoint's sequence number, and ends
+//!   with an FNV-1a checksum of everything before it.
 //!
-//! A record costs what changed, not what exists (monitoring snapshots enter
-//! one [`JournalRecord::ReportReceived`] delta at a time);
-//! [`DurableStore::stats_by_kind`] says where a journal's bytes went.
+//! A journal record costs what changed, not what exists (monitoring
+//! snapshots enter one [`JournalRecord::ReportReceived`] delta at a time);
+//! [`DurableStore::stats_by_kind`] says where a journal's bytes went. Two
+//! kinds, [`JournalRecord::ChannelState`] and [`JournalRecord::TimerCursor`],
+//! occur only in checkpoints: the journal moves that state one
+//! `ChannelSend` or `TimerArmed` at a time.
 //!
-//! Recovery ([`DurableStore::recover`]) decodes the checkpoint, then decodes
-//! journal records until the bytes run out *or a record is torn* — a partial
-//! final record (a crash mid-append) decodes as a truncated varint or
-//! truncated byte slice, and recovery simply stops there: everything before
-//! the torn record is replayed, the tail is ignored and its length reported.
+//! Recovery ([`DurableStore::recover`]) takes the checkpoint whole or not at
+//! all: a stream that is cut short or corrupt fails its checksum and is
+//! ignored. It then decodes journal records until the bytes run out *or a
+//! record is torn* — a partial final record (a crash mid-append) decodes as
+//! a truncated varint or truncated byte slice, and recovery simply stops
+//! there: everything before the torn record is replayed, the tail is ignored
+//! and its length reported. The host applies both lists through one replay
+//! loop, the checkpoint's records first.
 //!
 //! # Determinism rules
 //!
 //! The default backend is in-memory and the store is driven only by the
 //! deterministic simulation, so **two identical runs produce byte-identical
-//! checkpoint + journal contents** ([`DurableStore::digest`] is the
+//! checkpoint and journal streams** ([`DurableStore::digest`] is the
 //! equality witness the fault campaign checks). Nothing in this module reads
 //! clocks, RNGs, or iteration orders that are not already deterministic
 //! (`BTreeMap` everywhere in the host state it serializes).
@@ -154,6 +161,26 @@ pub enum JournalRecord<S = String, B = Vec<u8>> {
         /// byte for byte as it arrived.
         payload: B,
     },
+    /// A reliable channel's sequence state (checkpoints only).
+    ///
+    /// In-flight (unacked) frames are *not* persisted: the peer's
+    /// retransmission sweep, the NACK path, and the deployer's holder
+    /// re-resolution recover anything that mattered — that loss is exactly
+    /// what the not-completed verdicts make visible.
+    ChannelState {
+        /// Raw id of the peer host.
+        peer: u32,
+        /// The sender side's next sequence number.
+        next_seq: u64,
+        /// The receiver side's next expected sequence number.
+        next_expected: u64,
+    },
+    /// The next component-timer ordinal (checkpoints only), so a recovered
+    /// host never reuses the id of a timer that already fired.
+    TimerCursor {
+        /// The ordinal the next armed timer takes.
+        next: u64,
+    },
 }
 
 /// A [`JournalRecord`] that borrows its names and bytes.
@@ -172,10 +199,12 @@ const TAG_COMPONENT_DETACHED: u64 = 9;
 const TAG_MONITOR_WINDOW: u64 = 10;
 const TAG_DEPLOYER_STATE: u64 = 11;
 const TAG_REPORT_RECEIVED: u64 = 12;
+const TAG_CHANNEL_STATE: u64 = 13;
+const TAG_TIMER_CURSOR: u64 = 14;
 
 /// Stable lower-case label of every record kind, indexed by wire tag (the
 /// `<kind>` of the `prism.durable.journal.{records,bytes}.<kind>` counters).
-pub const RECORD_KINDS: [&str; 13] = [
+pub const RECORD_KINDS: [&str; 15] = [
     "delivery",
     "timer_fired",
     "timer_armed",
@@ -189,6 +218,8 @@ pub const RECORD_KINDS: [&str; 13] = [
     "monitor_window",
     "deployer_state",
     "report_received",
+    "channel_state",
+    "timer_cursor",
 ];
 
 pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -235,6 +266,8 @@ impl<S: AsRef<str>, B: AsRef<[u8]>> JournalRecord<S, B> {
             JournalRecord::MonitorWindow { .. } => TAG_MONITOR_WINDOW,
             JournalRecord::DeployerState { .. } => TAG_DEPLOYER_STATE,
             JournalRecord::ReportReceived { .. } => TAG_REPORT_RECEIVED,
+            JournalRecord::ChannelState { .. } => TAG_CHANNEL_STATE,
+            JournalRecord::TimerCursor { .. } => TAG_TIMER_CURSOR,
         }
     }
 
@@ -247,7 +280,9 @@ impl<S: AsRef<str>, B: AsRef<[u8]>> JournalRecord<S, B> {
                 put_str(out, component.as_ref());
                 put_bytes(out, event.as_ref());
             }
-            JournalRecord::TimerFired { id } => put_varint(out, *id),
+            JournalRecord::TimerFired { id } | JournalRecord::TimerCursor { next: id } => {
+                put_varint(out, *id);
+            }
             JournalRecord::TimerArmed {
                 id,
                 component,
@@ -284,6 +319,15 @@ impl<S: AsRef<str>, B: AsRef<[u8]>> JournalRecord<S, B> {
             | JournalRecord::DeployerState { blob: bytes }
             | JournalRecord::ReportReceived { payload: bytes } => {
                 put_bytes(out, bytes.as_ref());
+            }
+            JournalRecord::ChannelState {
+                peer,
+                next_seq,
+                next_expected,
+            } => {
+                put_varint(out, u64::from(*peer));
+                put_varint(out, *next_seq);
+                put_varint(out, *next_expected);
             }
         }
     }
@@ -349,6 +393,14 @@ impl JournalRecord {
             TAG_REPORT_RECEIVED => JournalRecord::ReportReceived {
                 payload: get_bytes(bytes, pos)?.to_vec(),
             },
+            TAG_CHANNEL_STATE => JournalRecord::ChannelState {
+                peer: get_u32(bytes, pos)?,
+                next_seq: get_varint(bytes, pos)?,
+                next_expected: get_varint(bytes, pos)?,
+            },
+            TAG_TIMER_CURSOR => JournalRecord::TimerCursor {
+                next: get_varint(bytes, pos)?,
+            },
             other => {
                 return Err(PrismError::Codec(format!("unknown journal tag {other}")));
             }
@@ -357,179 +409,94 @@ impl JournalRecord {
     }
 }
 
-/// Magic prefix of an encoded [`Checkpoint`].
+/// Magic prefix of a checkpoint stream.
 const CKPT_MAGIC: &[u8; 4] = b"RDCP";
-/// Checkpoint format version (2: admin and deployer state in the store's
-/// binary framing instead of JSON blobs).
-const CKPT_VERSION: u64 = 2;
+/// Checkpoint stream version (3: framed [`JournalRecord`]s under a
+/// checksum).
+const CKPT_VERSION: u64 = 3;
 
-/// A full snapshot of one host's durable state, written periodically (every
-/// `checkpoint_interval_windows` monitoring windows) and at start.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct Checkpoint {
-    /// Monotonic checkpoint sequence number (0 = the at-start snapshot).
-    pub seq: u64,
-    /// Simulated instant the snapshot was taken, in microseconds.
-    pub at_us: u64,
-    /// Every attached app component: (instance name, type name, state).
-    pub components: Vec<(String, String, Vec<u8>)>,
-    /// The host's component directory: (component name, raw host id).
-    pub directory: Vec<(String, u32)>,
-    /// Parked events per absent component: (component, encoded events).
-    pub buffered: Vec<(String, Vec<Vec<u8>>)>,
-    /// Reliable-channel sequence state per peer:
-    /// (raw peer id, sender `next_seq`, receiver `next_expected`).
-    ///
-    /// In-flight (unacked) frames are *not* persisted: the peer's
-    /// retransmission sweep, the NACK path, and the deployer's holder
-    /// re-resolution recover anything that mattered — that loss is exactly
-    /// what the not-completed verdicts make visible.
-    pub channels: Vec<(u32, u64, u64)>,
-    /// Live component timers: (host-level id, component, component token).
-    pub timers: Vec<(u64, String, u64)>,
-    /// Next component-timer ordinal (so recovered ids never collide).
-    pub next_timer: u64,
-    /// The admin component's durable state (see `AdminComponent`).
-    pub admin: Vec<u8>,
-    /// On the master host, the deployer's epoch state followed by every
-    /// monitoring snapshot it holds (see `DeployerComponent`).
-    pub deployer: Option<Vec<u8>>,
+/// FNV-1a, 64 bit: the checkpoint stream's checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
-impl Checkpoint {
-    /// Encodes the checkpoint.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(CKPT_MAGIC);
-        put_varint(&mut out, CKPT_VERSION);
-        put_varint(&mut out, self.seq);
-        put_varint(&mut out, self.at_us);
-        put_varint(&mut out, self.components.len() as u64);
-        for (name, type_name, state) in &self.components {
-            put_str(&mut out, name);
-            put_str(&mut out, type_name);
-            put_bytes(&mut out, state);
+/// Decodes framed records until the bytes run out or a frame does not
+/// decode; returns the records and the number of bytes left undecoded.
+fn decode_frames(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
+    let mut records = Vec::new();
+    let mut pos = 0usize;
+    while pos < bytes.len() {
+        let start = pos;
+        match get_bytes(bytes, &mut pos).and_then(|body| JournalRecord::decode(body, &mut 0)) {
+            Ok(record) => records.push(record),
+            Err(_) => return (records, bytes.len() - start),
         }
-        put_varint(&mut out, self.directory.len() as u64);
-        for (component, host) in &self.directory {
-            put_str(&mut out, component);
-            put_varint(&mut out, u64::from(*host));
-        }
-        put_varint(&mut out, self.buffered.len() as u64);
-        for (component, events) in &self.buffered {
-            put_str(&mut out, component);
-            put_varint(&mut out, events.len() as u64);
-            for event in events {
-                put_bytes(&mut out, event);
-            }
-        }
-        put_varint(&mut out, self.channels.len() as u64);
-        for (peer, next_seq, next_expected) in &self.channels {
-            put_varint(&mut out, u64::from(*peer));
-            put_varint(&mut out, *next_seq);
-            put_varint(&mut out, *next_expected);
-        }
-        put_varint(&mut out, self.timers.len() as u64);
-        for (id, component, token) in &self.timers {
-            put_varint(&mut out, *id);
-            put_str(&mut out, component);
-            put_varint(&mut out, *token);
-        }
-        put_varint(&mut out, self.next_timer);
-        put_bytes(&mut out, &self.admin);
-        match &self.deployer {
-            None => put_varint(&mut out, 0),
-            Some(blob) => {
-                put_varint(&mut out, 1);
-                put_bytes(&mut out, blob);
-            }
-        }
-        out
     }
+    (records, 0)
+}
 
-    /// Decodes a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrismError::Codec`] on a missing magic, unknown version, or
-    /// truncated field.
-    pub fn decode(bytes: &[u8]) -> Result<Self, PrismError> {
-        if bytes.len() < 4 || &bytes[..4] != CKPT_MAGIC {
-            return Err(PrismError::Codec("bad checkpoint magic".into()));
+/// Decodes a checkpoint stream into its sequence number and records; `None`
+/// unless the stream decodes whole under an intact checksum.
+fn decode_checkpoint(bytes: &[u8]) -> Option<(u64, Vec<JournalRecord>)> {
+    let (stream, sum) = bytes.split_at(bytes.len().checked_sub(8)?);
+    let body = stream.strip_prefix(CKPT_MAGIC)?;
+    if fnv1a(stream).to_le_bytes() != sum {
+        return None;
+    }
+    let pos = &mut 0usize;
+    if get_varint(body, pos).ok()? != CKPT_VERSION {
+        return None;
+    }
+    let seq = get_varint(body, pos).ok()?;
+    let (records, undecoded) = decode_frames(&body[*pos..]);
+    (undecoded == 0).then_some((seq, records))
+}
+
+/// Some of a host's checkpoint parts as one value — what the `benchmark/`
+/// harness builds to time [`DurableStore::checkpoint`] without a host. It
+/// has no encoding of its own: the store writes the records it lists, as a
+/// host checkpoint would hold them. `seq` and `at_us` are ignored (the store
+/// numbers checkpoints itself).
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct Checkpoint {
+    /// Ignored.
+    pub seq: u64,
+    /// Ignored.
+    pub at_us: u64,
+    /// Attached components: (instance name, type name, state).
+    pub components: Vec<(String, String, Vec<u8>)>,
+    /// The component directory: (component name, raw host id).
+    pub directory: Vec<(String, u32)>,
+    /// Reliable-channel state: (raw peer id, `next_seq`, `next_expected`).
+    pub channels: Vec<(u32, u64, u64)>,
+}
+
+impl<'a> IntoIterator for &'a Checkpoint {
+    type Item = RecordRef<'a>;
+    type IntoIter = std::vec::IntoIter<RecordRef<'a>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let mut records = Vec::new();
+        for (name, type_name, state) in &self.components {
+            records.push(JournalRecord::ComponentAttached {
+                name: name.as_str(),
+                type_name: type_name.as_str(),
+                state: state.as_slice(),
+            });
         }
-        let mut pos = 4usize;
-        let pos = &mut pos;
-        let version = get_varint(bytes, pos)?;
-        if version != CKPT_VERSION {
-            return Err(PrismError::Codec(format!(
-                "unknown checkpoint version {version}"
-            )));
+        let directory = self.directory.iter().map(|(c, h)| (c.as_str(), *h));
+        let directory = directory.collect();
+        records.push(JournalRecord::DirectoryReplaced { directory });
+        for &(peer, next_seq, next_expected) in &self.channels {
+            records.push(JournalRecord::ChannelState {
+                peer,
+                next_seq,
+                next_expected,
+            });
         }
-        let seq = get_varint(bytes, pos)?;
-        let at_us = get_varint(bytes, pos)?;
-        let n = get_varint(bytes, pos)? as usize;
-        let mut components = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let name = get_str(bytes, pos)?;
-            let type_name = get_str(bytes, pos)?;
-            let state = get_bytes(bytes, pos)?.to_vec();
-            components.push((name, type_name, state));
-        }
-        let n = get_varint(bytes, pos)? as usize;
-        let mut directory = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            directory.push((get_str(bytes, pos)?, get_u32(bytes, pos)?));
-        }
-        let n = get_varint(bytes, pos)? as usize;
-        let mut buffered = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let component = get_str(bytes, pos)?;
-            let m = get_varint(bytes, pos)? as usize;
-            let mut events = Vec::with_capacity(m.min(1024));
-            for _ in 0..m {
-                events.push(get_bytes(bytes, pos)?.to_vec());
-            }
-            buffered.push((component, events));
-        }
-        let n = get_varint(bytes, pos)? as usize;
-        let mut channels = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let peer = get_u32(bytes, pos)?;
-            let next_seq = get_varint(bytes, pos)?;
-            let next_expected = get_varint(bytes, pos)?;
-            channels.push((peer, next_seq, next_expected));
-        }
-        let n = get_varint(bytes, pos)? as usize;
-        let mut timers = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let id = get_varint(bytes, pos)?;
-            let component = get_str(bytes, pos)?;
-            let token = get_varint(bytes, pos)?;
-            timers.push((id, component, token));
-        }
-        let next_timer = get_varint(bytes, pos)?;
-        let admin = get_bytes(bytes, pos)?.to_vec();
-        let deployer = match get_varint(bytes, pos)? {
-            0 => None,
-            1 => Some(get_bytes(bytes, pos)?.to_vec()),
-            other => {
-                return Err(PrismError::Codec(format!(
-                    "bad deployer presence flag {other}"
-                )));
-            }
-        };
-        Ok(Checkpoint {
-            seq,
-            at_us,
-            components,
-            directory,
-            buffered,
-            channels,
-            timers,
-            next_timer,
-            admin,
-            deployer,
-        })
+        records.into_iter()
     }
 }
 
@@ -645,8 +612,9 @@ impl DurableBackend for FileBackend {
 /// Everything a recovery found in the store.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct RecoveredState {
-    /// The last checkpoint, if any was written (and decodable).
-    pub checkpoint: Option<Checkpoint>,
+    /// The last checkpoint's sequence number and records, if one was written
+    /// and decodes whole.
+    pub checkpoint: Option<(u64, Vec<JournalRecord>)>,
     /// Journal records appended after that checkpoint, in append order,
     /// up to (excluding) the first torn record.
     pub tail: Vec<JournalRecord>,
@@ -658,6 +626,25 @@ pub struct RecoveredState {
 /// Room reserved ahead of a record body for its LEB128 length prefix.
 const MAX_PREFIX: usize = 10;
 
+/// Frames one record — LEB128 length prefix, then body — in `scratch`
+/// (`prefix` is the reused buffer for the length).
+fn frame<'s, S: AsRef<str>, B: AsRef<[u8]>>(
+    scratch: &'s mut Vec<u8>,
+    prefix: &mut Vec<u8>,
+    record: &JournalRecord<S, B>,
+) -> &'s [u8] {
+    // Body first, after room for the longest prefix; the prefix is then
+    // written right-aligned against it.
+    scratch.clear();
+    scratch.resize(MAX_PREFIX, 0);
+    record.encode_into(scratch);
+    prefix.clear();
+    put_varint(prefix, (scratch.len() - MAX_PREFIX) as u64);
+    let start = MAX_PREFIX - prefix.len();
+    scratch[start..MAX_PREFIX].copy_from_slice(prefix);
+    &scratch[start..]
+}
+
 /// The per-host durable store: write-ahead journal + checkpoint snapshots.
 pub struct DurableStore {
     backend: Box<dyn DurableBackend>,
@@ -665,6 +652,8 @@ pub struct DurableStore {
     scratch: Vec<u8>,
     /// Reused buffer for the frame's length prefix.
     prefix: Vec<u8>,
+    /// Reused buffer the checkpoint stream is assembled in.
+    stream: Vec<u8>,
     checkpoints: u64,
     /// `(records, framed bytes)` appended per kind, indexed like
     /// [`RECORD_KINDS`].
@@ -705,6 +694,7 @@ impl DurableStore {
             backend,
             scratch: Vec::new(),
             prefix: Vec::with_capacity(MAX_PREFIX),
+            stream: Vec::new(),
             checkpoints: 0,
             by_kind: [(0, 0); RECORD_KINDS.len()],
             record_counter: Counter::default(),
@@ -745,22 +735,11 @@ impl DurableStore {
             .collect();
     }
 
-    /// Appends one record to the journal (length-prefixed framing). The
-    /// frame is assembled in a reused buffer and handed to the backend in
-    /// one write, so a crash tears at most the final record.
+    /// Appends one record to the journal. The frame is handed to the
+    /// backend in one write, so a crash tears at most the final record.
     pub fn append<S: AsRef<str>, B: AsRef<[u8]>>(&mut self, record: &JournalRecord<S, B>) {
-        // Body first, after room for the longest prefix; the prefix is then
-        // written right-aligned against it.
-        self.scratch.clear();
-        self.scratch.resize(MAX_PREFIX, 0);
-        record.encode_into(&mut self.scratch);
-        self.prefix.clear();
-        put_varint(&mut self.prefix, (self.scratch.len() - MAX_PREFIX) as u64);
-        let start = MAX_PREFIX - self.prefix.len();
-        self.scratch[start..MAX_PREFIX].copy_from_slice(&self.prefix);
-        let frame = &self.scratch[start..];
+        let frame = frame(&mut self.scratch, &mut self.prefix, record);
         self.backend.append(frame);
-
         let framed = frame.len() as u64;
         let kind = record.tag() as usize;
         self.by_kind[kind].0 += 1;
@@ -773,44 +752,42 @@ impl DurableStore {
         }
     }
 
-    /// Writes a checkpoint, truncating the journal.
-    pub fn checkpoint(&mut self, checkpoint: &Checkpoint) {
-        self.backend.write_checkpoint(&checkpoint.encode());
+    /// Writes a checkpoint — the records that rebuild the host's current
+    /// state, framed as in the journal — and truncates the journal. Its
+    /// records count toward no per-kind journal total.
+    pub fn checkpoint<S, B>(&mut self, records: impl IntoIterator<Item = JournalRecord<S, B>>)
+    where
+        S: AsRef<str>,
+        B: AsRef<[u8]>,
+    {
+        let stream = &mut self.stream;
+        stream.clear();
+        stream.extend_from_slice(CKPT_MAGIC);
+        put_varint(stream, CKPT_VERSION);
+        put_varint(stream, self.checkpoints);
+        for record in records {
+            stream.extend_from_slice(frame(&mut self.scratch, &mut self.prefix, &record));
+        }
+        stream.extend_from_slice(&fnv1a(stream).to_le_bytes());
+        self.backend.write_checkpoint(stream);
         self.checkpoints += 1;
         self.checkpoint_counter.inc();
     }
 
-    /// Reads back checkpoint + journal tail, tolerating a torn final record.
+    /// Reads back checkpoint + journal tail. A checkpoint that does not
+    /// decode whole is ignored whole; a torn final journal record (a crash
+    /// mid-append) is ignored and its size reported, everything before it
+    /// being intact.
     pub fn recover(&self) -> RecoveredState {
         let checkpoint = self
             .backend
             .read_checkpoint()
-            .and_then(|bytes| Checkpoint::decode(&bytes).ok());
-        let journal = self.backend.read_journal();
-        let mut tail = Vec::new();
-        let mut pos = 0usize;
-        while pos < journal.len() {
-            let start = pos;
-            let record =
-                get_bytes(&journal, &mut pos).and_then(|body| JournalRecord::decode(body, &mut 0));
-            match record {
-                Ok(rec) => tail.push(rec),
-                Err(_) => {
-                    // Torn tail: the final record was only partially
-                    // appended when the crash hit. Everything before it is
-                    // intact; ignore the fragment and report its size.
-                    return RecoveredState {
-                        checkpoint,
-                        tail,
-                        torn_bytes: journal.len() - start,
-                    };
-                }
-            }
-        }
+            .and_then(|bytes| decode_checkpoint(&bytes));
+        let (tail, torn_bytes) = decode_frames(&self.backend.read_journal());
         RecoveredState {
             checkpoint,
             tail,
-            torn_bytes: 0,
+            torn_bytes,
         }
     }
 
@@ -979,6 +956,12 @@ mod tests {
             10 => JournalRecord::MonitorWindow { admin: b },
             11 => JournalRecord::DeployerState { blob: b },
             12 => JournalRecord::ReportReceived { payload: b },
+            13 => JournalRecord::ChannelState {
+                peer: host,
+                next_seq: n,
+                next_expected: !n,
+            },
+            14 => JournalRecord::TimerCursor { next: n },
             _ => unreachable!("kind index out of RECORD_KINDS"),
         }
     }
@@ -1000,21 +983,6 @@ mod tests {
         let mut frame = Vec::new();
         put_bytes(&mut frame, &body);
         frame
-    }
-
-    fn sample_checkpoint() -> Checkpoint {
-        Checkpoint {
-            seq: 4,
-            at_us: 20_000_000,
-            components: vec![("a".into(), "workload".into(), vec![1, 2])],
-            directory: vec![("a".into(), 0), ("b".into(), 1)],
-            buffered: vec![("c".into(), vec![vec![3], vec![4, 5]])],
-            channels: vec![(1, 7, 5), (2, 0, 9)],
-            timers: vec![(1001, "a".into(), 0)],
-            next_timer: 2,
-            admin: vec![6, 6],
-            deployer: Some(vec![9, 9, 9]),
-        }
     }
 
     #[test]
@@ -1100,37 +1068,93 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_round_trips() {
-        let ckpt = sample_checkpoint();
-        assert_eq!(Checkpoint::decode(&ckpt.encode()).unwrap(), ckpt);
-        let empty = Checkpoint::default();
-        assert_eq!(Checkpoint::decode(&empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn checkpoint_rejects_garbage() {
-        assert!(Checkpoint::decode(b"").is_err());
-        assert!(Checkpoint::decode(b"NOPE").is_err());
-        let mut bytes = sample_checkpoint().encode();
-        bytes.truncate(bytes.len() / 2);
-        assert!(Checkpoint::decode(&bytes).is_err());
-    }
-
-    #[test]
     fn store_recovers_checkpoint_and_tail() {
         let mut store = DurableStore::in_memory();
         // Records before the checkpoint must vanish with it.
         store.append(&fired(1000));
-        store.checkpoint(&sample_checkpoint());
+        store.checkpoint(sample_records());
         for rec in sample_records() {
             store.append(&rec);
         }
         let rec = store.recover();
-        assert_eq!(rec.checkpoint, Some(sample_checkpoint()));
+        assert_eq!(rec.checkpoint, Some((0, sample_records())));
         assert_eq!(rec.tail, sample_records());
         assert_eq!(rec.torn_bytes, 0);
         assert_eq!(store.checkpoints_written(), 1);
+        // A checkpoint's records count toward no journal total.
         assert_eq!(store.records_appended(), 1 + sample_records().len() as u64);
+        let framed_bytes = sample_records()
+            .iter()
+            .map(|r| framed(r).len())
+            .sum::<usize>();
+        assert_eq!(
+            store.bytes_appended(),
+            (framed(&fired(1000)).len() + framed_bytes) as u64
+        );
+        // Checkpoints are numbered in write order.
+        store.checkpoint([fired(7)]);
+        assert_eq!(store.recover().checkpoint, Some((1, vec![fired(7)])));
+        assert!(store.recover().tail.is_empty());
+    }
+
+    #[test]
+    fn checkpoint_parts_are_written_as_host_records() {
+        let parts = Checkpoint {
+            seq: 9,
+            at_us: 1,
+            components: vec![("a".into(), "workload".into(), vec![1, 2])],
+            directory: vec![("a".into(), 0), ("b".into(), 1)],
+            channels: vec![(1, 7, 5)],
+        };
+        let mut store = DurableStore::in_memory();
+        store.checkpoint(&parts);
+        let expected = vec![
+            JournalRecord::ComponentAttached {
+                name: "a".into(),
+                type_name: "workload".into(),
+                state: vec![1, 2],
+            },
+            JournalRecord::DirectoryReplaced {
+                directory: vec![("a".into(), 0), ("b".into(), 1)],
+            },
+            JournalRecord::ChannelState {
+                peer: 1,
+                next_seq: 7,
+                next_expected: 5,
+            },
+        ];
+        assert_eq!(store.recover().checkpoint, Some((0, expected)));
+    }
+
+    /// The file backend keeps both streams across a reopen (what a
+    /// restarted process sees), and a frame torn by a crash mid-append is
+    /// ignored.
+    #[cfg(feature = "durable-file")]
+    #[test]
+    fn file_backed_store_recovers_after_reopen() {
+        use std::io::Write as _;
+        let dir = std::env::temp_dir().join(format!("redep-durable-file-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let host = HostId::new(3);
+        let mut store = DurableStore::file_backed(&dir, host).unwrap();
+        store.append(&fired(1000));
+        store.checkpoint(sample_records());
+        for rec in sample_records() {
+            store.append(&rec);
+        }
+        drop(store);
+        // A crash mid-append leaves part of one more frame in the journal.
+        let torn = framed(&fired(1001));
+        let torn = &torn[..torn.len() - 1];
+        let wal = dir.join(format!("host-{}.wal", host.raw()));
+        let mut file = std::fs::OpenOptions::new().append(true).open(wal).unwrap();
+        file.write_all(torn).unwrap();
+        drop(file);
+        let rec = DurableStore::file_backed(&dir, host).unwrap().recover();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(rec.checkpoint, Some((0, sample_records())));
+        assert_eq!(rec.tail, sample_records());
+        assert_eq!(rec.torn_bytes, torn.len());
     }
 
     #[test]
@@ -1143,7 +1167,7 @@ mod tests {
     fn digest_is_deterministic_and_state_sensitive() {
         let build = |extra: bool| {
             let mut store = DurableStore::in_memory();
-            store.checkpoint(&sample_checkpoint());
+            store.checkpoint(sample_records());
             store.append(&record_of(7, "", &[], 0, 1));
             if extra {
                 store.append(&fired(1001));
@@ -1230,35 +1254,43 @@ mod tests {
             prop_assert_eq!(rec.torn_bytes, last - cut);
         }
 
-        /// Checkpoints round-trip for arbitrary contents.
+        /// A checkpoint stream cut at any byte, or with any byte corrupted,
+        /// recovers as no checkpoint at all — never as a prefix of its
+        /// records or as different ones — and the journal tail still
+        /// replays; the intact stream recovers whole.
         #[test]
-        fn checkpoint_roundtrip_prop(
-            seq in 0u64..1000,
-            at_us in 0u64..u64::MAX / 2,
-            names in proptest::collection::vec("[a-z]{1,8}", 0..5),
-            state in proptest::collection::vec(any::<u8>(), 0..32),
-            next_timer in 0u64..100,
+        fn a_torn_or_corrupt_checkpoint_recovers_whole_or_not_at_all(
+            picks in proptest::collection::vec(0usize..RECORD_KINDS.len(), 0..16),
+            tail_picks in proptest::collection::vec(0usize..RECORD_KINDS.len(), 0..6),
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            at in any::<usize>(),
+            flip in 1u8..=255,
+            corrupt in any::<bool>(),
         ) {
-            let ckpt = Checkpoint {
-                seq,
-                at_us,
-                components: names
-                    .iter()
-                    .map(|n| (n.clone(), "workload".to_owned(), state.clone()))
-                    .collect(),
-                directory: names.iter().map(|n| (n.clone(), 1u32)).collect(),
-                buffered: vec![("x".into(), vec![state.clone()])],
-                channels: vec![(0, seq, at_us % 97)],
-                timers: names
-                    .iter()
-                    .enumerate()
-                    .map(|(i, n)| (1000 + i as u64, n.clone(), i as u64))
-                    .collect(),
-                next_timer,
-                admin: state.clone(),
-                deployer: if seq % 2 == 0 { None } else { Some(state.clone()) },
-            };
-            prop_assert_eq!(Checkpoint::decode(&ckpt.encode()).unwrap(), ckpt);
+            let pick = |&kind: &usize| record_of(kind, "comp", &bytes, 1007, 3);
+            let records: Vec<JournalRecord> = picks.iter().map(pick).collect();
+            let tail: Vec<JournalRecord> = tail_picks.iter().map(pick).collect();
+            let mut store = DurableStore::in_memory();
+            store.checkpoint(records.clone());
+            let stream = store.checkpoint_bytes().expect("a checkpoint was written");
+            let at = at % stream.len();
+            let mut damaged = stream.clone();
+            if corrupt {
+                damaged[at] ^= flip;
+            } else {
+                damaged.truncate(at);
+            }
+            for (written, expected) in [(stream, Some((0, records))), (damaged, None)] {
+                let mut backend = MemBackend::default();
+                backend.write_checkpoint(&written);
+                for rec in &tail {
+                    backend.append(&framed(rec));
+                }
+                let rec = DurableStore::with_backend(Box::new(backend)).recover();
+                prop_assert_eq!(rec.checkpoint, expected);
+                prop_assert_eq!(&rec.tail, &tail);
+                prop_assert_eq!(rec.torn_bytes, 0);
+            }
         }
 
         /// A store recovered from checkpoint-only equals one recovered from
@@ -1276,7 +1308,7 @@ mod tests {
                 picks.iter().map(|&i| all[i].clone()).collect();
             let mut store = DurableStore::in_memory();
             if with_ckpt {
-                store.checkpoint(&sample_checkpoint());
+                store.checkpoint(sample_records());
             }
             for rec in &records {
                 store.append(rec);
@@ -1284,7 +1316,7 @@ mod tests {
             let rec = store.recover();
             prop_assert_eq!(
                 rec.checkpoint,
-                with_ckpt.then(sample_checkpoint)
+                with_ckpt.then(|| (0, sample_records()))
             );
             prop_assert_eq!(rec.tail, records);
             prop_assert_eq!(rec.torn_bytes, 0);

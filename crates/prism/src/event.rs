@@ -307,8 +307,9 @@ impl Event {
     ///
     /// # Errors
     ///
-    /// Encoding itself cannot fail today; the `Result` keeps call sites
-    /// uniform with [`decode`](Self::decode).
+    /// Never: encoding cannot fail, and the crate's own callers use the
+    /// infallible encoder underneath. The `Result` stays for callers outside
+    /// the workspace that unwrap it (the `benchmark/` harness).
     pub fn encode(&self) -> Result<Vec<u8>, crate::PrismError> {
         Ok(crate::codec::encode_event(self))
     }

@@ -10,9 +10,8 @@
 use crate::admin::{AdminComponent, DeployerComponent};
 use crate::architecture::{Architecture, HostAction};
 use crate::brick::{BrickId, ComponentBehavior, ComponentFactory};
-use crate::durable::{
-    Checkpoint, DurableStore, JournalRecord, OpKind, OpVerdict, RecordRef, RecoveryReport,
-};
+use crate::codec::encode_event;
+use crate::durable::{DurableStore, JournalRecord, OpKind, OpVerdict, RecordRef, RecoveryReport};
 use crate::event::Event;
 use crate::monitor::{EventFrequencyMonitor, ReliabilityProbe};
 use crate::symbol::Symbol;
@@ -352,19 +351,16 @@ impl HostServices {
                 dst,
                 WireMsg::Raw {
                     to_component,
-                    event: event.encode().expect("events serialize"),
+                    event: encode_event(event),
                 },
             ));
             return;
         }
         if self.next_hop(dst).is_some() || dst == self.deployer_host {
             let (now, rto) = (self.now, self.rto);
-            let frame = self.channel_entry(dst).send(
-                to_component,
-                event.encode().expect("events serialize"),
-                now,
-                rto,
-            );
+            let frame = self
+                .channel_entry(dst)
+                .send(to_component, encode_event(event), now, rto);
             // A consumed sequence number must survive the crash: a recovered
             // sender that reused it would be silently deduplicated by the
             // peer's watermark, stalling the protocol forever.
@@ -380,11 +376,11 @@ impl HostServices {
             let wrapped = Event::request(crate::admin::EV_MEDIATE)
                 .with_param(crate::admin::P_FINAL_HOST, dst.raw() as i64)
                 .with_param(crate::admin::P_FINAL_COMPONENT, to_component.as_str())
-                .with_payload(event.encode().expect("events serialize"));
+                .with_payload(encode_event(event));
             let (now, rto) = (self.now, self.rto);
             let frame = self.channel_entry(self.deployer_host).send(
                 Symbol::intern(DEPLOYER_ADDRESS),
-                wrapped.encode().expect("events serialize"),
+                encode_event(&wrapped),
                 now,
                 rto,
             );
@@ -405,7 +401,7 @@ impl HostServices {
             dst,
             WireMsg::Raw {
                 to_component: to_component.into(),
-                event: event.encode().expect("events serialize"),
+                event: encode_event(event),
             },
         );
     }
@@ -421,7 +417,7 @@ impl HostServices {
         self.stats.events_buffered += 1;
         self.journal(JournalRecord::EventBuffered {
             component,
-            event: &event.encode().expect("events serialize"),
+            event: &encode_event(&event),
         });
         self.buffered
             .entry(component.to_owned())
@@ -538,6 +534,16 @@ const ROUTING_LATENCY_BOUNDS_US: &[f64] = &[
     5_000_000.0,
 ];
 
+/// A host's architecture as it starts, and after a crash: one application
+/// connector (the host-local "bus") carrying an [`EventFrequencyMonitor`].
+fn fresh_architecture(host: HostId, config: &HostConfig) -> (Architecture, BrickId) {
+    let mut arch = Architecture::new(format!("arch-{host}"), host);
+    let bus = arch.add_connector("bus");
+    arch.attach_monitor(bus, EventFrequencyMonitor::new(config.monitor_window))
+        .expect("connector just created");
+    (arch, bus)
+}
+
 /// Maps deployment-protocol event names onto migration phase labels.
 fn migration_phase(event_name: &str) -> Option<&'static str> {
     match event_name {
@@ -568,13 +574,7 @@ impl PrismHost {
     /// [`PrismHost::add_app_component`] welds every application component —
     /// the configuration of the paper's Figure 8.
     pub fn new(host: HostId, factory: ComponentFactory, config: HostConfig) -> Self {
-        let mut arch = Architecture::new(format!("arch-{host}"), host);
-        let app_connector = arch.add_connector("bus");
-        arch.attach_monitor(
-            app_connector,
-            EventFrequencyMonitor::new(config.monitor_window),
-        )
-        .expect("connector just created");
+        let (arch, app_connector) = fresh_architecture(host, &config);
         let admin = AdminComponent::new(host, &config);
         let services = HostServices::new(host, &config);
         let telemetry = Telemetry::disabled();
@@ -870,61 +870,64 @@ impl PrismHost {
         self.services.durable.digest()
     }
 
-    /// Snapshots the host's full durable state into a checkpoint, truncating
-    /// the write-ahead journal.
-    fn checkpoint_now(&mut self, now: SimTime) {
-        let checkpoint = Checkpoint {
-            seq: self.services.durable.checkpoints_written(),
-            at_us: now.as_micros(),
-            components: self.arch.component_snapshots(),
-            directory: self
-                .services
-                .directory
-                .iter()
-                .map(|(c, h)| (c.clone(), h.raw()))
-                .collect(),
-            buffered: self
-                .services
-                .buffered
-                .iter()
-                .map(|(c, events)| {
-                    (
-                        c.clone(),
-                        events
-                            .iter()
-                            .map(|e| e.encode().expect("events serialize"))
-                            .collect(),
-                    )
-                })
-                .collect(),
-            channels: self
-                .services
-                .channels
-                .iter()
-                .map(|(peer, ch)| {
-                    let (next_seq, next_expected) = ch.durable_state();
-                    (peer.raw(), next_seq, next_expected)
-                })
-                .collect(),
-            timers: self
-                .timers
-                .sorted()
-                .into_iter()
-                .map(|(id, (component, token))| (id, component.as_str().to_owned(), *token))
-                .collect(),
-            next_timer: self.next_timer,
-            admin: self.admin.durable_blob(),
-            deployer: self.deployer.as_ref().map(|d| d.checkpoint_blob()),
-        };
-        self.services.durable.checkpoint(&checkpoint);
+    /// Writes the host's full durable state as a checkpoint — the records
+    /// that rebuild it on a wiped host — truncating the write-ahead journal.
+    fn checkpoint_now(&mut self) {
+        let mut records = Vec::new();
+        for (name, type_name, state) in self.arch.component_snapshots() {
+            records.push(JournalRecord::ComponentAttached {
+                name,
+                type_name,
+                state,
+            });
+        }
+        let directory = self.services.directory.iter();
+        let directory = directory.map(|(c, h)| (c.clone(), h.raw())).collect();
+        records.push(JournalRecord::DirectoryReplaced { directory });
+        for (component, events) in &self.services.buffered {
+            for event in events {
+                let (component, event) = (component.clone(), encode_event(event));
+                records.push(JournalRecord::EventBuffered { component, event });
+            }
+        }
+        for (peer, ch) in &self.services.channels {
+            let (next_seq, next_expected) = ch.durable_state();
+            records.push(JournalRecord::ChannelState {
+                peer: peer.raw(),
+                next_seq,
+                next_expected,
+            });
+        }
+        for (id, (component, token)) in self.timers.sorted() {
+            let (component, token) = (component.as_str().to_owned(), *token);
+            records.push(JournalRecord::TimerArmed {
+                id,
+                component,
+                token,
+            });
+        }
+        let (next, admin) = (self.next_timer, self.admin.durable_blob());
+        records.push(JournalRecord::TimerCursor { next });
+        records.push(JournalRecord::MonitorWindow { admin });
+        records.extend(self.deployer_records());
+        self.services.durable.checkpoint(records);
         self.windows_since_checkpoint = 0;
+    }
+
+    /// The deployer's durable records (none without a deployer): what a
+    /// checkpoint holds of it, and what the recovery self-check compares.
+    fn deployer_records(&self) -> Vec<JournalRecord> {
+        let deployer = self.deployer.iter();
+        deployer
+            .flat_map(DeployerComponent::durable_records)
+            .collect()
     }
 
     /// Pumps the architecture while *discarding* every host
     /// action — the replay half of crash recovery. The original run already
     /// carried those effects out: remote sends hit the wire before the
     /// crash, each local delivery hop has its own journal record, and timers
-    /// are restored from the checkpoint plus `TimerArmed` records.
+    /// are restored from `TimerArmed` records.
     fn replay_pump(&mut self, now: SimTime) {
         // One pump is the fixpoint: discarded actions feed nothing back.
         self.arch.pump(now);
@@ -1195,7 +1198,7 @@ impl Node for PrismHost {
         // Checkpoint 0: the pre-run state (initial components + directory),
         // so even a crash before the first periodic checkpoint recovers the
         // deployment the run started from.
-        self.checkpoint_now(ctx.now());
+        self.checkpoint_now();
         self.flush(ctx);
     }
 
@@ -1208,25 +1211,17 @@ impl Node for PrismHost {
         // The state the host actually held at the crash instant — memory is
         // not physically lost in a simulator, so it doubles as the oracle
         // for the recovery self-check below.
-        let mut live_components = self.arch.component_snapshots();
-        live_components.sort();
+        let live_components = self.arch.component_snapshots();
         let live_directory = self.services.directory.clone();
         // The control plane's durable state in its canonical encoding:
-        // byte-equal blobs mean equal reliabilities, report count and last
+        // equal bytes mean equal reliabilities, report count and last
         // snapshot (admin), and equal epoch, counters, move sources, pending
-        // and failed moves and snapshots (deployer).
+        // and failed moves and snapshots (the deployer's records).
         let live_admin = self.admin.durable_blob();
-        let live_deployer = self.deployer.as_ref().map(|d| d.checkpoint_blob());
+        let live_deployer = self.deployer_records();
 
         // -- wipe: the crash loses every volatile structure ----------------
-        self.arch = Architecture::new(format!("arch-{host}"), host);
-        self.app_connector = self.arch.add_connector("bus");
-        self.arch
-            .attach_monitor(
-                self.app_connector,
-                EventFrequencyMonitor::new(self.config.monitor_window),
-            )
-            .expect("connector just created");
+        (self.arch, self.app_connector) = fresh_architecture(host, &self.config);
         self.services.directory.clear();
         self.services.dir_memo.clear();
         self.services.channels.clear();
@@ -1235,66 +1230,28 @@ impl Node for PrismHost {
         self.services.probe = ReliabilityProbe::new();
         self.admin = AdminComponent::new(host, &self.config);
         if self.deployer.take().is_some() {
-            let mut deployer = DeployerComponent::new(host, &self.config);
-            deployer.set_telemetry(self.telemetry.clone());
-            self.deployer = Some(deployer);
+            self.enable_deployer();
         }
         self.timers.clear();
         self.next_timer = 0;
         self.windows_since_checkpoint = 0;
 
-        // -- recover: the checkpoint first, then the journal tail ----------
+        // -- recover: the checkpoint's records first, then the journal tail -
         let recovered = self.services.durable.recover();
-        let checkpoint_seq = recovered.checkpoint.as_ref().map_or(0, |c| c.seq);
+        let (checkpoint_seq, checkpoint) = recovered.checkpoint.unwrap_or_default();
         let replayed = recovered.tail.len() as u64;
         let torn_bytes = recovered.torn_bytes;
+        let tail_from = checkpoint.len();
 
-        if let Some(ckpt) = recovered.checkpoint {
-            for (name, type_name, state) in &ckpt.components {
-                if let Ok(behavior) = self.factory.build(type_name, state) {
-                    if let Ok(id) = self.arch.add_boxed_component(name.clone(), behavior) {
-                        let _ = self.arch.weld(id, self.app_connector);
-                    }
-                }
-            }
-            // The re-attach hooks re-arm timers and the like; those effects
-            // are restored from the checkpoint instead, so discard them.
-            self.replay_pump(now);
-            for (component, raw) in ckpt.directory {
-                self.services.directory_set(component, HostId::new(raw));
-            }
-            for (component, events) in ckpt.buffered {
-                let parked: Vec<Event> = events
-                    .iter()
-                    .filter_map(|bytes| Event::decode(bytes).ok())
-                    .collect();
-                if !parked.is_empty() {
-                    self.services.buffered.insert(component, parked);
-                }
-            }
-            for (peer, next_seq, next_expected) in ckpt.channels {
-                *self.services.channel_entry(HostId::new(peer)) =
-                    ReliableChannel::restore(next_seq, next_expected);
-            }
-            for (id, component, token) in ckpt.timers {
-                self.timers.insert(id, (Symbol::intern(&component), token));
-            }
-            self.next_timer = ckpt.next_timer;
-            // A malformed blob restores nothing; the self-check below then
-            // reports the divergence.
-            let _ = self.admin.restore_durable(&ckpt.admin);
-            if let (Some(deployer), Some(blob)) = (self.deployer.as_mut(), ckpt.deployer.as_ref()) {
-                let _ = deployer.restore_durable(blob, true);
-            }
-        }
-
-        // Replay the tail. Every record was journaled *after* its in-memory
-        // effect, so re-applying the sequence on the freshly wiped host
-        // reproduces the pre-crash state; host actions emitted along the way
-        // are discarded (see `replay_pump`).
+        // Every record was journaled *after* its in-memory effect, and a
+        // checkpoint lists the records that rebuild its state, so applying
+        // the sequence on the freshly wiped host reproduces the pre-crash
+        // state; host actions emitted along the way are discarded (see
+        // `replay_pump`).
         let mut drained: BTreeSet<String> = BTreeSet::new();
         let mut attached: Vec<String> = Vec::new();
-        for record in recovered.tail {
+        let records = checkpoint.into_iter().chain(recovered.tail);
+        for (at, record) in records.enumerate() {
             match record {
                 JournalRecord::Delivery { component, event } => {
                     if let Ok(event) = Event::decode(&event) {
@@ -1357,7 +1314,11 @@ impl Node for PrismHost {
                         }
                         self.replay_pump(now);
                     }
-                    attached.push(name);
+                    // Only an attach in the tail is a move that landed since
+                    // the checkpoint.
+                    if at >= tail_from {
+                        attached.push(name);
+                    }
                 }
                 JournalRecord::ComponentDetached { name } => {
                     let _ = self.arch.detach_component(&name);
@@ -1367,7 +1328,7 @@ impl Node for PrismHost {
                 }
                 JournalRecord::DeployerState { blob } => {
                     if let Some(deployer) = self.deployer.as_mut() {
-                        let _ = deployer.restore_durable(&blob, false);
+                        let _ = deployer.restore_durable(&blob);
                     }
                 }
                 JournalRecord::ReportReceived { payload } => {
@@ -1375,67 +1336,54 @@ impl Node for PrismHost {
                         deployer.accept_report(&mut self.services, &payload);
                     }
                 }
+                JournalRecord::ChannelState {
+                    peer,
+                    next_seq,
+                    next_expected,
+                } => {
+                    *self.services.channel_entry(HostId::new(peer)) =
+                        ReliableChannel::restore(next_seq, next_expected);
+                }
+                JournalRecord::TimerCursor { next } => self.next_timer = next,
             }
         }
 
         // -- self-check + per-operation verdicts ---------------------------
-        let mut recovered_components = self.arch.component_snapshots();
-        recovered_components.sort();
+        let components = self.arch.component_snapshots();
         let diverged: Vec<&'static str> = [
-            ("components", recovered_components != live_components),
+            ("components", components != live_components),
             ("directory", self.services.directory != live_directory),
             ("admin", self.admin.durable_blob() != live_admin),
-            (
-                "deployer",
-                self.deployer.as_ref().map(|d| d.checkpoint_blob()) != live_deployer,
-            ),
+            ("deployer", self.deployer_records() != live_deployer),
         ]
         .into_iter()
         .filter_map(|(part, differs)| differs.then_some(part))
         .collect();
         let state_equiv = diverged.is_empty();
 
-        let mut verdicts = Vec::new();
-        // A migrant whose attach record reached the journal verifiably
+        // A migrant whose attach record reached the journal tail verifiably
         // landed here; a move the recovered deployer still holds as pending
-        // verifiably did not complete.
-        for name in attached {
-            verdicts.push(OpVerdict {
-                kind: OpKind::MigrationMove,
-                subject: name,
-                completed: true,
-            });
-        }
-        if let Some(deployer) = self.deployer.as_ref() {
-            for component in deployer.status().in_flight {
-                verdicts.push(OpVerdict {
-                    kind: OpKind::MigrationMove,
-                    subject: component,
-                    completed: false,
-                });
-            }
-        }
-        for component in drained {
-            verdicts.push(OpVerdict {
-                kind: OpKind::BufferedEvent,
-                subject: component,
-                completed: true,
-            });
-        }
-        for component in self.services.buffered.keys() {
-            verdicts.push(OpVerdict {
-                kind: OpKind::BufferedEvent,
-                subject: component.clone(),
-                completed: false,
-            });
-        }
-        // The monitoring window open at the crash is lost by design: its
-        // raw counts were volatile, and the journal has no closing record.
-        verdicts.push(OpVerdict {
-            kind: OpKind::MonitorWindow,
-            subject: "window".to_owned(),
-            completed: false,
-        });
+        // verifiably did not complete. The monitoring window open at the
+        // crash is lost by design: its raw counts were volatile, and the
+        // journal has no closing record.
+        let in_flight = self.deployer.as_ref().map(|d| d.status().in_flight);
+        let parked = self.services.buffered.keys().cloned().collect();
+        let verdicts: Vec<OpVerdict> = [
+            (OpKind::MigrationMove, attached, true),
+            (OpKind::MigrationMove, in_flight.unwrap_or_default(), false),
+            (OpKind::BufferedEvent, drained.into_iter().collect(), true),
+            (OpKind::BufferedEvent, parked, false),
+            (OpKind::MonitorWindow, vec!["window".to_owned()], false),
+        ]
+        .into_iter()
+        .flat_map(|(kind, subjects, completed)| {
+            subjects.into_iter().map(move |subject| OpVerdict {
+                kind,
+                subject,
+                completed,
+            })
+        })
+        .collect();
 
         let at_us = now.as_micros();
         self.telemetry
@@ -1571,7 +1519,7 @@ impl Node for PrismHost {
                     .journal(JournalRecord::MonitorWindow { admin: &admin });
                 self.windows_since_checkpoint += 1;
                 if self.windows_since_checkpoint >= self.config.checkpoint_interval_windows {
-                    self.checkpoint_now(ctx.now());
+                    self.checkpoint_now();
                 }
                 ctx.set_timer(self.config.monitor_window, TOKEN_MONITOR);
             }

@@ -148,7 +148,7 @@ fn framework_journals_are_pinned() {
         (
             0x92cc_280b_0865_d740,
             0xcdb1_a716_7223_b591,
-            0x8d68_5f12_9488_487a
+            0xa4bf_ce81_f19f_82d5
         ),
         "centralized journal, write-ahead journals or checkpoints moved"
     );
@@ -157,7 +157,7 @@ fn framework_journals_are_pinned() {
         (
             0x89c6_520e_65cc_2805,
             0xe94d_ace3_6389_3808,
-            0xc2f9_8a5d_a3ed_4241
+            0x69da_617a_b818_7a87
         ),
         "decentralized journal, write-ahead journals or checkpoints moved"
     );
