@@ -1126,6 +1126,66 @@ mod tests {
         assert_eq!(store.recover().checkpoint, Some((0, expected)));
     }
 
+    #[test]
+    fn checkpoint_round_trips() {
+        let mut store = DurableStore::in_memory();
+        store.checkpoint(sample_records());
+        let stream = store.checkpoint_bytes().expect("a checkpoint was written");
+        assert!(stream.starts_with(CKPT_MAGIC));
+        assert_eq!(decode_checkpoint(&stream), Some((0, sample_records())));
+        // A fresh store reading the same stream recovers the same list.
+        let mut backend = MemBackend::default();
+        backend.write_checkpoint(&stream);
+        let rec = DurableStore::with_backend(Box::new(backend)).recover();
+        assert_eq!(rec.checkpoint, Some((0, sample_records())));
+        // An empty checkpoint is a checkpoint, not an absent one.
+        store.checkpoint(Vec::<JournalRecord>::new());
+        assert_eq!(store.recover().checkpoint, Some((1, Vec::new())));
+    }
+
+    #[test]
+    fn checkpoint_rejects_garbage() {
+        // Magic + body + a checksum that matches, so only the body's own
+        // checks can reject it.
+        let sealed = |body: &[u8]| {
+            let mut stream = CKPT_MAGIC.to_vec();
+            stream.extend_from_slice(body);
+            let sum = fnv1a(&stream);
+            stream.extend_from_slice(&sum.to_le_bytes());
+            stream
+        };
+        let mut wrong_version = Vec::new();
+        put_varint(&mut wrong_version, CKPT_VERSION - 1);
+        put_varint(&mut wrong_version, 0);
+        wrong_version.extend(framed(&fired(1)));
+        let mut alien_frame = Vec::new();
+        put_varint(&mut alien_frame, CKPT_VERSION);
+        put_varint(&mut alien_frame, 0);
+        let mut alien = Vec::new();
+        put_varint(&mut alien, RECORD_KINDS.len() as u64);
+        put_bytes(&mut alien_frame, &alien);
+        let mut wrong_magic = sealed(&[]);
+        wrong_magic[..4].copy_from_slice(b"RDCX");
+        let garbage = [
+            Vec::new(),
+            vec![0; 7],
+            b"RDCP".to_vec(),
+            b"not a checkpoint at all".to_vec(),
+            wrong_magic,
+            sealed(&wrong_version),
+            sealed(&alien_frame),
+        ];
+        for bytes in garbage {
+            assert_eq!(decode_checkpoint(&bytes), None, "{bytes:?}");
+            let mut backend = MemBackend::default();
+            backend.write_checkpoint(&bytes);
+            backend.append(&framed(&fired(3)));
+            let rec = DurableStore::with_backend(Box::new(backend)).recover();
+            assert_eq!(rec.checkpoint, None);
+            assert_eq!(rec.tail, vec![fired(3)]);
+        }
+    }
+
     /// The file backend keeps both streams across a reopen (what a
     /// restarted process sees), and a frame torn by a crash mid-append is
     /// ignored.
@@ -1252,6 +1312,37 @@ mod tests {
             let rec = store.recover();
             prop_assert_eq!(&rec.tail[..], &records[..records.len() - 1]);
             prop_assert_eq!(rec.torn_bytes, last - cut);
+        }
+
+        /// Checkpoints of arbitrary records round-trip, numbered in write
+        /// order, and each one replaces the last.
+        #[test]
+        fn checkpoint_roundtrip_prop(
+            lists in proptest::collection::vec(
+                proptest::collection::vec(
+                    (
+                        0usize..RECORD_KINDS.len(),
+                        "[a-z]{1,12}",
+                        proptest::collection::vec(any::<u8>(), 0..100),
+                        any::<u64>(),
+                        any::<u32>(),
+                    ),
+                    0..12,
+                ),
+                1..4,
+            ),
+        ) {
+            let mut store = DurableStore::in_memory();
+            for (seq, list) in lists.iter().enumerate() {
+                let records: Vec<JournalRecord> = list
+                    .iter()
+                    .map(|(kind, name, bytes, n, host)| record_of(*kind, name, bytes, *n, *host))
+                    .collect();
+                store.checkpoint(records.clone());
+                prop_assert_eq!(store.recover().checkpoint, Some((seq as u64, records)));
+            }
+            prop_assert_eq!(store.checkpoints_written(), lists.len() as u64);
+            prop_assert_eq!(store.records_appended(), 0);
         }
 
         /// A checkpoint stream cut at any byte, or with any byte corrupted,
