@@ -20,6 +20,15 @@
 //! over the [`redep_model::CompiledModel`] CSR index, masked by a host
 //! visibility bitset — the submodel
 //! [`AwarenessGraph::partial_view`] would build, without the per-bid clone.
+//!
+//! Nor is every visible host priced: only a host that holds one of the
+//! auctioned component's partners, or is physically linked to one, can bid
+//! above zero, so an auction walks the partners' hosts' neighbor lists
+//! ([`redep_model::CompiledModel::neighbors`]) and checks admissibility
+//! only for the bids that beat retention (see `Bidding`). Flat and
+//! hierarchical DecAp share that kernel; their wall times at E3d's scales
+//! are `e3d.decap.200x2000.wall_ms` and `e3d.decap.1000x10000.wall_secs`
+//! in `BENCH_algorithms.json`.
 
 use crate::compiled::{compile, Compiled};
 use crate::hierarchy::HierarchicalConfig;
@@ -72,10 +81,25 @@ struct Views {
 }
 
 impl Views {
-    fn new(cm: &CompiledModel, awareness: &AwarenessGraph) -> Views {
-        let aware = cm.host_ids().iter().map(|&a| {
-            let peers = awareness.aware_of(a);
-            peers.iter().filter_map(|&h| cm.host_index(h)).collect()
+    /// The views `awareness` gives, or without one the paper's default —
+    /// each host aware of itself and its physical neighbors, read off the
+    /// snapshot's neighbor index: the views
+    /// [`AwarenessGraph::from_connectivity`] would give.
+    fn new(cm: &CompiledModel, awareness: Option<&AwarenessGraph>) -> Views {
+        let aware = (0..cm.n_hosts() as u32).map(|a| match awareness {
+            Some(g) => {
+                let peers = g.aware_of(cm.host_ids()[a as usize]);
+                peers.iter().filter_map(|&h| cm.host_index(h)).collect()
+            }
+            None => {
+                let neighbors = cm.neighbors(a);
+                let split = neighbors.partition_point(|&b| b < a);
+                let mut row = Vec::with_capacity(neighbors.len() + 1);
+                row.extend_from_slice(&neighbors[..split]);
+                row.push(a);
+                row.extend_from_slice(&neighbors[split..]);
+                row
+            }
         });
         Views::from_lists(aware.collect())
     }
@@ -149,6 +173,162 @@ impl Views {
     }
 }
 
+/// One auction's bid gathering, with scratch kept across auctions.
+///
+/// A bidder's bid sums one term per visible placed partner of the auctioned
+/// component: the partner's volume when it sits on the bidder, else the
+/// volume times the bidder's link reliability to the partner's host. That
+/// reliability is `0.0` wherever no physical link exists, so only a
+/// partner's host and its physical neighbors can bid above zero; every
+/// other visible bidder bids exactly `+0.0`, which cannot beat a
+/// non-negative retention value. The kernel therefore walks the partners'
+/// hosts' neighbor lists, adding each invited bidder's terms in incident
+/// order just as [`DecApAlgorithm::bid`] does, and keeps only the bids
+/// above retention. Auctions it cannot price exactly — a non-finite partner
+/// volume (`∞ × 0.0` is NaN), a retention value below zero (a `+0.0` bid
+/// would beat it) or a NaN bid (whose place in the selection depends on
+/// list order) — fall back to pricing every visible bidder.
+struct Bidding {
+    /// The auctioned component's placed partners as `(volume, host)`, in
+    /// incident order.
+    partners: Vec<(f64, u32)>,
+    /// Each host's bid so far; `+0.0` for every host not in `touched`.
+    acc: Vec<f64>,
+    /// Whether a host is in `touched`.
+    is_touched: Vec<bool>,
+    /// The hosts some term was added to, in first-touch order.
+    touched: Vec<u32>,
+    /// The last auction's admissible bids that may win: above retention,
+    /// in no particular order — or, after a fallback, every admissible
+    /// visible bid in ascending bidder order.
+    bids: Vec<(u32, f64)>,
+    /// Test-only: hold every auction with the per-bidder oracle instead.
+    #[cfg(test)]
+    per_bidder: bool,
+}
+
+impl Bidding {
+    fn new(n_hosts: usize) -> Bidding {
+        Bidding {
+            partners: Vec::new(),
+            acc: vec![0.0; n_hosts],
+            is_touched: vec![false; n_hosts],
+            touched: Vec::new(),
+            bids: Vec::new(),
+            #[cfg(test)]
+            per_bidder: false,
+        }
+    }
+
+    /// Holds `auctioneer`'s auction of its component `comp`: fills
+    /// [`bids`](Self::bids) and returns the retention value (the
+    /// auctioneer's own bid, `0.0` if it cannot see itself). A bidder is
+    /// any host the auctioneer is aware of, other than itself, that sees
+    /// the component's host and that `admits` — called with `comp` lifted
+    /// out of `assign` — lets take the component. Every bid a caller
+    /// selects a winner from is the one [`DecApAlgorithm::bid`] prices.
+    fn auction(
+        &mut self,
+        c: &Compiled<'_>,
+        views: &Views,
+        assign: &mut [u32],
+        auctioneer: u32,
+        comp: u32,
+        admits: impl Fn(&[u32], u32) -> bool,
+    ) -> f64 {
+        debug_assert_eq!(assign[comp as usize], auctioneer);
+        #[cfg(test)]
+        if self.per_bidder {
+            return tests::per_bidder_auction(
+                c,
+                views,
+                assign,
+                auctioneer,
+                comp,
+                admits,
+                &mut self.bids,
+            );
+        }
+        let cm = &c.model;
+        let retention = DecApAlgorithm::bid(c, views, assign, auctioneer, comp).unwrap_or(0.0);
+        self.partners.clear();
+        for &li in cm.incident(comp) {
+            let l = &cm.links()[li as usize];
+            let hd = assign[l.other(comp) as usize];
+            if hd != UNASSIGNED {
+                self.partners.push((l.volume, hd));
+            }
+        }
+        self.bids.clear();
+        let exact = retention >= 0.0
+            && self.partners.iter().all(|p| p.0.is_finite())
+            && self.above_retention(c, views, auctioneer, retention);
+        if !exact {
+            self.bids.clear();
+            for &bidder in views.aware[auctioneer as usize].iter() {
+                if bidder == auctioneer {
+                    continue;
+                }
+                if let Some(b) = DecApAlgorithm::bid(c, views, assign, bidder, comp) {
+                    self.bids.push((bidder, b));
+                }
+            }
+        }
+        assign[comp as usize] = UNASSIGNED;
+        self.bids.retain(|&(bidder, _)| admits(assign, bidder));
+        assign[comp as usize] = auctioneer;
+        retention
+    }
+
+    /// Accumulates the partners' terms over their hosts and those hosts'
+    /// neighbors and pushes the visible bids above `retention`; returns
+    /// `false`, with `bids` part-filled, if a visible bid is NaN.
+    fn above_retention(
+        &mut self,
+        c: &Compiled<'_>,
+        views: &Views,
+        auctioneer: u32,
+        retention: f64,
+    ) -> bool {
+        let cm = &c.model;
+        for i in 0..self.partners.len() {
+            let (volume, hd) = self.partners[i];
+            self.add(views, auctioneer, hd, hd, volume);
+            for &b in cm.neighbors(hd) {
+                self.add(views, auctioneer, b, hd, volume * cm.reliability(b, hd));
+            }
+        }
+        let mut exact = true;
+        for &bidder in &self.touched {
+            let bid = std::mem::replace(&mut self.acc[bidder as usize], 0.0);
+            self.is_touched[bidder as usize] = false;
+            if !views.sees(bidder, auctioneer) {
+                continue; // cannot see the auctioned component
+            }
+            exact &= !bid.is_nan();
+            if bid > retention {
+                self.bids.push((bidder, bid));
+            }
+        }
+        self.touched.clear();
+        exact
+    }
+
+    /// Adds `term`, for a partner on host `hd`, to `bidder`'s bid if the
+    /// auctioneer invites the bidder and the bidder sees `hd`.
+    #[inline]
+    fn add(&mut self, views: &Views, auctioneer: u32, bidder: u32, hd: u32, term: f64) {
+        if bidder == auctioneer || !views.sees(auctioneer, bidder) || !views.sees(bidder, hd) {
+            return; // not invited, or the partner is outside its view
+        }
+        if !self.is_touched[bidder as usize] {
+            self.is_touched[bidder as usize] = true;
+            self.touched.push(bidder);
+        }
+        self.acc[bidder as usize] += term;
+    }
+}
+
 /// The components on each host under `assign`, ascending per host.
 fn comps_by_host(assign: &[u32], n_hosts: usize) -> Vec<Vec<u32>> {
     let mut by_host = vec![Vec::new(); n_hosts];
@@ -181,6 +361,9 @@ pub struct DecApAlgorithm {
     awareness: Option<AwarenessGraph>,
     exchange: MonitoringExchange,
     hierarchy: Option<HierarchicalConfig>,
+    /// Test-only: price every auction with the per-bidder oracle.
+    #[cfg(test)]
+    per_bidder: bool,
 }
 
 impl Default for DecApAlgorithm {
@@ -201,6 +384,8 @@ impl DecApAlgorithm {
             awareness: None,
             exchange: MonitoringExchange::None,
             hierarchy: None,
+            #[cfg(test)]
+            per_bidder: false,
         }
     }
 
@@ -243,7 +428,8 @@ impl DecApAlgorithm {
     /// local count fully; interactions with visible components elsewhere
     /// count at the connecting link's reliability. The submodel a bidder
     /// sees is implied by the visibility mask, so the bid reduces to a
-    /// masked incident-link sum.
+    /// masked incident-link sum. [`Bidding::auction`] prices retention
+    /// with it, and every bidder when it cannot walk the neighbor lists.
     fn bid(c: &Compiled<'_>, views: &Views, assign: &[u32], bidder: u32, comp: u32) -> Option<f64> {
         let hc = assign[comp as usize];
         if hc == UNASSIGNED || !views.sees(bidder, hc) {
@@ -265,6 +451,15 @@ impl DecApAlgorithm {
             }
         }
         Some(value)
+    }
+
+    /// Bid-gathering scratch for one search body or shard.
+    fn bidding(&self, n_hosts: usize) -> Bidding {
+        Bidding {
+            #[cfg(test)]
+            per_bidder: self.per_bidder,
+            ..Bidding::new(n_hosts)
+        }
     }
 
     /// Runs the configured monitoring exchange between two rounds; returns
@@ -301,13 +496,13 @@ impl DecApAlgorithm {
         model: &DeploymentModel,
         constraints: &dyn ConstraintChecker,
         initial: Option<&Deployment>,
-        awareness: &AwarenessGraph,
         started: Instant,
     ) -> Result<AlgoResult, AlgoError> {
         let cm = &c.model;
         let n_hosts = cm.n_hosts();
-        let mut views = Views::new(cm, awareness);
+        let mut views = Views::new(cm, self.awareness.as_ref());
         let mut assign = Self::starting_assignment(c, model, constraints, initial)?;
+        let mut bidding = self.bidding(n_hosts);
 
         let mut inc = c.scorer();
         let mut evaluations = 0u64;
@@ -328,25 +523,15 @@ impl DecApAlgorithm {
                 conducted[auctioneer as usize] = true;
 
                 for comp in comps_on(&by_host, &moves, auctioneer) {
-                    // Retention value: the auctioneer's own bid.
-                    let retention = Self::bid(c, &views, &assign, auctioneer, comp).unwrap_or(0.0);
-                    // Collect bids from aware peers that could legally host
-                    // the component (admissibility judged with it lifted out).
-                    let mut bids: Vec<(u32, f64)> = Vec::new();
-                    for &bidder in aware.iter().filter(|&&b| b != auctioneer) {
-                        assign[comp as usize] = UNASSIGNED;
-                        let admissible = c.constraints.admits(&assign, comp, bidder);
-                        assign[comp as usize] = auctioneer;
-                        if !admissible {
-                            continue;
-                        }
-                        if let Some(b) = Self::bid(c, &views, &assign, bidder, comp) {
-                            bids.push((bidder, b));
-                        }
-                    }
+                    // Bids from aware peers that could legally host the
+                    // component, against the auctioneer's own retention bid.
+                    let retention =
+                        bidding.auction(c, &views, &mut assign, auctioneer, comp, |a, bidder| {
+                            c.constraints.admits(a, comp, bidder)
+                        });
                     // Highest bid wins; lowest host index breaks ties
                     // (the auction protocol's rule on dense indices).
-                    let winner = bids.iter().copied().reduce(|best, cand| {
+                    let winner = bidding.bids.iter().copied().reduce(|best, cand| {
                         if cand.1 > best.1 || (cand.1 == best.1 && cand.0 < best.0) {
                             cand
                         } else {
@@ -406,7 +591,6 @@ impl DecApAlgorithm {
     /// and proposals are applied sequentially in cluster order with a full
     /// admissibility re-check, so the outcome is byte-identical at any
     /// thread count.
-    #[allow(clippy::too_many_arguments)] // internal: search's inputs plus the hierarchy config
     fn search_hierarchical(
         &self,
         c: &Compiled<'_>,
@@ -414,14 +598,13 @@ impl DecApAlgorithm {
         model: &DeploymentModel,
         constraints: &dyn ConstraintChecker,
         initial: Option<&Deployment>,
-        awareness: &AwarenessGraph,
         started: Instant,
     ) -> Result<AlgoResult, AlgoError> {
         let cm = &c.model;
         let n_hosts = cm.n_hosts();
         let hier = Hierarchy::build(cm, &hcfg.clustering());
         let k = hier.n_clusters();
-        let mut views = Views::new(cm, awareness);
+        let mut views = Views::new(cm, self.awareness.as_ref());
         let mut assign = Self::starting_assignment(c, model, constraints, initial)?;
 
         struct AuctionOut {
@@ -464,6 +647,7 @@ impl DecApAlgorithm {
                 let mut conducted = vec![false; n_hosts];
                 let mut proposals: Vec<(u32, u32, u32)> = Vec::new();
                 let mut local_pruned = 0u64;
+                let mut bidding = self.bidding(n_hosts);
                 // Rotate the conduction order by round: under wide
                 // awareness the "no aware host already conducting" rule
                 // would otherwise hand the auction to the same host
@@ -478,25 +662,18 @@ impl DecApAlgorithm {
                     conducted[auctioneer as usize] = true;
 
                     for comp in comps_on(&by_host, &proposals, auctioneer) {
-                        let retention =
-                            Self::bid(c, views_ref, &scratch, auctioneer, comp).unwrap_or(0.0);
                         // Everything outside the awareness view is a
                         // pruned candidate: it never gets priced.
                         local_pruned += (n_hosts as u64).saturating_sub(aware.len() as u64);
-                        let mut bids: Vec<(u32, f64)> = Vec::new();
-                        for &bidder in aware.iter().filter(|&&b| b != auctioneer) {
-                            scratch[comp as usize] = UNASSIGNED;
-                            let admissible = c
-                                .constraints
-                                .admits_with_load(&scratch, &load, comp, bidder);
-                            scratch[comp as usize] = auctioneer;
-                            if !admissible {
-                                continue;
-                            }
-                            if let Some(b) = Self::bid(c, views_ref, &scratch, bidder, comp) {
-                                bids.push((bidder, b));
-                            }
-                        }
+                        let retention = bidding.auction(
+                            c,
+                            views_ref,
+                            &mut scratch,
+                            auctioneer,
+                            comp,
+                            |a, bidder| c.constraints.admits_with_load(a, &load, comp, bidder),
+                        );
+                        let bids = &mut bidding.bids;
                         // Award to the best bidder whose move the score
                         // guard accepts: bidders outbidding the
                         // retention value are tried in descending-bid
@@ -505,7 +682,7 @@ impl DecApAlgorithm {
                         // objective, so local auction pressure cannot
                         // degrade the system.
                         bids.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                        for (bidder, bid) in bids {
+                        for &(bidder, bid) in bids.iter() {
                             if bid <= retention {
                                 break; // bids only get lower from here
                             }
@@ -617,31 +794,295 @@ impl RedeploymentAlgorithm for DecApAlgorithm {
     ) -> Result<AlgoResult, AlgoError> {
         let started = Instant::now();
         preflight(model)?;
-        let awareness = self
-            .awareness
-            .clone()
-            .unwrap_or_else(|| AwarenessGraph::from_connectivity(model));
         let c = compile(model, objective, constraints);
         if let (Some(hcfg), Some(_)) = (&self.hierarchy, c.dense_constraints()) {
-            return self.search_hierarchical(
-                &c,
-                hcfg,
-                model,
-                constraints,
-                initial,
-                &awareness,
-                started,
-            );
+            return self.search_hierarchical(&c, hcfg, model, constraints, initial, started);
         }
-        self.search(&c, model, constraints, initial, &awareness, started)
+        self.search(&c, model, constraints, initial, started)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redep_model::{Availability, Generator, GeneratorConfig};
+    use proptest::prelude::*;
+    use redep_model::{keys, Availability, Generator, GeneratorConfig, HostId};
     use std::collections::BTreeSet;
+    use std::time::Duration;
+
+    /// The auction as it was before the neighbor walk, kept as the
+    /// kernel's oracle: every bidder the auctioneer is aware of, other than
+    /// itself, is judged admissible with the component lifted out and then
+    /// priced by [`DecApAlgorithm::bid`], in ascending host order.
+    pub(super) fn per_bidder_auction(
+        c: &Compiled<'_>,
+        views: &Views,
+        assign: &mut [u32],
+        auctioneer: u32,
+        comp: u32,
+        admits: impl Fn(&[u32], u32) -> bool,
+        bids: &mut Vec<(u32, f64)>,
+    ) -> f64 {
+        let retention = DecApAlgorithm::bid(c, views, assign, auctioneer, comp).unwrap_or(0.0);
+        bids.clear();
+        let aware = &views.aware[auctioneer as usize];
+        for &bidder in aware.iter().filter(|&&b| b != auctioneer) {
+            assign[comp as usize] = UNASSIGNED;
+            let admissible = admits(assign, bidder);
+            assign[comp as usize] = auctioneer;
+            if !admissible {
+                continue;
+            }
+            if let Some(b) = DecApAlgorithm::bid(c, views, assign, bidder, comp) {
+                bids.push((bidder, b));
+            }
+        }
+        retention
+    }
+
+    /// Runs `algo` with the neighbor-walk kernel and with the per-bidder
+    /// oracle and requires the same result, wall time aside. The results
+    /// are compared through `Debug`, which tells every value apart bit for
+    /// bit except NaN payloads, so a NaN objective still compares equal.
+    fn assert_matches_oracle(algo: DecApAlgorithm, m: &DeploymentModel, init: &Deployment) {
+        let run = |algo: &DecApAlgorithm| {
+            let r = algo.run(m, &Availability, m.constraints(), Some(init));
+            format!(
+                "{:?}",
+                r.map(|r| AlgoResult {
+                    wall_time: Duration::ZERO,
+                    ..r
+                })
+            )
+        };
+        let oracle = DecApAlgorithm {
+            per_bidder: true,
+            ..algo.clone()
+        };
+        assert_eq!(run(&algo), run(&oracle), "{algo:?}");
+    }
+
+    /// Every DecAp variant the equivalence test runs on one model: flat and
+    /// hierarchical at one and two threads, each with and without gossip.
+    fn variants(awareness: Option<AwarenessGraph>) -> Vec<DecApAlgorithm> {
+        let base = DecApAlgorithm {
+            awareness,
+            ..DecApAlgorithm::new()
+        };
+        let mut out = Vec::new();
+        for exchange in [
+            MonitoringExchange::None,
+            MonitoringExchange::Gossip { hops: 1 },
+        ] {
+            let flat = base.clone().with_exchange(exchange);
+            for threads in [1, 2] {
+                out.push(flat.clone().with_hierarchy(HierarchicalConfig {
+                    threads,
+                    ..HierarchicalConfig::default()
+                }));
+            }
+            out.push(flat);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn neighbor_walk_auctions_match_the_per_bidder_oracle(
+            seed in any::<u64>(),
+            hosts in 2usize..9,
+            comps in 2usize..16,
+            density in 0u8..3,
+            cuts in any::<u64>(),
+            view in 0u8..4,
+        ) {
+            let mut config = GeneratorConfig::sized(hosts, comps).with_seed(seed);
+            config.physical_density = [0.0, 0.3, 1.0][density as usize];
+            let s = Generator::generate(&config).unwrap();
+            let mut m = s.model;
+            let ids = m.host_ids();
+            // Bits of `cuts` pick what to edit: isolate host 0, then per
+            // physical link drop it or zero its reliability, and per
+            // logical link zero its frequency.
+            let mut bits = (0..64).map(|i| cuts >> i & 1 == 1).cycle();
+            if bits.next().unwrap() {
+                for &h in &ids[1..] {
+                    let _ = m.remove_physical_link(ids[0], h);
+                }
+            }
+            let physical: Vec<_> = m.physical_links().map(|l| l.ends()).collect();
+            for ends in physical {
+                match (bits.next().unwrap(), bits.next().unwrap()) {
+                    (true, true) => {
+                        m.remove_physical_link(ends.lo(), ends.hi()).unwrap();
+                    }
+                    (true, false) => m
+                        .set_physical_link(ends.lo(), ends.hi(), |l| {
+                            l.set_reliability(0.0);
+                        })
+                        .unwrap(),
+                    _ => {}
+                }
+            }
+            let logical: Vec<_> = m.logical_links().map(|l| l.ends()).collect();
+            for ends in logical {
+                if bits.next().unwrap() {
+                    m.set_logical_link(ends.lo(), ends.hi(), |l| {
+                        l.set_frequency(0.0);
+                    })
+                    .unwrap();
+                }
+            }
+            // Awareness from connectivity, random, isolated, or covering
+            // only every other host (the rest see nobody, not even
+            // themselves).
+            let awareness = match view {
+                0 => None,
+                1 => Some(AwarenessGraph::random(&ids, 0.4, seed)),
+                2 => Some(AwarenessGraph::isolated(ids.clone())),
+                _ => {
+                    let mut g = AwarenessGraph::isolated(ids.iter().copied().step_by(2));
+                    for l in m.physical_links() {
+                        if g.is_aware(l.ends().lo(), l.ends().lo())
+                            && g.is_aware(l.ends().hi(), l.ends().hi())
+                        {
+                            g.connect(l.ends().lo(), l.ends().hi());
+                        }
+                    }
+                    Some(g)
+                }
+            };
+            for algo in variants(awareness) {
+                assert_matches_oracle(algo, &m, &s.initial);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_auction_matches_the_oracle_under_asymmetric_views(
+            seed in any::<u64>(),
+            hosts in 2usize..9,
+            comps in 2usize..16,
+            density in 0u8..3,
+            rows in any::<u64>(),
+        ) {
+            // Views no awareness graph can give: host `a` sees `b` iff bit
+            // `a·n + b` of `rows` is set, so relations are one-way and some
+            // hosts do not see themselves.
+            let mut config = GeneratorConfig::sized(hosts, comps).with_seed(seed);
+            config.physical_density = [0.0, 0.3, 1.0][density as usize];
+            let s = Generator::generate(&config).unwrap();
+            let c = compile(&s.model, &Availability, s.model.constraints());
+            let n = c.model.n_hosts() as u32;
+            let lists = (0..n)
+                .map(|a| (0..n).filter(|&b| rows >> ((a * n + b) % 64) & 1 == 1).collect())
+                .collect();
+            let views = Views::from_lists(lists);
+            let mut assign = c.model.compile_assignment(&s.initial);
+            let mut bidding = Bidding::new(n as usize);
+            let mut oracle = Vec::new();
+            for comp in 0..c.model.n_comps() as u32 {
+                let auctioneer = assign[comp as usize];
+                let admits = |a: &[u32], bidder| c.constraints.admits(a, comp, bidder);
+                let retention = bidding.auction(&c, &views, &mut assign, auctioneer, comp, admits);
+                let expected = per_bidder_auction(
+                    &c, &views, &mut assign, auctioneer, comp, admits, &mut oracle,
+                );
+                prop_assert_eq!(retention.to_bits(), expected.to_bits());
+                // What either selection rule reads: the bids above
+                // retention, best first.
+                let winners = |bids: &[(u32, f64)]| {
+                    let mut w: Vec<(u32, f64)> =
+                        bids.iter().copied().filter(|b| b.1 > retention).collect();
+                    w.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                    w.into_iter().map(|(h, b)| (h, b.to_bits())).collect::<Vec<_>>()
+                };
+                prop_assert_eq!(winners(&bidding.bids), winners(&oracle), "component {}", comp);
+            }
+        }
+    }
+
+    #[test]
+    fn default_views_are_the_connectivity_awareness_graph() {
+        for (seed, density) in [(1, 0.0), (2, 0.3), (3, 1.0)] {
+            let mut config = GeneratorConfig::sized(9, 4).with_seed(seed);
+            config.physical_density = density;
+            let mut m = Generator::generate(&config).unwrap().model;
+            // Cut host 4 off the network.
+            for h in m.host_ids().into_iter().filter(|&h| h != HostId::new(4)) {
+                let _ = m.remove_physical_link(HostId::new(4), h);
+            }
+            let cm = CompiledModel::compile(&m);
+            let graph = AwarenessGraph::from_connectivity(&m);
+            let (default, explicit) = (Views::new(&cm, None), Views::new(&cm, Some(&graph)));
+            assert_eq!(default.aware, explicit.aware, "seed {seed}");
+            assert_eq!(default.bits, explicit.bits, "seed {seed}");
+            assert_eq!(default.aware[4], [4]);
+        }
+    }
+
+    #[test]
+    fn unpriceable_auctions_fall_back_to_every_bidder() {
+        // Each edit makes some auction one the neighbor walk cannot price:
+        // - an infinite frequency makes `∞ × 0.0` a NaN bid for every host
+        //   off the partner's host's neighbor list;
+        // - a negative event size (reachable only through raw params) can
+        //   make retention negative, which a `+0.0` bid from any visible
+        //   host beats;
+        // - a NaN reliability (raw params again) makes NaN bids, whose
+        //   place in the winner selection depends on list order.
+        let edits: [fn(&mut DeploymentModel); 3] = [
+            |m| {
+                let ends: Vec<_> = m.logical_links().map(|l| l.ends()).collect();
+                for e in ends.into_iter().step_by(4) {
+                    m.set_logical_link(e.lo(), e.hi(), |l| {
+                        l.set_frequency(f64::INFINITY);
+                    })
+                    .unwrap();
+                }
+            },
+            |m| {
+                let ends: Vec<_> = m.logical_links().map(|l| l.ends()).collect();
+                for e in ends.into_iter().step_by(2) {
+                    m.set_logical_link(e.lo(), e.hi(), |l| {
+                        l.params_mut().set(keys::EVENT_SIZE, -1.0);
+                    })
+                    .unwrap();
+                }
+            },
+            |m| {
+                let ends: Vec<_> = m.physical_links().map(|l| l.ends()).collect();
+                for e in ends.into_iter().step_by(3) {
+                    m.set_physical_link(e.lo(), e.hi(), |l| {
+                        l.params_mut().set(keys::LINK_RELIABILITY, f64::NAN);
+                    })
+                    .unwrap();
+                }
+            },
+        ];
+        for edit in edits {
+            for seed in [1, 2, 3] {
+                // A spanning tree only, so most hosts are off any one
+                // host's neighbor list.
+                let mut config = GeneratorConfig::sized(6, 18).with_seed(seed);
+                config.physical_density = 0.0;
+                let s = Generator::generate(&config).unwrap();
+                let mut m = s.model;
+                edit(&mut m);
+                let complete = AwarenessGraph::complete(m.host_ids());
+                for awareness in [None, Some(complete)] {
+                    for algo in variants(awareness) {
+                        assert_matches_oracle(algo, &m, &s.initial);
+                    }
+                }
+            }
+        }
+    }
 
     fn generated(seed: u64) -> (DeploymentModel, Deployment) {
         let s = Generator::generate(&GeneratorConfig::sized(5, 15).with_seed(seed)).unwrap();

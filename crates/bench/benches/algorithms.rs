@@ -163,7 +163,9 @@ fn sparse_200x2000() -> GeneratedSystem {
 /// Regression guard for the monitoring exchange around the auctions: with
 /// per-cell visibility and a gossip pass every round this solve took
 /// ~110 ms, three quarters of it outside the auctions; with bitset views
-/// that stop exchanging at their fixed point it takes ~30 ms.
+/// that stop exchanging at their fixed point it took ~30 ms. It is E3d's
+/// 200×2000 decap-h cell, whose wall time `BENCH_algorithms.json` records
+/// as `e3d.decap.200x2000.wall_ms`.
 fn bench_decap_h(c: &mut Criterion) {
     let system = sparse_200x2000();
     let model = &system.model;

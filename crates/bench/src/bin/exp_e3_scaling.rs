@@ -88,8 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if quick {
         run_e3d(&mut report, true)?;
         report.note(
-            "quick mode: E3d 200x2000 avala-h and decap-h only; decap-h solved at 1 and 2 \
-             threads with identical placement, rounds and delta evaluations",
+            "quick mode: E3d 200x2000 avala-h and decap-h only, decap-h solved at 1 and 2 \
+             threads with identical placement, rounds and delta evaluations; and the \
+             1000x10000 decap-h scale row",
         );
         return report.finish();
     }
@@ -283,7 +284,7 @@ fn record_compile(report: &mut ExpReport, size: &str, system: &GeneratedSystem) 
 }
 
 /// E3d: the hierarchical placement engine; `quick` runs only the 200×2000
-/// avala-h and decap-h cells.
+/// avala-h and decap-h cells and the 1000×10000 decap-h row.
 fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<(), Box<dyn std::error::Error>> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -355,7 +356,7 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<(), Box<dyn std::error
         one.delta_evaluations as f64,
     );
     if quick {
-        return Ok(());
+        return scale_rows(report, hcfg, true);
     }
 
     // --- 20×160: hierarchical vs flat throughput (the ≥10× gate) --------
@@ -432,11 +433,23 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<(), Box<dyn std::error
         &rows,
     );
 
-    // --- 1000×10000: the scale rows --------------------------------------
+    scale_rows(report, hcfg, false)
+}
+
+/// E3d's scale rows at 1000×10000: every hierarchical algorithm, or only
+/// decap-h when `decap_only`.
+fn scale_rows(
+    report: &mut ExpReport,
+    hcfg: HierarchicalConfig,
+    decap_only: bool,
+) -> Result<(), Box<dyn std::error::Error>> {
     let system = Generator::generate(&GeneratorConfig::sparse(1000, 10_000).with_seed(6))?;
     record_compile(report, "1000x10000", &system);
     let mut rows = Vec::new();
     for (name, algo) in hier_algos(hcfg) {
+        if decap_only && name != "decap" {
+            continue;
+        }
         let (r, elapsed) = solve_checked(algo.as_ref(), &system)?;
         assert!(
             r.pruned_evaluations > 0,
@@ -444,8 +457,8 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<(), Box<dyn std::error
         );
         let row = format!("e3d.{name}.1000x10000");
         if name == "decap" {
-            // 0.5 s with bitset views and a gossip fixed point; an
-            // O(hosts³) exchange every round took 8.7 s.
+            // `e3d.decap.1000x10000.wall_secs` in BENCH_algorithms.json;
+            // an O(hosts³) exchange every round took 8.7 s.
             report.gate(format!("{row}.wall_secs"), elapsed, Bound::AtMost(2.0));
         } else {
             report.metric(format!("{row}.wall_secs"), elapsed);

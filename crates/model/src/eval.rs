@@ -121,6 +121,13 @@ pub struct CompiledModel {
     delay: Vec<f64>,
     bandwidth: Vec<f64>,
     connected: Vec<bool>,
+    /// CSR offsets into `neighbors`, length `n_hosts + 1`.
+    neighbor_offsets: Vec<u32>,
+    /// Each host's physically connected hosts, grouped per host and
+    /// ascending: the set cells of `connected`, scanned once per snapshot
+    /// so a sparse network can be walked without a scan per use. It only
+    /// enumerates; every link value is still read from the matrices.
+    neighbors: Vec<u32>,
     /// All-pairs best-path reliability, computed lazily on first use: the
     /// O(n²) best-path replay is prohibitive at fleet scale and only
     /// [`PathAwareAvailability`](crate::PathAwareAvailability) needs it.
@@ -131,7 +138,8 @@ pub struct CompiledModel {
 impl PartialEq for CompiledModel {
     /// Structural equality; the lazily-built path-reliability cache is
     /// derived data and deliberately excluded so an evaluated snapshot still
-    /// equals a fresh compile of the same model.
+    /// equals a fresh compile of the same model. The neighbor index is a
+    /// function of `connected`, so comparing that covers it.
     fn eq(&self, other: &Self) -> bool {
         self.host_ids == other.host_ids
             && self.logical == other.logical
@@ -177,6 +185,21 @@ fn build_incident_index(links: &[CompiledLink], n_comps: usize) -> (Vec<u32>, Ve
     (incident_offsets, incident_links)
 }
 
+/// Builds the per-host neighbor CSR index of an `n`×`n` row-major
+/// `connected` matrix: each host's slice lists the hosts its row marks,
+/// ascending.
+fn build_neighbor_index(connected: &[bool], n: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u32);
+    let mut neighbors = Vec::new();
+    for a in 0..n {
+        let row = &connected[a * n..][..n];
+        neighbors.extend((0..n as u32).filter(|&b| row[b as usize]));
+        offsets.push(neighbors.len() as u32);
+    }
+    (offsets, neighbors)
+}
+
 impl CompiledModel {
     /// Builds the snapshot.
     pub fn compile(model: &DeploymentModel) -> CompiledModel {
@@ -213,6 +236,7 @@ impl CompiledModel {
                 connected[x * n + y] = true;
             }
         }
+        let (neighbor_offsets, neighbors) = build_neighbor_index(&connected, n);
 
         // Logical links in BTreeMap (ComponentPair) order — the exact order
         // the naive objective loops iterate in.
@@ -268,6 +292,8 @@ impl CompiledModel {
             delay,
             bandwidth,
             connected,
+            neighbor_offsets,
+            neighbors,
             path_reliability: OnceLock::new(),
             host_memory,
         }
@@ -290,6 +316,7 @@ impl CompiledModel {
         host_memory: Vec<f64>,
     ) -> CompiledModel {
         debug_assert!(host_ids.windows(2).all(|w| w[0] < w[1]));
+        let (neighbor_offsets, neighbors) = build_neighbor_index(&connected, host_ids.len());
         CompiledModel {
             host_ids,
             logical: Arc::clone(&self.logical),
@@ -298,6 +325,8 @@ impl CompiledModel {
             delay,
             bandwidth,
             connected,
+            neighbor_offsets,
+            neighbors,
             path_reliability: OnceLock::new(),
             host_memory,
         }
@@ -417,6 +446,16 @@ impl CompiledModel {
     #[inline]
     pub fn connected(&self, a: u32, b: u32) -> bool {
         self.connected[a as usize * self.host_ids.len() + b as usize]
+    }
+
+    /// The dense indices of the hosts physically connected to host `a`,
+    /// ascending: exactly `{b : connected(a, b)}`. Link values still come
+    /// from the matrices; this only spares a sparse walk the n² scan.
+    #[inline]
+    pub fn neighbors(&self, a: u32) -> &[u32] {
+        let lo = self.neighbor_offsets[a as usize] as usize;
+        let hi = self.neighbor_offsets[a as usize + 1] as usize;
+        &self.neighbors[lo..hi]
     }
 
     /// Best-path reliability between two dense host indices (1.0 on the
@@ -1610,6 +1649,65 @@ mod tests {
         assert!(cc.check(&[0, 1, UNASSIGNED]));
         assert!(!cc.check(&[0, 0, 0]), "host 0 over capacity");
         assert!(!cc.check(&[0, 1, 2]), "host 2 holds a component");
+    }
+
+    /// Requires `cm.neighbors(a)` to be exactly `{b : cm.connected(a, b)}`,
+    /// ascending, for every host `a`.
+    fn assert_neighbors_match_matrix(cm: &CompiledModel) -> Result<(), proptest::TestCaseError> {
+        for a in 0..cm.n_hosts() as u32 {
+            let expected: Vec<u32> = (0..cm.n_hosts() as u32)
+                .filter(|&b| cm.connected(a, b))
+                .collect();
+            proptest::prop_assert_eq!(cm.neighbors(a), &expected[..], "host {}", a);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn neighbor_index_lists_each_hosts_connected_hosts_ascending(
+            seed in proptest::prelude::any::<u64>(),
+            hosts in 1usize..12,
+            density in 0.0f64..=1.0,
+            cuts in proptest::prelude::any::<u64>(),
+            k in 0usize..9,
+            cells in proptest::prelude::any::<u64>(),
+        ) {
+            let mut config = crate::GeneratorConfig::sized(hosts, 4).with_seed(seed);
+            config.physical_density = density;
+            let mut m = crate::Generator::generate(&config).unwrap().model;
+            // Drop links and hosts by the bits of `cuts`, so ids have gaps
+            // and some hosts are left with no link at all.
+            let mut bits = (0..64).map(|i| cuts >> i & 1 == 1).cycle();
+            let links: Vec<_> = m.physical_links().map(|l| l.ends()).collect();
+            for ends in links {
+                if bits.next().unwrap() {
+                    m.remove_physical_link(ends.lo(), ends.hi()).unwrap();
+                }
+            }
+            for h in m.host_ids() {
+                if bits.next().unwrap() && bits.next().unwrap() {
+                    m.remove_host(h).unwrap();
+                }
+            }
+            let cm = CompiledModel::compile(&m);
+            assert_neighbors_match_matrix(&cm)?;
+            // `with_hosts` over an arbitrary matrix, asymmetric and with
+            // set diagonal cells included.
+            let connected: Vec<bool> = (0..k * k).map(|i| cells >> (i % 64) & 1 == 1).collect();
+            let coarse = cm.with_hosts(
+                (0..k as u32).map(HostId::new).collect(),
+                vec![0.0; k * k],
+                vec![0.0; k * k],
+                vec![0.0; k * k],
+                vec![0.0; k * k],
+                connected,
+                vec![0.0; k],
+            );
+            assert_neighbors_match_matrix(&coarse)?;
+        }
     }
 
     #[test]

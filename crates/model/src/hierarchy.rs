@@ -129,10 +129,14 @@ impl Hierarchy {
             };
         }
 
+        // Both passes below walk the physical links over the neighbor
+        // index in `(a, b)` order, `b` ascending per `a`.
         let links = (0..n as u32).flat_map(|a| {
-            (a + 1..n as u32)
-                .filter(move |&b| model.connected(a, b))
-                .map(move |b| (a, b, model.delay(a, b)))
+            model
+                .neighbors(a)
+                .iter()
+                .filter(move |&&b| b > a)
+                .map(move |&b| (a, b, model.delay(a, b)))
         });
         let units = delay_units(n, links, config.delay_threshold);
 
@@ -178,9 +182,9 @@ impl Hierarchy {
         }
         for a in 0..n as u32 {
             let ca = cluster_of[a as usize] as usize;
-            for b in 0..n as u32 {
+            for &b in model.neighbors(a) {
                 let cb = cluster_of[b as usize] as usize;
-                if ca == cb || !model.connected(a, b) {
+                if ca == cb {
                     continue;
                 }
                 let cell = ca * k + cb;
@@ -386,6 +390,113 @@ mod tests {
         assert_eq!(delay_units(6, links, 0.2), expected);
         assert_eq!(delay_units(6, links.into_iter().rev(), 0.2), expected);
         assert_eq!(delay_units(3, [], 0.0), vec![vec![0], vec![1], vec![2]]);
+    }
+
+    /// [`Hierarchy::build`] as two n² scans over `connected`, the oracle
+    /// for its neighbor walk.
+    fn build_by_scan(model: &CompiledModel, config: &HierarchyConfig) -> Hierarchy {
+        let n = model.n_hosts() as u32;
+        let links = (0..n).flat_map(|a| {
+            (a + 1..n)
+                .filter(move |&b| model.connected(a, b))
+                .map(move |b| (a, b, model.delay(a, b)))
+        });
+        let units = delay_units(n as usize, links, config.delay_threshold);
+        let target = match config.target_clusters {
+            0 => (n as f64).sqrt().ceil() as usize,
+            t => t,
+        };
+        let k = units.len().min(target.clamp(1, n as usize));
+        let mut clusters = vec![Vec::new(); k];
+        for (i, unit) in units.into_iter().enumerate() {
+            clusters[i % k].extend(unit);
+        }
+        clusters.iter_mut().for_each(|c| c.sort_unstable());
+        let mut cluster_of = vec![0u32; n as usize];
+        for (ci, hosts) in clusters.iter().enumerate() {
+            hosts
+                .iter()
+                .for_each(|&h| cluster_of[h as usize] = ci as u32);
+        }
+        let capacity = clusters
+            .iter()
+            .map(|hosts| hosts.iter().map(|&h| model.host_memory()[h as usize]).sum())
+            .collect();
+        let diagonal = |on: f64, off: f64| -> Vec<f64> {
+            (0..k * k)
+                .map(|i| if i % (k + 1) == 0 { on } else { off })
+                .collect()
+        };
+        let mut h = Hierarchy {
+            cluster_of,
+            clusters,
+            capacity,
+            reliability: diagonal(1.0, 0.0),
+            security: diagonal(1.0, 0.0),
+            delay: diagonal(0.0, f64::INFINITY),
+            bandwidth: diagonal(f64::INFINITY, 0.0),
+            connected: vec![false; k * k],
+        };
+        for a in 0..n {
+            for b in 0..n {
+                let (ca, cb) = (h.cluster_of(a) as usize, h.cluster_of(b) as usize);
+                if ca == cb || !model.connected(a, b) {
+                    continue;
+                }
+                let cell = ca * k + cb;
+                h.connected[cell] = true;
+                h.reliability[cell] = h.reliability[cell].max(model.reliability(a, b));
+                h.security[cell] = h.security[cell].max(model.security(a, b));
+                h.delay[cell] = h.delay[cell].min(model.delay(a, b));
+                h.bandwidth[cell] = h.bandwidth[cell].max(model.bandwidth(a, b));
+            }
+        }
+        h
+    }
+
+    /// The bits of a float matrix, so equality is bitwise.
+    fn bits(matrix: &[f64]) -> Vec<u64> {
+        matrix.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn build_equals_the_n2_scan(
+            seed in proptest::prelude::any::<u64>(),
+            hosts in 1usize..24,
+            density in 0.0f64..=1.0,
+            zero_delay in proptest::prelude::any::<u64>(),
+            threshold in 0u8..3,
+            target in 0usize..7,
+        ) {
+            let mut config = GeneratorConfig::sized(hosts, 4).with_seed(seed);
+            config.physical_density = density;
+            let mut m = Generator::generate(&config).unwrap().model;
+            // Zero the delay of the links the bits of `zero_delay` pick.
+            let links: Vec<_> = m.physical_links().map(|l| l.ends()).collect();
+            for (i, ends) in links.into_iter().enumerate() {
+                if zero_delay >> (i % 64) & 1 == 1 {
+                    m.set_physical_link(ends.lo(), ends.hi(), |l| l.set_delay(0.0))
+                        .unwrap();
+                }
+            }
+            let cm = CompiledModel::compile(&m);
+            let config = HierarchyConfig {
+                delay_threshold: [0.0, 0.5, 5.0][threshold as usize],
+                target_clusters: target,
+            };
+            let (got, want) = (Hierarchy::build(&cm, &config), build_by_scan(&cm, &config));
+            proptest::prop_assert_eq!(&got.cluster_of, &want.cluster_of);
+            proptest::prop_assert_eq!(&got.clusters, &want.clusters);
+            proptest::prop_assert_eq!(bits(&got.capacity), bits(&want.capacity));
+            proptest::prop_assert_eq!(bits(&got.reliability), bits(&want.reliability));
+            proptest::prop_assert_eq!(bits(&got.security), bits(&want.security));
+            proptest::prop_assert_eq!(bits(&got.delay), bits(&want.delay));
+            proptest::prop_assert_eq!(bits(&got.bandwidth), bits(&want.bandwidth));
+            proptest::prop_assert_eq!(&got.connected, &want.connected);
+        }
     }
 
     #[test]
