@@ -9,6 +9,7 @@
 use crate::compiled::{compile, Compiled};
 use crate::hierarchy::{
     coarse_descent, finish_hierarchical, run_hierarchical, HierOutcome, HierarchicalConfig,
+    EXPLORATION_RING,
 };
 use crate::parallel::shard_seed;
 use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
@@ -24,10 +25,6 @@ use std::time::Instant;
 pub struct AnnealingConfig {
     /// Number of proposed moves.
     pub iterations: u32,
-    /// Initial temperature (in objective units).
-    pub initial_temperature: f64,
-    /// Geometric cooling factor per iteration, in `(0, 1)`.
-    pub cooling: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -36,12 +33,15 @@ impl Default for AnnealingConfig {
     fn default() -> Self {
         AnnealingConfig {
             iterations: 5_000,
-            initial_temperature: 0.1,
-            cooling: 0.999,
             seed: 0,
         }
     }
 }
+
+/// Initial temperature of the schedule (in objective units).
+const INITIAL_TEMPERATURE: f64 = 0.1;
+/// Geometric cooling factor per iteration, in `(0, 1)`.
+const COOLING: f64 = 0.999;
 
 /// Simulated annealing over single-component moves.
 ///
@@ -95,7 +95,7 @@ fn metropolis(
     let mut best = assign.clone();
     let mut best_value = current_value;
     let mut trace = vec![(evaluations, best_value)];
-    let mut temperature = cfg.initial_temperature;
+    let mut temperature = INITIAL_TEMPERATURE;
 
     for _ in 0..cfg.iterations {
         let comp = rng.random_range(0..cm.n_comps()) as u32;
@@ -132,7 +132,7 @@ fn metropolis(
                 }
             }
         }
-        temperature *= cfg.cooling;
+        temperature *= COOLING;
     }
 
     Chain {
@@ -152,20 +152,7 @@ impl AnnealingAlgorithm {
     }
 
     /// Creates the algorithm with an explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cooling` is not in `(0, 1)` or the temperature is not
-    /// positive.
     pub fn with_config(config: AnnealingConfig) -> Self {
-        assert!(
-            config.cooling > 0.0 && config.cooling < 1.0,
-            "cooling factor must be in (0, 1)"
-        );
-        assert!(
-            config.initial_temperature > 0.0,
-            "temperature must be positive"
-        );
         AnnealingAlgorithm {
             config,
             hierarchy: None,
@@ -193,7 +180,7 @@ impl AnnealingAlgorithm {
     /// over all hosts; the hosts the cut never scored are charged to
     /// `pruned`. The chain runs sequentially on the master state after the
     /// refinement merge, so the engine stays thread-count invariant.
-    fn pruned_polish(&self, c: &Compiled<'_>, hcfg: &HierarchicalConfig, out: &mut HierOutcome) {
+    fn pruned_polish(&self, c: &Compiled<'_>, out: &mut HierOutcome) {
         let cfg = self.config;
         let cm = &c.model;
         let n_hosts = cm.n_hosts();
@@ -203,7 +190,7 @@ impl AnnealingAlgorithm {
         // A seed stream the flat chain does not use, so annealing and
         // annealing-h stay statistically independent under the same seed.
         let mut rng = ChaCha8Rng::seed_from_u64(shard_seed(cfg.seed, u32::MAX));
-        let ring = hcfg.exploration_ring.max(1).min(n_hosts);
+        let ring = EXPLORATION_RING.min(n_hosts);
         let mut pruned = 0u64;
         let mut cand: Vec<u32> = Vec::new();
         let frontier = |rng: &mut ChaCha8Rng, assign: &mut [u32], load: &[f64], comp: u32| {
@@ -367,7 +354,7 @@ impl RedeploymentAlgorithm for AnnealingAlgorithm {
         let c = compile(model, objective, constraints);
         if let (Some(hcfg), Some(dense)) = (&self.hierarchy, c.dense_constraints()) {
             let mut out = run_hierarchical(&c, dense, hcfg, |cc| coarse_descent(cc, 2))?;
-            self.pruned_polish(&c, hcfg, &mut out);
+            self.pruned_polish(&c, &mut out);
             return finish_hierarchical(&c, initial, started, self.name(), out);
         }
         self.search(&c, model, constraints, initial, started)
@@ -423,14 +410,5 @@ mod tests {
             .run(&m, &Availability, m.constraints(), Some(&init))
             .unwrap();
         assert_eq!(a.deployment, b.deployment);
-    }
-
-    #[test]
-    #[should_panic(expected = "cooling factor")]
-    fn invalid_cooling_panics() {
-        let _ = AnnealingAlgorithm::with_config(AnnealingConfig {
-            cooling: 1.5,
-            ..AnnealingConfig::default()
-        });
     }
 }

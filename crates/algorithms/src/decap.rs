@@ -36,7 +36,7 @@ use crate::parallel::run_shards;
 use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
 use redep_model::{
     AwarenessGraph, CompiledModel, ConstraintChecker, Deployment, DeploymentModel, Hierarchy,
-    Objective, UNASSIGNED,
+    HierarchyConfig, Objective, UNASSIGNED,
 };
 use std::time::Instant;
 
@@ -357,7 +357,6 @@ fn comps_on(by_host: &[Vec<u32>], moves: &[(u32, u32, u32)], host: u32) -> Vec<u
 /// The decentralized auction algorithm.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DecApAlgorithm {
-    max_rounds: usize,
     awareness: Option<AwarenessGraph>,
     exchange: MonitoringExchange,
     hierarchy: Option<HierarchicalConfig>,
@@ -372,15 +371,14 @@ impl Default for DecApAlgorithm {
     }
 }
 
-impl DecApAlgorithm {
-    /// Default bound on auction rounds.
-    pub const DEFAULT_MAX_ROUNDS: usize = 10;
+/// Bound on auction rounds.
+const MAX_ROUNDS: usize = 10;
 
+impl DecApAlgorithm {
     /// Creates the algorithm; awareness defaults to the model's physical
     /// connectivity (each host knows its direct neighbors), per the paper.
     pub fn new() -> Self {
         DecApAlgorithm {
-            max_rounds: Self::DEFAULT_MAX_ROUNDS,
             awareness: None,
             exchange: MonitoringExchange::None,
             hierarchy: None,
@@ -409,17 +407,6 @@ impl DecApAlgorithm {
     /// and the result is reported as `decap`.
     pub fn with_hierarchy(mut self, config: HierarchicalConfig) -> Self {
         self.hierarchy = Some(config);
-        self
-    }
-
-    /// Bounds the number of auction rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds` is zero.
-    pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        assert!(rounds > 0, "at least one auction round is required");
-        self.max_rounds = rounds;
         self
     }
 
@@ -508,7 +495,7 @@ impl DecApAlgorithm {
         let mut evaluations = 0u64;
         let mut convergence = Vec::new();
         let mut last_value = f64::NAN;
-        for round in 0..self.max_rounds {
+        for round in 0..MAX_ROUNDS {
             let mut moved = false;
             // Auction scheduling: a host may conduct an auction only if no
             // host it is aware of already conducted one this round.
@@ -602,7 +589,7 @@ impl DecApAlgorithm {
     ) -> Result<AlgoResult, AlgoError> {
         let cm = &c.model;
         let n_hosts = cm.n_hosts();
-        let hier = Hierarchy::build(cm, &hcfg.clustering());
+        let hier = Hierarchy::build(cm, &HierarchyConfig::default());
         let k = hier.n_clusters();
         let mut views = Views::new(cm, self.awareness.as_ref());
         let mut assign = Self::starting_assignment(c, model, constraints, initial)?;
@@ -629,7 +616,7 @@ impl DecApAlgorithm {
             .max()
             .unwrap_or(1);
         let mut idle_rounds = 0usize;
-        for round in 0..self.max_rounds {
+        for round in 0..MAX_ROUNDS {
             rounds_done = round as u64 + 1;
             let round_load = c.constraints.load_of(&assign);
             let by_host = comps_by_host(&assign, n_hosts);
@@ -876,10 +863,7 @@ mod tests {
         ] {
             let flat = base.clone().with_exchange(exchange);
             for threads in [1, 2] {
-                out.push(flat.clone().with_hierarchy(HierarchicalConfig {
-                    threads,
-                    ..HierarchicalConfig::default()
-                }));
+                out.push(flat.clone().with_hierarchy(HierarchicalConfig { threads }));
             }
             out.push(flat);
         }
@@ -1176,12 +1160,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one auction round")]
-    fn zero_rounds_panics() {
-        let _ = DecApAlgorithm::new().with_max_rounds(0);
-    }
-
-    #[test]
     fn gossip_never_helps_isolated_hosts() {
         // Gossip forwards what peers observed; an isolated host has no
         // peers, so even with exchange enabled the deployment cannot change.
@@ -1330,10 +1308,7 @@ mod tests {
         let s = Generator::generate(&GeneratorConfig::sized(12, 40).with_seed(10)).unwrap();
         let run = |threads: usize| {
             DecApAlgorithm::new()
-                .with_hierarchy(HierarchicalConfig {
-                    threads,
-                    ..HierarchicalConfig::default()
-                })
+                .with_hierarchy(HierarchicalConfig { threads })
                 .with_exchange(MonitoringExchange::Gossip { hops: 1 })
                 .run(
                     &s.model,

@@ -16,14 +16,8 @@ use std::time::Instant;
 /// Configuration of the genetic search.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct GeneticConfig {
-    /// Individuals per generation.
-    pub population: usize,
     /// Number of generations.
     pub generations: usize,
-    /// Per-gene mutation probability.
-    pub mutation_rate: f64,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -31,14 +25,18 @@ pub struct GeneticConfig {
 impl Default for GeneticConfig {
     fn default() -> Self {
         GeneticConfig {
-            population: 40,
             generations: 60,
-            mutation_rate: 0.05,
-            tournament: 3,
             seed: 0,
         }
     }
 }
+
+/// Individuals per generation.
+const POPULATION: usize = 40;
+/// Per-gene mutation probability.
+const MUTATION_RATE: f64 = 0.05;
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 3;
 
 /// Genetic search over deployment chromosomes (one host gene per component).
 ///
@@ -62,18 +60,7 @@ impl GeneticAlgorithm {
     }
 
     /// Creates the algorithm with an explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population or tournament size is zero or the mutation
-    /// rate is outside `[0, 1]`.
     pub fn with_config(config: GeneticConfig) -> Self {
-        assert!(config.population > 0, "population must be positive");
-        assert!(config.tournament > 0, "tournament size must be positive");
-        assert!(
-            (0.0..=1.0).contains(&config.mutation_rate),
-            "mutation rate must be in [0, 1]"
-        );
         GeneticAlgorithm { config }
     }
 
@@ -109,11 +96,11 @@ impl GeneticAlgorithm {
 
         // Seed the population: the initial deployment (if valid) plus
         // greedy-feasible random individuals.
-        let mut population: Vec<Vec<u32>> = Vec::with_capacity(cfg.population);
+        let mut population: Vec<Vec<u32>> = Vec::with_capacity(POPULATION);
         if let Some(genes) = &init_genes {
             population.push(genes.clone());
         }
-        while population.len() < cfg.population {
+        while population.len() < POPULATION {
             let mut d = vec![UNASSIGNED; n_comps];
             let genes: Vec<u32> = (0..n_comps)
                 .map(|ci| {
@@ -159,17 +146,17 @@ impl GeneticAlgorithm {
         trace_best(&scores, evaluations, &mut trace);
 
         for _ in 0..cfg.generations {
-            let mut next: Vec<Vec<u32>> = Vec::with_capacity(cfg.population);
+            let mut next: Vec<Vec<u32>> = Vec::with_capacity(POPULATION);
             // Elitism: carry the best individual over.
             let best_idx = (0..population.len())
                 .reduce(|x, y| if better(scores[y], scores[x]) { y } else { x })
                 .expect("population non-empty");
             next.push(population[best_idx].clone());
 
-            while next.len() < cfg.population {
+            while next.len() < POPULATION {
                 let pick = |rng: &mut ChaCha8Rng| {
                     let mut best = rng.random_range(0..population.len());
-                    for _ in 1..cfg.tournament {
+                    for _ in 1..TOURNAMENT {
                         let other = rng.random_range(0..population.len());
                         if better(scores[other], scores[best]) {
                             best = other;
@@ -189,7 +176,7 @@ impl GeneticAlgorithm {
                     })
                     .collect();
                 for gene in child.iter_mut() {
-                    if rng.random_bool(cfg.mutation_rate) {
+                    if rng.random_bool(MUTATION_RATE) {
                         *gene = rng.random_range(0..n_hosts) as u32;
                     }
                 }
@@ -319,14 +306,5 @@ mod tests {
             .run(&m, &Availability, m.constraints(), None)
             .unwrap();
         assert!(r.deployment.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "mutation rate")]
-    fn invalid_mutation_rate_panics() {
-        let _ = GeneticAlgorithm::with_config(GeneticConfig {
-            mutation_rate: 1.5,
-            ..GeneticConfig::default()
-        });
     }
 }

@@ -42,22 +42,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of a hierarchical run, shared by all `*-h` algorithm
-/// variants (see e.g. `AvalaAlgorithm::with_hierarchy`).
+/// variants (see e.g. `AvalaAlgorithm::with_hierarchy`). The clusters are
+/// [`Hierarchy::build`]'s under [`HierarchyConfig::default`].
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct HierarchicalConfig {
-    /// Hosts joined by links with delay ≤ this threshold cluster together
-    /// (forwarded to [`HierarchyConfig`]).
-    pub delay_threshold: f64,
-    /// Desired cluster count; `0` picks `⌈√hosts⌉` (forwarded to
-    /// [`HierarchyConfig`]).
-    pub target_clusters: usize,
-    /// Upper bound on within-cluster refinement passes; refinement stops
-    /// early once a pass makes no move.
-    pub refine_rounds: usize,
-    /// Extra candidate hosts examined per component beyond its incident-link
-    /// frontier: a deterministic window of the cluster's host list, rotated
-    /// by component index so different components explore different hosts.
-    pub exploration_ring: usize,
     /// Worker threads for the per-cluster refinement shards. Any value
     /// produces byte-identical results; more threads only reduce wall time.
     pub threads: usize,
@@ -65,26 +53,18 @@ pub struct HierarchicalConfig {
 
 impl Default for HierarchicalConfig {
     fn default() -> Self {
-        HierarchicalConfig {
-            delay_threshold: 0.0,
-            target_clusters: 0,
-            refine_rounds: 2,
-            exploration_ring: 2,
-            threads: 1,
-        }
+        HierarchicalConfig { threads: 1 }
     }
 }
 
-impl HierarchicalConfig {
-    /// The model-side clustering config this run forwards to
-    /// [`Hierarchy::build`].
-    pub(crate) fn clustering(&self) -> HierarchyConfig {
-        HierarchyConfig {
-            delay_threshold: self.delay_threshold,
-            target_clusters: self.target_clusters,
-        }
-    }
-}
+/// Upper bound on within-cluster refinement passes; refinement stops early
+/// once a pass makes no move.
+const REFINE_ROUNDS: usize = 2;
+
+/// Extra candidate hosts examined per component beyond its incident-link
+/// frontier: a deterministic window of the cluster's host list, rotated by
+/// component index so different components explore different hosts.
+pub(crate) const EXPLORATION_RING: usize = 2;
 
 /// What a coarse solver produced: a component→cluster assignment (entries
 /// may be [`UNASSIGNED`]; the expand step repairs those globally) plus its
@@ -305,7 +285,7 @@ where
     let n_comps = cm.n_comps();
     let n_hosts = cm.n_hosts();
 
-    let hier = Hierarchy::build(cm, &cfg.clustering());
+    let hier = Hierarchy::build(cm, &HierarchyConfig::default());
     let k = hier.n_clusters();
 
     if n_comps == 0 {
@@ -383,7 +363,7 @@ where
         let mut pruned = 0u64;
         let mut rounds = 0u64;
         let (mut cand, mut priced) = (Vec::<u32>::new(), Vec::new());
-        for _ in 0..cfg.refine_rounds {
+        for _ in 0..REFINE_ROUNDS {
             if comps.is_empty() {
                 break;
             }
@@ -404,11 +384,9 @@ where
                 // Deterministic exploration ring: a rotated window of the
                 // cluster's host list, so pruning can't trap a component
                 // next to its neighbors forever.
-                if cfg.exploration_ring > 0 {
-                    let start = ci as usize % hosts.len();
-                    for r in 0..cfg.exploration_ring.min(hosts.len()) {
-                        cand.push(hosts[(start + r) % hosts.len()]);
-                    }
+                let start = ci as usize % hosts.len();
+                for r in 0..EXPLORATION_RING.min(hosts.len()) {
+                    cand.push(hosts[(start + r) % hosts.len()]);
                 }
                 cand.sort_unstable();
                 cand.dedup();
@@ -626,15 +604,7 @@ mod tests {
     fn engine_is_thread_invariant() {
         let s = generated(16, 48, 3);
         let c = compiled(&s);
-        let run = |threads| {
-            engine(
-                &c,
-                &HierarchicalConfig {
-                    threads,
-                    ..HierarchicalConfig::default()
-                },
-            )
-        };
+        let run = |threads| engine(&c, &HierarchicalConfig { threads });
         let base = run(1);
         for threads in [2usize, 8] {
             let other = run(threads);

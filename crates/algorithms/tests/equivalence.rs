@@ -95,7 +95,6 @@ fn annealing() -> AnnealingAlgorithm {
     AnnealingAlgorithm::with_config(AnnealingConfig {
         iterations: 600,
         seed: 5,
-        ..AnnealingConfig::default()
     })
 }
 
@@ -116,10 +115,8 @@ fn algorithms(model: &DeploymentModel, small: bool) -> Vec<Algo> {
         (
             "genetic",
             Box::new(GeneticAlgorithm::with_config(GeneticConfig {
-                population: 12,
                 generations: 8,
                 seed: 5,
-                ..GeneticConfig::default()
             })),
         ),
     ];

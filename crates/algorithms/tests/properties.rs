@@ -103,7 +103,7 @@ proptest! {
         // convergence trace. Only wall time may differ.
         let system = Generator::generate(&config).unwrap();
         let hier = |threads: usize| {
-            let hcfg = HierarchicalConfig { threads, ..HierarchicalConfig::default() };
+            let hcfg = HierarchicalConfig { threads };
             let algos: Vec<Box<dyn RedeploymentAlgorithm>> = vec![
                 Box::new(AvalaAlgorithm::new().with_hierarchy(hcfg)),
                 Box::new(StochasticAlgorithm::with_config(10, 0).with_hierarchy(hcfg)),

@@ -289,10 +289,7 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<(), Box<dyn std::error
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let hcfg = HierarchicalConfig {
-        threads,
-        ..HierarchicalConfig::default()
-    };
+    let hcfg = HierarchicalConfig { threads };
 
     // --- 200×2000: every hierarchical algorithm completes ---------------
     let system = Generator::generate(&GeneratorConfig::sparse(200, 2000).with_seed(5))?;
@@ -337,7 +334,7 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<(), Box<dyn std::error
     // The auctions' exact counts, not their wall time, are what a CI box can
     // check: a decap-h solve is the same at any thread count.
     let decap_at = |threads| {
-        let algos = hier_algos(HierarchicalConfig { threads, ..hcfg });
+        let algos = hier_algos(HierarchicalConfig { threads });
         let (_, algo) = algos.iter().find(|(name, _)| *name == "decap").unwrap();
         solve_checked(algo.as_ref(), &system).map(|(r, _)| r)
     };

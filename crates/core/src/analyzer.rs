@@ -22,15 +22,16 @@ use redep_desi::{DeSi, RecordedResult};
 use redep_model::{Availability, DeploymentModel, Latency, Objective};
 use redep_prism::StabilityGauge;
 
+/// Largest kⁿ search space the Exact algorithm may be given.
+const EXACT_SPACE_LIMIT: u128 = 2_000_000;
+/// ε of the availability-profile stability gauge.
+const PROFILE_EPSILON: f64 = 0.05;
+/// Consecutive stable differences required to call the system stable.
+const PROFILE_STABLE_WINDOWS: usize = 2;
+
 /// Tuning knobs of the centralized analyzer.
 #[derive(Clone, PartialEq, Debug)]
 pub struct AnalyzerConfig {
-    /// Largest kⁿ search space the Exact algorithm may be given.
-    pub exact_space_limit: u64,
-    /// ε of the availability-profile stability gauge.
-    pub epsilon: f64,
-    /// Consecutive stable differences required to call the system stable.
-    pub stable_windows: usize,
     /// Maximum tolerated *relative* latency increase of an accepted
     /// deployment (e.g. `0.25` = +25 %).
     pub latency_guard: f64,
@@ -49,9 +50,6 @@ pub struct AnalyzerConfig {
 impl Default for AnalyzerConfig {
     fn default() -> Self {
         AnalyzerConfig {
-            exact_space_limit: 2_000_000,
-            epsilon: 0.05,
-            stable_windows: 2,
             latency_guard: 0.25,
             latency_slack: 0.1,
             min_gain: 0.01,
@@ -101,7 +99,7 @@ impl CentralizedAnalyzer {
     /// Creates an analyzer with the given policy configuration.
     pub fn new(config: AnalyzerConfig) -> Self {
         CentralizedAnalyzer {
-            gauge: StabilityGauge::new(config.epsilon, config.stable_windows),
+            gauge: StabilityGauge::new(PROFILE_EPSILON, PROFILE_STABLE_WINDOWS),
             config,
             history: Vec::new(),
         }
@@ -140,7 +138,7 @@ impl CentralizedAnalyzer {
         if !self.is_stable() {
             return "stochastic";
         }
-        if space <= self.config.exact_space_limit as u128 {
+        if space <= EXACT_SPACE_LIMIT {
             "exact"
         } else {
             "avala"
@@ -297,6 +295,19 @@ mod tests {
     }
 
     #[test]
+    fn exact_and_avala_meet_at_the_space_limit() {
+        // 2 hosts: 2^20 = 1 048 576 deployments is within the limit,
+        // 2^21 = 2 097 152 past it.
+        let a = stable_analyzer();
+        for (comps, expected) in [(20, "exact"), (21, "avala")] {
+            let config = GeneratorConfig::sparse(2, comps).with_seed(3);
+            let model = redep_model::Generator::generate(&config).unwrap().model;
+            assert_eq!(ExactAlgorithm::search_space(&model), 1 << comps);
+            assert_eq!(a.select_algorithm(&model), expected, "2 x {comps}");
+        }
+    }
+
+    #[test]
     fn analyze_accepts_clear_improvements() {
         let mut d = desi(3, 6);
         let mut a = stable_analyzer();
@@ -417,14 +428,13 @@ mod tests {
 
     #[test]
     fn exact_budget_refusal_falls_back_to_avala() {
-        // 4^22 ≈ 1.8e13: under the (inflated) analyzer limit, far over the
-        // Exact algorithm's own evaluation budget — so selection says
+        // 3^10 = 59 049: under the analyzer's limit, over the registered
+        // Exact algorithm's (shrunken) evaluation budget — so selection says
         // "exact" but the run refuses and the analyzer falls back.
-        let mut d = desi(4, 22);
-        let mut a = CentralizedAnalyzer::new(AnalyzerConfig {
-            exact_space_limit: u64::MAX,
-            ..AnalyzerConfig::default()
-        });
+        let mut d = desi(3, 10);
+        d.container_mut()
+            .register(ExactAlgorithm::with_budget(1_000));
+        let mut a = CentralizedAnalyzer::new(AnalyzerConfig::default());
         for i in 0..4 {
             a.observe(i as f64, 0.5);
         }

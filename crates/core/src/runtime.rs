@@ -22,33 +22,17 @@ pub struct RuntimeConfig {
     /// The master host (runs the deployer) — `None` for decentralized
     /// systems without a single point of control.
     pub master: Option<HostId>,
-    /// Monitoring window length.
-    pub monitor_window: Duration,
-    /// ε for the hosts' stability gauges.
-    pub epsilon: f64,
-    /// Consecutive stable differences required before hosts report.
-    pub stable_windows: usize,
     /// Whether hosts park events for absent components during migrations
     /// (disable only for the buffering ablation).
     pub buffer_during_migration: bool,
-    /// How long the deployer waits for a move's ack before reissuing it.
-    pub move_deadline: Duration,
-    /// Send attempts per move before the deployer reports it failed.
-    pub max_move_attempts: u32,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        let host_defaults = HostConfig::default();
         RuntimeConfig {
             seed: 0,
             master: Some(HostId::new(0)),
-            monitor_window: Duration::from_secs_f64(2.0),
-            epsilon: 0.5,
-            stable_windows: 2,
             buffer_during_migration: true,
-            move_deadline: host_defaults.move_deadline,
-            max_move_attempts: host_defaults.max_move_attempts,
         }
     }
 }
@@ -473,12 +457,7 @@ fn assemble_hosts(
                 .into_iter()
                 .collect(),
             routes: routes.get(&h).cloned().unwrap_or_default(),
-            monitor_window: config.monitor_window,
-            epsilon: config.epsilon,
-            stable_windows: config.stable_windows,
             buffer_during_migration: config.buffer_during_migration,
-            move_deadline: config.move_deadline,
-            max_move_attempts: config.max_move_attempts,
             ..HostConfig::default()
         };
         let mut prism = PrismHost::new(h, factory, host_config);

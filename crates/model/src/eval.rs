@@ -53,7 +53,7 @@
 use crate::deployment::Deployment;
 use crate::ids::{ComponentId, HostId};
 use crate::model::DeploymentModel;
-use crate::objectives::Direction;
+use crate::objectives::{Direction, Latency};
 use std::sync::{Arc, OnceLock};
 
 /// Sentinel host index marking an unassigned component in a dense
@@ -544,11 +544,10 @@ pub enum PartKind {
     /// [`crate::PathAwareAvailability`]: frequency-weighted best-path
     /// reliability.
     PathAwareAvailability,
-    /// [`crate::Latency`]: frequency-weighted mean remote-interaction cost.
-    Latency {
-        /// Latency charged for disconnected or unassigned interactions.
-        penalty: f64,
-    },
+    /// [`crate::Latency`]: frequency-weighted mean remote-interaction cost;
+    /// disconnected or unassigned interactions cost
+    /// [`Latency::DISCONNECTED_PENALTY`](crate::Latency::DISCONNECTED_PENALTY).
+    Latency,
     /// [`crate::CommunicationVolume`]: total remote traffic.
     CommunicationVolume,
     /// [`crate::LinkSecurity`]: frequency-weighted link security.
@@ -562,7 +561,7 @@ impl PartKind {
             PartKind::Availability | PartKind::PathAwareAvailability | PartKind::LinkSecurity => {
                 Direction::Maximize
             }
-            PartKind::Latency { .. } | PartKind::CommunicationVolume => Direction::Minimize,
+            PartKind::Latency | PartKind::CommunicationVolume => Direction::Minimize,
         }
     }
 
@@ -593,7 +592,7 @@ impl PartKind {
                     0.0
                 }
             }
-            PartKind::Latency { penalty } => {
+            PartKind::Latency => {
                 if link.frequency <= 0.0 {
                     return 0.0;
                 }
@@ -603,10 +602,10 @@ impl PartKind {
                     } else if m.connected(ha, hb) {
                         m.delay(ha, hb) + link.event_size / m.bandwidth(ha, hb)
                     } else {
-                        penalty
+                        Latency::DISCONNECTED_PENALTY
                     }
                 } else {
-                    penalty
+                    Latency::DISCONNECTED_PENALTY
                 };
                 link.frequency * cost
             }
@@ -643,7 +642,7 @@ impl PartKind {
                     sum / m.total_weight()
                 }
             }
-            PartKind::Latency { .. } => {
+            PartKind::Latency => {
                 if m.total_weight() == 0.0 {
                     0.0
                 } else {
@@ -702,7 +701,7 @@ impl PartKind {
         match self {
             PartKind::Availability => arm!(PartKind::Availability),
             PartKind::PathAwareAvailability => arm!(PartKind::PathAwareAvailability),
-            PartKind::Latency { penalty } => arm!(PartKind::Latency { penalty }),
+            PartKind::Latency => arm!(PartKind::Latency),
             PartKind::CommunicationVolume => arm!(PartKind::CommunicationVolume),
             PartKind::LinkSecurity => arm!(PartKind::LinkSecurity),
         }

@@ -235,36 +235,16 @@ impl Objective for PathAwareAvailability {
 /// Interactions across missing links contribute a large finite penalty
 /// ([`Latency::DISCONNECTED_PENALTY`]) rather than infinity so that partial
 /// connectivity still yields comparable scores.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct Latency {
-    penalty: f64,
-}
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Latency;
 
 impl Latency {
     /// Latency charged for an interaction between disconnected hosts.
     pub const DISCONNECTED_PENALTY: f64 = 1e6;
 
-    /// Creates the objective with the default disconnection penalty.
+    /// Creates the objective.
     pub fn new() -> Self {
-        Latency {
-            penalty: Self::DISCONNECTED_PENALTY,
-        }
-    }
-
-    /// Creates the objective with a custom disconnection penalty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `penalty` is negative.
-    pub fn with_penalty(penalty: f64) -> Self {
-        assert!(penalty >= 0.0, "penalty must be non-negative");
-        Latency { penalty }
-    }
-}
-
-impl Default for Latency {
-    fn default() -> Self {
-        Latency::new()
+        Latency
     }
 }
 
@@ -291,9 +271,9 @@ impl Objective for Latency {
                 (Some(ha), Some(hb)) if ha == hb => 0.0,
                 (Some(ha), Some(hb)) => match model.physical_link(ha, hb) {
                     Some(l) => l.delay() + link.event_size() / l.bandwidth(),
-                    None => self.penalty,
+                    None => Self::DISCONNECTED_PENALTY,
                 },
-                _ => self.penalty,
+                _ => Self::DISCONNECTED_PENALTY,
             };
             weighted += freq * cost;
         }
@@ -305,9 +285,7 @@ impl Objective for Latency {
     }
 
     fn compiled(&self) -> Option<CompiledObjective> {
-        Some(CompiledObjective::single(PartKind::Latency {
-            penalty: self.penalty,
-        }))
+        Some(CompiledObjective::single(PartKind::Latency))
     }
 }
 

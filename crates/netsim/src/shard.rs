@@ -1148,15 +1148,7 @@ impl ShardedSimulator {
     /// `shards` shards (see [`ShardPlan::partition`]). Every shard starts
     /// from a replica of the topology.
     pub fn new(seed: u64, topology: &NetworkTopology, shards: usize) -> Self {
-        Self::with_plan(
-            seed,
-            topology,
-            Arc::new(ShardPlan::partition(topology, shards)),
-        )
-    }
-
-    /// Builds a sharded simulator with an explicit placement plan.
-    pub fn with_plan(seed: u64, topology: &NetworkTopology, plan: Arc<ShardPlan>) -> Self {
+        let plan = Arc::new(ShardPlan::partition(topology, shards));
         let cores = (0..plan.shards())
             .map(|idx| ShardCore::new(idx, seed, plan.clone(), topology))
             .collect();

@@ -16,7 +16,7 @@ use crate::event::Event;
 use crate::monitor::{EventFrequencyMonitor, ReliabilityProbe};
 use crate::symbol::Symbol;
 use crate::timers::TimerTable;
-use crate::transport::{ReliableChannel, WireMsg};
+use crate::transport::{ReliableChannel, WireMsg, RTO};
 use crate::PrismError;
 use redep_model::HostId;
 use redep_netsim::{Duration, Message, Node, NodeCtx, SimTime};
@@ -41,6 +41,13 @@ const TOKEN_MONITOR: u64 = 2;
 const TOKEN_DEPLOY: u64 = 3;
 const TOKEN_COMPONENT_BASE: u64 = 1000;
 
+/// Interval between reliability pings to each neighbor.
+const PING_INTERVAL: Duration = Duration::from_millis(250);
+/// Length of one monitoring window.
+pub(crate) const MONITOR_WINDOW: Duration = Duration::from_millis(2_000);
+/// Interval of the deployer's deadline sweep.
+const DEPLOY_TICK: Duration = Duration::from_millis(1_000);
+
 /// Static configuration of a host runtime.
 #[derive(Clone, PartialEq, Debug)]
 pub struct HostConfig {
@@ -52,28 +59,10 @@ pub struct HostConfig {
     /// (destination → neighbor to relay through). Destinations absent from
     /// both `neighbors` and `routes` are unreachable.
     pub routes: BTreeMap<HostId, HostId>,
-    /// Retransmission interval of the reliable channels.
-    pub rto: Duration,
-    /// Interval between reliability pings to each neighbor.
-    pub ping_interval: Duration,
-    /// Length of one monitoring window.
-    pub monitor_window: Duration,
-    /// ε for the stability gauges.
-    pub epsilon: f64,
-    /// Consecutive stable differences required before reporting.
-    pub stable_windows: usize,
     /// Whether events addressed to absent components are parked and
     /// replayed after the component arrives (the paper's behavior).
     /// Disable only for the buffering ablation — events are then dropped.
     pub buffer_during_migration: bool,
-    /// How long the deployer waits for a move's EV_ACK before reissuing
-    /// the move (with a freshly resolved holder).
-    pub move_deadline: Duration,
-    /// Send attempts per move before the deployer gives up and records the
-    /// move as failed.
-    pub max_move_attempts: u32,
-    /// Interval of the deployer's deadline sweep.
-    pub deploy_tick: Duration,
     /// Monitoring windows between durable checkpoints. Each checkpoint
     /// snapshots the host's full durable state and truncates the write-ahead
     /// journal, bounding both replay time after a crash and journal growth.
@@ -86,15 +75,7 @@ impl Default for HostConfig {
             deployer_host: HostId::new(0),
             neighbors: BTreeSet::new(),
             routes: BTreeMap::new(),
-            rto: Duration::from_millis(200),
-            ping_interval: Duration::from_millis(250),
-            monitor_window: Duration::from_secs_f64(5.0),
-            epsilon: 0.1,
-            stable_windows: 2,
             buffer_during_migration: true,
-            move_deadline: Duration::from_secs_f64(8.0),
-            max_move_attempts: 5,
-            deploy_tick: Duration::from_secs_f64(1.0),
             checkpoint_interval_windows: 4,
         }
     }
@@ -146,7 +127,6 @@ pub struct HostServices {
     /// Reliable channels by peer, ascending (checkpoints and the RTO sweep
     /// walk them in peer order).
     channels: Vec<(HostId, ReliableChannel)>,
-    rto: Duration,
     /// The platform-dependent reliability monitor (ping counters).
     pub(crate) probe: ReliabilityProbe,
     /// Frames waiting for the next flush, oldest first. A deque: the flush
@@ -187,7 +167,6 @@ impl HostServices {
             directory: BTreeMap::new(),
             dir_memo: Vec::new(),
             channels: Vec::new(),
-            rto: config.rto,
             probe: ReliabilityProbe::new(),
             outbox: VecDeque::new(),
             buffered: BTreeMap::new(),
@@ -357,10 +336,10 @@ impl HostServices {
             return;
         }
         if self.next_hop(dst).is_some() || dst == self.deployer_host {
-            let (now, rto) = (self.now, self.rto);
+            let now = self.now;
             let frame = self
                 .channel_entry(dst)
-                .send(to_component, encode_event(event), now, rto);
+                .send(to_component, encode_event(event), now);
             // A consumed sequence number must survive the crash: a recovered
             // sender that reused it would be silently deduplicated by the
             // peer's watermark, stalling the protocol forever.
@@ -377,12 +356,11 @@ impl HostServices {
                 .with_param(crate::admin::P_FINAL_HOST, dst.raw() as i64)
                 .with_param(crate::admin::P_FINAL_COMPONENT, to_component.as_str())
                 .with_payload(encode_event(event));
-            let (now, rto) = (self.now, self.rto);
+            let now = self.now;
             let frame = self.channel_entry(self.deployer_host).send(
                 Symbol::intern(DEPLOYER_ADDRESS),
                 encode_event(&wrapped),
                 now,
-                rto,
             );
             let deployer = self.deployer_host;
             self.journal(JournalRecord::ChannelSend {
@@ -497,7 +475,7 @@ pub struct PrismHost {
     services: HostServices,
     admin: AdminComponent,
     deployer: Option<DeployerComponent>,
-    config: HostConfig,
+    checkpoint_interval_windows: u32,
     app_connector: BrickId,
     next_timer: u64,
     /// Armed component timers by host-level id: `(component, its token)`.
@@ -536,10 +514,10 @@ const ROUTING_LATENCY_BOUNDS_US: &[f64] = &[
 
 /// A host's architecture as it starts, and after a crash: one application
 /// connector (the host-local "bus") carrying an [`EventFrequencyMonitor`].
-fn fresh_architecture(host: HostId, config: &HostConfig) -> (Architecture, BrickId) {
+fn fresh_architecture(host: HostId) -> (Architecture, BrickId) {
     let mut arch = Architecture::new(format!("arch-{host}"), host);
     let bus = arch.add_connector("bus");
-    arch.attach_monitor(bus, EventFrequencyMonitor::new(config.monitor_window))
+    arch.attach_monitor(bus, EventFrequencyMonitor::new(MONITOR_WINDOW))
         .expect("connector just created");
     (arch, bus)
 }
@@ -574,8 +552,8 @@ impl PrismHost {
     /// [`PrismHost::add_app_component`] welds every application component —
     /// the configuration of the paper's Figure 8.
     pub fn new(host: HostId, factory: ComponentFactory, config: HostConfig) -> Self {
-        let (arch, app_connector) = fresh_architecture(host, &config);
-        let admin = AdminComponent::new(host, &config);
+        let (arch, app_connector) = fresh_architecture(host);
+        let admin = AdminComponent::new(host);
         let services = HostServices::new(host, &config);
         let telemetry = Telemetry::disabled();
         let routing_latency = telemetry
@@ -589,7 +567,7 @@ impl PrismHost {
             services,
             admin,
             deployer: None,
-            config,
+            checkpoint_interval_windows: config.checkpoint_interval_windows,
             app_connector,
             next_timer: 0,
             timers: TimerTable::new(),
@@ -659,7 +637,7 @@ impl PrismHost {
 
     /// Enables the deployer role (call on the master host only).
     pub fn enable_deployer(&mut self) {
-        let mut deployer = DeployerComponent::new(self.arch.host(), &self.config);
+        let mut deployer = DeployerComponent::new(self.arch.host());
         deployer.set_telemetry(self.telemetry.clone());
         self.deployer = Some(deployer);
     }
@@ -1122,9 +1100,9 @@ impl PrismHost {
         // stop probing that peer at the backoff cap and retry pending
         // frames at the base RTO (recovers in-flight control traffic
         // quickly once a partition heals or a lossy streak ends).
-        let (now, rto) = (self.services.now, self.services.rto);
+        let now = self.services.now;
         if let Some(ch) = self.services.channel_mut(origin) {
-            ch.on_peer_activity(now, rto);
+            ch.on_peer_activity(now);
         }
         match frame {
             WireMsg::Forward { src, dst, frame } => {
@@ -1188,11 +1166,11 @@ impl PrismHost {
 
 impl Node for PrismHost {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        ctx.set_timer(self.config.rto, TOKEN_RTO);
-        ctx.set_timer(self.config.ping_interval, TOKEN_PING);
-        ctx.set_timer(self.config.monitor_window, TOKEN_MONITOR);
+        ctx.set_timer(RTO, TOKEN_RTO);
+        ctx.set_timer(PING_INTERVAL, TOKEN_PING);
+        ctx.set_timer(MONITOR_WINDOW, TOKEN_MONITOR);
         if self.deployer.is_some() {
-            ctx.set_timer(self.config.deploy_tick, TOKEN_DEPLOY);
+            ctx.set_timer(DEPLOY_TICK, TOKEN_DEPLOY);
         }
         self.services.now = ctx.now();
         // Checkpoint 0: the pre-run state (initial components + directory),
@@ -1221,14 +1199,14 @@ impl Node for PrismHost {
         let live_deployer = self.deployer_records();
 
         // -- wipe: the crash loses every volatile structure ----------------
-        (self.arch, self.app_connector) = fresh_architecture(host, &self.config);
+        (self.arch, self.app_connector) = fresh_architecture(host);
         self.services.directory.clear();
         self.services.dir_memo.clear();
         self.services.channels.clear();
         self.services.outbox.clear();
         self.services.buffered.clear();
         self.services.probe = ReliabilityProbe::new();
-        self.admin = AdminComponent::new(host, &self.config);
+        self.admin = AdminComponent::new(host);
         if self.deployer.take().is_some() {
             self.enable_deployer();
         }
@@ -1443,13 +1421,13 @@ impl Node for PrismHost {
                 // Only frames whose exponential backoff has expired go out;
                 // a long outage degrades to a low-rate probe instead of a
                 // full-backlog resend every RTO tick.
-                let (now, rto) = (self.services.now, self.services.rto);
+                let now = self.services.now;
                 let mut frames = Vec::new();
                 for (peer, ch) in self.services.channels.iter_mut() {
                     if ch.in_flight() == 0 {
                         continue;
                     }
-                    for frame in ch.due_retransmits(now, rto) {
+                    for frame in ch.due_retransmits(now) {
                         frames.push((*peer, frame));
                     }
                 }
@@ -1457,14 +1435,14 @@ impl Node for PrismHost {
                 for (peer, frame) in frames {
                     self.services.wire(peer, frame);
                 }
-                ctx.set_timer(self.config.rto, TOKEN_RTO);
+                ctx.set_timer(RTO, TOKEN_RTO);
             }
             TOKEN_PING => {
                 for i in 0..self.services.neighbors.len() {
                     let peer = self.services.neighbors[i];
                     self.services.ping(peer);
                 }
-                ctx.set_timer(self.config.ping_interval, TOKEN_PING);
+                ctx.set_timer(PING_INTERVAL, TOKEN_PING);
             }
             TOKEN_DEPLOY => {
                 if let Some(deployer) = self.deployer.as_mut() {
@@ -1488,7 +1466,7 @@ impl Node for PrismHost {
                             .trace_opt(move_ctx)
                             .emit();
                     }
-                    ctx.set_timer(self.config.deploy_tick, TOKEN_DEPLOY);
+                    ctx.set_timer(DEPLOY_TICK, TOKEN_DEPLOY);
                 }
                 self.journal_deployer();
             }
@@ -1518,10 +1496,10 @@ impl Node for PrismHost {
                 self.services
                     .journal(JournalRecord::MonitorWindow { admin: &admin });
                 self.windows_since_checkpoint += 1;
-                if self.windows_since_checkpoint >= self.config.checkpoint_interval_windows {
+                if self.windows_since_checkpoint >= self.checkpoint_interval_windows {
                     self.checkpoint_now();
                 }
-                ctx.set_timer(self.config.monitor_window, TOKEN_MONITOR);
+                ctx.set_timer(MONITOR_WINDOW, TOKEN_MONITOR);
             }
             id => {
                 if let Some((component, token)) = self.timers.remove(id) {

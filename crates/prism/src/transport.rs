@@ -115,7 +115,11 @@ struct PendingFrame {
     next_due: SimTime,
 }
 
-/// Retransmission intervals double per attempt up to `rto << MAX_BACKOFF_SHIFT`
+/// Base retransmission interval of the reliable channels, and the period of
+/// the host's retransmission sweep.
+pub(crate) const RTO: Duration = Duration::from_millis(200);
+
+/// Retransmission intervals double per attempt up to `RTO << MAX_BACKOFF_SHIFT`
 /// (64× the base RTO), so a long outage costs a trickle, not a flood.
 const MAX_BACKOFF_SHIFT: u32 = 6;
 
@@ -194,16 +198,10 @@ impl ReliableChannel {
     }
 
     /// Enqueues an event for reliable delivery; returns the frame to put on
-    /// the wire now. The first retransmission becomes due one `rto` after
+    /// the wire now. The first retransmission becomes due one [`RTO`] after
     /// `now`; each later one doubles the wait (see
     /// [`ReliableChannel::due_retransmits`]).
-    pub(crate) fn send(
-        &mut self,
-        to_component: Symbol,
-        event: Vec<u8>,
-        now: SimTime,
-        rto: Duration,
-    ) -> WireMsg {
+    pub(crate) fn send(&mut self, to_component: Symbol, event: Vec<u8>, now: SimTime) -> WireMsg {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.insert(
@@ -212,7 +210,7 @@ impl ReliableChannel {
                 to_component,
                 event: event.clone(),
                 attempts: 0,
-                next_due: now + rto,
+                next_due: now + RTO,
             },
         );
         WireMsg::Seq {
@@ -248,12 +246,12 @@ impl ReliableChannel {
     /// frame's attempt count is bumped and its next due time doubled
     /// (capped), so calling this every RTO tick re-sends a frame after
     /// 1, 2, 4, … RTOs instead of on every tick.
-    pub(crate) fn due_retransmits(&mut self, now: SimTime, rto: Duration) -> Vec<WireMsg> {
+    pub(crate) fn due_retransmits(&mut self, now: SimTime) -> Vec<WireMsg> {
         let mut due = Vec::new();
         for (seq, frame) in self.pending.iter_mut() {
             if frame.next_due <= now {
                 frame.attempts += 1;
-                let backoff = rto.saturating_mul(1 << frame.attempts.min(MAX_BACKOFF_SHIFT));
+                let backoff = RTO.saturating_mul(1 << frame.attempts.min(MAX_BACKOFF_SHIFT));
                 frame.next_due = now + backoff;
                 due.push(WireMsg::Seq {
                     seq: *seq,
@@ -274,13 +272,13 @@ impl ReliableChannel {
     /// (one or two attempts in) keep their schedule, and the restarts are
     /// staggered one RTO apart so the healed link is not hit by a
     /// thundering herd of simultaneous retransmissions.
-    pub(crate) fn on_peer_activity(&mut self, now: SimTime, rto: Duration) {
+    pub(crate) fn on_peer_activity(&mut self, now: SimTime) {
         let mut i = 0u32;
         for frame in self.pending.values_mut() {
             if frame.attempts >= STALLED_ATTEMPTS {
                 frame.attempts = 0;
                 i += 1;
-                frame.next_due = frame.next_due.min(now + rto.saturating_mul(i as u64));
+                frame.next_due = frame.next_due.min(now + RTO.saturating_mul(i as u64));
             }
         }
     }
@@ -307,7 +305,7 @@ mod proptests {
     use proptest::prelude::*;
 
     fn send(ch: &mut ReliableChannel, to: impl Into<Symbol>, event: Vec<u8>) -> WireMsg {
-        ch.send(to.into(), event, SimTime::ZERO, Duration::from_millis(200))
+        ch.send(to.into(), event, SimTime::ZERO)
     }
 
     proptest! {
@@ -399,10 +397,8 @@ mod proptests {
 mod tests {
     use super::*;
 
-    const RTO: Duration = Duration::from_millis(200);
-
     fn send(ch: &mut ReliableChannel, to: &str, event: Vec<u8>) -> WireMsg {
-        ch.send(to.into(), event, SimTime::ZERO, RTO)
+        ch.send(to.into(), event, SimTime::ZERO)
     }
 
     #[test]
@@ -446,16 +442,16 @@ mod tests {
         send(&mut ch, "x", vec![1]);
         // Not yet due before one RTO has passed.
         assert!(ch
-            .due_retransmits(SimTime::from_micros(RTO.as_micros() - 1), RTO)
+            .due_retransmits(SimTime::from_micros(RTO.as_micros() - 1))
             .is_empty());
         // Due at exactly one RTO; the next wait doubles each time after.
         let mut t = SimTime::ZERO + RTO;
         for round in 0..4u32 {
-            assert_eq!(ch.due_retransmits(t, RTO).len(), 1, "round {round}");
+            assert_eq!(ch.due_retransmits(t).len(), 1, "round {round}");
             let wait = RTO.saturating_mul(1 << (round + 1));
             // One microsecond before the next deadline: silent.
             assert!(ch
-                .due_retransmits(t + Duration::from_micros(wait.as_micros() - 1), RTO)
+                .due_retransmits(t + Duration::from_micros(wait.as_micros() - 1))
                 .is_empty());
             t += wait;
         }
@@ -467,7 +463,7 @@ mod tests {
         send(&mut ch, "x", vec![1]);
         let mut t = SimTime::ZERO + RTO;
         for _ in 0..40 {
-            assert_eq!(ch.due_retransmits(t, RTO).len(), 1);
+            assert_eq!(ch.due_retransmits(t).len(), 1);
             t += RTO.saturating_mul(1 << MAX_BACKOFF_SHIFT);
         }
         assert_eq!(ch.in_flight(), 1);

@@ -3,7 +3,7 @@
 //! component migration (the paper's Figure 8 setup).
 
 use redep_model::HostId;
-use redep_netsim::{Duration, LinkSpec, SimTime, Simulator};
+use redep_netsim::{LinkSpec, SimTime, Simulator};
 use redep_prism::codec::encode_raw_frame;
 use redep_prism::workload::{InteractionSpec, EV_APP, WORKLOAD_TYPE};
 use redep_prism::{host::HostConfig, ComponentFactory, Event, PrismHost, WorkloadComponent};
@@ -23,9 +23,6 @@ fn config(deployer: HostId, neighbors: &[HostId]) -> HostConfig {
     HostConfig {
         deployer_host: deployer,
         neighbors: neighbors.iter().copied().collect::<BTreeSet<_>>(),
-        monitor_window: Duration::from_secs_f64(2.0),
-        epsilon: 0.5,
-        stable_windows: 2,
         ..HostConfig::default()
     }
 }

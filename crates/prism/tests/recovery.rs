@@ -5,7 +5,7 @@
 //! operation that was in flight at the crash instant.
 
 use redep_model::HostId;
-use redep_netsim::{Duration, LinkSpec, SimTime, Simulator};
+use redep_netsim::{LinkSpec, SimTime, Simulator};
 use redep_prism::admin::EV_REPORT;
 use redep_prism::codec::encode_raw_frame;
 use redep_prism::host::DEPLOYER_ADDRESS;
@@ -30,9 +30,6 @@ fn config(deployer: HostId, neighbors: &[HostId], checkpoint_interval: u32) -> H
     HostConfig {
         deployer_host: deployer,
         neighbors: neighbors.iter().copied().collect::<BTreeSet<_>>(),
-        monitor_window: Duration::from_secs_f64(2.0),
-        epsilon: 0.5,
-        stable_windows: 2,
         checkpoint_interval_windows: checkpoint_interval,
         ..HostConfig::default()
     }

@@ -2,7 +2,7 @@
 //! and control traffic through source-routed `Forward` frames.
 
 use redep_model::HostId;
-use redep_netsim::{Duration, LinkSpec, SimTime, Simulator};
+use redep_netsim::{LinkSpec, SimTime, Simulator};
 use redep_prism::workload::{InteractionSpec, WORKLOAD_TYPE};
 use redep_prism::{host::HostConfig, ComponentFactory, PrismHost, WorkloadComponent};
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,9 +44,6 @@ fn line_system(reliability: f64) -> Simulator {
             deployer_host: h(0),
             neighbors: neighbors(me.raw()),
             routes: routes(me.raw()),
-            monitor_window: Duration::from_secs_f64(2.0),
-            epsilon: 0.5,
-            stable_windows: 2,
             ..HostConfig::default()
         };
         let mut host = PrismHost::new(me, factory, config);
