@@ -187,10 +187,7 @@ fn hierarchical_results_at_200x2000_are_pinned() {
         }
         r
     };
-    let hierarchy = HierarchicalConfig {
-        threads: 2,
-        ..HierarchicalConfig::default()
-    };
+    let hierarchy = HierarchicalConfig { threads: 2 };
     pin(
         &AvalaAlgorithm::new().with_hierarchy(hierarchy),
         0.22531666823114013,
@@ -292,10 +289,7 @@ fn hierarchical_decap_under_thinned_awareness_is_pinned() {
     }
     let algo = DecApAlgorithm::new()
         .with_awareness(awareness)
-        .with_hierarchy(HierarchicalConfig {
-            threads: 2,
-            ..HierarchicalConfig::default()
-        });
+        .with_hierarchy(HierarchicalConfig { threads: 2 });
     assert_eq!(
         outcome(&algo, &system),
         Outcome {
