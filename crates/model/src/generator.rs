@@ -317,63 +317,38 @@ impl Generator {
         let hosts = model.host_ids();
         let mut components = model.component_ids();
 
-        // Compiled fast path: per-candidate admission drops from a full
-        // deployment scan to an O(groups) load lookup, which is what lets
-        // the generator fabricate 1000×10000 systems in seconds. The naive
-        // loop below stays as the fallback for uncompilable checkers. The
-        // model keeps this compile, so a generated system's first solve
-        // reuses it.
+        // Compiled admission: per-candidate admission is an O(groups) load
+        // lookup instead of a full deployment scan, which is what lets the
+        // generator fabricate 1000×10000 systems in seconds. The model keeps
+        // this compile, so a generated system's first solve reuses it.
         let cm = model.compiled();
-        if let Some(cc) = model.constraints().compile(model, &cm) {
-            for _ in 0..ATTEMPTS {
-                components.shuffle(rng);
-                let mut order = hosts.clone();
-                order.shuffle(rng);
-                let mut assign = vec![UNASSIGNED; components.len()];
-                let mut load = vec![0.0f64; hosts.len()];
-                let mut ok = true;
-                'comp: for &c in &components {
-                    let ci = cm.comp_index(c).expect("generated component");
-                    for &h in &order {
-                        let hi = cm.host_index(h).expect("generated host");
-                        if cc.admits_with_load(&assign, &load, ci, hi) {
-                            assign[ci as usize] = hi;
-                            load[hi as usize] += cm.comp_memory()[ci as usize];
-                            continue 'comp;
-                        }
-                    }
-                    ok = false;
-                    break;
-                }
-                if ok && cc.check(&assign) {
-                    let d = cm.decode_assignment(&assign);
-                    debug_assert!(model.constraints().check(model, &d).is_ok());
-                    return Ok(d);
-                }
-            }
-            return Err(ModelError::Generation(format!(
-                "no valid deployment found in {ATTEMPTS} attempts; \
-                 constraints may be unsatisfiable"
-            )));
-        }
-
+        let cc = model
+            .constraints()
+            .compile(model, &cm)
+            .expect("a constraint set always compiles");
         for _ in 0..ATTEMPTS {
             components.shuffle(rng);
             let mut order = hosts.clone();
             order.shuffle(rng);
-            let mut d = Deployment::new();
+            let mut assign = vec![UNASSIGNED; components.len()];
+            let mut load = vec![0.0f64; hosts.len()];
             let mut ok = true;
             'comp: for &c in &components {
+                let ci = cm.comp_index(c).expect("generated component");
                 for &h in &order {
-                    if model.constraints().admits(model, &d, c, h) {
-                        d.assign(c, h);
+                    let hi = cm.host_index(h).expect("generated host");
+                    if cc.admits_with_load(&assign, &load, ci, hi) {
+                        assign[ci as usize] = hi;
+                        load[hi as usize] += cm.comp_memory()[ci as usize];
                         continue 'comp;
                     }
                 }
                 ok = false;
                 break;
             }
-            if ok && model.constraints().check(model, &d).is_ok() {
+            if ok && cc.check(&assign) {
+                let d = cm.decode_assignment(&assign);
+                debug_assert!(model.constraints().check(model, &d).is_ok());
                 return Ok(d);
             }
         }
