@@ -146,7 +146,7 @@ fn framework_journals_are_pinned() {
     assert_eq!(
         hashes(&centralized),
         (
-            0x92cc_280b_0865_d740,
+            0x008c_9bce_7fd6_9a40,
             0xcdb1_a716_7223_b591,
             0xa4bf_ce81_f19f_82d5
         ),
