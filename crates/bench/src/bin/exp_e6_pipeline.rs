@@ -143,7 +143,7 @@ struct Sample {
     /// `validate_report` can gate on it).
     journal_dropped: u64,
     /// `(kind, records, bytes)` of the durable journals since the build,
-    /// from the `prism.durable.journal.{records,bytes}.<kind>` counters.
+    /// from the hosts' [`DurableStore::stats_by_kind`](redep_prism::DurableStore::stats_by_kind).
     journal_kinds: Vec<(&'static str, u64, u64)>,
     /// Sharded cells: the window protocol's exact report over the whole run
     /// (warm-up included), and per thread the share of the timed window it
@@ -188,31 +188,29 @@ fn monitor_bytes(kinds: &[(&'static str, u64, u64)]) -> u64 {
     kinds[kind_index("monitor_window")].2 + kinds[kind_index("report_received")].2
 }
 
-/// Reads the per-kind durable-journal counters of `handles`.
-fn journal_kinds(handles: &[Telemetry]) -> Vec<(&'static str, u64, u64)> {
-    let read = |name: String| -> u64 {
-        handles
-            .iter()
-            .map(|t| t.metrics().counter(&name).get())
-            .sum()
-    };
-    redep_prism::RECORD_KINDS
-        .iter()
-        .map(|kind| {
-            (
-                *kind,
-                read(format!("prism.durable.journal.records.{kind}")),
-                read(format!("prism.durable.journal.bytes.{kind}")),
-            )
-        })
-        .collect()
+/// The durable stores of `rt`'s hosts.
+fn stores(rt: &ShardedRuntime) -> impl Iterator<Item = &redep_prism::DurableStore> {
+    let hosts = rt.hosts().iter().filter_map(|&h| rt.host(h));
+    hosts.map(|host| host.services().durable())
 }
 
-/// Journal bytes appended so far, summed over `hosts`.
-fn durable_bytes<'a>(hosts: impl Iterator<Item = &'a redep_prism::PrismHost>) -> u64 {
-    hosts
-        .map(|host| host.services().durable().bytes_appended())
-        .sum()
+/// `(kind, records, bytes)` appended to `rt`'s durable journals so far,
+/// summed over the hosts.
+fn journal_kinds(rt: &ShardedRuntime) -> Vec<(&'static str, u64, u64)> {
+    let mut kinds: Vec<_> = redep_prism::RECORD_KINDS.map(|kind| (kind, 0, 0)).into();
+    for store in stores(rt) {
+        for (sum, (_, records, bytes)) in kinds.iter_mut().zip(store.stats_by_kind()) {
+            sum.1 += records;
+            sum.2 += bytes;
+        }
+    }
+    kinds
+}
+
+/// Journal bytes appended to `rt`'s durable journals so far, summed over
+/// the hosts.
+fn durable_bytes(rt: &ShardedRuntime) -> u64 {
+    stores(rt).map(|store| store.bytes_appended()).sum()
 }
 
 /// Builds a runtime of `shards` shards at the given scale, runs `warmup`
@@ -255,11 +253,9 @@ fn run_cell(
     const CHUNKS: u32 = 10;
     rt.sim_mut()
         .run_until(SimTime::from_secs_f64(warmup), threads);
-    let journaled =
-        |rt: &ShardedRuntime| durable_bytes(rt.hosts().iter().filter_map(|&h| rt.host(h)));
     let (events_before, bytes_before, durable_before) =
-        (total(routed), total(bytes), journaled(&rt));
-    let monitor_before = monitor_bytes(&journal_kinds(&handles));
+        (total(routed), total(bytes), durable_bytes(&rt));
+    let monitor_before = monitor_bytes(&journal_kinds(&rt));
     let waited_before = rt.sim().barrier_wait_secs();
     let (allocs_before, alloc_bytes_before) = allocated();
     let started = Instant::now();
@@ -278,7 +274,7 @@ fn run_cell(
     } else {
         (0, 0)
     };
-    let journal_kinds = journal_kinds(&handles);
+    let journal_kinds = journal_kinds(&rt);
     // One entry per thread: only the first shard of a chunk ever waits.
     let waited = rt.sim().barrier_wait_secs();
     let barrier_wait_shares = (waited.iter().zip(&waited_before))
@@ -290,7 +286,7 @@ fn run_cell(
         alloc_bytes,
         events: total(routed) - events_before,
         bytes: total(bytes) - bytes_before,
-        durable_bytes: journaled(&rt) - durable_before,
+        durable_bytes: durable_bytes(&rt) - durable_before,
         monitor_journal_bytes: monitor_bytes(&journal_kinds) - monitor_before,
         wall_secs,
         journal_dropped: handles.iter().map(|t| t.journal().dropped()).sum(),
@@ -582,8 +578,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]],
     );
 
-    // Where the one-shard cell's journal bytes went (warm-up included):
-    // a record kind with a large mean size is state journaled whole.
+    // Where the one-shard cell's journal bytes went (build and warm-up
+    // included): a record kind with a large mean size is state journaled
+    // whole.
     let kind_rows: Vec<Vec<String>> = single
         .journal_kinds
         .iter()

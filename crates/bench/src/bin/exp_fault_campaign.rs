@@ -15,7 +15,6 @@
 //! (proving serde-loadability), and one cell is executed twice to assert the
 //! run journal is byte-identical — same seed + same plan ⇒ same run.
 //!
-//! `--quick` shrinks the matrix and horizons (the CI smoke configuration);
 //! `--json` writes `BENCH_faults.json` in the shared `ExpReport` schema.
 
 use redep_bench::{fmt_f, print_table, Bound, ExpReport};
@@ -57,33 +56,23 @@ struct CellOutcome {
     durable_digest: Vec<u8>,
 }
 
-/// Campaign horizons (simulated seconds).
-#[derive(Clone, Copy)]
-struct Horizons {
-    fault_start: f64,
-    fault_duration: f64,
-    total: f64,
-    effect_wait: Duration,
-}
+/// The algorithms each fault class runs against.
+const ALGORITHMS: [&str; 3] = ["stochastic", "avala", "decap"];
 
-impl Horizons {
-    fn new(quick: bool) -> Self {
-        Horizons {
-            fault_start: 10.0,
-            fault_duration: if quick { 8.0 } else { 10.0 },
-            total: if quick { 40.0 } else { 60.0 },
-            effect_wait: Duration::from_secs_f64(if quick { 20.0 } else { 30.0 }),
-        }
-    }
-    fn fault_end(&self) -> f64 {
-        self.fault_start + self.fault_duration
-    }
-}
+/// Campaign horizons, in simulated seconds: when the fault starts, how long
+/// it lasts, and the whole run.
+const FAULT_START: f64 = 10.0;
+const FAULT_DURATION: f64 = 10.0;
+const FAULT_END: f64 = FAULT_START + FAULT_DURATION;
+const TOTAL: f64 = 60.0;
+
+/// How long a framework cycle waits on its effect.
+const EFFECT_WAIT: Duration = Duration::from_millis(30_000);
 
 /// Builds the fault plan of one class against the generated topology, then
 /// round-trips it through JSON — the same path a checked-in campaign file
 /// would take.
-fn fault_plan(class: &str, model: &DeploymentModel, h: Horizons) -> FaultPlan {
+fn fault_plan(class: &str, model: &DeploymentModel) -> FaultPlan {
     let hosts = model.host_ids();
     // Crash a non-master host (the master at index 0 runs the deployer);
     // degrade/flap the first physical link that does not touch the master,
@@ -119,7 +108,7 @@ fn fault_plan(class: &str, model: &DeploymentModel, h: Horizons) -> FaultPlan {
         },
         other => panic!("unknown fault class {other}"),
     };
-    let plan = FaultPlan::new().episode(h.fault_start, h.fault_duration, kind);
+    let plan = FaultPlan::new().episode(FAULT_START, FAULT_DURATION, kind);
     FaultPlan::from_json(&plan.to_json()).expect("fault plans round-trip through JSON")
 }
 
@@ -171,34 +160,16 @@ impl Framework {
     }
 }
 
-fn totals(rt: &SystemRuntime) -> (u64, u64) {
-    let mut emitted = 0;
-    let mut received = 0;
-    for &h in rt.hosts() {
-        if let Some(host) = rt.host(h) {
-            let stats = host.services().stats();
-            emitted += stats.app_events_emitted;
-            received += stats.app_events_received;
-        }
-    }
-    (emitted, received)
-}
-
 /// Runs one cell: build the framework, install the (JSON round-tripped)
 /// plan, drive it in one-second windows with a framework cycle every five,
 /// and score availability baseline/dip/recovery plus model consistency.
-fn run_cell(
-    class: &str,
-    algo: &str,
-    quick: bool,
-) -> Result<CellOutcome, Box<dyn std::error::Error>> {
-    let h = Horizons::new(quick);
+fn run_cell(class: &str, algo: &str) -> Result<CellOutcome, Box<dyn std::error::Error>> {
     let system = Generator::generate(&GeneratorConfig::sized(4, 12).with_seed(7))?;
     let runtime_config = RuntimeConfig {
         seed: 1,
         ..RuntimeConfig::default()
     };
-    let plan = fault_plan(class, &system.model, h);
+    let plan = fault_plan(class, &system.model);
 
     let mut fw = if algo == "decap" {
         let mut fw = DecentralizedFramework::new(
@@ -229,11 +200,11 @@ fn run_cell(
 
     let window = Duration::from_secs_f64(1.0);
     let mut samples: Vec<(f64, f64)> = Vec::new();
-    let mut last = totals(fw.runtime());
+    let mut last = fw.runtime().app_event_totals();
     let mut consistency_violations = 0;
     let mut windows = 0u64;
     let sample = |fw: &Framework, last: &mut (u64, u64), samples: &mut Vec<(f64, f64)>| {
-        let (emitted, received) = totals(fw.runtime());
+        let (emitted, received) = fw.runtime().app_event_totals();
         let (d_emitted, d_received) = (emitted - last.0, received - last.1);
         *last = (emitted, received);
         let availability = if d_emitted == 0 {
@@ -243,12 +214,12 @@ fn run_cell(
         };
         samples.push((fw.runtime().sim().now().as_secs_f64(), availability));
     };
-    while fw.runtime().sim().now().as_secs_f64() < h.total {
+    while fw.runtime().sim().now().as_secs_f64() < TOTAL {
         fw.advance(window);
         sample(&fw, &mut last, &mut samples);
         windows += 1;
         if windows.is_multiple_of(5) {
-            fw.cycle(h.effect_wait)?;
+            fw.cycle(EFFECT_WAIT)?;
             sample(&fw, &mut last, &mut samples);
             if !fw.model_matches_actual() {
                 consistency_violations += 1;
@@ -258,20 +229,20 @@ fn run_cell(
 
     let baseline_window: Vec<f64> = samples
         .iter()
-        .filter(|(t, _)| *t > 3.0 && *t <= h.fault_start)
+        .filter(|(t, _)| *t > 3.0 && *t <= FAULT_START)
         .map(|(_, a)| *a)
         .collect();
     let baseline = baseline_window.iter().sum::<f64>() / baseline_window.len().max(1) as f64;
     let dip = samples
         .iter()
-        .filter(|(t, _)| *t > h.fault_start)
+        .filter(|(t, _)| *t > FAULT_START)
         .map(|(_, a)| *a)
         .fold(f64::INFINITY, f64::min);
     let recovery_threshold = 0.9 * baseline;
     let recovery_secs = samples
         .iter()
-        .find(|(t, a)| *t >= h.fault_end() && *a >= recovery_threshold)
-        .map(|(t, _)| t - h.fault_end());
+        .find(|(t, a)| *t >= FAULT_END && *a >= recovery_threshold)
+        .map(|(t, _)| t - FAULT_END);
     let tail: Vec<f64> = samples.iter().rev().take(3).map(|(_, a)| *a).collect();
     let final_availability = tail.iter().sum::<f64>() / tail.len().max(1) as f64;
 
@@ -308,7 +279,7 @@ fn run_cell(
     Ok(CellOutcome {
         baseline,
         dip,
-        recovery_secs: recovery_secs.unwrap_or(h.total - h.fault_end()),
+        recovery_secs: recovery_secs.unwrap_or(TOTAL - FAULT_END),
         final_availability,
         recovery_threshold,
         consistency_violations,
@@ -325,7 +296,6 @@ fn run_cell(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
     // `--journal <dir>`: write each cell's run journal to
     // `<dir>/<fault>_<algo>.jsonl` for offline analysis with `redep-trace`.
     let journal_dir = args
@@ -340,28 +310,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(dir) = &journal_dir {
         std::fs::create_dir_all(dir)?;
     }
-    let algorithms: &[&str] = if quick {
-        &["stochastic", "decap"]
-    } else {
-        &["stochastic", "avala", "decap"]
-    };
-
     let mut report = ExpReport::new(
         "faults",
         "Fault campaign: availability dip and recovery per fault class × algorithm",
     );
-    report.note(if quick {
-        "quick mode: 40 s horizon, 8 s faults, stochastic + decap"
-    } else {
-        "full mode: 60 s horizon, 10 s faults, stochastic + avala + decap"
-    });
+    // Worded as when a quick mode existed: the note is part of the
+    // checked-in report.
+    report.note("full mode: 60 s horizon, 10 s faults, stochastic + avala + decap");
 
     let mut rows = Vec::new();
     let mut total_violations = 0;
     let mut total_trace_violations = 0usize;
     for class in FAULT_CLASSES {
-        for &algo in algorithms {
-            let cell = run_cell(class, algo, quick)?;
+        for algo in ALGORITHMS {
+            let cell = run_cell(class, algo)?;
             total_violations += cell.consistency_violations;
             for violation in &cell.trace_violations {
                 eprintln!("trace invariant [{class}.{algo}]: {violation}");
@@ -374,7 +336,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.metric(format!("{key}.recovery_secs"), cell.recovery_secs);
             let recovered = Bound::AtLeast(cell.recovery_threshold);
             report.gate(format!("{key}.final"), cell.final_availability, recovered);
-            if algo == "decap" && !quick {
+            if algo == "decap" {
                 // The partial-view starvation fix the hierarchical auctions
                 // exist for: DecAp ends every fault class at ≥ 0.90.
                 report.gate(
@@ -437,8 +399,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // run, byte for byte, in the machine-readable journal — and leave
     // byte-identical durable stores (checkpoints + write-ahead journals) on
     // every host, crash recovery included.
-    let a = run_cell("crash", algorithms[0], quick)?;
-    let b = run_cell("crash", algorithms[0], quick)?;
+    let a = run_cell("crash", ALGORITHMS[0])?;
+    let b = run_cell("crash", ALGORITHMS[0])?;
     let deterministic = a.journal == b.journal
         && !a.journal.is_empty()
         && a.durable_digest == b.durable_digest

@@ -89,8 +89,9 @@ impl DecentralizedFramework {
         )
     }
 
-    /// Assembles the framework with an explicit awareness graph (used by the
-    /// E9 awareness sweep).
+    /// Assembles the framework with an explicit awareness graph — which
+    /// hosts each host knows of, and so auctions with — in place of the
+    /// physical connectivity [`Self::new`] derives.
     ///
     /// # Errors
     ///

@@ -312,19 +312,25 @@ impl<S: Engine> Runtime<S> {
         self.sim.node_mut::<PrismHost>(h)
     }
 
+    /// Application events `(emitted, received)` so far, summed over all
+    /// hosts.
+    pub fn app_event_totals(&self) -> (u64, u64) {
+        let mut totals = (0, 0);
+        for &h in &self.hosts {
+            if let Some(host) = self.host(h) {
+                let stats = host.services().stats();
+                totals.0 += stats.app_events_emitted;
+                totals.1 += stats.app_events_received;
+            }
+        }
+        totals
+    }
+
     /// The *measured* availability so far: the fraction of emitted
     /// application events that were actually delivered, summed over all
     /// hosts (ground truth, independent of the model's estimate).
     pub fn measured_availability(&self) -> f64 {
-        let mut emitted = 0;
-        let mut received = 0;
-        for &h in &self.hosts {
-            if let Some(host) = self.host(h) {
-                let stats = host.services().stats();
-                emitted += stats.app_events_emitted;
-                received += stats.app_events_received;
-            }
-        }
+        let (emitted, received) = self.app_event_totals();
         if emitted == 0 {
             1.0
         } else {
@@ -528,7 +534,7 @@ fn routing_tables(model: &DeploymentModel) -> BTreeMap<HostId, BTreeMap<HostId, 
 mod tests {
     use super::*;
     use redep_model::{Generator, GeneratorConfig};
-    use redep_netsim::SimTime;
+    use redep_netsim::{NetStats, SimTime};
 
     fn system() -> (DeploymentModel, Deployment) {
         let s = Generator::generate(&GeneratorConfig::sized(3, 8).with_seed(2)).unwrap();
@@ -685,6 +691,82 @@ mod tests {
             );
             assert!(outcome == reference, "{shards} shards, {threads} threads");
         }
+    }
+
+    /// Publishes `rt`'s gauges and checks that they carry the counts their
+    /// layers keep: the engine's `NetStats` as `net.truth.*`, every durable
+    /// store's per-kind table as `prism.h<id>.durable.{records,bytes}.<kind>`.
+    fn assert_gauges_export_the_counts<S: Engine>(rt: &Runtime<S>, net: &NetStats) {
+        rt.publish_gauges();
+        let truth = rt.telemetry().metrics();
+        for (name, value) in [
+            ("sent", net.sent),
+            ("delivered", net.delivered),
+            ("dropped_loss", net.dropped_loss),
+            ("dropped_disconnected", net.dropped_disconnected),
+        ] {
+            let gauge = truth.gauge(&format!("net.truth.{name}")).get();
+            assert_eq!(gauge, value as f64, "net.truth.{name}");
+        }
+        assert!(
+            net.dropped_loss > 0 && net.dropped_disconnected > 0,
+            "{net:?}"
+        );
+        let mut published = 0;
+        for &h in rt.hosts() {
+            let host = rt.host(h).unwrap();
+            let metrics = host.telemetry().metrics();
+            for (kind, records, bytes) in host.services().durable().stats_by_kind() {
+                for (what, value) in [("records", records), ("bytes", bytes)] {
+                    let name = format!("prism.{h}.durable.{what}.{kind}");
+                    assert_eq!(metrics.gauge(&name).get(), value as f64, "{name}");
+                    published += usize::from(value > 0);
+                }
+            }
+        }
+        assert!(published > 0, "no durable journal gauge was published");
+    }
+
+    /// The export path alone carries the network and durable counts: on
+    /// either engine, after a run with a lossy link and a crash,
+    /// `publish_gauges` writes exactly what `NetStats` and
+    /// `stats_by_kind` hold.
+    #[test]
+    fn published_gauges_equal_the_engine_and_store_counts() {
+        use redep_netsim::{FaultKind, FaultPlan};
+        let (m, d) = system();
+        let link = m.physical_links().next().unwrap().ends();
+        let plan = FaultPlan::new()
+            .episode(
+                0.0,
+                10.0,
+                FaultKind::LinkDegrade {
+                    a: link.lo(),
+                    b: link.hi(),
+                    reliability_factor: 0.3,
+                    bandwidth_factor: 1.0,
+                },
+            )
+            .episode(
+                2.0,
+                2.0,
+                FaultKind::HostCrash {
+                    host: m.host_ids()[1],
+                },
+            );
+        let (config, span) = (RuntimeConfig::default(), Duration::from_secs_f64(10.0));
+
+        let mut single = SystemRuntime::build(&m, &d, &config).unwrap();
+        single.set_telemetry(Telemetry::default());
+        single.sim_mut().install_fault_plan(&plan);
+        single.run_for(span);
+        assert_gauges_export_the_counts(&single, single.sim().stats());
+
+        let mut sharded = ShardedRuntime::build(&m, &d, &config, 2).unwrap();
+        sharded.set_telemetry(vec![Telemetry::default(), Telemetry::default()]);
+        sharded.sim_mut().install_fault_plan(&plan);
+        sharded.run_for(span, 2);
+        assert_gauges_export_the_counts(&sharded, &sharded.sim().stats());
     }
 
     #[test]

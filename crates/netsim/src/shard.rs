@@ -133,7 +133,7 @@ use crate::stats::{NetStats, NO_LINK_STATS};
 use crate::time::{Duration, SimTime};
 use crate::topology::{LinkSpec, NetworkTopology};
 use redep_model::{delay_units, HostId, HostPair};
-use redep_telemetry::{trace::DOMAIN_NET, Counter, SpanIdGen, Telemetry, TraceCtx};
+use redep_telemetry::{trace::DOMAIN_NET, SpanIdGen, Telemetry, TraceCtx};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -357,38 +357,6 @@ enum Event {
         model: usize,
         tick: u64,
     },
-}
-
-/// Per-shard cached counter handles (cloned per telemetry install).
-struct ShardCounters {
-    sent: Counter,
-    delivered: Counter,
-    dropped_loss: Counter,
-    dropped_disconnected: Counter,
-    /// The `netsim.shard.*` mirror of [`RoundStats`]' sums, bumped once per
-    /// window (`rounds` by shard 0 only, so that it sums over the handles).
-    rounds: Counter,
-    events: Counter,
-    idle_rounds: Counter,
-    cross_shard: Counter,
-    same_shard: Counter,
-}
-
-impl ShardCounters {
-    fn new(telemetry: &Telemetry) -> Self {
-        let m = telemetry.metrics();
-        ShardCounters {
-            sent: m.counter("net.sent"),
-            delivered: m.counter("net.delivered"),
-            dropped_loss: m.counter("net.dropped_loss"),
-            dropped_disconnected: m.counter("net.dropped_disconnected"),
-            rounds: m.counter("netsim.shard.rounds"),
-            events: m.counter("netsim.shard.events"),
-            idle_rounds: m.counter("netsim.shard.idle_rounds"),
-            cross_shard: m.counter("netsim.shard.cross_shard"),
-            same_shard: m.counter("netsim.shard.same_shard"),
-        }
-    }
 }
 
 /// The window protocol's report on itself ([`ShardedSimulator::round_stats`]).
@@ -634,7 +602,6 @@ struct ShardCore {
     host_seq: Vec<u64>,
     stats: NetStats,
     telemetry: Telemetry,
-    counters: ShardCounters,
     /// Timers that fired while their (owned) host was down; replayed on
     /// restart.
     deferred_timers: BTreeMap<u32, Vec<u64>>,
@@ -662,8 +629,6 @@ struct ShardCore {
 impl ShardCore {
     fn new(idx: usize, seed: u64, plan: Arc<ShardPlan>, topology: &NetworkTopology) -> Self {
         let (n, shards) = (plan.hosts().len(), plan.shards());
-        let telemetry = Telemetry::disabled();
-        let counters = ShardCounters::new(&telemetry);
         ShardCore {
             idx,
             seed,
@@ -676,8 +641,7 @@ impl ShardCore {
             degraded: BTreeMap::new(),
             host_seq: vec![0; n],
             stats: NetStats::new(),
-            telemetry,
-            counters,
+            telemetry: Telemetry::disabled(),
             deferred_timers: BTreeMap::new(),
             faults: Arc::new(Vec::new()),
             fluctuations: Vec::new(),
@@ -726,18 +690,15 @@ impl ShardCore {
         }
     }
 
-    /// Appends each outbox to its mailbox, under one lock per destination.
-    /// Returns how many messages crossed.
-    fn flush(&mut self, mailboxes: &[Mailbox]) -> u64 {
-        let mut crossed = 0;
+    /// Appends each outbox to its mailbox, under one lock per destination,
+    /// and tallies how many messages crossed.
+    fn flush(&mut self, mailboxes: &[Mailbox]) {
         for (outbox, mailbox) in self.outbound.iter_mut().zip(mailboxes) {
             if !outbox.is_empty() {
-                crossed += outbox.len() as u64;
+                self.tally.cross_shard += outbox.len() as u64;
                 mailbox.lock().expect("mailbox poisoned").append(outbox);
             }
         }
-        self.tally.cross_shard += crossed;
-        crossed
     }
 
     /// Earliest pending local event time, in microseconds.
@@ -751,7 +712,7 @@ impl ShardCore {
     /// Processes every local event with `time < window_end_us`, then flushes
     /// cross-shard messages to the mailboxes and tallies the window.
     fn run_window(&mut self, window_end_us: u64, mailboxes: &[Mailbox]) {
-        let (processed, started) = (self.processed, self.flights_started);
+        let processed = self.processed;
         loop {
             match self.queue.peek_time() {
                 Some(t) if t.as_micros() < window_end_us => {}
@@ -764,22 +725,13 @@ impl ShardCore {
             self.processed += 1;
             self.handle(event);
         }
-        let crossed = self.flush(mailboxes);
+        self.flush(mailboxes);
         let events = self.processed - processed;
         self.tally.rounds += 1;
         self.tally.max_window_events = self.tally.max_window_events.max(events);
-        if self.idx == 0 {
-            self.counters.rounds.inc();
-        }
         if events == 0 {
             self.tally.idle_rounds += 1;
-            self.counters.idle_rounds.inc();
         }
-        self.counters.events.add(events);
-        self.counters.cross_shard.add(crossed);
-        self.counters
-            .same_shard
-            .add(self.flights_started - started - crossed);
     }
 
     fn handle(&mut self, event: Event) {
@@ -799,7 +751,6 @@ impl ShardCore {
                 };
                 if self.topology.host_is_up(dst) {
                     self.stats.record_delivered(stats, bytes);
-                    self.counters.delivered.inc();
                     self.run_callback(dst, |node, ctx| node.on_message(ctx, msg));
                 } else {
                     self.stats.record_disconnected(stats);
@@ -864,11 +815,6 @@ impl ShardCore {
     }
 
     fn record_drop(&self, src: HostId, dst: HostId, reason: &'static str) {
-        let counter = match reason {
-            "loss" => &self.counters.dropped_loss,
-            _ => &self.counters.dropped_disconnected,
-        };
-        counter.inc();
         self.telemetry
             .event("net.link.drop", self.now.as_micros())
             .field("src", src.raw())
@@ -881,7 +827,6 @@ impl ShardCore {
     /// replica, counter-hash loss, one medium per direction. Cross-shard
     /// deliveries go to `outbound`.
     fn dispatch_send(&mut self, src: HostId, dst: HostId, payload: Vec<u8>, size: u64) {
-        self.counters.sent.inc();
         let src_dense = self.plan.dense(src);
         let now = self.now;
         let msg = Message {
@@ -1311,14 +1256,8 @@ impl ShardedSimulator {
             "need exactly one telemetry handle per shard"
         );
         for (core, telemetry) in self.cores.iter_mut().zip(handles) {
-            core.counters = ShardCounters::new(&telemetry);
             core.telemetry = telemetry;
         }
-    }
-
-    /// The per-shard telemetry handles, index-aligned with the shards.
-    pub fn shard_telemetries(&self) -> Vec<Telemetry> {
-        self.cores.iter().map(|c| c.telemetry.clone()).collect()
     }
 
     /// The merged journal of all shards in global `(time, key)` order —
@@ -1407,8 +1346,7 @@ impl ShardedSimulator {
             .and_then(|n| (n as &mut dyn Any).downcast_mut::<T>())
     }
 
-    /// The window protocol's report on itself; its sums are mirrored as
-    /// `netsim.shard.*` counters on the shard telemetry handles.
+    /// The window protocol's report on itself.
     pub fn round_stats(&self) -> RoundStats {
         let each = |f: fn(&ShardCore) -> u64| self.cores.iter().map(f).collect::<Vec<_>>();
         let cross_shard = each(|c| c.tally.cross_shard).iter().sum();
@@ -1837,27 +1775,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_counters_match_ground_truth() {
-        let topo = ring(4, 0.001);
-        let mut sim = gossip_sim(&topo, 2, 1);
-        sim.run_until(SimTime::from_secs_f64(1.0), 2);
-        let stats = sim.stats();
-        let sent: u64 = sim
-            .shard_telemetries()
-            .iter()
-            .map(|t| t.metrics().counter("net.sent").get())
-            .sum();
-        let delivered: u64 = sim
-            .shard_telemetries()
-            .iter()
-            .map(|t| t.metrics().counter("net.delivered").get())
-            .sum();
-        assert_eq!(sent, stats.sent);
-        assert_eq!(delivered, stats.delivered);
-        assert!(stats.delivered > 0);
-    }
-
-    #[test]
     fn run_until_can_be_resumed() {
         let topo = ring(4, 0.001);
         let mut split = gossip_sim(&topo, 2, 4);
@@ -2059,22 +1976,6 @@ mod tests {
         assert!(scheduled >= net.delivered + sim.in_flight() as u64);
         assert!(scheduled <= net.sent - net.dropped_loss);
         assert!(stats.cross_shard > stats.same_shard && stats.deepest_mailbox > 0);
-        // The telemetry mirror, summed over the shard handles.
-        let mirrored = |name: &str| -> u64 {
-            let handles = sim.shard_telemetries();
-            handles
-                .iter()
-                .map(|t| t.metrics().counter(name).get())
-                .sum()
-        };
-        assert_eq!(mirrored("netsim.shard.rounds"), stats.rounds);
-        assert_eq!(mirrored("netsim.shard.events"), stats.events);
-        assert_eq!(mirrored("netsim.shard.cross_shard"), stats.cross_shard);
-        assert_eq!(mirrored("netsim.shard.same_shard"), stats.same_shard);
-        assert_eq!(
-            mirrored("netsim.shard.idle_rounds"),
-            stats.idle_rounds.iter().sum::<u64>()
-        );
     }
 
     /// Gossips like its peers until `t = 0.5 s`, then panics in a callback.

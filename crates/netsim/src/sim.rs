@@ -72,10 +72,8 @@ impl Simulator {
         &mut self.engine
     }
 
-    /// Installs a telemetry handle. Counters for the message hot path are
-    /// cached from the handle's registry, so installation should happen
-    /// before the run starts (counts recorded under the previous handle stay
-    /// with that handle's registry).
+    /// Installs a telemetry handle: the engine journals into it from now on
+    /// (records made under the previous handle stay with that handle).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.engine().set_telemetry(vec![telemetry]);
     }
@@ -672,16 +670,6 @@ mod tests {
             },
         );
         sim.run_to_completion();
-        let metrics = sim.telemetry().metrics();
-        assert_eq!(metrics.counter("net.sent").get(), sim.stats().sent);
-        assert_eq!(
-            metrics.counter("net.delivered").get(),
-            sim.stats().delivered
-        );
-        assert_eq!(
-            metrics.counter("net.dropped_loss").get(),
-            sim.stats().dropped_loss
-        );
         // Every loss left a journal record with its reason.
         let losses = sim
             .telemetry()
@@ -693,7 +681,10 @@ mod tests {
         assert_eq!(losses, sim.stats().dropped_loss);
         sim.publish_gauges();
         assert_eq!(
-            metrics.gauge("net.truth.delivery_ratio").get(),
+            sim.telemetry()
+                .metrics()
+                .gauge("net.truth.delivery_ratio")
+                .get(),
             sim.stats().delivery_ratio()
         );
     }

@@ -54,7 +54,6 @@ use crate::codec::{get_bytes, get_varint, put_bytes, put_varint};
 use crate::error::PrismError;
 use redep_model::HostId;
 use redep_netsim::SimTime;
-use redep_telemetry::{Counter, MetricsRegistry};
 
 /// One durable mutation of host state, appended to the write-ahead journal
 /// *after* the in-memory effect is applied (the journal is a redo log; every
@@ -203,7 +202,7 @@ const TAG_CHANNEL_STATE: u64 = 13;
 const TAG_TIMER_CURSOR: u64 = 14;
 
 /// Stable lower-case label of every record kind, indexed by wire tag (the
-/// `<kind>` of the `prism.durable.journal.{records,bytes}.<kind>` counters).
+/// `<kind>` of the `prism.h<id>.durable.{records,bytes}.<kind>` gauges).
 pub const RECORD_KINDS: [&str; 15] = [
     "delivery",
     "timer_fired",
@@ -503,7 +502,7 @@ impl<'a> IntoIterator for &'a Checkpoint {
 /// Where checkpoint and journal bytes physically live.
 ///
 /// The simulator uses the deterministic in-memory backend; real deployments
-/// can opt into the file-backed one behind the `durable-file` feature.
+/// can use the file-backed one.
 pub trait DurableBackend: Send {
     /// Atomically replaces the checkpoint and truncates the journal.
     fn write_checkpoint(&mut self, bytes: &[u8]);
@@ -543,14 +542,12 @@ impl DurableBackend for MemBackend {
 
 /// File-backed backend: `host-<id>.ckpt` (replaced via temp file + rename)
 /// and `host-<id>.wal` (append + flush per record) under one directory.
-#[cfg(feature = "durable-file")]
 pub struct FileBackend {
     ckpt_path: std::path::PathBuf,
     wal_path: std::path::PathBuf,
     wal: std::fs::File,
 }
 
-#[cfg(feature = "durable-file")]
 impl FileBackend {
     /// Opens (creating as needed) the per-host store under `dir`.
     ///
@@ -573,7 +570,6 @@ impl FileBackend {
     }
 }
 
-#[cfg(feature = "durable-file")]
 impl DurableBackend for FileBackend {
     fn write_checkpoint(&mut self, bytes: &[u8]) {
         use std::io::Write as _;
@@ -658,12 +654,6 @@ pub struct DurableStore {
     /// `(records, framed bytes)` appended per kind, indexed like
     /// [`RECORD_KINDS`].
     by_kind: [(u64, u64); RECORD_KINDS.len()],
-    record_counter: Counter,
-    byte_counter: Counter,
-    checkpoint_counter: Counter,
-    /// Per-kind `(records, bytes)` counters, indexed like [`RECORD_KINDS`];
-    /// empty until [`DurableStore::set_counters`] installs a registry.
-    kind_counters: Vec<(Counter, Counter)>,
 }
 
 impl std::fmt::Debug for DurableStore {
@@ -697,10 +687,6 @@ impl DurableStore {
             stream: Vec::new(),
             checkpoints: 0,
             by_kind: [(0, 0); RECORD_KINDS.len()],
-            record_counter: Counter::default(),
-            byte_counter: Counter::default(),
-            checkpoint_counter: Counter::default(),
-            kind_counters: Vec::new(),
         }
     }
 
@@ -709,30 +695,10 @@ impl DurableStore {
     /// # Errors
     ///
     /// Propagates the I/O error when the backing files cannot be opened.
-    #[cfg(feature = "durable-file")]
     pub fn file_backed(dir: &std::path::Path, host: HostId) -> std::io::Result<Self> {
         Ok(DurableStore::with_backend(Box::new(FileBackend::open(
             dir, host,
         )?)))
-    }
-
-    /// Registers the telemetry counters bumped on every append/checkpoint:
-    /// the totals `prism.durable.journal.records`, `.journal.bytes` and
-    /// `.checkpoint.count`, plus `prism.durable.journal.{records,bytes}.<kind>`
-    /// for every record kind.
-    pub fn set_counters(&mut self, metrics: &MetricsRegistry) {
-        self.record_counter = metrics.counter("prism.durable.journal.records");
-        self.byte_counter = metrics.counter("prism.durable.journal.bytes");
-        self.checkpoint_counter = metrics.counter("prism.durable.checkpoint.count");
-        self.kind_counters = RECORD_KINDS
-            .iter()
-            .map(|kind| {
-                (
-                    metrics.counter(&format!("prism.durable.journal.records.{kind}")),
-                    metrics.counter(&format!("prism.durable.journal.bytes.{kind}")),
-                )
-            })
-            .collect();
     }
 
     /// Appends one record to the journal. The frame is handed to the
@@ -740,16 +706,9 @@ impl DurableStore {
     pub fn append<S: AsRef<str>, B: AsRef<[u8]>>(&mut self, record: &JournalRecord<S, B>) {
         let frame = frame(&mut self.scratch, &mut self.prefix, record);
         self.backend.append(frame);
-        let framed = frame.len() as u64;
-        let kind = record.tag() as usize;
-        self.by_kind[kind].0 += 1;
-        self.by_kind[kind].1 += framed;
-        self.record_counter.inc();
-        self.byte_counter.add(framed);
-        if let Some((records, bytes)) = self.kind_counters.get(kind) {
-            records.inc();
-            bytes.add(framed);
-        }
+        let kind = &mut self.by_kind[record.tag() as usize];
+        kind.0 += 1;
+        kind.1 += frame.len() as u64;
     }
 
     /// Writes a checkpoint — the records that rebuild the host's current
@@ -771,7 +730,6 @@ impl DurableStore {
         stream.extend_from_slice(&fnv1a(stream).to_le_bytes());
         self.backend.write_checkpoint(stream);
         self.checkpoints += 1;
-        self.checkpoint_counter.inc();
     }
 
     /// Reads back checkpoint + journal tail. A checkpoint that does not
@@ -1034,9 +992,7 @@ mod tests {
 
     #[test]
     fn stats_by_kind_attribute_every_append() {
-        let metrics = MetricsRegistry::new();
         let mut store = DurableStore::in_memory();
-        store.set_counters(&metrics);
         let report = JournalRecord::ReportReceived {
             payload: vec![1; 500],
         };
@@ -1053,18 +1009,6 @@ mod tests {
         let sum = |part: fn(&(&str, u64, u64)) -> u64| table.iter().map(part).sum::<u64>();
         assert_eq!(sum(|k| k.1), store.records_appended());
         assert_eq!(sum(|k| k.2), store.bytes_appended());
-        // The telemetry counters mirror the table and the totals.
-        let counter = |name: &str| metrics.counter(name).get();
-        assert_eq!(counter("prism.durable.journal.records.report_received"), 2);
-        assert_eq!(
-            counter("prism.durable.journal.bytes.report_received"),
-            report_bytes
-        );
-        assert_eq!(counter("prism.durable.journal.records"), 3);
-        assert_eq!(
-            counter("prism.durable.journal.bytes"),
-            store.bytes_appended()
-        );
     }
 
     #[test]
@@ -1189,7 +1133,6 @@ mod tests {
     /// The file backend keeps both streams across a reopen (what a
     /// restarted process sees), and a frame torn by a crash mid-append is
     /// ignored.
-    #[cfg(feature = "durable-file")]
     #[test]
     fn file_backed_store_recovers_after_reopen() {
         use std::io::Write as _;

@@ -590,7 +590,6 @@ impl PrismHost {
             .histogram("prism.routing.latency_us", ROUTING_LATENCY_BOUNDS_US);
         self.events_routed = telemetry.metrics().counter("pipeline.events.routed");
         self.codec_bytes = telemetry.metrics().counter("pipeline.codec.bytes");
-        self.services.durable.set_counters(telemetry.metrics());
         if let Some(deployer) = self.deployer.as_mut() {
             deployer.set_telemetry(telemetry.clone());
         }
@@ -1383,11 +1382,6 @@ impl Node for PrismHost {
                 .field("completed", verdict.completed)
                 .emit();
         }
-        self.telemetry
-            .metrics()
-            .counter("prism.durable.recover.replayed")
-            .add(replayed);
-
         self.recovery_reports.push(RecoveryReport {
             host,
             at: now,
