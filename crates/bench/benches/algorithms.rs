@@ -160,6 +160,16 @@ fn sparse_200x2000() -> GeneratedSystem {
     Generator::generate(&GeneratorConfig::sparse(200, 2000).with_seed(5)).unwrap()
 }
 
+/// Generating the E3d 200×2000 system: the keystream, the density pass,
+/// the bulk link build and the first-fit start with its compile (E3d
+/// records the same call at both scales as `e3d.<size>.generate_secs`).
+fn bench_generate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("generate");
+    group.sample_size(10);
+    group.bench_function("sparse_200x2000", |b| b.iter(sparse_200x2000));
+    group.finish();
+}
+
 /// Regression guard for the monitoring exchange around the auctions: with
 /// per-cell visibility and a gossip pass every round this solve took
 /// ~110 ms, three quarters of it outside the auctions; with bitset views
@@ -244,6 +254,7 @@ criterion_group!(
     bench_approximative,
     bench_dense_vs_opaque,
     bench_avala_hot_loop,
+    bench_generate,
     bench_decap_h,
     bench_peek_many_vs_peek
 );

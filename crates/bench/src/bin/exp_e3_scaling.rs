@@ -20,6 +20,12 @@ use redep_model::{
 };
 use std::time::Instant;
 
+/// Generation gates, each ≥ 4× the time the buffered-keystream generator
+/// takes on a 2-vCPU box (`e3d.<size>.generate_secs` in
+/// BENCH_algorithms.json).
+const GENERATE_200X2000_MAX_SECS: f64 = 0.2;
+const GENERATE_1000X10000_MAX_SECS: f64 = 3.0;
+
 /// The checker-side counterpart of [`Uncompiled`] for E3c: delegates the
 /// naive checks and leaves `compile` at its `None` default, so the
 /// algorithms probe constraints through the trait object.
@@ -270,17 +276,88 @@ fn solve_checked(
     Ok((r, elapsed))
 }
 
-/// Records one timed [`CompiledModel::compile`] of an E3d system as
-/// `e3d.<size>.compile_ms`. The solve rows no longer pay it: the generator
-/// leaves its compile in the model, and every solve of the unedited model
-/// reuses it.
-fn record_compile(report: &mut ExpReport, size: &str, system: &GeneratedSystem) {
+/// Generates an E3d system and records how: `e3d.<size>.generate_secs`,
+/// gated at `max_secs`; the exact link counts and the system's fingerprint
+/// (its two 32-bit halves, which a JSON number holds exactly), so a quick
+/// run checks the generated system bit for bit; and one timed
+/// [`CompiledModel::compile`] as `e3d.<size>.compile_ms`. The solve rows
+/// do not pay that compile: the generator leaves its own in the model, and
+/// every solve of the unedited model reuses it.
+fn generate_recorded(
+    report: &mut ExpReport,
+    size: &str,
+    config: &GeneratorConfig,
+    max_secs: f64,
+) -> Result<GeneratedSystem, Box<dyn std::error::Error>> {
     let started = Instant::now();
-    let _compiled = std::hint::black_box(CompiledModel::compile(&system.model));
+    let system = Generator::generate(config)?;
+    report.gate(
+        format!("e3d.{size}.generate_secs"),
+        started.elapsed().as_secs_f64(),
+        Bound::AtMost(max_secs),
+    );
+    let model = &system.model;
+    report.metric(
+        format!("e3d.{size}.physical_links"),
+        model.physical_link_count() as f64,
+    );
+    report.metric(
+        format!("e3d.{size}.logical_links"),
+        model.logical_link_count() as f64,
+    );
+    let fingerprint = fingerprint(&system);
+    report.metric(
+        format!("e3d.{size}.fingerprint_hi"),
+        (fingerprint >> 32) as f64,
+    );
+    report.metric(
+        format!("e3d.{size}.fingerprint_lo"),
+        (fingerprint & 0xffff_ffff) as f64,
+    );
+
+    let started = Instant::now();
+    let _compiled = std::hint::black_box(CompiledModel::compile(model));
     report.metric(
         format!("e3d.{size}.compile_ms"),
         started.elapsed().as_secs_f64() * 1e3,
     );
+    Ok(system)
+}
+
+/// FNV-1a over everything the generator draws: host and component memory,
+/// both link layers with their parameters, and the initial deployment, each
+/// in id order (the digest `redep_model`'s generator pin test takes).
+fn fingerprint(s: &GeneratedSystem) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for h in s.model.hosts() {
+        eat(h.memory().to_bits());
+    }
+    for c in s.model.components() {
+        eat(c.required_memory().to_bits());
+    }
+    for l in s.model.physical_links() {
+        eat(l.ends().lo().raw() as u64);
+        eat(l.ends().hi().raw() as u64);
+        eat(l.reliability().to_bits());
+        eat(l.bandwidth().to_bits());
+        eat(l.delay().to_bits());
+    }
+    for l in s.model.logical_links() {
+        eat(l.ends().lo().raw() as u64);
+        eat(l.ends().hi().raw() as u64);
+        eat(l.frequency().to_bits());
+        eat(l.event_size().to_bits());
+    }
+    for (c, h) in s.initial.iter() {
+        eat(c.raw() as u64);
+        eat(h.raw() as u64);
+    }
+    hash
 }
 
 /// E3d: the hierarchical placement engine; `quick` runs only the 200×2000
@@ -292,8 +369,12 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<(), Box<dyn std::error
     let hcfg = HierarchicalConfig { threads };
 
     // --- 200×2000: every hierarchical algorithm completes ---------------
-    let system = Generator::generate(&GeneratorConfig::sparse(200, 2000).with_seed(5))?;
-    record_compile(report, "200x2000", &system);
+    let system = generate_recorded(
+        report,
+        "200x2000",
+        &GeneratorConfig::sparse(200, 2000).with_seed(5),
+        GENERATE_200X2000_MAX_SECS,
+    )?;
     let mut rows = Vec::new();
     for (name, algo) in hier_algos(hcfg) {
         if quick && name != "avala" && name != "decap" {
@@ -440,8 +521,12 @@ fn scale_rows(
     hcfg: HierarchicalConfig,
     decap_only: bool,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let system = Generator::generate(&GeneratorConfig::sparse(1000, 10_000).with_seed(6))?;
-    record_compile(report, "1000x10000", &system);
+    let system = generate_recorded(
+        report,
+        "1000x10000",
+        &GeneratorConfig::sparse(1000, 10_000).with_seed(6),
+        GENERATE_1000X10000_MAX_SECS,
+    )?;
     let mut rows = Vec::new();
     for (name, algo) in hier_algos(hcfg) {
         if decap_only && name != "decap" {
