@@ -95,8 +95,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run_e3d(&mut report, true)?;
         report.note(
             "quick mode: E3d 200x2000 avala-h and decap-h only, decap-h solved at 1 and 2 \
-             threads with identical placement, rounds and delta evaluations; and the \
-             1000x10000 decap-h scale row",
+             threads with identical placement, rounds and delta evaluations; and all four \
+             1000x10000 scale rows",
         );
         return report.finish();
     }
@@ -305,14 +305,10 @@ fn generate_recorded(
         format!("e3d.{size}.logical_links"),
         model.logical_link_count() as f64,
     );
-    let fingerprint = fingerprint(&system);
-    report.metric(
-        format!("e3d.{size}.fingerprint_hi"),
-        (fingerprint >> 32) as f64,
-    );
-    report.metric(
-        format!("e3d.{size}.fingerprint_lo"),
-        (fingerprint & 0xffff_ffff) as f64,
+    record_halves(
+        report,
+        &format!("e3d.{size}.fingerprint"),
+        fingerprint(&system),
     );
 
     let started = Instant::now();
@@ -328,12 +324,8 @@ fn generate_recorded(
 /// both link layers with their parameters, and the initial deployment, each
 /// in id order (the digest `redep_model`'s generator pin test takes).
 fn fingerprint(s: &GeneratedSystem) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = FNV_OFFSET;
+    let mut eat = |v: u64| fnv1a(&mut hash, v);
     for h in s.model.hosts() {
         eat(h.memory().to_bits());
     }
@@ -360,8 +352,34 @@ fn fingerprint(s: &GeneratedSystem) -> u64 {
     hash
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `v`'s little-endian bytes into an FNV-1a hash.
+fn fnv1a(hash: &mut u64, v: u64) {
+    for b in v.to_le_bytes() {
+        *hash = (*hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// FNV-1a over a placement's `(component, host)` pairs in component order.
+fn placement_fingerprint(d: &Deployment) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for (c, h) in d.iter() {
+        fnv1a(&mut hash, c.raw() as u64);
+        fnv1a(&mut hash, h.raw() as u64);
+    }
+    hash
+}
+
+/// Records a 64-bit digest as `<key>_hi` and `<key>_lo`, its two 32-bit
+/// halves, which a JSON number holds exactly.
+fn record_halves(report: &mut ExpReport, key: &str, digest: u64) {
+    report.metric(format!("{key}_hi"), (digest >> 32) as f64);
+    report.metric(format!("{key}_lo"), (digest & 0xffff_ffff) as f64);
+}
+
 /// E3d: the hierarchical placement engine; `quick` runs only the 200×2000
-/// avala-h and decap-h cells and the 1000×10000 decap-h row.
+/// avala-h and decap-h cells and the 1000×10000 scale rows.
 fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<(), Box<dyn std::error::Error>> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -434,7 +452,7 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<(), Box<dyn std::error
         one.delta_evaluations as f64,
     );
     if quick {
-        return scale_rows(report, hcfg, true);
+        return scale_rows(report, hcfg);
     }
 
     // --- 20×160: hierarchical vs flat throughput (the ≥10× gate) --------
@@ -511,15 +529,15 @@ fn run_e3d(report: &mut ExpReport, quick: bool) -> Result<(), Box<dyn std::error
         &rows,
     );
 
-    scale_rows(report, hcfg, false)
+    scale_rows(report, hcfg)
 }
 
-/// E3d's scale rows at 1000×10000: every hierarchical algorithm, or only
-/// decap-h when `decap_only`.
+/// E3d's scale rows at 1000×10000: every hierarchical algorithm, each
+/// with its exact evaluation counters and a placement fingerprint, which
+/// pin every `-h` body at a size the debug-build tests cannot afford.
 fn scale_rows(
     report: &mut ExpReport,
     hcfg: HierarchicalConfig,
-    decap_only: bool,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let system = generate_recorded(
         report,
@@ -529,15 +547,20 @@ fn scale_rows(
     )?;
     let mut rows = Vec::new();
     for (name, algo) in hier_algos(hcfg) {
-        if decap_only && name != "decap" {
-            continue;
-        }
         let (r, elapsed) = solve_checked(algo.as_ref(), &system)?;
         assert!(
             r.pruned_evaluations > 0,
             "{name}-h priced every host at 1000x10000"
         );
         let row = format!("e3d.{name}.1000x10000");
+        report.metric(format!("{row}.full_evals"), r.full_evaluations as f64);
+        report.metric(format!("{row}.delta_evals"), r.delta_evaluations as f64);
+        report.metric(format!("{row}.pruned_evals"), r.pruned_evaluations as f64);
+        record_halves(
+            report,
+            &format!("{row}.placement"),
+            placement_fingerprint(&r.deployment),
+        );
         if name == "decap" {
             // `e3d.decap.1000x10000.wall_secs` in BENCH_algorithms.json;
             // an O(hosts³) exchange every round took 8.7 s.
