@@ -35,8 +35,8 @@ use crate::hierarchy::HierarchicalConfig;
 use crate::parallel::run_shards;
 use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
 use redep_model::{
-    AwarenessGraph, CompiledModel, ConstraintChecker, Deployment, DeploymentModel, Hierarchy,
-    HierarchyConfig, Objective, UNASSIGNED,
+    AwarenessGraph, CompiledModel, ConstraintChecker, Deployment, DeploymentModel, Objective,
+    UNASSIGNED,
 };
 use std::time::Instant;
 
@@ -589,7 +589,7 @@ impl DecApAlgorithm {
     ) -> Result<AlgoResult, AlgoError> {
         let cm = &c.model;
         let n_hosts = cm.n_hosts();
-        let hier = Hierarchy::build(cm, &HierarchyConfig::default());
+        let hier = cm.hierarchy();
         let k = hier.n_clusters();
         let mut views = Views::new(cm, self.awareness.as_ref());
         let mut assign = Self::starting_assignment(c, model, constraints, initial)?;

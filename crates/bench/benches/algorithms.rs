@@ -11,7 +11,7 @@ use redep_algorithms::{
 };
 use redep_model::{
     Availability, CompiledModel, CompiledObjective, Deployment, DeploymentModel, GeneratedSystem,
-    Generator, GeneratorConfig, IncrementalScore, PartKind, Uncompiled,
+    Generator, GeneratorConfig, Hierarchy, HierarchyConfig, IncrementalScore, PartKind, Uncompiled,
 };
 
 fn instance(hosts: usize, comps: usize) -> (DeploymentModel, Deployment) {
@@ -248,6 +248,67 @@ fn bench_peek_many_vs_peek(c: &mut Criterion) {
     group.finish();
 }
 
+/// The kernel's two shapes at the E3d 1000×10000 scale, each component
+/// priced once per iteration. `polish` prices each component's fine
+/// frontier (the hosts its neighbours sit on, as the global polish does)
+/// over the 8 MB host matrices; `coarse` prices every one of the 32
+/// clusters for each component on the coarse model, as the coarse
+/// descent does. Divide by the links priced per iteration (Σ over
+/// components of incident links × candidates) for ns per priced link.
+fn bench_peek_many_shapes(c: &mut Criterion) {
+    let system = Generator::generate(&GeneratorConfig::sparse(1000, 10_000).with_seed(6)).unwrap();
+    let cm = CompiledModel::compile(&system.model);
+    let objective = CompiledObjective::single(PartKind::Availability);
+    let assign = cm.compile_assignment(&system.initial);
+    let hier = Hierarchy::build(&cm, &HierarchyConfig::default());
+    let coarse = hier.coarse_model(&cm);
+    let clusters: Vec<u32> = assign.iter().map(|&h| hier.cluster_of(h)).collect();
+    let every_cluster: Vec<u32> = (0..hier.n_clusters() as u32).collect();
+
+    let mut fine = IncrementalScore::new(&cm, &objective);
+    fine.assign_from(&assign);
+    let frontiers: Vec<Vec<u32>> = (0..cm.n_comps() as u32)
+        .map(|ci| {
+            let mut hosts: Vec<u32> = cm
+                .incident(ci)
+                .iter()
+                .map(|&li| assign[cm.links()[li as usize].other(ci) as usize])
+                .filter(|&h| h != assign[ci as usize])
+                .collect();
+            hosts.sort_unstable();
+            hosts.dedup();
+            hosts
+        })
+        .collect();
+    let mut coarse_score = IncrementalScore::new(&coarse, &objective);
+    coarse_score.assign_from(&clusters);
+
+    let mut group = c.benchmark_group("peek_many");
+    group.sample_size(10);
+    let mut priced = Vec::new();
+    group.bench_function("polish_1000x10000", |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            for (ci, hosts) in frontiers.iter().enumerate() {
+                fine.peek_many(ci as u32, hosts, &mut priced);
+                sum += priced.iter().sum::<f64>();
+            }
+            sum
+        })
+    });
+    group.bench_function("coarse_1000x10000", |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            for ci in 0..coarse.n_comps() as u32 {
+                coarse_score.peek_many(ci, &every_cluster, &mut priced);
+                sum += priced.iter().sum::<f64>();
+            }
+            sum
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_exact,
@@ -256,6 +317,7 @@ criterion_group!(
     bench_avala_hot_loop,
     bench_generate,
     bench_decap_h,
-    bench_peek_many_vs_peek
+    bench_peek_many_vs_peek,
+    bench_peek_many_shapes
 );
 criterion_main!(benches);

@@ -506,4 +506,36 @@ mod tests {
         let b = Hierarchy::build(&cm, &HierarchyConfig::default());
         assert_eq!(a, b);
     }
+
+    #[test]
+    fn the_snapshots_memo_is_a_default_build() {
+        for (hosts, seed) in [(1, 1), (12, 2), (40, 3)] {
+            let cm = compiled(hosts, 8, seed);
+            let fresh = Hierarchy::build(&cm, &HierarchyConfig::default());
+            assert_eq!(cm.hierarchy(), &fresh);
+            // Built once: the second call returns the same clustering.
+            assert!(std::ptr::eq(cm.hierarchy(), cm.hierarchy()));
+            // The memo is derived data, outside the snapshot's equality.
+            assert_eq!(cm, compiled(hosts, 8, seed));
+        }
+    }
+
+    /// The pricing kernel reads the coarse reliability, security, delay,
+    /// bandwidth and link matrices by the candidate's row, which needs
+    /// each to be bit-symmetric.
+    #[test]
+    fn coarse_link_matrices_are_bit_symmetric() {
+        for seed in 0..8 {
+            let cm = compiled(60, 8, seed);
+            let h = Hierarchy::build(&cm, &HierarchyConfig::default());
+            let k = h.n_clusters();
+            for (a, b) in (0..k).flat_map(|a| (0..k).map(move |b| (a, b))) {
+                let (ab, ba) = (a * k + b, b * k + a);
+                for matrix in [&h.reliability, &h.security, &h.delay, &h.bandwidth] {
+                    assert_eq!(matrix[ab].to_bits(), matrix[ba].to_bits(), "seed {seed}");
+                }
+                assert_eq!(h.connected[ab], h.connected[ba]);
+            }
+        }
+    }
 }

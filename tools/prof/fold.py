@@ -14,11 +14,15 @@ import argparse
 import bisect
 import collections
 import os
+import signal
 import subprocess
 import sys
 
 
 def main():
+    # Piped into `head`, exit quietly when the reader closes the pipe, as
+    # a shell tool does, instead of raising BrokenPipeError on the write.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("dump")
     ap.add_argument("binary")
