@@ -115,7 +115,7 @@ fn metropolis(
                 }
                 load[h as usize] += mem;
                 assign[comp as usize] = h;
-                inc.set(comp, h);
+                inc.commit(comp, 0);
                 current_value = value;
                 let near = match c.objective.direction() {
                     Direction::Maximize => value > best_value - NEAR_EPS,
@@ -353,7 +353,7 @@ impl RedeploymentAlgorithm for AnnealingAlgorithm {
         preflight(model)?;
         let c = compile(model, objective, constraints);
         if let (Some(hcfg), Some(dense)) = (&self.hierarchy, c.dense_constraints()) {
-            let mut out = run_hierarchical(&c, dense, hcfg, |cc| coarse_descent(cc, 2))?;
+            let mut out = run_hierarchical(&c, dense, hcfg, initial, |cc| coarse_descent(cc, 2))?;
             self.pruned_polish(&c, &mut out);
             return finish_hierarchical(&c, initial, started, self.name(), out);
         }

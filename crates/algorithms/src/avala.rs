@@ -243,7 +243,7 @@ impl RedeploymentAlgorithm for AvalaAlgorithm {
         preflight(model)?;
         let c = compile(model, objective, constraints);
         if let (Some(hcfg), Some(dense)) = (&self.hierarchy, c.dense_constraints()) {
-            let out = run_hierarchical(&c, dense, hcfg, coarse_greedy)?;
+            let out = run_hierarchical(&c, dense, hcfg, initial, coarse_greedy)?;
             return finish_hierarchical(&c, initial, started, self.name(), out);
         }
         Self::search(&c, model, initial, started)
