@@ -82,11 +82,6 @@ impl DeSi {
         &mut self.system
     }
 
-    /// The undoable modifier (DeSi's Modifier controller).
-    pub fn modifier_mut(&mut self) -> &mut Modifier {
-        &mut self.modifier
-    }
-
     /// Applies an undoable model edit through the modifier.
     ///
     /// # Errors

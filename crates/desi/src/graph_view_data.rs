@@ -132,11 +132,6 @@ impl GraphViewData {
         }
     }
 
-    /// Layout of one host box.
-    pub fn host_layout(&self, h: HostId) -> Option<&HostLayout> {
-        self.layouts.get(&h)
-    }
-
     /// Iterates over host layouts in id order.
     pub fn layouts(&self) -> impl Iterator<Item = (HostId, &HostLayout)> {
         self.layouts.iter().map(|(h, l)| (*h, l))

@@ -125,11 +125,6 @@ impl Modifier {
         self.log.iter()
     }
 
-    /// Discards the undo history (edits stay applied).
-    pub fn clear_history(&mut self) {
-        self.log.clear();
-    }
-
     /// Sets a host parameter.
     ///
     /// # Errors

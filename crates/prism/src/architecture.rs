@@ -357,17 +357,6 @@ impl Architecture {
         Ok(())
     }
 
-    /// Borrows a connector's monitor of concrete type `T`, if attached.
-    pub fn monitor_ref<T: ConnectorMonitor>(&self, connector: BrickId) -> Option<&T> {
-        self.connector_slot(connector)?
-            .monitors()
-            .iter()
-            .find_map(|m| {
-                let any: &dyn Any = m.as_ref();
-                any.downcast_ref::<T>()
-            })
-    }
-
     /// Mutably borrows a connector's monitor of concrete type `T`.
     pub fn monitor_mut<T: ConnectorMonitor>(&mut self, connector: BrickId) -> Option<&mut T> {
         self.connector_slot_mut(connector)?

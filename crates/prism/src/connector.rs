@@ -77,10 +77,6 @@ impl Connector {
         self.monitors.push(monitor);
     }
 
-    pub(crate) fn monitors(&self) -> &[Box<dyn ConnectorMonitor>] {
-        &self.monitors
-    }
-
     pub(crate) fn monitors_mut(&mut self) -> &mut [Box<dyn ConnectorMonitor>] {
         &mut self.monitors
     }

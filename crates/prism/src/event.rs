@@ -278,11 +278,6 @@ impl Event {
         self
     }
 
-    /// Stamps or replaces the trace context in place.
-    pub fn set_trace(&mut self, ctx: TraceCtx) {
-        self.trace = Some(ctx);
-    }
-
     /// The causal trace context, if the event carries one.
     pub fn trace(&self) -> Option<TraceCtx> {
         self.trace

@@ -651,11 +651,6 @@ impl PrismHost {
         &self.arch
     }
 
-    /// The host's architecture, mutable.
-    pub fn architecture_mut(&mut self) -> &mut Architecture {
-        &mut self.arch
-    }
-
     /// The host's services (directory, transport, buffers).
     pub fn services(&self) -> &HostServices {
         &self.services
@@ -669,11 +664,6 @@ impl PrismHost {
     /// The deployer, when enabled.
     pub fn deployer(&self) -> Option<&DeployerComponent> {
         self.deployer.as_ref()
-    }
-
-    /// The deployer, mutable, when enabled.
-    pub fn deployer_mut(&mut self) -> Option<&mut DeployerComponent> {
-        self.deployer.as_mut()
     }
 
     /// The id of the host-local application connector ("bus").

@@ -263,16 +263,6 @@ impl EventBuilder<'_> {
         self
     }
 
-    /// Attaches one structured field with an owned key (prefer
-    /// [`field`](Self::field) for static keys).
-    #[must_use]
-    pub fn field_owned(mut self, key: String, value: impl Into<FieldValue>) -> Self {
-        if self.journal.is_some() {
-            self.event.fields.push((Cow::Owned(key), value.into()));
-        }
-        self
-    }
-
     /// Attaches a causal trace context as the standard `trace_id` /
     /// `span_id` / `parent_id` fields.
     #[must_use]
