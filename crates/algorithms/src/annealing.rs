@@ -230,8 +230,6 @@ impl AnnealingAlgorithm {
     fn search(
         &self,
         c: &Compiled<'_>,
-        model: &DeploymentModel,
-        constraints: &dyn ConstraintChecker,
         initial: Option<&Deployment>,
         started: Instant,
     ) -> Result<AlgoResult, AlgoError> {
@@ -241,9 +239,9 @@ impl AnnealingAlgorithm {
         let n_comps = cm.n_comps();
 
         // Starting point: the initial deployment, when valid.
-        let valid_initial: Option<Vec<u32>> = initial
-            .filter(|d| constraints.check(model, d).is_ok())
-            .map(|d| cm.compile_assignment(d));
+        let valid_initial = initial
+            .map(|d| cm.compile_assignment(d))
+            .filter(|a| c.constraints.check(a));
 
         if n_comps == 0 {
             let assign = valid_initial.unwrap_or_default();
@@ -357,7 +355,7 @@ impl RedeploymentAlgorithm for AnnealingAlgorithm {
             self.pruned_polish(&c, &mut out);
             return finish_hierarchical(&c, initial, started, self.name(), out);
         }
-        self.search(&c, model, constraints, initial, started)
+        self.search(&c, initial, started)
     }
 }
 

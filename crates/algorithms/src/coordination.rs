@@ -4,6 +4,9 @@
 //! voting, auction-based)" (§4.3). A [`CoordinationProtocol`] turns a set of
 //! per-host scored alternatives into one agreed choice; the decentralized
 //! analyzer composes one of these with whatever algorithm body it runs.
+//! [`VotingProtocol`] is the one it uses (§5.2). The auction-based protocol
+//! is DecAp itself: its per-component auctions are their own kernel in
+//! [`crate::decap`].
 
 use redep_model::HostId;
 use std::fmt;
@@ -68,79 +71,6 @@ impl CoordinationProtocol for VotingProtocol {
     }
 }
 
-/// Polling: the alternative with the highest mean score wins.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct PollingProtocol;
-
-impl CoordinationProtocol for PollingProtocol {
-    fn name(&self) -> &str {
-        "polling"
-    }
-
-    fn decide(&self, proposals: &[Vec<(HostId, f64)>]) -> Option<usize> {
-        if proposals.is_empty() {
-            return None;
-        }
-        let mean = |scores: &Vec<(HostId, f64)>| {
-            if scores.is_empty() {
-                f64::NEG_INFINITY
-            } else {
-                scores.iter().map(|(_, s)| s).sum::<f64>() / scores.len() as f64
-            }
-        };
-        (0..proposals.len()).reduce(|x, y| {
-            if mean(&proposals[y]) > mean(&proposals[x]) {
-                y
-            } else {
-                x
-            }
-        })
-    }
-}
-
-/// One-shot auction: the single highest bid anywhere wins.
-///
-/// This is the primitive DecAp applies per component; exposed as a protocol
-/// so analyzers can reuse it for whole-deployment choices too.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct AuctionProtocol;
-
-impl AuctionProtocol {
-    /// Picks the winning bidder: the highest bid, ties toward the lower
-    /// host id. Returns `None` when no bids were placed.
-    pub fn winner(bids: &[(HostId, f64)]) -> Option<(HostId, f64)> {
-        bids.iter().copied().reduce(|best, cand| {
-            if cand.1 > best.1 || (cand.1 == best.1 && cand.0 < best.0) {
-                cand
-            } else {
-                best
-            }
-        })
-    }
-}
-
-impl CoordinationProtocol for AuctionProtocol {
-    fn name(&self) -> &str {
-        "auction"
-    }
-
-    fn decide(&self, proposals: &[Vec<(HostId, f64)>]) -> Option<usize> {
-        let best_of = |scores: &Vec<(HostId, f64)>| {
-            scores
-                .iter()
-                .map(|(_, s)| *s)
-                .fold(f64::NEG_INFINITY, f64::max)
-        };
-        (0..proposals.len()).reduce(|x, y| {
-            if best_of(&proposals[y]) > best_of(&proposals[x]) {
-                y
-            } else {
-                x
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,34 +96,7 @@ mod tests {
     }
 
     #[test]
-    fn polling_picks_best_mean() {
-        let proposals = vec![
-            vec![(h(0), 0.9), (h(1), 0.1)], // mean 0.5
-            vec![(h(0), 0.6), (h(1), 0.6)], // mean 0.6
-        ];
-        assert_eq!(PollingProtocol.decide(&proposals), Some(1));
-    }
-
-    #[test]
-    fn auction_winner_takes_highest_bid() {
-        let bids = [(h(2), 0.4), (h(0), 0.9), (h(1), 0.9)];
-        assert_eq!(AuctionProtocol::winner(&bids), Some((h(0), 0.9)));
-        assert_eq!(AuctionProtocol::winner(&[]), None);
-    }
-
-    #[test]
-    fn auction_protocol_picks_alternative_with_best_single_score() {
-        let proposals = vec![
-            vec![(h(0), 0.5), (h(1), 0.5)],
-            vec![(h(0), 0.1), (h(1), 0.95)],
-        ];
-        assert_eq!(AuctionProtocol.decide(&proposals), Some(1));
-    }
-
-    #[test]
     fn empty_proposals_yield_none() {
         assert_eq!(VotingProtocol.decide(&[]), None);
-        assert_eq!(PollingProtocol.decide(&[]), None);
-        assert_eq!(AuctionProtocol.decide(&[]), None);
     }
 }

@@ -494,12 +494,13 @@ impl DecApAlgorithm {
     /// from a deterministic first-fit.
     fn starting_assignment(
         c: &Compiled<'_>,
-        model: &DeploymentModel,
-        constraints: &dyn ConstraintChecker,
         initial: Option<&Deployment>,
     ) -> Result<Vec<u32>, AlgoError> {
-        if let Some(d) = initial.filter(|d| constraints.check(model, d).is_ok()) {
-            return Ok(c.model.compile_assignment(d));
+        let valid = initial
+            .map(|d| c.model.compile_assignment(d))
+            .filter(|a| c.constraints.check(a));
+        if let Some(a) = valid {
+            return Ok(a);
         }
         let mut a = vec![UNASSIGNED; c.model.n_comps()];
         for ci in 0..a.len() as u32 {
@@ -512,15 +513,13 @@ impl DecApAlgorithm {
     fn search(
         &self,
         c: &Compiled<'_>,
-        model: &DeploymentModel,
-        constraints: &dyn ConstraintChecker,
         initial: Option<&Deployment>,
         started: Instant,
     ) -> Result<AlgoResult, AlgoError> {
         let cm = &c.model;
         let n_hosts = cm.n_hosts();
         let mut views = Views::new(cm, self.awareness.as_ref());
-        let mut assign = Self::starting_assignment(c, model, constraints, initial)?;
+        let mut assign = Self::starting_assignment(c, initial)?;
         let mut bidding = self.bidding(n_hosts);
 
         let mut inc = c.scorer();
@@ -549,8 +548,7 @@ impl DecApAlgorithm {
                         bidding.auction(c, &views, &mut assign, auctioneer, comp, |a, bidder| {
                             c.constraints.admits(a, comp, bidder)
                         });
-                    // Highest bid wins; lowest host index breaks ties
-                    // (the auction protocol's rule on dense indices).
+                    // Highest bid wins; lowest host index breaks ties.
                     let winner = bidding.bids.iter().copied().reduce(|best, cand| {
                         if cand.1 > best.1 || (cand.1 == best.1 && cand.0 < best.0) {
                             cand
@@ -615,8 +613,6 @@ impl DecApAlgorithm {
         &self,
         c: &Compiled<'_>,
         hcfg: &HierarchicalConfig,
-        model: &DeploymentModel,
-        constraints: &dyn ConstraintChecker,
         initial: Option<&Deployment>,
         started: Instant,
     ) -> Result<AlgoResult, AlgoError> {
@@ -625,7 +621,7 @@ impl DecApAlgorithm {
         let hier = cm.hierarchy();
         let k = hier.n_clusters();
         let mut views = Views::new(cm, self.awareness.as_ref());
-        let mut assign = Self::starting_assignment(c, model, constraints, initial)?;
+        let mut assign = Self::starting_assignment(c, initial)?;
 
         struct AuctionOut {
             /// `(component, from-host, to-host)` winning moves, in the order
@@ -847,9 +843,9 @@ impl RedeploymentAlgorithm for DecApAlgorithm {
         preflight(model)?;
         let c = compile(model, objective, constraints);
         if let (Some(hcfg), Some(_)) = (&self.hierarchy, c.dense_constraints()) {
-            return self.search_hierarchical(&c, hcfg, model, constraints, initial, started);
+            return self.search_hierarchical(&c, hcfg, initial, started);
         }
-        self.search(&c, model, constraints, initial, started)
+        self.search(&c, initial, started)
     }
 }
 

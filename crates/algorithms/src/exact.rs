@@ -36,7 +36,7 @@ impl ExactAlgorithm {
     /// Default budget: enough for the paper's "5 hosts, 15 components" limit
     /// is *not* granted by default; the default allows ~10⁷ evaluations
     /// (≈ 4 hosts × 12 components).
-    pub const DEFAULT_BUDGET: u64 = 20_000_000;
+    const DEFAULT_BUDGET: u64 = 20_000_000;
 
     /// Margin within which a delta-scored leaf is re-scored from scratch
     /// before it may displace the incumbent. Delta drift is a few ULPs, many

@@ -59,7 +59,7 @@ pub mod traits;
 
 pub use annealing::AnnealingAlgorithm;
 pub use avala::AvalaAlgorithm;
-pub use coordination::{AuctionProtocol, CoordinationProtocol, PollingProtocol, VotingProtocol};
+pub use coordination::{CoordinationProtocol, VotingProtocol};
 pub use decap::{DecApAlgorithm, MonitoringExchange};
 pub use exact::ExactAlgorithm;
 pub use genetic::GeneticAlgorithm;

@@ -41,7 +41,7 @@ impl Default for StochasticAlgorithm {
 
 impl StochasticAlgorithm {
     /// Default number of randomized placements tried.
-    pub const DEFAULT_ITERATIONS: u32 = 100;
+    const DEFAULT_ITERATIONS: u32 = 100;
 
     /// Creates the algorithm with the default iteration count and seed 0.
     pub fn new() -> Self {

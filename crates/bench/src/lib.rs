@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 
 /// Schema tag stamped into every JSON report so downstream tooling can
 /// detect incompatible layouts.
-pub const REPORT_SCHEMA: &str = "redep-bench/v1";
+const REPORT_SCHEMA: &str = "redep-bench/v1";
 
 /// The acceptance bound of one gated metric.
 #[derive(Clone, Copy, PartialEq, Debug)]

@@ -63,8 +63,7 @@ impl CentralizedFramework {
     /// Assembles the framework around a model and its initial deployment.
     ///
     /// The standard §5.1 algorithm suite (Exact, Stochastic, Avala, plus the
-    /// genetic extension) is pre-registered; more can be added through
-    /// [`CentralizedFramework::desi_mut`].
+    /// genetic extension) is pre-registered.
     ///
     /// # Errors
     ///
@@ -127,11 +126,6 @@ impl CentralizedFramework {
     /// The DeSi environment (model, results, views).
     pub fn desi(&self) -> &DeSi {
         &self.desi
-    }
-
-    /// The DeSi environment, mutable (registering algorithms, constraints).
-    pub fn desi_mut(&mut self) -> &mut DeSi {
-        &mut self.desi
     }
 
     /// The analyzer.

@@ -281,7 +281,7 @@ impl DecentralizedFramework {
                         .emit();
                     move_ctxs.insert(name.clone(), ctx);
                     if let Some(host) = self.runtime.host_mut(m.to) {
-                        host.request_component_traced(&name, from, Some(ctx));
+                        host.request_component(&name, from, Some(ctx));
                     }
                 }
             }
@@ -317,7 +317,7 @@ impl DecentralizedFramework {
                                 // move it serves.
                                 let ctx = move_ctxs.get(name).copied();
                                 if let Some(host) = self.runtime.host_mut(m.to) {
-                                    host.request_component_traced(name, holder, ctx);
+                                    host.request_component(name, holder, ctx);
                                 }
                             }
                         }

@@ -37,13 +37,8 @@ impl AlgorithmContainer {
     /// Registers an algorithm (replacing any existing one with the same
     /// name, so analyzers can swap configurations in place).
     pub fn register(&mut self, algorithm: impl RedeploymentAlgorithm + 'static) {
-        self.register_boxed(Box::new(algorithm));
-    }
-
-    /// Registers an already-boxed algorithm.
-    pub fn register_boxed(&mut self, algorithm: Box<dyn RedeploymentAlgorithm>) {
         self.algorithms.retain(|a| a.name() != algorithm.name());
-        self.algorithms.push(algorithm);
+        self.algorithms.push(Box::new(algorithm));
     }
 
     /// Removes an algorithm by name; returns whether one was removed.

@@ -29,7 +29,7 @@ pub struct RecordedResult {
 impl RecordedResult {
     /// Nominal cost of migrating one component, used for the effect-time
     /// estimate shown in the results panel.
-    pub const PER_MOVE_COST: Duration = Duration::from_millis(500);
+    const PER_MOVE_COST: Duration = Duration::from_millis(500);
 
     /// Enriches a raw result against the model and the running deployment.
     pub fn new(
@@ -84,32 +84,6 @@ impl AlgoResultData {
         self.records.is_empty()
     }
 
-    /// The record with the best availability, if any.
-    pub fn best_availability(&self) -> Option<&RecordedResult> {
-        self.records.iter().reduce(|a, b| {
-            if b.availability > a.availability {
-                b
-            } else {
-                a
-            }
-        })
-    }
-
-    /// The record with the lowest latency, if any.
-    pub fn best_latency(&self) -> Option<&RecordedResult> {
-        self.records
-            .iter()
-            .reduce(|a, b| if b.latency < a.latency { b } else { a })
-    }
-
-    /// The most recent record for a given algorithm name.
-    pub fn latest_of(&self, algorithm: &str) -> Option<&RecordedResult> {
-        self.records
-            .iter()
-            .rev()
-            .find(|r| r.result.algorithm == algorithm)
-    }
-
     /// Clears the log.
     pub fn clear(&mut self) {
         self.records.clear();
@@ -154,22 +128,5 @@ mod tests {
                 RecordedResult::PER_MOVE_COST * r.moves as u32
             );
         }
-    }
-
-    #[test]
-    fn best_selectors_work() {
-        let (_, _, data) = recorded();
-        let best = data.best_availability().unwrap();
-        for r in data.records() {
-            assert!(best.availability >= r.availability);
-        }
-        assert!(data.best_latency().is_some());
-    }
-
-    #[test]
-    fn latest_of_finds_by_algorithm_name() {
-        let (_, _, data) = recorded();
-        assert!(data.latest_of("avala").is_some());
-        assert!(data.latest_of("ghost").is_none());
     }
 }

@@ -1,7 +1,7 @@
 //! `SystemData`: "the key part of the Model … the software system itself in
 //! terms of the architectural constructs and parameters".
 
-use redep_model::{ComponentId, Deployment, DeploymentModel, HostId, ModelError};
+use redep_model::{ComponentId, Deployment, DeploymentModel};
 use std::collections::BTreeMap;
 
 /// The system model plus its current deployment, with a revision counter so
@@ -59,42 +59,6 @@ impl SystemData {
             .map(|c| (c.name().to_owned(), c.id()))
             .collect()
     }
-
-    /// The current deployment expressed with component names — the form the
-    /// deployer ships to admins.
-    pub fn deployment_by_name(&self) -> BTreeMap<String, HostId> {
-        self.deployment
-            .iter()
-            .filter_map(|(c, h)| {
-                self.model
-                    .component(c)
-                    .ok()
-                    .map(|comp| (comp.name().to_owned(), h))
-            })
-            .collect()
-    }
-
-    /// Translates a name-keyed deployment into an id-keyed [`Deployment`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::UnknownComponent`] if a name is not in the
-    /// model (reported with a placeholder id, as names have no id).
-    pub fn deployment_from_names(
-        &self,
-        by_name: &BTreeMap<String, HostId>,
-    ) -> Result<Deployment, ModelError> {
-        let ids = self.component_ids_by_name();
-        let mut d = Deployment::new();
-        for (name, host) in by_name {
-            let id = ids
-                .get(name)
-                .copied()
-                .ok_or(ModelError::UnknownComponent(ComponentId::new(u32::MAX)))?;
-            d.assign(id, *host);
-        }
-        Ok(d)
-    }
 }
 
 #[cfg(test)]
@@ -116,22 +80,5 @@ mod tests {
         let dep = d.deployment().clone();
         d.set_deployment(dep);
         assert_eq!(d.revision(), 2);
-    }
-
-    #[test]
-    fn name_mapping_roundtrips() {
-        let d = data();
-        let by_name = d.deployment_by_name();
-        assert_eq!(by_name.len(), d.deployment().len());
-        let back = d.deployment_from_names(&by_name).unwrap();
-        assert_eq!(&back, d.deployment());
-    }
-
-    #[test]
-    fn unknown_names_error() {
-        let d = data();
-        let mut by_name = BTreeMap::new();
-        by_name.insert("no-such-component".to_owned(), HostId::new(0));
-        assert!(d.deployment_from_names(&by_name).is_err());
     }
 }

@@ -14,29 +14,18 @@ use std::fmt::Write as _;
 /// ASCII intensity ramp used for the convergence sparklines (low → high).
 const RAMP: &[u8] = b" .:-=+*#%@";
 
+/// Sparkline width, in characters.
+const SPARK_WIDTH: usize = 48;
+
 /// Renders a telemetry handle plus recorded algorithm results as a
 /// text dashboard.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct TelemetryView {
-    width: usize,
-}
+pub struct TelemetryView;
 
 impl TelemetryView {
-    /// Default sparkline width, in characters.
-    pub const DEFAULT_WIDTH: usize = 48;
-
-    /// Creates the view with the default sparkline width.
+    /// Creates the view.
     pub fn new() -> Self {
-        TelemetryView {
-            width: Self::DEFAULT_WIDTH,
-        }
-    }
-
-    /// Overrides the sparkline width (clamped to at least 8 characters).
-    #[must_use]
-    pub fn with_width(mut self, width: usize) -> Self {
-        self.width = width.max(8);
-        self
+        TelemetryView
     }
 
     /// Renders the journal/metrics digest and the convergence panel.
@@ -100,7 +89,7 @@ impl TelemetryView {
                 (lo.min(v), hi.max(v))
             });
         let span = hi - lo;
-        let cells = self.width.min(trace.len().max(2));
+        let cells = SPARK_WIDTH.min(trace.len().max(2));
         let mut spark = String::with_capacity(cells);
         for cell in 0..cells {
             // Sample the trace entry whose index maps onto this cell.
@@ -170,10 +159,10 @@ mod tests {
 
     #[test]
     fn sparkline_spans_the_value_range() {
-        let view = TelemetryView::new().with_width(10);
-        let trace: Vec<(u64, f64)> = (0..20).map(|i| (i, i as f64)).collect();
+        let view = TelemetryView::new();
+        let trace: Vec<(u64, f64)> = (0..100).map(|i| (i, i as f64)).collect();
         let spark = view.sparkline(&trace).unwrap();
-        assert_eq!(spark.len(), 10);
+        assert_eq!(spark.len(), SPARK_WIDTH);
         assert!(
             spark.starts_with(' '),
             "lowest value maps to ramp start: {spark:?}"

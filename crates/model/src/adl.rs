@@ -13,7 +13,7 @@ use crate::ModelError;
 use serde::{Deserialize, Serialize};
 
 /// The document schema version this library reads and writes.
-pub const SCHEMA_VERSION: u32 = 1;
+const SCHEMA_VERSION: u32 = 1;
 
 /// An architecture-description document: design-time user input for the
 /// framework's `UserInput` component.

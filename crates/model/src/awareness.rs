@@ -109,19 +109,6 @@ impl AwarenessGraph {
         self.aware.get_mut(&b).expect("just inserted").insert(a);
     }
 
-    /// Removes mutual awareness between `a` and `b` (self-awareness stays).
-    pub fn disconnect(&mut self, a: HostId, b: HostId) {
-        if a == b {
-            return;
-        }
-        if let Some(s) = self.aware.get_mut(&a) {
-            s.remove(&b);
-        }
-        if let Some(s) = self.aware.get_mut(&b) {
-            s.remove(&a);
-        }
-    }
-
     /// The set of hosts `h` is aware of (including itself). Empty for hosts
     /// the graph does not cover.
     pub fn aware_of(&self, h: HostId) -> BTreeSet<HostId> {
@@ -271,16 +258,6 @@ mod tests {
         let g = AwarenessGraph::complete(m.host_ids());
         assert!(g.is_aware(hosts[0], hosts[2]));
         assert_eq!(g.mean_awareness(), 1.0);
-    }
-
-    #[test]
-    fn disconnect_removes_mutual_awareness() {
-        let (m, hosts, _) = line_model();
-        let mut g = AwarenessGraph::from_connectivity(&m);
-        g.disconnect(hosts[0], hosts[1]);
-        assert!(!g.is_aware(hosts[0], hosts[1]));
-        assert!(!g.is_aware(hosts[1], hosts[0]));
-        assert!(g.is_aware(hosts[0], hosts[0]));
     }
 
     #[test]

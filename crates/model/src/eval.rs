@@ -471,9 +471,10 @@ impl CompiledModel {
     ///
     /// The underlying all-pairs matrix is built on first call (O(n²)
     /// best-path replays) and cached; snapshots that never score a
-    /// path-aware objective never pay for it.
-    #[inline]
-    pub fn path_reliability(&self, a: u32, b: u32) -> f64 {
+    /// path-aware objective never pay for it. The pricing kernel reads the
+    /// matrix directly; this is the test-only reference's cell lookup.
+    #[cfg(test)]
+    fn path_reliability(&self, a: u32, b: u32) -> f64 {
         let matrix = self
             .path_reliability
             .get_or_init(|| self.all_pairs_path_reliability());

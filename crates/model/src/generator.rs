@@ -318,7 +318,7 @@ impl Generator {
     ///
     /// Returns [`ModelError::Generation`] when no valid deployment was found
     /// within the retry budget.
-    pub fn random_valid_deployment(
+    fn random_valid_deployment(
         model: &DeploymentModel,
         rng: &mut ChaCha8Rng,
     ) -> Result<Deployment, ModelError> {

@@ -681,15 +681,6 @@ impl DeploymentModel {
         }
         Ok(())
     }
-
-    /// Total interaction frequency over all logical links (the normalizer of
-    /// the availability objective).
-    pub fn total_frequency(&self) -> f64 {
-        self.logical_links
-            .values()
-            .map(LogicalLink::frequency)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -845,17 +836,6 @@ mod tests {
         m.set_logical_link(x, y, |_| {}).unwrap();
         m.set_logical_link(y, z, |_| {}).unwrap();
         assert_eq!(m.logical_neighbors(y), vec![x, z]);
-    }
-
-    #[test]
-    fn total_frequency_sums_logical_links() {
-        let mut m = DeploymentModel::new();
-        let x = m.add_component("x").unwrap();
-        let y = m.add_component("y").unwrap();
-        let z = m.add_component("z").unwrap();
-        m.set_logical_link(x, y, |l| l.set_frequency(3.0)).unwrap();
-        m.set_logical_link(y, z, |l| l.set_frequency(4.5)).unwrap();
-        assert!((m.total_frequency() - 7.5).abs() < 1e-12);
     }
 
     #[test]

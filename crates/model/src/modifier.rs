@@ -302,19 +302,6 @@ impl Modifier {
         }
         Ok(true)
     }
-
-    /// Reverts all recorded edits, newest first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first undo failure; earlier (newer) edits stay undone.
-    pub fn undo_all(&mut self, model: &mut DeploymentModel) -> Result<usize, ModelError> {
-        let mut n = 0;
-        while self.undo(model)? {
-            n += 1;
-        }
-        Ok(n)
-    }
 }
 
 #[cfg(test)]
@@ -404,18 +391,6 @@ mod tests {
         assert_eq!(m.component(x).unwrap().required_memory(), 7.0);
         md.undo(&mut m).unwrap();
         assert_eq!(m.component(x).unwrap().required_memory(), 0.0);
-    }
-
-    #[test]
-    fn undo_all_reverts_in_reverse_order() {
-        let (mut m, a, _, _, _) = fixture();
-        let mut md = Modifier::new();
-        md.set_host_param(&mut m, a, "k", 1.0).unwrap();
-        md.set_host_param(&mut m, a, "k", 2.0).unwrap();
-        md.set_host_param(&mut m, a, "k", 3.0).unwrap();
-        assert_eq!(md.undo_all(&mut m).unwrap(), 3);
-        assert!(m.host(a).unwrap().params().get("k").is_none());
-        assert_eq!(md.history_len(), 0);
     }
 
     #[test]

@@ -437,24 +437,6 @@ impl Composite {
     pub fn is_empty(&self) -> bool {
         self.parts.is_empty()
     }
-
-    /// Per-part `(label, raw value, weighted utility)` breakdown.
-    ///
-    /// Each part is evaluated exactly once; the weighted utility is derived
-    /// from the raw value via [`Objective::utility_of`].
-    pub fn breakdown(
-        &self,
-        model: &DeploymentModel,
-        deployment: &Deployment,
-    ) -> Vec<(String, f64, f64)> {
-        self.parts
-            .iter()
-            .map(|(label, obj, w)| {
-                let value = obj.evaluate(model, deployment);
-                (label.clone(), value, w * obj.utility_of(value))
-            })
-            .collect()
-    }
 }
 
 impl Objective for Composite {
@@ -656,20 +638,6 @@ mod tests {
         let score_local = obj.evaluate(&m, &local());
         let score_remote = obj.evaluate(&m, &remote());
         assert!(obj.is_improvement(score_remote, score_local));
-    }
-
-    #[test]
-    fn composite_breakdown_reports_parts() {
-        let m = fixture();
-        let obj = Composite::new()
-            .with("availability", Availability, 1.0)
-            .with("latency", Latency::new(), 1.0);
-        let parts = obj.breakdown(&m, &remote());
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].0, "availability");
-        assert!((parts[0].1 - 0.5).abs() < 1e-12);
-        // latency utility = 1 / (1 + 4) = 0.2
-        assert!((parts[1].2 - 0.2).abs() < 1e-12);
     }
 
     #[test]

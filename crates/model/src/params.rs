@@ -23,12 +23,8 @@ pub mod keys {
     pub const HOST_MEMORY: &str = "host.memory";
     /// Processing speed of a host (abstract units; user-input, stable).
     pub const HOST_CPU: &str = "host.cpu";
-    /// Remaining battery power of a (mobile) host.
-    pub const HOST_BATTERY: &str = "host.battery";
     /// Memory required by a component (abstract units).
     pub const COMPONENT_MEMORY: &str = "component.memory";
-    /// CPU demand of a component (abstract units).
-    pub const COMPONENT_CPU: &str = "component.cpu";
     /// Reliability of a physical link in `[0, 1]`.
     pub const LINK_RELIABILITY: &str = "link.reliability";
     /// Bandwidth of a physical link (bytes per time unit).
@@ -58,11 +54,6 @@ pub mod keys {
 pub struct ParamKey(Cow<'static, str>);
 
 impl ParamKey {
-    /// Creates a key from a static string (zero allocation).
-    pub const fn from_static(name: &'static str) -> Self {
-        ParamKey(Cow::Borrowed(name))
-    }
-
     /// Returns the key name.
     pub fn as_str(&self) -> &str {
         &self.0
@@ -265,13 +256,6 @@ impl ParamTable {
     pub fn iter(&self) -> impl Iterator<Item = (&ParamKey, &ParamValue)> {
         self.entries.iter()
     }
-
-    /// Copies every entry of `other` into this table, overwriting duplicates.
-    pub fn merge_from(&mut self, other: &ParamTable) {
-        for (k, v) in other.iter() {
-            self.entries.insert(k.clone(), v.clone());
-        }
-    }
 }
 
 impl<K: Into<ParamKey>, V: Into<ParamValue>> FromIterator<(K, V)> for ParamTable {
@@ -356,20 +340,6 @@ mod tests {
         t.set("c", 3.0);
         let order: Vec<&str> = t.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(order, ["a", "b", "c"]);
-    }
-
-    #[test]
-    fn merge_overwrites_duplicates() {
-        let mut a = ParamTable::new();
-        a.set("x", 1.0);
-        a.set("y", 1.0);
-        let mut b = ParamTable::new();
-        b.set("y", 2.0);
-        b.set("z", 3.0);
-        a.merge_from(&b);
-        assert_eq!(a.get_f64("x"), Some(1.0));
-        assert_eq!(a.get_f64("y"), Some(2.0));
-        assert_eq!(a.get_f64("z"), Some(3.0));
     }
 
     #[test]

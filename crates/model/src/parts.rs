@@ -49,11 +49,6 @@ impl Host {
         &self.name
     }
 
-    /// Renames the host.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Returns the host's parameter table.
     pub fn params(&self) -> &ParamTable {
         &self.params
@@ -118,11 +113,6 @@ impl Component {
         &self.name
     }
 
-    /// Renames the component.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Returns the component's parameter table.
     pub fn params(&self) -> &ParamTable {
         &self.params
@@ -180,16 +170,6 @@ mod tests {
         let mut c = Component::new(ComponentId::new(0), "gui");
         c.set_required_memory(12.5);
         assert_eq!(c.required_memory(), 12.5);
-    }
-
-    #[test]
-    fn rename_parts() {
-        let mut h = Host::new(HostId::new(1), "a");
-        h.set_name("b");
-        assert_eq!(h.name(), "b");
-        let mut c = Component::new(ComponentId::new(1), "x");
-        c.set_name("y");
-        assert_eq!(c.name(), "y");
     }
 
     #[test]

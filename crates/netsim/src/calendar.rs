@@ -101,7 +101,7 @@ impl<T> CalendarQueue<T> {
     /// # Panics
     ///
     /// Panics unless `slots` is a power of two.
-    pub fn with_geometry(shift: u32, slots: usize) -> Self {
+    fn with_geometry(shift: u32, slots: usize) -> Self {
         assert!(slots.is_power_of_two(), "wheel size must be a power of two");
         CalendarQueue {
             current: BinaryHeap::new(),
@@ -211,16 +211,6 @@ impl<T> CalendarQueue<T> {
         self.overflow.clear();
         self.wheel_count = 0;
         self.len = 0;
-    }
-
-    /// Iterates over all pending items in no particular order (diagnostics;
-    /// O(n)).
-    pub fn iter_unordered(&self) -> impl Iterator<Item = &T> {
-        self.current
-            .iter()
-            .map(|e| &e.item)
-            .chain(self.wheel.iter().flatten().map(|e| &e.item))
-            .chain(self.overflow.iter().map(|e| &e.item))
     }
 }
 
@@ -358,7 +348,6 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-        assert_eq!(q.iter_unordered().count(), 0);
     }
 
     #[test]

@@ -81,9 +81,9 @@ pub const P_COMPONENT: &str = "component";
 /// Parameter: the host a request originates from.
 pub const P_REQUESTER: &str = "requester";
 /// Parameter: the redeployment epoch a protocol event belongs to.
-pub const P_EPOCH: &str = "epoch";
+const P_EPOCH: &str = "epoch";
 /// Parameter: why a move could not be fulfilled (on [`EV_NACK`]).
-pub const P_REASON: &str = "reason";
+const P_REASON: &str = "reason";
 
 /// Body of an [`EV_CONFIGURE`] event.
 #[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]

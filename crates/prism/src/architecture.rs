@@ -130,7 +130,6 @@ pub struct Architecture {
     route_scratch: Vec<(BrickId, Symbol)>,
     /// Reusable welded-connector buffer for `route_emission`.
     welded_scratch: Vec<BrickId>,
-    events_processed: u64,
     now: SimTime,
 }
 
@@ -162,7 +161,6 @@ impl Architecture {
             scratch: Vec::new(),
             route_scratch: Vec::new(),
             welded_scratch: Vec::new(),
-            events_processed: 0,
             now: SimTime::ZERO,
         }
     }
@@ -191,11 +189,6 @@ impl Architecture {
     /// The host this architecture runs on.
     pub fn host(&self) -> HostId {
         self.host
-    }
-
-    /// Total events processed by [`Architecture::pump`] so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
     }
 
     fn fresh_id(&mut self) -> BrickId {
@@ -424,7 +417,7 @@ impl Architecture {
     }
 
     /// Number of connectors.
-    pub fn connector_count(&self) -> usize {
+    fn connector_count(&self) -> usize {
         self.connectors.iter().flatten().count()
     }
 
@@ -556,7 +549,6 @@ impl Architecture {
         let mut processed = 0;
         while let Some(delivery) = self.queue.pop_front() {
             processed += 1;
-            self.events_processed += 1;
             let (Delivery::Attach(id) | Delivery::Handle(id, _) | Delivery::Timer(id, _)) =
                 delivery;
             let Some(mut slot) = self

@@ -229,11 +229,6 @@ impl ComponentFactory {
         self.constructors.contains_key(type_name)
     }
 
-    /// Registered type names in order.
-    pub fn type_names(&self) -> Vec<&str> {
-        self.constructors.keys().map(String::as_str).collect()
-    }
-
     /// Reconstitutes a component from its snapshot.
     ///
     /// # Errors
@@ -295,7 +290,6 @@ mod tests {
         f.register("probe", |_| Box::new(Probe));
         assert!(f.knows("probe"));
         assert!(f.build("probe", &[]).is_ok());
-        assert_eq!(f.type_names(), ["probe"]);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!
 //! # Store layout
 //!
-//! A [`DurableStore`] owns two byte streams behind a [`DurableBackend`].
+//! A [`DurableStore`] owns two byte streams behind a backend: in memory for
+//! the simulator, or two files per host ([`DurableStore::file_backed`]).
 //! Both hold [`JournalRecord`]s in one framing: a LEB128 length prefix
 //! followed by the record body (the same varint primitives as the wire codec
 //! in [`crate::codec`]).
@@ -503,7 +504,7 @@ impl<'a> IntoIterator for &'a Checkpoint {
 ///
 /// The simulator uses the deterministic in-memory backend; real deployments
 /// can use the file-backed one.
-pub trait DurableBackend: Send {
+trait DurableBackend: Send {
     /// Atomically replaces the checkpoint and truncates the journal.
     fn write_checkpoint(&mut self, bytes: &[u8]);
     /// Appends one framed record to the journal.
@@ -516,7 +517,7 @@ pub trait DurableBackend: Send {
 
 /// Deterministic in-memory backend: the simulator default.
 #[derive(Default, Debug)]
-pub struct MemBackend {
+struct MemBackend {
     checkpoint: Option<Vec<u8>>,
     journal: Vec<u8>,
 }
@@ -542,7 +543,7 @@ impl DurableBackend for MemBackend {
 
 /// File-backed backend: `host-<id>.ckpt` (replaced via temp file + rename)
 /// and `host-<id>.wal` (append + flush per record) under one directory.
-pub struct FileBackend {
+struct FileBackend {
     ckpt_path: std::path::PathBuf,
     wal_path: std::path::PathBuf,
     wal: std::fs::File,
@@ -554,7 +555,7 @@ impl FileBackend {
     /// # Errors
     ///
     /// Propagates the I/O error when the directory or WAL cannot be created.
-    pub fn open(dir: &std::path::Path, host: HostId) -> std::io::Result<Self> {
+    fn open(dir: &std::path::Path, host: HostId) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let ckpt_path = dir.join(format!("host-{}.ckpt", host.raw()));
         let wal_path = dir.join(format!("host-{}.wal", host.raw()));
@@ -679,7 +680,7 @@ impl DurableStore {
     }
 
     /// Creates a store over an explicit backend.
-    pub fn with_backend(backend: Box<dyn DurableBackend>) -> Self {
+    fn with_backend(backend: Box<dyn DurableBackend>) -> Self {
         DurableStore {
             backend,
             scratch: Vec::new(),

@@ -160,7 +160,7 @@ impl PartialEq for ParamVec {
 ///     .with_size(64);
 /// assert_eq!(e.name(), "position.update");
 /// assert_eq!(e.kind(), EventKind::Notification);
-/// assert_eq!(e.param_f64("lat"), Some(34.02));
+/// assert_eq!(e.param("lat").and_then(|v| v.as_f64()), Some(34.02));
 /// assert_eq!(e.size(), 64);
 /// ```
 #[derive(Clone, PartialEq, Debug)]
@@ -241,11 +241,6 @@ impl Event {
     /// Reads a parameter.
     pub fn param(&self, key: &str) -> Option<&ParamValue> {
         self.params.get(key)
-    }
-
-    /// Reads a parameter as a float (integers coerced).
-    pub fn param_f64(&self, key: &str) -> Option<f64> {
-        self.param(key).and_then(ParamValue::as_f64)
     }
 
     /// Reads a parameter as text.
@@ -381,10 +376,10 @@ mod tests {
             .with_param("f", 1.5)
             .with_param("s", "text")
             .with_param("i", 3i64);
-        assert_eq!(e.param_f64("f"), Some(1.5));
-        assert_eq!(e.param_f64("i"), Some(3.0));
+        assert_eq!(e.param("f"), Some(&ParamValue::Float(1.5)));
+        assert_eq!(e.param("i"), Some(&ParamValue::Int(3)));
         assert_eq!(e.param_text("s"), Some("text"));
-        assert_eq!(e.param_f64("missing"), None);
+        assert_eq!(e.param("missing"), None);
     }
 
     #[test]
@@ -395,7 +390,11 @@ mod tests {
         }
         let keys: Vec<&str> = e.params.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["aa", "bb", "mm", "zz"]);
-        assert_eq!(e.param_f64("zz"), Some(4.0), "later insert overwrites");
+        assert_eq!(
+            e.param("zz"),
+            Some(&ParamValue::Int(4)),
+            "later insert overwrites"
+        );
     }
 
     #[test]
@@ -406,7 +405,7 @@ mod tests {
         }
         assert_eq!(e.params.len(), 10);
         for i in 0..10i64 {
-            assert_eq!(e.param_f64(&format!("p{i}")), Some(i as f64));
+            assert_eq!(e.param(&format!("p{i}")), Some(&ParamValue::Int(i)));
         }
         let keys: Vec<&str> = e.params.iter().map(|(k, _)| k.as_str()).collect();
         let mut sorted = keys.clone();

@@ -228,7 +228,7 @@ impl HostServices {
     }
 
     /// Whether `peer` is directly reachable.
-    pub fn can_reach(&self, peer: HostId) -> bool {
+    fn can_reach(&self, peer: HostId) -> bool {
         self.neighbors.binary_search(&peer).is_ok()
     }
 
@@ -373,7 +373,7 @@ impl HostServices {
 
     /// Sends an application event unreliably (raw frame) to a component on
     /// `dst`. Subject to link loss — by design.
-    pub fn send_raw(&mut self, dst: HostId, to_component: impl Into<Symbol>, event: &Event) {
+    fn send_raw(&mut self, dst: HostId, to_component: impl Into<Symbol>, event: &Event) {
         self.stats.app_events_sent += 1;
         self.wire(
             dst,
@@ -387,7 +387,7 @@ impl HostServices {
     /// Parks an event for a component that is not currently attached here
     /// (dropped instead when buffering is ablated away, counting as
     /// undeliverable).
-    pub fn buffer_event(&mut self, component: &str, event: Event) {
+    fn buffer_event(&mut self, component: &str, event: Event) {
         if !self.buffer_during_migration {
             self.stats.events_undeliverable += 1;
             return;
@@ -414,18 +414,18 @@ impl HostServices {
     }
 
     /// Component names with parked events.
-    pub fn buffered_components(&self) -> Vec<String> {
+    fn buffered_components(&self) -> Vec<String> {
         self.buffered.keys().cloned().collect()
     }
 
     /// Total number of events currently parked across all components.
-    pub fn buffered_total(&self) -> usize {
+    fn buffered_total(&self) -> usize {
         self.buffered.values().map(Vec::len).sum()
     }
 
     /// The neighbor to relay through for `dst` (the destination itself
     /// when directly connected).
-    pub fn next_hop(&self, dst: HostId) -> Option<HostId> {
+    fn next_hop(&self, dst: HostId) -> Option<HostId> {
         if self.can_reach(dst) {
             Some(dst)
         } else {
@@ -765,20 +765,10 @@ impl PrismHost {
     /// no master deployer and "Local Effectors … collaborate in performing
     /// the redeployment". The request goes out with the next processing
     /// pass; completion is observable via
-    /// [`Architecture::contains_component`].
-    pub fn request_component(&mut self, component: &str, holder: HostId) {
-        self.request_component_traced(component, holder, None);
-    }
-
-    /// [`PrismHost::request_component`] carrying a trace context, so the
+    /// [`Architecture::contains_component`]. A trace context makes the
     /// resulting request/transfer hops journal as children of the caller's
     /// span (decentralized frameworks pass their per-move span here).
-    pub fn request_component_traced(
-        &mut self,
-        component: &str,
-        holder: HostId,
-        ctx: Option<TraceCtx>,
-    ) {
+    pub fn request_component(&mut self, component: &str, holder: HostId, ctx: Option<TraceCtx>) {
         let mut request = Event::request(crate::admin::EV_REQUEST)
             .with_param(crate::admin::P_COMPONENT, component)
             .with_param(crate::admin::P_REQUESTER, self.arch.host().raw() as i64);

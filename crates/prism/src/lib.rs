@@ -56,8 +56,8 @@ pub use architecture::Architecture;
 pub use brick::{BrickId, ComponentBehavior, ComponentCtx, ComponentFactory};
 pub use connector::Connector;
 pub use durable::{
-    Checkpoint, DurableBackend, DurableStore, JournalRecord, OpKind, OpVerdict, RecordRef,
-    RecoveredState, RecoveryReport, RECORD_KINDS,
+    Checkpoint, DurableStore, JournalRecord, OpKind, OpVerdict, RecordRef, RecoveredState,
+    RecoveryReport, RECORD_KINDS,
 };
 pub use error::PrismError;
 pub use event::{Event, EventKind};

@@ -69,14 +69,6 @@ impl FrequencyWindow {
         self.pair_sum(a, b).0 as f64 / self.window_secs
     }
 
-    /// Mean event size for a pair (order-insensitive); `0.0` when no traffic.
-    pub fn mean_event_size(&self, a: &str, b: &str) -> f64 {
-        match self.pair_sum(a, b) {
-            (0, _) => 0.0,
-            (count, bytes) => bytes as f64 / count as f64,
-        }
-    }
-
     /// Merges windows closed over one interval — an admin's named sends and
     /// its connector tap — into the (frequency, mean event size) estimates of
     /// every pair in canonical (name) order, in one pass: every tally goes
@@ -414,7 +406,6 @@ mod tests {
         // 21 events over 10 s, order-insensitive.
         assert!((w.frequency("a", "b") - 2.1).abs() < 1e-9);
         assert!((w.frequency("b", "a") - 2.1).abs() < 1e-9);
-        assert_eq!(w.mean_event_size("a", "b"), 100.0);
     }
 
     #[test]
@@ -462,7 +453,6 @@ mod tests {
         let mut m = EventFrequencyMonitor::new(Duration::from_secs_f64(1.0));
         let w = m.roll_window(t(1.0));
         assert_eq!(w.frequency("x", "y"), 0.0);
-        assert_eq!(w.mean_event_size("x", "y"), 0.0);
     }
 
     #[test]

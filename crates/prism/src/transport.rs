@@ -193,7 +193,8 @@ impl ReliableChannel {
     /// Size of the receiver's out-of-order set — the only dedup state that
     /// is not O(1). Bounded by the reorder window of the link, not by the
     /// number of frames ever delivered.
-    pub fn dedup_footprint(&self) -> usize {
+    #[cfg(test)]
+    fn dedup_footprint(&self) -> usize {
         self.out_of_order.len()
     }
 

@@ -167,7 +167,7 @@ fn unroutable_destinations_are_counted_not_hung() {
     sim.run_until(SimTime::from_secs_f64(2.0));
     sim.node_mut::<PrismHost>(h(3))
         .unwrap()
-        .request_component("ghost-component", h(9));
+        .request_component("ghost-component", h(9), None);
     sim.run_until(SimTime::from_secs_f64(6.0));
     let deployer_stats = sim.node_ref::<PrismHost>(h(0)).unwrap().services().stats();
     assert!(

@@ -30,9 +30,8 @@
 //!   machine-readable journal and [`Telemetry::summary`] the human one.
 //! - [`trace`] — causal trace contexts ([`TraceCtx`]) with deterministic
 //!   span-id generation ([`SpanIdGen`]).
-//! - [`merge_journals`] / [`merge_export_jsonl`] — reconstruct the single
-//!   global record order from the per-shard journals of the sharded
-//!   simulator, using the `(sim_time, event_key)` order stamps written via
+//! - [`merge_export_jsonl`] — reconstructs the single global record order
+//!   from the per-shard journals of the sharded simulator, using the `(sim_time, event_key)` order stamps written via
 //!   [`Telemetry::set_order`].
 
 #![warn(missing_docs)]
@@ -131,7 +130,7 @@ pub struct Event {
     pub fields: Vec<(Cow<'static, str>, FieldValue)>,
     /// Global-order stamp `[sim_time_us, event_key, intra]` used to merge
     /// per-shard journals back into the one-shard processing order (see
-    /// [`merge_journals`]). The simulator sets the first two components per
+    /// [`merge_export_jsonl`]). The simulator sets the first two components per
     /// processed sim event via [`Telemetry::set_order`]; the third counts
     /// records emitted under that sim event. Records made outside a
     /// simulation keep zeros there, and the stamp never appears in exported
@@ -322,7 +321,7 @@ struct Inner {
 
 /// Default journal capacity: enough for the longest experiment runs while
 /// bounding memory at roughly a few MiB.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
+const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
 
 impl Default for Telemetry {
     fn default() -> Self {
@@ -351,11 +350,6 @@ impl Telemetry {
                 journal: Journal::new(1),
             }),
         }
-    }
-
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
     }
 
     /// The metrics registry (counters/gauges/histograms).
@@ -511,7 +505,7 @@ pub fn percentiles(samples: &[f64]) -> Option<[f64; 3]> {
 /// Within one shard the stamps are non-decreasing, so a stable sort here is
 /// a k-way merge; shard index only breaks ties between records that carry an
 /// identical stamp, which cannot happen for records of distinct sim events.
-pub fn merge_journals(shards: &[&Telemetry]) -> Vec<Event> {
+fn merge_journals(shards: &[&Telemetry]) -> Vec<Event> {
     let mut all: Vec<(usize, Event)> = Vec::new();
     for (idx, tele) in shards.iter().enumerate() {
         all.extend(tele.journal().snapshot().into_iter().map(|e| (idx, e)));
@@ -520,7 +514,7 @@ pub fn merge_journals(shards: &[&Telemetry]) -> Vec<Event> {
     all.into_iter().map(|(_, e)| e).collect()
 }
 
-/// Renders [`merge_journals`] as JSON Lines — the sharded counterpart of
+/// Renders `merge_journals` as JSON Lines — the sharded counterpart of
 /// [`Telemetry::export_jsonl`], byte-identical to a single-shard export of
 /// the same run when no journal overflowed.
 pub fn merge_export_jsonl(shards: &[&Telemetry]) -> String {
@@ -590,7 +584,6 @@ mod tests {
         let tele = Telemetry::disabled();
         tele.event("x", 1).field("a", 1u64).emit();
         assert!(tele.journal().is_empty());
-        assert!(!tele.is_enabled());
         // Metrics still function (they are registry-owned, not gated), so
         // callers never need to branch.
         tele.metrics().counter("c").inc();

@@ -10,7 +10,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde_json::{Number, Value};
 
 /// A monotonically increasing `u64`.
 #[derive(Clone, Default)]
@@ -253,46 +252,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// All metric values as one sorted-key JSON object (counters as
-    /// integers, gauges as floats, histograms as `{count, sum, buckets}`).
-    pub fn export_json(&self) -> Value {
-        let metrics = self.metrics.lock();
-        let mut obj = std::collections::BTreeMap::new();
-        for (name, metric) in metrics.iter() {
-            let value = match metric {
-                Metric::Counter(c) => Value::Number(Number::U(c.get())),
-                Metric::Gauge(g) => Value::Number(Number::F(g.get())),
-                Metric::Histogram(h) => {
-                    let snap = h.snapshot();
-                    let mut hist = std::collections::BTreeMap::new();
-                    hist.insert("count".to_owned(), Value::Number(Number::U(snap.count)));
-                    hist.insert("sum".to_owned(), Value::Number(Number::F(snap.sum)));
-                    hist.insert(
-                        "bounds".to_owned(),
-                        Value::Array(
-                            snap.bounds
-                                .iter()
-                                .map(|&b| Value::Number(Number::F(b)))
-                                .collect(),
-                        ),
-                    );
-                    hist.insert(
-                        "buckets".to_owned(),
-                        Value::Array(
-                            snap.buckets
-                                .iter()
-                                .map(|&n| Value::Number(Number::U(n)))
-                                .collect(),
-                        ),
-                    );
-                    Value::Object(hist)
-                }
-            };
-            obj.insert(name.clone(), value);
-        }
-        Value::Object(obj)
-    }
-
     /// Human-readable listing of every metric, sorted by name.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -366,15 +325,5 @@ mod tests {
         assert!(h.mean() > 100.0);
         let p50 = snap.quantile(0.5);
         assert!(p50 <= 10.0, "p50 {p50}");
-    }
-
-    #[test]
-    fn export_json_is_sorted_and_typed() {
-        let registry = MetricsRegistry::new();
-        registry.counter("b.count").add(2);
-        registry.gauge("a.value").set(1.5);
-        let json = serde_json::to_string(&registry.export_json()).unwrap();
-        // BTreeMap ordering puts a.value first; gauge is a float, counter an int.
-        assert_eq!(json, r#"{"a.value":1.5,"b.count":2}"#);
     }
 }

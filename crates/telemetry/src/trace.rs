@@ -258,7 +258,7 @@ impl Span {
 
     /// Whether any merged record marks this span as an open marker that
     /// must later settle (names ending in `.open`).
-    pub fn has_open_marker(&self) -> bool {
+    fn has_open_marker(&self) -> bool {
         self.record_names.iter().any(|n| n.ends_with(".open"))
     }
 }
@@ -295,7 +295,7 @@ pub struct TraceTree {
 
 impl TraceTree {
     /// The earliest root span, if the trace is non-empty.
-    pub fn root_span(&self) -> Option<&Span> {
+    fn root_span(&self) -> Option<&Span> {
         self.roots.first().and_then(|id| self.spans.get(id))
     }
 
@@ -336,7 +336,7 @@ impl TraceTree {
     }
 
     /// Settled-span duration totals by span name.
-    pub fn phase_breakdown(&self) -> BTreeMap<String, PhaseStat> {
+    fn phase_breakdown(&self) -> BTreeMap<String, PhaseStat> {
         let mut out: BTreeMap<String, PhaseStat> = BTreeMap::new();
         for span in self.spans.values() {
             if let Some(d) = span.duration_us() {
@@ -543,7 +543,7 @@ impl TraceForest {
     }
 
     /// Settled-span duration totals by name, across every trace.
-    pub fn phase_totals(&self) -> BTreeMap<String, PhaseStat> {
+    fn phase_totals(&self) -> BTreeMap<String, PhaseStat> {
         let mut out: BTreeMap<String, PhaseStat> = BTreeMap::new();
         for tree in self.traces.values() {
             for (name, stat) in tree.phase_breakdown() {
@@ -596,7 +596,7 @@ pub fn check_journal(events: &[Event]) -> Vec<String> {
 /// Windowed per-host availability from `net.host.state` transitions:
 /// the up-fraction of each `window_us`-wide window from time 0 to the
 /// last event. Hosts are assumed up until their first transition.
-pub fn host_availability(events: &[Event], window_us: u64) -> BTreeMap<u64, Vec<f64>> {
+fn host_availability(events: &[Event], window_us: u64) -> BTreeMap<u64, Vec<f64>> {
     let window_us = window_us.max(1);
     let end = events
         .iter()
