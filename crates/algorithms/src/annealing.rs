@@ -12,7 +12,9 @@ use crate::hierarchy::{
     EXPLORATION_RING,
 };
 use crate::parallel::shard_seed;
-use crate::traits::{keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm};
+use crate::traits::{
+    choose, feasible_initial, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use redep_model::{
@@ -239,9 +241,7 @@ impl AnnealingAlgorithm {
         let n_comps = cm.n_comps();
 
         // Starting point: the initial deployment, when valid.
-        let valid_initial = initial
-            .map(|d| cm.compile_assignment(d))
-            .filter(|a| c.constraints.check(a));
+        let valid_initial = feasible_initial(c, initial);
 
         if n_comps == 0 {
             let assign = valid_initial.unwrap_or_default();
@@ -262,6 +262,8 @@ impl AnnealingAlgorithm {
             });
         }
 
+        // The guard's baseline, priced once from the checked start.
+        let base = valid_initial.as_ref().map(|a| c.scorer().assign_from(a));
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         // Without a valid initial deployment, first-fit from a random host
         // per component.
@@ -306,12 +308,9 @@ impl AnnealingAlgorithm {
         };
         let chain = metropolis(c, &cfg, start, &mut rng, uniform);
 
-        let (deployment, value) = keep_best(
-            c,
-            initial,
-            Some((cm.decode_assignment(&chain.best), chain.best_value)),
-        )
-        .ok_or(AlgoError::NoFeasibleDeployment)?;
+        let candidate = Some((cm.decode_assignment(&chain.best), chain.best_value));
+        let (deployment, value) =
+            choose(c, initial, base, candidate).ok_or(AlgoError::NoFeasibleDeployment)?;
         Ok(AlgoResult {
             algorithm: FLAT_NAME.to_owned(),
             deployment,

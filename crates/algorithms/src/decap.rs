@@ -34,7 +34,7 @@ use crate::compiled::{compile, Compiled};
 use crate::hierarchy::HierarchicalConfig;
 use crate::parallel::{run_shards, run_shards_beside};
 use crate::traits::{
-    baseline, choose, keep_best, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm,
+    baseline, choose, feasible_initial, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm,
 };
 use redep_model::{
     AwarenessGraph, CompiledModel, ConstraintChecker, Deployment, DeploymentModel, Objective,
@@ -490,15 +490,12 @@ impl DecApAlgorithm {
         }
     }
 
-    /// DecAp improves a *running* deployment; without a valid one, start
-    /// from a deterministic first-fit.
+    /// DecAp improves a *running* deployment, the [`feasible_initial`] one;
+    /// without one, start from a deterministic first-fit.
     fn starting_assignment(
         c: &Compiled<'_>,
-        initial: Option<&Deployment>,
+        valid: Option<Vec<u32>>,
     ) -> Result<Vec<u32>, AlgoError> {
-        let valid = initial
-            .map(|d| c.model.compile_assignment(d))
-            .filter(|a| c.constraints.check(a));
         if let Some(a) = valid {
             return Ok(a);
         }
@@ -519,7 +516,9 @@ impl DecApAlgorithm {
         let cm = &c.model;
         let n_hosts = cm.n_hosts();
         let mut views = Views::new(cm, self.awareness.as_ref());
-        let mut assign = Self::starting_assignment(c, initial)?;
+        let valid = feasible_initial(c, initial);
+        let base = valid.as_ref().map(|a| c.scorer().assign_from(a));
+        let mut assign = Self::starting_assignment(c, valid)?;
         let mut bidding = self.bidding(n_hosts);
 
         let mut inc = c.scorer();
@@ -584,7 +583,7 @@ impl DecApAlgorithm {
         let delta = inc.delta_evaluations();
         let candidate = Some((cm.decode_assignment(&assign), last_value));
         let (deployment, value) =
-            keep_best(c, initial, candidate).ok_or(AlgoError::NoFeasibleDeployment)?;
+            choose(c, initial, base, candidate).ok_or(AlgoError::NoFeasibleDeployment)?;
         Ok(AlgoResult {
             algorithm: FLAT_NAME.to_owned(),
             deployment,
@@ -621,7 +620,7 @@ impl DecApAlgorithm {
         let hier = cm.hierarchy();
         let k = hier.n_clusters();
         let mut views = Views::new(cm, self.awareness.as_ref());
-        let mut assign = Self::starting_assignment(c, initial)?;
+        let mut assign = Self::starting_assignment(c, feasible_initial(c, initial))?;
 
         struct AuctionOut {
             /// `(component, from-host, to-host)` winning moves, in the order

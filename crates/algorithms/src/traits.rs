@@ -158,6 +158,16 @@ pub(crate) fn keep_best(
     choose(c, initial, baseline(c, initial), candidate)
 }
 
+/// `initial` compiled, when it is feasible: where a search that improves
+/// the running deployment starts, and what [`baseline`] prices.
+pub(crate) fn feasible_initial(
+    c: &crate::compiled::Compiled<'_>,
+    initial: Option<&Deployment>,
+) -> Option<Vec<u32>> {
+    let assign = c.model.compile_assignment(initial?);
+    c.constraints.check(&assign).then_some(assign)
+}
+
 /// The guard's baseline: the value of `initial` when it is feasible. It
 /// depends on nothing a search does, so a hierarchical body prices it
 /// beside the search.
@@ -165,10 +175,7 @@ pub(crate) fn baseline(
     c: &crate::compiled::Compiled<'_>,
     initial: Option<&Deployment>,
 ) -> Option<f64> {
-    let assign = c.model.compile_assignment(initial?);
-    c.constraints
-        .check(&assign)
-        .then(|| c.scorer().assign_from(&assign))
+    feasible_initial(c, initial).map(|assign| c.scorer().assign_from(&assign))
 }
 
 /// The guard's decision between the search's `candidate` and `initial`

@@ -50,5 +50,5 @@ pub use centralized::{CentralizedFramework, CycleReport};
 pub use decentralized::{DecentralizedCycleReport, DecentralizedFramework};
 pub use error::CoreError;
 pub use recovery::RecoveryPolicy;
-pub use runtime::{Engine, Runtime, RuntimeConfig, ShardedRuntime, SystemRuntime};
+pub use runtime::{Runtime, RuntimeConfig, ShardedRuntime, SystemRuntime};
 pub use scenario::{Scenario, ScenarioConfig};

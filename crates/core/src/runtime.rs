@@ -8,10 +8,11 @@
 use crate::error::CoreError;
 use redep_desi::SystemData;
 use redep_model::{ComponentId, Deployment, DeploymentModel, HostId};
-use redep_netsim::{Duration, NetworkTopology, Node, ShardedSimulator, Simulator};
+use redep_netsim::{Duration, NetworkTopology, ShardedSimulator, Simulator};
 use redep_prism::workload::{InteractionSpec, WORKLOAD_TYPE};
 use redep_prism::{host::HostConfig, ComponentFactory, PrismHost, WorkloadComponent};
 use redep_telemetry::Telemetry;
+use std::borrow::BorrowMut;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of a system runtime.
@@ -39,46 +40,6 @@ impl Default for RuntimeConfig {
 
 /// The simulated time [`SystemRuntime::settle`] runs between two checks.
 pub(crate) const SETTLE_STEP: Duration = Duration::from_millis(500);
-
-/// What a [`Runtime`] needs of its engine — implemented by the one
-/// simulation engine, [`ShardedSimulator`], and by its one-shard face,
-/// [`Simulator`].
-pub trait Engine {
-    /// Borrows the node on `host`, downcast to its concrete type.
-    fn node_ref<T: Node>(&self, host: HostId) -> Option<&T>;
-    /// Mutably borrows the node on `host`, downcast to its concrete type.
-    fn node_mut<T: Node>(&mut self, host: HostId) -> Option<&mut T>;
-    /// Registers a node on `host`.
-    fn add_host(&mut self, host: HostId, node: impl Node);
-    /// The (first shard's) telemetry handle, where system-wide gauges go.
-    fn telemetry(&self) -> &Telemetry;
-    /// Folds the ground-truth network statistics into `net.truth.*` gauges.
-    fn publish_gauges(&self);
-}
-
-macro_rules! delegate_engine {
-    ($($engine:ty),*) => {$(
-        impl Engine for $engine {
-            fn node_ref<T: Node>(&self, host: HostId) -> Option<&T> {
-                <$engine>::node_ref(self, host)
-            }
-            fn node_mut<T: Node>(&mut self, host: HostId) -> Option<&mut T> {
-                <$engine>::node_mut(self, host)
-            }
-            fn add_host(&mut self, host: HostId, node: impl Node) {
-                <$engine>::add_host(self, host, node)
-            }
-            fn telemetry(&self) -> &Telemetry {
-                <$engine>::telemetry(self)
-            }
-            fn publish_gauges(&self) {
-                <$engine>::publish_gauges(self)
-            }
-        }
-    )*};
-}
-
-delegate_engine!(Simulator, ShardedSimulator);
 
 /// A running distributed system: one [`PrismHost`] per model host, workload
 /// components realizing the model's logical links, all executing inside the
@@ -129,10 +90,8 @@ impl SystemRuntime {
         deployment: &Deployment,
         config: &RuntimeConfig,
     ) -> Result<Self, CoreError> {
-        let mut sim = Simulator::new(config.seed);
-        for (pair, state) in NetworkTopology::from_model(model).links() {
-            sim.set_link(pair.lo(), pair.hi(), state.spec);
-        }
+        let topology = NetworkTopology::from_model(model);
+        let sim = Simulator::with_topology(config.seed, &topology);
         Runtime::mount(sim, model, deployment, config)
     }
 
@@ -233,7 +192,7 @@ impl ShardedRuntime {
     }
 }
 
-impl<S: Engine> Runtime<S> {
+impl<S: BorrowMut<ShardedSimulator>> Runtime<S> {
     /// Mounts one assembled [`PrismHost`] per model host on `sim`.
     fn mount(
         mut sim: S,
@@ -245,7 +204,7 @@ impl<S: Engine> Runtime<S> {
         let mut hosts = Vec::with_capacity(assembled.len());
         for (h, prism) in assembled {
             hosts.push(h);
-            sim.add_host(h, prism);
+            sim.borrow_mut().add_host(h, prism);
         }
         Ok(Runtime {
             sim,
@@ -258,14 +217,14 @@ impl<S: Engine> Runtime<S> {
     /// The system-wide telemetry handle (disabled unless installed; the
     /// first shard's on a sharded runtime).
     pub fn telemetry(&self) -> &Telemetry {
-        self.sim.telemetry()
+        self.sim.borrow().telemetry()
     }
 
     /// Folds ground-truth gauges into the telemetry registry: the
     /// simulator's `net.truth.*` set, every host's `prism.h<id>.*` set, and
     /// the system-wide measured availability.
     pub fn publish_gauges(&self) {
-        self.sim.publish_gauges();
+        self.sim.borrow().publish_gauges();
         for &h in &self.hosts {
             if let Some(host) = self.host(h) {
                 host.publish_gauges();
@@ -304,12 +263,12 @@ impl<S: Engine> Runtime<S> {
 
     /// Borrows the Prism runtime of one host.
     pub fn host(&self, h: HostId) -> Option<&PrismHost> {
-        self.sim.node_ref::<PrismHost>(h)
+        self.sim.borrow().node_ref::<PrismHost>(h)
     }
 
     /// Mutably borrows the Prism runtime of one host.
     pub fn host_mut(&mut self, h: HostId) -> Option<&mut PrismHost> {
-        self.sim.node_mut::<PrismHost>(h)
+        self.sim.borrow_mut().node_mut::<PrismHost>(h)
     }
 
     /// Application events `(emitted, received)` so far, summed over all
@@ -370,7 +329,7 @@ impl<S: Engine> Runtime<S> {
     pub fn resync_directories(&mut self) {
         let actual = self.actual_deployment();
         for &h in &self.hosts {
-            if let Some(host) = self.sim.node_mut::<PrismHost>(h) {
+            if let Some(host) = self.sim.borrow_mut().node_mut::<PrismHost>(h) {
                 host.resync_directory(actual.clone());
             }
         }
@@ -384,7 +343,7 @@ impl<S: Engine> Runtime<S> {
     pub fn drain_recovery_reports(&mut self) -> Vec<redep_prism::RecoveryReport> {
         let mut out = Vec::new();
         for &h in &self.hosts {
-            if let Some(host) = self.sim.node_mut::<PrismHost>(h) {
+            if let Some(host) = self.sim.borrow_mut().node_mut::<PrismHost>(h) {
                 out.extend(host.take_fresh_recovery_reports());
             }
         }
@@ -439,14 +398,17 @@ fn assemble_hosts(
         .collect();
 
     let hosts = model.host_ids();
-    // One O(links) pass instead of a full link scan per host.
-    let mut neighbor_lists: BTreeMap<HostId, BTreeSet<HostId>> = BTreeMap::new();
+    // One O(links) pass, in link order, for the neighbor sets and the
+    // routes: `model.neighbors` scans every physical link, so calling it per
+    // host or per BFS visit is O(hosts² · links) — minutes at a thousand
+    // dense hosts.
+    let mut adjacency: BTreeMap<HostId, Vec<HostId>> =
+        hosts.iter().map(|&h| (h, Vec::new())).collect();
     for link in model.physical_links() {
         let (lo, hi) = (link.ends().lo(), link.ends().hi());
-        neighbor_lists.entry(lo).or_default().insert(hi);
-        neighbor_lists.entry(hi).or_default().insert(lo);
+        adjacency.entry(lo).or_default().push(hi);
+        adjacency.entry(hi).or_default().push(lo);
     }
-    let routes = routing_tables(model);
     let master = config.master;
     // Even without a master, control traffic needs a mediation address;
     // unreachable mediation is simply dropped.
@@ -457,12 +419,8 @@ fn assemble_hosts(
         factory.register(WORKLOAD_TYPE, WorkloadComponent::build);
         let host_config = HostConfig {
             deployer_host: mediation.unwrap_or(h),
-            neighbors: neighbor_lists
-                .remove(&h)
-                .unwrap_or_default()
-                .into_iter()
-                .collect(),
-            routes: routes.get(&h).cloned().unwrap_or_default(),
+            neighbors: adjacency[&h].iter().copied().collect(),
+            routes: routes_from(h, &adjacency),
             buffer_during_migration: config.buffer_during_migration,
             ..HostConfig::default()
         };
@@ -482,52 +440,26 @@ fn assemble_hosts(
     Ok((assembled, names))
 }
 
-/// Computes per-host next-hop routing tables over the model's physical
-/// topology (BFS shortest paths). Entry `tables[h][d] = n` means host `h`
-/// relays frames for `d` through its neighbor `n`; direct neighbors are
-/// omitted (they need no relay).
-fn routing_tables(model: &DeploymentModel) -> BTreeMap<HostId, BTreeMap<HostId, HostId>> {
-    let hosts = model.host_ids();
-    // Precompute adjacency once: `model.neighbors` scans every physical
-    // link, so calling it per BFS visit makes this O(hosts² · links) —
-    // minutes at a thousand dense hosts.
-    let mut adjacency: BTreeMap<HostId, Vec<HostId>> = BTreeMap::new();
-    for &h in &hosts {
-        adjacency.insert(h, Vec::new());
-    }
-    for link in model.physical_links() {
-        let (lo, hi) = (link.ends().lo(), link.ends().hi());
-        adjacency.entry(lo).or_default().push(hi);
-        adjacency.entry(hi).or_default().push(lo);
-    }
-    let mut tables: BTreeMap<HostId, BTreeMap<HostId, HostId>> = BTreeMap::new();
-    for &src in &hosts {
-        let mut parent: BTreeMap<HostId, HostId> = BTreeMap::new();
-        let mut queue = std::collections::VecDeque::from([src]);
-        let mut seen: BTreeSet<HostId> = BTreeSet::from([src]);
-        while let Some(u) = queue.pop_front() {
-            for &v in &adjacency[&u] {
-                if seen.insert(v) {
-                    parent.insert(v, u);
-                    queue.push_back(v);
-                }
+/// Next-hop routes from `src` over the physical `adjacency` (BFS shortest
+/// paths). Entry `d → n` means `src` relays frames for `d` through its
+/// neighbor `n`; direct neighbors are omitted (they need no relay).
+fn routes_from(src: HostId, adjacency: &BTreeMap<HostId, Vec<HostId>>) -> BTreeMap<HostId, HostId> {
+    // The first hop towards every host the BFS has reached, recorded when
+    // it is discovered: the host itself below `src`, else its parent's.
+    let mut first = BTreeMap::from([(src, src)]);
+    let mut queue = std::collections::VecDeque::from([src]);
+    while let Some(u) = queue.pop_front() {
+        for &v in &adjacency[&u] {
+            if !first.contains_key(&v) {
+                let hop = if u == src { v } else { first[&u] };
+                first.insert(v, hop);
+                queue.push_back(v);
             }
         }
-        let neighbors: BTreeSet<HostId> = adjacency[&src].iter().copied().collect();
-        let table = tables.entry(src).or_default();
-        for &dst in &hosts {
-            if dst == src || neighbors.contains(&dst) || !parent.contains_key(&dst) {
-                continue;
-            }
-            // Walk back from dst until the node whose parent is src.
-            let mut hop = dst;
-            while parent[&hop] != src {
-                hop = parent[&hop];
-            }
-            table.insert(dst, hop);
-        }
     }
-    tables
+    // `src` and its direct neighbors are their own first hop.
+    first.retain(|dst, hop| dst != hop);
+    first
 }
 
 #[cfg(test)]
@@ -696,7 +628,10 @@ mod tests {
     /// Publishes `rt`'s gauges and checks that they carry the counts their
     /// layers keep: the engine's `NetStats` as `net.truth.*`, every durable
     /// store's per-kind table as `prism.h<id>.durable.{records,bytes}.<kind>`.
-    fn assert_gauges_export_the_counts<S: Engine>(rt: &Runtime<S>, net: &NetStats) {
+    fn assert_gauges_export_the_counts<S: BorrowMut<ShardedSimulator>>(
+        rt: &Runtime<S>,
+        net: &NetStats,
+    ) {
         rt.publish_gauges();
         let truth = rt.telemetry().metrics();
         for (name, value) in [

@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] is a schedule of timed [`FaultEpisode`]s — host crashes,
 //! partitions, link-quality degradations and link flaps — expressed in
-//! absolute simulated seconds. Installing a plan on a [`Simulator`]
-//! (see [`Simulator::install_fault_plan`]) expands every episode into a
+//! absolute simulated seconds. Installing a plan on the engine (see
+//! [`ShardedSimulator::install_fault_plan`]) expands every episode into a
 //! fixed set of timed actions on the event queue, so the same plan on the
 //! same seed replays the same faults at the same instants, byte for byte.
 //!
@@ -11,8 +11,7 @@
 //! ([`FaultPlan::to_json`] / [`FaultPlan::from_json`]), which makes campaign
 //! matrices and regression scenarios checkable into the repository.
 //!
-//! [`Simulator`]: crate::Simulator
-//! [`Simulator::install_fault_plan`]: crate::Simulator::install_fault_plan
+//! [`ShardedSimulator::install_fault_plan`]: crate::ShardedSimulator::install_fault_plan
 
 use crate::time::SimTime;
 use redep_model::HostId;

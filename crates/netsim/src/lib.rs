@@ -17,7 +17,7 @@
 //!   [`Simulator::partition`]),
 //! * deterministic, serde-loadable **fault plans** — timed schedules of
 //!   crashes, partitions, degradations and flaps ([`faultplan`],
-//!   [`Simulator::install_fault_plan`]),
+//!   [`ShardedSimulator::install_fault_plan`]),
 //! * ground-truth **statistics** per link ([`NetStats`]) against which
 //!   monitoring accuracy can be judged.
 //!
@@ -25,7 +25,8 @@
 //! `(time, packed key)` order, and every random decision a counter hash of
 //! the seed — no RNG stream. A simulation is therefore a pure function of
 //! (topology, node behavior, seed), byte-identical at any shard and thread
-//! count. [`Simulator`] is that engine at one shard.
+//! count. [`Simulator`] is that engine at one shard: it dereferences to it and
+//! adds the one-shard signatures and the direct topology calls.
 //!
 //! # Example
 //!

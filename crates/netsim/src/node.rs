@@ -13,10 +13,10 @@ use std::any::Any;
 /// node needs no internal synchronization.
 ///
 /// The `Any` supertrait lets tests and harnesses inspect node state after a
-/// run via [`Simulator::node_ref`](crate::Simulator::node_ref). The `Send`
-/// supertrait lets the sharded simulator move nodes onto worker threads —
-/// callbacks still never run concurrently for one host, so nodes need no
-/// internal synchronization.
+/// run via [`ShardedSimulator::node_ref`](crate::ShardedSimulator::node_ref).
+/// The `Send` supertrait lets the sharded simulator move nodes onto worker
+/// threads — callbacks still never run concurrently for one host, so nodes
+/// need no internal synchronization.
 pub trait Node: Any + Send {
     /// Called once when the simulation starts (or when the node is added to
     /// a running simulation).

@@ -131,7 +131,7 @@ use crate::message::Message;
 use crate::node::{Node, NodeAction, NodeCtx};
 use crate::stats::{NetStats, NO_LINK_STATS};
 use crate::time::{Duration, SimTime};
-use crate::topology::{LinkSpec, NetworkTopology};
+use crate::topology::{LinkSpec, LinkState, NetworkTopology};
 use redep_model::{delay_units, HostId, HostPair};
 use redep_telemetry::{trace::DOMAIN_NET, SpanIdGen, Telemetry, TraceCtx};
 use std::any::Any;
@@ -857,14 +857,14 @@ impl ShardCore {
         };
         self.stats.record_sent(stats);
         let ends_up = self.topology.host_is_up(src) && self.topology.host_is_up(dst);
-        let live = at.and_then(|at| self.topology.link_at(at / 2));
-        let Some(spec) = live.filter(|link| link.up && ends_up).map(|link| link.spec) else {
+        let link = at.map(|at| (at, *self.topology.link_at(at / 2)));
+        let Some((at, LinkState { spec, .. })) = link.filter(|(_, link)| link.up && ends_up) else {
             self.stats.record_disconnected(stats);
             self.record_drop(src, dst, "disconnected");
             return;
         };
         let dst_dense = self.plan.dense(dst);
-        let dir = &mut self.dirs[at.expect("a live link has a slot")];
+        let dir = &mut self.dirs[at];
         let counter = dir.loss_counter;
         dir.loss_counter += 1;
         let stream = (u64::from(src_dense) << 32) | u64::from(dst_dense);
@@ -1017,8 +1017,8 @@ impl ShardCore {
         }
     }
 
-    /// Applies tick `tick` of fluctuation model `model` to every live link
-    /// of the replica and schedules the next tick. Each link's draw hashes
+    /// Applies tick `tick` of fluctuation model `model` to every link of
+    /// the replica and schedules the next tick. Each link's draw hashes
     /// `(seed, model, tick, slot)`, so the result is layout-invariant.
     fn fluctuate(&mut self, model: usize, tick: u64) {
         let (interval, fluctuation) = self.fluctuations[model].clone();
@@ -1124,29 +1124,26 @@ impl ShardedSimulator {
 
     /// The live topology: link specs, link and host up/down as broadcast
     /// actions left them (every shard holds the same replica between runs).
-    pub(crate) fn topology(&self) -> &NetworkTopology {
+    pub fn topology(&self) -> &NetworkTopology {
         &self.cores[0].topology
     }
 
     /// Registers a node on `host` and schedules its [`Node::on_start`]. A
-    /// one-shard simulator registers a host it does not know yet.
+    /// one-shard simulator registers a host it does not know yet, with the
+    /// next dense index.
     ///
     /// # Panics
     ///
     /// Panics if the host already carries a node, or is unknown to a plan of
     /// several shards.
     pub fn add_host(&mut self, host: HostId, node: impl Node) {
-        self.add_boxed(host, Box::new(node));
-    }
-
-    pub(crate) fn add_boxed(&mut self, host: HostId, node: Box<dyn Node>) {
         self.register(host);
         let dense = self.plan.dense(host);
         let now = self.now;
         let core = &mut self.cores[self.plan.shard_of_dense(dense)];
         let slot = &mut core.nodes[dense as usize];
         assert!(slot.is_none(), "host {host} already has a node");
-        *slot = Some(node);
+        *slot = Some(Box::new(node));
         let key = pack_key(KIND_START, dense, 0);
         core.queue.push(now, key, Event::Start { host });
     }

@@ -1,145 +1,55 @@
 //! The one-shard face of the simulation engine.
 //!
-//! [`Simulator`] is [`ShardedSimulator`] at one shard — the same event loop,
-//! loss draws, per-direction media and broadcast actions. On top it offers
-//! what a single-threaded driver wants: hosts and links registered one by
-//! one with no topology built first, and direct topology calls between runs
-//! (crash a host, cut a partition, take a link down).
+//! [`Simulator`] is a [`ShardedSimulator`] built at one shard and
+//! dereferences to it: hosts, links, fault plans, fluctuation and node access
+//! are the engine's own calls. The face keeps what a single-threaded driver
+//! wants in a one-shard signature — one telemetry handle, the statistics by
+//! reference, runs without a thread count — and the direct topology calls
+//! between runs (crash a host, cut a partition, take a link down).
 
-use crate::faultplan::{FaultAction, FaultPlan};
-use crate::fluctuation::FluctuationModel;
-use crate::node::Node;
+use crate::faultplan::FaultAction;
 use crate::shard::ShardedSimulator;
 use crate::stats::NetStats;
 use crate::time::{Duration, SimTime};
-use crate::topology::{LinkSpec, NetworkTopology};
+use crate::topology::NetworkTopology;
 use redep_model::HostId;
 use redep_telemetry::Telemetry;
-use std::any::Any;
+use std::borrow::{Borrow, BorrowMut};
+use std::ops::{Deref, DerefMut};
 
 /// A deterministic discrete-event network simulator: the engine at one
 /// shard. See the [crate docs](crate) for an end-to-end example.
 ///
-/// The shard plan — dense host indices, hence packed event keys — is built
-/// from the hosts and links registered so far at the first run, or at the
-/// first call that acts on the network, exactly as
-/// [`ShardPlan::partition`](crate::ShardPlan::partition) builds it. A run is
-/// therefore byte-identical to a [`ShardedSimulator`] run over the same
-/// topology at any shard and thread count.
-pub struct Simulator {
-    seed: u64,
-    engine: ShardedSimulator,
-    /// What was registered before the plan was built (`None` after).
-    staged: Option<Staged>,
-}
-
-/// Hosts, links and nodes registered before the plan was built.
-#[derive(Default)]
-struct Staged {
-    topology: NetworkTopology,
-    nodes: Vec<(HostId, Box<dyn Node>)>,
-}
-
-impl std::fmt::Debug for Simulator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulator")
-            .field("staged", &self.staged.is_some())
-            .field("engine", &self.engine)
-            .finish()
-    }
-}
+/// A host the topology did not name gets the next dense index when it is
+/// first registered (see [`ShardPlan`](crate::ShardPlan)), so hosts
+/// registered in ascending id order build the plan
+/// [`ShardPlan::partition`](crate::ShardPlan::partition) builds, and a run
+/// is byte-identical to a [`ShardedSimulator`] run over the same topology at
+/// any shard and thread count.
+#[derive(Debug)]
+pub struct Simulator(ShardedSimulator);
 
 impl Simulator {
     /// Creates a simulator with the given seed and an empty topology.
     /// Telemetry starts as a no-op sink; see [`Simulator::set_telemetry`].
     pub fn new(seed: u64) -> Self {
-        Simulator {
-            seed,
-            engine: ShardedSimulator::new(seed, &NetworkTopology::new(), 1),
-            staged: Some(Staged::default()),
-        }
+        Simulator::with_topology(seed, &NetworkTopology::new())
     }
 
-    /// The engine, its plan built from the staged hosts and links first if
-    /// that has not happened yet.
-    fn engine(&mut self) -> &mut ShardedSimulator {
-        if let Some(staged) = self.staged.take() {
-            self.engine = ShardedSimulator::new(self.seed, &staged.topology, 1);
-            for (host, node) in staged.nodes {
-                self.engine.add_boxed(host, node);
-            }
-        }
-        &mut self.engine
+    /// Creates a simulator over `topology`: the engine at one shard.
+    pub fn with_topology(seed: u64, topology: &NetworkTopology) -> Self {
+        Simulator(ShardedSimulator::new(seed, topology, 1))
     }
 
     /// Installs a telemetry handle: the engine journals into it from now on
     /// (records made under the previous handle stay with that handle).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.engine().set_telemetry(vec![telemetry]);
-    }
-
-    /// The telemetry handle (a disabled no-op sink unless one was installed).
-    pub fn telemetry(&self) -> &Telemetry {
-        self.engine.telemetry()
-    }
-
-    /// Folds the ground-truth [`NetStats`] into the telemetry registry's
-    /// `net.truth.*` gauges (see [`NetStats::publish_gauges`]).
-    pub fn publish_gauges(&self) {
-        self.engine.publish_gauges();
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
-    /// The live network topology.
-    pub fn topology(&self) -> &NetworkTopology {
-        match &self.staged {
-            Some(staged) => &staged.topology,
-            None => self.engine.topology(),
-        }
+        self.0.set_telemetry(vec![telemetry]);
     }
 
     /// Ground-truth statistics gathered so far.
     pub fn stats(&self) -> &NetStats {
-        self.engine.shard_stats(0)
-    }
-
-    /// Messages accepted by the network but not yet delivered (scheduled
-    /// delivery events still in the queue). Together with the statistics
-    /// this makes conservation checkable at any instant:
-    /// `sent == delivered + dropped + in_flight`.
-    pub fn in_flight(&self) -> usize {
-        self.engine.in_flight()
-    }
-
-    /// Registers a node on `host` and schedules its [`Node::on_start`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host already carries a node.
-    pub fn add_host(&mut self, host: HostId, node: impl Node) {
-        let Some(staged) = &mut self.staged else {
-            return self.engine.add_host(host, node);
-        };
-        let taken = staged.nodes.iter().any(|(h, _)| *h == host);
-        assert!(!taken, "host {host} already has a node");
-        staged.topology.add_host(host);
-        staged.nodes.push((host, Box::new(node)));
-    }
-
-    /// Creates or replaces the link between `a` and `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is invalid or `a == b`.
-    pub fn set_link(&mut self, a: HostId, b: HostId, spec: LinkSpec) {
-        match &mut self.staged {
-            Some(staged) => staged.topology.set_link(a, b, spec),
-            None => self.engine.set_link(a, b, spec),
-        }
+        self.0.shard_stats(0)
     }
 
     /// Marks a link up or down.
@@ -149,69 +59,38 @@ impl Simulator {
         } else {
             FaultAction::LinkDown(a, b)
         };
-        self.engine().apply(&action);
+        self.0.apply(&action);
     }
 
     /// Marks a host up or down. A down host receives neither messages nor
     /// timer callbacks; messages are dropped, timers are deferred and replay
     /// immediately when the host comes back up (so periodic loops resume
     /// after a restart instead of dying with the crash), right after the
-    /// node's [`Node::on_restart`] hook.
+    /// node's [`Node::on_restart`](crate::Node::on_restart) hook.
     pub fn set_host_up(&mut self, host: HostId, up: bool) {
         let action = if up {
             FaultAction::HostUp(host)
         } else {
             FaultAction::HostDown(host)
         };
-        self.engine().apply(&action);
+        self.0.apply(&action);
     }
 
     /// Partitions the network (see [`NetworkTopology::partition`]).
     pub fn partition(&mut self, groups: &[Vec<HostId>]) {
-        self.engine()
-            .apply(&FaultAction::PartitionStart(groups.to_vec()));
+        self.0.apply(&FaultAction::PartitionStart(groups.to_vec()));
     }
 
     /// Heals all partitions: every link comes back up.
     pub fn heal(&mut self) {
-        let engine = self.engine();
-        let each_alone = engine.plan().hosts().iter().map(|h| vec![*h]).collect();
-        engine.apply(&FaultAction::PartitionHeal(each_alone));
-    }
-
-    /// Installs a fault plan (see [`ShardedSimulator::install_fault_plan`]).
-    pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        self.engine().install_fault_plan(plan);
-    }
-
-    /// Installs a fluctuation model applied every `interval` (see
-    /// [`ShardedSimulator::add_fluctuation`]).
-    pub fn add_fluctuation(&mut self, interval: Duration, model: impl FluctuationModel) {
-        self.engine().add_fluctuation(interval, model);
-    }
-
-    /// Borrows the node on `host`, downcast to its concrete type.
-    pub fn node_ref<T: Node>(&self, host: HostId) -> Option<&T> {
-        let Some(staged) = &self.staged else {
-            return self.engine.node_ref(host);
-        };
-        let (_, node) = staged.nodes.iter().find(|(h, _)| *h == host)?;
-        (node.as_ref() as &dyn Any).downcast_ref()
-    }
-
-    /// Mutably borrows the node on `host`, downcast to its concrete type.
-    pub fn node_mut<T: Node>(&mut self, host: HostId) -> Option<&mut T> {
-        let Some(staged) = &mut self.staged else {
-            return self.engine.node_mut(host);
-        };
-        let (_, node) = staged.nodes.iter_mut().find(|(h, _)| *h == host)?;
-        (node.as_mut() as &mut dyn Any).downcast_mut()
+        let each_alone = self.0.plan().hosts().iter().map(|h| vec![*h]).collect();
+        self.0.apply(&FaultAction::PartitionHeal(each_alone));
     }
 
     /// Sends a message from outside any node (e.g. a test driver). Subject
     /// to the same loss/disconnection semantics as node sends.
     pub fn inject(&mut self, src: HostId, dst: HostId, payload: impl Into<Vec<u8>>, size: u64) {
-        self.engine().inject(src, dst, payload.into(), size);
+        self.0.inject(src, dst, payload.into(), size);
     }
 
     /// Runs until simulated time reaches `deadline` (events at the deadline
@@ -221,7 +100,7 @@ impl Simulator {
     /// Fluctuation ticks keep a simulation alive forever, so simulations
     /// with fluctuation must be driven by deadline, never to exhaustion.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        self.engine().run_until(deadline, 1)
+        self.0.run_until(deadline, 1)
     }
 
     /// Runs for `span` of simulated time from now.
@@ -238,8 +117,8 @@ impl Simulator {
     /// with periodic timers or fluctuation must use [`Simulator::run_until`].
     pub fn run_to_completion(&mut self) -> u64 {
         let mut n = 0;
-        while let Some(next) = self.engine().next_event_time() {
-            n += self.engine.run_until(next, 1);
+        while let Some(next) = self.0.next_event_time() {
+            n += self.run_until(next);
             assert!(
                 n < 10_000_000,
                 "run_to_completion exceeded 10M events; use run_until for periodic workloads"
@@ -249,10 +128,36 @@ impl Simulator {
     }
 }
 
+impl Deref for Simulator {
+    type Target = ShardedSimulator;
+
+    fn deref(&self) -> &ShardedSimulator {
+        &self.0
+    }
+}
+
+impl DerefMut for Simulator {
+    fn deref_mut(&mut self) -> &mut ShardedSimulator {
+        &mut self.0
+    }
+}
+
+impl Borrow<ShardedSimulator> for Simulator {
+    fn borrow(&self) -> &ShardedSimulator {
+        &self.0
+    }
+}
+
+impl BorrowMut<ShardedSimulator> for Simulator {
+    fn borrow_mut(&mut self) -> &mut ShardedSimulator {
+        &mut self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Message, NodeCtx};
+    use crate::{LinkSpec, Message, Node, NodeCtx};
 
     fn h(n: u32) -> HostId {
         HostId::new(n)

@@ -69,7 +69,7 @@ const MAX_RAW_HOST_ID: u32 = 1 << 26;
 #[derive(Clone, Debug)]
 struct LinkSlot {
     ends: HostPair,
-    state: Option<LinkState>,
+    state: LinkState,
 }
 
 /// Per-host row of the dense table, indexed by raw host id.
@@ -97,7 +97,7 @@ pub struct NetworkTopology {
     slots: Vec<LinkSlot>,
 }
 
-/// Equality is by content — hosts, their status and the live links — not by
+/// Equality is by content — hosts, their status and the links — not by
 /// slot numbering, which records the order links were configured in.
 impl PartialEq for NetworkTopology {
     fn eq(&self, other: &Self) -> bool {
@@ -181,7 +181,7 @@ impl NetworkTopology {
         let ends = HostPair::new(a, b);
         self.add_host(a);
         self.add_host(b);
-        let state = Some(LinkState { spec, up: true });
+        let state = LinkState { spec, up: true };
         match self.link_slot(a, b) {
             Some(slot) => self.slots[slot].state = state,
             None => {
@@ -216,37 +216,37 @@ impl NetworkTopology {
     /// # Panics
     ///
     /// Panics if `slot` was never handed out.
-    pub fn link_at(&self, slot: usize) -> Option<&LinkState> {
-        self.slots[slot].state.as_ref()
+    pub fn link_at(&self, slot: usize) -> &LinkState {
+        &self.slots[slot].state
     }
 
     /// Returns the live state of a link.
     pub fn link(&self, a: HostId, b: HostId) -> Option<&LinkState> {
-        self.link_at(self.link_slot(a, b)?)
+        Some(self.link_at(self.link_slot(a, b)?))
     }
 
     /// Mutable access to a link's state.
     pub fn link_mut(&mut self, a: HostId, b: HostId) -> Option<&mut LinkState> {
         let slot = self.link_slot(a, b)?;
-        self.slots[slot].state.as_mut()
+        Some(&mut self.slots[slot].state)
     }
 
     /// Iterates over `(endpoints, state)` in endpoint order.
     pub fn links(&self) -> impl Iterator<Item = (HostPair, &LinkState)> {
         self.rows.iter().enumerate().flat_map(move |(lo, row)| {
             let above = row.links.partition_point(|&(p, _)| p as usize <= lo);
-            row.links[above..].iter().filter_map(move |&(_, slot)| {
+            row.links[above..].iter().map(move |&(_, slot)| {
                 let slot = &self.slots[slot as usize];
-                slot.state.as_ref().map(|state| (slot.ends, state))
+                (slot.ends, &slot.state)
             })
         })
     }
 
-    /// Mutable iteration over the live links' states with their slots, in
-    /// slot order (for fluctuation, whose draw for a link is keyed by slot).
+    /// Mutable iteration over the links' states with their slots, in slot
+    /// order (for fluctuation, whose draw for a link is keyed by slot).
     pub fn slots_mut(&mut self) -> impl Iterator<Item = (usize, &mut LinkState)> {
         let slots = self.slots.iter_mut().enumerate();
-        slots.filter_map(|(slot, link)| link.state.as_mut().map(|state| (slot, state)))
+        slots.map(|(slot, link)| (slot, &mut link.state))
     }
 
     /// Marks a link up or down.
@@ -279,7 +279,7 @@ impl NetworkTopology {
         self.link(a, b).is_some_and(|l| l.up)
     }
 
-    /// Applies `f(group of lo, group of hi, state)` to every live link whose
+    /// Applies `f(group of lo, group of hi, state)` to every link whose
     /// endpoints are both named by the grouping.
     fn for_grouped_links(
         &mut self,
@@ -297,9 +297,7 @@ impl NetworkTopology {
             else {
                 continue;
             };
-            if let Some(state) = slot.state.as_mut() {
-                f(*x, *y, state);
-            }
+            f(*x, *y, &mut slot.state);
         }
     }
 
@@ -311,8 +309,8 @@ impl NetworkTopology {
 
     /// Brings every link back up (heals all partitions).
     pub fn heal(&mut self) {
-        for state in self.slots.iter_mut().filter_map(|s| s.state.as_mut()) {
-            state.up = true;
+        for slot in &mut self.slots {
+            slot.state.up = true;
         }
     }
 
@@ -527,7 +525,7 @@ mod tests {
                 let slots: Vec<(usize, LinkState)> = topo.slots_mut().map(|(slot, l)| (slot, *l)).collect();
                 prop_assert_eq!(slots.len(), expected.len());
                 for (slot, state) in slots {
-                    prop_assert_eq!(topo.link_at(slot), Some(&state));
+                    prop_assert_eq!(topo.link_at(slot), &state);
                 }
                 for x in 0..6 {
                     for y in 0..6 {

@@ -198,7 +198,7 @@ pub struct ComponentFactory {
 }
 
 /// A constructor reconstituting a component from its state snapshot.
-pub type Constructor = Box<dyn Fn(&[u8]) -> Box<dyn ComponentBehavior> + Send>;
+type Constructor = Box<dyn Fn(&[u8]) -> Box<dyn ComponentBehavior> + Send>;
 
 impl fmt::Debug for ComponentFactory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -275,11 +275,11 @@ fn field_display(value: &FieldValue) -> String {
 
 /// Totals for one span name inside a trace or a whole journal.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PhaseStat {
+struct PhaseStat {
     /// Number of settled spans with this name.
-    pub count: u64,
+    count: u64,
     /// Sum of their durations, microseconds.
-    pub total_us: u64,
+    total_us: u64,
 }
 
 /// All spans of one trace, indexed by span ID.

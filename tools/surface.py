@@ -10,9 +10,12 @@ at column 0, skipping blank lines and `//` comment lines.
 Then lists every `pub fn`, `pub const` and `pub static` in `crates/*/src`
 (binaries under `src/bin/` excluded) whose name no other `.rs` file under
 `crates/`, `src/`, `tests/`, `examples/` or `benchmark/src/` mentions: a
-public item with no caller outside its own file. `--check` exits 1 when that
-list holds anything not in `EXEMPT` below, and when an exemption no longer
-matches an uncalled item (a stale exemption must not linger).
+public item with no caller outside its own file. It lists too every
+`pub struct`, `pub enum`, `pub trait` and `pub type` that no other file
+mentions and that no `pub fn` signature or `pub` field of its own file
+names: a public type nothing outside its file can reach. `--check` exits 1
+when that list holds anything not in `EXEMPT` below, and when an exemption
+no longer matches an unused item (a stale exemption must not linger).
 """
 
 import pathlib
@@ -30,6 +33,9 @@ EXEMPT = {
 SEARCHED = ("crates", "src", "tests", "examples", "benchmark/src")
 ITEM = re.compile(r"^\s*pub\s+(?:const\s+|async\s+|unsafe\s+|extern\s+\"C\"\s+)*"
                   r"(fn|const|static)\s+([A-Za-z_][A-Za-z0-9_]*)")
+TYPE = re.compile(r"^\s*pub\s+(struct|enum|trait|type)\s+([A-Za-z_][A-Za-z0-9_]*)")
+PUB_FN = re.compile(r"\bpub\s+(?:const\s+|async\s+|unsafe\s+)*fn\b[^{;]*")
+PUB_FIELD = re.compile(r"^\s*pub\s+[A-Za-z_][A-Za-z0-9_]*\s*:(?!:).*$", re.M)
 CFG_TEST = "#[cfg(test)]"
 
 
@@ -54,13 +60,25 @@ def non_test_lines(text):
     return n
 
 
+def before_tests(text):
+    """The text up to the first column-0 #[cfg(test)]."""
+    return re.split(r"^#\[cfg\(test\)\]", text, maxsplit=1, flags=re.M)[0]
+
+
 def public_items(text):
-    """(kind, name) of each pub fn/const/static before the test module."""
+    """(kind, name) of each pub item before the test module: every
+    fn/const/static, and each struct/enum/trait/type that no pub fn
+    signature or pub field of the file names."""
+    text = before_tests(text)
+    exposed = set()
+    for m in [*PUB_FN.finditer(text), *PUB_FIELD.finditer(text)]:
+        exposed |= set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", m.group(0)))
     for line in text.splitlines():
-        if line.startswith(CFG_TEST):
-            break
         m = ITEM.match(line)
         if m:
+            yield m.group(1), m.group(2)
+        m = TYPE.match(line)
+        if m and m.group(2) not in exposed:
             yield m.group(1), m.group(2)
 
 
