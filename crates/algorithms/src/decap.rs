@@ -34,7 +34,7 @@ use crate::compiled::{compile, Compiled};
 use crate::hierarchy::HierarchicalConfig;
 use crate::parallel::{run_shards, run_shards_beside};
 use crate::traits::{
-    baseline, choose, feasible_initial, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm,
+    choose, feasible_initial, preflight, AlgoError, AlgoResult, RedeploymentAlgorithm,
 };
 use redep_model::{
     AwarenessGraph, CompiledModel, ConstraintChecker, Deployment, DeploymentModel, Objective,
@@ -620,7 +620,8 @@ impl DecApAlgorithm {
         let hier = cm.hierarchy();
         let k = hier.n_clusters();
         let mut views = Views::new(cm, self.awareness.as_ref());
-        let mut assign = Self::starting_assignment(c, feasible_initial(c, initial))?;
+        let valid = feasible_initial(c, initial);
+        let mut assign = Self::starting_assignment(c, valid.clone())?;
 
         struct AuctionOut {
             /// `(component, from-host, to-host)` winning moves, in the order
@@ -645,9 +646,10 @@ impl DecApAlgorithm {
             .unwrap_or(1);
         let mut idle_rounds = 0usize;
         let threads = hcfg.threads.max(1) as u32;
-        // The baseline guard's pricing of `initial`, run beside the first
-        // round's auctions: it depends on nothing they do.
-        let mut baseline_job = Some(|| baseline(c, initial));
+        // The baseline guard's pricing of the checked start, with a
+        // throwaway scorer beside the first round's auctions: it depends on
+        // nothing they do.
+        let mut baseline_job = Some(|| valid.as_ref().map(|a| c.scorer().assign_from(a)));
         let mut base = None;
         let mut by_host = vec![Vec::new(); n_hosts];
         // Each shard's auction scratch, kept from round to round: an

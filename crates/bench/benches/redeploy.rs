@@ -29,7 +29,7 @@ fn effect_moves(moves: usize) {
     runtime
         .host_mut(master)
         .unwrap()
-        .effect_redeployment(target)
+        .effect_redeployment(target, None)
         .unwrap();
     for _ in 0..120 {
         runtime.run_for(Duration::from_millis(250));

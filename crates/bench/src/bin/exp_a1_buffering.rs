@@ -50,7 +50,7 @@ fn run(buffering: bool) -> (u64, u64, u64) {
     let master = rt.master().unwrap();
     rt.host_mut(master)
         .unwrap()
-        .effect_redeployment([("listener".to_owned(), HostId::new(2))].into())
+        .effect_redeployment([("listener".to_owned(), HostId::new(2))].into(), None)
         .unwrap();
     rt.run_for(Duration::from_secs_f64(20.0));
     assert!(rt

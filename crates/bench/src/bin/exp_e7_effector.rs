@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         runtime
             .host_mut(master)
             .unwrap()
-            .effect_redeployment(target)?;
+            .effect_redeployment(target, None)?;
 
         // Drive until completion.
         let mut elapsed = None;
@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     runtime
         .host_mut(master)
         .unwrap()
-        .effect_redeployment([(names[&busiest].clone(), dest)].into())?;
+        .effect_redeployment([(names[&busiest].clone(), dest)].into(), None)?;
     runtime.run_for(Duration::from_secs_f64(30.0));
 
     let (mut buffered, mut replayed) = (0, 0);

@@ -241,7 +241,7 @@ impl<S: BorrowMut<ShardedSimulator>> Runtime<S> {
         &self.sim
     }
 
-    /// The underlying simulator, mutable (fault injection, fluctuation, …).
+    /// The underlying simulator, mutable (fault plans, topology edits, …).
     pub fn sim_mut(&mut self) -> &mut S {
         &mut self.sim
     }
@@ -546,18 +546,19 @@ mod tests {
     }
 
     /// The proof that there is one engine: under a fault plan with a crash,
-    /// a partition, a degrade and a flap, plus Markov link churn, the
-    /// one-shard `SystemRuntime` and the `ShardedRuntime` at several shard
-    /// and thread counts journal, count and measure byte for byte alike.
+    /// a partition, a degrade and a flap, plus link churn (a flap on every
+    /// other link, each with its own phase and period), the one-shard
+    /// `SystemRuntime` and the `ShardedRuntime` at several shard and thread
+    /// counts journal, count and measure byte for byte alike.
     #[test]
     fn system_runtime_equals_sharded_runtime_under_faults_and_churn() {
-        use redep_netsim::{FaultKind, FaultPlan, MarkovLinkChurn};
+        use redep_netsim::{FaultKind, FaultPlan};
         let s = Generator::generate(&GeneratorConfig::sized(8, 24).with_seed(5)).unwrap();
         let (m, d) = (s.model, s.initial);
         let links: Vec<_> = m.physical_links().map(|l| l.ends()).collect();
         let hosts = m.host_ids();
         let (half, h) = (hosts.len() / 2, |i: usize| hosts[i]);
-        let plan = FaultPlan::new()
+        let mut plan = FaultPlan::new()
             .episode(3.0, 2.0, FaultKind::HostCrash { host: h(2) })
             .episode(
                 5.0,
@@ -585,22 +586,26 @@ mod tests {
                     period_secs: 0.4,
                 },
             );
-        let churn = || MarkovLinkChurn::new(0.05, 0.5);
-        let (span, every) = (Duration::from_secs_f64(10.0), Duration::from_secs_f64(1.0));
+        for (i, link) in links.iter().enumerate().skip(2).step_by(2) {
+            let (a, b) = (link.lo(), link.hi());
+            let period_secs = 0.5 + (i % 3) as f64 * 0.5;
+            let churn = FaultKind::LinkFlap { a, b, period_secs };
+            plan = plan.episode(1.0 + (i % 4) as f64 * 0.25, 8.0, churn);
+        }
+        let span = Duration::from_secs_f64(10.0);
         let config = RuntimeConfig::default();
         let handle = || redep_telemetry::Telemetry::new(1 << 20);
 
         let mut single = SystemRuntime::build(&m, &d, &config).unwrap();
         single.set_telemetry(handle());
         single.sim_mut().install_fault_plan(&plan);
-        single.sim_mut().add_fluctuation(every, churn());
         single.run_for(span);
         assert_eq!(single.telemetry().journal().dropped(), 0);
         let journal = single.telemetry().export_jsonl();
         for needle in [
             "net.fault",
             "net.partition",
-            "net.fluctuation",
+            "net.link.state",
             "net.host.state",
         ] {
             assert!(journal.contains(needle), "no {needle} in the journal");
@@ -614,7 +619,6 @@ mod tests {
             let mut sharded = ShardedRuntime::build(&m, &d, &config, shards).unwrap();
             sharded.set_telemetry((0..shards).map(|_| handle()).collect());
             sharded.sim_mut().install_fault_plan(&plan);
-            sharded.sim_mut().add_fluctuation(every, churn());
             sharded.run_for(span, threads);
             let outcome = (
                 sharded.sim().export_merged_jsonl(),
@@ -724,6 +728,56 @@ mod tests {
         assert!((0.0..=1.0).contains(&availability));
         assert!(rt.sim().stats().sent > 0);
         assert_eq!(rt.hosts().len(), 3);
+    }
+
+    /// DeSi's adapter drives the engine at any shard count: pulling
+    /// monitoring data, pushing one redeployment and waiting until its moves
+    /// settle journal the same bytes and reach the same placement at one
+    /// shard and at two shards on two threads.
+    #[test]
+    fn the_adapter_drives_a_sharded_runtime() {
+        use redep_desi::MiddlewareAdapter;
+        let (m, d) = system();
+        let (component, from) = d.iter().next().unwrap();
+        let run = |shards: usize, threads: usize| {
+            let mut rt = ShardedRuntime::build(&m, &d, &RuntimeConfig::default(), shards).unwrap();
+            rt.set_telemetry((0..shards).map(|_| Telemetry::new(1 << 20)).collect());
+            let adapter = MiddlewareAdapter::new(rt.master().unwrap());
+            let mut system = SystemData::new(m.clone(), d.clone());
+            rt.run_for(Duration::from_secs_f64(10.0), threads);
+            let pulled = adapter.pull_monitoring_data(rt.sim(), &mut system).unwrap();
+            assert!(pulled > 0, "no host reported in 10 s");
+            let to = *rt.hosts().iter().rev().find(|&&h| h != from).unwrap();
+            let mut target = system.deployment().clone();
+            target.assign(component, to);
+            adapter
+                .push_deployment_traced(rt.sim_mut(), &system, &target, None)
+                .unwrap();
+            let mut steps = 0;
+            loop {
+                rt.run_for(SETTLE_STEP, threads);
+                steps += 1;
+                if adapter.redeployment_settled(rt.sim()).unwrap() {
+                    break;
+                }
+                assert!(steps < 120, "the moves did not settle in 60 s");
+            }
+            assert!(
+                adapter.redeployment_complete(rt.sim()).unwrap(),
+                "failed moves: {:?}",
+                adapter.redeployment_failures(rt.sim()).unwrap()
+            );
+            let actual = rt.actual_deployment_by_id();
+            assert_eq!(actual.host_of(component), Some(to));
+            (rt.sim().export_merged_jsonl(), actual)
+        };
+        let (journal, actual) = run(1, 1);
+        let (sharded_journal, sharded_actual) = run(2, 2);
+        assert!(
+            sharded_journal == journal,
+            "the journals differ at 2 shards"
+        );
+        assert_eq!(sharded_actual, actual);
     }
 
     #[test]

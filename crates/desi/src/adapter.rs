@@ -9,13 +9,13 @@
 //! architecture."
 //!
 //! Here the middleware platform is a [`redep_prism::PrismHost`] fleet inside
-//! a [`redep_netsim::Simulator`]; the adapter exchanges data with the
-//! deployer host between simulation steps.
+//! a [`redep_netsim::ShardedSimulator`] at any shard count; the adapter
+//! exchanges data with the deployer host between simulation steps.
 
 use crate::error::DesiError;
 use crate::system_data::SystemData;
 use redep_model::{keys, Deployment, HostId};
-use redep_netsim::Simulator;
+use redep_netsim::ShardedSimulator;
 use redep_prism::{DeployerComponent, MonitoringSnapshot, PrismHost};
 use std::collections::BTreeMap;
 
@@ -33,7 +33,7 @@ impl MiddlewareAdapter {
 
     /// The deployer running on the deployer host — the one lookup every
     /// Monitor and Effector call goes through.
-    fn deployer<'a>(&self, sim: &'a Simulator) -> Result<&'a DeployerComponent, DesiError> {
+    fn deployer<'a>(&self, sim: &'a ShardedSimulator) -> Result<&'a DeployerComponent, DesiError> {
         let host = sim
             .node_ref::<PrismHost>(self.deployer_host)
             .ok_or_else(|| {
@@ -47,7 +47,7 @@ impl MiddlewareAdapter {
     /// found a deployer on it.
     fn deployer_host_mut<'a>(
         &self,
-        sim: &'a mut Simulator,
+        sim: &'a mut ShardedSimulator,
     ) -> Result<&'a mut PrismHost, DesiError> {
         self.deployer(sim)?;
         Ok(sim
@@ -67,7 +67,7 @@ impl MiddlewareAdapter {
     /// not running a deployer.
     pub fn pull_monitoring_data(
         &self,
-        sim: &Simulator,
+        sim: &ShardedSimulator,
         system: &mut SystemData,
     ) -> Result<usize, DesiError> {
         let snapshots = self.deployer(sim)?.snapshots();
@@ -142,7 +142,7 @@ impl MiddlewareAdapter {
     /// not running a deployer.
     pub fn push_deployment_traced(
         &self,
-        sim: &mut Simulator,
+        sim: &mut ShardedSimulator,
         system: &SystemData,
         target: &Deployment,
         parent: Option<redep_prism::TraceCtx>,
@@ -158,7 +158,7 @@ impl MiddlewareAdapter {
             by_name.insert(name, h);
         }
         self.deployer_host_mut(sim)?
-            .effect_redeployment_traced(by_name, parent)
+            .effect_redeployment(by_name, parent)
             .map_err(|e| DesiError::Adapter(e.to_string()))
     }
 
@@ -170,7 +170,7 @@ impl MiddlewareAdapter {
     ///
     /// Returns [`DesiError::Adapter`] when the deployer host is absent or
     /// not running a deployer.
-    pub fn abandon_pending_moves(&self, sim: &mut Simulator) -> Result<(), DesiError> {
+    pub fn abandon_pending_moves(&self, sim: &mut ShardedSimulator) -> Result<(), DesiError> {
         self.deployer_host_mut(sim)?.abandon_pending_moves();
         Ok(())
     }
@@ -182,7 +182,7 @@ impl MiddlewareAdapter {
     ///
     /// Returns [`DesiError::Adapter`] when the deployer host is absent or
     /// not running a deployer.
-    pub fn redeployment_complete(&self, sim: &Simulator) -> Result<bool, DesiError> {
+    pub fn redeployment_complete(&self, sim: &ShardedSimulator) -> Result<bool, DesiError> {
         Ok(self.deployer(sim)?.status().is_complete())
     }
 
@@ -196,7 +196,7 @@ impl MiddlewareAdapter {
     ///
     /// Returns [`DesiError::Adapter`] when the deployer host is absent or
     /// not running a deployer.
-    pub fn redeployment_settled(&self, sim: &Simulator) -> Result<bool, DesiError> {
+    pub fn redeployment_settled(&self, sim: &ShardedSimulator) -> Result<bool, DesiError> {
         Ok(self.deployer(sim)?.status().is_settled())
     }
 
@@ -209,7 +209,7 @@ impl MiddlewareAdapter {
     /// not running a deployer.
     pub fn redeployment_failures(
         &self,
-        sim: &Simulator,
+        sim: &ShardedSimulator,
     ) -> Result<Vec<(String, String)>, DesiError> {
         Ok(self.deployer(sim)?.status().failed)
     }
@@ -278,7 +278,8 @@ mod tests {
         // Host 0 runs nothing; host 1 runs Prism but no deployer. Every
         // Monitor and Effector call names what is missing.
         let (h0, h1) = (HostId::new(0), HostId::new(1));
-        let mut sim = Simulator::new(0);
+        let topology = redep_netsim::NetworkTopology::new();
+        let mut sim = ShardedSimulator::new(0, &topology, 1);
         let config = redep_prism::host::HostConfig::default();
         sim.add_host(
             h1,

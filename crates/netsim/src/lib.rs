@@ -11,13 +11,14 @@
 //!   `1 − reliability`),
 //! * per-link **bandwidth** and **delay** (delivery at
 //!   `now + delay + size / bandwidth`),
-//! * **fluctuation** of link quality over time ([`fluctuation`]),
-//! * **disconnection**: links and hosts going down and coming back
-//!   ([`Simulator::set_link_up`], [`Simulator::set_host_up`],
+//! * **fluctuation and disconnection** during a run through deterministic,
+//!   serde-loadable **fault plans** — timed schedules of link degradations
+//!   and flaps, partitions and host crashes ([`faultplan`],
+//!   [`ShardedSimulator::install_fault_plan`]), the one way a run changes
+//!   its links,
+//! * the same changes between runs: links and hosts going down and coming
+//!   back ([`Simulator::set_link_up`], [`Simulator::set_host_up`],
 //!   [`Simulator::partition`]),
-//! * deterministic, serde-loadable **fault plans** — timed schedules of
-//!   crashes, partitions, degradations and flaps ([`faultplan`],
-//!   [`ShardedSimulator::install_fault_plan`]),
 //! * ground-truth **statistics** per link ([`NetStats`]) against which
 //!   monitoring accuracy can be judged.
 //!
@@ -66,7 +67,6 @@
 
 pub mod calendar;
 pub mod faultplan;
-pub mod fluctuation;
 pub mod message;
 pub mod node;
 pub mod shard;
@@ -77,7 +77,6 @@ pub mod topology;
 
 pub use calendar::CalendarQueue;
 pub use faultplan::{FaultEpisode, FaultKind, FaultPlan};
-pub use fluctuation::{FluctuationModel, MarkovLinkChurn, RandomWalkFluctuation};
 pub use message::Message;
 pub use node::{Node, NodeCtx};
 pub use shard::{RoundStats, ShardPlan, ShardedSimulator};

@@ -63,21 +63,20 @@
 //!   sharding, so its counter advances identically — making every key, and
 //!   therefore every `(time, key)` processing order, shard-layout-invariant.
 //! * **Counter-hash draws, no RNG stream.** Message loss is decided by
-//!   hashing `(seed, src, dst, per-directed-link counter)`, and fluctuation
-//!   model `m`'s draw for link slot `s` at its tick `t` by hashing
-//!   `(seed, m, t, s)` — never by a shared RNG stream, whose interleaving
-//!   would depend on the layout.
+//!   hashing `(seed, src, dst, per-directed-link counter)` — never by a
+//!   shared RNG stream, whose interleaving would depend on the layout.
 //! * **Replicated topology, sender-owned media.** Every shard holds a
 //!   replica of the [`NetworkTopology`] — link specs, link and host up/down —
 //!   which broadcast actions update identically everywhere. The per-direction
 //!   state of link `a → b` (its own medium's busy-until, the loss counter,
 //!   the stat slot) lives only in `a`'s shard and is touched only by `a`'s
 //!   sends.
-//! * **Broadcast actions.** Every fault action and every fluctuation tick is
-//!   scheduled into *every* shard's queue under the same key, so all
-//!   replicas update at the same point of the `(time, key)` order; exactly
-//!   one designated shard journals it (fault span IDs come from a per-action
-//!   [`SpanIdGen`], so trace IDs are layout-invariant too).
+//! * **Broadcast actions.** A run changes its links only through a
+//!   [`FaultPlan`]: every fault action is scheduled into *every* shard's
+//!   queue under the same key, so all replicas update at the same point of
+//!   the `(time, key)` order; exactly one designated shard journals it
+//!   (fault span IDs come from a per-action [`SpanIdGen`], so trace IDs are
+//!   layout-invariant too).
 //! * **Order-stamped journals.** Each shard journals into its own
 //!   [`Telemetry`] handle; every record is stamped with the `(time, key)`
 //!   of the event that produced it, and
@@ -87,9 +86,9 @@
 //! Two zero-delay-connected hosts could violate the lookahead bound, so
 //! [`ShardPlan::partition`] first merges hosts connected by zero-delay links
 //! into one placement unit ([`redep_model::delay_units`]); cross-shard links
-//! then always have delay ≥ 1 µs. Fault actions and fluctuation never touch
-//! a delay, and a link edit between runs that would shorten the lookahead
-//! panics, so the bound holds for the simulator's lifetime.
+//! then always have delay ≥ 1 µs. Fault actions never touch a delay, and a
+//! link edit between runs that would shorten the lookahead panics, so the
+//! bound holds for the simulator's lifetime.
 //!
 //! # Example
 //!
@@ -126,7 +125,6 @@
 
 use crate::calendar::CalendarQueue;
 use crate::faultplan::{FaultAction, FaultPlan};
-use crate::fluctuation::FluctuationModel;
 use crate::message::Message;
 use crate::node::{Node, NodeAction, NodeCtx};
 use crate::stats::{NetStats, NO_LINK_STATS};
@@ -143,8 +141,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Packed-key event kinds, ordered: at one timestamp, start callbacks run
-/// before broadcast actions (fault actions, then fluctuation ticks),
-/// broadcast actions before timers, timers before deliveries.
+/// before broadcast actions (fault actions), broadcast actions before
+/// timers, timers before deliveries.
 const KIND_START: u64 = 0;
 const KIND_BROADCAST: u64 = 1;
 const KIND_TIMER: u64 = 2;
@@ -167,7 +165,7 @@ fn pack_key(kind: u64, host: u32, seq: u64) -> u64 {
 /// `src ≪ 32 | dst` (dense indices) and its counter advances per send over
 /// that direction, so the decision sequence is a pure function of the
 /// sender's behavior — independent of shard layout, unlike a shared RNG
-/// stream. Fluctuation draws use [`FLUCTUATION_STREAM`] streams.
+/// stream.
 fn unit_draw(seed: u64, stream: u64, counter: u64) -> f64 {
     let mut x = seed
         .wrapping_add(stream)
@@ -178,11 +176,6 @@ fn unit_draw(seed: u64, stream: u64, counter: u64) -> f64 {
     x ^= x >> 31;
     ((x >> 11) as f64) * (1.0 / (1u64 << 53) as f64)
 }
-
-/// Fluctuation model `m`'s draw for link slot `s` has stream
-/// `FLUCTUATION_STREAM | m ≪ 32 | s` and the model's tick as its counter;
-/// the top bit keeps these streams apart from every loss stream.
-const FLUCTUATION_STREAM: u64 = 1 << 63;
 
 /// A deterministic host-to-shard placement plus the conservative lookahead
 /// it yields.
@@ -351,11 +344,6 @@ enum Event {
     /// A fault action, by index into the shared schedule.
     Fault {
         index: usize,
-    },
-    /// Tick `tick` of fluctuation model `model`.
-    Fluctuate {
-        model: usize,
-        tick: u64,
     },
 }
 
@@ -607,8 +595,6 @@ struct ShardCore {
     deferred_timers: BTreeMap<u32, Vec<u64>>,
     /// Every fault action installed so far, shared by all shards.
     faults: Arc<Vec<FaultAction>>,
-    /// The fluctuation models with their intervals, in installation order.
-    fluctuations: Vec<(Duration, Arc<dyn FluctuationModel>)>,
     /// Cross-shard messages produced this window, one outbox per
     /// destination shard, each appended to its mailbox under one lock at
     /// window end.
@@ -644,7 +630,6 @@ impl ShardCore {
             telemetry: Telemetry::disabled(),
             deferred_timers: BTreeMap::new(),
             faults: Arc::new(Vec::new()),
-            fluctuations: Vec::new(),
             outbound: (0..shards).map(|_| Vec::new()).collect(),
             inbox: Vec::new(),
             tally: WindowTally::default(),
@@ -782,7 +767,6 @@ impl ShardCore {
                 }
                 self.apply(&action, Some((&tracer, root)));
             }
-            Event::Fluctuate { model, tick } => self.fluctuate(model, tick),
         }
     }
 
@@ -1016,31 +1000,6 @@ impl ShardCore {
             }
         }
     }
-
-    /// Applies tick `tick` of fluctuation model `model` to every link of
-    /// the replica and schedules the next tick. Each link's draw hashes
-    /// `(seed, model, tick, slot)`, so the result is layout-invariant.
-    fn fluctuate(&mut self, model: usize, tick: u64) {
-        let (interval, fluctuation) = self.fluctuations[model].clone();
-        let stream = FLUCTUATION_STREAM | (model as u64) << 32;
-        for (slot, link) in self.topology.slots_mut() {
-            let draw = unit_draw(self.seed, stream | slot as u64, tick);
-            fluctuation.perturb(link, draw);
-        }
-        if self.idx == 0 {
-            self.telemetry
-                .event("net.fluctuation", self.now.as_micros())
-                .field("index", model)
-                .field("model", fluctuation.name().to_owned())
-                .emit();
-        }
-        let key = pack_key(KIND_BROADCAST, 1 + model as u32, tick + 1);
-        let next = Event::Fluctuate {
-            model,
-            tick: tick + 1,
-        };
-        self.queue.push(self.now + interval, key, next);
-    }
 }
 
 /// The sharded conservative-PDES simulator.
@@ -1053,8 +1012,8 @@ impl ShardCore {
 /// * Each shard journals into its own [`Telemetry`] handle (install with
 ///   [`ShardedSimulator::set_telemetry`]); export the merged global journal
 ///   with [`ShardedSimulator::export_merged_jsonl`].
-/// * Fault plans, fluctuation models and link edits between runs are
-///   broadcast to every shard's topology replica.
+/// * Fault plans and link edits between runs are broadcast to every
+///   shard's topology replica.
 pub struct ShardedSimulator {
     plan: Arc<ShardPlan>,
     cores: Vec<ShardCore>,
@@ -1203,33 +1162,6 @@ impl ShardedSimulator {
         let core = &mut self.cores[self.plan.shard_of(src)];
         core.dispatch_send(src, dst, payload, size);
         core.flush(&self.shared.mailboxes);
-    }
-
-    /// Installs a fluctuation model applied every `interval`, from now on.
-    /// Each tick is broadcast to every shard; model `m`'s draw for link slot
-    /// `s` at its tick `t` hashes `(seed, m, t, s)` (see the
-    /// [module docs](self)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn add_fluctuation(&mut self, interval: Duration, model: impl FluctuationModel) {
-        assert!(
-            interval > Duration::ZERO,
-            "fluctuation interval must be positive"
-        );
-        let model: Arc<dyn FluctuationModel> = Arc::new(model);
-        let at = self.now + interval;
-        for core in &mut self.cores {
-            let index = core.fluctuations.len();
-            core.fluctuations.push((interval, model.clone()));
-            let key = pack_key(KIND_BROADCAST, 1 + index as u32, 0);
-            let tick = Event::Fluctuate {
-                model: index,
-                tick: 0,
-            };
-            core.queue.push(at, key, tick);
-        }
     }
 
     /// When the earliest queued event is due, if any (at one shard nothing
@@ -1784,7 +1716,6 @@ mod tests {
     }
 
     use crate::faultplan::FaultKind;
-    use crate::fluctuation::{MarkovLinkChurn, RandomWalkFluctuation};
 
     #[test]
     fn unknown_hosts_have_no_node() {
@@ -1810,31 +1741,6 @@ mod tests {
         sim.set_link(h(0), h(1), slow);
         sim.run_until(SimTime::from_secs_f64(0.1), 2);
         sim.set_link(h(0), h(1), LinkSpec::default());
-    }
-
-    #[test]
-    fn journals_identical_across_shard_and_thread_counts_under_fluctuation() {
-        let run = |shards: usize, threads: usize| {
-            let mut sim = faulty_gossip_sim(shards);
-            sim.add_fluctuation(Duration::from_millis(40), MarkovLinkChurn::new(0.2, 0.5));
-            sim.add_fluctuation(Duration::from_millis(90), RandomWalkFluctuation::new(0.3));
-            sim.run_until(SimTime::from_secs_f64(1.0), threads);
-            sim.run_until(SimTime::from_secs_f64(2.0), threads);
-            let topology = sim.topology().clone();
-            (sim.export_merged_jsonl(), sim.stats(), topology)
-        };
-        let reference = run(1, 1);
-        assert!(reference.0.contains("net.fluctuation"));
-        assert!(reference.2.links().any(|(_, l)| l.spec.reliability < 1.0));
-        for shards in [1, 2, 8] {
-            for threads in [1, 2, 8] {
-                assert_eq!(
-                    run(shards, threads),
-                    reference,
-                    "{shards} shards, {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]
@@ -2036,8 +1942,8 @@ mod tests {
         /// The tentpole gate: an arbitrary topology partitioned into
         /// k ∈ 1..=8 shards produces journals byte-identical to the
         /// single-shard run — including under an active fault plan whose
-        /// crash and partition cross shard boundaries, and a fluctuation
-        /// model (link churn or a reliability walk) ticking on every shard.
+        /// crash and partition cross shard boundaries and whose link
+        /// episode (a flap or a degrade) changes a ring link on every shard.
         #[test]
         fn arbitrary_topologies_shard_transparently(
             hosts in 3u32..10,
@@ -2045,7 +1951,8 @@ mod tests {
             seed in 0u64..1000,
             shards in 2usize..=8,
             crash_host in 0u32..10,
-            churn in any::<bool>(),
+            link_at in 0u32..10,
+            flap in any::<bool>(),
         ) {
             // A connected ring plus arbitrary chords with 1–4 ms delays.
             let mut topo = ring(hosts, 0.001);
@@ -2059,6 +1966,12 @@ mod tests {
                     });
                 }
             }
+            let (a, b) = (h(link_at % hosts), h((link_at + 1) % hosts));
+            let link = if flap {
+                FaultKind::LinkFlap { a, b, period_secs: 0.07 }
+            } else {
+                FaultKind::LinkDegrade { a, b, reliability_factor: 0.4, bandwidth_factor: 0.2 }
+            };
             let plan = FaultPlan::new()
                 .episode(0.2, 0.4, FaultKind::HostCrash { host: h(crash_host % hosts) })
                 .episode(0.3, 0.5, FaultKind::Partition {
@@ -2066,15 +1979,11 @@ mod tests {
                         (0..hosts / 2).map(h).collect(),
                         (hosts / 2..hosts).map(h).collect(),
                     ],
-                });
+                })
+                .episode(0.05, 0.8, link);
             let run = |k: usize| {
                 let mut sim = gossip_sim(&topo, k, seed);
                 sim.install_fault_plan(&plan);
-                if churn {
-                    sim.add_fluctuation(Duration::from_millis(70), MarkovLinkChurn::new(0.3, 0.6));
-                } else {
-                    sim.add_fluctuation(Duration::from_millis(50), RandomWalkFluctuation::new(0.2));
-                }
                 sim.run_until(SimTime::from_secs_f64(1.0), k.min(2));
                 (sim.export_merged_jsonl(), sim.stats())
             };

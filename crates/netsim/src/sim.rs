@@ -1,11 +1,12 @@
 //! The one-shard face of the simulation engine.
 //!
 //! [`Simulator`] is a [`ShardedSimulator`] built at one shard and
-//! dereferences to it: hosts, links, fault plans, fluctuation and node access
-//! are the engine's own calls. The face keeps what a single-threaded driver
-//! wants in a one-shard signature — one telemetry handle, the statistics by
+//! dereferences to it: hosts, links, fault plans and node access are the
+//! engine's own calls. The face keeps what a single-threaded driver wants in
+//! a one-shard signature — one telemetry handle, the statistics by
 //! reference, runs without a thread count — and the direct topology calls
-//! between runs (crash a host, cut a partition, take a link down).
+//! between runs (crash a host, cut a partition, take a link down). During a
+//! run, links change only through an installed fault plan.
 
 use crate::faultplan::FaultAction;
 use crate::shard::ShardedSimulator;
@@ -95,10 +96,11 @@ impl Simulator {
 
     /// Runs until simulated time reaches `deadline` (events at the deadline
     /// still run), then sets the clock to the deadline. Returns the number
-    /// of events processed.
+    /// of events processed. Fault-plan actions due by the deadline run in
+    /// their `(time, key)` place; later ones stay queued.
     ///
-    /// Fluctuation ticks keep a simulation alive forever, so simulations
-    /// with fluctuation must be driven by deadline, never to exhaustion.
+    /// Periodic node timers keep a simulation alive forever, so such
+    /// simulations must be driven by deadline, never to exhaustion.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.0.run_until(deadline, 1)
     }
@@ -114,7 +116,8 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics after `10_000_000` events as a runaway-loop guard; simulations
-    /// with periodic timers or fluctuation must use [`Simulator::run_until`].
+    /// with periodic timers must use [`Simulator::run_until`]. An installed
+    /// fault plan ends: its last action is its last episode's end.
     pub fn run_to_completion(&mut self) -> u64 {
         let mut n = 0;
         while let Some(next) = self.0.next_event_time() {
@@ -427,55 +430,6 @@ mod tests {
         let mut sim = Simulator::new(1);
         sim.add_host(h(0), sink());
         sim.add_host(h(0), sink());
-    }
-
-    #[test]
-    fn fluctuation_fires_periodically_and_mutates_links() {
-        use crate::fluctuation::RandomWalkFluctuation;
-        let mut sim = Simulator::new(4);
-        sim.add_host(h(0), sink());
-        sim.add_host(h(1), sink());
-        sim.set_link(
-            h(0),
-            h(1),
-            LinkSpec {
-                reliability: 0.5,
-                ..LinkSpec::default()
-            },
-        );
-        sim.add_fluctuation(
-            Duration::from_secs_f64(1.0),
-            RandomWalkFluctuation::new(0.1),
-        );
-        let before = sim.topology().link(h(0), h(1)).unwrap().spec.reliability;
-        sim.run_until(SimTime::from_secs_f64(10.0));
-        let after = sim.topology().link(h(0), h(1)).unwrap().spec.reliability;
-        assert_ne!(
-            before, after,
-            "ten fluctuation ticks left the link untouched"
-        );
-        assert!((0.05..=1.0).contains(&after));
-        // Deterministic: the same seed walks the same path.
-        let mut sim2 = Simulator::new(4);
-        sim2.add_host(h(0), sink());
-        sim2.add_host(h(1), sink());
-        sim2.set_link(
-            h(0),
-            h(1),
-            LinkSpec {
-                reliability: 0.5,
-                ..LinkSpec::default()
-            },
-        );
-        sim2.add_fluctuation(
-            Duration::from_secs_f64(1.0),
-            RandomWalkFluctuation::new(0.1),
-        );
-        sim2.run_until(SimTime::from_secs_f64(10.0));
-        assert_eq!(
-            after,
-            sim2.topology().link(h(0), h(1)).unwrap().spec.reliability
-        );
     }
 
     #[test]
@@ -813,7 +767,7 @@ mod tests {
 
     #[test]
     fn seeded_runs_export_byte_identical_journals() {
-        use crate::fluctuation::RandomWalkFluctuation;
+        use crate::faultplan::{FaultKind, FaultPlan};
         fn run(seed: u64) -> String {
             let mut sim = Simulator::new(seed);
             sim.set_telemetry(Telemetry::default());
@@ -834,9 +788,27 @@ mod tests {
                     ..LinkSpec::default()
                 },
             );
-            sim.add_fluctuation(
-                Duration::from_secs_f64(0.5),
-                RandomWalkFluctuation::new(0.1),
+            sim.install_fault_plan(
+                &FaultPlan::new()
+                    .episode(
+                        0.5,
+                        2.0,
+                        FaultKind::LinkDegrade {
+                            a: h(0),
+                            b: h(1),
+                            reliability_factor: 0.5,
+                            bandwidth_factor: 0.5,
+                        },
+                    )
+                    .episode(
+                        3.0,
+                        1.5,
+                        FaultKind::LinkFlap {
+                            a: h(0),
+                            b: h(1),
+                            period_secs: 0.5,
+                        },
+                    ),
             );
             sim.run_until(SimTime::from_secs_f64(5.0));
             sim.telemetry().export_jsonl()

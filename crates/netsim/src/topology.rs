@@ -83,8 +83,8 @@ struct HostRow {
 
 /// The simulated network: hosts, links and their live state.
 ///
-/// Every shard of the engine holds a replica, which fault actions,
-/// fluctuation ticks and link edits between runs update identically.
+/// Every shard of the engine holds a replica, which fault actions and link
+/// edits between runs update identically.
 ///
 /// Per-message lookups ([`NetworkTopology::host_is_up`],
 /// [`NetworkTopology::link_slot`]) index dense tables by raw host id and
@@ -240,13 +240,6 @@ impl NetworkTopology {
                 (slot.ends, &slot.state)
             })
         })
-    }
-
-    /// Mutable iteration over the links' states with their slots, in slot
-    /// order (for fluctuation, whose draw for a link is keyed by slot).
-    pub fn slots_mut(&mut self) -> impl Iterator<Item = (usize, &mut LinkState)> {
-        let slots = self.slots.iter_mut().enumerate();
-        slots.map(|(slot, link)| (slot, &mut link.state))
     }
 
     /// Marks a link up or down.
@@ -487,7 +480,8 @@ mod tests {
         /// Random edit sequences over dense (0..6) and sparse (multiples of
         /// 7919) raw ids: the dense tables agree with the tree model on
         /// hosts, every link, every reachability, the *order* of `links()`,
-        /// and the live slots `slots_mut()` yields.
+        /// and each link's slot: its own, the same from either end, and
+        /// holding that link's state.
         #[test]
         fn dense_tables_agree_with_the_tree_model(
             sparse in any::<bool>(),
@@ -522,11 +516,16 @@ mod tests {
                 let expected: Vec<(HostPair, LinkState)> = model.links.iter().map(|(p, l)| (*p, *l)).collect();
                 let listed: Vec<(HostPair, LinkState)> = topo.links().map(|(p, l)| (p, *l)).collect();
                 prop_assert_eq!(&listed, &expected);
-                let slots: Vec<(usize, LinkState)> = topo.slots_mut().map(|(slot, l)| (slot, *l)).collect();
-                prop_assert_eq!(slots.len(), expected.len());
-                for (slot, state) in slots {
-                    prop_assert_eq!(topo.link_at(slot), &state);
+                let mut slots = BTreeSet::new();
+                for (pair, state) in &expected {
+                    let slot = topo.link_slot(pair.lo(), pair.hi());
+                    prop_assert_eq!(slot, topo.link_slot(pair.hi(), pair.lo()));
+                    let slot = slot.expect("a listed link has a slot");
+                    prop_assert_eq!(topo.link_at(slot), state);
+                    slots.insert(slot);
                 }
+                prop_assert_eq!(slots.len(), expected.len());
+                prop_assert_eq!(topo.link_slot_count(), expected.len());
                 for x in 0..6 {
                     for y in 0..6 {
                         let (hx, hy) = (id(x), id(y));

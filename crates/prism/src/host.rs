@@ -696,24 +696,16 @@ impl PrismHost {
 
     /// Issues a redeployment from this (deployer) host: move the named
     /// components to the given hosts. Commands go out with the next
-    /// processing pass.
+    /// processing pass. A trace context makes every move span (and the
+    /// whole configure/request/transfer/ack cascade) a child of `parent` —
+    /// typically a framework's redeployment span, so journals link each
+    /// move to the cycle that decided it.
     ///
     /// # Errors
     ///
     /// Returns [`PrismError::UnknownComponent`] when this host does not run
     /// the deployer.
     pub fn effect_redeployment(
-        &mut self,
-        target: BTreeMap<String, HostId>,
-    ) -> Result<(), PrismError> {
-        self.effect_redeployment_traced(target, None)
-    }
-
-    /// [`PrismHost::effect_redeployment`] with the migration protocol traced:
-    /// every move span (and the whole configure/request/transfer/ack cascade)
-    /// becomes a child of `parent` — typically a framework's redeployment
-    /// span, so journals link each move to the cycle that decided it.
-    pub fn effect_redeployment_traced(
         &mut self,
         target: BTreeMap<String, HostId>,
         parent: Option<TraceCtx>,

@@ -144,7 +144,7 @@ fn redeployment_migrates_component_and_traffic_follows() {
     // Move "b" from h1 to h2.
     let master = sim.node_mut::<PrismHost>(h(0)).unwrap();
     master
-        .effect_redeployment([("b".to_owned(), h(2))].into())
+        .effect_redeployment([("b".to_owned(), h(2))].into(), None)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(15.0));
 
@@ -201,7 +201,7 @@ fn migration_preserves_component_state() {
 
     let master = sim.node_mut::<PrismHost>(h(0)).unwrap();
     master
-        .effect_redeployment([("b".to_owned(), h(2))].into())
+        .effect_redeployment([("b".to_owned(), h(2))].into(), None)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(15.0));
 
@@ -224,7 +224,7 @@ fn migration_survives_lossy_links() {
     sim.run_until(SimTime::from_secs_f64(10.0));
     let master = sim.node_mut::<PrismHost>(h(0)).unwrap();
     master
-        .effect_redeployment([("b".to_owned(), h(2))].into())
+        .effect_redeployment([("b".to_owned(), h(2))].into(), None)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(40.0));
     let master = sim.node_ref::<PrismHost>(h(0)).unwrap();
@@ -258,7 +258,7 @@ fn migration_survives_a_destination_crash() {
     sim.set_host_up(h(2), false);
     sim.node_mut::<PrismHost>(h(0))
         .unwrap()
-        .effect_redeployment([("b".to_owned(), h(2))].into())
+        .effect_redeployment([("b".to_owned(), h(2))].into(), None)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(15.0));
     assert!(
@@ -340,7 +340,7 @@ fn mediated_transfer_without_direct_link() {
     sim.run_until(SimTime::from_secs_f64(5.0));
     sim.node_mut::<PrismHost>(h(0))
         .unwrap()
-        .effect_redeployment([("b".to_owned(), h(2))].into())
+        .effect_redeployment([("b".to_owned(), h(2))].into(), None)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(15.0));
     assert!(sim
@@ -365,7 +365,7 @@ fn stale_senders_chase_migrated_components_one_hop() {
     sim.run_until(SimTime::from_secs_f64(5.0));
     sim.node_mut::<PrismHost>(h(0))
         .unwrap()
-        .effect_redeployment([("b".to_owned(), h(2))].into())
+        .effect_redeployment([("b".to_owned(), h(2))].into(), None)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(10.0));
     assert!(sim
@@ -420,7 +420,7 @@ fn events_buffered_during_migration_are_replayed() {
 
     sim.node_mut::<PrismHost>(h(0))
         .unwrap()
-        .effect_redeployment([("b".to_owned(), h(2))].into())
+        .effect_redeployment([("b".to_owned(), h(2))].into(), None)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(12.0));
     let stats = sim.node_ref::<PrismHost>(h(2)).unwrap().services().stats();

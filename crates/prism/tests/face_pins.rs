@@ -251,7 +251,7 @@ fn eight_host_mesh_with_a_master_bounce() -> Pins {
     sim.set_host_up(h(0), true);
     sim.node_mut::<PrismHost>(h(0))
         .unwrap()
-        .effect_redeployment([("c2".to_owned(), h(1))].into())
+        .effect_redeployment([("c2".to_owned(), h(1))].into(), None)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(30.0));
     pins(&sim, &telemetry, &hosts)

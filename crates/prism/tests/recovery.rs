@@ -252,7 +252,7 @@ fn recovery_verdicts_flag_unfinished_operations() {
     sim.run_until(SimTime::from_secs_f64(5.0));
     sim.node_mut::<PrismHost>(h(0))
         .unwrap()
-        .effect_redeployment([("b".to_owned(), h(2))].into())
+        .effect_redeployment([("b".to_owned(), h(2))].into(), None)
         .unwrap();
     sim.set_host_up(h(0), false);
     sim.run_until(SimTime::from_secs_f64(8.0));
@@ -321,7 +321,7 @@ fn buffered_events_survive_the_crash_and_replay_after_migration() {
     // The parked event survives recovery: migrate "b" in and it replays.
     sim.node_mut::<PrismHost>(h(0))
         .unwrap()
-        .effect_redeployment([("b".to_owned(), h(2))].into())
+        .effect_redeployment([("b".to_owned(), h(2))].into(), None)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(16.0));
     let stats = sim.node_ref::<PrismHost>(h(2)).unwrap().services().stats();
@@ -505,7 +505,7 @@ fn master_crash_mid_redeployment_keeps_the_epoch_and_finishes_it() {
         sim.run_until(SimTime::from_secs_f64(13.3));
         sim.node_mut::<PrismHost>(h(0))
             .unwrap()
-            .effect_redeployment([("c1".to_owned(), h(3))].into())
+            .effect_redeployment([("c1".to_owned(), h(3))].into(), None)
             .unwrap();
         // The configure is on the wire, the ack is not back yet.
         sim.run_until(SimTime::from_secs_f64(13.3015));
@@ -552,7 +552,7 @@ fn retried_and_abandoned_moves_survive_a_master_crash() {
     sim.set_host_up(h(1), false);
     sim.node_mut::<PrismHost>(h(0))
         .unwrap()
-        .effect_redeployment([("c1".to_owned(), h(2))].into())
+        .effect_redeployment([("c1".to_owned(), h(2))].into(), None)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(23.5));
     assert!(
@@ -581,7 +581,7 @@ fn master_crashes_leave_byte_identical_stores_across_runs() {
         bounce(&mut sim, h(0));
         sim.node_mut::<PrismHost>(h(0))
             .unwrap()
-            .effect_redeployment([("c2".to_owned(), h(1))].into())
+            .effect_redeployment([("c2".to_owned(), h(1))].into(), None)
             .unwrap();
         sim.run_until(SimTime::from_secs_f64(13.3015));
         bounce(&mut sim, h(0));

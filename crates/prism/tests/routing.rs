@@ -142,7 +142,7 @@ fn migration_works_across_multiple_hops() {
     sim.run_until(SimTime::from_secs_f64(10.0));
     sim.node_mut::<PrismHost>(h(0))
         .unwrap()
-        .effect_redeployment([("dst".to_owned(), h(1))].into())
+        .effect_redeployment([("dst".to_owned(), h(1))].into(), None)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(60.0));
     let master = sim.node_ref::<PrismHost>(h(0)).unwrap();

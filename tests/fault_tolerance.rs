@@ -3,7 +3,7 @@
 
 use redep::framework::{RuntimeConfig, SystemRuntime};
 use redep::model::{Generator, GeneratorConfig, HostId};
-use redep::netsim::{Duration, MarkovLinkChurn};
+use redep::netsim::{Duration, FaultKind, FaultPlan};
 use redep::prism::PrismHost;
 use std::collections::BTreeMap;
 
@@ -36,7 +36,7 @@ fn redeployment_completes_after_a_partition_heals() {
     let target: BTreeMap<String, HostId> = [(names[&component].clone(), dest)].into();
     rt.host_mut(master)
         .unwrap()
-        .effect_redeployment(target)
+        .effect_redeployment(target, None)
         .unwrap();
     rt.run_for(Duration::from_secs_f64(10.0));
     // Still cut off (unless the move was already local): not complete.
@@ -69,9 +69,26 @@ fn redeployment_completes_after_a_partition_heals() {
 
 #[test]
 fn workload_survives_link_churn() {
-    let (_, _, mut rt) = runtime(32);
-    rt.sim_mut()
-        .add_fluctuation(Duration::from_secs_f64(1.0), MarkovLinkChurn::new(0.2, 0.5));
+    let (model, _, mut rt) = runtime(32);
+    // Churn for the whole minute: every link flaps or degrades, each with
+    // its own phase and period.
+    let mut plan = FaultPlan::new();
+    for (i, link) in model.physical_links().enumerate() {
+        let (a, b) = (link.ends().lo(), link.ends().hi());
+        let churn = if i % 2 == 0 {
+            let period_secs = 1.0 + (i % 3) as f64;
+            FaultKind::LinkFlap { a, b, period_secs }
+        } else {
+            FaultKind::LinkDegrade {
+                a,
+                b,
+                reliability_factor: 0.5,
+                bandwidth_factor: 0.5,
+            }
+        };
+        plan = plan.episode(1.0 + (i % 5) as f64 * 0.4, 58.0, churn);
+    }
+    rt.sim_mut().install_fault_plan(&plan);
     rt.run_for(Duration::from_secs_f64(60.0));
     // The system keeps making progress: events flow, nothing deadlocks.
     let availability = rt.measured_availability();
@@ -141,7 +158,7 @@ fn holder_crash_during_transfer_recovers() {
     let target: BTreeMap<String, HostId> = [(names[&component].clone(), dest)].into();
     rt.host_mut(master)
         .unwrap()
-        .effect_redeployment(target)
+        .effect_redeployment(target, None)
         .unwrap();
     rt.sim_mut().set_host_up(holder, false);
     rt.run_for(Duration::from_secs_f64(10.0));
@@ -187,14 +204,14 @@ fn overlapping_effect_calls_supersede_cleanly() {
     let first: BTreeMap<String, HostId> = [(names[&component].clone(), first_dest)].into();
     rt.host_mut(master)
         .unwrap()
-        .effect_redeployment(first)
+        .effect_redeployment(first, None)
         .unwrap();
     let first_epoch = rt.host(master).unwrap().deployer().unwrap().status().epoch;
     rt.run_for(Duration::from_millis(300));
     let second: BTreeMap<String, HostId> = [(names[&component].clone(), second_dest)].into();
     rt.host_mut(master)
         .unwrap()
-        .effect_redeployment(second)
+        .effect_redeployment(second, None)
         .unwrap();
     let status = rt.host(master).unwrap().deployer().unwrap().status();
     assert!(
@@ -333,7 +350,7 @@ mod migration_protocol_proptests {
             }
             rt.host_mut(master)
                 .unwrap()
-                .effect_redeployment(target.clone())
+                .effect_redeployment(target.clone(), None)
                 .unwrap();
 
             // Drive until the deployer settles (bounded).
