@@ -10,8 +10,8 @@
 //! dense forms are held to, exercised here through the single body.
 //!
 //! The objective half is hidden with [`redep_model::Uncompiled`] or replaced
-//! by a custom objective defined here; the checker half is hidden with the
-//! local [`NoDenseForm`] wrapper.
+//! by a custom objective defined here; the checker half is hidden with
+//! `Uncompiled` too.
 
 use redep_algorithms::annealing::AnnealingConfig;
 use redep_algorithms::genetic::GeneticConfig;
@@ -21,39 +21,10 @@ use redep_algorithms::{
     StochasticAlgorithm,
 };
 use redep_model::{
-    Availability, AwarenessGraph, CommunicationVolume, ComponentId, Composite, ConstraintChecker,
-    ConstraintViolation, Deployment, DeploymentModel, Direction, Generator, GeneratorConfig,
-    HostId, Latency, LinkSecurity, Objective, PathAwareAvailability, Uncompiled,
+    Availability, AwarenessGraph, CommunicationVolume, Composite, ConstraintChecker, Deployment,
+    DeploymentModel, Direction, Generator, GeneratorConfig, Latency, LinkSecurity, Objective,
+    PathAwareAvailability, Uncompiled,
 };
-
-/// Hides [`ConstraintChecker::compile`] (the trait default returns `None`)
-/// while delegating the naive checks.
-#[derive(Debug)]
-struct NoDenseForm<'a>(&'a dyn ConstraintChecker);
-
-impl ConstraintChecker for NoDenseForm<'_> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn check(
-        &self,
-        model: &DeploymentModel,
-        deployment: &Deployment,
-    ) -> Result<(), ConstraintViolation> {
-        self.0.check(model, deployment)
-    }
-
-    fn admits(
-        &self,
-        model: &DeploymentModel,
-        partial: &Deployment,
-        component: ComponentId,
-        host: HostId,
-    ) -> bool {
-        self.0.admits(model, partial, component, host)
-    }
-}
 
 /// A custom objective with no dense form: total traffic between components
 /// on different hosts (an unplaced endpoint counts as remote). Written
@@ -182,7 +153,7 @@ fn check_algo(
 ) {
     assert!(dense.compiled().is_some() && opaque.compiled().is_none());
     let checker = model.constraints();
-    let hidden = NoDenseForm(checker);
+    let hidden = Uncompiled(checker);
     let reference = algo.run(model, dense, checker, Some(initial)).unwrap();
 
     let modes: [(&str, &dyn Objective, &dyn ConstraintChecker); 3] = [
@@ -306,7 +277,7 @@ fn all_six_bodies_agree_on_a_nested_composite() {
 fn hierarchical_variants_run_and_report_the_flat_body_on_opaque_inputs() {
     let (m, init) = generated(12, 40, 24);
     let checker = m.constraints();
-    let hidden = NoDenseForm(checker);
+    let hidden = Uncompiled(checker);
     let opaque = Uncompiled(&Availability);
     for ((flat_name, flat), (hier_name, hier)) in hierarchical_pairs(&m) {
         let dense = hier.run(&m, &Availability, checker, Some(&init)).unwrap();

@@ -15,8 +15,8 @@ use redep_algorithms::{
 };
 use redep_bench::{print_table, Bound, ExpReport};
 use redep_model::{
-    Availability, CompiledModel, ComponentId, ConstraintChecker, ConstraintViolation, Deployment,
-    DeploymentModel, GeneratedSystem, Generator, GeneratorConfig, HostId, Objective, Uncompiled,
+    Availability, CompiledModel, ConstraintChecker, Deployment, GeneratedSystem, Generator,
+    GeneratorConfig, Objective, Uncompiled,
 };
 use std::time::Instant;
 
@@ -25,26 +25,6 @@ use std::time::Instant;
 /// BENCH_algorithms.json).
 const GENERATE_200X2000_MAX_SECS: f64 = 0.2;
 const GENERATE_1000X10000_MAX_SECS: f64 = 3.0;
-
-/// The checker-side counterpart of [`Uncompiled`] for E3c: delegates the
-/// naive checks and leaves `compile` at its `None` default, so the
-/// algorithms probe constraints through the trait object.
-#[derive(Debug)]
-struct OpaqueChecker<'a>(&'a dyn ConstraintChecker);
-
-impl ConstraintChecker for OpaqueChecker<'_> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn check(&self, model: &DeploymentModel, d: &Deployment) -> Result<(), ConstraintViolation> {
-        self.0.check(model, d)
-    }
-
-    fn admits(&self, model: &DeploymentModel, d: &Deployment, c: ComponentId, h: HostId) -> bool {
-        self.0.admits(model, d, c, h)
-    }
-}
 
 /// The four hierarchical variants under test, freshly configured.
 fn hier_algos(hcfg: HierarchicalConfig) -> Vec<(&'static str, Box<dyn RedeploymentAlgorithm>)> {
@@ -183,8 +163,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Dense vs opaque scoring on the same body ----------------------
     // The two mutation-driven searches the compiled core targets, on the
-    // acceptance-size instance (8 hosts × 32 components). `Uncompiled` and
-    // `OpaqueChecker` hide the dense forms, so the one body scores each
+    // acceptance-size instance (8 hosts × 32 components). `Uncompiled` hides
+    // both dense forms, so the one body scores each
     // proposal with a from-scratch `evaluate` — and checks it with the
     // trait object's `check`/`admits` — on the decoded assignment instead
     // of an O(deg) delta over dense tables: the work a custom objective
@@ -220,8 +200,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let checker = system.model.constraints();
         let (fast, fast_value, full, delta) = time_of(&Availability, checker)?;
-        let (slow, slow_value, _, _) =
-            time_of(&Uncompiled(&Availability), &OpaqueChecker(checker))?;
+        let (slow, slow_value, _, _) = time_of(&Uncompiled(&Availability), &Uncompiled(checker))?;
         assert!(
             (fast_value - slow_value).abs() <= 1e-12,
             "{name}: dense and opaque scoring disagree"

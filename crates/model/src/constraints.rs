@@ -9,7 +9,7 @@
 //! * **Collocation constraints** — subsets of components that must share a
 //!   host ([`Constraint::Collocated`]) or must not ([`Constraint::Separated`]).
 //!
-//! In addition, resource limits (host memory, link bandwidth) are expressed as
+//! In addition, resource limits (host memory) are expressed as
 //! reusable [`ConstraintChecker`]s — the second variation point of the
 //! paper's algorithm-development methodology, so that the same checkers plug
 //! into every [`RedeploymentAlgorithm`](crate::ConstraintChecker) body.
@@ -124,15 +124,6 @@ pub enum ConstraintViolation {
         /// Memory the host offers.
         available: f64,
     },
-    /// The traffic routed over a physical link exceeds its bandwidth.
-    Bandwidth {
-        /// Endpoints of the saturated link.
-        hosts: (HostId, HostId),
-        /// Traffic the deployment routes over the link.
-        required: f64,
-        /// Bandwidth the link offers.
-        available: f64,
-    },
     /// A component is assigned to no host at all.
     Unassigned {
         /// The unassigned component.
@@ -163,15 +154,6 @@ impl fmt::Display for ConstraintViolation {
             } => write!(
                 f,
                 "memory exceeded on {host}: requires {required}, available {available}"
-            ),
-            ConstraintViolation::Bandwidth {
-                hosts,
-                required,
-                available,
-            } => write!(
-                f,
-                "bandwidth exceeded on {}–{}: requires {required}, available {available}",
-                hosts.0, hosts.1
             ),
             ConstraintViolation::Unassigned { component } => {
                 write!(f, "component {component} is not assigned to any host")
@@ -627,46 +609,6 @@ impl ConstraintChecker for MemoryConstraint {
     }
 }
 
-/// Built-in checker: the traffic a deployment routes over each physical link
-/// (Σ frequency × event size of remote interactions between its endpoints)
-/// may not exceed the link's bandwidth.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct BandwidthConstraint;
-
-impl ConstraintChecker for BandwidthConstraint {
-    fn name(&self) -> &str {
-        "link bandwidth capacity"
-    }
-
-    fn check(
-        &self,
-        model: &DeploymentModel,
-        deployment: &Deployment,
-    ) -> Result<(), ConstraintViolation> {
-        let mut traffic: BTreeMap<(HostId, HostId), f64> = BTreeMap::new();
-        for link in model.logical_links() {
-            let (a, b) = (link.ends().lo(), link.ends().hi());
-            if let (Some(ha), Some(hb)) = (deployment.host_of(a), deployment.host_of(b)) {
-                if ha != hb {
-                    let key = if ha < hb { (ha, hb) } else { (hb, ha) };
-                    *traffic.entry(key).or_insert(0.0) += link.frequency() * link.event_size();
-                }
-            }
-        }
-        for ((ha, hb), required) in traffic {
-            let available = model.bandwidth(ha, hb);
-            if required > available {
-                return Err(ConstraintViolation::Bandwidth {
-                    hosts: (ha, hb),
-                    required,
-                    available,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -835,26 +777,6 @@ mod tests {
             m.constraints().allowed_hosts(&m, c(0)),
             BTreeSet::from([h(0)])
         );
-    }
-
-    #[test]
-    fn bandwidth_constraint_flags_saturated_links() {
-        let mut m = model_with(2, 2);
-        m.set_physical_link(h(0), h(1), |l| l.set_bandwidth(10.0))
-            .unwrap();
-        m.set_logical_link(c(0), c(1), |l| {
-            l.set_frequency(4.0);
-            l.set_event_size(5.0); // traffic 20 > bandwidth 10
-        })
-        .unwrap();
-        let remote: Deployment = [(c(0), h(0)), (c(1), h(1))].into_iter().collect();
-        assert!(matches!(
-            BandwidthConstraint.check(&m, &remote),
-            Err(ConstraintViolation::Bandwidth { .. })
-        ));
-        // Local deployment routes nothing over the link.
-        let local: Deployment = [(c(0), h(0)), (c(1), h(0))].into_iter().collect();
-        assert!(BandwidthConstraint.check(&m, &local).is_ok());
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //! * [`CompiledConstraints`] — the dense form of [`ConstraintSet`] /
 //!   [`MemoryConstraint`] checks (obtained via
 //!   [`ConstraintChecker::compile`]).
-//! * [`Uncompiled`] — a wrapper hiding an objective's dense form, so
-//!   algorithms score it through [`Objective::evaluate`] like any custom
-//!   objective (used by benchmarks and equivalence tests).
+//! * [`Uncompiled`] — a wrapper hiding an objective's or a checker's dense
+//!   form, so algorithms score it through [`Objective::evaluate`] and check
+//!   it through [`ConstraintChecker::check`] / `admits` like any custom
+//!   one (used by benchmarks and equivalence tests).
 //!
 //! # Exactness
 //!
@@ -45,6 +46,7 @@
 //! [`Objective::evaluate`]: crate::Objective::evaluate
 //! [`Objective::compiled`]: crate::Objective::compiled
 //! [`ConstraintChecker::compile`]: crate::ConstraintChecker::compile
+//! [`ConstraintChecker::check`]: crate::ConstraintChecker::check
 //! [`ConstraintSet`]: crate::ConstraintSet
 //! [`MemoryConstraint`]: crate::MemoryConstraint
 //! [`PathAwareAvailability`]: crate::PathAwareAvailability
@@ -1631,14 +1633,18 @@ impl CompiledConstraints {
 
 // ---- opt-out wrapper ------------------------------------------------------
 
-/// Wraps an objective and hides its compiled form, so every algorithm scores
-/// it through [`Objective::evaluate`](crate::Objective::evaluate) — the same
-/// body, opaque scoring. Used by benchmarks and the dense-vs-opaque
-/// equivalence tests, which hold the dense forms to the naive evaluators.
+/// Wraps an objective or a constraint checker and hides its compiled form,
+/// so every algorithm scores it through
+/// [`Objective::evaluate`](crate::Objective::evaluate) or checks it through
+/// [`ConstraintChecker::check`](crate::ConstraintChecker::check) /
+/// [`admits`](crate::ConstraintChecker::admits) —
+/// the same body, opaque scoring or probing. Used by benchmarks and the
+/// dense-vs-opaque equivalence tests, which hold the dense forms to the
+/// naive evaluators.
 #[derive(Debug)]
-pub struct Uncompiled<'a>(pub &'a dyn crate::Objective);
+pub struct Uncompiled<'a, T: ?Sized>(pub &'a T);
 
-impl crate::Objective for Uncompiled<'_> {
+impl<T: crate::Objective + ?Sized> crate::Objective for Uncompiled<'_, T> {
     fn name(&self) -> &str {
         self.0.name()
     }
@@ -1669,6 +1675,30 @@ impl crate::Objective for Uncompiled<'_> {
 
     fn compiled(&self) -> Option<CompiledObjective> {
         None
+    }
+}
+
+impl<T: crate::ConstraintChecker + ?Sized> crate::ConstraintChecker for Uncompiled<'_, T> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn check(
+        &self,
+        model: &DeploymentModel,
+        deployment: &Deployment,
+    ) -> Result<(), crate::ConstraintViolation> {
+        self.0.check(model, deployment)
+    }
+
+    fn admits(
+        &self,
+        model: &DeploymentModel,
+        partial: &Deployment,
+        component: ComponentId,
+        host: HostId,
+    ) -> bool {
+        self.0.admits(model, partial, component, host)
     }
 }
 
@@ -2440,5 +2470,27 @@ mod tests {
             .collect();
         assert_eq!(wrapped.evaluate(&m, &d), obj.evaluate(&m, &d));
         assert_eq!(wrapped.name(), obj.name());
+
+        let mut m = m;
+        m.constraints_mut().add(Constraint::Separated {
+            components: [c(1), c(2)].into_iter().collect(),
+        });
+        let cm = CompiledModel::compile(&m);
+        let checker = m.constraints();
+        assert!(checker.compile(&m, &cm).is_some());
+        let wrapped = Uncompiled(checker);
+        assert!(wrapped.compile(&m, &cm).is_none());
+        assert_eq!(wrapped.check(&m, &d), checker.check(&m, &d));
+        assert!(wrapped.check(&m, &d).is_err());
+        let mut partial = d.clone();
+        partial.unassign(c(2));
+        for host in 0..3 {
+            assert_eq!(
+                wrapped.admits(&m, &partial, c(2), h(host)),
+                checker.admits(&m, &partial, c(2), h(host))
+            );
+        }
+        assert!(!wrapped.admits(&m, &partial, c(2), h(1)));
+        assert_eq!(wrapped.name(), checker.name());
     }
 }

@@ -81,8 +81,7 @@ pub mod parts;
 pub use adl::AdlDocument;
 pub use awareness::AwarenessGraph;
 pub use constraints::{
-    BandwidthConstraint, Constraint, ConstraintChecker, ConstraintSet, ConstraintViolation,
-    MemoryConstraint,
+    Constraint, ConstraintChecker, ConstraintSet, ConstraintViolation, MemoryConstraint,
 };
 pub use deployment::{Deployment, Migration};
 pub use error::ModelError;

@@ -38,8 +38,11 @@
 
 use crate::architecture::Architecture;
 use crate::brick::{BrickId, ComponentFactory};
-use crate::codec::{get_bytes, get_varint, put_bytes, put_varint};
-use crate::durable::{get_f64, get_str, get_u32, put_f64, put_str, JournalRecord};
+use crate::codec::{
+    get_bytes, get_ctx, get_f64, get_str, get_u32, get_varint, put_bytes, put_ctx, put_f64,
+    put_str, put_varint,
+};
+use crate::durable::JournalRecord;
 use crate::event::Event;
 use crate::host::{HostServices, ADMIN_ADDRESS, DEPLOYER_ADDRESS, MONITOR_WINDOW};
 use crate::monitor::{EventFrequencyMonitor, FrequencyWindow, MonitoringSnapshot};
@@ -138,40 +141,6 @@ impl RedeploymentStatus {
         self.in_flight.is_empty()
     }
 }
-
-/// Writes an optional [`TraceCtx`]: a presence byte (0 none, 1 root, 2 with
-/// parent) and then the ids.
-fn put_ctx(out: &mut Vec<u8>, ctx: Option<TraceCtx>) {
-    let Some(ctx) = ctx else {
-        return put_varint(out, 0);
-    };
-    put_varint(out, 1 + u64::from(ctx.parent_id.is_some()));
-    put_varint(out, ctx.trace_id);
-    put_varint(out, ctx.span_id);
-    if let Some(parent) = ctx.parent_id {
-        put_varint(out, parent);
-    }
-}
-
-fn get_ctx(bytes: &[u8], pos: &mut usize) -> Result<Option<TraceCtx>, PrismError> {
-    let presence = get_varint(bytes, pos)?;
-    if presence == 0 {
-        return Ok(None);
-    }
-    if presence > 2 {
-        return Err(PrismError::Codec(format!("bad trace presence {presence}")));
-    }
-    Ok(Some(TraceCtx {
-        trace_id: get_varint(bytes, pos)?,
-        span_id: get_varint(bytes, pos)?,
-        parent_id: (presence == 2)
-            .then(|| get_varint(bytes, pos))
-            .transpose()?,
-    }))
-}
-
-/// A deployment command: where each named component should live.
-pub type DeploymentCommand = BTreeMap<String, HostId>;
 
 /// ε of the admin's stability gauges.
 const STABILITY_EPSILON: f64 = 0.5;
@@ -872,7 +841,7 @@ impl DeployerComponent {
     pub(crate) fn effect(
         &mut self,
         services: &mut HostServices,
-        target: DeploymentCommand,
+        target: BTreeMap<String, HostId>,
         parent: Option<TraceCtx>,
     ) {
         let current = services.directory().clone();

@@ -224,11 +224,6 @@ impl ComponentFactory {
             .insert(type_name.into(), Box::new(constructor));
     }
 
-    /// Returns `true` if the type can be built.
-    pub fn knows(&self, type_name: &str) -> bool {
-        self.constructors.contains_key(type_name)
-    }
-
     /// Reconstitutes a component from its snapshot.
     ///
     /// # Errors
@@ -288,7 +283,6 @@ mod tests {
     fn factory_builds_registered_types() {
         let mut f = ComponentFactory::new();
         f.register("probe", |_| Box::new(Probe));
-        assert!(f.knows("probe"));
         assert!(f.build("probe", &[]).is_ok());
     }
 

@@ -62,9 +62,10 @@ use crate::event::{Event, EventKind, ParamVec};
 use crate::symbol::Symbol;
 use crate::PrismError;
 use redep_model::ParamValue;
+use redep_telemetry::TraceCtx;
 
 /// Leading byte of an encoded [`Event`].
-pub const EVENT_MAGIC: u8 = 0xE5;
+const EVENT_MAGIC: u8 = 0xE5;
 
 /// Leading byte of an encoded transport frame.
 pub(crate) const WIRE_MAGIC: u8 = 0xEB;
@@ -157,6 +158,65 @@ pub(crate) fn expect_magic(bytes: &[u8], magic: u8, what: &str) -> Result<(), Pr
     }
 }
 
+// --- strings, floats, u32s and trace contexts ------------------------------
+
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_bytes(out, s.as_bytes());
+}
+
+pub(crate) fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String, PrismError> {
+    let b = get_bytes(bytes, pos)?;
+    String::from_utf8(b.to_vec()).map_err(|_| codec_err("invalid utf-8"))
+}
+
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn get_f64(bytes: &[u8], pos: &mut usize) -> Result<f64, PrismError> {
+    let raw = pos
+        .checked_add(8)
+        .and_then(|end| bytes.get(*pos..end))
+        .ok_or_else(|| codec_err("truncated f64"))?;
+    *pos += 8;
+    Ok(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
+}
+
+pub(crate) fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, PrismError> {
+    u32::try_from(get_varint(bytes, pos)?).map_err(|_| codec_err("value out of u32 range"))
+}
+
+/// Writes an optional [`TraceCtx`]: a presence byte (0 none, 1 root, 2 with
+/// parent) and then the ids.
+pub(crate) fn put_ctx(out: &mut Vec<u8>, ctx: Option<TraceCtx>) {
+    let Some(ctx) = ctx else {
+        return put_varint(out, 0);
+    };
+    put_varint(out, 1 + u64::from(ctx.parent_id.is_some()));
+    put_varint(out, ctx.trace_id);
+    put_varint(out, ctx.span_id);
+    if let Some(parent) = ctx.parent_id {
+        put_varint(out, parent);
+    }
+}
+
+pub(crate) fn get_ctx(bytes: &[u8], pos: &mut usize) -> Result<Option<TraceCtx>, PrismError> {
+    let presence = get_varint(bytes, pos)?;
+    if presence == 0 {
+        return Ok(None);
+    }
+    if presence > 2 {
+        return Err(PrismError::Codec(format!("bad trace presence {presence}")));
+    }
+    Ok(Some(TraceCtx {
+        trace_id: get_varint(bytes, pos)?,
+        span_id: get_varint(bytes, pos)?,
+        parent_id: (presence == 2)
+            .then(|| get_varint(bytes, pos))
+            .transpose()?,
+    }))
+}
+
 // --- event codec ---------------------------------------------------------
 
 const TAG_FALSE: u8 = 0;
@@ -234,11 +294,11 @@ pub(crate) fn encode_event_into(e: &Event, out: &mut Vec<u8>) {
             }
             ParamValue::Float(f) => {
                 out.push(TAG_FLOAT);
-                out.extend_from_slice(&f.to_le_bytes());
+                put_f64(out, *f);
             }
             ParamValue::Text(s) => {
                 out.push(TAG_TEXT);
-                put_bytes(out, s.as_bytes());
+                put_str(out, s);
             }
         }
     }
@@ -280,7 +340,7 @@ pub(crate) fn decode_event(bytes: &[u8]) -> Result<Event, PrismError> {
         } else {
             None
         };
-        Some(redep_telemetry::TraceCtx {
+        Some(TraceCtx {
             trace_id,
             span_id,
             parent_id,

@@ -51,7 +51,7 @@
 //! verdict set plus a self-check (`state_equiv`) that the replayed state is
 //! identical to the state the host actually held at the crash instant.
 
-use crate::codec::{get_bytes, get_varint, put_bytes, put_varint};
+use crate::codec::{get_bytes, get_str, get_u32, get_varint, put_bytes, put_str, put_varint};
 use crate::error::PrismError;
 use redep_model::HostId;
 use redep_netsim::SimTime;
@@ -221,33 +221,6 @@ pub const RECORD_KINDS: [&str; 15] = [
     "channel_state",
     "timer_cursor",
 ];
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-pub(crate) fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String, PrismError> {
-    let b = get_bytes(bytes, pos)?;
-    String::from_utf8(b.to_vec()).map_err(|_| PrismError::Codec("invalid utf-8".into()))
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn get_f64(bytes: &[u8], pos: &mut usize) -> Result<f64, PrismError> {
-    let raw = pos
-        .checked_add(8)
-        .and_then(|end| bytes.get(*pos..end))
-        .ok_or_else(|| PrismError::Codec("truncated f64".into()))?;
-    *pos += 8;
-    Ok(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
-}
-
-pub(crate) fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, PrismError> {
-    u32::try_from(get_varint(bytes, pos)?)
-        .map_err(|_| PrismError::Codec("value out of u32 range".into()))
-}
 
 impl<S: AsRef<str>, B: AsRef<[u8]>> JournalRecord<S, B> {
     /// The record's wire tag, which is also its index in [`RECORD_KINDS`].

@@ -309,8 +309,8 @@ impl Event {
     /// # Errors
     ///
     /// Returns [`crate::PrismError::Codec`] for malformed bytes; input that
-    /// does not start with [`crate::codec::EVENT_MAGIC`] is reported with
-    /// its leading byte.
+    /// does not start with the event magic byte is reported with its
+    /// leading byte.
     pub fn decode(bytes: &[u8]) -> Result<Self, crate::PrismError> {
         crate::codec::decode_event(bytes)
     }

@@ -296,13 +296,13 @@ impl HostServices {
     }
 
     /// Looks up where a component currently lives.
-    pub fn locate(&self, component: &str) -> Option<HostId> {
+    fn locate(&self, component: &str) -> Option<HostId> {
         self.directory.get(component).copied()
     }
 
-    /// [`HostServices::locate`] for the per-event path, whose callers hold
-    /// the component's `Symbol`: one directory walk per name per directory
-    /// version, an integer search after that.
+    /// `locate` for the per-event path, whose callers hold the component's
+    /// `Symbol`: one directory walk per name per directory version, an
+    /// integer search after that.
     fn locate_symbol(&mut self, component: Symbol) -> Option<HostId> {
         match self
             .dir_memo

@@ -51,7 +51,7 @@ pub mod timers;
 pub mod transport;
 pub mod workload;
 
-pub use admin::{AdminComponent, DeployerComponent, DeploymentCommand, RedeploymentStatus};
+pub use admin::{AdminComponent, DeployerComponent, RedeploymentStatus};
 pub use architecture::Architecture;
 pub use brick::{BrickId, ComponentBehavior, ComponentCtx, ComponentFactory};
 pub use connector::Connector;

@@ -14,8 +14,10 @@
 //! [`StabilityGauge`](crate::StabilityGauge); stable readings are packaged
 //! into a [`MonitoringSnapshot`] and shipped to the deployer.
 
-use crate::codec::{expect_magic, get_varint, put_varint, SNAPSHOT_MAGIC};
-use crate::durable::{get_f64, get_str, get_u32, put_f64, put_str};
+use crate::codec::{
+    expect_magic, get_f64, get_str, get_u32, get_varint, put_f64, put_str, put_varint,
+    SNAPSHOT_MAGIC,
+};
 use crate::event::Event;
 use crate::symbol::Symbol;
 use crate::PrismError;

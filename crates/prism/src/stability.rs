@@ -100,11 +100,6 @@ impl StabilityGauge {
         self.history.is_empty()
     }
 
-    /// The most recent reading.
-    pub fn latest(&self) -> Option<f64> {
-        self.history.back().copied()
-    }
-
     /// Whether the readings have settled: the last `required` consecutive
     /// differences are all `< epsilon`. Requires `required + 1` readings.
     pub fn is_stable(&self) -> bool {
@@ -122,11 +117,6 @@ impl StabilityGauge {
                 };
                 (a - b).abs() < self.epsilon * scale
             })
-    }
-
-    /// Discards all readings (e.g. after shipping a stable snapshot).
-    pub fn reset(&mut self) {
-        self.history.clear();
     }
 }
 
@@ -180,14 +170,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_history() {
+    fn display_names_the_gauge_state() {
         let mut g = StabilityGauge::new(0.1, 1);
         g.push(1.0);
+        assert_eq!(g.to_string(), "stability(ε=0.1, k=1, settling)");
         g.push(1.0);
-        assert!(g.is_stable());
-        g.reset();
-        assert!(g.is_empty());
-        assert!(!g.is_stable());
+        assert_eq!(g.to_string(), "stability(ε=0.1, k=1, stable)");
     }
 
     #[test]
@@ -204,11 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn latest_tracks_last_push() {
-        let mut g = StabilityGauge::new(0.1, 1);
-        assert_eq!(g.latest(), None);
-        g.push(3.5);
-        assert_eq!(g.latest(), Some(3.5));
+    fn len_counts_readings_up_to_the_window() {
+        let mut g = StabilityGauge::new(0.1, 2);
+        assert!(g.is_empty());
+        for (i, v) in [3.5, 3.5, 3.5, 3.5].into_iter().enumerate() {
+            g.push(v);
+            assert_eq!(g.len(), (i + 1).min(3));
+        }
     }
 
     #[test]

@@ -41,9 +41,8 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use serde_json::{Number, Value};
 
 pub mod metrics;
@@ -210,7 +209,7 @@ impl Journal {
             self.ord1.load(Ordering::Relaxed),
             self.intra.fetch_add(1, Ordering::Relaxed),
         ];
-        let mut buf = self.buf.lock();
+        let mut buf = self.buf();
         if buf.len() >= self.capacity {
             buf.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -218,9 +217,15 @@ impl Journal {
         buf.push_back(event);
     }
 
+    /// The retained events, locked; a record that panicked mid-push still
+    /// leaves a well-formed deque, so a poisoned lock is taken as is.
+    fn buf(&self) -> MutexGuard<'_, VecDeque<Event>> {
+        self.buf.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        self.buf().len()
     }
 
     /// Whether the journal holds no events.
@@ -235,12 +240,12 @@ impl Journal {
 
     /// A copy of the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.buf.lock().iter().cloned().collect()
+        self.buf().iter().cloned().collect()
     }
 
     /// Removes and returns all retained events, oldest first.
     pub fn drain(&self) -> Vec<Event> {
-        self.buf.lock().drain(..).collect()
+        self.buf().drain(..).collect()
     }
 }
 
@@ -477,8 +482,8 @@ impl Telemetry {
 
 /// Exact nearest-rank p50/p90/p99 over a sample set; `None` when empty.
 ///
-/// Unlike [`HistogramSnapshot::quantile`] this sorts the raw samples, so
-/// it is exact — use it for bounded sample sets (per-window availability,
+/// Unlike the bucket-interpolated quantiles [`MetricsRegistry::render`]
+/// prints for a [`Histogram`], this sorts the raw samples, so it is exact — use it for bounded sample sets (per-window availability,
 /// span durations), not unbounded hot-path streams.
 pub fn percentiles(samples: &[f64]) -> Option<[f64; 3]> {
     if samples.is_empty() {

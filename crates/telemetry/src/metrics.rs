@@ -6,10 +6,9 @@
 //! relaxed orderings are exact; under concurrency they are the usual
 //! monotonic-counter semantics.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A monotonically increasing `u64`.
 #[derive(Clone, Default)]
@@ -167,7 +166,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Approximate quantile via linear interpolation over the buckets.
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -197,7 +196,7 @@ enum Metric {
 /// returned handles are lock-free clones.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    metrics: Mutex<std::collections::BTreeMap<String, Metric>>,
+    metrics: Mutex<BTreeMap<String, Metric>>,
 }
 
 impl MetricsRegistry {
@@ -206,12 +205,18 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The instruments by name, locked; a registration that panicked leaves
+    /// a well-formed map, so a poisoned lock is taken as is.
+    fn metrics(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The counter named `name`, creating it on first use.
     ///
     /// # Panics
     /// If `name` is already registered as a different instrument kind.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut metrics = self.metrics.lock();
+        let mut metrics = self.metrics();
         match metrics
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Counter(Counter::default()))
@@ -226,7 +231,7 @@ impl MetricsRegistry {
     /// # Panics
     /// If `name` is already registered as a different instrument kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut metrics = self.metrics.lock();
+        let mut metrics = self.metrics();
         match metrics
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Gauge(Gauge::default()))
@@ -242,7 +247,7 @@ impl MetricsRegistry {
     /// # Panics
     /// If `name` is already registered as a different instrument kind.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        let mut metrics = self.metrics.lock();
+        let mut metrics = self.metrics();
         match metrics
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Histogram(Histogram::new(bounds)))
@@ -255,7 +260,7 @@ impl MetricsRegistry {
     /// Human-readable listing of every metric, sorted by name.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
-        let metrics = self.metrics.lock();
+        let metrics = self.metrics();
         let mut out = String::new();
         if metrics.is_empty() {
             return out;

@@ -19,6 +19,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The Modifier controller: tune a single parameter and observe the
     // sensitivity (then keep the change).
     let h0 = desi.system().model().host_ids()[0];
+    let (before, after) = desi.sensitivity(&Availability, |m, model| {
+        m.set_host_param(model, h0, keys::HOST_MEMORY, 200.0)
+    })?;
+    println!("sensitivity of availability to {h0}'s memory = 200: {before:.4} -> {after:.4}");
     desi.modify(|m, model| m.set_host_param(model, h0, keys::HOST_MEMORY, 200.0))?;
 
     // The AlgorithmContainer: plug in the suite and run everything.
