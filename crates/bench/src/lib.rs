@@ -207,7 +207,7 @@ impl ExpReport {
     }
 
     /// Renders the report as a JSON value with deterministic (sorted) keys.
-    pub fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value {
         let number = |x: f64| Value::Number(serde_json::Number::F(x));
         let mut obj = BTreeMap::new();
         obj.insert("schema".to_owned(), Value::String(REPORT_SCHEMA.to_owned()));
@@ -309,7 +309,7 @@ impl ExpReport {
     }
 
     /// The file the report lands in: `BENCH_<experiment>.json`.
-    pub fn file_name(&self) -> String {
+    fn file_name(&self) -> String {
         format!("BENCH_{}.json", self.experiment)
     }
 }
@@ -330,7 +330,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Renders a titled ASCII table to a string.
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {

@@ -105,11 +105,6 @@ impl CentralizedAnalyzer {
         }
     }
 
-    /// The policy configuration.
-    pub fn config(&self) -> &AnalyzerConfig {
-        &self.config
-    }
-
     /// Records one availability observation into the system's profile.
     pub fn observe(&mut self, time_secs: f64, availability: f64) {
         self.gauge.push(availability);
@@ -318,7 +313,7 @@ mod tests {
         if decision.accepted {
             assert!(
                 decision.record.availability - decision.current_availability
-                    >= a.config().min_gain - 1e-12
+                    >= a.config.min_gain - 1e-12
             );
         }
     }

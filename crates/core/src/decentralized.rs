@@ -139,11 +139,6 @@ impl DecentralizedFramework {
         &self.system
     }
 
-    /// The awareness graph.
-    pub fn awareness(&self) -> &AwarenessGraph {
-        &self.awareness
-    }
-
     /// Runs the system without analysis.
     pub fn advance(&mut self, span: Duration) {
         self.runtime.run_for(span);

@@ -2,7 +2,7 @@
 //!
 //! "The AlgorithmContainer component invokes the selected redeployment
 //! algorithms … and updates the Model's AlgoResultData." Algorithms can be
-//! added and removed at run time — the API the paper's meta-level analyzers
+//! added or replaced at run time — the API the paper's meta-level analyzers
 //! use to reconfigure the framework ("it may choose to add a new low-level
 //! algorithm component that computes better results for the new operational
 //! scenario").
@@ -41,21 +41,9 @@ impl AlgorithmContainer {
         self.algorithms.push(Box::new(algorithm));
     }
 
-    /// Removes an algorithm by name; returns whether one was removed.
-    pub fn remove(&mut self, name: &str) -> bool {
-        let before = self.algorithms.len();
-        self.algorithms.retain(|a| a.name() != name);
-        self.algorithms.len() != before
-    }
-
     /// Registered algorithm names, in registration order.
     pub fn names(&self) -> Vec<&str> {
         self.algorithms.iter().map(|a| a.name()).collect()
-    }
-
-    /// Whether an algorithm with this name is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.algorithms.iter().any(|a| a.name() == name)
     }
 
     /// Looks up an algorithm by name.
@@ -126,14 +114,11 @@ mod tests {
     }
 
     #[test]
-    fn register_and_remove() {
+    fn registration_keeps_order() {
         let mut c = AlgorithmContainer::new();
         c.register(AvalaAlgorithm::new());
         c.register(StochasticAlgorithm::new());
         assert_eq!(c.names(), ["avala", "stochastic"]);
-        assert!(c.remove("avala"));
-        assert!(!c.remove("avala"));
-        assert!(!c.contains("avala"));
     }
 
     #[test]

@@ -95,15 +95,6 @@ impl DeSi {
         Ok(())
     }
 
-    /// Undoes the most recent modifier edit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model lookup failures.
-    pub fn undo(&mut self) -> Result<bool, DesiError> {
-        Ok(self.modifier.undo(self.system.model_mut())?)
-    }
-
     /// Sensitivity analysis: how much does `objective` change if the model
     /// were edited as given? The edit is applied, the current deployment is
     /// re-scored, and the edit is rolled back — the model is left exactly as
@@ -155,7 +146,7 @@ impl DeSi {
         &self.container
     }
 
-    /// The algorithm registry, mutable (register/remove algorithms).
+    /// The algorithm registry, mutable (register or replace algorithms).
     pub fn container_mut(&mut self) -> &mut AlgorithmContainer {
         &mut self.container
     }
@@ -248,7 +239,8 @@ mod tests {
         d.modify(|m, model| m.set_host_param(model, h0, keys::HOST_MEMORY, 1.0))
             .unwrap();
         assert_eq!(d.system().model().host(h0).unwrap().memory(), 1.0);
-        assert!(d.undo().unwrap());
+        d.modify(|m, model| m.undo(model).map(|undone| assert!(undone)))
+            .unwrap();
         assert_eq!(d.system().model().host(h0).unwrap().memory(), before);
     }
 

@@ -14,7 +14,7 @@
 //!   convergence traces as a text dashboard;
 //! * **Controller** — the generator/modifier (re-exported from
 //!   `redep-model`), the [`AlgorithmContainer`] (pluggable algorithms, the
-//!   analyzer's add/remove API), and the [`MiddlewareAdapter`] that connects
+//!   analyzer's register-or-replace API), and the [`MiddlewareAdapter`] that connects
 //!   DeSi to a running Prism-MW system (its `Monitor` pulls monitoring data
 //!   into the model; its `Effector` pushes improved deployments back).
 //!

@@ -83,11 +83,6 @@ impl AlgoResultData {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// Clears the log.
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
 }
 
 #[cfg(test)]

@@ -120,11 +120,6 @@ impl AwarenessGraph {
         self.aware.get(&a).is_some_and(|s| s.contains(&b))
     }
 
-    /// Hosts covered by this graph, in id order.
-    pub fn hosts(&self) -> Vec<HostId> {
-        self.aware.keys().copied().collect()
-    }
-
     /// Mean fraction of peers each host is aware of (`1.0` = complete).
     pub fn mean_awareness(&self) -> f64 {
         let n = self.aware.len();

@@ -266,7 +266,7 @@ impl Default for ConstraintSet {
 
 impl ConstraintSet {
     /// Creates an empty set (memory capacity still enforced).
-    pub fn new() -> Self {
+    fn new() -> Self {
         ConstraintSet {
             constraints: Vec::new(),
             enforce_memory: true,
@@ -291,11 +291,6 @@ impl ConstraintSet {
     /// Returns `true` if no explicit constraint has been added.
     pub fn is_empty(&self) -> bool {
         self.constraints.is_empty()
-    }
-
-    /// Removes all constraints.
-    pub fn clear(&mut self) {
-        self.constraints.clear();
     }
 
     /// Enables or disables the built-in host-memory capacity check.

@@ -579,7 +579,7 @@ pub enum PartKind {
 
 impl PartKind {
     /// Whether this term is maximized or minimized.
-    pub fn direction(&self) -> Direction {
+    fn direction(&self) -> Direction {
         match self {
             PartKind::Availability | PartKind::PathAwareAvailability | PartKind::LinkSecurity => {
                 Direction::Maximize
@@ -985,7 +985,7 @@ impl CompiledObjective {
     }
 
     /// The terms with their weights.
-    pub fn parts(&self) -> &[(PartKind, f64)] {
+    fn parts(&self) -> &[(PartKind, f64)] {
         &self.parts
     }
 
@@ -1095,11 +1095,6 @@ impl<'m> IncrementalScore<'m> {
             full_evals: 0,
             delta_evals: 0,
         }
-    }
-
-    /// The model being scored.
-    pub fn model(&self) -> &'m CompiledModel {
-        self.model
     }
 
     /// The current dense assignment.
@@ -1618,16 +1613,6 @@ impl CompiledConstraints {
             }
         }
         projected
-    }
-
-    /// Number of hosts in the compiled model this checker was built for.
-    pub fn n_hosts(&self) -> usize {
-        self.n_hosts
-    }
-
-    /// Number of components in the compiled model this checker was built for.
-    pub fn n_comps(&self) -> usize {
-        self.n_comps
     }
 }
 

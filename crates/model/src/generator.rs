@@ -38,7 +38,7 @@ impl Range {
     }
 
     /// Samples the range uniformly.
-    pub fn sample(&self, rng: &mut impl Rng) -> f64 {
+    fn sample(&self, rng: &mut impl Rng) -> f64 {
         if self.lo == self.hi {
             self.lo
         } else {

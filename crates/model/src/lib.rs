@@ -94,7 +94,7 @@ pub use hierarchy::{delay_units, Hierarchy, HierarchyConfig};
 pub use ids::{ComponentId, HostId};
 pub use links::{ComponentPair, HostPair, LogicalLink, PhysicalLink};
 pub use model::{DeploymentModel, PathQuality};
-pub use modifier::{ModelEdit, Modifier};
+pub use modifier::Modifier;
 pub use objectives::{
     Availability, CommunicationVolume, Composite, Direction, Latency, LinkSecurity, Objective,
     PathAwareAvailability,

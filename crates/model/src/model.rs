@@ -481,7 +481,7 @@ impl DeploymentModel {
 
     /// Transmission delay between two hosts (`0.0` locally, `∞` when
     /// disconnected).
-    pub fn delay(&self, a: HostId, b: HostId) -> f64 {
+    fn delay(&self, a: HostId, b: HostId) -> f64 {
         if a == b {
             return 0.0;
         }

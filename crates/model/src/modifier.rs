@@ -13,14 +13,12 @@ use crate::ids::{ComponentId, HostId};
 use crate::model::DeploymentModel;
 use crate::params::{ParamKey, ParamValue};
 use crate::ModelError;
-use std::fmt;
 
 /// One recorded, reversible model edit.
 #[derive(Clone, PartialEq, Debug)]
-#[non_exhaustive]
-pub enum ModelEdit {
+enum ModelEdit {
     /// A host parameter changed (`previous` is `None` for a fresh key).
-    HostParam {
+    Host {
         /// The edited host.
         host: HostId,
         /// The edited key.
@@ -29,7 +27,7 @@ pub enum ModelEdit {
         previous: Option<ParamValue>,
     },
     /// A component parameter changed.
-    ComponentParam {
+    Component {
         /// The edited component.
         component: ComponentId,
         /// The edited key.
@@ -38,7 +36,7 @@ pub enum ModelEdit {
         previous: Option<ParamValue>,
     },
     /// A physical-link parameter changed.
-    PhysicalParam {
+    Physical {
         /// Link endpoints.
         hosts: (HostId, HostId),
         /// The edited key.
@@ -50,7 +48,7 @@ pub enum ModelEdit {
         created: bool,
     },
     /// A logical-link parameter changed.
-    LogicalParam {
+    Logical {
         /// Link endpoints.
         components: (ComponentId, ComponentId),
         /// The edited key.
@@ -60,25 +58,6 @@ pub enum ModelEdit {
         /// Whether the edit created the link itself.
         created: bool,
     },
-}
-
-impl fmt::Display for ModelEdit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ModelEdit::HostParam { host, key, .. } => write!(f, "set {key} on {host}"),
-            ModelEdit::ComponentParam { component, key, .. } => {
-                write!(f, "set {key} on {component}")
-            }
-            ModelEdit::PhysicalParam { hosts, key, .. } => {
-                write!(f, "set {key} on link {}–{}", hosts.0, hosts.1)
-            }
-            ModelEdit::LogicalParam {
-                components, key, ..
-            } => {
-                write!(f, "set {key} on link {}–{}", components.0, components.1)
-            }
-        }
-    }
 }
 
 /// Fine-grained, undoable model editing.
@@ -120,11 +99,6 @@ impl Modifier {
         self.log.len()
     }
 
-    /// Iterates over recorded edits, oldest first.
-    pub fn history(&self) -> impl Iterator<Item = &ModelEdit> {
-        self.log.iter()
-    }
-
     /// Sets a host parameter.
     ///
     /// # Errors
@@ -139,7 +113,7 @@ impl Modifier {
     ) -> Result<(), ModelError> {
         let key = key.into();
         let previous = model.host_mut(host)?.params_mut().set(key.clone(), value);
-        self.log.push(ModelEdit::HostParam {
+        self.log.push(ModelEdit::Host {
             host,
             key,
             previous,
@@ -165,7 +139,7 @@ impl Modifier {
             .component_mut(component)?
             .params_mut()
             .set(key.clone(), value);
-        self.log.push(ModelEdit::ComponentParam {
+        self.log.push(ModelEdit::Component {
             component,
             key,
             previous,
@@ -193,7 +167,7 @@ impl Modifier {
         model.set_physical_link(a, b, |l| {
             previous = l.params_mut().set(key2, value);
         })?;
-        self.log.push(ModelEdit::PhysicalParam {
+        self.log.push(ModelEdit::Physical {
             hosts: (a, b),
             key,
             previous,
@@ -223,7 +197,7 @@ impl Modifier {
         model.set_logical_link(a, b, |l| {
             previous = l.params_mut().set(key2, value);
         })?;
-        self.log.push(ModelEdit::LogicalParam {
+        self.log.push(ModelEdit::Logical {
             components: (a, b),
             key,
             previous,
@@ -243,7 +217,7 @@ impl Modifier {
             return Ok(false);
         };
         match edit {
-            ModelEdit::HostParam {
+            ModelEdit::Host {
                 host,
                 key,
                 previous,
@@ -254,7 +228,7 @@ impl Modifier {
                     None => params.remove(key),
                 };
             }
-            ModelEdit::ComponentParam {
+            ModelEdit::Component {
                 component,
                 key,
                 previous,
@@ -265,7 +239,7 @@ impl Modifier {
                     None => params.remove(key),
                 };
             }
-            ModelEdit::PhysicalParam {
+            ModelEdit::Physical {
                 hosts: (a, b),
                 key,
                 previous,
@@ -282,7 +256,7 @@ impl Modifier {
                     })?;
                 }
             }
-            ModelEdit::LogicalParam {
+            ModelEdit::Logical {
                 components: (a, b),
                 key,
                 previous,
@@ -400,14 +374,5 @@ mod tests {
         let ghost = HostId::new(99);
         assert!(md.set_host_param(&mut m, ghost, "k", 1.0).is_err());
         assert_eq!(md.history_len(), 0);
-    }
-
-    #[test]
-    fn history_is_inspectable() {
-        let (mut m, a, _, _, _) = fixture();
-        let mut md = Modifier::new();
-        md.set_host_param(&mut m, a, "k", 1.0).unwrap();
-        let entries: Vec<String> = md.history().map(ToString::to_string).collect();
-        assert_eq!(entries, ["set k on h0"]);
     }
 }

@@ -418,24 +418,9 @@ impl Composite {
     /// # Panics
     ///
     /// Panics if `weight` is negative.
-    pub fn push(
-        &mut self,
-        label: impl Into<String>,
-        objective: impl Objective + 'static,
-        weight: f64,
-    ) {
+    fn push(&mut self, label: impl Into<String>, objective: impl Objective + 'static, weight: f64) {
         assert!(weight >= 0.0, "weight must be non-negative, got {weight}");
         self.parts.push((label.into(), Box::new(objective), weight));
-    }
-
-    /// Number of parts.
-    pub fn len(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Returns `true` if the composite has no parts.
-    pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
     }
 }
 

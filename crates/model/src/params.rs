@@ -21,8 +21,6 @@ use std::fmt;
 pub mod keys {
     /// Available memory on a host (abstract units).
     pub const HOST_MEMORY: &str = "host.memory";
-    /// Processing speed of a host (abstract units; user-input, stable).
-    pub const HOST_CPU: &str = "host.cpu";
     /// Memory required by a component (abstract units).
     pub const COMPONENT_MEMORY: &str = "component.memory";
     /// Reliability of a physical link in `[0, 1]`.
@@ -52,13 +50,6 @@ pub mod keys {
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 #[serde(transparent)]
 pub struct ParamKey(Cow<'static, str>);
-
-impl ParamKey {
-    /// Returns the key name.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
 
 impl fmt::Display for ParamKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -92,11 +83,14 @@ impl AsRef<str> for ParamKey {
 /// # Example
 ///
 /// ```
-/// use redep_model::ParamValue;
-/// let v = ParamValue::from(0.75);
-/// assert_eq!(v.as_f64(), Some(0.75));
-/// assert_eq!(ParamValue::from(3i64).as_f64(), Some(3.0));
-/// assert_eq!(ParamValue::from(true).as_bool(), Some(true));
+/// use redep_model::{ParamTable, ParamValue};
+/// let mut t = ParamTable::new();
+/// t.set("x", 0.75);
+/// t.set("n", 3i64);
+/// assert_eq!(t.get_f64("x"), Some(0.75));
+/// assert_eq!(t.get_f64("n"), Some(3.0));
+/// assert_eq!(ParamValue::from(3i64).as_i64(), Some(3));
+/// assert_eq!(ParamValue::from(true), ParamValue::Bool(true));
 /// ```
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(untagged)]
@@ -113,7 +107,7 @@ pub enum ParamValue {
 
 impl ParamValue {
     /// Returns the value as a float, coercing integers.
-    pub fn as_f64(&self) -> Option<f64> {
+    fn as_f64(&self) -> Option<f64> {
         match self {
             ParamValue::Float(v) => Some(*v),
             ParamValue::Int(v) => Some(*v as f64),
@@ -125,14 +119,6 @@ impl ParamValue {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             ParamValue::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the value as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            ParamValue::Bool(v) => Some(*v),
             _ => None,
         }
     }
@@ -223,7 +209,7 @@ impl ParamTable {
     }
 
     /// Returns a parameter value.
-    pub fn get(&self, key: impl Into<ParamKey>) -> Option<&ParamValue> {
+    fn get(&self, key: impl Into<ParamKey>) -> Option<&ParamValue> {
         self.entries.get(&key.into())
     }
 
@@ -311,7 +297,7 @@ mod tests {
         t.set("label", "gps");
         assert_eq!(t.get_f64("flag"), None);
         assert_eq!(t.get_f64("label"), None);
-        assert_eq!(t.get("flag").and_then(ParamValue::as_bool), Some(true));
+        assert_eq!(t.get("flag"), Some(&ParamValue::Bool(true)));
         assert_eq!(t.get("label").and_then(ParamValue::as_text), Some("gps"));
     }
 
@@ -338,7 +324,7 @@ mod tests {
         t.set("b", 2.0);
         t.set("a", 1.0);
         t.set("c", 3.0);
-        let order: Vec<&str> = t.iter().map(|(k, _)| k.as_str()).collect();
+        let order: Vec<&str> = t.iter().map(|(k, _)| k.as_ref()).collect();
         assert_eq!(order, ["a", "b", "c"]);
     }
 

@@ -68,11 +68,6 @@ impl Host {
     pub fn set_memory(&mut self, memory: f64) -> Option<ParamValue> {
         self.params.set(keys::HOST_MEMORY, memory)
     }
-
-    /// Processing speed ([`keys::HOST_CPU`]); unlimited when unspecified.
-    pub fn cpu(&self) -> f64 {
-        self.params.get_f64_or(keys::HOST_CPU, f64::INFINITY)
-    }
 }
 
 impl fmt::Display for Host {
@@ -149,7 +144,6 @@ mod tests {
     fn host_defaults_are_unconstrained() {
         let h = Host::new(HostId::new(0), "hq");
         assert_eq!(h.memory(), f64::INFINITY);
-        assert_eq!(h.cpu(), f64::INFINITY);
     }
 
     #[test]

@@ -200,18 +200,6 @@ impl<T> CalendarQueue<T> {
         self.ensure_front();
         self.current.peek().map(|e| e.time)
     }
-
-    /// Drops every pending entry, resetting the queue (the cursor and its
-    /// geometry are kept).
-    pub fn clear(&mut self) {
-        self.current.clear();
-        for slot in &mut self.wheel {
-            slot.clear();
-        }
-        self.overflow.clear();
-        self.wheel_count = 0;
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -336,18 +324,6 @@ mod tests {
         q.push(SimTime::from_micros(50), 2, 3);
         assert_eq!(q.pop(), Some((SimTime::from_micros(50), 2, 3)));
         assert_eq!(q.pop(), Some((SimTime::from_micros(100_000), 1, 2)));
-    }
-
-    #[test]
-    fn clear_empties_everything() {
-        let mut q = CalendarQueue::with_geometry(2, 4);
-        q.push(SimTime::from_micros(1), 0, 1);
-        q.push(SimTime::from_micros(1_000_000), 1, 2);
-        q.pop();
-        q.push(SimTime::from_micros(2), 2, 3);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

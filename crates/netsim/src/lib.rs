@@ -16,9 +16,9 @@
 //!   and flaps, partitions and host crashes ([`faultplan`],
 //!   [`ShardedSimulator::install_fault_plan`]), the one way a run changes
 //!   its links,
-//! * the same changes between runs: links and hosts going down and coming
-//!   back ([`Simulator::set_link_up`], [`Simulator::set_host_up`],
-//!   [`Simulator::partition`]),
+//! * the same changes between runs: hosts going down and coming back,
+//!   partitions cut and healed ([`Simulator::set_host_up`],
+//!   [`Simulator::partition`], [`Simulator::heal`]),
 //! * ground-truth **statistics** per link ([`NetStats`]) against which
 //!   monitoring accuracy can be judged.
 //!

@@ -23,26 +23,6 @@ pub struct Message {
     pub sent_at: SimTime,
 }
 
-impl Message {
-    /// Creates a message; `size` defaults to the payload length.
-    pub fn new(src: HostId, dst: HostId, payload: Vec<u8>) -> Self {
-        let size = payload.len() as u64;
-        Message {
-            src,
-            dst,
-            payload,
-            size,
-            sent_at: SimTime::ZERO,
-        }
-    }
-
-    /// Builder-style override of the accounted size.
-    pub fn with_size(mut self, size: u64) -> Self {
-        self.size = size;
-        self
-    }
-}
-
 impl fmt::Display for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -58,20 +38,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn size_defaults_to_payload_length() {
-        let m = Message::new(HostId::new(0), HostId::new(1), vec![1, 2, 3]);
-        assert_eq!(m.size, 3);
-    }
-
-    #[test]
-    fn with_size_overrides() {
-        let m = Message::new(HostId::new(0), HostId::new(1), vec![]).with_size(1024);
-        assert_eq!(m.size, 1024);
-    }
-
-    #[test]
     fn display_mentions_endpoints() {
-        let m = Message::new(HostId::new(0), HostId::new(1), vec![0; 4]);
+        let m = Message {
+            src: HostId::new(0),
+            dst: HostId::new(1),
+            payload: vec![0; 4],
+            size: 4,
+            sent_at: SimTime::ZERO,
+        };
         assert!(m.to_string().contains("h0 → h1"));
     }
 }

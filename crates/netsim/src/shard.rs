@@ -84,7 +84,7 @@
 //!   reconstructs the single global order byte-for-byte.
 //!
 //! Two zero-delay-connected hosts could violate the lookahead bound, so
-//! [`ShardPlan::partition`] first merges hosts connected by zero-delay links
+//! the [`ShardPlan`] first merges hosts connected by zero-delay links
 //! into one placement unit ([`redep_model::delay_units`]); cross-shard links
 //! then always have delay ≥ 1 µs. Fault actions never touch a delay, and a
 //! link edit between runs that would shorten the lookahead panics, so the
@@ -211,7 +211,7 @@ impl ShardPlan {
     /// # Panics
     ///
     /// Panics if `shards == 0` or the topology has ≥ 2²⁶ hosts.
-    pub fn partition(topology: &NetworkTopology, shards: usize) -> Self {
+    fn partition(topology: &NetworkTopology, shards: usize) -> Self {
         assert!(shards > 0, "shard count must be positive");
         let hosts = topology.hosts();
         assert!(
@@ -255,7 +255,7 @@ impl ShardPlan {
     }
 
     /// Number of shards.
-    pub fn shards(&self) -> usize {
+    fn shards(&self) -> usize {
         self.shards
     }
 
@@ -265,7 +265,7 @@ impl ShardPlan {
     }
 
     /// The conservative lookahead: minimum cross-shard link delay.
-    pub fn lookahead(&self) -> Duration {
+    fn lookahead(&self) -> Duration {
         Duration::from_micros(self.lookahead_us)
     }
 
@@ -1049,7 +1049,7 @@ impl std::fmt::Debug for ShardedSimulator {
 
 impl ShardedSimulator {
     /// Builds a sharded simulator over `topology`, partitioned into
-    /// `shards` shards (see [`ShardPlan::partition`]). Every shard starts
+    /// `shards` shards (see [`ShardPlan`]). Every shard starts
     /// from a replica of the topology.
     pub fn new(seed: u64, topology: &NetworkTopology, shards: usize) -> Self {
         let plan = Arc::new(ShardPlan::partition(topology, shards));

@@ -5,8 +5,8 @@
 //! engine's own calls. The face keeps what a single-threaded driver wants in
 //! a one-shard signature — one telemetry handle, the statistics by
 //! reference, runs without a thread count — and the direct topology calls
-//! between runs (crash a host, cut a partition, take a link down). During a
-//! run, links change only through an installed fault plan.
+//! between runs (crash a host, cut a partition, heal it). During a run,
+//! links change only through an installed fault plan.
 
 use crate::faultplan::FaultAction;
 use crate::shard::ShardedSimulator;
@@ -23,10 +23,9 @@ use std::ops::{Deref, DerefMut};
 ///
 /// A host the topology did not name gets the next dense index when it is
 /// first registered (see [`ShardPlan`](crate::ShardPlan)), so hosts
-/// registered in ascending id order build the plan
-/// [`ShardPlan::partition`](crate::ShardPlan::partition) builds, and a run
-/// is byte-identical to a [`ShardedSimulator`] run over the same topology at
-/// any shard and thread count.
+/// registered in ascending id order build the plan a [`ShardedSimulator`]
+/// builds over the same topology, and a run is byte-identical to a
+/// [`ShardedSimulator`] run over it at any shard and thread count.
 #[derive(Debug)]
 pub struct Simulator(ShardedSimulator);
 
@@ -51,16 +50,6 @@ impl Simulator {
     /// Ground-truth statistics gathered so far.
     pub fn stats(&self) -> &NetStats {
         self.0.shard_stats(0)
-    }
-
-    /// Marks a link up or down.
-    pub fn set_link_up(&mut self, a: HostId, b: HostId, up: bool) {
-        let action = if up {
-            FaultAction::LinkUp(a, b)
-        } else {
-            FaultAction::LinkDown(a, b)
-        };
-        self.0.apply(&action);
     }
 
     /// Marks a host up or down. A down host receives neither messages nor
@@ -291,11 +280,11 @@ mod tests {
         sim.add_host(h(1), sink());
         sim.set_link(h(0), h(1), LinkSpec::default());
         sim.run_to_completion();
-        sim.set_link_up(h(0), h(1), false);
+        sim.apply(&FaultAction::LinkDown(h(0), h(1)));
         sim.inject(h(0), h(1), vec![1], 1);
         sim.run_to_completion();
         assert_eq!(sim.stats().dropped_disconnected, 1);
-        sim.set_link_up(h(0), h(1), true);
+        sim.apply(&FaultAction::LinkUp(h(0), h(1)));
         sim.inject(h(0), h(1), vec![2], 1);
         sim.run_to_completion();
         assert_eq!(sim.stats().delivered, 1);
@@ -557,7 +546,7 @@ mod tests {
         sim.set_link(h(0), h(1), LinkSpec::default());
         sim.partition(&[vec![h(0)], vec![h(1)]]);
         sim.heal();
-        sim.set_link_up(h(0), h(1), false);
+        sim.apply(&FaultAction::LinkDown(h(0), h(1)));
         sim.set_host_up(h(1), false);
         let names: Vec<String> = sim
             .telemetry()
@@ -703,7 +692,7 @@ mod tests {
         sim.set_link(h(1), h(2), LinkSpec::default());
         sim.set_link(h(0), h(2), LinkSpec::default());
         // An unrelated outage on 0–1 must survive the partition heal.
-        sim.set_link_up(h(0), h(1), false);
+        sim.apply(&FaultAction::LinkDown(h(0), h(1)));
         sim.install_fault_plan(&FaultPlan::new().episode(
             1.0,
             1.0,
@@ -865,7 +854,7 @@ mod tests {
         }
         sim.set_link(h(0), h(1), thin_link());
         sim.inject(h(0), h(1), vec![1], 1000); // holds 0 → 1 until 0.1 s
-        sim.set_link_up(h(0), h(1), false);
+        sim.apply(&FaultAction::LinkDown(h(0), h(1)));
         sim.inject(h(0), h(1), vec![2], 1000); // link down: dropped
                                                // Another pair configured in between must not inherit the occupancy.
         sim.set_link(h(1), h(2), thin_link());

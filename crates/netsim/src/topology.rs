@@ -31,7 +31,7 @@ impl LinkSpec {
     ///
     /// Panics if reliability is outside `[0, 1]`, bandwidth is not positive,
     /// or delay is negative.
-    pub fn validate(&self) {
+    fn validate(&self) {
         assert!(
             (0.0..=1.0).contains(&self.reliability),
             "reliability must be in [0, 1], got {}",
@@ -159,11 +159,6 @@ impl NetworkTopology {
             }
             self.rows[raw].up = true;
         }
-    }
-
-    /// Returns `true` if the host is registered.
-    pub fn contains_host(&self, h: HostId) -> bool {
-        self.hosts.contains(&h)
     }
 
     /// All registered hosts in id order.
@@ -300,13 +295,6 @@ impl NetworkTopology {
         self.for_grouped_links(groups, |x, y, state| state.up = x == y);
     }
 
-    /// Brings every link back up (heals all partitions).
-    pub fn heal(&mut self) {
-        for slot in &mut self.slots {
-            slot.state.up = true;
-        }
-    }
-
     /// Re-raises exactly the links that cross group boundaries of the given
     /// grouping — the inverse of [`NetworkTopology::partition`]. Links whose
     /// endpoints fall in the same group, or that the grouping never named,
@@ -333,8 +321,7 @@ mod tests {
     fn set_link_registers_hosts() {
         let mut t = NetworkTopology::new();
         t.set_link(h(0), h(1), LinkSpec::default());
-        assert!(t.contains_host(h(0)));
-        assert!(t.contains_host(h(1)));
+        assert_eq!(t.hosts(), [h(0), h(1)]);
         assert!(t.host_is_up(h(0)));
     }
 
@@ -375,7 +362,7 @@ mod tests {
         assert!(t.reachable(h(0), h(1)));
         assert!(!t.reachable(h(1), h(2)));
         assert!(!t.reachable(h(0), h(2)));
-        t.heal();
+        t.heal_between(&[vec![h(0), h(1)], vec![h(2)]]);
         assert!(t.reachable(h(0), h(2)));
     }
 
@@ -509,7 +496,11 @@ mod tests {
                     4 => { topo.set_host_up(ha, flag); model.host_up.insert(ha, flag); }
                     5 => { topo.partition(&groups); model.regroup(&groups, |same, l| l.up = same); }
                     6 => { topo.heal_between(&groups); model.regroup(&groups, |same, l| l.up |= !same); }
-                    7 => { topo.heal(); model.links.values_mut().for_each(|l| l.up = true); }
+                    7 => {
+                        let alone: Vec<Vec<HostId>> = topo.hosts().into_iter().map(|h| vec![h]).collect();
+                        topo.heal_between(&alone);
+                        model.links.values_mut().for_each(|l| l.up = true);
+                    }
                     _ => {}
                 }
                 prop_assert_eq!(topo.hosts(), model.host_up.keys().copied().collect::<Vec<_>>());

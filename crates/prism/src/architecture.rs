@@ -169,21 +169,12 @@ impl Architecture {
         self.components.get(id.raw() as usize)?.as_ref()
     }
 
-    fn component_slot_mut(&mut self, id: BrickId) -> Option<&mut ComponentSlot> {
-        self.components.get_mut(id.raw() as usize)?.as_mut()
-    }
-
     fn connector_slot(&self, id: BrickId) -> Option<&Connector> {
         self.connectors.get(id.raw() as usize)?.as_ref()
     }
 
     fn connector_slot_mut(&mut self, id: BrickId) -> Option<&mut Connector> {
         self.connectors.get_mut(id.raw() as usize)?.as_mut()
-    }
-
-    /// The architecture's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The host this architecture runs on.
@@ -313,27 +304,6 @@ impl Architecture {
         Ok(())
     }
 
-    /// Removes the weld between a component and a connector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrismError::UnknownBrick`] if either id is unknown.
-    pub fn unweld(&mut self, component: BrickId, connector: BrickId) -> Result<(), PrismError> {
-        let slot = self
-            .components
-            .get_mut(component.raw() as usize)
-            .and_then(Option::as_mut)
-            .ok_or(PrismError::UnknownBrick(component))?;
-        let conn = self
-            .connectors
-            .get_mut(connector.raw() as usize)
-            .and_then(Option::as_mut)
-            .ok_or(PrismError::UnknownBrick(connector))?;
-        slot.welded.remove(&connector);
-        conn.unweld(component);
-        Ok(())
-    }
-
     /// Attaches a monitor to a connector.
     ///
     /// # Errors
@@ -426,13 +396,6 @@ impl Architecture {
         let id = *self.by_name.get(name)?;
         let any: &dyn Any = self.component_slot(id)?.behavior.as_ref();
         any.downcast_ref::<T>()
-    }
-
-    /// Mutably borrows a component downcast to its concrete type.
-    pub fn component_mut<T: ComponentBehavior>(&mut self, name: &str) -> Option<&mut T> {
-        let id = *self.by_name.get(name)?;
-        let any: &mut dyn Any = self.component_slot_mut(id)?.behavior.as_mut();
-        any.downcast_mut::<T>()
     }
 
     // ---- event flow -----------------------------------------------------------
@@ -543,7 +506,7 @@ impl Architecture {
     /// Drains the delivery queue, running component callbacks. Returns the
     /// number of deliveries processed.
     ///
-    /// `now` stamps the contexts handed to components (and monitors).
+    /// `now` stamps what the monitors observe.
     pub fn pump(&mut self, now: SimTime) -> u64 {
         self.now = now;
         let mut processed = 0;
@@ -561,7 +524,7 @@ impl Architecture {
             let mut actions = std::mem::take(&mut self.scratch);
             actions.clear();
             {
-                let mut ctx = ComponentCtx::new(slot.name, self.host, now, &mut actions);
+                let mut ctx = ComponentCtx::new(slot.name, &mut actions);
                 let behavior = slot.behavior.as_mut();
                 match &delivery {
                     Delivery::Attach(_) => behavior.on_attach(&mut ctx),
@@ -700,11 +663,9 @@ mod tests {
     fn unwelded_component_receives_nothing() {
         let mut a = arch();
         let x = a.add_component("x", Recorder::default()).unwrap();
-        let y = a.add_component("y", Recorder::default()).unwrap();
+        a.add_component("y", Recorder::default()).unwrap();
         let bus = a.add_connector("bus");
         a.weld(x, bus).unwrap();
-        a.weld(y, bus).unwrap();
-        a.unweld(y, bus).unwrap();
         a.publish("x", Event::notification("relay me")).unwrap();
         a.pump(SimTime::ZERO);
         assert!(a.component_ref::<Recorder>("y").unwrap().seen.is_empty());

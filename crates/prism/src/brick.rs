@@ -4,7 +4,7 @@ use crate::event::Event;
 use crate::symbol::Symbol;
 use crate::PrismError;
 use redep_model::HostId;
-use redep_netsim::{Duration, SimTime};
+use redep_netsim::Duration;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -60,39 +60,15 @@ pub(crate) enum ComponentAction {
 #[derive(Debug)]
 pub struct ComponentCtx<'a> {
     component: Symbol,
-    host: HostId,
-    now: SimTime,
     actions: &'a mut Vec<ComponentAction>,
 }
 
 impl<'a> ComponentCtx<'a> {
-    pub(crate) fn new(
-        component: impl Into<Symbol>,
-        host: HostId,
-        now: SimTime,
-        actions: &'a mut Vec<ComponentAction>,
-    ) -> Self {
+    pub(crate) fn new(component: impl Into<Symbol>, actions: &'a mut Vec<ComponentAction>) -> Self {
         ComponentCtx {
             component: component.into(),
-            host,
-            now,
             actions,
         }
-    }
-
-    /// This component's instance name.
-    pub fn component(&self) -> &str {
-        self.component.as_str()
-    }
-
-    /// The host this architecture runs on.
-    pub fn host(&self) -> HostId {
-        self.host
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// Emits an event through every connector welded to this component.
@@ -256,7 +232,7 @@ mod tests {
     #[test]
     fn ctx_buffers_and_stamps_source() {
         let mut actions = Vec::new();
-        let mut ctx = ComponentCtx::new("gui", HostId::new(2), SimTime::ZERO, &mut actions);
+        let mut ctx = ComponentCtx::new("gui", &mut actions);
         ctx.emit(Event::notification("n"));
         ctx.send_remote(HostId::new(1), "tracker", Event::request("r"));
         ctx.set_timer(Duration::from_millis(5), 1);
@@ -300,7 +276,7 @@ mod tests {
         let mut p = Probe;
         assert!(p.snapshot().is_empty());
         let mut actions = Vec::new();
-        let mut ctx = ComponentCtx::new("p", HostId::new(0), SimTime::ZERO, &mut actions);
+        let mut ctx = ComponentCtx::new("p", &mut actions);
         p.handle(&mut ctx, &Event::notification("n"));
         p.on_attach(&mut ctx);
         p.on_timer(&mut ctx, 0);

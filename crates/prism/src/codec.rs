@@ -358,14 +358,7 @@ pub(crate) fn decode_event(bytes: &[u8]) -> Result<Event, PrismError> {
             TAG_FALSE => ParamValue::Bool(false),
             TAG_TRUE => ParamValue::Bool(true),
             TAG_INT => ParamValue::Int(unzigzag(get_varint(bytes, &mut pos)?)),
-            TAG_FLOAT => {
-                let end = pos + 8;
-                let raw = bytes
-                    .get(pos..end)
-                    .ok_or_else(|| codec_err("truncated float"))?;
-                pos = end;
-                ParamValue::Float(f64::from_le_bytes(raw.try_into().expect("8-byte slice")))
-            }
+            TAG_FLOAT => ParamValue::Float(get_f64(bytes, &mut pos)?),
             TAG_TEXT => {
                 let raw = get_bytes(bytes, &mut pos)?;
                 ParamValue::Text(
@@ -562,7 +555,11 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation_and_trailing_garbage() {
-        let e = Event::notification("codec.trunc").with_param("k", 7i64);
+        let e = Event::notification("codec.trunc")
+            .with_param("b", true)
+            .with_param("i", 7i64)
+            .with_param("f", 2.5)
+            .with_param("t", "x");
         let bytes = encode_event(&e);
         for cut in 0..bytes.len() {
             assert!(decode_event(&bytes[..cut]).is_err(), "cut at {cut}");

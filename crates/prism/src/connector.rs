@@ -37,24 +37,9 @@ impl Connector {
         }
     }
 
-    /// The connector's brick id.
-    pub fn id(&self) -> BrickId {
-        self.id
-    }
-
-    /// The connector's instance name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Ids of the components currently welded to this connector.
     pub fn attached(&self) -> impl Iterator<Item = BrickId> + '_ {
         self.attached.iter().copied()
-    }
-
-    /// Number of welded components.
-    pub fn fan(&self) -> usize {
-        self.attached.len()
     }
 
     pub(crate) fn weld(&mut self, component: BrickId) {
@@ -91,7 +76,7 @@ mod tests {
         let mut c = Connector::new(BrickId::new(0), "bus");
         c.weld(BrickId::new(1));
         c.weld(BrickId::new(2));
-        assert_eq!(c.fan(), 2);
+        assert_eq!(c.attached().count(), 2);
         assert!(c.unweld(BrickId::new(1)));
         assert!(!c.unweld(BrickId::new(1)));
         assert_eq!(c.attached().collect::<Vec<_>>(), [BrickId::new(2)]);

@@ -245,7 +245,7 @@ impl<S: AsRef<str>, B: AsRef<[u8]>> JournalRecord<S, B> {
     }
 
     /// Encodes the record body (tag + fields) into `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, out: &mut Vec<u8>) {
         put_varint(out, self.tag());
         match self {
             JournalRecord::Delivery { component, event }
@@ -312,7 +312,7 @@ impl JournalRecord {
     /// # Errors
     ///
     /// Returns [`PrismError::Codec`] on a truncated or unknown record.
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, PrismError> {
+    fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, PrismError> {
         let tag = get_varint(bytes, pos)?;
         let rec = match tag {
             TAG_DELIVERY => JournalRecord::Delivery {

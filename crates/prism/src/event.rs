@@ -153,14 +153,14 @@ impl PartialEq for ParamVec {
 /// # Example
 ///
 /// ```
-/// use redep_prism::{Event, EventKind};
+/// use redep_prism::Event;
 /// let e = Event::notification("position.update")
-///     .with_param("lat", 34.02)
-///     .with_param("lon", -118.28)
+///     .with_param("fix", 7i64)
+///     .with_param("source", "gps")
 ///     .with_size(64);
 /// assert_eq!(e.name(), "position.update");
-/// assert_eq!(e.kind(), EventKind::Notification);
-/// assert_eq!(e.param("lat").and_then(|v| v.as_f64()), Some(34.02));
+/// assert_eq!(e.param("fix").and_then(|v| v.as_i64()), Some(7));
+/// assert_eq!(e.param_text("source"), Some("gps"));
 /// assert_eq!(e.size(), 64);
 /// ```
 #[derive(Clone, PartialEq, Debug)]
@@ -180,7 +180,7 @@ pub struct Event {
 
 impl Event {
     /// Creates an event of the given kind.
-    pub fn new(name: impl Into<Symbol>, kind: EventKind) -> Self {
+    fn new(name: impl Into<Symbol>, kind: EventKind) -> Self {
         Event {
             name: name.into(),
             kind,
@@ -215,11 +215,6 @@ impl Event {
     /// The event name as its interned symbol (id comparison, no memcmp).
     pub fn name_symbol(&self) -> Symbol {
         self.name
-    }
-
-    /// The event kind.
-    pub fn kind(&self) -> EventKind {
-        self.kind
     }
 
     /// The emitting component's instance name, if stamped by the runtime.
@@ -365,9 +360,9 @@ mod tests {
 
     #[test]
     fn constructors_set_kind() {
-        assert_eq!(Event::request("r").kind(), EventKind::Request);
-        assert_eq!(Event::reply("r").kind(), EventKind::Reply);
-        assert_eq!(Event::notification("n").kind(), EventKind::Notification);
+        assert_eq!(Event::request("r").kind, EventKind::Request);
+        assert_eq!(Event::reply("r").kind, EventKind::Reply);
+        assert_eq!(Event::notification("n").kind, EventKind::Notification);
     }
 
     #[test]

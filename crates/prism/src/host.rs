@@ -207,11 +207,6 @@ impl HostServices {
         &self.durable
     }
 
-    /// This host's id.
-    pub fn host(&self) -> HostId {
-        self.host
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -220,11 +215,6 @@ impl HostServices {
     /// The master host running the deployer.
     pub fn deployer_host(&self) -> HostId {
         self.deployer_host
-    }
-
-    /// Hosts directly reachable from here, ascending.
-    pub fn neighbors(&self) -> &[HostId] {
-        &self.neighbors
     }
 
     /// Whether `peer` is directly reachable.
@@ -664,11 +654,6 @@ impl PrismHost {
     /// The deployer, when enabled.
     pub fn deployer(&self) -> Option<&DeployerComponent> {
         self.deployer.as_ref()
-    }
-
-    /// The id of the host-local application connector ("bus").
-    pub fn app_connector(&self) -> BrickId {
-        self.app_connector
     }
 
     /// Adds an application component and welds it to the bus.

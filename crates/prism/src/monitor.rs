@@ -145,7 +145,6 @@ impl Hasher for IdHasher {
 /// neither ids nor first-seen order ever reach a journal.
 #[derive(Debug)]
 pub struct EventFrequencyMonitor {
-    window: Duration,
     window_started: SimTime,
     /// Every pair seen so far, in first-seen order.
     slots: Vec<PairCount>,
@@ -154,7 +153,8 @@ pub struct EventFrequencyMonitor {
 }
 
 impl EventFrequencyMonitor {
-    /// Creates a monitor with the given window length.
+    /// Creates a monitor for windows of the given length. The caller keeps
+    /// the cadence: each [`EventFrequencyMonitor::roll_window`] closes one.
     ///
     /// # Panics
     ///
@@ -162,16 +162,10 @@ impl EventFrequencyMonitor {
     pub fn new(window: Duration) -> Self {
         assert!(window > Duration::ZERO, "window must be positive");
         EventFrequencyMonitor {
-            window,
             window_started: SimTime::ZERO,
             slots: Vec::new(),
             index: HashMap::default(),
         }
-    }
-
-    /// The configured window length.
-    pub fn window(&self) -> Duration {
-        self.window
     }
 
     /// Closes the current window (stamping its true length from `now`) and

@@ -70,16 +70,6 @@ impl StabilityGauge {
         g
     }
 
-    /// The configured ε.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// The configured number of consecutive stable differences.
-    pub fn required(&self) -> usize {
-        self.required
-    }
-
     /// Records the reading of one monitoring interval.
     pub fn push(&mut self, value: f64) {
         self.history.push_back(value);
@@ -88,16 +78,6 @@ impl StabilityGauge {
         while self.history.len() > self.required + 1 {
             self.history.pop_front();
         }
-    }
-
-    /// Number of readings seen (capped at the retention window).
-    pub fn len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Returns `true` if no readings have been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
     }
 
     /// Whether the readings have settled: the last `required` consecutive
@@ -194,10 +174,10 @@ mod tests {
     #[test]
     fn len_counts_readings_up_to_the_window() {
         let mut g = StabilityGauge::new(0.1, 2);
-        assert!(g.is_empty());
+        assert!(g.history.is_empty());
         for (i, v) in [3.5, 3.5, 3.5, 3.5].into_iter().enumerate() {
             g.push(v);
-            assert_eq!(g.len(), (i + 1).min(3));
+            assert_eq!(g.history.len(), (i + 1).min(3));
         }
     }
 

@@ -134,11 +134,6 @@ impl WorkloadComponent {
         self.state.received
     }
 
-    /// The configured interaction patterns.
-    pub fn interactions(&self) -> &[InteractionSpec] {
-        &self.state.interactions
-    }
-
     fn arm_timers(&self, ctx: &mut ComponentCtx<'_>) {
         for (i, spec) in self.state.interactions.iter().enumerate() {
             if spec.frequency > 0.0 {
@@ -184,8 +179,6 @@ impl ComponentBehavior for WorkloadComponent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redep_model::HostId;
-    use redep_netsim::SimTime;
 
     fn spec(peer: &str, freq: f64) -> InteractionSpec {
         InteractionSpec {
@@ -208,8 +201,7 @@ mod tests {
     fn attach_arms_one_timer_per_active_interaction() {
         let w = WorkloadComponent::new(vec![spec("x", 2.0), spec("y", 0.0), spec("z", 1.0)]);
         let mut actions = Vec::new();
-        let mut ctx =
-            crate::brick::ComponentCtx::new("w", HostId::new(0), SimTime::ZERO, &mut actions);
+        let mut ctx = crate::brick::ComponentCtx::new("w", &mut actions);
         let mut w2 = w;
         w2.on_attach(&mut ctx);
         // Only the two nonzero-frequency interactions arm timers.
@@ -220,8 +212,7 @@ mod tests {
     fn timer_emits_to_peer_and_rearms() {
         let mut w = WorkloadComponent::new(vec![spec("peer", 4.0)]);
         let mut actions = Vec::new();
-        let mut ctx =
-            crate::brick::ComponentCtx::new("w", HostId::new(0), SimTime::ZERO, &mut actions);
+        let mut ctx = crate::brick::ComponentCtx::new("w", &mut actions);
         w.on_timer(&mut ctx, 0);
         assert_eq!(w.sent(), 1);
         assert_eq!(actions.len(), 2); // the send plus the re-arm
@@ -231,8 +222,7 @@ mod tests {
     fn receiving_app_events_increments_counter() {
         let mut w = WorkloadComponent::new(vec![]);
         let mut actions = Vec::new();
-        let mut ctx =
-            crate::brick::ComponentCtx::new("w", HostId::new(0), SimTime::ZERO, &mut actions);
+        let mut ctx = crate::brick::ComponentCtx::new("w", &mut actions);
         w.handle(&mut ctx, &Event::notification(EV_APP));
         w.handle(&mut ctx, &Event::notification("other"));
         assert_eq!(w.received(), 1);

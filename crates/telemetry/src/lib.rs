@@ -48,7 +48,7 @@ use serde_json::{Number, Value};
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use trace::{SpanIdGen, TraceCtx};
 
 /// One structured field value attached to an [`Event`].
@@ -141,7 +141,7 @@ impl Event {
     /// Renders the event as one JSON object (the JSONL line without the
     /// trailing newline). Field keys are emitted in sorted order so output
     /// is independent of instrumentation-site ordering.
-    pub fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value {
         let mut obj = std::collections::BTreeMap::new();
         obj.insert("t_us".to_owned(), Value::Number(Number::U(self.t_us)));
         if let Some(end) = self.end_us {
@@ -179,7 +179,7 @@ pub struct Journal {
 
 impl Journal {
     /// A journal retaining at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Journal {
             buf: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
             capacity: capacity.max(1),
@@ -190,12 +190,9 @@ impl Journal {
         }
     }
 
-    /// Sets the order stamp applied to subsequent records: `t_us` is the
-    /// simulation time of the sim event being processed and `key` its
-    /// queue tie-break key. Resets the intra-event counter. The sharded
-    /// simulator calls this before every node/fault callback so that
-    /// per-shard journals can be merged back into global processing order.
-    pub fn set_order(&self, t_us: u64, key: u64) {
+    /// Sets the order stamp applied to subsequent records; see
+    /// [`Telemetry::set_order`].
+    fn set_order(&self, t_us: u64, key: u64) {
         self.ord0.store(t_us, Ordering::Relaxed);
         self.ord1.store(key, Ordering::Relaxed);
         self.intra.store(0, Ordering::Relaxed);
@@ -203,7 +200,7 @@ impl Journal {
 
     /// Appends one event, evicting the oldest when at capacity. The event
     /// is stamped with the current order (see [`Journal::set_order`]).
-    pub fn record(&self, mut event: Event) {
+    fn record(&self, mut event: Event) {
         event.ord = [
             self.ord0.load(Ordering::Relaxed),
             self.ord1.load(Ordering::Relaxed),
@@ -241,11 +238,6 @@ impl Journal {
     /// A copy of the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
         self.buf().iter().cloned().collect()
-    }
-
-    /// Removes and returns all retained events, oldest first.
-    pub fn drain(&self) -> Vec<Event> {
-        self.buf().drain(..).collect()
     }
 }
 
@@ -367,8 +359,12 @@ impl Telemetry {
         &self.inner.journal
     }
 
-    /// Sets the order stamp for subsequent journal records; see
-    /// [`Journal::set_order`]. No-op on a disabled handle.
+    /// Sets the order stamp applied to subsequent journal records: `t_us` is
+    /// the simulation time of the sim event being processed and `key` its
+    /// queue tie-break key. Resets the intra-event counter. The sharded
+    /// simulator calls this before every node/fault callback so that
+    /// per-shard journals can be merged back into global processing order.
+    /// No-op on a disabled handle.
     pub fn set_order(&self, t_us: u64, key: u64) {
         if self.inner.enabled {
             self.inner.journal.set_order(t_us, key);

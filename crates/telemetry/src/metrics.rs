@@ -116,17 +116,17 @@ impl Histogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
     }
 
     /// Sum of observations.
-    pub fn sum(&self) -> f64 {
+    fn sum(&self) -> f64 {
         f64::from_bits(self.inner.sum_bits.load(Ordering::Relaxed))
     }
 
     /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
+    fn mean(&self) -> f64 {
         let count = self.count();
         if count == 0 {
             0.0
@@ -136,7 +136,7 @@ impl Histogram {
     }
 
     /// A point-in-time copy of the histogram's state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: self.inner.bounds.clone(),
             buckets: self
@@ -153,15 +153,15 @@ impl Histogram {
 
 /// Frozen histogram state, as produced by [`Histogram::snapshot`].
 #[derive(Clone, Debug, PartialEq)]
-pub struct HistogramSnapshot {
+struct HistogramSnapshot {
     /// Upper-inclusive bucket bounds.
-    pub bounds: Vec<f64>,
+    bounds: Vec<f64>,
     /// Per-bucket counts; the final entry is the overflow bucket.
-    pub buckets: Vec<u64>,
+    buckets: Vec<u64>,
     /// Total observations.
-    pub count: u64,
+    count: u64,
     /// Sum of observations.
-    pub sum: f64,
+    sum: f64,
 }
 
 impl HistogramSnapshot {

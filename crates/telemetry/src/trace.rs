@@ -134,7 +134,7 @@ impl Clone for SpanIdGen {
 }
 
 /// Extracts the trace context from a journal record's fields, if present.
-pub fn ctx_of(event: &Event) -> Option<TraceCtx> {
+fn ctx_of(event: &Event) -> Option<TraceCtx> {
     let mut trace_id = None;
     let mut span_id = None;
     let mut parent_id = None;
@@ -248,7 +248,7 @@ pub struct Span {
 
 impl Span {
     /// Span duration in microseconds, when settled.
-    pub fn duration_us(&self) -> Option<u64> {
+    fn duration_us(&self) -> Option<u64> {
         self.end_us.map(|e| e.saturating_sub(self.start_us))
     }
 
@@ -300,12 +300,12 @@ impl TraceTree {
     }
 
     /// Earliest span start in the trace.
-    pub fn start_us(&self) -> u64 {
+    fn start_us(&self) -> u64 {
         self.spans.values().map(|s| s.start_us).min().unwrap_or(0)
     }
 
     /// Latest effective span end in the trace.
-    pub fn end_us(&self) -> u64 {
+    fn end_us(&self) -> u64 {
         self.spans
             .values()
             .map(Span::effective_end)
@@ -391,7 +391,7 @@ impl TraceTree {
     }
 
     /// Indented tree rendering of the whole trace (capped to stay readable).
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = String::new();
         let mut lines = 0usize;
         for root in &self.roots {
