@@ -43,11 +43,8 @@ fn pump(monitored: bool, events: u32) -> u64 {
     arch.weld(a, bus).unwrap();
     arch.weld(b, bus).unwrap();
     if monitored {
-        arch.attach_monitor(
-            bus,
-            EventFrequencyMonitor::new(Duration::from_secs_f64(1.0)),
-        )
-        .unwrap();
+        arch.attach_monitor(bus, EventFrequencyMonitor::new())
+            .unwrap();
     }
     arch.publish("a", Event::notification("bounce")).unwrap();
     arch.pump(SimTime::ZERO)
@@ -78,10 +75,7 @@ fn bench_window_close(c: &mut Criterion) {
     let pairs = pairs_130();
     let event = Event::notification("n").with_size(96);
     let window = Duration::from_secs_f64(2.0);
-    let (mut named, mut bus) = (
-        EventFrequencyMonitor::new(window),
-        EventFrequencyMonitor::new(window),
-    );
+    let (mut named, mut bus) = (EventFrequencyMonitor::new(), EventFrequencyMonitor::new());
     let components: BTreeMap<String, String> = (0..4)
         .map(|i| (format!("component-{i:02}"), "workload".to_owned()))
         .collect();

@@ -15,7 +15,7 @@
 
 use redep_bench::{fmt_f, print_table, Bound, ExpReport};
 use redep_model::HostId;
-use redep_netsim::{Duration, SimTime};
+use redep_netsim::SimTime;
 use redep_prism::{Architecture, ComponentBehavior, ComponentCtx, Event, EventFrequencyMonitor};
 use std::time::Instant;
 
@@ -47,11 +47,8 @@ fn throughput(monitored: bool, events: u32) -> (f64, u64) {
     arch.weld(a, bus).unwrap();
     arch.weld(b, bus).unwrap();
     if monitored {
-        arch.attach_monitor(
-            bus,
-            EventFrequencyMonitor::new(Duration::from_secs_f64(1.0)),
-        )
-        .unwrap();
+        arch.attach_monitor(bus, EventFrequencyMonitor::new())
+            .unwrap();
     }
     arch.publish("a", Event::notification("bounce")).unwrap();
     let started = Instant::now();

@@ -46,10 +46,11 @@ pub(crate) const SETTLE_STEP: Duration = Duration::from_millis(500);
 /// simulation engine `S` over a topology that mirrors the model's physical
 /// links.
 ///
-/// One body, two engines: [`SystemRuntime`] runs on the one-shard
-/// [`Simulator`] (what the frameworks drive), [`ShardedRuntime`] on the
-/// [`ShardedSimulator`] over several shards and threads. Built from the same
-/// model, deployment and config, the two run byte-identically.
+/// One body, two faces of one engine: [`SystemRuntime`] runs on the
+/// [`Simulator`] (what the frameworks drive: up to two shards on as many
+/// threads, behind one-shard signatures), [`ShardedRuntime`] on the
+/// [`ShardedSimulator`] at a shard and thread count of the caller's. Built
+/// from the same model, deployment and config, the two run byte-identically.
 pub struct Runtime<S> {
     sim: S,
     hosts: Vec<HostId>,
@@ -57,7 +58,7 @@ pub struct Runtime<S> {
     names: BTreeMap<ComponentId, String>,
 }
 
-/// The runtime on the one-shard [`Simulator`].
+/// The runtime on the [`Simulator`] face.
 pub type SystemRuntime = Runtime<Simulator>;
 
 /// The runtime on the [`ShardedSimulator`], partitioned over shards and run
@@ -98,10 +99,12 @@ impl SystemRuntime {
     /// Installs one telemetry handle across the whole running system: the
     /// simulator and every Prism host share it, so network, middleware, and
     /// framework records interleave in a single sim-time-ordered journal.
+    /// Each host journals through its shard's lane ([`Telemetry::lane`]).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         for &h in &self.hosts {
+            let lane = telemetry.lane(self.sim.plan().shard_of(h));
             if let Some(host) = self.sim.node_mut::<PrismHost>(h) {
-                host.set_telemetry(telemetry.clone());
+                host.set_telemetry(lane);
             }
         }
         self.sim.set_telemetry(telemetry);
@@ -545,13 +548,66 @@ mod tests {
         assert_eq!(run(3, 2), reference, "diverged at 3 shards / 2 threads");
     }
 
+    /// What a framework does between two runs: journals a span, and edits a
+    /// link — one that crosses the face's shards if one does — to half its
+    /// delay.
+    fn between_runs<S: BorrowMut<ShardedSimulator>>(rt: &mut Runtime<S>, (a, b): (HostId, HostId)) {
+        let now = rt.sim().borrow().now().as_micros();
+        rt.telemetry().span("core.cycle", 0, now).emit();
+        let sim = rt.sim_mut().borrow_mut();
+        let spec = sim.topology().link(a, b).unwrap().spec;
+        let delay = spec.delay / 2.0;
+        sim.set_link(a, b, redep_netsim::LinkSpec { delay, ..spec });
+    }
+
     /// The proof that there is one engine: under a fault plan with a crash,
     /// a partition, a degrade and a flap, plus link churn (a flap on every
-    /// other link, each with its own phase and period), the one-shard
-    /// `SystemRuntime` and the `ShardedRuntime` at several shard and thread
-    /// counts journal, count and measure byte for byte alike.
+    /// other link, each with its own phase and period), the `SystemRuntime`
+    /// face and the `ShardedRuntime` at several shard and thread counts
+    /// journal, count and measure byte for byte alike.
     #[test]
     fn system_runtime_equals_sharded_runtime_under_faults_and_churn() {
+        let (m, d, plan) = churned_system();
+        let span = Duration::from_secs_f64(10.0);
+        let config = RuntimeConfig::default();
+        let handle = || redep_telemetry::Telemetry::new(1 << 20);
+
+        let mut single = SystemRuntime::build(&m, &d, &config).unwrap();
+        single.set_telemetry(handle());
+        single.sim_mut().install_fault_plan(&plan);
+        single.run_for(span);
+        assert_eq!(single.telemetry().journal().dropped(), 0);
+        let journal = single.telemetry().export_jsonl();
+        for needle in [
+            "net.fault",
+            "net.partition",
+            "net.link.state",
+            "net.host.state",
+        ] {
+            assert!(journal.contains(needle), "no {needle} in the journal");
+        }
+        let reference = (
+            journal,
+            single.sim().stats().clone(),
+            single.measured_availability(),
+        );
+        for (shards, threads) in [(1, 1), (2, 2), (8, 2)] {
+            let mut sharded = ShardedRuntime::build(&m, &d, &config, shards).unwrap();
+            sharded.set_telemetry((0..shards).map(|_| handle()).collect());
+            sharded.sim_mut().install_fault_plan(&plan);
+            sharded.run_for(span, threads);
+            let outcome = (
+                sharded.sim().export_merged_jsonl(),
+                sharded.sim().stats(),
+                sharded.measured_availability(),
+            );
+            assert!(outcome == reference, "{shards} shards, {threads} threads");
+        }
+    }
+
+    /// The 8×24 system of the churn tests and its fault plan: a crash, a
+    /// partition, a degrade and a flap, and a flap on every other link.
+    fn churned_system() -> (DeploymentModel, Deployment, redep_netsim::FaultPlan) {
         use redep_netsim::{FaultKind, FaultPlan};
         let s = Generator::generate(&GeneratorConfig::sized(8, 24).with_seed(5)).unwrap();
         let (m, d) = (s.model, s.initial);
@@ -592,41 +648,45 @@ mod tests {
             let churn = FaultKind::LinkFlap { a, b, period_secs };
             plan = plan.episode(1.0 + (i % 4) as f64 * 0.25, 8.0, churn);
         }
-        let span = Duration::from_secs_f64(10.0);
-        let config = RuntimeConfig::default();
+        (m, d, plan)
+    }
+
+    /// Between two runs, the face journals a framework-style span and edits
+    /// a link that crosses its shards (when it runs two) to half its delay:
+    /// the span keeps its place, and the journal, statistics and
+    /// availability equal a one-shard run's byte for byte. (Crashing and
+    /// restarting a host between runs is a face-only call, which
+    /// `netsim::sim`'s `between_run_records_keep_their_place_at_two_shards`
+    /// covers.)
+    #[test]
+    fn between_run_records_and_edits_keep_the_face_equal_to_one_shard() {
+        let (m, d, plan) = churned_system();
+        let links: Vec<_> = m.physical_links().map(|l| l.ends()).collect();
+        let (span, config) = (Duration::from_secs_f64(5.0), RuntimeConfig::default());
         let handle = || redep_telemetry::Telemetry::new(1 << 20);
 
-        let mut single = SystemRuntime::build(&m, &d, &config).unwrap();
-        single.set_telemetry(handle());
-        single.sim_mut().install_fault_plan(&plan);
-        single.run_for(span);
-        assert_eq!(single.telemetry().journal().dropped(), 0);
-        let journal = single.telemetry().export_jsonl();
-        for needle in [
-            "net.fault",
-            "net.partition",
-            "net.link.state",
-            "net.host.state",
-        ] {
-            assert!(journal.contains(needle), "no {needle} in the journal");
-        }
-        let reference = (
-            journal,
-            single.sim().stats().clone(),
-            single.measured_availability(),
-        );
-        for (shards, threads) in [(1, 1), (2, 2), (8, 2)] {
-            let mut sharded = ShardedRuntime::build(&m, &d, &config, shards).unwrap();
-            sharded.set_telemetry((0..shards).map(|_| handle()).collect());
-            sharded.sim_mut().install_fault_plan(&plan);
-            sharded.run_for(span, threads);
-            let outcome = (
-                sharded.sim().export_merged_jsonl(),
-                sharded.sim().stats(),
-                sharded.measured_availability(),
-            );
-            assert!(outcome == reference, "{shards} shards, {threads} threads");
-        }
+        let mut face = SystemRuntime::build(&m, &d, &config).unwrap();
+        let shards = face.sim().plan();
+        let crossing = links
+            .iter()
+            .find(|l| shards.shard_of(l.lo()) != shards.shard_of(l.hi()));
+        let edited = crossing.map_or((links[2].lo(), links[2].hi()), |l| (l.lo(), l.hi()));
+        face.set_telemetry(handle());
+        face.sim_mut().install_fault_plan(&plan);
+        face.run_for(span);
+        between_runs(&mut face, edited);
+        face.run_for(span);
+        assert_eq!(face.telemetry().journal().dropped(), 0);
+
+        let mut one = ShardedRuntime::build(&m, &d, &config, 1).unwrap();
+        one.set_telemetry(vec![handle()]);
+        one.sim_mut().install_fault_plan(&plan);
+        one.run_for(span, 1);
+        between_runs(&mut one, edited);
+        one.run_for(span, 1);
+        assert!(face.telemetry().export_jsonl() == one.telemetry().export_jsonl());
+        assert_eq!(face.sim().stats(), &one.sim().stats());
+        assert_eq!(face.measured_availability(), one.measured_availability());
     }
 
     /// Publishes `rt`'s gauges and checks that they carry the counts their

@@ -26,8 +26,9 @@
 //! `(time, packed key)` order, and every random decision a counter hash of
 //! the seed — no RNG stream. A simulation is therefore a pure function of
 //! (topology, node behavior, seed), byte-identical at any shard and thread
-//! count. [`Simulator`] is that engine at one shard: it dereferences to it and
-//! adds the one-shard signatures and the direct topology calls.
+//! count. [`Simulator`] runs that engine at up to two shards, one thread
+//! each: it dereferences to it and adds the one-shard signatures and the
+//! direct topology calls.
 //!
 //! # Example
 //!
@@ -79,7 +80,7 @@ pub use calendar::CalendarQueue;
 pub use faultplan::{FaultEpisode, FaultKind, FaultPlan};
 pub use message::Message;
 pub use node::{Node, NodeCtx};
-pub use shard::{RoundStats, ShardPlan, ShardedSimulator};
+pub use shard::{await_one_shard_order, RoundStats, ShardPlan, ShardedSimulator};
 pub use sim::Simulator;
 pub use stats::{LinkStats, NetStats};
 pub use time::{Duration, SimTime};

@@ -1,12 +1,20 @@
-//! The one-shard face of the simulation engine.
+//! A face on the simulation engine with one-shard signatures.
 //!
-//! [`Simulator`] is a [`ShardedSimulator`] built at one shard and
-//! dereferences to it: hosts, links, fault plans and node access are the
-//! engine's own calls. The face keeps what a single-threaded driver wants in
-//! a one-shard signature — one telemetry handle, the statistics by
-//! reference, runs without a thread count — and the direct topology calls
-//! between runs (crash a host, cut a partition, heal it). During a run,
-//! links change only through an installed fault plan.
+//! [`Simulator`] holds a [`ShardedSimulator`] and dereferences to it: hosts,
+//! links, fault plans and node access are the engine's own calls. The face
+//! keeps what a single-threaded driver wants in a one-shard signature — one
+//! telemetry handle, the statistics by reference, runs without a thread
+//! count — and the direct topology calls between runs (crash a host, cut a
+//! partition, heal it). During a run, links change only through an
+//! installed fault plan.
+//!
+//! Inside, the face builds its engine at `k = min(2, available cores)`
+//! shards and runs each window on one thread per shard that owns a host.
+//! Every simulated result is the one a one-shard engine gives (the engine's
+//! determinism rules): the face merges the shards' statistics, and its
+//! telemetry handle gives each shard a lane of one journal
+//! ([`Telemetry::lane`]) that a run stages and merges back into the
+//! one-shard order.
 
 use crate::faultplan::FaultAction;
 use crate::shard::ShardedSimulator;
@@ -16,18 +24,33 @@ use crate::topology::NetworkTopology;
 use redep_model::HostId;
 use redep_telemetry::Telemetry;
 use std::borrow::{Borrow, BorrowMut};
+use std::cell::OnceCell;
 use std::ops::{Deref, DerefMut};
 
-/// A deterministic discrete-event network simulator: the engine at one
-/// shard. See the [crate docs](crate) for an end-to-end example.
+/// Most shards — and so threads — a face uses; `benchmark/`'s sharded
+/// workload runs the engine at two as well.
+const MAX_SHARDS: usize = 2;
+
+/// A deterministic discrete-event network simulator with a one-shard
+/// signature. See the [crate docs](crate) for an end-to-end example.
 ///
-/// A host the topology did not name gets the next dense index when it is
-/// first registered (see [`ShardPlan`](crate::ShardPlan)), so hosts
-/// registered in ascending id order build the plan a [`ShardedSimulator`]
-/// builds over the same topology, and a run is byte-identical to a
-/// [`ShardedSimulator`] run over it at any shard and thread count.
+/// A host the topology did not name joins shard 0 with the next dense index
+/// when it is first registered (see [`ShardPlan`](crate::ShardPlan)), so a
+/// simulator built with [`Simulator::new`] runs on one thread, and hosts
+/// registered in ascending id order build the plan a one-shard
+/// [`ShardedSimulator`] builds over the same topology. A run is
+/// byte-identical to a [`ShardedSimulator`] run at any shard and thread
+/// count.
 #[derive(Debug)]
-pub struct Simulator(ShardedSimulator);
+pub struct Simulator {
+    engine: ShardedSimulator,
+    /// Threads a run uses: the shards that own a host (hosts that join
+    /// later join shard 0).
+    threads: usize,
+    /// The shards' statistics merged; emptied by every mutable access to
+    /// the engine.
+    stats: OnceCell<NetStats>,
+}
 
 impl Simulator {
     /// Creates a simulator with the given seed and an empty topology.
@@ -36,20 +59,36 @@ impl Simulator {
         Simulator::with_topology(seed, &NetworkTopology::new())
     }
 
-    /// Creates a simulator over `topology`: the engine at one shard.
+    /// Creates a simulator over `topology`: the engine at
+    /// `min(2, available cores)` shards.
     pub fn with_topology(seed: u64, topology: &NetworkTopology) -> Self {
-        Simulator(ShardedSimulator::new(seed, topology, 1))
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Simulator::at_shards(seed, topology, cores.min(MAX_SHARDS))
+    }
+
+    fn at_shards(seed: u64, topology: &NetworkTopology, shards: usize) -> Self {
+        let engine = ShardedSimulator::new(seed, topology, shards);
+        let plan = engine.plan();
+        let busiest = plan.hosts().iter().map(|h| plan.shard_of(*h)).max();
+        Simulator {
+            threads: busiest.map_or(1, |shard| shard + 1),
+            engine,
+            stats: OnceCell::new(),
+        }
     }
 
     /// Installs a telemetry handle: the engine journals into it from now on
-    /// (records made under the previous handle stay with that handle).
+    /// (records made under the previous handle stay with that handle), each
+    /// shard through its lane.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.0.set_telemetry(vec![telemetry]);
+        let shards = self.engine.plan().shards();
+        let lanes = (0..shards).map(|lane| telemetry.lane(lane)).collect();
+        self.engine.set_telemetry(lanes);
     }
 
     /// Ground-truth statistics gathered so far.
     pub fn stats(&self) -> &NetStats {
-        self.0.shard_stats(0)
+        self.stats.get_or_init(|| self.engine.stats())
     }
 
     /// Marks a host up or down. A down host receives neither messages nor
@@ -63,24 +102,24 @@ impl Simulator {
         } else {
             FaultAction::HostDown(host)
         };
-        self.0.apply(&action);
+        self.apply(&action);
     }
 
     /// Partitions the network (see [`NetworkTopology::partition`]).
     pub fn partition(&mut self, groups: &[Vec<HostId>]) {
-        self.0.apply(&FaultAction::PartitionStart(groups.to_vec()));
+        self.apply(&FaultAction::PartitionStart(groups.to_vec()));
     }
 
     /// Heals all partitions: every link comes back up.
     pub fn heal(&mut self) {
-        let each_alone = self.0.plan().hosts().iter().map(|h| vec![*h]).collect();
-        self.0.apply(&FaultAction::PartitionHeal(each_alone));
+        let each_alone = self.plan().hosts().iter().map(|h| vec![*h]).collect();
+        self.apply(&FaultAction::PartitionHeal(each_alone));
     }
 
     /// Sends a message from outside any node (e.g. a test driver). Subject
     /// to the same loss/disconnection semantics as node sends.
     pub fn inject(&mut self, src: HostId, dst: HostId, payload: impl Into<Vec<u8>>, size: u64) {
-        self.0.inject(src, dst, payload.into(), size);
+        self.deref_mut().inject(src, dst, payload.into(), size);
     }
 
     /// Runs until simulated time reaches `deadline` (events at the deadline
@@ -91,7 +130,18 @@ impl Simulator {
     /// Periodic node timers keep a simulation alive forever, so such
     /// simulations must be driven by deadline, never to exhaustion.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        self.0.run_until(deadline, 1)
+        let threads = self.threads;
+        // Several threads journal into one handle: each shard's lane keeps
+        // its records until the run ends.
+        let telemetry = (threads > 1).then(|| self.engine.telemetry().clone());
+        if let Some(telemetry) = &telemetry {
+            telemetry.stage_lanes();
+        }
+        let events = self.deref_mut().run_until(deadline, threads);
+        if let Some(telemetry) = &telemetry {
+            telemetry.merge_lanes();
+        }
+        events
     }
 
     /// Runs for `span` of simulated time from now.
@@ -109,7 +159,7 @@ impl Simulator {
     /// fault plan ends: its last action is its last episode's end.
     pub fn run_to_completion(&mut self) -> u64 {
         let mut n = 0;
-        while let Some(next) = self.0.next_event_time() {
+        while let Some(next) = self.engine.next_event_time() {
             n += self.run_until(next);
             assert!(
                 n < 10_000_000,
@@ -124,25 +174,26 @@ impl Deref for Simulator {
     type Target = ShardedSimulator;
 
     fn deref(&self) -> &ShardedSimulator {
-        &self.0
+        &self.engine
     }
 }
 
 impl DerefMut for Simulator {
     fn deref_mut(&mut self) -> &mut ShardedSimulator {
-        &mut self.0
+        self.stats.take();
+        &mut self.engine
     }
 }
 
 impl Borrow<ShardedSimulator> for Simulator {
     fn borrow(&self) -> &ShardedSimulator {
-        &self.0
+        self
     }
 }
 
 impl BorrowMut<ShardedSimulator> for Simulator {
     fn borrow_mut(&mut self) -> &mut ShardedSimulator {
-        &mut self.0
+        self
     }
 }
 
@@ -884,6 +935,20 @@ mod tests {
     }
 
     #[test]
+    fn run_to_completion_delivers_what_waits_in_a_mailbox() {
+        let mut topo = NetworkTopology::new();
+        topo.set_link(h(0), h(1), LinkSpec::default());
+        let mut sim = Simulator::at_shards(1, &topo, 2);
+        sim.add_host(h(0), sink());
+        sim.add_host(h(1), sink());
+        sim.run_to_completion();
+        // Sent between runs to the other shard: it waits in a mailbox.
+        sim.inject(h(0), h(1), vec![1], 1);
+        sim.run_to_completion();
+        assert_eq!(sim.node_ref::<Sink>(h(1)).unwrap().received.len(), 1);
+    }
+
+    #[test]
     fn hosts_added_between_runs_join_the_one_shard_plan() {
         let mut sim = Simulator::new(2);
         sim.add_host(h(5), sink());
@@ -900,5 +965,87 @@ mod tests {
         sim.run_until(SimTime::from_secs_f64(1.0));
         assert_eq!(sim.node_ref::<Sink>(h(5)).unwrap().received.len(), 4);
         assert!(sim.topology().reachable(h(1), h(5)));
+    }
+
+    /// Gossips round its peers every 7 ms, and journals what it receives
+    /// and each restart through its shard's lane.
+    struct Chatter {
+        peers: Vec<HostId>,
+        at: usize,
+        telemetry: Telemetry,
+    }
+    impl Node for Chatter {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            ctx.set_timer(Duration::from_millis(7), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _token: u64) {
+            self.at += 1;
+            ctx.send(self.peers[self.at % self.peers.len()], vec![1], 32);
+            ctx.set_timer(Duration::from_millis(7), 0);
+        }
+        fn on_message(&mut self, ctx: &mut NodeCtx<'_>, msg: Message) {
+            let t_us = ctx.now().as_micros();
+            let got = self.telemetry.event("chatter.got", t_us);
+            got.field("from", msg.src.raw()).emit();
+        }
+        fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
+            let t_us = ctx.now().as_micros();
+            self.telemetry.event("chatter.restart", t_us).emit();
+        }
+    }
+
+    /// Records made between runs keep their place at two shards on two
+    /// threads: a framework-style span, a crash and a restart of a host on
+    /// shard 1 (whose restart hook journals), and a link edit that shortens
+    /// a cross-shard delay leave the journal, the statistics and every node
+    /// as one shard leaves them.
+    #[test]
+    fn between_run_records_keep_their_place_at_two_shards() {
+        let topo = {
+            let mut topo = NetworkTopology::new();
+            for i in 0..6 {
+                let spec = LinkSpec {
+                    reliability: 0.9,
+                    bandwidth: 1e5,
+                    delay: 0.002,
+                };
+                topo.set_link(h(i), h((i + 1) % 6), spec);
+            }
+            topo
+        };
+        let run = |shards: usize| {
+            let mut sim = Simulator::at_shards(7, &topo, shards);
+            assert_eq!(sim.threads, shards);
+            let telemetry = Telemetry::new(1 << 16);
+            sim.set_telemetry(telemetry.clone());
+            for i in 0..6 {
+                let chatter = Chatter {
+                    peers: (0..6).filter(|&p| p != i).map(h).collect(),
+                    at: i as usize,
+                    telemetry: telemetry.lane(sim.plan().shard_of(h(i))),
+                };
+                sim.add_host(h(i), chatter);
+            }
+            assert_eq!(sim.plan().shard_of(h(1)), shards - 1);
+            sim.run_until(SimTime::from_secs_f64(0.5));
+            telemetry.span("framework.cycle", 0, 500_000).emit();
+            sim.set_host_up(h(1), false);
+            sim.run_until(SimTime::from_secs_f64(0.8));
+            sim.set_host_up(h(1), true);
+            telemetry.event("framework.note", 800_000).emit();
+            let shorter = LinkSpec {
+                delay: 0.0005,
+                ..LinkSpec::default()
+            };
+            sim.set_link(h(0), h(1), shorter);
+            sim.run_until(SimTime::from_secs_f64(1.5));
+            let got: Vec<usize> = (0..6)
+                .map(|i| sim.node_ref::<Chatter>(h(i)).unwrap().at)
+                .collect();
+            (telemetry.export_jsonl(), sim.stats().clone(), got)
+        };
+        let one = run(1);
+        assert!(one.0.contains("chatter.restart") && one.0.contains("net.host.state"));
+        assert!(run(2) == one, "two shards diverged from one");
     }
 }

@@ -44,7 +44,7 @@ use crate::codec::{
 };
 use crate::durable::JournalRecord;
 use crate::event::Event;
-use crate::host::{HostServices, ADMIN_ADDRESS, DEPLOYER_ADDRESS, MONITOR_WINDOW};
+use crate::host::{HostServices, ADMIN_ADDRESS, DEPLOYER_ADDRESS};
 use crate::monitor::{EventFrequencyMonitor, FrequencyWindow, MonitoringSnapshot};
 use crate::stability::StabilityGauge;
 use crate::symbol::Symbol;
@@ -178,7 +178,7 @@ impl AdminComponent {
     pub(crate) fn new(host: HostId) -> Self {
         AdminComponent {
             host,
-            interactions: EventFrequencyMonitor::new(MONITOR_WINDOW),
+            interactions: EventFrequencyMonitor::new(),
             // Total event rate has no natural scale: judge it relatively.
             freq_gauge: StabilityGauge::new_relative(STABILITY_EPSILON, STABLE_WINDOWS),
             rel_gauge: StabilityGauge::new(STABILITY_EPSILON, STABLE_WINDOWS),
@@ -1387,7 +1387,7 @@ mod tests {
             let id = arch.add_component(name, Talker).unwrap();
             arch.weld(id, bus).unwrap();
         }
-        arch.attach_monitor(bus, EventFrequencyMonitor::new(MONITOR_WINDOW))
+        arch.attach_monitor(bus, EventFrequencyMonitor::new())
             .unwrap();
         let mut admin = AdminComponent::new(host);
         let mut services = crate::host::test_support::services(host);

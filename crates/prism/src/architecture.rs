@@ -785,11 +785,7 @@ mod tests {
         let bus = a.add_connector("bus");
         a.weld(x, bus).unwrap();
         a.weld(y, bus).unwrap();
-        a.attach_monitor(
-            bus,
-            EventFrequencyMonitor::new(Duration::from_secs_f64(1.0)),
-        )
-        .unwrap();
+        a.attach_monitor(bus, EventFrequencyMonitor::new()).unwrap();
         a.publish("x", Event::notification("relay me")).unwrap();
         a.pump(SimTime::ZERO);
         let m = a.monitor_mut::<EventFrequencyMonitor>(bus).unwrap();

@@ -507,7 +507,7 @@ const ROUTING_LATENCY_BOUNDS_US: &[f64] = &[
 fn fresh_architecture(host: HostId) -> (Architecture, BrickId) {
     let mut arch = Architecture::new(format!("arch-{host}"), host);
     let bus = arch.add_connector("bus");
-    arch.attach_monitor(bus, EventFrequencyMonitor::new(MONITOR_WINDOW))
+    arch.attach_monitor(bus, EventFrequencyMonitor::new())
         .expect("connector just created");
     (arch, bus)
 }

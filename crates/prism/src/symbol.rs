@@ -29,6 +29,12 @@
 //! the same order, and a code path that interns a name earlier than before
 //! (say, while building an index) moves those byte counts. Resolve cold
 //! `&str` keys with [`Symbol::lookup`], which never interns.
+//!
+//! A run on two threads keeps that order: a shard thread about to intern a
+//! new name first waits ([`redep_netsim::await_one_shard_order`]) until the
+//! other shard's thread has run every event a one-shard run would run
+//! before this one, so names are interned in the one-shard order whatever
+//! thread reaches them first.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -82,8 +88,15 @@ impl Symbol {
     /// A *new* name takes the next id, and ids travel as varints in encoded
     /// events — so adding a call site that may see a name first changes
     /// simulated byte counts (see the module docs). To look a name up in a
-    /// symbol-keyed table, use [`Symbol::lookup`].
+    /// symbol-keyed table, use [`Symbol::lookup`]. On a shard thread a new
+    /// name may wait for the other shard's thread, so never intern while
+    /// holding a lock that thread's callbacks can take.
     pub fn intern(name: &str) -> Symbol {
+        if let Some(symbol) = Symbol::lookup(name) {
+            return symbol;
+        }
+        // A new id: take it where a one-shard run would (module docs).
+        redep_netsim::await_one_shard_order();
         let mut table = interner().lock().expect("interner poisoned");
         if let Some(&id) = table.by_name.get(name) {
             return Symbol {
@@ -273,6 +286,55 @@ mod tests {
             assert_eq!(from_worker.recv().unwrap(), Some(late));
             drop(to_worker);
         });
+    }
+
+    /// Interns `name` at a timer `at` into the run, after napping `nap` of
+    /// wall time in a timer at `at / 2`.
+    struct LateInterner {
+        at: redep_netsim::Duration,
+        nap: std::time::Duration,
+        name: &'static str,
+    }
+    impl redep_netsim::Node for LateInterner {
+        fn on_start(&mut self, ctx: &mut redep_netsim::NodeCtx<'_>) {
+            let half = redep_netsim::Duration::from_micros(self.at.as_micros() / 2);
+            ctx.set_timer(half, 0);
+            ctx.set_timer(self.at, 1);
+        }
+        fn on_timer(&mut self, _ctx: &mut redep_netsim::NodeCtx<'_>, token: u64) {
+            if token == 0 {
+                std::thread::sleep(self.nap);
+            } else {
+                Symbol::intern(self.name);
+            }
+        }
+    }
+
+    /// Two shards on two threads, in one window: shard 1 interns its name
+    /// earlier in simulated time but, after a nap, later in wall time. The
+    /// ids follow simulated time, as on one shard.
+    #[test]
+    fn shard_threads_intern_in_one_shard_order() {
+        use redep_netsim::{Duration, LinkSpec, NetworkTopology, ShardedSimulator, SimTime};
+        let (a, b) = (redep_model::HostId::new(0), redep_model::HostId::new(1));
+        let mut topo = NetworkTopology::new();
+        let slow = LinkSpec {
+            delay: 0.5,
+            ..LinkSpec::default()
+        };
+        topo.set_link(a, b, slow);
+        let mut sim = ShardedSimulator::new(1, &topo, 2);
+        assert_ne!(sim.plan().shard_of(a), sim.plan().shard_of(b));
+        let late = |at_ms, nap_ms, name| LateInterner {
+            at: Duration::from_millis(at_ms),
+            nap: std::time::Duration::from_millis(nap_ms),
+            name,
+        };
+        sim.add_host(a, late(20, 0, "one-shard-order-second"));
+        sim.add_host(b, late(10, 100, "one-shard-order-first"));
+        sim.run_until(SimTime::from_secs_f64(0.1), 2);
+        let id = |name| Symbol::lookup(name).unwrap().id();
+        assert!(id("one-shard-order-first") < id("one-shard-order-second"));
     }
 
     #[test]

@@ -15,10 +15,16 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// The interned form of [`EV_APP`], resolved once so the per-event hot path
-/// never touches the interner lock.
+/// never touches the interner lock. Interned outside the cell's
+/// initialization: interning may wait for another shard's thread, which
+/// may be waiting for the cell.
 fn ev_app_symbol() -> Symbol {
     static SYM: OnceLock<Symbol> = OnceLock::new();
-    *SYM.get_or_init(|| Symbol::intern(EV_APP))
+    if let Some(symbol) = SYM.get() {
+        return *symbol;
+    }
+    let symbol = Symbol::intern(EV_APP);
+    *SYM.get_or_init(|| symbol)
 }
 
 /// The factory type name of [`WorkloadComponent`].

@@ -24,7 +24,8 @@
 //! - [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //!   [`Histogram`]s; registration locks, increments never do.
 //! - [`Journal`] — a bounded ring buffer of structured [`Event`]s
-//!   (drop-oldest, with a drop counter so truncation is visible).
+//!   (drop-oldest, with a drop counter so truncation is visible), written
+//!   through one lane per simulator shard ([`Telemetry::lane`]).
 //! - [`Telemetry`] — a cheap-to-clone handle bundling both plus the
 //!   enabled/disabled switch; [`Telemetry::export_jsonl`] renders the
 //!   machine-readable journal and [`Telemetry::summary`] the human one.
@@ -40,7 +41,7 @@
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use serde_json::{Number, Value};
@@ -168,28 +169,35 @@ impl Event {
 /// Records hold a mutex only long enough to push; when full, the oldest
 /// record is evicted and counted in [`Journal::dropped`], so a truncated
 /// journal is always detectable.
+///
+/// A journal is written through *lanes* ([`Telemetry::lane`]), one per
+/// shard of the simulator that journals into it; each lane keeps its own
+/// order stamp. While the journal stages ([`Telemetry::stage_lanes`]) every
+/// lane also keeps its own records, and [`Telemetry::merge_lanes`] appends
+/// them in `(stamp, lane)` order: so two shard threads journal into one
+/// handle and the records land in the order one thread would have written
+/// them. Outside a staged run a record is appended at once, whatever its
+/// lane.
 pub struct Journal {
     buf: Mutex<VecDeque<Event>>,
     capacity: usize,
     dropped: AtomicU64,
+    /// Every lane made so far, lane 0 first.
+    lanes: Mutex<Vec<Arc<Lane>>>,
+    staging: AtomicBool,
+}
+
+/// One lane of a [`Journal`]: its order stamp, and while the journal stages,
+/// its records in write order (at most the journal's capacity of them).
+#[derive(Default)]
+struct Lane {
+    staged: Mutex<VecDeque<Event>>,
     ord0: AtomicU64,
     ord1: AtomicU64,
     intra: AtomicU64,
 }
 
-impl Journal {
-    /// A journal retaining at most `capacity` events.
-    fn new(capacity: usize) -> Self {
-        Journal {
-            buf: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
-            capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
-            ord0: AtomicU64::new(0),
-            ord1: AtomicU64::new(0),
-            intra: AtomicU64::new(0),
-        }
-    }
-
+impl Lane {
     /// Sets the order stamp applied to subsequent records; see
     /// [`Telemetry::set_order`].
     fn set_order(&self, t_us: u64, key: u64) {
@@ -198,20 +206,81 @@ impl Journal {
         self.intra.store(0, Ordering::Relaxed);
     }
 
-    /// Appends one event, evicting the oldest when at capacity. The event
-    /// is stamped with the current order (see [`Journal::set_order`]).
-    fn record(&self, mut event: Event) {
-        event.ord = [
+    fn stamp(&self) -> [u64; 3] {
+        [
             self.ord0.load(Ordering::Relaxed),
             self.ord1.load(Ordering::Relaxed),
             self.intra.fetch_add(1, Ordering::Relaxed),
-        ];
-        let mut buf = self.buf();
+        ]
+    }
+
+    fn staged(&self) -> MutexGuard<'_, VecDeque<Event>> {
+        self.staged.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Journal {
+    /// A journal retaining at most `capacity` events, with lane 0.
+    fn new(capacity: usize) -> Self {
+        Journal {
+            buf: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
+            capacity: capacity.max(1),
+            dropped: AtomicU64::new(0),
+            lanes: Mutex::new(vec![Arc::default()]),
+            staging: AtomicBool::new(false),
+        }
+    }
+
+    /// Lane `index`, made (with every lane below it) on first use.
+    fn lane(&self, index: usize) -> Arc<Lane> {
+        let mut lanes = self.lanes.lock().unwrap_or_else(PoisonError::into_inner);
+        while lanes.len() <= index {
+            lanes.push(Arc::default());
+        }
+        lanes[index].clone()
+    }
+
+    /// Stamps one event with `lane`'s current order and appends it — to the
+    /// lane while the journal stages, else to the journal — evicting the
+    /// oldest when at capacity.
+    fn record(&self, lane: &Lane, mut event: Event) {
+        event.ord = lane.stamp();
+        if self.staging.load(Ordering::Relaxed) {
+            self.push(&mut lane.staged(), event);
+        } else {
+            self.push(&mut self.buf(), event);
+        }
+    }
+
+    fn push(&self, buf: &mut VecDeque<Event>, event: Event) {
         if buf.len() >= self.capacity {
             buf.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         buf.push_back(event);
+    }
+
+    /// Ends staging: appends every lane's staged records, repeatedly taking
+    /// the lane head with the least `(stamp, lane)`. A lane holding the last
+    /// `capacity` records of its own is enough to keep the journal's last
+    /// `capacity` overall, so the result — and [`Journal::dropped`] — is what
+    /// appending each record as it was written in that order gives.
+    fn merge_lanes(&self) {
+        if !self.staging.swap(false, Ordering::Relaxed) {
+            return;
+        }
+        let lanes = self.lanes.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut staged: Vec<_> = lanes.iter().map(|lane| lane.staged()).collect();
+        let mut buf = self.buf();
+        loop {
+            let heads = staged.iter().enumerate();
+            let next = heads
+                .filter_map(|(i, lane)| Some((lane.front()?.ord, i)))
+                .min();
+            let Some((_, i)) = next else { break };
+            let event = staged[i].pop_front().expect("a head was found");
+            self.push(&mut buf, event);
+        }
     }
 
     /// The retained events, locked; a record that panicked mid-push still
@@ -220,7 +289,8 @@ impl Journal {
         self.buf.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of events currently retained.
+    /// Number of events currently retained (a staged run's records count
+    /// once its lanes are merged).
     pub fn len(&self) -> usize {
         self.buf().len()
     }
@@ -245,7 +315,7 @@ impl Journal {
 /// fields and writes the record on [`emit`](EventBuilder::emit). When the
 /// telemetry handle is disabled the builder is inert and never allocates.
 pub struct EventBuilder<'a> {
-    journal: Option<&'a Journal>,
+    journal: Option<(&'a Journal, &'a Lane)>,
     event: Event,
 }
 
@@ -293,8 +363,8 @@ impl EventBuilder<'_> {
 
     /// Writes the record into the journal.
     pub fn emit(self) {
-        if let Some(journal) = self.journal {
-            journal.record(self.event);
+        if let Some((journal, lane)) = self.journal {
+            journal.record(lane, self.event);
         }
     }
 }
@@ -308,6 +378,8 @@ impl EventBuilder<'_> {
 #[derive(Clone)]
 pub struct Telemetry {
     inner: Arc<Inner>,
+    /// The journal lane this handle writes through (see [`Journal`]).
+    lane: Arc<Lane>,
 }
 
 struct Inner {
@@ -329,24 +401,49 @@ impl Default for Telemetry {
 impl Telemetry {
     /// An enabled handle with the given journal capacity.
     pub fn new(journal_capacity: usize) -> Self {
-        Telemetry {
-            inner: Arc::new(Inner {
-                enabled: true,
-                metrics: MetricsRegistry::new(),
-                journal: Journal::new(journal_capacity),
-            }),
-        }
+        Telemetry::with_journal(true, Journal::new(journal_capacity))
     }
 
     /// A no-op handle: full API, records nothing, near-zero cost.
     pub fn disabled() -> Self {
+        Telemetry::with_journal(false, Journal::new(1))
+    }
+
+    fn with_journal(enabled: bool, journal: Journal) -> Self {
+        let lane = journal.lane(0);
         Telemetry {
             inner: Arc::new(Inner {
-                enabled: false,
+                enabled,
                 metrics: MetricsRegistry::new(),
-                journal: Journal::new(1),
+                journal,
             }),
+            lane,
         }
+    }
+
+    /// A handle on the same metrics and journal that writes through lane
+    /// `index` (a fresh handle writes through lane 0): one per shard of a
+    /// simulator whose shards journal into one handle from several threads.
+    pub fn lane(&self, index: usize) -> Telemetry {
+        Telemetry {
+            inner: self.inner.clone(),
+            lane: self.inner.journal.lane(index),
+        }
+    }
+
+    /// Stages the journal: from now until [`Telemetry::merge_lanes`], every
+    /// lane keeps its records to itself. No-op on a disabled handle.
+    pub fn stage_lanes(&self) {
+        if self.inner.enabled {
+            self.inner.journal.staging.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Ends staging: appends the staged records of every lane to the journal
+    /// in `(stamp, lane)` order, the order of one thread processing the
+    /// events that stamped them. No-op unless the journal stages.
+    pub fn merge_lanes(&self) {
+        self.inner.journal.merge_lanes();
     }
 
     /// The metrics registry (counters/gauges/histograms).
@@ -359,15 +456,15 @@ impl Telemetry {
         &self.inner.journal
     }
 
-    /// Sets the order stamp applied to subsequent journal records: `t_us` is
-    /// the simulation time of the sim event being processed and `key` its
-    /// queue tie-break key. Resets the intra-event counter. The sharded
-    /// simulator calls this before every node/fault callback so that
-    /// per-shard journals can be merged back into global processing order.
-    /// No-op on a disabled handle.
+    /// Sets the order stamp this handle's lane applies to subsequent journal
+    /// records: `t_us` is the simulation time of the sim event being
+    /// processed and `key` its queue tie-break key. Resets the intra-event
+    /// counter. The sharded simulator calls this before every node/fault
+    /// callback so that per-shard journals and lanes can be merged back into
+    /// global processing order. No-op on a disabled handle.
     pub fn set_order(&self, t_us: u64, key: u64) {
         if self.inner.enabled {
-            self.inner.journal.set_order(t_us, key);
+            self.lane.set_order(t_us, key);
         }
     }
 
@@ -375,7 +472,10 @@ impl Telemetry {
     #[must_use]
     pub fn event(&self, name: &'static str, t_us: u64) -> EventBuilder<'_> {
         EventBuilder {
-            journal: self.inner.enabled.then(|| &self.inner.journal),
+            journal: self
+                .inner
+                .enabled
+                .then(|| (&self.inner.journal, &*self.lane)),
             event: Event {
                 t_us,
                 end_us: None,
@@ -390,7 +490,10 @@ impl Telemetry {
     #[must_use]
     pub fn span(&self, name: &'static str, start_us: u64, end_us: u64) -> EventBuilder<'_> {
         EventBuilder {
-            journal: self.inner.enabled.then(|| &self.inner.journal),
+            journal: self
+                .inner
+                .enabled
+                .then(|| (&self.inner.journal, &*self.lane)),
             event: Event {
                 t_us: start_us,
                 end_us: Some(end_us),
@@ -509,6 +612,13 @@ pub fn percentiles(samples: &[f64]) -> Option<[f64; 3]> {
 fn merge_journals(shards: &[&Telemetry]) -> Vec<Event> {
     let mut all: Vec<(usize, Event)> = Vec::new();
     for (idx, tele) in shards.iter().enumerate() {
+        // Lanes of one journal hold their records there already.
+        if shards[..idx]
+            .iter()
+            .any(|t| Arc::ptr_eq(&t.inner, &tele.inner))
+        {
+            continue;
+        }
         all.extend(tele.journal().snapshot().into_iter().map(|e| (idx, e)));
     }
     all.sort_by(|(ia, a), (ib, b)| a.ord.cmp(&b.ord).then(ia.cmp(ib)));
@@ -626,6 +736,64 @@ mod tests {
         let summary = tele.summary();
         assert!(summary.contains("span durations (ms)"), "{summary}");
         assert!(summary.contains("p90="), "{summary}");
+    }
+
+    /// Writes `(t_us, key)`-stamped records through `lane`, two per stamp.
+    fn write(lane: &Telemetry, stamps: &[(u64, u64)]) {
+        for &(t_us, key) in stamps {
+            lane.set_order(t_us, key);
+            lane.event("a", t_us).field("key", key).emit();
+            lane.event("b", t_us).field("key", key).emit();
+        }
+    }
+
+    /// Two lanes written from two threads during a staged run, with records
+    /// before and after it: the journal equals one thread writing every
+    /// record in stamp order, also when it overflows.
+    #[test]
+    fn staged_lanes_merge_into_the_one_thread_order() {
+        let (even, odd) = ([(1, 4), (2, 0), (2, 6), (5, 1)], [(1, 7), (2, 3), (4, 0)]);
+        let mut all: Vec<_> = even.iter().chain(&odd).copied().collect();
+        all.sort();
+        for capacity in [64, 5] {
+            let tele = Telemetry::new(capacity);
+            let lanes = [tele.lane(0), tele.lane(1)];
+            tele.event("before", 0).emit();
+            tele.stage_lanes();
+            std::thread::scope(|scope| {
+                scope.spawn(|| write(&lanes[1], &odd));
+                write(&lanes[0], &even);
+            });
+            assert_eq!(tele.journal().len(), 1, "staged records are held back");
+            tele.merge_lanes();
+            // Outside a staged run, a record lands at once, in call order.
+            lanes[1].event("after", 9).emit();
+            tele.event("after", 9).emit();
+
+            let one = Telemetry::new(capacity);
+            one.event("before", 0).emit();
+            write(&one, &all);
+            one.event("after", 9).emit();
+            one.event("after", 9).emit();
+            assert_eq!(
+                tele.export_jsonl(),
+                one.export_jsonl(),
+                "capacity {capacity}"
+            );
+            assert_eq!(tele.journal().dropped(), one.journal().dropped());
+        }
+    }
+
+    #[test]
+    fn lanes_share_the_registry_and_export_once() {
+        let tele = Telemetry::new(16);
+        let lane = tele.lane(1);
+        lane.metrics().counter("c").add(2);
+        tele.metrics().counter("c").inc();
+        assert_eq!(tele.metrics().counter("c").get(), 3);
+        lane.event("x", 1).emit();
+        assert_eq!(merge_export_jsonl(&[&tele, &lane]), tele.export_jsonl());
+        assert_eq!(tele.journal().len(), 1);
     }
 
     #[test]
