@@ -215,8 +215,8 @@ fn durable_bytes(rt: &ShardedRuntime) -> u64 {
 
 /// Builds a runtime of `shards` shards at the given scale, runs `warmup`
 /// simulated seconds untimed on `threads` threads, then times `horizon`
-/// more, reading the pipeline counters summed across the per-shard
-/// telemetry handles over the timed part.
+/// more, reading the pipeline counters of the system's one telemetry
+/// handle over the timed part.
 fn run_cell(
     hosts: usize,
     comps: usize,
@@ -231,14 +231,11 @@ fn run_cell(
         ..RuntimeConfig::default()
     };
     let mut rt = ShardedRuntime::build(&system.model, &system.initial, &runtime_config, shards)?;
-    // Disabled handles journal nothing (we are measuring the hot path, not
-    // recording it) but their counters still count.
-    let handles: Vec<Telemetry> = (0..shards).map(|_| Telemetry::disabled()).collect();
-    rt.set_telemetry(handles.clone());
-    let total = |name: &str| -> u64 {
-        let counters = handles.iter().map(|t| t.metrics().counter(name).get());
-        counters.sum()
-    };
+    // A disabled handle journals nothing (we are measuring the hot path,
+    // not recording it) but its counters still count.
+    let handle = Telemetry::disabled();
+    rt.set_telemetry(vec![handle.clone()]);
+    let total = |name: &str| handle.metrics().counter(name).get();
     let (routed, bytes) = ("pipeline.events.routed", "pipeline.codec.bytes");
     let allocated = || {
         (
@@ -289,7 +286,7 @@ fn run_cell(
         durable_bytes: durable_bytes(&rt) - durable_before,
         monitor_journal_bytes: monitor_bytes(&journal_kinds) - monitor_before,
         wall_secs,
-        journal_dropped: handles.iter().map(|t| t.journal().dropped()).sum(),
+        journal_dropped: handle.journal().dropped(),
         journal_kinds,
         rounds: rt.sim().round_stats(),
         barrier_wait_shares,
@@ -320,22 +317,19 @@ fn shard_smoke() -> Result<(), Box<dyn std::error::Error>> {
         ..RuntimeConfig::default()
     };
     let span = redep_netsim::Duration::from_secs_f64(5.0);
-    // Large journals: the byte-equality contract only holds when no
-    // journal overflows its ring.
-    let handles =
-        |n: usize| -> Vec<Telemetry> { (0..n).map(|_| Telemetry::new(1 << 20)).collect() };
-    let no_overflow = |handles: &[Telemetry]| {
-        let dropped: u64 = handles.iter().map(|t| t.journal().dropped()).sum();
+    // A large journal: the byte-equality contract only holds when it does
+    // not overflow its ring.
+    let export = |telemetry: &Telemetry| {
+        let dropped = telemetry.journal().dropped();
         assert_eq!(dropped, 0, "journal overflowed; raise capacity");
+        telemetry.export_jsonl()
     };
     let run = |threads: usize| -> Result<String, Box<dyn std::error::Error>> {
         let mut rt =
             ShardedRuntime::build(&system.model, &system.initial, &runtime_config, SHARDS)?;
-        let handles = handles(SHARDS);
-        rt.set_telemetry(handles.clone());
+        rt.set_telemetry(vec![Telemetry::new(1 << 20)]);
         rt.run_for(span, threads);
-        no_overflow(&handles);
-        Ok(rt.sim().export_merged_jsonl())
+        Ok(export(rt.telemetry()))
     };
     let one_thread = run(1)?;
     let four_threads = run(4)?;
@@ -348,12 +342,10 @@ fn shard_smoke() -> Result<(), Box<dyn std::error::Error>> {
         "shard smoke FAILED: journals diverged between 1 and 4 threads"
     );
     let mut rt = SystemRuntime::build(&system.model, &system.initial, &runtime_config)?;
-    let handle = handles(1);
-    rt.set_telemetry(handle[0].clone());
+    rt.set_telemetry(Telemetry::new(1 << 20));
     rt.run_for(span);
-    no_overflow(&handle);
     assert_eq!(
-        rt.telemetry().export_jsonl(),
+        export(rt.telemetry()),
         one_thread,
         "shard smoke FAILED: the one-shard SystemRuntime journal differs from the {SHARDS}-shard one"
     );

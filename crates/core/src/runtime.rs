@@ -97,17 +97,12 @@ impl SystemRuntime {
     }
 
     /// Installs one telemetry handle across the whole running system: the
-    /// simulator and every Prism host share it, so network, middleware, and
+    /// engine and every Prism host share it, so network, middleware, and
     /// framework records interleave in a single sim-time-ordered journal.
-    /// Each host journals through its shard's lane ([`Telemetry::lane`]).
+    /// Each shard, and each host on it, journals and counts through the
+    /// shard's lane ([`Telemetry::lane`]).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        for &h in &self.hosts {
-            let lane = telemetry.lane(self.sim.plan().shard_of(h));
-            if let Some(host) = self.sim.node_mut::<PrismHost>(h) {
-                host.set_telemetry(lane);
-            }
-        }
-        self.sim.set_telemetry(telemetry);
+        self.install_telemetry(telemetry);
     }
 
     /// Advances the system by `span` of simulated time.
@@ -169,22 +164,18 @@ impl ShardedRuntime {
         Runtime::mount(sim, model, deployment, config)
     }
 
-    /// Installs per-shard telemetry: each Prism host journals into its
-    /// shard's handle, so the merged export
-    /// ([`ShardedSimulator::export_merged_jsonl`]) interleaves middleware
-    /// and network records in one global order.
+    /// Installs `handles[0]` across the whole running system, as
+    /// [`SystemRuntime::set_telemetry`] installs its handle; the other
+    /// handles stay unused. It takes a vector only because `benchmark/`
+    /// passes one handle per shard: ROADMAP item 9 (`benchmark/` as a thin
+    /// driver) deletes this form for `set_telemetry(Telemetry)`.
     ///
     /// # Panics
     ///
-    /// Panics unless exactly one handle per shard is given.
+    /// Panics if `handles` is empty.
     pub fn set_telemetry(&mut self, handles: Vec<Telemetry>) {
-        for &h in &self.hosts {
-            let telemetry = handles[self.sim.plan().shard_of(h)].clone();
-            if let Some(host) = self.sim.node_mut::<PrismHost>(h) {
-                host.set_telemetry(telemetry);
-            }
-        }
-        self.sim.set_telemetry(handles);
+        let telemetry = handles.into_iter().next();
+        self.install_telemetry(telemetry.expect("at least one telemetry handle"));
     }
 
     /// Advances the system by `span` of simulated time on up to `threads`
@@ -217,8 +208,19 @@ impl<S: BorrowMut<ShardedSimulator>> Runtime<S> {
         })
     }
 
-    /// The system-wide telemetry handle (disabled unless installed; the
-    /// first shard's on a sharded runtime).
+    /// The one body of both runtimes' `set_telemetry`.
+    fn install_telemetry(&mut self, telemetry: Telemetry) {
+        let sim = self.sim.borrow_mut();
+        for &h in &self.hosts {
+            let lane = telemetry.lane(sim.plan().shard_of(h));
+            if let Some(host) = sim.node_mut::<PrismHost>(h) {
+                host.set_telemetry(lane);
+            }
+        }
+        sim.set_telemetry(telemetry);
+    }
+
+    /// The system-wide telemetry handle (disabled unless installed).
     pub fn telemetry(&self) -> &Telemetry {
         self.sim.borrow().telemetry()
     }
@@ -528,15 +530,11 @@ mod tests {
         let (m, d) = system();
         let run = |shards: usize, threads: usize| {
             let mut rt = ShardedRuntime::build(&m, &d, &RuntimeConfig::default(), shards).unwrap();
-            rt.set_telemetry(
-                (0..shards)
-                    .map(|_| redep_telemetry::Telemetry::default())
-                    .collect(),
-            );
+            rt.set_telemetry(vec![Telemetry::default()]);
             let events = rt.run_for(Duration::from_secs_f64(5.0), threads);
             assert!(events > 0);
             (
-                rt.sim().export_merged_jsonl(),
+                rt.telemetry().export_jsonl(),
                 rt.sim().stats(),
                 rt.measured_availability(),
             )
@@ -548,12 +546,18 @@ mod tests {
         assert_eq!(run(3, 2), reference, "diverged at 3 shards / 2 threads");
     }
 
+    /// Journals a framework-style span over the runs so far, as a cycle
+    /// does between two runs.
+    fn cycle_span<S: BorrowMut<ShardedSimulator>>(rt: &Runtime<S>) {
+        let now = rt.sim().borrow().now().as_micros();
+        rt.telemetry().span("core.cycle", 0, now).emit();
+    }
+
     /// What a framework does between two runs: journals a span, and edits a
     /// link — one that crosses the face's shards if one does — to half its
     /// delay.
     fn between_runs<S: BorrowMut<ShardedSimulator>>(rt: &mut Runtime<S>, (a, b): (HostId, HostId)) {
-        let now = rt.sim().borrow().now().as_micros();
-        rt.telemetry().span("core.cycle", 0, now).emit();
+        cycle_span(rt);
         let sim = rt.sim_mut().borrow_mut();
         let spec = sim.topology().link(a, b).unwrap().spec;
         let delay = spec.delay / 2.0;
@@ -564,18 +568,21 @@ mod tests {
     /// a partition, a degrade and a flap, plus link churn (a flap on every
     /// other link, each with its own phase and period), the `SystemRuntime`
     /// face and the `ShardedRuntime` at several shard and thread counts
-    /// journal, count and measure byte for byte alike.
+    /// journal, count and measure byte for byte alike — also with a span
+    /// journaled between two runs, mid-partition.
     #[test]
     fn system_runtime_equals_sharded_runtime_under_faults_and_churn() {
         let (m, d, plan) = churned_system();
-        let span = Duration::from_secs_f64(10.0);
+        let half = Duration::from_secs_f64(5.5);
         let config = RuntimeConfig::default();
-        let handle = || redep_telemetry::Telemetry::new(1 << 20);
+        let handle = || Telemetry::new(1 << 20);
 
         let mut single = SystemRuntime::build(&m, &d, &config).unwrap();
         single.set_telemetry(handle());
         single.sim_mut().install_fault_plan(&plan);
-        single.run_for(span);
+        single.run_for(half);
+        cycle_span(&single);
+        single.run_for(half);
         assert_eq!(single.telemetry().journal().dropped(), 0);
         let journal = single.telemetry().export_jsonl();
         for needle in [
@@ -593,11 +600,13 @@ mod tests {
         );
         for (shards, threads) in [(1, 1), (2, 2), (8, 2)] {
             let mut sharded = ShardedRuntime::build(&m, &d, &config, shards).unwrap();
-            sharded.set_telemetry((0..shards).map(|_| handle()).collect());
+            sharded.set_telemetry(vec![handle()]);
             sharded.sim_mut().install_fault_plan(&plan);
-            sharded.run_for(span, threads);
+            sharded.run_for(half, threads);
+            cycle_span(&sharded);
+            sharded.run_for(half, threads);
             let outcome = (
-                sharded.sim().export_merged_jsonl(),
+                sharded.telemetry().export_jsonl(),
                 sharded.sim().stats(),
                 sharded.measured_availability(),
             );
@@ -651,19 +660,36 @@ mod tests {
         (m, d, plan)
     }
 
-    /// Between two runs, the face journals a framework-style span and edits
-    /// a link that crosses its shards (when it runs two) to half its delay:
-    /// the span keeps its place, and the journal, statistics and
-    /// availability equal a one-shard run's byte for byte. (Crashing and
-    /// restarting a host between runs is a face-only call, which
-    /// `netsim::sim`'s `between_run_records_keep_their_place_at_two_shards`
-    /// covers.)
+    /// Drives `rt` through three runs of `span`, doing between them what a
+    /// framework and a crash do: after the first, journal a span, edit
+    /// `edited` to half its delay and crash `crashed`; after the second,
+    /// restart `crashed` (its restart hook journals the recovery).
+    fn drive<S: BorrowMut<ShardedSimulator>>(
+        rt: &mut Runtime<S>,
+        run: impl Fn(&mut Runtime<S>),
+        edited: (HostId, HostId),
+        crashed: HostId,
+    ) {
+        run(rt);
+        between_runs(rt, edited);
+        rt.sim_mut().borrow_mut().set_host_up(crashed, false);
+        run(rt);
+        rt.sim_mut().borrow_mut().set_host_up(crashed, true);
+        run(rt);
+    }
+
+    /// Between runs the face journals a framework-style span, edits a link
+    /// that crosses its shards (when it runs two) to half its delay, and
+    /// crashes and later restarts a host on the last shard: every record
+    /// keeps its place, and the journal, statistics and availability equal
+    /// a one-shard run's, and a `ShardedRuntime`'s at two and at four
+    /// shards on two threads, byte for byte.
     #[test]
     fn between_run_records_and_edits_keep_the_face_equal_to_one_shard() {
         let (m, d, plan) = churned_system();
         let links: Vec<_> = m.physical_links().map(|l| l.ends()).collect();
-        let (span, config) = (Duration::from_secs_f64(5.0), RuntimeConfig::default());
-        let handle = || redep_telemetry::Telemetry::new(1 << 20);
+        let (span, config) = (Duration::from_secs_f64(4.0), RuntimeConfig::default());
+        let crashed = m.host_ids()[3];
 
         let mut face = SystemRuntime::build(&m, &d, &config).unwrap();
         let shards = face.sim().plan();
@@ -671,27 +697,40 @@ mod tests {
             .iter()
             .find(|l| shards.shard_of(l.lo()) != shards.shard_of(l.hi()));
         let edited = crossing.map_or((links[2].lo(), links[2].hi()), |l| (l.lo(), l.hi()));
-        face.set_telemetry(handle());
+        face.set_telemetry(Telemetry::new(1 << 20));
         face.sim_mut().install_fault_plan(&plan);
-        face.run_for(span);
-        between_runs(&mut face, edited);
-        face.run_for(span);
+        drive(&mut face, |rt| rt.run_for(span), edited, crashed);
         assert_eq!(face.telemetry().journal().dropped(), 0);
+        let journal = face.telemetry().export_jsonl();
+        assert!(journal.contains("prism.recover"), "no recovery journaled");
+        let reference = (
+            journal,
+            face.sim().stats().clone(),
+            face.measured_availability(),
+        );
 
-        let mut one = ShardedRuntime::build(&m, &d, &config, 1).unwrap();
-        one.set_telemetry(vec![handle()]);
-        one.sim_mut().install_fault_plan(&plan);
-        one.run_for(span, 1);
-        between_runs(&mut one, edited);
-        one.run_for(span, 1);
-        assert!(face.telemetry().export_jsonl() == one.telemetry().export_jsonl());
-        assert_eq!(face.sim().stats(), &one.sim().stats());
-        assert_eq!(face.measured_availability(), one.measured_availability());
+        for (shards, threads) in [(1, 1), (2, 2), (4, 2)] {
+            let mut rt = ShardedRuntime::build(&m, &d, &config, shards).unwrap();
+            assert_eq!(rt.sim().plan().shard_of(crashed), shards - 1);
+            rt.set_telemetry(vec![Telemetry::new(1 << 20)]);
+            rt.sim_mut().install_fault_plan(&plan);
+            let run = |rt: &mut ShardedRuntime| {
+                rt.run_for(span, threads);
+            };
+            drive(&mut rt, run, edited, crashed);
+            let outcome = (
+                rt.telemetry().export_jsonl(),
+                rt.sim().stats(),
+                rt.measured_availability(),
+            );
+            assert!(outcome == reference, "{shards} shards, {threads} threads");
+        }
     }
 
-    /// Publishes `rt`'s gauges and checks that they carry the counts their
-    /// layers keep: the engine's `NetStats` as `net.truth.*`, every durable
-    /// store's per-kind table as `prism.h<id>.durable.{records,bytes}.<kind>`.
+    /// Publishes `rt`'s gauges and checks that the system's one registry
+    /// carries the counts their layers keep: the engine's `NetStats` as
+    /// `net.truth.*`, every host's durable store's per-kind table as
+    /// `prism.h<id>.durable.{records,bytes}.<kind>`.
     fn assert_gauges_export_the_counts<S: BorrowMut<ShardedSimulator>>(
         rt: &Runtime<S>,
         net: &NetStats,
@@ -714,11 +753,10 @@ mod tests {
         let mut published = 0;
         for &h in rt.hosts() {
             let host = rt.host(h).unwrap();
-            let metrics = host.telemetry().metrics();
             for (kind, records, bytes) in host.services().durable().stats_by_kind() {
                 for (what, value) in [("records", records), ("bytes", bytes)] {
                     let name = format!("prism.{h}.durable.{what}.{kind}");
-                    assert_eq!(metrics.gauge(&name).get(), value as f64, "{name}");
+                    assert_eq!(truth.gauge(&name).get(), value as f64, "{name}");
                     published += usize::from(value > 0);
                 }
             }
@@ -762,7 +800,7 @@ mod tests {
         assert_gauges_export_the_counts(&single, single.sim().stats());
 
         let mut sharded = ShardedRuntime::build(&m, &d, &config, 2).unwrap();
-        sharded.set_telemetry(vec![Telemetry::default(), Telemetry::default()]);
+        sharded.set_telemetry(vec![Telemetry::default()]);
         sharded.sim_mut().install_fault_plan(&plan);
         sharded.run_for(span, 2);
         assert_gauges_export_the_counts(&sharded, &sharded.sim().stats());
@@ -801,7 +839,7 @@ mod tests {
         let (component, from) = d.iter().next().unwrap();
         let run = |shards: usize, threads: usize| {
             let mut rt = ShardedRuntime::build(&m, &d, &RuntimeConfig::default(), shards).unwrap();
-            rt.set_telemetry((0..shards).map(|_| Telemetry::new(1 << 20)).collect());
+            rt.set_telemetry(vec![Telemetry::new(1 << 20)]);
             let adapter = MiddlewareAdapter::new(rt.master().unwrap());
             let mut system = SystemData::new(m.clone(), d.clone());
             rt.run_for(Duration::from_secs_f64(10.0), threads);
@@ -829,7 +867,7 @@ mod tests {
             );
             let actual = rt.actual_deployment_by_id();
             assert_eq!(actual.host_of(component), Some(to));
-            (rt.sim().export_merged_jsonl(), actual)
+            (rt.telemetry().export_jsonl(), actual)
         };
         let (journal, actual) = run(1, 1);
         let (sharded_journal, sharded_actual) = run(2, 2);

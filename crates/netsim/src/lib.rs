@@ -17,8 +17,8 @@
 //!   [`ShardedSimulator::install_fault_plan`]), the one way a run changes
 //!   its links,
 //! * the same changes between runs: hosts going down and coming back,
-//!   partitions cut and healed ([`Simulator::set_host_up`],
-//!   [`Simulator::partition`], [`Simulator::heal`]),
+//!   partitions cut and healed ([`ShardedSimulator::set_host_up`],
+//!   [`ShardedSimulator::partition`], [`ShardedSimulator::heal`]),
 //! * ground-truth **statistics** per link ([`NetStats`]) against which
 //!   monitoring accuracy can be judged.
 //!
@@ -27,8 +27,7 @@
 //! the seed — no RNG stream. A simulation is therefore a pure function of
 //! (topology, node behavior, seed), byte-identical at any shard and thread
 //! count. [`Simulator`] runs that engine at up to two shards, one thread
-//! each: it dereferences to it and adds the one-shard signatures and the
-//! direct topology calls.
+//! each: it dereferences to it and adds the one-shard signatures.
 //!
 //! # Example
 //!

@@ -35,7 +35,7 @@ pub trait Node: Any + Send {
     }
 
     /// Called when this host comes back up after a crash
-    /// ([`Simulator::set_host_up`](crate::Simulator::set_host_up) with
+    /// ([`ShardedSimulator::set_host_up`](crate::ShardedSimulator::set_host_up) with
     /// `up = true` after a down period).
     ///
     /// Runs *before* any timer deferred during the outage is replayed and

@@ -78,13 +78,16 @@
 //!   the `(time, key)` order; exactly one designated shard journals it
 //!   (fault span IDs come from a per-action [`SpanIdGen`], so trace IDs are
 //!   layout-invariant too).
-//! * **Order-stamped journals.** Each shard journals into its own
-//!   [`Telemetry`] handle (or its own lane of one handle,
-//!   [`Telemetry::lane`]); every record is stamped with the `(time, key)`
-//!   of the event that produced it, and
-//!   [`merge_export_jsonl`](redep_telemetry::merge_export_jsonl) or
-//!   [`Telemetry::merge_lanes`] reconstructs the single global order
-//!   byte-for-byte.
+//! * **One journal, one lane per shard.** Shard `i` journals and counts
+//!   through lane `i` of the one [`Telemetry`] handle
+//!   ([`ShardedSimulator::set_telemetry`], [`Telemetry::lane`]); every
+//!   record is stamped with the `(time, key)` of the event that produced
+//!   it. A run on more than one shard — on several threads, or one after
+//!   another on one — stages the lanes and merges them at its end
+//!   ([`Telemetry::merge_lanes`]) into the single global order,
+//!   byte-for-byte. A record made between runs (a host crashed by
+//!   [`ShardedSimulator::set_host_up`], a framework's span) lands at once,
+//!   in call order.
 //! * **One count per event.** A broadcast action counts as processed only
 //!   on the shard that journals it, so [`ShardedSimulator::run_until`]
 //!   returns the same count at any shard count.
@@ -1099,11 +1102,10 @@ impl ShardCore {
 ///
 /// * [`ShardedSimulator::run_until`] takes a thread count; **results are
 ///   byte-identical for every `(shard count, thread count)` combination.**
-/// * Each shard journals into its own [`Telemetry`] handle (install with
-///   [`ShardedSimulator::set_telemetry`]); export the merged global journal
-///   with [`ShardedSimulator::export_merged_jsonl`].
-/// * Fault plans and link edits between runs are broadcast to every
-///   shard's topology replica.
+/// * Every shard journals into a lane of one [`Telemetry`] handle (install
+///   with [`ShardedSimulator::set_telemetry`]), in the one-shard order.
+/// * Fault plans, and link and topology edits between runs, are broadcast
+///   to every shard's topology replica.
 pub struct ShardedSimulator {
     plan: Arc<ShardPlan>,
     cores: Vec<ShardCore>,
@@ -1246,7 +1248,7 @@ impl ShardedSimulator {
     }
 
     /// Applies a topology action to every shard now, between runs, and
-    /// journals it untraced — the one-shard face's direct topology calls.
+    /// journals it untraced.
     pub(crate) fn apply(&mut self, action: &FaultAction) {
         for core in &mut self.cores {
             core.apply(action, None);
@@ -1254,10 +1256,38 @@ impl ShardedSimulator {
         }
     }
 
-    /// Sends a message from outside any node, now, between runs.
-    pub(crate) fn inject(&mut self, src: HostId, dst: HostId, payload: Vec<u8>, size: u64) {
+    /// Marks a host up or down, now, between runs. A down host receives
+    /// neither messages nor timer callbacks; messages are dropped, timers
+    /// are deferred and replay immediately when the host comes back up (so
+    /// periodic loops resume after a restart instead of dying with the
+    /// crash), right after the node's [`Node::on_restart`] hook.
+    pub fn set_host_up(&mut self, host: HostId, up: bool) {
+        let action = if up {
+            FaultAction::HostUp(host)
+        } else {
+            FaultAction::HostDown(host)
+        };
+        self.apply(&action);
+    }
+
+    /// Partitions the network now, between runs (see
+    /// [`NetworkTopology::partition`]).
+    pub fn partition(&mut self, groups: &[Vec<HostId>]) {
+        self.apply(&FaultAction::PartitionStart(groups.to_vec()));
+    }
+
+    /// Heals all partitions now, between runs: every link comes back up.
+    pub fn heal(&mut self) {
+        let each_alone = self.plan.hosts().iter().map(|h| vec![*h]).collect();
+        self.apply(&FaultAction::PartitionHeal(each_alone));
+    }
+
+    /// Sends a message from outside any node (e.g. a test driver), now,
+    /// between runs. Subject to the same loss/disconnection semantics as
+    /// node sends.
+    pub fn inject(&mut self, src: HostId, dst: HostId, payload: impl Into<Vec<u8>>, size: u64) {
         let core = &mut self.cores[self.plan.shard_of(src)];
-        core.dispatch_send(src, dst, payload, size);
+        core.dispatch_send(src, dst, payload.into(), size);
         core.flush(&self.shared.mailboxes);
     }
 
@@ -1272,30 +1302,20 @@ impl ShardedSimulator {
         queued.chain(mailed).min()
     }
 
-    /// Installs per-shard telemetry handles (one per shard, index-aligned).
-    /// Journals are order-stamped so [`Self::export_merged_jsonl`] can
-    /// reconstruct the global record order.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly one handle per shard is given.
-    pub fn set_telemetry(&mut self, handles: Vec<Telemetry>) {
-        assert_eq!(
-            handles.len(),
-            self.cores.len(),
-            "need exactly one telemetry handle per shard"
-        );
-        for (core, telemetry) in self.cores.iter_mut().zip(handles) {
-            core.telemetry = telemetry;
+    /// Installs one telemetry handle: from now on shard `i` journals and
+    /// counts through its lane `i` ([`Telemetry::lane`]), and records made
+    /// under the previous handle stay with that handle.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        for core in &mut self.cores {
+            core.telemetry = telemetry.lane(core.idx);
         }
     }
 
-    /// The merged journal of all shards in global `(time, key)` order —
-    /// byte-identical for every shard/thread count (see
-    /// [`redep_telemetry::merge_export_jsonl`]).
+    /// The installed journal as JSON Lines: [`Telemetry::export_jsonl`] of
+    /// [`Self::telemetry`]. Kept for `benchmark/`, which calls it; ROADMAP
+    /// item 9 (`benchmark/` as a thin driver) deletes it.
     pub fn export_merged_jsonl(&self) -> String {
-        let handles: Vec<&Telemetry> = self.cores.iter().map(|c| &c.telemetry).collect();
-        redep_telemetry::merge_export_jsonl(&handles)
+        self.telemetry().export_jsonl()
     }
 
     /// Installs a fault plan: every episode is expanded into timed topology
@@ -1341,14 +1361,14 @@ impl ShardedSimulator {
         (started - landed) as usize
     }
 
-    /// The first shard's telemetry handle — at one shard the only one, and
-    /// where engine-wide gauges go ([`Self::publish_gauges`]).
+    /// The installed telemetry handle, through lane 0 (a disabled no-op
+    /// sink unless one was installed).
     pub fn telemetry(&self) -> &Telemetry {
         &self.cores[0].telemetry
     }
 
-    /// Folds the merged ground-truth [`NetStats`] into the first shard's
-    /// `net.truth.*` gauges (see [`NetStats::publish_gauges`]).
+    /// Folds the merged ground-truth [`NetStats`] into the `net.truth.*`
+    /// gauges (see [`NetStats::publish_gauges`]).
     pub fn publish_gauges(&self) {
         self.stats().publish_gauges(self.telemetry().metrics());
     }
@@ -1408,7 +1428,9 @@ impl ShardedSimulator {
     ///
     /// The result — journals, statistics, node state — is byte-identical
     /// for every thread count, and for every shard count of the same
-    /// topology and seed.
+    /// topology and seed: on more than one shard the run stages the
+    /// journal's lanes and merges them at its end (see the
+    /// [module docs](self)).
     ///
     /// # Panics
     ///
@@ -1438,6 +1460,12 @@ impl ShardedSimulator {
             .lock()
             .expect("waiting list poisoned")
             .fill(None);
+        // A lone party runs its shards' windows one after another, so any
+        // run on several shards writes its lanes out of the one-shard order.
+        let staged = shards > 1;
+        if staged {
+            self.telemetry().stage_lanes();
+        }
         // Lend every chunk but the first (the job channel publishes the
         // resets above to its worker), run the first here, take them back.
         let mut cores = std::mem::take(&mut self.cores);
@@ -1458,6 +1486,9 @@ impl ShardedSimulator {
             failure = failure.or(failed);
         }
         self.cores = cores;
+        if staged {
+            self.telemetry().merge_lanes();
+        }
         if let Some((shard, message)) = failure {
             panic!("a node callback on shard {shard} panicked: {message}");
         }
@@ -1577,7 +1608,7 @@ mod tests {
                 },
             );
         }
-        sim.set_telemetry((0..shards).map(|_| Telemetry::default()).collect());
+        sim.set_telemetry(Telemetry::default());
         sim
     }
 
@@ -1678,14 +1709,14 @@ mod tests {
         let reference = {
             let mut sim = gossip_sim(&topo, 1, 11);
             sim.run_until(SimTime::from_secs_f64(2.0), 1);
-            sim.export_merged_jsonl()
+            sim.telemetry().export_jsonl()
         };
         assert!(!reference.is_empty());
         for shards in [2, 3, 4, 8] {
             let mut sim = gossip_sim(&topo, shards, 11);
             sim.run_until(SimTime::from_secs_f64(2.0), shards);
             assert_eq!(
-                sim.export_merged_jsonl(),
+                sim.telemetry().export_jsonl(),
                 reference,
                 "journal diverged at {shards} shards"
             );
@@ -1699,7 +1730,7 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let mut sim = gossip_sim(&topo, 4, 5);
             sim.run_until(SimTime::from_secs_f64(2.0), threads);
-            exports.push((threads, sim.export_merged_jsonl(), sim.stats()));
+            exports.push((threads, sim.telemetry().export_jsonl(), sim.stats()));
         }
         for (threads, export, stats) in &exports[1..] {
             assert_eq!(
@@ -1716,7 +1747,7 @@ mod tests {
         let run = || {
             let mut sim = gossip_sim(&topo, 3, 9);
             sim.run_until(SimTime::from_secs_f64(1.5), 3);
-            sim.export_merged_jsonl()
+            sim.telemetry().export_jsonl()
         };
         assert_eq!(run(), run());
     }
@@ -1756,7 +1787,7 @@ mod tests {
             let mut sim = gossip_sim(&topo, shards, 3);
             sim.install_fault_plan(&plan);
             let events = sim.run_until(SimTime::from_secs_f64(2.0), shards);
-            (sim.export_merged_jsonl(), sim.stats(), events)
+            (sim.telemetry().export_jsonl(), sim.stats(), events)
         };
         let (reference_journal, reference_stats, reference_events) = run(1);
         assert!(reference_journal.contains("net.fault"));
@@ -1809,7 +1840,7 @@ mod tests {
             let mut sim = gossip_sim(&topo, 3, 2);
             sim.install_fault_plan(&plan);
             sim.run_until(SimTime::from_secs_f64(1.5), threads);
-            (sim.export_merged_jsonl(), sim.stats())
+            (sim.telemetry().export_jsonl(), sim.stats())
         };
         assert_eq!(run(1), run(3));
     }
@@ -1822,7 +1853,10 @@ mod tests {
         split.run_until(SimTime::from_secs_f64(1.4), 2);
         let mut whole = gossip_sim(&topo, 2, 4);
         whole.run_until(SimTime::from_secs_f64(1.4), 2);
-        assert_eq!(split.export_merged_jsonl(), whole.export_merged_jsonl());
+        assert_eq!(
+            split.telemetry().export_jsonl(),
+            whole.telemetry().export_jsonl()
+        );
         assert_eq!(split.stats(), whole.stats());
     }
 
@@ -1917,7 +1951,7 @@ mod tests {
     }
 
     fn outcome(sim: &ShardedSimulator) -> (String, NetStats, usize, RoundStats) {
-        let journal = sim.export_merged_jsonl();
+        let journal = sim.telemetry().export_jsonl();
         (journal, sim.stats(), sim.in_flight(), sim.round_stats())
     }
 
@@ -2113,7 +2147,7 @@ mod tests {
                 let mut sim = gossip_sim(&topo, k, seed);
                 sim.install_fault_plan(&plan);
                 sim.run_until(SimTime::from_secs_f64(1.0), k.min(2));
-                (sim.export_merged_jsonl(), sim.stats())
+                (sim.telemetry().export_jsonl(), sim.stats())
             };
             let (reference_journal, reference_stats) = run(1);
             let (journal, stats) = run(shards);
@@ -2209,5 +2243,89 @@ mod tests {
             serde_json::to_string(&s.serialize()).unwrap()
         };
         assert_eq!(json(&merged), json(single.stats()));
+    }
+
+    /// Gossips round its peers every 7 ms, and journals what it receives
+    /// and each restart through its shard's lane.
+    struct Chatter {
+        peers: Vec<HostId>,
+        at: usize,
+        telemetry: Telemetry,
+    }
+    impl Node for Chatter {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            ctx.set_timer(Duration::from_millis(7), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _token: u64) {
+            self.at += 1;
+            ctx.send(self.peers[self.at % self.peers.len()], vec![1], 32);
+            ctx.set_timer(Duration::from_millis(7), 0);
+        }
+        fn on_message(&mut self, ctx: &mut NodeCtx<'_>, msg: Message) {
+            let t_us = ctx.now().as_micros();
+            let got = self.telemetry.event("chatter.got", t_us);
+            got.field("from", msg.src.raw()).emit();
+        }
+        fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
+            let t_us = ctx.now().as_micros();
+            self.telemetry.event("chatter.restart", t_us).emit();
+        }
+    }
+
+    /// Records made between runs keep their place at two and at four
+    /// shards on two threads: a framework-style span, a crash and a restart
+    /// of a host on the last shard (whose restart hook journals), and a link
+    /// edit that shortens a cross-shard delay leave the journal, the
+    /// statistics and every node as one shard leaves them.
+    #[test]
+    fn between_run_records_keep_their_place_at_several_shards() {
+        let topo = {
+            let mut topo = NetworkTopology::new();
+            for i in 0..6 {
+                let spec = LinkSpec {
+                    reliability: 0.9,
+                    bandwidth: 1e5,
+                    delay: 0.002,
+                };
+                topo.set_link(h(i), h((i + 1) % 6), spec);
+            }
+            topo
+        };
+        let run = |shards: usize| {
+            let mut sim = ShardedSimulator::new(7, &topo, shards);
+            let telemetry = Telemetry::new(1 << 16);
+            sim.set_telemetry(telemetry.clone());
+            for i in 0..6 {
+                let chatter = Chatter {
+                    peers: (0..6).filter(|&p| p != i).map(h).collect(),
+                    at: i as usize,
+                    telemetry: telemetry.lane(sim.plan().shard_of(h(i))),
+                };
+                sim.add_host(h(i), chatter);
+            }
+            assert_eq!(sim.plan().shard_of(h(3)), shards - 1);
+            sim.run_until(SimTime::from_secs_f64(0.5), 2);
+            telemetry.span("framework.cycle", 0, 500_000).emit();
+            sim.set_host_up(h(3), false);
+            sim.run_until(SimTime::from_secs_f64(0.8), 2);
+            sim.set_host_up(h(3), true);
+            telemetry.event("framework.note", 800_000).emit();
+            let shorter = LinkSpec {
+                delay: 0.0005,
+                ..LinkSpec::default()
+            };
+            sim.set_link(h(0), h(1), shorter);
+            sim.run_until(SimTime::from_secs_f64(1.5), 2);
+            let got: Vec<usize> = (0..6)
+                .map(|i| sim.node_ref::<Chatter>(h(i)).unwrap().at)
+                .collect();
+            assert_eq!(telemetry.journal().dropped(), 0);
+            (telemetry.export_jsonl(), sim.stats(), got)
+        };
+        let one = run(1);
+        assert!(one.0.contains("chatter.restart") && one.0.contains("net.host.state"));
+        for shards in [2, 4] {
+            assert!(run(shards) == one, "{shards} shards diverged from one");
+        }
     }
 }

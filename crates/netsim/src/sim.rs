@@ -1,28 +1,23 @@
 //! A face on the simulation engine with one-shard signatures.
 //!
 //! [`Simulator`] holds a [`ShardedSimulator`] and dereferences to it: hosts,
-//! links, fault plans and node access are the engine's own calls. The face
-//! keeps what a single-threaded driver wants in a one-shard signature — one
-//! telemetry handle, the statistics by reference, runs without a thread
-//! count — and the direct topology calls between runs (crash a host, cut a
-//! partition, heal it). During a run, links change only through an
-//! installed fault plan.
+//! links, fault plans, telemetry, node access and the direct topology calls
+//! between runs (crash a host, cut a partition, heal it) are the engine's
+//! own calls. The face keeps what a single-threaded driver wants in a
+//! one-shard signature — the statistics by reference, runs without a
+//! thread count. During a run, links change only through an installed
+//! fault plan.
 //!
 //! Inside, the face builds its engine at `k = min(2, available cores)`
 //! shards and runs each window on one thread per shard that owns a host.
 //! Every simulated result is the one a one-shard engine gives (the engine's
-//! determinism rules): the face merges the shards' statistics, and its
-//! telemetry handle gives each shard a lane of one journal
-//! ([`Telemetry::lane`]) that a run stages and merges back into the
-//! one-shard order.
+//! determinism rules): the face merges the shards' statistics, and the
+//! engine journals every shard through a lane of its one telemetry handle.
 
-use crate::faultplan::FaultAction;
 use crate::shard::ShardedSimulator;
 use crate::stats::NetStats;
 use crate::time::{Duration, SimTime};
 use crate::topology::NetworkTopology;
-use redep_model::HostId;
-use redep_telemetry::Telemetry;
 use std::borrow::{Borrow, BorrowMut};
 use std::cell::OnceCell;
 use std::ops::{Deref, DerefMut};
@@ -40,7 +35,7 @@ const MAX_SHARDS: usize = 2;
 /// registered in ascending id order build the plan a one-shard
 /// [`ShardedSimulator`] builds over the same topology. A run is
 /// byte-identical to a [`ShardedSimulator`] run at any shard and thread
-/// count.
+/// count, journal included.
 #[derive(Debug)]
 pub struct Simulator {
     engine: ShardedSimulator,
@@ -54,7 +49,8 @@ pub struct Simulator {
 
 impl Simulator {
     /// Creates a simulator with the given seed and an empty topology.
-    /// Telemetry starts as a no-op sink; see [`Simulator::set_telemetry`].
+    /// Telemetry starts as a no-op sink; see
+    /// [`ShardedSimulator::set_telemetry`].
     pub fn new(seed: u64) -> Self {
         Simulator::with_topology(seed, &NetworkTopology::new())
     }
@@ -77,49 +73,9 @@ impl Simulator {
         }
     }
 
-    /// Installs a telemetry handle: the engine journals into it from now on
-    /// (records made under the previous handle stay with that handle), each
-    /// shard through its lane.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        let shards = self.engine.plan().shards();
-        let lanes = (0..shards).map(|lane| telemetry.lane(lane)).collect();
-        self.engine.set_telemetry(lanes);
-    }
-
     /// Ground-truth statistics gathered so far.
     pub fn stats(&self) -> &NetStats {
         self.stats.get_or_init(|| self.engine.stats())
-    }
-
-    /// Marks a host up or down. A down host receives neither messages nor
-    /// timer callbacks; messages are dropped, timers are deferred and replay
-    /// immediately when the host comes back up (so periodic loops resume
-    /// after a restart instead of dying with the crash), right after the
-    /// node's [`Node::on_restart`](crate::Node::on_restart) hook.
-    pub fn set_host_up(&mut self, host: HostId, up: bool) {
-        let action = if up {
-            FaultAction::HostUp(host)
-        } else {
-            FaultAction::HostDown(host)
-        };
-        self.apply(&action);
-    }
-
-    /// Partitions the network (see [`NetworkTopology::partition`]).
-    pub fn partition(&mut self, groups: &[Vec<HostId>]) {
-        self.apply(&FaultAction::PartitionStart(groups.to_vec()));
-    }
-
-    /// Heals all partitions: every link comes back up.
-    pub fn heal(&mut self) {
-        let each_alone = self.plan().hosts().iter().map(|h| vec![*h]).collect();
-        self.apply(&FaultAction::PartitionHeal(each_alone));
-    }
-
-    /// Sends a message from outside any node (e.g. a test driver). Subject
-    /// to the same loss/disconnection semantics as node sends.
-    pub fn inject(&mut self, src: HostId, dst: HostId, payload: impl Into<Vec<u8>>, size: u64) {
-        self.deref_mut().inject(src, dst, payload.into(), size);
     }
 
     /// Runs until simulated time reaches `deadline` (events at the deadline
@@ -131,17 +87,7 @@ impl Simulator {
     /// simulations must be driven by deadline, never to exhaustion.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let threads = self.threads;
-        // Several threads journal into one handle: each shard's lane keeps
-        // its records until the run ends.
-        let telemetry = (threads > 1).then(|| self.engine.telemetry().clone());
-        if let Some(telemetry) = &telemetry {
-            telemetry.stage_lanes();
-        }
-        let events = self.deref_mut().run_until(deadline, threads);
-        if let Some(telemetry) = &telemetry {
-            telemetry.merge_lanes();
-        }
-        events
+        self.deref_mut().run_until(deadline, threads)
     }
 
     /// Runs for `span` of simulated time from now.
@@ -200,7 +146,10 @@ impl BorrowMut<ShardedSimulator> for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faultplan::FaultAction;
     use crate::{LinkSpec, Message, Node, NodeCtx};
+    use redep_model::HostId;
+    use redep_telemetry::Telemetry;
 
     fn h(n: u32) -> HostId {
         HostId::new(n)
@@ -965,87 +914,5 @@ mod tests {
         sim.run_until(SimTime::from_secs_f64(1.0));
         assert_eq!(sim.node_ref::<Sink>(h(5)).unwrap().received.len(), 4);
         assert!(sim.topology().reachable(h(1), h(5)));
-    }
-
-    /// Gossips round its peers every 7 ms, and journals what it receives
-    /// and each restart through its shard's lane.
-    struct Chatter {
-        peers: Vec<HostId>,
-        at: usize,
-        telemetry: Telemetry,
-    }
-    impl Node for Chatter {
-        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-            ctx.set_timer(Duration::from_millis(7), 0);
-        }
-        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _token: u64) {
-            self.at += 1;
-            ctx.send(self.peers[self.at % self.peers.len()], vec![1], 32);
-            ctx.set_timer(Duration::from_millis(7), 0);
-        }
-        fn on_message(&mut self, ctx: &mut NodeCtx<'_>, msg: Message) {
-            let t_us = ctx.now().as_micros();
-            let got = self.telemetry.event("chatter.got", t_us);
-            got.field("from", msg.src.raw()).emit();
-        }
-        fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
-            let t_us = ctx.now().as_micros();
-            self.telemetry.event("chatter.restart", t_us).emit();
-        }
-    }
-
-    /// Records made between runs keep their place at two shards on two
-    /// threads: a framework-style span, a crash and a restart of a host on
-    /// shard 1 (whose restart hook journals), and a link edit that shortens
-    /// a cross-shard delay leave the journal, the statistics and every node
-    /// as one shard leaves them.
-    #[test]
-    fn between_run_records_keep_their_place_at_two_shards() {
-        let topo = {
-            let mut topo = NetworkTopology::new();
-            for i in 0..6 {
-                let spec = LinkSpec {
-                    reliability: 0.9,
-                    bandwidth: 1e5,
-                    delay: 0.002,
-                };
-                topo.set_link(h(i), h((i + 1) % 6), spec);
-            }
-            topo
-        };
-        let run = |shards: usize| {
-            let mut sim = Simulator::at_shards(7, &topo, shards);
-            assert_eq!(sim.threads, shards);
-            let telemetry = Telemetry::new(1 << 16);
-            sim.set_telemetry(telemetry.clone());
-            for i in 0..6 {
-                let chatter = Chatter {
-                    peers: (0..6).filter(|&p| p != i).map(h).collect(),
-                    at: i as usize,
-                    telemetry: telemetry.lane(sim.plan().shard_of(h(i))),
-                };
-                sim.add_host(h(i), chatter);
-            }
-            assert_eq!(sim.plan().shard_of(h(1)), shards - 1);
-            sim.run_until(SimTime::from_secs_f64(0.5));
-            telemetry.span("framework.cycle", 0, 500_000).emit();
-            sim.set_host_up(h(1), false);
-            sim.run_until(SimTime::from_secs_f64(0.8));
-            sim.set_host_up(h(1), true);
-            telemetry.event("framework.note", 800_000).emit();
-            let shorter = LinkSpec {
-                delay: 0.0005,
-                ..LinkSpec::default()
-            };
-            sim.set_link(h(0), h(1), shorter);
-            sim.run_until(SimTime::from_secs_f64(1.5));
-            let got: Vec<usize> = (0..6)
-                .map(|i| sim.node_ref::<Chatter>(h(i)).unwrap().at)
-                .collect();
-            (telemetry.export_jsonl(), sim.stats().clone(), got)
-        };
-        let one = run(1);
-        assert!(one.0.contains("chatter.restart") && one.0.contains("net.host.state"));
-        assert!(run(2) == one, "two shards diverged from one");
     }
 }

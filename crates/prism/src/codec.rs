@@ -440,7 +440,7 @@ pub(crate) fn encode_wire(mut m: WireMsg) -> Vec<u8> {
 /// The wire bytes of an unreliable application frame carrying `event` (an
 /// [`Event::encode`] result) to `to_component`. Hosts build their frames
 /// internally; this is for harnesses that put a *stray* frame on a link
-/// (`Simulator::inject`) — one no host would emit, such as traffic for a
+/// (`ShardedSimulator::inject`) — one no host would emit, such as traffic for a
 /// component that has moved away or not arrived yet.
 pub fn encode_raw_frame(to_component: Symbol, event: Vec<u8>) -> Vec<u8> {
     encode_wire(WireMsg::Raw {

@@ -586,11 +586,6 @@ impl PrismHost {
         self.telemetry = telemetry;
     }
 
-    /// The telemetry handle (a disabled no-op sink unless one was installed).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// Folds this host's [`HostStats`] into the telemetry registry's gauges
     /// under a `prism.h<id>.*` prefix.
     pub fn publish_gauges(&self) {

@@ -24,16 +24,23 @@
 //! - [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //!   [`Histogram`]s; registration locks, increments never do.
 //! - [`Journal`] — a bounded ring buffer of structured [`Event`]s
-//!   (drop-oldest, with a drop counter so truncation is visible), written
-//!   through one lane per simulator shard ([`Telemetry::lane`]).
+//!   (drop-oldest, with a drop counter so truncation is visible).
 //! - [`Telemetry`] — a cheap-to-clone handle bundling both plus the
 //!   enabled/disabled switch; [`Telemetry::export_jsonl`] renders the
 //!   machine-readable journal and [`Telemetry::summary`] the human one.
 //! - [`trace`] — causal trace contexts ([`TraceCtx`]) with deterministic
 //!   span-id generation ([`SpanIdGen`]).
-//! - [`merge_export_jsonl`] — reconstructs the single global record order
-//!   from the per-shard journals of the sharded simulator, using the `(sim_time, event_key)` order stamps written via
-//!   [`Telemetry::set_order`].
+//!
+//! # One handle, one lane per shard
+//!
+//! The simulator's shards record into one handle from several threads, each
+//! through its own lane ([`Telemetry::lane`]). A lane keeps the order stamp
+//! of the event its shard is processing ([`Telemetry::set_order`]); while a
+//! run stages the journal ([`Telemetry::stage_lanes`]) each lane holds its
+//! records back, and [`Telemetry::merge_lanes`] appends them in the order
+//! one thread would have written them. Counters and histograms count into
+//! one stripe per lane, so the shard threads never write one cache line
+//! (see [`metrics`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -129,12 +136,13 @@ pub struct Event {
     /// Structured payload, in insertion order.
     pub fields: Vec<(Cow<'static, str>, FieldValue)>,
     /// Global-order stamp `[sim_time_us, event_key, intra]` used to merge
-    /// per-shard journals back into the one-shard processing order (see
-    /// [`merge_export_jsonl`]). The simulator sets the first two components per
+    /// the lanes of a staged run back into the one-shard processing order
+    /// (see [`Journal`]). The simulator sets the first two components per
     /// processed sim event via [`Telemetry::set_order`]; the third counts
-    /// records emitted under that sim event. Records made outside a
-    /// simulation keep zeros there, and the stamp never appears in exported
-    /// JSONL.
+    /// records emitted under that sim event. A record made between runs
+    /// carries its lane's stamp of the last event that lane processed (zeros
+    /// before the first); outside a staged run the stamp orders nothing, and
+    /// it never appears in exported JSONL.
     pub ord: [u64; 3],
 }
 
@@ -380,11 +388,12 @@ pub struct Telemetry {
     inner: Arc<Inner>,
     /// The journal lane this handle writes through (see [`Journal`]).
     lane: Arc<Lane>,
+    /// The registry, counting into this lane's stripe.
+    metrics: MetricsRegistry,
 }
 
 struct Inner {
     enabled: bool,
-    metrics: MetricsRegistry,
     journal: Journal,
 }
 
@@ -412,22 +421,21 @@ impl Telemetry {
     fn with_journal(enabled: bool, journal: Journal) -> Self {
         let lane = journal.lane(0);
         Telemetry {
-            inner: Arc::new(Inner {
-                enabled,
-                metrics: MetricsRegistry::new(),
-                journal,
-            }),
+            inner: Arc::new(Inner { enabled, journal }),
             lane,
+            metrics: MetricsRegistry::new(),
         }
     }
 
     /// A handle on the same metrics and journal that writes through lane
-    /// `index` (a fresh handle writes through lane 0): one per shard of a
-    /// simulator whose shards journal into one handle from several threads.
+    /// `index` (a fresh handle writes through lane 0) and counts into the
+    /// lane's stripe: one per shard of a simulator whose shards record into
+    /// one handle from several threads.
     pub fn lane(&self, index: usize) -> Telemetry {
         Telemetry {
             inner: self.inner.clone(),
             lane: self.inner.journal.lane(index),
+            metrics: self.metrics.lane(index),
         }
     }
 
@@ -446,9 +454,10 @@ impl Telemetry {
         self.inner.journal.merge_lanes();
     }
 
-    /// The metrics registry (counters/gauges/histograms).
+    /// The metrics registry (counters/gauges/histograms), counting into
+    /// this handle's lane.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.inner.metrics
+        &self.metrics
     }
 
     /// The event journal.
@@ -574,7 +583,7 @@ impl Telemetry {
                 }
             }
         }
-        out.push_str(&self.inner.metrics.render());
+        out.push_str(&self.metrics.render());
         out
     }
 }
@@ -595,48 +604,6 @@ pub fn percentiles(samples: &[f64]) -> Option<[f64; 3]> {
         sorted[rank - 1]
     };
     Some([pick(0.50), pick(0.90), pick(0.99)])
-}
-
-/// Merges per-shard journals into the global processing order.
-///
-/// Each shard of the sharded simulator journals into its own [`Telemetry`]
-/// handle, stamping every record with the `(sim_time, queue_key)` of the sim
-/// event that produced it (see [`Telemetry::set_order`]). Because those keys
-/// are the one-shard pop order, sorting the concatenation by
-/// `(ord, shard_index)` yields exactly the record sequence a single-shard run
-/// would have journaled — provided no shard's journal dropped records.
-///
-/// Within one shard the stamps are non-decreasing, so a stable sort here is
-/// a k-way merge; shard index only breaks ties between records that carry an
-/// identical stamp, which cannot happen for records of distinct sim events.
-fn merge_journals(shards: &[&Telemetry]) -> Vec<Event> {
-    let mut all: Vec<(usize, Event)> = Vec::new();
-    for (idx, tele) in shards.iter().enumerate() {
-        // Lanes of one journal hold their records there already.
-        if shards[..idx]
-            .iter()
-            .any(|t| Arc::ptr_eq(&t.inner, &tele.inner))
-        {
-            continue;
-        }
-        all.extend(tele.journal().snapshot().into_iter().map(|e| (idx, e)));
-    }
-    all.sort_by(|(ia, a), (ib, b)| a.ord.cmp(&b.ord).then(ia.cmp(ib)));
-    all.into_iter().map(|(_, e)| e).collect()
-}
-
-/// Renders `merge_journals` as JSON Lines — the sharded counterpart of
-/// [`Telemetry::export_jsonl`], byte-identical to a single-shard export of
-/// the same run when no journal overflowed.
-pub fn merge_export_jsonl(shards: &[&Telemetry]) -> String {
-    let mut out = String::new();
-    for event in merge_journals(shards) {
-        out.push_str(
-            &serde_json::to_string(&event.to_json()).expect("journal events always serialize"),
-        );
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -791,9 +758,11 @@ mod tests {
         lane.metrics().counter("c").add(2);
         tele.metrics().counter("c").inc();
         assert_eq!(tele.metrics().counter("c").get(), 3);
+        assert_eq!(lane.metrics().counter("c").get(), 3);
         lane.event("x", 1).emit();
-        assert_eq!(merge_export_jsonl(&[&tele, &lane]), tele.export_jsonl());
+        assert_eq!(lane.export_jsonl(), tele.export_jsonl());
         assert_eq!(tele.journal().len(), 1);
+        assert!(tele.summary().contains("1 events retained"));
     }
 
     #[test]

@@ -2,34 +2,108 @@
 //!
 //! Registration (name → instrument) takes a mutex; the instruments
 //! themselves are `Arc`-shared atomics, so the hot path — `inc`, `add`,
-//! `set`, `observe` — never locks. In the single-threaded simulator the
-//! relaxed orderings are exact; under concurrency they are the usual
-//! monotonic-counter semantics.
+//! `set`, `observe` — never locks. The orderings are relaxed: an instrument
+//! publishes no other data.
+//!
+//! # Stripes
+//!
+//! The shards of the simulator count into one registry from several
+//! threads, each through its lane of one handle ([`crate::Telemetry::lane`]).
+//! So that they never write one cache line, a [`Counter`] and a
+//! [`Histogram`] keep `STRIPES` copies of their cells, each copy on cache
+//! lines of its own (histogram buckets included): an instrument taken from
+//! the registry of lane `i` adds into stripe `i mod STRIPES`, and every
+//! read — [`Counter::get`], a histogram's snapshot,
+//! [`MetricsRegistry::render`] — sums the stripes. Counts are exact at any
+//! lane. A histogram's sum is an `f64` per stripe, summed in stripe order
+//! when read: exact for whole-number observations, so a histogram observed
+//! from several shard threads takes only whole numbers (as
+//! `prism.routing.latency_us` does, in microseconds). A [`Gauge`] is
+//! last-write-wins and has one cell.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+/// Copies of each counter's and histogram's cells: enough for every shard
+/// thread of a run to count into its own.
+const STRIPES: usize = 8;
+
+/// Cells per [`Line`].
+const CELLS: usize = 16;
+
+/// 128 bytes of cells: two 64-byte cache lines, which x86-64's
+/// adjacent-line prefetcher pairs, so two `Line`s never share a line.
+#[repr(align(128))]
+#[derive(Default)]
+struct Line([AtomicU64; CELLS]);
+
+/// `STRIPES` rows of `width` cells, each row on lines of its own.
+#[derive(Clone)]
+struct Striped {
+    lines: Arc<[Line]>,
+    /// Lines per row.
+    row: usize,
+}
+
+impl Striped {
+    fn new(width: usize) -> Self {
+        let row = width.div_ceil(CELLS);
+        Striped {
+            lines: (0..STRIPES * row).map(|_| Line::default()).collect(),
+            row,
+        }
+    }
+
+    #[inline]
+    fn cell(&self, stripe: usize, at: usize) -> &AtomicU64 {
+        &self.lines[stripe * self.row + at / CELLS].0[at % CELLS]
+    }
+
+    /// Cell `at` summed over the stripes.
+    fn total(&self, at: usize) -> u64 {
+        let each = (0..STRIPES).map(|stripe| self.cell(stripe, at).load(Ordering::Relaxed));
+        each.sum()
+    }
+}
+
 /// A monotonically increasing `u64`.
-#[derive(Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
+#[derive(Clone)]
+pub struct Counter {
+    cells: Striped,
+    stripe: usize,
+}
 
 impl Counter {
+    fn new() -> Self {
+        let cells = Striped::new(1);
+        Counter { cells, stripe: 0 }
+    }
+
+    /// This counter, adding into `stripe`.
+    fn on(&self, stripe: usize) -> Counter {
+        Counter {
+            stripe,
+            ..self.clone()
+        }
+    }
+
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        let cell = self.cells.cell(self.stripe, 0);
+        cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value.
+    /// Current value: every stripe's count.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.cells.total(0)
     }
 }
 
@@ -59,18 +133,15 @@ impl Gauge {
 /// A fixed-bucket histogram over `f64` observations.
 ///
 /// Bucket bounds are upper-inclusive; one extra overflow bucket catches
-/// everything above the last bound. The sum is kept in an atomic `f64`
-/// (compare-and-swap loop), which is exact in the single-threaded sim.
+/// everything above the last bound. Each stripe keeps its buckets and its
+/// sum, an atomic `f64` (compare-and-swap loop); the count is the buckets'
+/// total. See the [module docs](self) for when the sum is exact.
 #[derive(Clone)]
 pub struct Histogram {
-    inner: Arc<HistogramInner>,
-}
-
-struct HistogramInner {
-    bounds: Vec<f64>,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
+    bounds: Arc<[f64]>,
+    /// Per stripe: the buckets, then the sum's bits.
+    cells: Striped,
+    stripe: usize,
 }
 
 impl Histogram {
@@ -80,73 +151,46 @@ impl Histogram {
             "histogram bounds must be strictly increasing"
         );
         Histogram {
-            inner: Arc::new(HistogramInner {
-                bounds: bounds.to_vec(),
-                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
-                sum_bits: AtomicU64::new(0f64.to_bits()),
-            }),
+            bounds: bounds.into(),
+            cells: Striped::new(bounds.len() + 2),
+            stripe: 0,
+        }
+    }
+
+    /// This histogram, observing into `stripe`.
+    fn on(&self, stripe: usize) -> Histogram {
+        Histogram {
+            stripe,
+            ..self.clone()
         }
     }
 
     /// Records one observation.
     #[inline]
     pub fn observe(&self, value: f64) {
-        let inner = &*self.inner;
-        let idx = inner
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(inner.bounds.len());
-        inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        inner.count.fetch_add(1, Ordering::Relaxed);
-        let mut current = inner.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + value).to_bits();
-            match inner.sum_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => current = actual,
-            }
-        }
+        let overflow = self.bounds.len();
+        let bucket = self.bounds.iter().position(|&b| value <= b);
+        let count = self.cells.cell(self.stripe, bucket.unwrap_or(overflow));
+        count.fetch_add(1, Ordering::Relaxed);
+        let sum = self.cells.cell(self.stripe, overflow + 1);
+        let add = |bits| Some((f64::from_bits(bits) + value).to_bits());
+        let _ = sum.fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
     }
 
-    /// Number of observations.
-    fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    fn sum(&self) -> f64 {
-        f64::from_bits(self.inner.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Mean observation (0 when empty).
-    fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum() / count as f64
-        }
-    }
-
-    /// A point-in-time copy of the histogram's state.
+    /// A point-in-time copy of the histogram's state, the stripes summed.
     fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<u64> = (0..=self.bounds.len())
+            .map(|at| self.cells.total(at))
+            .collect();
+        let sum_at = self.bounds.len() + 1;
+        let sums = (0..STRIPES).map(|stripe| self.cells.cell(stripe, sum_at));
         HistogramSnapshot {
-            bounds: self.inner.bounds.clone(),
-            buckets: self
-                .inner
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count(),
-            sum: self.sum(),
+            bounds: self.bounds.to_vec(),
+            count: buckets.iter().sum(),
+            buckets,
+            sum: sums.fold(0.0, |sum, bits| {
+                sum + f64::from_bits(bits.load(Ordering::Relaxed))
+            }),
         }
     }
 }
@@ -165,6 +209,15 @@ struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Mean observation (0 when empty).
+    fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+
     /// Approximate quantile via linear interpolation over the buckets.
     fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
@@ -194,15 +247,26 @@ enum Metric {
 
 /// Named home for every instrument. Lookup/registration locks briefly;
 /// returned handles are lock-free clones.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct MetricsRegistry {
-    metrics: Mutex<BTreeMap<String, Metric>>,
+    metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
+    /// The stripe the counters and histograms it hands out add into.
+    stripe: usize,
 }
 
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
+    }
+
+    /// The same instruments, for lane `index`: they add into stripe
+    /// `index mod STRIPES` (see the [module docs](self)).
+    pub(crate) fn lane(&self, index: usize) -> MetricsRegistry {
+        MetricsRegistry {
+            metrics: self.metrics.clone(),
+            stripe: index % STRIPES,
+        }
     }
 
     /// The instruments by name, locked; a registration that panicked leaves
@@ -219,9 +283,9 @@ impl MetricsRegistry {
         let mut metrics = self.metrics();
         match metrics
             .entry(name.to_owned())
-            .or_insert_with(|| Metric::Counter(Counter::default()))
+            .or_insert_with(|| Metric::Counter(Counter::new()))
         {
-            Metric::Counter(c) => c.clone(),
+            Metric::Counter(c) => c.on(self.stripe),
             _ => panic!("metric `{name}` is not a counter"),
         }
     }
@@ -252,7 +316,7 @@ impl MetricsRegistry {
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Histogram(Histogram::new(bounds)))
         {
-            Metric::Histogram(h) => h.clone(),
+            Metric::Histogram(h) => h.on(self.stripe),
             _ => panic!("metric `{name}` is not a histogram"),
         }
     }
@@ -280,7 +344,7 @@ impl MetricsRegistry {
                         out,
                         "    {name:<40} count={} mean={:.2} p50={:.2} p90={:.2} p99={:.2}",
                         snap.count,
-                        h.mean(),
+                        snap.mean(),
                         snap.quantile(0.50),
                         snap.quantile(0.90),
                         snap.quantile(0.99),
@@ -327,8 +391,52 @@ mod tests {
         assert_eq!(snap.count, 5);
         assert_eq!(snap.buckets, vec![2, 1, 1, 1]);
         assert!((snap.sum - 556.2).abs() < 1e-9);
-        assert!(h.mean() > 100.0);
+        assert!(snap.mean() > 100.0);
         let p50 = snap.quantile(0.5);
         assert!(p50 <= 10.0, "p50 {p50}");
+    }
+
+    /// Adds `n` to `counter` and observes whole numbers into `histogram`.
+    fn count(counter: &Counter, histogram: &Histogram, n: u64) {
+        for i in 0..n {
+            counter.add(i);
+            histogram.observe((i % 700) as f64);
+        }
+    }
+
+    /// Threads counting into lanes 0 and 1 of one handle, and into a lane
+    /// past the last stripe, which shares stripe 1 with lane 1: every
+    /// counter total, and the histogram's count, buckets and sum, equal one
+    /// thread counting everything.
+    #[test]
+    fn striped_lanes_count_exactly() {
+        let bounds = [1.0, 10.0, 100.0, 500.0];
+        let tele = crate::Telemetry::new(16);
+        let lanes = [0, 1, STRIPES + 1].map(|i| tele.lane(i));
+        let start = std::sync::Barrier::new(lanes.len());
+        std::thread::scope(|scope| {
+            for (lane, n) in lanes.iter().zip([5_000, 7_000, 3_000]) {
+                let start = &start;
+                scope.spawn(move || {
+                    let metrics = lane.metrics();
+                    let (c, h) = (metrics.counter("c"), metrics.histogram("h", &bounds));
+                    start.wait();
+                    count(&c, &h, n);
+                });
+            }
+        });
+        assert_eq!(lanes[2].metrics().counter("c").stripe, 1);
+
+        let one = MetricsRegistry::new();
+        let (c, h) = (one.counter("c"), one.histogram("h", &bounds));
+        for n in [5_000, 7_000, 3_000] {
+            count(&c, &h, n);
+        }
+        let metrics = tele.metrics();
+        assert_eq!(metrics.counter("c").get(), c.get());
+        let striped = metrics.histogram("h", &bounds).snapshot();
+        assert_eq!(striped, h.snapshot());
+        assert_eq!(striped.count, 15_000);
+        assert_eq!(metrics.render(), one.render());
     }
 }
